@@ -1,4 +1,4 @@
-//! Timing helpers shared by the `repro` binary and the Criterion benches.
+//! Timing helpers behind the `repro` binary's figures.
 //!
 //! Methodology mirrors the paper's (§5.1), scaled down: each query runs a
 //! warm-up round (amortizing GLogue statistic collection, which the paper

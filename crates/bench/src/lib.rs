@@ -2,8 +2,8 @@
 //!
 //! The benchmark harness that regenerates every figure of the paper's
 //! evaluation (§5). Each `fig*` function produces the same rows/series the
-//! paper plots; the `repro` binary prints them, and the Criterion benches
-//! measure representative slices under `cargo bench`.
+//! paper plots; the `repro` binary prints them. Timed perf points come from
+//! the fixed harness in `benchmark/` (`bash benchmark/run.sh`).
 //!
 //! Scale notes: `RELGO_BENCH_QUICK=1` (or `--quick`) shrinks scale factors
 //! and repetition counts so the whole suite completes in well under a

@@ -561,7 +561,7 @@ mod tests {
 
     #[test]
     fn snapshot_pins_the_old_epoch() {
-        let (session, _) = Session::snb(0.03, 42).unwrap();
+        let (session, schema) = Session::snb(0.03, 42).unwrap();
         let snap = session.snapshot();
         let person = snap.db().table("Person").unwrap().num_rows();
 
@@ -582,6 +582,13 @@ mod tests {
         // …and visible to the live session.
         assert_eq!(session.epoch(), 1);
         assert_eq!(session.db().table("Person").unwrap().num_rows(), person + 1);
+        // An outcome names the epoch that answered, not the newest one.
+        let q = snb_queries::ic1(&schema, 0, 1).unwrap();
+        let pinned = snap.run_cached(&q, OptimizerMode::RelGo).unwrap();
+        assert_eq!(pinned.epoch, snap.epoch());
+        assert!(pinned.epoch < session.epoch());
+        let live = session.run_cached(&q, OptimizerMode::RelGo).unwrap();
+        assert_eq!(live.epoch, session.epoch());
     }
 
     #[test]

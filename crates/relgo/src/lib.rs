@@ -53,8 +53,8 @@ pub use relgo_delta::checkpoint::{CheckpointCrash, CheckpointStore};
 pub use relgo_delta::wal::{Wal, WalOptions, WalStats};
 pub use serve::{replay_concurrent, replay_concurrent_with, ReplayReport, ServeMode};
 pub use session::{
-    CheckpointPolicy, CheckpointReport, CheckpointRequest, ExplainAnalyze, QueryOutcome,
-    RecoveryReport, Session, SessionOptions, Snapshot,
+    CheckpointPolicy, CheckpointReport, CheckpointRequest, ExplainAnalyze, PlanSource,
+    QueryOptions, QueryOutcome, RecoveryReport, Session, SessionOptions, Snapshot,
 };
 
 /// The convenient all-in-one import.
@@ -64,8 +64,8 @@ pub mod prelude {
     pub use crate::prepared::{BatchOutcome, PreparedStatement};
     pub use crate::serve::{replay_concurrent, replay_concurrent_with, ReplayReport, ServeMode};
     pub use crate::session::{
-        CheckpointPolicy, CheckpointReport, CheckpointRequest, ExplainAnalyze, QueryOutcome,
-        RecoveryReport, Session, SessionOptions, Snapshot,
+        CheckpointPolicy, CheckpointReport, CheckpointRequest, ExplainAnalyze, PlanSource,
+        QueryOptions, QueryOutcome, RecoveryReport, Session, SessionOptions, Snapshot,
     };
     pub use relgo_cache::{CacheConfig, MetricsSnapshot, PinnedPlan, PlanCache};
     pub use relgo_common::morsel::TimeBudget;

@@ -26,16 +26,18 @@
 //! [`PreparedStatement::execute`] calls.
 
 use crate::observe::QueryPath;
-use crate::session::{QueryOutcome, Session};
+use crate::session::{
+    profiled, QueryOptions, QueryOutcome, ResolvedPlan, Session, SessionState, Source,
+};
 use parking_lot::Mutex;
 use relgo_cache::PinnedPlan;
 use relgo_common::morsel::TimeBudget;
 use relgo_common::{Result, Value};
 use relgo_core::{
-    bind_query, parameterize, rebind_plan, validate_bindings, OptStats, OptimizerMode,
-    PhysicalPlan, PlanKey, SpjmQuery,
+    bind_query, parameterize, rebind_plan, validate_bindings, OptStats, OptimizerMode, PlanKey,
+    SpjmQuery,
 };
-use relgo_exec::{PlanReport, ProfileMode};
+use relgo_exec::PlanReport;
 use relgo_metrics::trace::{QueryTrace, Stage, StageTimings};
 use relgo_storage::Table;
 use std::sync::Arc;
@@ -84,22 +86,12 @@ impl Session {
         let pq = parameterize(query);
         let key = pq.key(mode);
         let cache = self.plan_cache();
-        let pinned = if let Some((plan, cached_params)) = cache.lookup(&key) {
-            cache.pin(plan, cached_params)
-        } else {
-            // Version snapshot taken before optimizing: a racing
-            // `rebuild_statistics` leaves the entry and pin born stale
-            // (next execute re-optimizes) rather than falsely current.
-            let version = cache.stats_version();
-            let (plan, opt) = self.optimize(query, mode)?;
-            let plan = Arc::new(plan);
-            // Like `run_cached`: a timed-out fallback plan is not worth
-            // pinning for every future instance — but the handle still
-            // uses it until the next statistics bump.
-            if !opt.timed_out {
-                cache.insert_at(key.clone(), Arc::clone(&plan), pq.params.clone(), version);
+        let pinned = match cache.lookup(&key) {
+            Some((plan, cached_params)) => cache.pin(plan, cached_params),
+            None => {
+                self.plan_on_miss(&self.state(), query, mode, key.clone(), pq.params.clone())?
+                    .0
             }
-            cache.pin_at(plan, pq.params.clone(), version)
         };
         Ok(PreparedStatement {
             session: self,
@@ -143,20 +135,20 @@ impl PreparedStatement<'_> {
             .pin_is_current(&self.pinned.lock())
     }
 
-    /// Resolve one binding vector to an executable plan: the pinned
-    /// skeleton rebound (the hot path), or a transparent re-optimize when
-    /// the pin is stale / the rebind is ambiguous. Returns the plan, the
-    /// optimizer's visited count (0 on the pinned path), and whether the
-    /// pinned path served it.
+    /// Resolve one (already validated) binding vector to an executable
+    /// plan: the pinned skeleton rebound (the hot path), or a transparent
+    /// re-optimize against `state` when the pin is stale / the rebind is
+    /// ambiguous, which also replaces the pin.
     ///
     /// The pin mutex is held only to snapshot (or replace) the pin — the
     /// rebind and any re-optimization run outside it, so concurrent
     /// executes on one shared handle do not serialize on the hot path.
-    fn rebound_plan(
+    pub(crate) fn resolve(
         &self,
+        state: &SessionState,
         bindings: &[Value],
         trace: &mut QueryTrace,
-    ) -> Result<(Arc<PhysicalPlan>, u64, bool)> {
+    ) -> Result<ResolvedPlan> {
         let cache = self.session.plan_cache();
         let snapshot = {
             let pinned = self.pinned.lock();
@@ -168,7 +160,7 @@ impl PreparedStatement<'_> {
             }) {
                 Ok(plan) => {
                     cache.note_prepared_hit();
-                    return Ok((Arc::new(plan), 0, true));
+                    return Ok(ResolvedPlan::rebound(plan));
                 }
                 // Ambiguous rebind (slots that shared a value in the pin
                 // diverged): fall through to a fresh optimization, like
@@ -178,93 +170,65 @@ impl PreparedStatement<'_> {
         } else {
             cache.note_prepared_invalidation();
         }
-        // Version snapshot before optimizing (see `Session::run_cached`):
-        // a racing rebuild leaves the new entry and pin born stale.
-        let version = cache.stats_version();
         let query = trace.time(Stage::Parameterize, || bind_query(&self.query, bindings))?;
-        let (plan, opt) =
-            trace.time(Stage::Optimize, || self.session.optimize(&query, self.mode))?;
-        let plan = Arc::new(plan);
-        if !opt.timed_out {
-            cache.insert_at(
+        let (pin, opt) = trace.time(Stage::Optimize, || {
+            self.session.plan_on_miss(
+                state,
+                &query,
+                self.mode,
                 self.key.clone(),
-                Arc::clone(&plan),
                 bindings.to_vec(),
-                version,
-            );
-        }
-        *self.pinned.lock() = cache.pin_at(Arc::clone(&plan), bindings.to_vec(), version);
-        Ok((plan, opt.plans_visited, false))
+            )
+        })?;
+        let plan = Arc::clone(&pin.plan);
+        *self.pinned.lock() = pin;
+        Ok(ResolvedPlan {
+            plan,
+            opt,
+            cached: false,
+        })
     }
 
-    /// Execute the statement with fresh literal bindings (slot order, as
-    /// produced by `parameterize` — workload templates expose matching
-    /// generators via `QueryTemplate::bindings`). The hot path is binding
-    /// validation + literal rebinding only; `outcome.cached` reports
-    /// whether the pinned skeleton served it.
-    pub fn execute(&self, bindings: &[Value]) -> Result<QueryOutcome> {
-        self.execute_with_deadline(bindings, None)
-    }
-
-    /// [`PreparedStatement::execute`] under an optional wall-clock budget:
-    /// execution checks the deadline at every morsel boundary and aborts
-    /// with `DeadlineExceeded` on expiry.
-    pub fn execute_with_deadline(
+    /// The pinned-plan twin of [`Session::query`]: execute the statement
+    /// with fresh literal bindings (slot order, as produced by
+    /// `parameterize` — workload templates expose matching generators via
+    /// `QueryTemplate::bindings`) under `options.deadline` /
+    /// `options.profile`; `options.plan` does not apply. The hot path is
+    /// binding validation + literal rebinding only; `outcome.cached`
+    /// reports whether the pinned skeleton served it.
+    pub fn query(
         &self,
         bindings: &[Value],
-        deadline: Option<TimeBudget>,
-    ) -> Result<QueryOutcome> {
-        Ok(self.execute_traced(bindings, deadline, ProfileMode::Off)?.0)
+        options: &QueryOptions,
+    ) -> Result<(QueryOutcome, Option<PlanReport>)> {
+        self.session.pipeline(
+            &self.session.state(),
+            Source::Statement(self, bindings),
+            self.mode,
+            options,
+        )
     }
 
-    /// [`PreparedStatement::execute_with_deadline`] with operator-level
-    /// profiling: result rows are bit-identical to the unprofiled path, and
-    /// the returned [`PlanReport`] joins the (possibly re-optimized) plan's
-    /// estimates with what execution measured.
+    /// [`PreparedStatement::query`] with default options.
+    pub fn execute(&self, bindings: &[Value]) -> Result<QueryOutcome> {
+        Ok(self.query(bindings, &QueryOptions::default())?.0)
+    }
+
+    /// [`PreparedStatement::execute`] with operator-level profiling under
+    /// an optional wall-clock budget: result rows are bit-identical to the
+    /// unprofiled path, and the returned [`PlanReport`] joins the (possibly
+    /// re-optimized) plan's estimates with what execution measured.
     pub fn execute_profiled(
         &self,
         bindings: &[Value],
         deadline: Option<TimeBudget>,
     ) -> Result<(QueryOutcome, PlanReport)> {
-        let (outcome, report) = self.execute_traced(bindings, deadline, ProfileMode::On)?;
-        Ok((outcome, report.expect("profiling was on")))
-    }
-
-    fn execute_traced(
-        &self,
-        bindings: &[Value],
-        deadline: Option<TimeBudget>,
-        profile: ProfileMode,
-    ) -> Result<(QueryOutcome, Option<PlanReport>)> {
-        let mut trace = QueryTrace::start();
-        let opt_start = Instant::now();
-        trace.time(Stage::Parse, || validate_bindings(&self.slot_sig, bindings))?;
-        let (plan, plans_visited, from_pin) = self.rebound_plan(bindings, &mut trace)?;
-        let opt = OptStats {
-            elapsed: opt_start.elapsed(),
-            plans_visited,
-            timed_out: false,
+        let options = QueryOptions {
+            deadline,
+            profile: true,
+            ..QueryOptions::default()
         };
-        let start = Instant::now();
-        let (table, report) = trace.time(Stage::Execute, || {
-            self.session
-                .execute_traced_with_deadline(&plan, self.mode, deadline, profile)
-        })?;
-        let exec_time = start.elapsed();
-        let trace = trace.finish();
-        self.session
-            .metrics()
-            .record_query(QueryPath::Prepared, &trace);
-        Ok((
-            QueryOutcome {
-                table,
-                opt,
-                exec_time,
-                cached: from_pin,
-                trace,
-            },
-            report,
-        ))
+        self.query(bindings, &options).map(profiled)
     }
 
     /// Execute N binding vectors as one batch: every vector is validated
@@ -273,6 +237,9 @@ impl PreparedStatement<'_> {
     /// amortized. `tables[i]` is bit-identical to
     /// `self.execute(&batch[i])?.table`.
     pub fn execute_batch(&self, batch: &[Vec<Value>]) -> Result<BatchOutcome> {
+        // Pin one epoch for the whole batch, planning included: a racing
+        // ingest commit must not split the batch across two data versions.
+        let state = self.session.state();
         let mut trace = QueryTrace::start();
         let opt_start = Instant::now();
         // Validate every vector before rebinding any: a malformed binding
@@ -283,29 +250,23 @@ impl PreparedStatement<'_> {
                 .try_for_each(|bindings| validate_bindings(&self.slot_sig, bindings))
         })?;
         let mut plans = Vec::with_capacity(batch.len());
-        let mut plans_visited = 0u64;
+        let mut opt = OptStats::default();
         let mut pinned_queries = 0usize;
         for bindings in batch {
-            let (plan, visited, from_pin) = self.rebound_plan(bindings, &mut trace)?;
-            plans_visited += visited;
-            pinned_queries += usize::from(from_pin);
-            plans.push(plan);
+            let resolved = self.resolve(&state, bindings, &mut trace)?;
+            opt.plans_visited += resolved.opt.plans_visited;
+            opt.timed_out |= resolved.opt.timed_out;
+            pinned_queries += usize::from(resolved.cached);
+            plans.push(resolved.plan);
         }
-        let opt = OptStats {
-            elapsed: opt_start.elapsed(),
-            plans_visited,
-            timed_out: false,
-        };
+        opt.elapsed = opt_start.elapsed();
         let start = Instant::now();
-        // Pin one epoch for the whole batch: a racing ingest commit must
-        // not split the batch across two data versions.
-        let state = self.session.state();
         let tables = trace.time(Stage::Execute, || {
             relgo_exec::execute_plan_batch(
                 &plans,
                 &state.view,
                 &state.db,
-                &self.session.exec_config(self.mode),
+                &self.session.exec_config(self.mode, None),
             )
         })?;
         let exec_time = start.elapsed();

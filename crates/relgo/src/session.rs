@@ -13,13 +13,14 @@
 
 use crate::ingest::{CommitError, IngestBatch};
 use crate::observe::{ObservabilitySnapshot, QueryPath, SessionMetrics};
+use crate::prepared::PreparedStatement;
 use parking_lot::{Mutex, RwLock};
-use relgo_cache::{CacheConfig, MetricsSnapshot, PlanCache};
+use relgo_cache::{CacheConfig, MetricsSnapshot, PinnedPlan, PlanCache};
 use relgo_common::morsel::TimeBudget;
-use relgo_common::{RelGoError, Result};
+use relgo_common::{RelGoError, Result, Value};
 use relgo_core::{
-    optimize, parameterize, rebind_plan, OptStats, OptimizerMode, PhysicalPlan, PlannerContext,
-    SpjmQuery,
+    optimize, parameterize, rebind_plan, validate_bindings, OptStats, OptimizerMode, PhysicalPlan,
+    PlanKey, PlannerContext, SpjmQuery,
 };
 use relgo_datagen::{generate_imdb, generate_snb, ImdbParams, SnbParams};
 use relgo_delta::checkpoint::{CheckpointCrash, CheckpointStore, RetentionReport};
@@ -119,13 +120,21 @@ impl Default for SessionOptions {
 pub struct QueryOutcome {
     /// The query result.
     pub table: Table,
-    /// Optimizer statistics (wall time, plans visited, timeout flag). On a
-    /// plan-cache hit this is the parameterize+rebind time.
+    /// The physical plan that produced it.
+    pub plan: Arc<PhysicalPlan>,
+    /// Optimizer statistics (plans visited, timeout flag; zero when a
+    /// cached or pinned skeleton served the query). `elapsed` is the wall
+    /// time of resolving the plan, whichever way: optimize, or
+    /// parameterize + probe + rebind, or validate + rebind.
     pub opt: OptStats,
     /// Execution wall time.
     pub exec_time: Duration,
-    /// Whether the plan came from the plan cache (`run_cached` hit).
+    /// Whether the plan came from the plan cache (`run_cached` hit) or a
+    /// prepared statement's pin.
     pub cached: bool,
+    /// The data epoch the query planned and executed against — the epoch
+    /// pinned when it entered the pipeline, whatever committed since.
+    pub epoch: u64,
     /// Per-stage lifecycle timings of this query (also recorded into the
     /// session's metrics registry).
     pub trace: StageTimings,
@@ -153,6 +162,76 @@ pub struct ExplainAnalyze {
     pub report: PlanReport,
     /// The ordinary outcome (result table, optimizer stats, timings).
     pub outcome: QueryOutcome,
+}
+
+impl ExplainAnalyze {
+    /// Render a profiled outcome: the executed plan's tree with each
+    /// operator's line suffixed by its row of `report`.
+    pub fn render(outcome: QueryOutcome, report: PlanReport) -> ExplainAnalyze {
+        ExplainAnalyze {
+            rendered: outcome.plan.explain_annotated(|id| report.annotation(id)),
+            report,
+            outcome,
+        }
+    }
+}
+
+/// Where [`Session::query`] gets its plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum PlanSource {
+    /// Optimize this instance from scratch ([`Session::run`]).
+    #[default]
+    Fresh,
+    /// Parameterize, probe the plan cache and rebind; optimize and insert
+    /// on a miss ([`Session::run_cached`]).
+    Cached,
+}
+
+/// The per-call options of the one query entry ([`Session::query`],
+/// [`Snapshot::query`], [`PreparedStatement::query`]). The default is what
+/// [`Session::run`] does: fresh plan, no deadline, no profiling.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct QueryOptions {
+    /// Where the plan comes from. A prepared statement's plan is always
+    /// its pinned skeleton, so [`PreparedStatement::query`] does not read
+    /// this field.
+    pub plan: PlanSource,
+    /// Wall-clock budget: execution checks it at every morsel boundary and
+    /// aborts with `DeadlineExceeded` on expiry (the serving edge maps that
+    /// to `503` + `Retry-After`). Construct the [`TimeBudget`] where the
+    /// request enters the system so queueing and planning count against it.
+    pub deadline: Option<TimeBudget>,
+    /// Collect the per-operator [`PlanReport`] (result rows are
+    /// bit-identical either way).
+    pub profile: bool,
+}
+
+/// What the pipeline plans from: an ad-hoc query, or a prepared statement
+/// with this call's bindings.
+pub(crate) enum Source<'a> {
+    Query(&'a SpjmQuery),
+    Statement(&'a PreparedStatement<'a>, &'a [Value]),
+}
+
+/// A plan the pipeline resolved, before execution.
+pub(crate) struct ResolvedPlan {
+    pub(crate) plan: Arc<PhysicalPlan>,
+    /// The optimizer's counters (zero when no optimizer ran); the pipeline
+    /// overwrites `elapsed` with the whole resolution's wall time.
+    pub(crate) opt: OptStats,
+    /// Whether a cached or pinned skeleton served it.
+    pub(crate) cached: bool,
+}
+
+impl ResolvedPlan {
+    /// A cached or pinned skeleton rebound with this instance's literals.
+    pub(crate) fn rebound(plan: PhysicalPlan) -> ResolvedPlan {
+        ResolvedPlan {
+            plan: Arc::new(plan),
+            opt: OptStats::default(),
+            cached: true,
+        }
+    }
 }
 
 /// One immutable epoch of session state: everything a query needs, pinned
@@ -803,15 +882,10 @@ impl Session {
     }
 
     /// The execution configuration `mode` runs under (shared by the
-    /// per-query and batched execution paths).
-    pub(crate) fn exec_config(&self, mode: OptimizerMode) -> ExecConfig {
-        self.exec_config_with(mode, None)
-    }
-
-    /// [`Session::exec_config`] with a per-query wall-clock budget:
+    /// per-query and batched execution paths). With a `deadline`,
     /// execution checks it at morsel boundaries and aborts with
     /// `DeadlineExceeded` on expiry.
-    pub(crate) fn exec_config_with(
+    pub(crate) fn exec_config(
         &self,
         mode: OptimizerMode,
         deadline: Option<TimeBudget>,
@@ -824,36 +898,28 @@ impl Session {
         }
     }
 
-    pub(crate) fn execute_at(
+    /// Execute `plan` against `state`. With `profile` set, plan-time metas
+    /// (operator ids, estimates) are joined with the run-time profiles into
+    /// a [`PlanReport`] and recorded into the session's operator/Q-error
+    /// metric series. The result table is bit-identical either way.
+    fn execute_at(
         &self,
         state: &SessionState,
         plan: &PhysicalPlan,
         mode: OptimizerMode,
         deadline: Option<TimeBudget>,
-    ) -> Result<Table> {
-        Ok(self
-            .execute_traced_at(state, plan, mode, deadline, ProfileMode::Off)?
-            .0)
-    }
-
-    /// Execute with optional operator-level profiling. When profiling is on,
-    /// plan-time metas (operator ids, estimates) are joined with the
-    /// run-time profiles into a [`PlanReport`] and recorded into the
-    /// session's operator/Q-error metric series. The result table is
-    /// bit-identical either way.
-    pub(crate) fn execute_traced_at(
-        &self,
-        state: &SessionState,
-        plan: &PhysicalPlan,
-        mode: OptimizerMode,
-        deadline: Option<TimeBudget>,
-        profile: ProfileMode,
+        profile: bool,
     ) -> Result<(Table, Option<PlanReport>)> {
+        let profile = if profile {
+            ProfileMode::On
+        } else {
+            ProfileMode::Off
+        };
         let (table, prof) = execute_plan_with(
             plan,
             &state.view,
             &state.db,
-            &self.exec_config_with(mode, deadline),
+            &self.exec_config(mode, deadline),
             profile,
         )?;
         let report = match prof {
@@ -869,63 +935,156 @@ impl Session {
 
     /// Execute a previously optimized plan under `mode`'s execution regime.
     pub fn execute(&self, plan: &PhysicalPlan, mode: OptimizerMode) -> Result<Table> {
-        self.execute_at(&self.state(), plan, mode, None)
+        Ok(self.execute_at(&self.state(), plan, mode, None, false)?.0)
     }
 
-    /// [`Session::execute`] under an optional wall-clock budget.
-    pub fn execute_with_deadline(
-        &self,
-        plan: &PhysicalPlan,
-        mode: OptimizerMode,
-        deadline: Option<TimeBudget>,
-    ) -> Result<Table> {
-        self.execute_at(&self.state(), plan, mode, deadline)
-    }
-
-    /// [`Session::execute_with_deadline`] with optional operator profiling
-    /// (the prepared-statement profiled path).
-    pub(crate) fn execute_traced_with_deadline(
-        &self,
-        plan: &PhysicalPlan,
-        mode: OptimizerMode,
-        deadline: Option<TimeBudget>,
-        profile: ProfileMode,
-    ) -> Result<(Table, Option<PlanReport>)> {
-        self.execute_traced_at(&self.state(), plan, mode, deadline, profile)
-    }
-
-    fn run_at(
+    /// The one miss path behind every cached plan (a `Cached` miss,
+    /// [`Session::prepare`], a stale prepared pin): optimize against
+    /// `state`, insert the skeleton, and return it pinned.
+    ///
+    /// The statistics version is snapshotted *before* optimizing: if a
+    /// `rebuild_statistics` or ingest commit races past while the optimizer
+    /// runs, the entry and the pin are stamped with the superseded version
+    /// and die on their next lookup instead of being served as current. A
+    /// timed-out search produced a fallback plan; it serves this caller but
+    /// is not inserted for every future instance of the template.
+    pub(crate) fn plan_on_miss(
         &self,
         state: &SessionState,
         query: &SpjmQuery,
         mode: OptimizerMode,
-        profile: ProfileMode,
+        key: PlanKey,
+        params: Vec<Value>,
+    ) -> Result<(PinnedPlan, OptStats)> {
+        let version = self.cache.stats_version();
+        let (plan, opt) = self.optimize_at(state, query, mode)?;
+        let plan = Arc::new(plan);
+        if !opt.timed_out {
+            self.cache
+                .insert_at(key, Arc::clone(&plan), params.clone(), version);
+        }
+        Ok((self.cache.pin_at(plan, params, version), opt))
+    }
+
+    /// Resolve a `Cached` plan: parameterize (comparison literals lifted
+    /// into slots, the rest fingerprinted isomorphism-invariantly) and
+    /// probe; on a hit the cached skeleton is rebound with this instance's
+    /// literals without touching the optimizer. On a miss — or if rebinding
+    /// is ambiguous, which is counted as a *rebind failure* — the query is
+    /// optimized normally and the skeleton inserted for the next instance.
+    fn resolve_cached(
+        &self,
+        state: &SessionState,
+        query: &SpjmQuery,
+        mode: OptimizerMode,
+        trace: &mut QueryTrace,
+    ) -> Result<ResolvedPlan> {
+        let pq = trace.time(Stage::Parameterize, || parameterize(query));
+        let key = pq.key(mode);
+        if let Some((skeleton, cached_params)) =
+            trace.time(Stage::CacheProbe, || self.cache.lookup(&key))
+        {
+            match trace.time(Stage::Rebind, || {
+                rebind_plan(&skeleton, &cached_params, &pq.params)
+            }) {
+                Ok(plan) => return Ok(ResolvedPlan::rebound(plan)),
+                Err(_) => self.cache.note_rebind_failure(),
+            }
+        }
+        let (pin, opt) = trace.time(Stage::Optimize, || {
+            self.plan_on_miss(state, query, mode, key, pq.params)
+        })?;
+        Ok(ResolvedPlan {
+            plan: pin.plan,
+            opt,
+            cached: false,
+        })
+    }
+
+    /// The one query pipeline: against the pinned `state`, resolve a plan
+    /// (`Fresh` optimize | `Cached` parameterize + probe + rebind | a
+    /// prepared statement's pinned skeleton + bindings), execute it, and
+    /// account for it — every public query entry is a wrapper over this.
+    /// Planning and execution see the same epoch on every path.
+    pub(crate) fn pipeline(
+        &self,
+        state: &SessionState,
+        source: Source<'_>,
+        mode: OptimizerMode,
+        options: &QueryOptions,
     ) -> Result<(QueryOutcome, Option<PlanReport>)> {
         let mut trace = QueryTrace::start();
-        let (plan, opt) = trace.time(Stage::Optimize, || self.optimize_at(state, query, mode))?;
-        let start = Instant::now();
-        let (table, report) = trace.time(Stage::Execute, || {
-            self.execute_traced_at(state, &plan, mode, None, profile)
-        })?;
-        let exec_time = start.elapsed();
+        let opt_start = Instant::now();
+        let (path, resolved) = match (source, options.plan) {
+            (Source::Query(query), PlanSource::Fresh) => {
+                let (plan, opt) =
+                    trace.time(Stage::Optimize, || self.optimize_at(state, query, mode))?;
+                let resolved = ResolvedPlan {
+                    plan: Arc::new(plan),
+                    opt,
+                    cached: false,
+                };
+                (QueryPath::Run, resolved)
+            }
+            (Source::Query(query), PlanSource::Cached) => {
+                let resolved = self.resolve_cached(state, query, mode, &mut trace)?;
+                (QueryPath::Cached, resolved)
+            }
+            (Source::Statement(stmt, bindings), _) => {
+                trace.time(Stage::Parse, || {
+                    validate_bindings(stmt.slot_sig(), bindings)
+                })?;
+                let resolved = stmt.resolve(state, bindings, &mut trace)?;
+                (QueryPath::Prepared, resolved)
+            }
+        };
+        let ResolvedPlan {
+            plan,
+            mut opt,
+            cached,
+        } = resolved;
+        // Charge the whole resolution (validate / parameterize / probe /
+        // rebind / optimize), whichever source served it.
+        opt.elapsed = opt_start.elapsed();
+        let exec_start = Instant::now();
+        let (table, report) =
+            self.execute_at(state, &plan, mode, options.deadline, options.profile)?;
+        let exec_time = exec_start.elapsed();
+        trace.add(Stage::Execute, exec_time);
         let trace = trace.finish();
-        self.metrics.record_query(QueryPath::Run, &trace);
-        Ok((
-            QueryOutcome {
-                table,
-                opt,
-                exec_time,
-                cached: false,
-                trace,
-            },
-            report,
-        ))
+        self.metrics.record_query(path, &trace);
+        let outcome = QueryOutcome {
+            table,
+            plan,
+            opt,
+            exec_time,
+            cached,
+            epoch: state.epoch,
+            trace,
+        };
+        Ok((outcome, report))
+    }
+
+    /// The one public query entry: run `query` under `mode` against the
+    /// current epoch, with the plan source, deadline and profiling chosen
+    /// by `options`. The report is `Some` exactly when `options.profile`
+    /// is set. [`Session::run`], [`Session::run_cached`] and their
+    /// `_profiled` twins are this call with fixed options;
+    /// [`Snapshot::query`] is the same call at a pinned epoch and
+    /// [`PreparedStatement::query`] its pinned-plan twin.
+    pub fn query(
+        &self,
+        query: &SpjmQuery,
+        mode: OptimizerMode,
+        options: &QueryOptions,
+    ) -> Result<(QueryOutcome, Option<PlanReport>)> {
+        self.snapshot().query(query, mode, options)
     }
 
     /// Optimize + execute, reporting timings. The whole query runs against
-    /// one pinned epoch.
+    /// one pinned epoch. (`query` with default options.)
     pub fn run(&self, query: &SpjmQuery, mode: OptimizerMode) -> Result<QueryOutcome> {
-        Ok(self.run_at(&self.state(), query, mode, ProfileMode::Off)?.0)
+        self.snapshot().run(query, mode)
     }
 
     /// [`Session::run`] with operator-level profiling: the same execution
@@ -936,143 +1095,35 @@ impl Session {
         query: &SpjmQuery,
         mode: OptimizerMode,
     ) -> Result<(QueryOutcome, PlanReport)> {
-        let (outcome, report) = self.run_at(&self.state(), query, mode, ProfileMode::On)?;
-        Ok((outcome, report.expect("profiling was on")))
-    }
-
-    fn run_cached_at(
-        &self,
-        state: &SessionState,
-        query: &SpjmQuery,
-        mode: OptimizerMode,
-    ) -> Result<QueryOutcome> {
-        Ok(self
-            .run_cached_at_with(state, query, mode, None, ProfileMode::Off)?
-            .0)
-    }
-
-    fn run_cached_at_with(
-        &self,
-        state: &SessionState,
-        query: &SpjmQuery,
-        mode: OptimizerMode,
-        deadline: Option<TimeBudget>,
-        profile: ProfileMode,
-    ) -> Result<(QueryOutcome, Option<PlanReport>)> {
-        let mut trace = QueryTrace::start();
-        let opt_start = Instant::now();
-        let pq = trace.time(Stage::Parameterize, || parameterize(query));
-        let key = pq.key(mode);
-        if let Some((skeleton, cached_params)) =
-            trace.time(Stage::CacheProbe, || self.cache.lookup(&key))
-        {
-            match trace.time(Stage::Rebind, || {
-                rebind_plan(&skeleton, &cached_params, &pq.params)
-            }) {
-                Ok(plan) => {
-                    let opt = OptStats {
-                        elapsed: opt_start.elapsed(),
-                        plans_visited: 0,
-                        timed_out: false,
-                    };
-                    let start = Instant::now();
-                    let (table, report) = trace.time(Stage::Execute, || {
-                        self.execute_traced_at(state, &plan, mode, deadline, profile)
-                    })?;
-                    let exec_time = start.elapsed();
-                    let trace = trace.finish();
-                    self.metrics.record_query(QueryPath::Cached, &trace);
-                    return Ok((
-                        QueryOutcome {
-                            table,
-                            opt,
-                            exec_time,
-                            cached: true,
-                            trace,
-                        },
-                        report,
-                    ));
-                }
-                Err(_) => self.cache.note_rebind_failure(),
-            }
-        }
-        // Snapshot the statistics version *before* optimizing: if a
-        // `rebuild_statistics` or ingest commit races past while the
-        // optimizer runs, the entry is inserted stamped with the superseded
-        // version and dies on its next lookup instead of being served as
-        // current.
-        let version = self.cache.stats_version();
-        let (plan, mut opt) =
-            trace.time(Stage::Optimize, || self.optimize_at(state, query, mode))?;
-        let plan = Arc::new(plan);
-        // A timed-out search produced a fallback plan; don't pin it for
-        // every future instance of the template.
-        if !opt.timed_out {
-            self.cache
-                .insert_at(key, Arc::clone(&plan), pq.params, version);
-        }
-        // Charge the full miss path (parameterize + lookup + optimize).
-        opt.elapsed = opt_start.elapsed();
-        let start = Instant::now();
-        let (table, report) = trace.time(Stage::Execute, || {
-            self.execute_traced_at(state, &plan, mode, deadline, profile)
-        })?;
-        let exec_time = start.elapsed();
-        let trace = trace.finish();
-        self.metrics.record_query(QueryPath::Cached, &trace);
-        Ok((
-            QueryOutcome {
-                table,
-                opt,
-                exec_time,
-                cached: false,
-                trace,
-            },
-            report,
-        ))
+        let options = QueryOptions {
+            profile: true,
+            ..QueryOptions::default()
+        };
+        self.query(query, mode, &options).map(profiled)
     }
 
     /// The concurrent serving path: like [`Session::run`], but plans are
-    /// reused through the plan cache.
-    ///
-    /// The query is parameterized (comparison literals lifted into slots,
-    /// the rest fingerprinted isomorphism-invariantly); on a hit the cached
-    /// skeleton is rebound with this instance's literals and executed
-    /// without touching the optimizer. On a miss — or if rebinding is
-    /// ambiguous, which is counted as a *rebind failure* — the query is
-    /// optimized normally and the skeleton inserted for the next instance.
+    /// reused through the plan cache (`query` with [`PlanSource::Cached`]).
     pub fn run_cached(&self, query: &SpjmQuery, mode: OptimizerMode) -> Result<QueryOutcome> {
-        self.run_cached_at(&self.state(), query, mode)
+        self.snapshot().run_cached(query, mode)
     }
 
-    /// [`Session::run_cached`] under an optional wall-clock budget:
-    /// execution checks the deadline at every morsel boundary and aborts
-    /// with `DeadlineExceeded` on expiry (the serving edge maps that to
-    /// `503` + `Retry-After`). Construct the [`TimeBudget`] where the
-    /// request enters the system so queueing and planning count against it.
-    pub fn run_cached_with_deadline(
-        &self,
-        query: &SpjmQuery,
-        mode: OptimizerMode,
-        deadline: Option<TimeBudget>,
-    ) -> Result<QueryOutcome> {
-        Ok(self
-            .run_cached_at_with(&self.state(), query, mode, deadline, ProfileMode::Off)?
-            .0)
-    }
-
-    /// [`Session::run_cached_with_deadline`] with operator-level profiling:
-    /// the serving path the server's `profile=1` requests take. Result rows
-    /// are bit-identical to the unprofiled path.
+    /// [`Session::run_cached`] with operator-level profiling under an
+    /// optional wall-clock budget: the serving path the server's
+    /// `profile=1` requests take. Result rows are bit-identical to the
+    /// unprofiled path.
     pub fn run_cached_profiled(
         &self,
         query: &SpjmQuery,
         mode: OptimizerMode,
         deadline: Option<TimeBudget>,
     ) -> Result<(QueryOutcome, PlanReport)> {
-        let (outcome, report) =
-            self.run_cached_at_with(&self.state(), query, mode, deadline, ProfileMode::On)?;
-        Ok((outcome, report.expect("profiling was on")))
+        let options = QueryOptions {
+            plan: PlanSource::Cached,
+            deadline,
+            profile: true,
+        };
+        self.query(query, mode, &options).map(profiled)
     }
 
     fn oracle_at(&self, state: &SessionState, query: &SpjmQuery) -> Result<Table> {
@@ -1108,29 +1159,8 @@ impl Session {
         query: &SpjmQuery,
         mode: OptimizerMode,
     ) -> Result<ExplainAnalyze> {
-        let state = self.state();
-        let mut trace = QueryTrace::start();
-        let (plan, opt) = trace.time(Stage::Optimize, || self.optimize_at(&state, query, mode))?;
-        let start = Instant::now();
-        let (table, report) = trace.time(Stage::Execute, || {
-            self.execute_traced_at(&state, &plan, mode, None, ProfileMode::On)
-        })?;
-        let exec_time = start.elapsed();
-        let trace = trace.finish();
-        self.metrics.record_query(QueryPath::Run, &trace);
-        let report = report.expect("profiling was on");
-        let rendered = plan.explain_annotated(|id| report.annotation(id));
-        Ok(ExplainAnalyze {
-            rendered,
-            report,
-            outcome: QueryOutcome {
-                table,
-                opt,
-                exec_time,
-                cached: false,
-                trace,
-            },
-        })
+        let (outcome, report) = self.run_profiled(query, mode)?;
+        Ok(ExplainAnalyze::render(outcome, report))
     }
 
     /// Check that every optimizer mode agrees with the oracle on `query`;
@@ -1140,11 +1170,11 @@ impl Session {
         &self,
         query: &SpjmQuery,
     ) -> Result<Vec<(OptimizerMode, QueryOutcome)>> {
-        let state = self.state();
-        let expected = self.oracle_at(&state, query)?.sorted_rows();
+        let snapshot = self.snapshot();
+        let expected = snapshot.oracle(query)?.sorted_rows();
         let mut outcomes = Vec::new();
         for mode in OptimizerMode::ALL {
-            let (outcome, _) = self.run_at(&state, query, mode, ProfileMode::Off)?;
+            let outcome = snapshot.run(query, mode)?;
             if outcome.table.sorted_rows() != expected {
                 return Err(RelGoError::execution(format!(
                     "{} disagrees with the oracle ({} vs {} rows)",
@@ -1157,6 +1187,13 @@ impl Session {
         }
         Ok(outcomes)
     }
+}
+
+/// Unwrap the report of a `profile: true` pipeline call.
+pub(crate) fn profiled(
+    (outcome, report): (QueryOutcome, Option<PlanReport>),
+) -> (QueryOutcome, PlanReport) {
+    (outcome, report.expect("profiling was on"))
 }
 
 /// A pinned data epoch of a [`Session`]: queries run through a snapshot see
@@ -1185,18 +1222,31 @@ impl Snapshot<'_> {
         &self.state.view
     }
 
+    /// [`Session::query`] against the pinned epoch (a `Cached` plan shares
+    /// the session's plan cache).
+    pub fn query(
+        &self,
+        query: &SpjmQuery,
+        mode: OptimizerMode,
+        options: &QueryOptions,
+    ) -> Result<(QueryOutcome, Option<PlanReport>)> {
+        self.session
+            .pipeline(&self.state, Source::Query(query), mode, options)
+    }
+
     /// Optimize + execute against the pinned epoch.
     pub fn run(&self, query: &SpjmQuery, mode: OptimizerMode) -> Result<QueryOutcome> {
-        Ok(self
-            .session
-            .run_at(&self.state, query, mode, ProfileMode::Off)?
-            .0)
+        Ok(self.query(query, mode, &QueryOptions::default())?.0)
     }
 
     /// [`Session::run_cached`] against the pinned epoch (shares the
     /// session's plan cache).
     pub fn run_cached(&self, query: &SpjmQuery, mode: OptimizerMode) -> Result<QueryOutcome> {
-        self.session.run_cached_at(&self.state, query, mode)
+        let options = QueryOptions {
+            plan: PlanSource::Cached,
+            ..QueryOptions::default()
+        };
+        Ok(self.query(query, mode, &options)?.0)
     }
 
     /// The oracle against the pinned epoch.
@@ -1273,6 +1323,20 @@ mod tests {
             run_rep.root().unwrap().prof.rows_out,
             cached_rep.root().unwrap().prof.rows_out
         );
+    }
+
+    #[test]
+    fn fresh_plan_under_an_expired_deadline_fails_closed() {
+        let (session, schema) = Session::snb(0.03, 42).unwrap();
+        let query = snb_queries::ic1(&schema, 1, 5).unwrap();
+        let options = QueryOptions {
+            deadline: Some(TimeBudget::new(Duration::ZERO)),
+            ..QueryOptions::default()
+        };
+        let err = session
+            .query(&query, OptimizerMode::RelGo, &options)
+            .unwrap_err();
+        assert!(matches!(err, RelGoError::DeadlineExceeded(_)), "{err}");
     }
 
     #[test]

@@ -24,11 +24,11 @@
 //!
 //! ## Deadlines
 //!
-//! `/query` and `/execute` accept a `deadline_ms` parameter (falling back
-//! to [`ServerConfig::default_deadline_ms`]): the remaining budget rides
-//! into execution as a [`TimeBudget`] checked at every morsel boundary, so
-//! an expired query stops within one morsel's work and answers `503` with
-//! `Retry-After` instead of pinning a worker.
+//! `/query`, `/execute` and an executing `/explain` accept a `deadline_ms`
+//! parameter (falling back to [`ServerConfig::default_deadline_ms`]): the
+//! remaining budget rides into execution as a [`TimeBudget`] checked at
+//! every morsel boundary, so an expired query stops within one morsel's
+//! work and answers `503` with `Retry-After` instead of pinning a worker.
 //!
 //! ## Access logs
 //!
@@ -1035,7 +1035,7 @@ fn dispatch(endpoint: Endpoint, req: &Request, shared: &Shared<'_>) -> Response 
         Endpoint::Query => with_admission(req, shared, handle_query),
         Endpoint::Prepare => with_admission(req, shared, handle_prepare),
         Endpoint::Execute => with_admission(req, shared, handle_execute),
-        Endpoint::Unprepare => handle_unprepare(req, shared),
+        Endpoint::Unprepare => handle_unprepare(req, shared).unwrap_or_else(|early| early),
         Endpoint::Explain => with_admission(req, shared, handle_explain),
         Endpoint::Ingest => with_admission(req, shared, handle_ingest),
         // Admission-exempt like /shutdown: an operator must be able to
@@ -1045,15 +1045,19 @@ fn dispatch(endpoint: Endpoint, req: &Request, shared: &Shared<'_>) -> Response 
     }
 }
 
+/// What a handler returns: `Err` is the response that ends the request
+/// early (a rejected parameter, an engine error), so parsing reads as `?`.
+type Handled<T> = std::result::Result<T, Response>;
+
 /// Run `f` under the request tenant's admission gate; a full gate is a
 /// `429` and a rejection metric, never a queue.
 fn with_admission(
     req: &Request,
     shared: &Shared<'_>,
-    f: fn(&Request, &Shared<'_>, &AdmissionGuard) -> Response,
+    f: fn(&Request, &Shared<'_>, &AdmissionGuard) -> Handled<Response>,
 ) -> Response {
     match admit(shared, req.tenant()) {
-        Ok(guard) => f(req, shared, &guard),
+        Ok(guard) => f(req, shared, &guard).unwrap_or_else(|early| early),
         Err(()) => {
             shared.metrics.rejections.inc();
             Response::err(429, format!("tenant {} at inflight limit", req.tenant()))
@@ -1068,7 +1072,7 @@ fn parse_mode(name: &str) -> Option<OptimizerMode> {
 fn lookup_template<'t>(
     templates: &'t [QueryTemplate],
     req: &Request,
-) -> std::result::Result<(usize, &'t QueryTemplate), Response> {
+) -> Handled<(usize, &'t QueryTemplate)> {
     let name = req
         .param("template")
         .ok_or_else(|| Response::err(400, "missing template parameter"))?;
@@ -1079,14 +1083,21 @@ fn lookup_template<'t>(
         .ok_or_else(|| Response::err(400, format!("unknown template {name}")))
 }
 
-fn parse_draw(req: &Request) -> std::result::Result<u64, Response> {
+fn parse_draw(req: &Request) -> Handled<u64> {
     req.param("draw")
         .ok_or_else(|| Response::err(400, "missing draw parameter"))?
         .parse()
         .map_err(|_| Response::err(400, "draw must be a non-negative integer"))
 }
 
-fn parse_mode_param(req: &Request) -> std::result::Result<OptimizerMode, Response> {
+fn parse_stmt(req: &Request) -> Handled<u64> {
+    match req.param("stmt").map(str::parse) {
+        Some(Ok(id)) => Ok(id),
+        _ => Err(Response::err(400, "missing or malformed stmt parameter")),
+    }
+}
+
+fn parse_mode_param(req: &Request) -> Handled<OptimizerMode> {
     match req.param("mode") {
         None => Ok(OptimizerMode::RelGo),
         Some(m) => {
@@ -1099,10 +1110,7 @@ fn parse_mode_param(req: &Request) -> std::result::Result<OptimizerMode, Respons
 /// parameter wins, else the server-wide default, else unbounded. The
 /// [`TimeBudget`] starts *here* — queueing, planning and cache probes all
 /// count against it, matching what the client actually experiences.
-fn parse_deadline(
-    req: &Request,
-    shared: &Shared<'_>,
-) -> std::result::Result<Option<TimeBudget>, Response> {
+fn parse_deadline(req: &Request, shared: &Shared<'_>) -> Handled<Option<TimeBudget>> {
     let ms = match req.param("deadline_ms") {
         Some(raw) => Some(raw.parse::<u64>().map_err(|_| {
             Response::err(
@@ -1115,21 +1123,36 @@ fn parse_deadline(
     Ok(ms.map(|ms| TimeBudget::new(Duration::from_millis(ms))))
 }
 
+/// The deadline and profiling a serving request (`/query`, `/execute`)
+/// runs under — the plan source is the endpoint's, not the request's —
+/// and whether the client wants the profile as the body's tail.
+fn parse_options(req: &Request, shared: &Shared<'_>) -> Handled<(QueryOptions, bool)> {
+    let armed = profile_armed(req, shared);
+    let options = QueryOptions {
+        deadline: parse_deadline(req, shared)?,
+        profile: armed.is_some(),
+        ..QueryOptions::default()
+    };
+    Ok((options, armed == Some(true)))
+}
+
 /// `Retry-After` advertised on deadline expiries: the query is retryable
 /// immediately with a longer (or absent) deadline, so advertise the
 /// minimum representable delay.
 const DEADLINE_RETRY_AFTER_SECS: u64 = 1;
 
-/// Map an engine error onto an HTTP response. A deadline expiry is the
-/// *client's* budget running out, not a server fault: `503` with
-/// `Retry-After` (and a metric), keeping the connection alive. Anything
-/// else stays a `500`.
+/// Map an engine error onto an HTTP response, for every endpoint that runs
+/// a query. A deadline expiry is the *client's* budget running out, not a
+/// server fault: `503` with `Retry-After` (and a metric), keeping the
+/// connection alive. A query or schema error (wrong-arity or wrong-type
+/// bindings, say) is the client's too: `400`. Anything else is a `500`.
 fn engine_error(e: RelGoError, shared: &Shared<'_>) -> Response {
     match e {
         RelGoError::DeadlineExceeded(_) => {
             shared.metrics.deadline_expirations.inc();
             Response::retryable(503, e, DEADLINE_RETRY_AFTER_SECS)
         }
+        RelGoError::Query(_) | RelGoError::Schema(_) => Response::err(400, e),
         e => Response::err(500, e),
     }
 }
@@ -1140,15 +1163,16 @@ fn engine_error(e: RelGoError, shared: &Shared<'_>) -> Response {
 /// charged to the trace's `serialize` stage (and the session's stage
 /// histogram), so trace coverage includes the response-building edge.
 ///
-/// With `profile` set, the response carries the per-operator profile for
-/// the slow-query log; when the client asked for it (`profile=1`,
-/// `tail` true) the same JSON is appended as the body's final line.
+/// With a `report`, the response carries the per-operator profile for the
+/// slow-query log; when the client asked for it (`profile=1`, `want_tail`)
+/// the same JSON is appended as the body's final line.
 fn render_outcome(
     outcome: &QueryOutcome,
     mode: OptimizerMode,
     shared: &Shared<'_>,
     guard: &AdmissionGuard,
-    profile: Option<(&PlanReport, bool)>,
+    report: Option<&PlanReport>,
+    want_tail: bool,
 ) -> Response {
     let rows = outcome.table.num_rows();
     if guard.tenant.budget.charge(rows).is_err() {
@@ -1160,15 +1184,15 @@ fn render_outcome(
     let mut body = format!(
         "ok rows={rows} cached={} epoch={} mode={}\n",
         outcome.cached,
-        shared.session.epoch(),
+        outcome.epoch,
         mode.name()
     );
     for r in 0..rows {
         body.push_str(&wire::encode_row(&outcome.table.row(r as u32)));
         body.push('\n');
     }
-    let json = profile.map(|(report, tail)| (report.to_json(), tail));
-    if let Some((json, true)) = &json {
+    let json = report.map(PlanReport::to_json);
+    if let (Some(json), true) = (&json, want_tail) {
         // The profile rides as the body's last line, pure JSON — clients
         // (and the CI smoke) can `tail -1 | jq` it off the wire format.
         body.push_str(json);
@@ -1181,46 +1205,34 @@ fn render_outcome(
     let mut response = Response::ok(body);
     response.rows = rows;
     response.stages = Some(Box::new(trace));
-    response.profile = json.map(|(json, _)| json);
+    response.profile = json;
     response
 }
 
-fn handle_query(req: &Request, shared: &Shared<'_>, guard: &AdmissionGuard) -> Response {
-    let (_, template) = match lookup_template(shared.templates, req) {
-        Ok(t) => t,
-        Err(r) => return r,
+fn handle_query(req: &Request, shared: &Shared<'_>, guard: &AdmissionGuard) -> Handled<Response> {
+    let (_, template) = lookup_template(shared.templates, req)?;
+    let draw = parse_draw(req)?;
+    let mode = parse_mode_param(req)?;
+    let (options, want_tail) = parse_options(req, shared)?;
+    let options = QueryOptions {
+        plan: PlanSource::Cached,
+        ..options
     };
-    let draw = match parse_draw(req) {
-        Ok(d) => d,
-        Err(r) => return r,
-    };
-    let mode = match parse_mode_param(req) {
-        Ok(m) => m,
-        Err(r) => return r,
-    };
-    let deadline = match parse_deadline(req, shared) {
-        Ok(d) => d,
-        Err(r) => return r,
-    };
-    let query = match template.instantiate(draw) {
-        Ok(q) => q,
-        Err(e) => return Response::err(400, e),
-    };
-    if let Some(want_tail) = profile_armed(req, shared) {
-        return match shared.session.run_cached_profiled(&query, mode, deadline) {
-            Ok((outcome, report)) => {
-                render_outcome(&outcome, mode, shared, guard, Some((&report, want_tail)))
-            }
-            Err(e) => engine_error(e, shared),
-        };
-    }
-    match shared
+    let query = template
+        .instantiate(draw)
+        .map_err(|e| Response::err(400, e))?;
+    let (outcome, report) = shared
         .session
-        .run_cached_with_deadline(&query, mode, deadline)
-    {
-        Ok(outcome) => render_outcome(&outcome, mode, shared, guard, None),
-        Err(e) => engine_error(e, shared),
-    }
+        .query(&query, mode, &options)
+        .map_err(|e| engine_error(e, shared))?;
+    Ok(render_outcome(
+        &outcome,
+        mode,
+        shared,
+        guard,
+        report.as_ref(),
+        want_tail,
+    ))
 }
 
 /// Whether this request executes with operator profiling armed, and if so
@@ -1233,25 +1245,21 @@ fn profile_armed(req: &Request, shared: &Shared<'_>) -> Option<bool> {
     (want_tail || shared.config.slow_query_ms.is_some()).then_some(want_tail)
 }
 
-fn handle_prepare(req: &Request, shared: &Shared<'_>, _guard: &AdmissionGuard) -> Response {
-    let (template_idx, template) = match lookup_template(shared.templates, req) {
-        Ok(t) => t,
-        Err(r) => return r,
-    };
-    let mode = match parse_mode_param(req) {
-        Ok(m) => m,
-        Err(r) => return r,
-    };
+fn handle_prepare(
+    req: &Request,
+    shared: &Shared<'_>,
+    _guard: &AdmissionGuard,
+) -> Handled<Response> {
+    let (template_idx, template) = lookup_template(shared.templates, req)?;
+    let mode = parse_mode_param(req)?;
     // Any instance parameterizes to the template's plan-cache key; draw 0
     // is as good a representative as any.
-    let query = match template.instantiate(0) {
-        Ok(q) => q,
-        Err(e) => return Response::err(400, e),
-    };
-    let stmt = match shared.session.prepare(&query, mode) {
-        Ok(s) => Arc::new(s),
-        Err(e) => return Response::err(500, e),
-    };
+    let query = template.instantiate(0).map_err(|e| Response::err(400, e))?;
+    let stmt = shared
+        .session
+        .prepare(&query, mode)
+        .map(Arc::new)
+        .map_err(|e| Response::err(500, e))?;
     let id = shared.next_stmt.fetch_add(1, Ordering::Relaxed);
     // Cap check and insert under one lock acquisition, so concurrent
     // prepares cannot overshoot the cap between a check and an insert.
@@ -1259,165 +1267,136 @@ fn handle_prepare(req: &Request, shared: &Shared<'_>, _guard: &AdmissionGuard) -
     if statements.len() >= shared.config.max_prepared_statements {
         drop(statements);
         shared.metrics.rejections.inc();
-        return Response::err(
+        return Err(Response::err(
             429,
             format!(
                 "prepared-statement cap ({}) reached; release handles via POST /unprepare",
                 shared.config.max_prepared_statements
             ),
-        );
+        ));
     }
     statements.insert(id, StmtEntry { stmt, template_idx });
-    Response::ok(format!("ok stmt={id}\n"))
+    Ok(Response::ok(format!("ok stmt={id}\n")))
 }
 
 /// Release a prepared handle: drops the pinned plan (once no in-flight
 /// `/execute` still holds its clone) and frees a cap slot.
-fn handle_unprepare(req: &Request, shared: &Shared<'_>) -> Response {
-    let id: u64 = match req.param("stmt").map(str::parse) {
-        Some(Ok(id)) => id,
-        _ => return Response::err(400, "missing or malformed stmt parameter"),
-    };
+fn handle_unprepare(req: &Request, shared: &Shared<'_>) -> Handled<Response> {
+    let id = parse_stmt(req)?;
     match shared
         .statements
         .lock()
         .expect("statements lock")
         .remove(&id)
     {
-        Some(_) => Response::ok(format!("ok unprepared={id}\n")),
-        None => Response::err(400, format!("unknown statement {id}")),
+        Some(_) => Ok(Response::ok(format!("ok unprepared={id}\n"))),
+        None => Err(Response::err(400, format!("unknown statement {id}"))),
     }
 }
 
-fn handle_execute(req: &Request, shared: &Shared<'_>, guard: &AdmissionGuard) -> Response {
-    let id: u64 = match req.param("stmt").map(str::parse) {
-        Some(Ok(id)) => id,
-        _ => return Response::err(400, "missing or malformed stmt parameter"),
-    };
-    let deadline = match parse_deadline(req, shared) {
-        Ok(d) => d,
-        Err(r) => return r,
-    };
+fn handle_execute(req: &Request, shared: &Shared<'_>, guard: &AdmissionGuard) -> Handled<Response> {
+    let id = parse_stmt(req)?;
+    let (options, want_tail) = parse_options(req, shared)?;
     // Clone the handle out so execution never holds the statements lock.
     let (stmt, template_idx) = {
         let statements = shared.statements.lock().expect("statements lock");
-        match statements.get(&id) {
-            Some(e) => (Arc::clone(&e.stmt), e.template_idx),
-            None => return Response::err(400, format!("unknown statement {id}")),
-        }
+        let entry = statements
+            .get(&id)
+            .ok_or_else(|| Response::err(400, format!("unknown statement {id}")))?;
+        (Arc::clone(&entry.stmt), entry.template_idx)
     };
     // Bindings come from exactly one of two places: client-supplied
     // wire-tagged values (`bind=i:42|s:x`, the `|`/`%` wire-escaped then
     // URL-escaped — the query-param decode already stripped the URL
-    // layer), or the template's deterministic generator (`draw=N`).
+    // layer), or the template's deterministic generator (`draw=N`). The
+    // pipeline validates them against the statement's slot signature, so
+    // a wrong-arity or wrong-type bind row surfaces as a typed error.
     let bindings = match (req.param("bind"), req.param("draw")) {
         (Some(_), Some(_)) => {
-            return Response::err(400, "bind and draw are mutually exclusive");
+            return Err(Response::err(400, "bind and draw are mutually exclusive"));
         }
-        (Some(row), None) => match wire::decode_row(row) {
-            Ok(b) => b,
-            Err(e) => return Response::err(400, format!("malformed bind row: {e}")),
-        },
-        (None, _) => match parse_draw(req) {
-            Ok(draw) => match shared.templates[template_idx].bindings(draw) {
-                Ok(b) => b,
-                Err(e) => return Response::err(400, e),
-            },
-            Err(r) => return r,
-        },
+        (Some(row), None) => wire::decode_row(row)
+            .map_err(|e| Response::err(400, format!("malformed bind row: {e}")))?,
+        (None, _) => shared.templates[template_idx]
+            .bindings(parse_draw(req)?)
+            .map_err(|e| Response::err(400, e))?,
     };
-    // validate_bindings runs inside execute_with_deadline, so a
-    // wrong-arity or wrong-type bind row surfaces as a typed error here.
-    if let Some(want_tail) = profile_armed(req, shared) {
-        return match stmt.execute_profiled(&bindings, deadline) {
-            Ok((outcome, report)) => render_outcome(
-                &outcome,
-                stmt.mode(),
-                shared,
-                guard,
-                Some((&report, want_tail)),
-            ),
-            Err(e) => match e {
-                RelGoError::DeadlineExceeded(_) => engine_error(e, shared),
-                RelGoError::Query(_) | RelGoError::Schema(_) => Response::err(400, e),
-                e => Response::err(500, e),
-            },
-        };
-    }
-    match stmt.execute_with_deadline(&bindings, deadline) {
-        Ok(outcome) => render_outcome(&outcome, stmt.mode(), shared, guard, None),
-        Err(e) => match e {
-            RelGoError::DeadlineExceeded(_) => engine_error(e, shared),
-            RelGoError::Query(_) | RelGoError::Schema(_) => Response::err(400, e),
-            e => Response::err(500, e),
-        },
-    }
+    let (outcome, report) = stmt
+        .query(&bindings, &options)
+        .map_err(|e| engine_error(e, shared))?;
+    Ok(render_outcome(
+        &outcome,
+        stmt.mode(),
+        shared,
+        guard,
+        report.as_ref(),
+        want_tail,
+    ))
 }
 
 /// `POST /explain?template=NAME&draw=N[&mode=M][&analyze=0]`: optimize the
 /// instantiated query and return the rendered plan tree. The default is
-/// EXPLAIN ANALYZE — the query executes with operator profiling and each
-/// line carries `est`/`act` rows and the operator's Q-error; `analyze=0`
-/// skips execution and annotates estimates only. The tree rides after an
+/// EXPLAIN ANALYZE — the query executes with operator profiling (under the
+/// request's deadline, like `/query`) and each line carries `est`/`act`
+/// rows and the operator's Q-error; `analyze=0` skips execution and
+/// annotates estimates only. The tree rides after an
 /// `ok ops=N analyze=B mode=M` meta line; result rows are never returned
 /// (so the tenant row budget is not charged), but the executed variant
 /// still runs under the admission gate.
-fn handle_explain(req: &Request, shared: &Shared<'_>, _guard: &AdmissionGuard) -> Response {
-    let (_, template) = match lookup_template(shared.templates, req) {
-        Ok(t) => t,
-        Err(r) => return r,
-    };
-    let draw = match parse_draw(req) {
-        Ok(d) => d,
-        Err(r) => return r,
-    };
-    let mode = match parse_mode_param(req) {
-        Ok(m) => m,
-        Err(r) => return r,
-    };
-    let query = match template.instantiate(draw) {
-        Ok(q) => q,
-        Err(e) => return Response::err(400, e),
-    };
+fn handle_explain(
+    req: &Request,
+    shared: &Shared<'_>,
+    _guard: &AdmissionGuard,
+) -> Handled<Response> {
+    let (_, template) = lookup_template(shared.templates, req)?;
+    let draw = parse_draw(req)?;
+    let mode = parse_mode_param(req)?;
+    let query = template
+        .instantiate(draw)
+        .map_err(|e| Response::err(400, e))?;
     if req.param("analyze") == Some("0") {
-        return match shared.session.explain(&query, mode) {
-            Ok(rendered) => Response::ok(format!(
-                "ok ops={} analyze=0 mode={}\n{rendered}",
-                rendered.lines().count(),
-                mode.name()
-            )),
-            Err(e) => engine_error(e, shared),
-        };
+        let rendered = shared
+            .session
+            .explain(&query, mode)
+            .map_err(|e| engine_error(e, shared))?;
+        return Ok(Response::ok(format!(
+            "ok ops={} analyze=0 mode={}\n{rendered}",
+            rendered.lines().count(),
+            mode.name()
+        )));
     }
-    match shared.session.explain_analyze(&query, mode) {
-        Ok(ea) => {
-            let body = format!(
-                "ok ops={} analyze=1 mode={}\n{}",
-                ea.report.ops.len(),
-                mode.name(),
-                ea.rendered
-            );
-            let mut response = Response::ok(body);
-            response.stages = Some(Box::new(ea.outcome.trace));
-            response.profile = Some(ea.report.to_json());
-            response
-        }
-        Err(e) => engine_error(e, shared),
-    }
+    let options = QueryOptions {
+        plan: PlanSource::Fresh,
+        deadline: parse_deadline(req, shared)?,
+        profile: true,
+    };
+    let (outcome, report) = shared
+        .session
+        .query(&query, mode, &options)
+        .map_err(|e| engine_error(e, shared))?;
+    let ea = ExplainAnalyze::render(outcome, report.expect("profiling was on"));
+    let mut response = Response::ok(format!(
+        "ok ops={} analyze=1 mode={}\n{}",
+        ea.report.ops.len(),
+        mode.name(),
+        ea.rendered
+    ));
+    response.stages = Some(Box::new(ea.outcome.trace));
+    response.profile = Some(ea.report.to_json());
+    Ok(response)
 }
 
-fn handle_ingest(req: &Request, shared: &Shared<'_>, _guard: &AdmissionGuard) -> Response {
+fn handle_ingest(req: &Request, shared: &Shared<'_>, _guard: &AdmissionGuard) -> Handled<Response> {
     let mut batch = shared.session.begin_ingest();
     for (lineno, line) in req.body.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
-        if let Err(e) = wire::apply_ingest_line(&mut batch, line) {
-            return Response::err(400, format!("line {}: {e}", lineno + 1));
-        }
+        wire::apply_ingest_line(&mut batch, line)
+            .map_err(|e| Response::err(400, format!("line {}: {e}", lineno + 1)))?;
     }
-    match batch.commit() {
+    Ok(match batch.commit() {
         Ok(report) => {
             let mut response = Response::ok(format!(
                 "ok epoch={} inserted={} deleted={}\n",
@@ -1442,7 +1421,7 @@ fn handle_ingest(req: &Request, shared: &Shared<'_>, _guard: &AdmissionGuard) ->
             INGEST_RETRY_AFTER_SECS,
         ),
         Err(CommitError::Failed(e)) => Response::err(400, e),
-    }
+    })
 }
 
 /// `Retry-After` advertised on lost `/ingest` commit races. The conflict

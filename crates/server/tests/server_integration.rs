@@ -1044,6 +1044,15 @@ fn keepalive_deadlines_framing_and_access_log() {
             assert_eq!(status, 200, "connection survives a 503");
             let (status, _, body) = ka.send("POST", &format!("{query_path}&deadline_ms=60000"), "");
             assert_eq!(status, 200, "generous deadline passes: {body}");
+            // EXPLAIN ANALYZE executes too, so it fails closed the same way.
+            let mut ex = KeepAliveClient::connect(&addr);
+            let explain_path = format!("/explain?template={}&draw=1", templates[0].name());
+            let (status, head, body) =
+                ex.send("POST", &format!("{explain_path}&deadline_ms=0"), "");
+            assert_eq!(status, 503, "expired explain deadline: {body}");
+            assert!(head.contains("Retry-After:"), "{head}");
+            let (status, _, body) = ex.send("POST", &explain_path, "");
+            assert_eq!(status, 200, "unbounded explain passes: {body}");
 
             // --- client-supplied bindings on /execute --------------------
             let (status, _, body) = ka.send(
@@ -1160,8 +1169,8 @@ fn keepalive_deadlines_framing_and_access_log() {
             assert!(reuses >= 10.0, "reuse happened many times: {reuses}");
             assert_eq!(
                 scrape.value("relgo_http_deadline_expirations_total", &[]),
-                Some(1.0),
-                "exactly one deadline expiry"
+                Some(2.0),
+                "exactly one deadline expiry per endpoint tried"
             );
             let open = scrape
                 .value("relgo_http_open_connections", &[])

@@ -6,19 +6,29 @@
 //! Property tests sweep random SNB/JOB template draws through
 //!
 //! 1. `Session::run_profiled` (fresh optimization),
-//! 2. `Session::run_cached_profiled` (plan-cache probe + rebind),
-//! 3. `PreparedStatement::execute_profiled` (pinned skeleton), and
+//! 2. `Session::run_cached_profiled` (plan-cache probe + rebind, and the
+//!    miss path behind an invalidation),
+//! 3. `PreparedStatement::execute_profiled` (pinned skeleton, and the
+//!    stale-pin re-optimize behind an invalidation), and
 //! 4. `Session::explain_analyze` (the rendered-report path),
 //!
 //! at 1, 2, and 8 intra-query threads, and assert that every profiled
 //! result is **bit-identical** to the unprofiled `Session::run` twin, and
 //! that the per-operator `(kind, rows_in, rows_out)` sequence is identical
 //! across all four regimes and all three thread counts.
+//!
+//! Each wrapper is one fixed point of the options matrix behind
+//! `Session::query` / `PreparedStatement::query`: every regime is also
+//! reached through that entry with the equivalent `QueryOptions`, without
+//! and with a generous deadline, and must agree with its wrapper on rows,
+//! operator rows, `outcome.cached` and the `relgo_queries_total{path}`
+//! increment.
 
 use proptest::prelude::*;
 use relgo::prelude::*;
 use relgo::workloads::templates::{job_templates, snb_templates, QueryTemplate};
 use std::sync::OnceLock;
+use std::time::Duration;
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -58,6 +68,92 @@ fn op_rows(report: &relgo::prelude::PlanReport) -> Vec<(&'static str, u64, u64)>
         .collect()
 }
 
+/// `relgo_queries_total`, one count per [`QueryPath`] (the registry hands
+/// back the session's own counter for a known name + label pair).
+fn path_counts(session: &Session) -> [u64; 4] {
+    QueryPath::ALL.map(|p| {
+        session
+            .metrics()
+            .registry()
+            .counter_with("relgo_queries_total", "", &[("path", p.name())])
+            .get()
+    })
+}
+
+/// What one profiled call did, as far as it must repeat.
+#[derive(Debug, PartialEq)]
+struct Probe {
+    ops: Vec<(&'static str, u64, u64)>,
+    cached: bool,
+    path_increments: [u64; 4],
+}
+
+/// Run one profiled call, hold its rows to `plain`, and keep the rest for
+/// comparison.
+fn probe(
+    session: &Session,
+    plain: &Table,
+    what: &str,
+    call: impl FnOnce() -> Result<(QueryOutcome, Option<PlanReport>)>,
+) -> Probe {
+    let before = path_counts(session);
+    let (outcome, report) = call().unwrap_or_else(|e| panic!("{what}: {e}"));
+    let after = path_counts(session);
+    assert!(
+        bit_identical(plain, &outcome.table),
+        "{what} changed the result"
+    );
+    let report = report.unwrap_or_else(|| panic!("{what}: profiling was on"));
+    report.reconcile().unwrap();
+    assert_eq!(
+        report.root().map(|r| r.prof.rows_out),
+        Some(plain.num_rows() as u64),
+        "{what}: root cardinality disagrees with the result"
+    );
+    Probe {
+        ops: op_rows(&report),
+        cached: outcome.cached,
+        path_increments: std::array::from_fn(|i| after[i] - before[i]),
+    }
+}
+
+/// One regime three ways — its wrapper, the `query` entry with the
+/// equivalent options, and the same under a generous deadline — which must
+/// be indistinguishable. With `stale`, the plan cache is invalidated
+/// before each call, so cached plans miss and pins re-optimize.
+fn regime(
+    session: &Session,
+    plain: &Table,
+    what: &str,
+    stale: bool,
+    wrapper: impl Fn() -> Result<(QueryOutcome, PlanReport)>,
+    entry: impl Fn(&QueryOptions) -> Result<(QueryOutcome, Option<PlanReport>)>,
+) -> Probe {
+    let fresh_cache = || {
+        if stale {
+            session.plan_cache().invalidate_all();
+        }
+    };
+    fresh_cache();
+    let via_wrapper = probe(session, plain, what, || {
+        wrapper().map(|(o, r)| (o, Some(r)))
+    });
+    for deadline in [None, Some(TimeBudget::new(Duration::from_secs(3600)))] {
+        let options = QueryOptions {
+            deadline,
+            profile: true,
+            ..QueryOptions::default()
+        };
+        fresh_cache();
+        let via_entry = probe(session, plain, what, || entry(&options));
+        assert_eq!(
+            via_wrapper, via_entry,
+            "{what}: wrapper and query({options:?}) diverge"
+        );
+    }
+    via_wrapper
+}
+
 /// Run one template draw through every profiled regime on one session;
 /// returns the shared `(kind, rows_in, rows_out)` sequence for the
 /// cross-thread-count comparison.
@@ -67,63 +163,72 @@ fn profiled_case(
     draw: u64,
     mode: OptimizerMode,
 ) -> Vec<(&'static str, u64, u64)> {
-    let name = t.name();
+    let case = format!("{} draw {draw} {}", t.name(), mode.name());
     let q = t.instantiate(draw).unwrap();
     let plain = session.run(&q, mode).unwrap().table;
 
-    let (outcome, run_report) = session.run_profiled(&q, mode).unwrap();
-    assert!(
-        bit_identical(&plain, &outcome.table),
-        "{name} draw {draw} {}: run_profiled changed the result",
-        mode.name()
+    let run = regime(
+        session,
+        &plain,
+        &format!("{case}: run_profiled"),
+        false,
+        || session.run_profiled(&q, mode),
+        |options| session.query(&q, mode, options),
     );
-    run_report.reconcile().unwrap();
-    assert_eq!(
-        run_report.root().map(|r| r.prof.rows_out),
-        Some(plain.num_rows() as u64),
-        "{name} draw {draw} {}: root cardinality disagrees with the result",
-        mode.name()
-    );
-
-    let (outcome, cached_report) = session.run_cached_profiled(&q, mode, None).unwrap();
-    assert!(
-        bit_identical(&plain, &outcome.table),
-        "{name} draw {draw} {}: run_cached_profiled changed the result",
-        mode.name()
-    );
+    assert_eq!((run.cached, run.path_increments), (false, [1, 0, 0, 0]));
 
     // Prepare from the draw-0 instance so execute_profiled really rebinds.
     let stmt = session.prepare(&t.instantiate(0).unwrap(), mode).unwrap();
-    let (outcome, prepared_report) = stmt
-        .execute_profiled(&t.bindings(draw).unwrap(), None)
-        .unwrap();
-    assert!(
-        bit_identical(&plain, &outcome.table),
-        "{name} draw {draw} {}: execute_profiled changed the result",
-        mode.name()
-    );
-
-    let ea = session.explain_analyze(&q, mode).unwrap();
-    assert!(
-        bit_identical(&plain, &ea.outcome.table),
-        "{name} draw {draw} {}: explain_analyze changed the result",
-        mode.name()
-    );
-
-    let rows = op_rows(&run_report);
-    for (regime, report) in [
-        ("run_cached_profiled", &cached_report),
-        ("execute_profiled", &prepared_report),
-        ("explain_analyze", &ea.report),
-    ] {
+    let bindings = t.bindings(draw).unwrap();
+    let mut regimes = Vec::new();
+    for stale in [true, false] {
+        let cached = regime(
+            session,
+            &plain,
+            &format!("{case}: run_cached_profiled (stale={stale})"),
+            stale,
+            || session.run_cached_profiled(&q, mode, None),
+            |options| {
+                let options = QueryOptions {
+                    plan: PlanSource::Cached,
+                    ..*options
+                };
+                session.query(&q, mode, &options)
+            },
+        );
         assert_eq!(
-            rows,
-            op_rows(report),
-            "{name} draw {draw} {}: {regime} measured different operator rows",
-            mode.name()
+            (cached.cached, cached.path_increments),
+            (!stale, [0, 1, 0, 0])
+        );
+        let prepared = regime(
+            session,
+            &plain,
+            &format!("{case}: execute_profiled (stale={stale})"),
+            stale,
+            || stmt.execute_profiled(&bindings, None),
+            |options| stmt.query(&bindings, options),
+        );
+        assert_eq!(
+            (prepared.cached, prepared.path_increments),
+            (!stale, [0, 0, 1, 0])
+        );
+        regimes.extend([cached, prepared]);
+    }
+
+    let ea = probe(session, &plain, &format!("{case}: explain_analyze"), || {
+        let ea = session.explain_analyze(&q, mode)?;
+        Ok((ea.outcome, Some(ea.report)))
+    });
+    assert_eq!(ea.path_increments, run.path_increments);
+    regimes.push(ea);
+
+    for other in &regimes {
+        assert_eq!(
+            run.ops, other.ops,
+            "{case}: regimes measured different operator rows"
         );
     }
-    rows
+    run.ops
 }
 
 proptest! {
