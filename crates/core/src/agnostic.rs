@@ -1,5 +1,5 @@
-//! Graph-agnostic optimization (paper §3.1.1, §4.1) and the baseline
-//! optimizers it is paired with in the evaluation.
+//! The graph-agnostic search space (paper §3.1.1, §4.1) and the baseline
+//! passes it is paired with in the evaluation.
 //!
 //! The Lemma-1 transformation turns `M(P)` into a join over `n` vertex
 //! relations and `m` edge relations. After the Example-4 redundancy
@@ -9,16 +9,12 @@
 //! per-vertex filters for pushed-down predicates. Join conditions link
 //! items that share a pattern vertex.
 //!
-//! Join-order algorithms:
-//!
-//! * [`JoinOrderAlgo::Greedy`] — DuckDB-like: left-deep, smallest estimated
-//!   output first, aggressively pruned (fast optimization, fallible orders);
-//! * [`JoinOrderAlgo::DpSize`] — Umbra-like: bushy DP over connected
-//!   subsets minimizing the C_out metric with independence-assumption
-//!   (low-order) cardinality estimates;
-//! * [`JoinOrderAlgo::Exhaustive`] — Calcite-like: full rule-driven plan
-//!   enumeration *without memoization or pruning*, whose optimization time
-//!   explodes with pattern size (Fig. 4b's baseline); bounded by a timeout.
+//! `RelationSpace` presents those relations to the plan search: joins
+//! are estimated under the independence assumption from low-order statistics
+//! and ranked by C_out. Which strategy orders them is the optimizer mode's
+//! choice — greedy (DuckDB-like), memoized DP (Umbra-like, with histogram
+//! selectivities), or the unmemoized enumeration of the *full* `n + m`
+//! relation set (Calcite-like, Fig. 4b's baseline).
 //!
 //! The GRainDB upgrade pass ([`upgrade_to_predefined_joins`]) replaces a
 //! hash join with an `EXPAND` (predefined join) wherever the join's probe
@@ -26,508 +22,173 @@
 //! exactly the "if possible" caveat of the paper's Fig. 12 caption.
 
 use crate::graph_plan::{GraphOp, PatternElem, PlanAnnotation};
-use relgo_common::{FxHashMap, RelGoError, Result};
+use crate::search::{Entry, Est, SearchSpace, State};
+use relgo_common::{LabelId, RelGoError, Result};
 use relgo_graph::{Direction, GraphView};
 use relgo_pattern::Pattern;
-use std::time::{Duration, Instant};
+use relgo_storage::ScalarExpr;
 
-/// Join-order search algorithm for the graph-agnostic pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinOrderAlgo {
-    /// Left-deep greedy (DuckDB-like).
-    Greedy,
-    /// Bushy subset DP with C_out objective (Umbra-like).
-    DpSize,
-    /// Unmemoized exhaustive enumeration (Calcite-like, Fig. 4b baseline).
-    Exhaustive,
-}
-
-/// Configuration of the agnostic pipeline.
-#[derive(Debug, Clone, Copy)]
-pub struct AgnosticConfig {
-    /// Join-order algorithm.
-    pub algo: JoinOrderAlgo,
-    /// Whether to run the GRainDB predefined-join upgrade.
-    pub use_graph_index: bool,
-    /// Optimization-time budget (the paper's 10-minute cap, scaled).
-    pub timeout: Duration,
-}
-
-/// Statistics about one optimization run (drives Fig. 4b).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SearchStats {
-    /// Plans (or states) the search visited.
-    pub plans_visited: u64,
-    /// Whether the search hit its timeout and fell back.
-    pub timed_out: bool,
-}
-
-/// Low-order cardinality estimation for the agnostic optimizers.
+/// The Lemma-1 relations of a pattern as a search space.
 ///
-/// Items `0..m` are the edge relations. When `with_vertex_items` is set
-/// (the Calcite-like full Lemma-1 space), items `m..m+n` are the vertex
-/// relations — the optimizer then orders joins over all `n + m` relations,
-/// which is the search space whose size Fig. 4a/4b measure.
-struct LowOrderStats<'a> {
+/// Items `0..m` are the edge relations. With `vertex_items` (the
+/// Calcite-like full Lemma-1 space, whose size Fig. 4a/4b measure) items
+/// `m..m+n` are the vertex relations; without, a predicated vertex is
+/// filtered at its lowest-indexed incident edge.
+pub(crate) struct RelationSpace<'a> {
     pattern: &'a Pattern,
+    view: &'a GraphView,
     /// Effective cardinality of each item (predicate selectivities folded
-    /// in with the heuristic estimator — no data access, mirroring an
-    /// optimizer that only has low-order statistics).
+    /// in — no data access beyond low-order statistics).
     item_card: Vec<f64>,
+    /// Pattern vertices each item binds.
+    item_vertices: Vec<u32>,
     /// |V| per pattern vertex (label cardinality).
     vertex_card: Vec<f64>,
-    /// Whether vertex relations participate as join items.
-    with_vertex_items: bool,
+    /// The edge item at which each predicated vertex is filtered.
+    filter_site: Vec<Option<usize>>,
 }
 
-impl<'a> LowOrderStats<'a> {
-    fn new(
+impl<'a> RelationSpace<'a> {
+    /// `histograms`: estimate predicate selectivity from equi-width
+    /// histograms of the actual attribute distributions (the accuracy edge
+    /// the paper credits Umbra with in §5.3.2) instead of heuristic priors.
+    pub(crate) fn new(
         pattern: &'a Pattern,
         view: &'a GraphView,
-        with_vertex_items: bool,
-        use_histograms: bool,
-    ) -> Self {
-        // Umbra-like estimation consults equi-width histograms of the
-        // actual attribute distributions (the accuracy edge the paper
-        // credits Umbra with in §5.3.2); the others use heuristic priors.
-        let vsel = |label: relgo_common::LabelId, p: &relgo_storage::ScalarExpr| -> f64 {
-            if use_histograms {
-                relgo_storage::stats::predicate_selectivity(view.vertex_table(label), p)
+        vertex_items: bool,
+        histograms: bool,
+    ) -> Result<Self> {
+        // A pattern without edges is one vertex: its relation is the item.
+        let vertex_items = vertex_items || pattern.edge_count() == 0;
+        let selectivity = |table: &relgo_storage::Table, p: &ScalarExpr| -> f64 {
+            if histograms {
+                relgo_storage::stats::predicate_selectivity(table, p)
             } else {
                 p.estimated_selectivity()
             }
         };
-        let esel = |label: relgo_common::LabelId, p: &relgo_storage::ScalarExpr| -> f64 {
-            if use_histograms {
-                relgo_storage::stats::predicate_selectivity(view.edge_table(label), p)
-            } else {
-                p.estimated_selectivity()
-            }
-        };
+        let vsel = |label: LabelId, p: &ScalarExpr| selectivity(view.vertex_table(label), p);
         let vertex_card: Vec<f64> = pattern
             .vertices()
             .iter()
             .map(|v| (view.vertex_count(v.label) as f64).max(1.0))
             .collect();
-        let mut item_card: Vec<f64> = pattern
-            .edges()
-            .iter()
-            .map(|e| {
-                let mut card = view.edge_count(e.label) as f64;
-                if let Some(p) = &e.predicate {
-                    card *= esel(e.label, p);
+        let mut item_vertices = Vec::new();
+        let mut item_card = Vec::new();
+        for e in pattern.edges() {
+            let mut card = view.edge_count(e.label) as f64;
+            if let Some(p) = &e.predicate {
+                card *= selectivity(view.edge_table(e.label), p);
+            }
+            for v in [e.src, e.dst] {
+                let pv = pattern.vertex(v);
+                if let Some(p) = &pv.predicate {
+                    card *= vsel(pv.label, p);
                 }
-                for v in [e.src, e.dst] {
-                    let pv = pattern.vertex(v);
-                    if let Some(p) = &pv.predicate {
-                        card *= vsel(pv.label, p);
-                    }
-                }
-                card.max(1e-3)
-            })
-            .collect();
-        if with_vertex_items {
-            for (v, pv) in pattern.vertices().iter().enumerate() {
+            }
+            item_card.push(card.max(1e-3));
+            item_vertices.push(1 << e.src | 1 << e.dst);
+        }
+        let mut filter_site = vec![None; pattern.vertex_count()];
+        for (v, pv) in pattern.vertices().iter().enumerate() {
+            if vertex_items {
                 let mut card = vertex_card[v];
                 if let Some(p) = &pv.predicate {
                     card *= vsel(pv.label, p);
                 }
                 item_card.push(card.max(1e-3));
+                item_vertices.push(1 << v);
+            } else if pv.predicate.is_some() {
+                let site = pattern.incident_edges(v).into_iter().min();
+                filter_site[v] =
+                    Some(site.ok_or_else(|| {
+                        RelGoError::plan("predicated vertex has no incident edge")
+                    })?);
             }
         }
-        LowOrderStats {
+        Ok(RelationSpace {
             pattern,
+            view,
             item_card,
+            item_vertices,
             vertex_card,
-            with_vertex_items,
-        }
+            filter_site,
+        })
     }
 
     /// Vertices bound by an item subset.
-    fn bound_vertices(&self, items: u32) -> u32 {
-        let m = self.pattern.edge_count();
-        let mut vs = 0u32;
-        for (i, e) in self.pattern.edges().iter().enumerate() {
-            if items & (1 << i) != 0 {
-                vs |= 1 << e.src;
-                vs |= 1 << e.dst;
-            }
-        }
-        if self.with_vertex_items {
-            for v in 0..self.pattern.vertex_count() {
-                if items & (1 << (m + v)) != 0 {
-                    vs |= 1 << v;
-                }
-            }
-        }
-        vs
+    fn bound_vertices(&self, items: State) -> u32 {
+        bits(items).fold(0, |vs, i| vs | self.item_vertices[i])
     }
 
-    /// Independence-assumption cardinality of joining two item sets.
-    fn join_card(&self, card_a: f64, items_a: u32, card_b: f64, items_b: u32) -> f64 {
-        let shared = self.bound_vertices(items_a) & self.bound_vertices(items_b);
-        let mut denom = 1.0f64;
-        for v in 0..self.pattern.vertex_count() {
-            if shared & (1 << v) != 0 {
-                denom *= self.vertex_card[v];
+    /// The vertices a non-empty item subset binds, if the subset is
+    /// connected through shared vertices.
+    fn span(&self, items: State) -> Option<u32> {
+        let mut seen = items & items.wrapping_neg();
+        let mut vertices = self.bound_vertices(seen);
+        loop {
+            let reached = bits(items & !seen)
+                .filter(|&i| self.item_vertices[i] & vertices != 0)
+                .fold(0, |acc, i| acc | 1 << i);
+            if reached == 0 {
+                return (seen == items).then_some(vertices);
             }
+            seen |= reached;
+            vertices |= self.bound_vertices(reached);
         }
-        (card_a * card_b / denom).max(1e-3)
-    }
-
-    /// Whether two item sets are connected (share a vertex).
-    fn connected(&self, items_a: u32, items_b: u32) -> bool {
-        self.bound_vertices(items_a) & self.bound_vertices(items_b) != 0
     }
 }
 
-/// A join tree over edge items.
-#[derive(Debug, Clone)]
-enum JoinTree {
-    Leaf(usize),
-    Join(Box<JoinTree>, Box<JoinTree>),
+/// The indices of the set bits, ascending.
+fn bits(mut set: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (set != 0).then(|| {
+            let i = set.trailing_zeros() as usize;
+            set &= set - 1;
+            i
+        })
+    })
 }
 
-/// Optimize the matching operator graph-agnostically; returns the physical
-/// graph plan and search statistics.
-pub fn optimize_agnostic(
-    pattern: &Pattern,
-    view: &GraphView,
-    cfg: &AgnosticConfig,
-) -> Result<(GraphOp, SearchStats)> {
-    let m = pattern.edge_count();
-    if m == 0 {
-        // Single-vertex pattern: plain scan.
-        let v = 0;
-        let card = view.vertex_count(pattern.vertex(v).label) as f64;
-        return Ok((
+impl SearchSpace for RelationSpace<'_> {
+    /// A join of two disjoint item sets sharing at least one vertex.
+    type Step = (State, State);
+
+    fn item_count(&self) -> usize {
+        self.item_card.len()
+    }
+
+    /// Edge leaves scan the edge relation, applying the vertex predicates
+    /// sited there; vertex leaves scan the vertex relation.
+    fn leaf(&self, item: usize) -> Entry {
+        let card = self.item_card[item];
+        let op = if let Some(v) = item.checked_sub(self.pattern.edge_count()) {
             GraphOp::ScanVertex {
                 v,
-                predicate: pattern.vertex(v).predicate.clone(),
+                predicate: self.pattern.vertex(v).predicate.clone(),
                 ann: PlanAnnotation {
                     est_card: card,
-                    est_cost: card,
+                    est_cost: self.vertex_card[v],
                 },
-            },
-            SearchStats::default(),
-        ));
-    }
-    // The Calcite-like exhaustive search covers the *full* Lemma-1 relation
-    // set (n vertex + m edge relations, Fig. 4a's agnostic space); the
-    // pruned optimizers work over the redundancy-eliminated edge items.
-    let with_vertex_items = cfg.algo == JoinOrderAlgo::Exhaustive;
-    let use_histograms = cfg.algo == JoinOrderAlgo::DpSize;
-    let stats = LowOrderStats::new(pattern, view, with_vertex_items, use_histograms);
-    let (tree, search) = match cfg.algo {
-        JoinOrderAlgo::Greedy => (greedy_order(&stats)?, SearchStats::default()),
-        JoinOrderAlgo::DpSize => dp_order(&stats, cfg.timeout)?,
-        JoinOrderAlgo::Exhaustive => exhaustive_order(&stats, cfg.timeout)?,
-    };
-    let mut plan = tree_to_plan(pattern, view, &stats, &tree)?;
-    if cfg.use_graph_index {
-        plan = upgrade_to_predefined_joins(pattern, plan);
-    }
-    Ok((plan, search))
-}
-
-/// DuckDB-like greedy left-deep ordering.
-fn greedy_order(stats: &LowOrderStats<'_>) -> Result<JoinTree> {
-    let m = stats.item_card.len();
-    let start = (0..m)
-        .min_by(|&a, &b| stats.item_card[a].total_cmp(&stats.item_card[b]))
-        .expect("at least one edge");
-    let mut tree = JoinTree::Leaf(start);
-    let mut items: u32 = 1 << start;
-    let mut card = stats.item_card[start];
-    while items.count_ones() < m as u32 {
-        let mut best: Option<(usize, f64)> = None;
-        for j in 0..m {
-            if items & (1 << j) != 0 || !stats.connected(items, 1 << j) {
-                continue;
             }
-            let c = stats.join_card(card, items, stats.item_card[j], 1 << j);
-            if best.is_none_or(|(_, bc)| c < bc) {
-                best = Some((j, c));
-            }
-        }
-        let (j, c) = best.ok_or_else(|| RelGoError::plan("pattern is disconnected"))?;
-        tree = JoinTree::Join(Box::new(tree), Box::new(JoinTree::Leaf(j)));
-        items |= 1 << j;
-        card = c;
-    }
-    Ok(tree)
-}
-
-/// Umbra-like bushy DP (C_out objective, connected subsets only).
-fn dp_order(stats: &LowOrderStats<'_>, timeout: Duration) -> Result<(JoinTree, SearchStats)> {
-    let m = stats.item_card.len();
-    if m > 14 {
-        // Beyond the DP budget: Umbra would switch strategies; fall back.
-        return Ok((
-            greedy_order(stats)?,
-            SearchStats {
-                plans_visited: 0,
-                timed_out: true,
-            },
-        ));
-    }
-    let start = Instant::now();
-    let full: u32 = (1u32 << m) - 1;
-    // best[s] = (cost, card, tree)
-    let mut best: FxHashMap<u32, (f64, f64, JoinTree)> = FxHashMap::default();
-    for i in 0..m {
-        best.insert(1 << i, (0.0, stats.item_card[i], JoinTree::Leaf(i)));
-    }
-    let mut visited = 0u64;
-    let mut subsets: Vec<u32> = (1..=full).collect();
-    subsets.sort_by_key(|s| s.count_ones());
-    for s in subsets {
-        if s.count_ones() < 2 {
-            continue;
-        }
-        if start.elapsed() > timeout {
-            return Ok((
-                greedy_order(stats)?,
-                SearchStats {
-                    plans_visited: visited,
-                    timed_out: true,
-                },
-            ));
-        }
-        let mut chosen: Option<(f64, f64, JoinTree)> = None;
-        // Enumerate splits with the lowest bit pinned to the left side.
-        let low = s & s.wrapping_neg();
-        let rest = s & !low;
-        let mut sub = rest;
-        loop {
-            let left = sub | low;
-            let right = s & !left;
-            if right != 0 {
-                if let (Some((cl, kl, tl)), Some((cr, kr, tr))) =
-                    (best.get(&left), best.get(&right))
-                {
-                    if stats.connected(left, right) {
-                        visited += 1;
-                        let out = stats.join_card(*kl, left, *kr, right);
-                        let cost = cl + cr + out; // C_out
-                        if chosen.as_ref().is_none_or(|(c, _, _)| cost < *c) {
-                            chosen = Some((
-                                cost,
-                                out,
-                                JoinTree::Join(Box::new(tl.clone()), Box::new(tr.clone())),
-                            ));
-                        }
-                    }
-                }
-            }
-            if sub == 0 {
-                break;
-            }
-            sub = (sub - 1) & rest;
-        }
-        if let Some(c) = chosen {
-            best.insert(s, c);
-        }
-    }
-    let (_, _, tree) = best
-        .remove(&full)
-        .ok_or_else(|| RelGoError::plan("pattern is disconnected"))?;
-    Ok((
-        tree,
-        SearchStats {
-            plans_visited: visited,
-            timed_out: false,
-        },
-    ))
-}
-
-/// Calcite-like exhaustive enumeration: recursively explores *every*
-/// ordered connected binary join tree without memoization, tracking the
-/// C_out-cheapest. The visit count grows with the full agnostic search
-/// space of Fig. 4a; the timeout bounds the damage and falls back to the
-/// best plan found so far (or greedy if none completed).
-fn exhaustive_order(
-    stats: &LowOrderStats<'_>,
-    timeout: Duration,
-) -> Result<(JoinTree, SearchStats)> {
-    let m = stats.item_card.len();
-    let full: u32 = (1u32 << m) - 1;
-    let start = Instant::now();
-    let mut visited = 0u64;
-    let mut timed_out = false;
-
-    // Returns (cost, card, tree) for the cheapest plan of `s`, exploring
-    // every split every time (no memo — deliberately Calcite-Volcano-ish).
-    fn explore(
-        stats: &LowOrderStats<'_>,
-        s: u32,
-        start: &Instant,
-        timeout: Duration,
-        visited: &mut u64,
-        timed_out: &mut bool,
-    ) -> Option<(f64, f64, JoinTree)> {
-        *visited += 1;
-        if (*visited).is_multiple_of(64) && start.elapsed() > timeout {
-            *timed_out = true;
-        }
-        if *timed_out {
-            return None;
-        }
-        if s.count_ones() == 1 {
-            let i = s.trailing_zeros() as usize;
-            return Some((0.0, stats.item_card[i], JoinTree::Leaf(i)));
-        }
-        let mut best: Option<(f64, f64, JoinTree)> = None;
-        let low = s & s.wrapping_neg();
-        let rest = s & !low;
-        let mut sub = rest;
-        loop {
-            let left = sub | low;
-            let right = s & !left;
-            if right != 0
-                && stats.connected(left, right)
-                && connected_set(stats, left)
-                && connected_set(stats, right)
-            {
-                if let Some((cl, kl, tl)) = explore(stats, left, start, timeout, visited, timed_out)
-                {
-                    if let Some((cr, kr, tr)) =
-                        explore(stats, right, start, timeout, visited, timed_out)
-                    {
-                        let out = stats.join_card(kl, left, kr, right);
-                        let cost = cl + cr + out;
-                        if best.as_ref().is_none_or(|(c, _, _)| cost < *c) {
-                            best = Some((cost, out, JoinTree::Join(Box::new(tl), Box::new(tr))));
-                        }
-                    }
-                }
-            }
-            if sub == 0 || *timed_out {
-                break;
-            }
-            sub = (sub - 1) & rest;
-        }
-        best
-    }
-
-    let result = explore(stats, full, &start, timeout, &mut visited, &mut timed_out);
-    let tree = match result {
-        Some((_, _, t)) if !timed_out => t,
-        _ => {
-            timed_out = true;
-            greedy_order(stats)?
-        }
-    };
-    Ok((
-        tree,
-        SearchStats {
-            plans_visited: visited,
-            timed_out,
-        },
-    ))
-}
-
-/// Whether an item subset is connected through shared vertices.
-fn connected_set(stats: &LowOrderStats<'_>, items: u32) -> bool {
-    if items == 0 {
-        return false;
-    }
-    let m = stats.item_card.len();
-    let start = items.trailing_zeros();
-    let mut seen = 1u32 << start;
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for i in 0..m {
-            if items & (1 << i) != 0 && seen & (1 << i) == 0 {
-                for j in 0..m {
-                    if seen & (1 << j) != 0 && stats.connected(1 << i, 1 << j) {
-                        seen |= 1 << i;
-                        changed = true;
-                        break;
-                    }
-                }
-            }
-        }
-    }
-    seen == items
-}
-
-/// Convert a join tree over edge items into a physical graph plan: leaves
-/// scan edge relations (applying pushed vertex predicates at their first
-/// binding), internal nodes hash-join on shared bound vertices.
-fn tree_to_plan(
-    pattern: &Pattern,
-    view: &GraphView,
-    stats: &LowOrderStats<'_>,
-    tree: &JoinTree,
-) -> Result<GraphOp> {
-    // Assign each predicated vertex to the lowest-indexed incident edge so
-    // the filter is applied exactly once. When vertex relations are join
-    // items themselves, their scans carry the predicate instead.
-    let mut filter_site: FxHashMap<usize, usize> = FxHashMap::default();
-    if !stats.with_vertex_items {
-        for v in 0..pattern.vertex_count() {
-            if pattern.vertex(v).predicate.is_some() {
-                let site =
-                    pattern.incident_edges(v).into_iter().min().ok_or_else(|| {
-                        RelGoError::plan("predicated vertex has no incident edge")
-                    })?;
-                filter_site.insert(v, site);
-            }
-        }
-    }
-    build_plan(pattern, view, stats, tree, &filter_site).map(|(op, _, _)| op)
-}
-
-fn build_plan(
-    pattern: &Pattern,
-    view: &GraphView,
-    stats: &LowOrderStats<'_>,
-    tree: &JoinTree,
-    filter_site: &FxHashMap<usize, usize>,
-) -> Result<(GraphOp, u32, f64)> {
-    match tree {
-        JoinTree::Leaf(i) if *i >= pattern.edge_count() => {
-            // A vertex-relation leaf (Calcite-like full search space).
-            let v = *i - pattern.edge_count();
-            let card = stats.item_card[*i];
-            Ok((
-                GraphOp::ScanVertex {
-                    v,
-                    predicate: pattern.vertex(v).predicate.clone(),
-                    ann: PlanAnnotation {
-                        est_card: card,
-                        est_cost: stats.vertex_card[v],
-                    },
-                },
-                1 << *i,
-                card,
-            ))
-        }
-        JoinTree::Leaf(i) => {
-            let e = pattern.edge(*i);
-            let raw = view.edge_count(e.label) as f64;
+        } else {
+            let e = self.pattern.edge(item);
+            let raw = self.view.edge_count(e.label) as f64;
             let mut op = GraphOp::ScanEdge {
-                e: *i,
+                e: item,
                 predicate: e.predicate.clone(),
                 ann: PlanAnnotation {
                     est_card: raw,
                     est_cost: raw,
                 },
             };
-            let mut card = stats.item_card[*i];
             for v in [e.src, e.dst] {
-                if filter_site.get(&v) == Some(i) {
-                    let predicate = pattern
-                        .vertex(v)
-                        .predicate
-                        .clone()
-                        .expect("filter sites only exist for predicated vertices");
+                if self.filter_site[v] == Some(item) {
+                    let predicate = self.pattern.vertex(v).predicate.clone();
                     op = GraphOp::FilterVertex {
                         input: Box::new(op),
                         v,
-                        predicate,
+                        predicate: predicate.expect("filter sites are predicated vertices"),
                         ann: PlanAnnotation {
                             est_card: card,
                             est_cost: raw,
@@ -535,32 +196,66 @@ fn build_plan(
                     };
                 }
             }
-            let _ = &mut card;
-            Ok((op, 1 << *i, stats.item_card[*i]))
+            op
+        };
+        // C_out charges join outputs only.
+        let est = Est { cost: 0.0, card };
+        Entry { est, op }
+    }
+
+    /// Every split of `s` into two connected, mutually connected halves,
+    /// the lowest item pinned to the left.
+    fn steps_into(&self, s: State) -> impl Iterator<Item = (State, State)> + '_ {
+        let low = s & s.wrapping_neg();
+        let rest = s & !low;
+        std::iter::successors(Some(rest), move |&sub| (sub != 0).then(|| (sub - 1) & rest))
+            .map(move |sub| (sub | low, rest & !sub))
+            .filter(move |&(left, right)| {
+                let shares_vertex = |l| self.span(right).is_some_and(|r| l & r != 0);
+                right != 0 && self.span(left).is_some_and(shares_vertex)
+            })
+    }
+
+    fn extension(&self, cur: State, item: usize) -> Option<(State, State)> {
+        (self.bound_vertices(cur) & self.item_vertices[item] != 0).then_some((cur, 1 << item))
+    }
+
+    fn inputs(&self, &(left, right): &(State, State)) -> (State, Option<State>) {
+        (left, Some(right))
+    }
+
+    /// Independence assumption: `|A ⋈ B| = |A|·|B| / Π |V_v|` over the
+    /// shared vertices; C_out adds the output to the inputs' costs.
+    fn estimate(&self, &(left, right): &(State, State), l: Est, r: Option<Est>) -> Est {
+        let r = r.expect("a join has two inputs");
+        let shared = self.bound_vertices(left) & self.bound_vertices(right);
+        let denom: f64 = bits(shared).map(|v| self.vertex_card[v]).product();
+        let card = (l.card * r.card / denom).max(1e-3);
+        Est {
+            cost: l.cost + r.cost + card,
+            card,
         }
-        JoinTree::Join(l, r) => {
-            let (lop, litems, lcard) = build_plan(pattern, view, stats, l, filter_site)?;
-            let (rop, ritems, rcard) = build_plan(pattern, view, stats, r, filter_site)?;
-            let shared = stats.bound_vertices(litems) & stats.bound_vertices(ritems);
-            let on_vertices: Vec<usize> = (0..pattern.vertex_count())
-                .filter(|&v| shared & (1 << v) != 0)
-                .collect();
-            let card = stats.join_card(lcard, litems, rcard, ritems);
-            let cost = lop.annotation().est_cost + rop.annotation().est_cost + card;
-            Ok((
-                GraphOp::JoinSub {
-                    left: Box::new(lop),
-                    right: Box::new(rop),
-                    on_vertices,
-                    on_edges: Vec::new(),
-                    ann: PlanAnnotation {
-                        est_card: card,
-                        est_cost: cost,
-                    },
-                },
-                litems | ritems,
-                card,
-            ))
+    }
+
+    /// Hash join on the shared bound vertices.
+    fn emit(
+        &self,
+        &(left, right): &(State, State),
+        est: Est,
+        l: Entry,
+        r: Option<Entry>,
+    ) -> GraphOp {
+        let r = r.expect("a join has two inputs");
+        let shared = self.bound_vertices(left) & self.bound_vertices(right);
+        GraphOp::JoinSub {
+            on_vertices: bits(shared).collect(),
+            on_edges: Vec::new(),
+            ann: PlanAnnotation {
+                est_card: est.card,
+                est_cost: l.op.annotation().est_cost + r.op.annotation().est_cost + est.card,
+            },
+            left: Box::new(l.op),
+            right: Box::new(r.op),
         }
     }
 }
@@ -811,11 +506,13 @@ pub fn kuzu_heuristic_plan(pattern: &Pattern, view: &GraphView) -> Result<GraphO
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relgo_common::{DataType, LabelId};
+    use crate::search::{search, SearchStats, Strategy};
+    use relgo_common::DataType;
     use relgo_graph::RGMapping;
     use relgo_pattern::PatternBuilder;
     use relgo_storage::table::table_of;
-    use relgo_storage::{Database, ScalarExpr};
+    use relgo_storage::Database;
+    use std::time::Duration;
 
     fn view() -> GraphView {
         let mut db = Database::new();
@@ -886,19 +583,28 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn cfg(algo: JoinOrderAlgo, index: bool) -> AgnosticConfig {
-        AgnosticConfig {
-            algo,
-            use_graph_index: index,
-            timeout: Duration::from_secs(5),
-        }
+    /// Search the relation space the way the agnostic modes do: the
+    /// exhaustive strategy ranges over the vertex relations too.
+    fn order(
+        p: &Pattern,
+        v: &GraphView,
+        strategy: Strategy,
+        timeout: Duration,
+    ) -> Result<(GraphOp, SearchStats)> {
+        let space = RelationSpace::new(p, v, strategy == Strategy::Exhaustive, false)?;
+        search(&space, strategy, timeout)
+    }
+
+    fn greedy(p: &Pattern, v: &GraphView) -> GraphOp {
+        order(p, v, Strategy::Greedy, Duration::from_secs(5))
+            .unwrap()
+            .0
     }
 
     #[test]
     fn greedy_covers_all_edges_with_joins() {
         let v = view();
-        let (plan, _) =
-            optimize_agnostic(&triangle(), &v, &cfg(JoinOrderAlgo::Greedy, false)).unwrap();
+        let plan = greedy(&triangle(), &v);
         let bound = plan.bound_elements(&triangle());
         for e in 0..3 {
             assert!(bound.contains(&PatternElem::Edge(e)), "edge {e} unbound");
@@ -910,10 +616,8 @@ mod tests {
     #[test]
     fn graindb_upgrade_introduces_expands() {
         let v = view();
-        let (hash_plan, _) =
-            optimize_agnostic(&triangle(), &v, &cfg(JoinOrderAlgo::Greedy, false)).unwrap();
-        let (upgraded, _) =
-            optimize_agnostic(&triangle(), &v, &cfg(JoinOrderAlgo::Greedy, true)).unwrap();
+        let hash_plan = greedy(&triangle(), &v);
+        let upgraded = upgrade_to_predefined_joins(&triangle(), hash_plan.clone());
         fn count_expands(op: &GraphOp) -> usize {
             match op {
                 GraphOp::Expand { input, .. } => 1 + count_expands(input),
@@ -931,30 +635,6 @@ mod tests {
     }
 
     #[test]
-    fn dp_and_exhaustive_agree_on_small_patterns() {
-        let v = view();
-        let (dp, s1) =
-            optimize_agnostic(&triangle(), &v, &cfg(JoinOrderAlgo::DpSize, false)).unwrap();
-        let (ex, s2) =
-            optimize_agnostic(&triangle(), &v, &cfg(JoinOrderAlgo::Exhaustive, false)).unwrap();
-        assert!(!s1.timed_out);
-        assert!(!s2.timed_out);
-        // The exhaustive search must visit at least as many plans as DP.
-        assert!(s2.plans_visited >= s1.plans_visited);
-        // Both cover all edges.
-        for plan in [&dp, &ex] {
-            let bound = plan.bound_elements(&triangle());
-            assert_eq!(
-                bound
-                    .iter()
-                    .filter(|e| matches!(e, PatternElem::Edge(_)))
-                    .count(),
-                3
-            );
-        }
-    }
-
-    #[test]
     fn exhaustive_times_out_gracefully() {
         // A 8-edge path explodes without memoization; a zero timeout forces
         // the greedy fallback immediately.
@@ -967,9 +647,7 @@ mod tests {
         }
         let p = b.build().unwrap();
         let v = view();
-        let mut c = cfg(JoinOrderAlgo::Exhaustive, false);
-        c.timeout = Duration::from_millis(0);
-        let (plan, stats) = optimize_agnostic(&p, &v, &c).unwrap();
+        let (plan, stats) = order(&p, &v, Strategy::Exhaustive, Duration::ZERO).unwrap();
         assert!(stats.timed_out);
         assert_eq!(
             plan.bound_elements(&p)
@@ -981,11 +659,43 @@ mod tests {
     }
 
     #[test]
+    fn more_items_than_state_bits_is_a_typed_error() {
+        // 8 persons, all 56 directed Knows edges: more relations than a
+        // search state has bits. Must not overflow a shift (debug) or
+        // misreport the pattern as disconnected (release).
+        let mut b = PatternBuilder::new();
+        let vs: Vec<usize> = (0..8)
+            .map(|i| b.vertex(&format!("p{i}"), LabelId(0)))
+            .collect();
+        for &src in &vs {
+            for &dst in vs.iter().filter(|&&dst| dst != src) {
+                b.edge(src, dst, LabelId(1)).unwrap();
+            }
+        }
+        let p = b.build().unwrap();
+        assert_eq!(p.edge_count(), 56);
+        let v = view();
+        for strategy in [Strategy::Greedy, Strategy::Memoized, Strategy::Exhaustive] {
+            let err = order(&p, &v, strategy, Duration::from_secs(5)).unwrap_err();
+            let msg = err.to_string();
+            assert!(msg.contains("plan error"), "{msg}");
+            // The exhaustive strategy also counts the 8 vertex relations.
+            let items = if strategy == Strategy::Exhaustive {
+                64
+            } else {
+                56
+            };
+            assert!(msg.contains(&format!("{items} items")), "{msg}");
+            assert!(msg.contains("32"), "{msg}");
+        }
+    }
+
+    #[test]
     fn vertex_predicates_become_filters_once() {
         let mut p = triangle();
         p.add_vertex_predicate(0, ScalarExpr::col_eq(1, "Tom"));
         let v = view();
-        let (plan, _) = optimize_agnostic(&p, &v, &cfg(JoinOrderAlgo::Greedy, false)).unwrap();
+        let plan = greedy(&p, &v);
         fn count_filters(op: &GraphOp) -> usize {
             match op {
                 GraphOp::FilterVertex { input, .. } => 1 + count_filters(input),
@@ -1014,7 +724,6 @@ mod tests {
         b.vertex("p", LabelId(0));
         let p = b.build().unwrap();
         let v = view();
-        let (plan, _) = optimize_agnostic(&p, &v, &cfg(JoinOrderAlgo::Greedy, true)).unwrap();
-        assert!(matches!(plan, GraphOp::ScanVertex { .. }));
+        assert!(matches!(greedy(&p, &v), GraphOp::ScanVertex { .. }));
     }
 }

@@ -1,8 +1,8 @@
-//! The graph-aware cost-based optimizer (paper §3.1.2, §4.2.1).
+//! The graph-aware search space (paper §3.1.2, §4.2.1).
 //!
-//! Searches the space of decomposition trees by dynamic programming over
-//! connected induced vertex subsets of the pattern (states), with legal
-//! transitions enumerated by `relgo-pattern::decompose`:
+//! [`DecompositionSpace`] presents the decomposition trees of a pattern to
+//! the plan search ([`crate::search`]): states are the connected induced vertex subsets,
+//! with legal transitions enumerated by `relgo-pattern::decompose`:
 //!
 //! * singleton states are `SCAN` of the vertex relation;
 //! * `Expand` transitions become `EXPAND_EDGE`+`GET_VERTEX` (later fused by
@@ -19,297 +19,267 @@
 //! subset DP.
 
 use crate::graph_plan::{GraphOp, PlanAnnotation, StarLeg};
-use relgo_common::{FxHashMap, RelGoError, Result};
+use crate::search::{Entry, Est, SearchSpace, State};
+use relgo_common::{FxHashMap, Result};
 use relgo_glogue::{CostModel, GLogue};
 use relgo_graph::Direction;
 use relgo_pattern::decompose::{
-    connected_induced_subsets, contains, full_set, transitions_into, Transition, VertexSet,
+    connected_induced_subsets, contains, extension, transitions_into, Transition, VertexSet,
 };
 use relgo_pattern::Pattern;
 
-/// Configuration of the graph-aware search.
-#[derive(Debug, Clone, Copy)]
-pub struct AwareConfig {
+/// The decomposition trees of a pattern as a search space; items are the
+/// pattern vertices.
+pub(crate) struct DecompositionSpace<'a> {
+    pattern: &'a Pattern,
+    glogue: &'a GLogue,
     /// Whether `EXPAND_INTERSECT` may be used (`false` = RelGoNoEI).
-    pub allow_ei: bool,
+    allow_ei: bool,
     /// The physical cost model (indexed or not — RelGoHash uses the
     /// unindexed model and the executor falls back to hash resolution).
-    pub cost: CostModel,
+    cost: CostModel,
+    /// GLogue cardinality of every connected induced sub-pattern.
+    cards: FxHashMap<VertexSet, f64>,
 }
 
-impl Default for AwareConfig {
-    fn default() -> Self {
-        AwareConfig {
-            allow_ei: true,
-            cost: CostModel::indexed(),
-        }
-    }
-}
-
-#[derive(Clone)]
-struct Best {
-    cost: f64,
-    card: f64,
-    op: GraphOp,
-}
-
-/// Optimize the matching of `pattern` into a physical graph plan.
-pub fn optimize_pattern(pattern: &Pattern, glogue: &GLogue, cfg: &AwareConfig) -> Result<GraphOp> {
-    let n = pattern.vertex_count();
-    let full = full_set(n);
-    let mut best: FxHashMap<VertexSet, Best> = FxHashMap::default();
-    let mut cards: FxHashMap<VertexSet, f64> = FxHashMap::default();
-
-    let subsets = connected_induced_subsets(pattern);
-    for &s in &subsets {
-        let card = glogue.subset_cardinality(pattern, s)?;
-        cards.insert(s, card);
-    }
-
-    for &s in &subsets {
-        let card = cards[&s];
-        if s.count_ones() == 1 {
-            let v = s.trailing_zeros() as usize;
-            let label = pattern.vertex(v).label;
-            let table_rows = glogue.view().vertex_count(label) as f64;
-            let cost = cfg.cost.scan(table_rows);
-            best.insert(
-                s,
-                Best {
-                    cost,
-                    card,
-                    op: GraphOp::ScanVertex {
-                        v,
-                        predicate: pattern.vertex(v).predicate.clone(),
-                        ann: PlanAnnotation {
-                            est_card: card,
-                            est_cost: cost,
-                        },
-                    },
-                },
-            );
-            continue;
-        }
-        let mut chosen: Option<Best> = None;
-        for t in transitions_into(pattern, s) {
-            let candidate = match t {
-                Transition::Expand {
-                    from,
-                    new_vertex,
-                    edge,
-                } => {
-                    let b = &best[&from];
-                    expand_candidate(pattern, glogue, cfg, b, from, new_vertex, edge, card)?
-                }
-                Transition::ExpandIntersect {
-                    from,
-                    new_vertex,
-                    edges,
-                } => {
-                    let b = best[&from].clone();
-                    if cfg.allow_ei {
-                        ei_candidate(pattern, glogue, cfg, &b, new_vertex, &edges, card)?
-                    } else {
-                        no_ei_candidate(pattern, glogue, cfg, &b, from, new_vertex, &edges, card)?
-                    }
-                }
-                Transition::BinaryJoin { left, right } => {
-                    let bl = &best[&left];
-                    let br = &best[&right];
-                    let join_cost = cfg.cost.hash_join(bl.card, br.card);
-                    let cost = bl.cost + br.cost + join_cost;
-                    let on_vertices: Vec<usize> =
-                        (0..n).filter(|&v| contains(left & right, v)).collect();
-                    Best {
-                        cost,
-                        card,
-                        op: GraphOp::JoinSub {
-                            left: Box::new(bl.op.clone()),
-                            right: Box::new(br.op.clone()),
-                            on_vertices,
-                            on_edges: Vec::new(),
-                            ann: PlanAnnotation {
-                                est_card: card,
-                                est_cost: cost,
-                            },
-                        },
-                    }
-                }
-            };
-            if chosen.as_ref().is_none_or(|c| candidate.cost < c.cost) {
-                chosen = Some(candidate);
-            }
-        }
-        let chosen = chosen
-            .ok_or_else(|| RelGoError::plan(format!("no decomposition found for subset {s:#b}")))?;
-        best.insert(s, chosen);
-    }
-
-    best.remove(&full)
-        .map(|b| b.op)
-        .ok_or_else(|| RelGoError::plan("pattern has no connected decomposition"))
-}
-
-/// Direction of traversal for `edge` starting at bound vertex `from_v`.
-fn traversal(pattern: &Pattern, edge: usize, from_v: usize) -> (usize, Direction) {
-    let e = pattern.edge(edge);
-    if e.src == from_v {
-        (e.dst, Direction::Out)
-    } else {
-        (e.src, Direction::In)
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn expand_candidate(
-    pattern: &Pattern,
-    glogue: &GLogue,
-    cfg: &AwareConfig,
-    b: &Best,
-    _from: VertexSet,
-    new_vertex: usize,
-    edge: usize,
-    card: f64,
-) -> Result<Best> {
-    let e = pattern.edge(edge);
-    let from_v = if e.src == new_vertex { e.dst } else { e.src };
-    let (to, dir) = traversal(pattern, edge, from_v);
-    debug_assert_eq!(to, new_vertex);
-    let d_avg = glogue.avg_degree(e.label, dir);
-    let edge_rows = glogue.view().edge_count(e.label) as f64;
-    let step = cfg.cost.expand(b.card, d_avg, edge_rows);
-    let cost = b.cost + step;
-    Ok(Best {
-        cost,
-        card,
-        op: GraphOp::Expand {
-            input: Box::new(b.op.clone()),
-            from: from_v,
-            edge,
-            to: new_vertex,
-            dir,
-            emit_edge: true,
-            edge_predicate: e.predicate.clone(),
-            vertex_predicate: pattern.vertex(new_vertex).predicate.clone(),
-            ann: PlanAnnotation {
-                est_card: card,
-                est_cost: cost,
-            },
-        },
-    })
-}
-
-fn ei_candidate(
-    pattern: &Pattern,
-    glogue: &GLogue,
-    cfg: &AwareConfig,
-    b: &Best,
-    new_vertex: usize,
-    edges: &[usize],
-    card: f64,
-) -> Result<Best> {
-    let mut legs = Vec::with_capacity(edges.len());
-    let mut degrees = Vec::with_capacity(edges.len());
-    for &ei in edges {
-        let e = pattern.edge(ei);
-        let from_v = if e.src == new_vertex { e.dst } else { e.src };
-        let dir = if e.src == from_v {
-            Direction::Out
-        } else {
-            Direction::In
-        };
-        degrees.push(glogue.avg_degree(e.label, dir));
-        legs.push(StarLeg {
-            from: from_v,
-            edge: ei,
-            dir,
-        });
-    }
-    let step = cfg.cost.expand_intersect(b.card, &degrees, card);
-    let cost = b.cost + step;
-    Ok(Best {
-        cost,
-        card,
-        op: GraphOp::ExpandIntersect {
-            input: Box::new(b.op.clone()),
-            legs,
-            to: new_vertex,
-            emit_edges: true,
-            vertex_predicate: pattern.vertex(new_vertex).predicate.clone(),
-            ann: PlanAnnotation {
-                est_card: card,
-                est_cost: cost,
-            },
-        },
-    })
-}
-
-/// The RelGoNoEI fallback for a complete star: expand the first leg, then
-/// close each remaining leg with a hash join against its edge relation —
-/// "a traditional multiple join" (§5.2).
-#[allow(clippy::too_many_arguments)]
-fn no_ei_candidate(
-    pattern: &Pattern,
-    glogue: &GLogue,
-    cfg: &AwareConfig,
-    b: &Best,
-    _from: VertexSet,
-    new_vertex: usize,
-    edges: &[usize],
-    card: f64,
-) -> Result<Best> {
-    // Expand through the first leg.
-    let first = expand_candidate(pattern, glogue, cfg, b, 0, new_vertex, edges[0], {
-        // Cardinality after binding only the first star edge: estimated via
-        // the average degree of that edge (partial star is not induced, so
-        // GLogue's subset lookup does not apply).
-        let e = pattern.edge(edges[0]);
-        let from_v = if e.src == new_vertex { e.dst } else { e.src };
-        let dir = if e.src == from_v {
-            Direction::Out
-        } else {
-            Direction::In
-        };
-        b.card * glogue.avg_degree(e.label, dir).max(1e-3)
-    })?;
-    let mut acc = first;
-    for (i, &ei) in edges.iter().enumerate().skip(1) {
-        let e = pattern.edge(ei);
-        let from_v = if e.src == new_vertex { e.dst } else { e.src };
-        let edge_rows = glogue.view().edge_count(e.label) as f64;
-        let scan = GraphOp::ScanEdge {
-            e: ei,
-            predicate: e.predicate.clone(),
-            ann: PlanAnnotation {
-                est_card: edge_rows,
-                est_cost: edge_rows,
-            },
-        };
-        let step = cfg.cost.hash_join(acc.card, edge_rows);
-        let cost = acc.cost + step + edge_rows;
-        let out_card = if i + 1 == edges.len() { card } else { acc.card };
-        acc = Best {
+impl<'a> DecompositionSpace<'a> {
+    pub(crate) fn new(
+        pattern: &'a Pattern,
+        glogue: &'a GLogue,
+        allow_ei: bool,
+        cost: CostModel,
+    ) -> Result<Self> {
+        let cards = connected_induced_subsets(pattern)
+            .into_iter()
+            .map(|s| glogue.subset_cardinality(pattern, s).map(|card| (s, card)))
+            .collect::<Result<_>>()?;
+        Ok(DecompositionSpace {
+            pattern,
+            glogue,
+            allow_ei,
             cost,
-            card: out_card,
-            op: GraphOp::JoinSub {
-                left: Box::new(acc.op),
-                right: Box::new(scan),
-                on_vertices: vec![from_v, new_vertex],
-                on_edges: Vec::new(),
-                ann: PlanAnnotation {
-                    est_card: out_card,
-                    est_cost: cost,
-                },
-            },
-        };
+            cards,
+        })
     }
-    acc.card = card;
-    Ok(acc)
+
+    /// How `edge` is traversed to reach `new_vertex` from its other end.
+    fn leg(&self, new_vertex: usize, edge: usize) -> StarLeg {
+        let e = self.pattern.edge(edge);
+        let from = if e.src == new_vertex { e.dst } else { e.src };
+        let dir = if e.src == from {
+            Direction::Out
+        } else {
+            Direction::In
+        };
+        StarLeg { from, edge, dir }
+    }
+
+    fn avg_degree(&self, leg: &StarLeg) -> f64 {
+        self.glogue
+            .avg_degree(self.pattern.edge(leg.edge).label, leg.dir)
+    }
+
+    fn edge_rows(&self, edge: usize) -> f64 {
+        self.glogue.view().edge_count(self.pattern.edge(edge).label) as f64
+    }
+
+    fn expand_cost(&self, input: Est, leg: &StarLeg) -> f64 {
+        let step = self
+            .cost
+            .expand(input.card, self.avg_degree(leg), self.edge_rows(leg.edge));
+        input.cost + step
+    }
+
+    /// The RelGoNoEI fallback for a complete star — "a traditional multiple
+    /// join" (§5.2): expand the first leg, then close each remaining leg
+    /// with a hash join against its edge relation. Returns the estimate
+    /// after each leg; the last carries the star's `card`.
+    fn star_chain(&self, input: Est, new_vertex: usize, edges: &[usize], card: f64) -> Vec<Est> {
+        // Cardinality after binding only the first star edge: estimated via
+        // the average degree of that edge (a partial star is not induced, so
+        // GLogue's subset lookup does not apply).
+        let first = self.leg(new_vertex, edges[0]);
+        let mut acc = Est {
+            cost: self.expand_cost(input, &first),
+            card: input.card * self.avg_degree(&first).max(1e-3),
+        };
+        let mut chain = vec![acc];
+        for (i, &ei) in edges.iter().enumerate().skip(1) {
+            let edge_rows = self.edge_rows(ei);
+            let step = self.cost.hash_join(acc.card, edge_rows);
+            acc = Est {
+                cost: acc.cost + step + edge_rows,
+                card: if i + 1 == edges.len() { card } else { acc.card },
+            };
+            chain.push(acc);
+        }
+        chain
+    }
+
+    fn expand_op(&self, input: GraphOp, leg: StarLeg, to: usize, est: Est) -> GraphOp {
+        GraphOp::Expand {
+            input: Box::new(input),
+            from: leg.from,
+            edge: leg.edge,
+            to,
+            dir: leg.dir,
+            emit_edge: true,
+            edge_predicate: self.pattern.edge(leg.edge).predicate.clone(),
+            vertex_predicate: self.pattern.vertex(to).predicate.clone(),
+            ann: annotation(est),
+        }
+    }
+}
+
+fn annotation(est: Est) -> PlanAnnotation {
+    PlanAnnotation {
+        est_card: est.card,
+        est_cost: est.cost,
+    }
+}
+
+/// The state a transition produces.
+fn target(t: &Transition) -> VertexSet {
+    match t {
+        Transition::Expand {
+            from, new_vertex, ..
+        }
+        | Transition::ExpandIntersect {
+            from, new_vertex, ..
+        } => from | 1 << new_vertex,
+        Transition::BinaryJoin { left, right } => left | right,
+    }
+}
+
+impl SearchSpace for DecompositionSpace<'_> {
+    type Step = Transition;
+
+    fn item_count(&self) -> usize {
+        self.pattern.vertex_count()
+    }
+
+    fn leaf(&self, v: usize) -> Entry {
+        let pv = self.pattern.vertex(v);
+        let table_rows = self.glogue.view().vertex_count(pv.label) as f64;
+        let est = Est {
+            cost: self.cost.scan(table_rows),
+            card: self.cards[&(1 << v)],
+        };
+        let op = GraphOp::ScanVertex {
+            v,
+            predicate: pv.predicate.clone(),
+            ann: annotation(est),
+        };
+        Entry { est, op }
+    }
+
+    fn steps_into(&self, s: State) -> impl Iterator<Item = Transition> + '_ {
+        // Items are pattern vertices (≤ `Pattern::MAX_VERTICES` = 16), so a
+        // state always fits a `VertexSet`.
+        transitions_into(self.pattern, s as VertexSet).into_iter()
+    }
+
+    fn extension(&self, cur: State, v: usize) -> Option<Transition> {
+        extension(self.pattern, cur as VertexSet, v)
+    }
+
+    fn inputs(&self, t: &Transition) -> (State, Option<State>) {
+        match *t {
+            Transition::Expand { from, .. } | Transition::ExpandIntersect { from, .. } => {
+                (from.into(), None)
+            }
+            Transition::BinaryJoin { left, right } => (left.into(), Some(right.into())),
+        }
+    }
+
+    fn estimate(&self, t: &Transition, l: Est, r: Option<Est>) -> Est {
+        let card = self.cards[&target(t)];
+        let cost = match t {
+            Transition::Expand {
+                new_vertex, edge, ..
+            } => self.expand_cost(l, &self.leg(*new_vertex, *edge)),
+            Transition::ExpandIntersect {
+                new_vertex, edges, ..
+            } if self.allow_ei => {
+                let degrees: Vec<f64> = edges
+                    .iter()
+                    .map(|&e| self.avg_degree(&self.leg(*new_vertex, e)))
+                    .collect();
+                l.cost + self.cost.expand_intersect(l.card, &degrees, card)
+            }
+            Transition::ExpandIntersect {
+                new_vertex, edges, ..
+            } => {
+                let chain = self.star_chain(l, *new_vertex, edges, card);
+                chain[chain.len() - 1].cost
+            }
+            Transition::BinaryJoin { .. } => {
+                let r = r.expect("a join has two inputs");
+                l.cost + r.cost + self.cost.hash_join(l.card, r.card)
+            }
+        };
+        Est { cost, card }
+    }
+
+    fn emit(&self, t: &Transition, est: Est, l: Entry, r: Option<Entry>) -> GraphOp {
+        match t {
+            Transition::Expand {
+                new_vertex, edge, ..
+            } => self.expand_op(l.op, self.leg(*new_vertex, *edge), *new_vertex, est),
+            Transition::ExpandIntersect {
+                new_vertex, edges, ..
+            } if self.allow_ei => GraphOp::ExpandIntersect {
+                input: Box::new(l.op),
+                legs: edges.iter().map(|&e| self.leg(*new_vertex, e)).collect(),
+                to: *new_vertex,
+                emit_edges: true,
+                vertex_predicate: self.pattern.vertex(*new_vertex).predicate.clone(),
+                ann: annotation(est),
+            },
+            Transition::ExpandIntersect {
+                new_vertex, edges, ..
+            } => {
+                let chain = self.star_chain(l.est, *new_vertex, edges, est.card);
+                let first = self.leg(*new_vertex, edges[0]);
+                let mut op = self.expand_op(l.op, first, *new_vertex, chain[0]);
+                for (&ei, &after) in edges.iter().zip(&chain).skip(1) {
+                    let e = self.pattern.edge(ei);
+                    let edge_rows = self.edge_rows(ei);
+                    let scan = GraphOp::ScanEdge {
+                        e: ei,
+                        predicate: e.predicate.clone(),
+                        ann: PlanAnnotation {
+                            est_card: edge_rows,
+                            est_cost: edge_rows,
+                        },
+                    };
+                    op = GraphOp::JoinSub {
+                        left: Box::new(op),
+                        right: Box::new(scan),
+                        on_vertices: vec![self.leg(*new_vertex, ei).from, *new_vertex],
+                        on_edges: Vec::new(),
+                        ann: annotation(after),
+                    };
+                }
+                op
+            }
+            Transition::BinaryJoin { left, right } => GraphOp::JoinSub {
+                left: Box::new(l.op),
+                right: Box::new(r.expect("a join has two inputs").op),
+                on_vertices: (0..self.pattern.vertex_count())
+                    .filter(|&v| contains(left & right, v))
+                    .collect(),
+                on_edges: Vec::new(),
+                ann: annotation(est),
+            },
+        }
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::search::{search, Strategy};
     use relgo_common::{DataType, LabelId, Value};
     use relgo_graph::{GraphView, RGMapping};
     use relgo_pattern::PatternBuilder;
@@ -317,7 +287,8 @@ mod tests {
     use relgo_storage::{Database, ScalarExpr};
     use std::sync::Arc;
 
-    fn fig2_glogue() -> GLogue {
+    /// GLogue over the paper's Fig. 2 graph.
+    pub(crate) fn fig2_glogue() -> GLogue {
         let mut db = Database::new();
         db.add_table(table_of(
             "Person",
@@ -376,7 +347,7 @@ mod tests {
         GLogue::new(Arc::new(g), 3, 1).unwrap()
     }
 
-    fn triangle() -> relgo_pattern::Pattern {
+    pub(crate) fn triangle() -> Pattern {
         let mut b = PatternBuilder::new();
         let p1 = b.vertex("p1", LabelId(0));
         let p2 = b.vertex("p2", LabelId(0));
@@ -387,10 +358,16 @@ mod tests {
         b.build().unwrap()
     }
 
+    fn plan(p: &Pattern, gl: &GLogue, allow_ei: bool) -> GraphOp {
+        let space = DecompositionSpace::new(p, gl, allow_ei, CostModel::indexed()).unwrap();
+        let budget = std::time::Duration::from_secs(5);
+        search(&space, Strategy::Memoized, budget).unwrap().0
+    }
+
     #[test]
     fn triangle_plan_uses_expand_intersect() {
         let gl = fig2_glogue();
-        let plan = optimize_pattern(&triangle(), &gl, &AwareConfig::default()).unwrap();
+        let plan = plan(&triangle(), &gl, true);
         assert!(plan.uses_intersect(), "plan: {plan:?}");
         assert!(plan.annotation().est_card > 0.0);
     }
@@ -398,11 +375,7 @@ mod tests {
     #[test]
     fn no_ei_config_avoids_intersect() {
         let gl = fig2_glogue();
-        let cfg = AwareConfig {
-            allow_ei: false,
-            cost: CostModel::indexed(),
-        };
-        let plan = optimize_pattern(&triangle(), &gl, &cfg).unwrap();
+        let plan = plan(&triangle(), &gl, false);
         assert!(!plan.uses_intersect());
         // The triangle now needs a hash join to close the cycle.
         assert!(plan.uses_join(), "plan: {plan:?}");
@@ -414,7 +387,7 @@ mod tests {
         let mut b = PatternBuilder::new();
         b.vertex("p", LabelId(0));
         let p = b.build().unwrap();
-        let plan = optimize_pattern(&p, &gl, &AwareConfig::default()).unwrap();
+        let plan = plan(&p, &gl, true);
         assert!(matches!(plan, GraphOp::ScanVertex { v: 0, .. }));
     }
 
@@ -427,7 +400,7 @@ mod tests {
         b.edge(p1, p2, LabelId(1)).unwrap();
         b.vertex_predicate(p1, ScalarExpr::col_eq(1, "Tom"));
         let p = b.build().unwrap();
-        let plan = optimize_pattern(&p, &gl, &AwareConfig::default()).unwrap();
+        let plan = plan(&p, &gl, true);
         // The plan must start scanning at the predicated vertex (card 1)
         // and expand outward.
         match &plan {
@@ -449,7 +422,7 @@ mod tests {
     #[test]
     fn costs_accumulate_monotonically() {
         let gl = fig2_glogue();
-        let plan = optimize_pattern(&triangle(), &gl, &AwareConfig::default()).unwrap();
+        let plan = plan(&triangle(), &gl, true);
         fn check(op: &GraphOp) -> f64 {
             let own = op.annotation().est_cost;
             let child_max = match op {

@@ -2,24 +2,27 @@
 //!
 //! [`optimize`] takes an [`SpjmQuery`] and produces a [`PhysicalPlan`]
 //! according to the chosen [`OptimizerMode`] — the full set of systems the
-//! paper evaluates (§5.1):
+//! paper evaluates (§5.1). A mode is a configuration of the one plan search
+//! (`search`): which space it ranges over, how hard it works, and which
+//! rewrites run around it.
 //!
-//! | mode | transform | ordering | index | rules | EI |
-//! |------|-----------|----------|-------|-------|----|
-//! | `DuckDbLike`  | agnostic | greedy | – | pushdown | – |
-//! | `GRainDb`     | agnostic | greedy | ✓ | pushdown | – |
-//! | `UmbraLike`   | agnostic | DP     | ✓ | pushdown | – |
-//! | `CalciteLike` | agnostic | exhaustive (no pruning) | – | pushdown | – |
-//! | `KuzuLike`    | native heuristic | BFS | ✓ | pushdown | – |
-//! | `RelGo`       | aware | GLogue cost-based | ✓ | both | ✓ |
-//! | `RelGoHash`   | aware | GLogue cost-based | – | both | – |
-//! | `RelGoNoRule` | aware | GLogue cost-based | ✓ | – | ✓ |
-//! | `RelGoNoEI`   | aware | GLogue cost-based | ✓ | both | – |
+//! | mode | space | strategy | index | rules | EI |
+//! |------|-------|----------|-------|-------|----|
+//! | `DuckDbLike`  | edge relations | greedy | – | pushdown | – |
+//! | `GRainDb`     | edge relations | greedy | ✓ | pushdown | – |
+//! | `UmbraLike`   | edge relations, histograms | memoized | ✓ | pushdown | – |
+//! | `CalciteLike` | vertex + edge relations | exhaustive (no memo) | – | pushdown | – |
+//! | `KuzuLike`    | – (native BFS heuristic) | – | ✓ | pushdown | – |
+//! | `RelGo`       | decomposition trees | memoized | ✓ | both | ✓ |
+//! | `RelGoHash`   | decomposition trees, unindexed costs | memoized | – | both | ✓ |
+//! | `RelGoNoRule` | decomposition trees | memoized | ✓ | – | ✓ |
+//! | `RelGoNoEI`   | decomposition trees | memoized | ✓ | both | – |
 
-use crate::agnostic::{kuzu_heuristic_plan, optimize_agnostic, AgnosticConfig, JoinOrderAlgo};
-use crate::aware::{optimize_pattern, AwareConfig};
+use crate::agnostic::{kuzu_heuristic_plan, upgrade_to_predefined_joins, RelationSpace};
+use crate::aware::DecompositionSpace;
 use crate::rel_plan::{PhysicalPlan, RelOp};
 use crate::rules::{conjoin_all, filter_into_match, split_conjuncts, trim_and_fuse};
+use crate::search::{search, SearchStats, Strategy};
 use crate::spjm::SpjmQuery;
 use relgo_common::{RelGoError, Result};
 use relgo_glogue::{CostModel, GLogue};
@@ -109,7 +112,7 @@ pub struct PlannerContext {
     pub db: Arc<Database>,
     /// High-order statistics (required by graph-aware modes).
     pub glogue: Option<Arc<GLogue>>,
-    /// Optimization-time budget (Calcite-like enumeration obeys it).
+    /// Optimization-time budget of the plan search (every mode obeys it).
     pub timeout: Duration,
 }
 
@@ -118,11 +121,77 @@ pub struct PlannerContext {
 pub struct OptStats {
     /// Wall-clock optimization time.
     pub elapsed: Duration,
-    /// Plans/states visited by the join-order search (0 for aware modes'
-    /// subset DP, which reports subsets instead).
+    /// Candidate steps (joins, expansions) whose estimate the plan search
+    /// evaluated; 0 only for the search-free `KuzuLike` heuristic.
     pub plans_visited: u64,
-    /// Whether the search timed out and fell back.
+    /// Whether the search ran out of budget and fell back to the greedy
+    /// strategy over the same space.
     pub timed_out: bool,
+}
+
+/// What the matching operator's plan search ranges over.
+enum Space {
+    /// The Lemma-1 relations, low-order statistics, C_out.
+    Relation {
+        vertex_items: bool,
+        histograms: bool,
+    },
+    /// The decomposition trees, GLogue statistics, the §4.2.1 cost model.
+    Decomposition { allow_ei: bool, cost: CostModel },
+    /// No search: the Kùzu-like BFS heuristic.
+    NativeHeuristic,
+}
+
+/// One optimizer mode as a configuration of the plan search.
+struct Recipe {
+    space: Space,
+    strategy: Strategy,
+    /// Run the GRainDB predefined-join upgrade on the found plan.
+    upgrade_joins: bool,
+    /// Push σ predicates into the pattern before the search (ordinary
+    /// filter pushdown for the agnostic modes, `FilterIntoMatchRule` for
+    /// the aware ones).
+    pushdown: bool,
+    /// Run `TrimAndFuseRule` on the found plan.
+    trim_and_fuse: bool,
+}
+
+impl OptimizerMode {
+    fn recipe(self) -> Recipe {
+        let relation = |strategy, vertex_items, histograms| Recipe {
+            space: Space::Relation {
+                vertex_items,
+                histograms,
+            },
+            strategy,
+            upgrade_joins: self.uses_graph_index(),
+            pushdown: true,
+            trim_and_fuse: false,
+        };
+        let decomposition = |allow_ei, cost, rules| Recipe {
+            space: Space::Decomposition { allow_ei, cost },
+            strategy: Strategy::Memoized,
+            upgrade_joins: false,
+            pushdown: rules,
+            trim_and_fuse: rules,
+        };
+        match self {
+            OptimizerMode::DuckDbLike | OptimizerMode::GRainDb => {
+                relation(Strategy::Greedy, false, false)
+            }
+            OptimizerMode::UmbraLike => relation(Strategy::Memoized, false, true),
+            OptimizerMode::CalciteLike => relation(Strategy::Exhaustive, true, false),
+            OptimizerMode::KuzuLike => Recipe {
+                space: Space::NativeHeuristic,
+                upgrade_joins: false,
+                ..relation(Strategy::Greedy, false, false)
+            },
+            OptimizerMode::RelGo => decomposition(true, CostModel::indexed(), true),
+            OptimizerMode::RelGoHash => decomposition(true, CostModel::unindexed(), true),
+            OptimizerMode::RelGoNoRule => decomposition(true, CostModel::indexed(), false),
+            OptimizerMode::RelGoNoEI => decomposition(false, CostModel::indexed(), true),
+        }
+    }
 }
 
 /// Optimize an SPJM query under the given mode.
@@ -133,74 +202,52 @@ pub fn optimize(
 ) -> Result<(PhysicalPlan, OptStats)> {
     query.validate(&ctx.view, &ctx.db)?;
     let start = Instant::now();
-    let mut stats = OptStats::default();
+    let recipe = mode.recipe();
 
-    // Predicate pushdown into the pattern. For agnostic modes this is the
-    // ordinary relational filter-pushdown; for aware modes it is
-    // FilterIntoMatchRule (disabled in RelGoNoRule).
-    let pushed = if mode == OptimizerMode::RelGoNoRule {
-        query.clone()
-    } else {
+    let mut query = if recipe.pushdown {
         filter_into_match(query)
+    } else {
+        query.clone()
     };
-
-    let (rewritten, graph_op) = match mode {
-        OptimizerMode::RelGo
-        | OptimizerMode::RelGoHash
-        | OptimizerMode::RelGoNoRule
-        | OptimizerMode::RelGoNoEI => {
+    let pattern = &query.pattern;
+    let (mut graph_op, searched) = match recipe.space {
+        Space::Relation {
+            vertex_items,
+            histograms,
+        } => {
+            let space = RelationSpace::new(pattern, &ctx.view, vertex_items, histograms)?;
+            search(&space, recipe.strategy, ctx.timeout)?
+        }
+        Space::Decomposition { allow_ei, cost } => {
             let glogue = ctx.glogue.as_ref().ok_or_else(|| {
                 RelGoError::plan("graph-aware modes require a GLogue in the planner context")
             })?;
-            let cfg = AwareConfig {
-                allow_ei: mode != OptimizerMode::RelGoNoEI,
-                cost: if mode == OptimizerMode::RelGoHash {
-                    CostModel::unindexed()
-                } else {
-                    CostModel::indexed()
-                },
-            };
-            let plan = optimize_pattern(&pushed.pattern, glogue, &cfg)?;
-            if mode == OptimizerMode::RelGoNoRule {
-                (pushed, plan)
-            } else {
-                let (q, p) = trim_and_fuse(&pushed, plan);
-                (q, p)
-            }
+            let space = DecompositionSpace::new(pattern, glogue, allow_ei, cost)?;
+            search(&space, recipe.strategy, ctx.timeout)?
         }
-        OptimizerMode::KuzuLike => {
-            let plan = kuzu_heuristic_plan(&pushed.pattern, &ctx.view)?;
-            (pushed, plan)
-        }
-        OptimizerMode::DuckDbLike
-        | OptimizerMode::GRainDb
-        | OptimizerMode::UmbraLike
-        | OptimizerMode::CalciteLike => {
-            let algo = match mode {
-                OptimizerMode::UmbraLike => JoinOrderAlgo::DpSize,
-                OptimizerMode::CalciteLike => JoinOrderAlgo::Exhaustive,
-                _ => JoinOrderAlgo::Greedy,
-            };
-            let cfg = AgnosticConfig {
-                algo,
-                use_graph_index: mode.uses_graph_index(),
-                timeout: ctx.timeout,
-            };
-            let (plan, search) = optimize_agnostic(&pushed.pattern, &ctx.view, &cfg)?;
-            stats.plans_visited = search.plans_visited;
-            stats.timed_out = search.timed_out;
-            (pushed, plan)
-        }
+        Space::NativeHeuristic => (
+            kuzu_heuristic_plan(pattern, &ctx.view)?,
+            SearchStats::default(),
+        ),
     };
+    if recipe.upgrade_joins {
+        graph_op = upgrade_to_predefined_joins(pattern, graph_op);
+    }
+    if recipe.trim_and_fuse {
+        (query, graph_op) = trim_and_fuse(&query, graph_op);
+    }
 
-    let root = build_relational(&rewritten, graph_op, &ctx.db)?;
-    stats.elapsed = start.elapsed();
+    let root = build_relational(&query, graph_op, &ctx.db)?;
     Ok((
         PhysicalPlan {
-            pattern: rewritten.pattern.clone(),
+            pattern: query.pattern,
             root,
         },
-        stats,
+        OptStats {
+            elapsed: start.elapsed(),
+            plans_visited: searched.plans_visited,
+            timed_out: searched.timed_out,
+        },
     ))
 }
 

@@ -186,6 +186,25 @@ pub enum Transition {
     },
 }
 
+/// The vertex-extension transition `from → from ∪ {v}` (`v ∉ from`), if `v` is
+/// adjacent to `from`: one connecting edge expands, several intersect.
+pub fn extension(p: &Pattern, from: VertexSet, v: usize) -> Option<Transition> {
+    let edges = edges_between(p, from, v);
+    match edges.len() {
+        0 => None,
+        1 => Some(Transition::Expand {
+            from,
+            new_vertex: v,
+            edge: edges[0],
+        }),
+        _ => Some(Transition::ExpandIntersect {
+            from,
+            new_vertex: v,
+            edges,
+        }),
+    }
+}
+
 /// Enumerate every legal transition whose result is exactly `target`
 /// (`target` must induce a connected sub-pattern with ≥ 2 vertices).
 ///
@@ -200,22 +219,8 @@ pub fn transitions_into(p: &Pattern, target: VertexSet) -> Vec<Transition> {
     // Vertex-extension transitions.
     for v in iter_vertices(target) {
         let from = remove(target, v);
-        if !is_induced_connected(p, from) {
-            continue;
-        }
-        let es = edges_between(p, from, v);
-        match es.len() {
-            0 => {}
-            1 => out.push(Transition::Expand {
-                from,
-                new_vertex: v,
-                edge: es[0],
-            }),
-            _ => out.push(Transition::ExpandIntersect {
-                from,
-                new_vertex: v,
-                edges: es,
-            }),
+        if is_induced_connected(p, from) {
+            out.extend(extension(p, from, v));
         }
     }
     // Binary joins of overlapping connected induced sub-patterns. Enumerate

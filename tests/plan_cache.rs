@@ -267,3 +267,32 @@ fn renamed_isomorphic_queries_share_entries() {
     let delta = session.cache_metrics().since(&before);
     assert_eq!((delta.hits, delta.misses), (1, 1));
 }
+
+/// The graph-aware search obeys `opt_timeout` like every other mode: with
+/// no budget it answers with the greedy plan over the same space — still
+/// correct — reports `timed_out`, and the fallback is not cached for the
+/// template's future instances.
+#[test]
+fn relgo_without_budget_falls_back_and_is_not_cached() {
+    let options = SessionOptions {
+        opt_timeout: std::time::Duration::ZERO,
+        ..SessionOptions::default()
+    };
+    let (session, schema) = Session::snb_with(0.04, 42, options).unwrap();
+    let q = relgo::workloads::snb_queries::ic5(&schema, 1, 5, 14_000).unwrap();
+    let expected = session.oracle(&q).unwrap().sorted_rows();
+    for _ in 0..2 {
+        let out = session.run_cached(&q, OptimizerMode::RelGo).unwrap();
+        assert_eq!(out.table.sorted_rows(), expected);
+        assert!(out.opt.timed_out, "a zero budget must be reported");
+        assert!(
+            out.opt.plans_visited > 0,
+            "the fallback's steps are counted"
+        );
+        assert!(!out.cached);
+        assert!(
+            session.plan_cache().is_empty(),
+            "fallback plans are not cached"
+        );
+    }
+}

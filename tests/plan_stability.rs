@@ -19,7 +19,10 @@ use relgo::workloads::{job_queries, snb_queries, Workload};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/plan_stability.txt");
+const FIXTURE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/plan_stability.txt"
+);
 const TIMEOUT_CELL: &str = "timeout";
 
 fn fnv1a64(text: &str) -> u64 {
