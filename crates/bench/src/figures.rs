@@ -562,7 +562,7 @@ pub fn fig_prepared(cfg: &BenchConfig) -> Result<String> {
                 // Batched: all bindings against one shared operator state.
                 let batch = stmt.execute_batch(&bindings)?;
                 for (i, (single, batched)) in singles.iter().zip(&batch.tables).enumerate() {
-                    if !tables_bit_identical(single, batched) {
+                    if !single.bit_identical(batched) {
                         return Err(RelGoError::execution(format!(
                             "{tag} {} ({}): batched result {i} diverges from per-query execute",
                             t.name(),
@@ -656,12 +656,6 @@ pub fn fig_prepared(cfg: &BenchConfig) -> Result<String> {
     )
     .ok();
     Ok(out)
-}
-
-/// Whether two result tables are bit-identical: same row count and the same
-/// values in the same row order (not just set-equal).
-fn tables_bit_identical(a: &Table, b: &Table) -> bool {
-    a.num_rows() == b.num_rows() && (0..a.num_rows() as u32).all(|r| a.row(r) == b.row(r))
 }
 
 /// Ingest figure (`fig_ingest`), two panels — and self-checking: rendering
@@ -1120,7 +1114,7 @@ pub fn fig_wal(cfg: &BenchConfig) -> Result<String> {
         let live_db = session.db();
         let rec_db = recovered.db();
         for name in ["Person", "Knows", "Likes"] {
-            if !tables_bit_identical(live_db.table(name)?, rec_db.table(name)?) {
+            if !live_db.table(name)?.bit_identical(rec_db.table(name)?) {
                 return Err(RelGoError::execution(format!(
                     "recovered table {name} diverges from the live session"
                 )));
@@ -1128,7 +1122,7 @@ pub fn fig_wal(cfg: &BenchConfig) -> Result<String> {
         }
     }
     let rec_result = recovered.run(&probe, OptimizerMode::RelGo)?.table;
-    if !tables_bit_identical(&live_result, &rec_result) {
+    if !live_result.bit_identical(&rec_result) {
         return Err(RelGoError::execution(
             "recovered session answers the probe query differently from the live one",
         ));
@@ -1350,7 +1344,7 @@ pub fn fig_ckpt(cfg: &BenchConfig) -> Result<String> {
         let live_db = live.db();
         let rec_db = rec.db();
         for name in ["Person", "Knows", "Likes"] {
-            if !tables_bit_identical(live_db.table(name)?, rec_db.table(name)?) {
+            if !live_db.table(name)?.bit_identical(rec_db.table(name)?) {
                 return Err(RelGoError::execution(format!(
                     "{tag}: recovered table {name} diverges from the live session"
                 )));
@@ -1359,7 +1353,7 @@ pub fn fig_ckpt(cfg: &BenchConfig) -> Result<String> {
         for mode in [OptimizerMode::RelGo, OptimizerMode::GRainDb] {
             let want = live.run(&probe, mode)?.table;
             let got = rec.run(&probe, mode)?.table;
-            if !tables_bit_identical(&want, &got) {
+            if !want.bit_identical(&got) {
                 return Err(RelGoError::execution(format!(
                     "{tag}: recovered session answers the probe differently under {mode:?}"
                 )));
@@ -1473,7 +1467,7 @@ pub fn fig_par(cfg: &BenchConfig) -> Result<String> {
                 exec_base = exec_ms;
                 base_card = card;
             }
-            let identical = tables_bit_identical(&baseline, &table) && card == base_card;
+            let identical = baseline.bit_identical(&table) && card == base_card;
             writeln!(
                 out,
                 "{} {} {} {} {} {}",
@@ -2154,7 +2148,7 @@ pub fn fig_profile(cfg: &BenchConfig) -> Result<String> {
             let q = t.instantiate(0)?;
             let plain = session.run(&q, OptimizerMode::RelGo)?;
             let ea = session.explain_analyze(&q, OptimizerMode::RelGo)?;
-            if !tables_bit_identical(&plain.table, &ea.outcome.table) {
+            if !plain.table.bit_identical(&ea.outcome.table) {
                 return Err(RelGoError::execution(format!(
                     "{tag} {}: profiled execution diverges from the unprofiled run",
                     t.name()

@@ -10,51 +10,36 @@
 //! ## File format
 //!
 //! ```text
-//! [8B magic "RGCKPT1\n"][u32 crc32(payload)][u64 payload len][payload]
+//! [8B magic "RGCKPT2\n"][one frame]
 //! ```
 //!
-//! The payload reuses the WAL's hand-rolled little-endian codec (the
-//! vendored serde shim is a no-op): epoch, then each table in registration
-//! order as `name, fields (name + type tag), row count, row-major tagged
-//! values`, then the primary-key pairs and foreign-key quads.
+//! The frame, the value encoding and the atomic-replace protocol are
+//! `codec.rs`'s, documented in its header. This module owns the frame's
+//! payload: epoch, then each table in registration order as `name, fields
+//! (name + type tag), row count, row-major tagged values`, then the
+//! primary-key pairs and foreign-key quads.
 //!
 //! ## Atomicity
 //!
-//! [`CheckpointStore::write`] writes a sibling temp file, fsyncs it,
-//! atomically renames it to `<wal>.ckpt.<epoch>`, and fsyncs the directory.
-//! A crash at any point leaves either the old checkpoint set or the new one
-//! — never a torn visible checkpoint, because torn bytes only ever live
-//! under the temp name, which the loader ignores. [`CheckpointCrash`] lets
-//! the crash-recovery harness kill the process inside each phase to prove
-//! it. [`CheckpointStore::load_newest`] additionally tolerates a corrupted
+//! [`CheckpointStore::write`] publishes a snapshot as `<wal>.ckpt.<epoch>`
+//! through the codec's atomic replace, so a crash at any point leaves
+//! either the old checkpoint set or the new one — never a torn visible
+//! checkpoint, because torn bytes only ever live under the temp name, which
+//! the loader ignores. [`CheckpointCrash`] lets the crash-recovery harness
+//! kill the process inside each phase to prove it.
+//! [`CheckpointStore::load_newest`] additionally tolerates a corrupted
 //! newest file (bit rot after rename) by falling back to the previous
 //! checkpoint, which retention keeps around for exactly this reason.
 
-use crate::wal::{crc32, put_bytes, put_value, Reader};
+pub use crate::codec::CheckpointCrash;
+use crate::codec::{self, io_err, Reader};
 use relgo_common::{DataType, Field, RelGoError, Result, Schema};
 use relgo_storage::{Database, TableBuilder};
-use std::fs::File;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Leading bytes of every checkpoint file; the trailing digit is the
 /// format version.
-pub const MAGIC: &[u8; 8] = b"RGCKPT1\n";
-
-/// Fault-injection points for the crash-recovery harness: abort the
-/// process inside a chosen checkpoint phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckpointCrash {
-    /// Die mid-temp-write: only the first `n` bytes of the temp file reach
-    /// disk (clamped to tear the file even for large `n`).
-    MidTempWrite(u64),
-    /// Die after the temp file is fully written but before it is fsynced
-    /// and renamed — models a power cut during the fsync.
-    BeforeRename,
-    /// Die right after the atomic rename: the checkpoint is durable but
-    /// the caller's WAL truncation never runs.
-    AfterRename,
-}
+pub const MAGIC: &[u8; 8] = b"RGCKPT2\n";
 
 /// What [`CheckpointStore::write`] produced.
 #[derive(Debug, Clone)]
@@ -149,8 +134,9 @@ impl CheckpointStore {
         Ok(out)
     }
 
-    /// Snapshot `db` at `epoch` via write-to-temp + fsync + atomic rename +
-    /// directory fsync. `crash` is the harness's fault-injection hook.
+    /// Snapshot `db` at `epoch`, published atomically (the codec's
+    /// temp + fsync + rename + directory-fsync replace). `crash` is the
+    /// harness's fault-injection hook.
     pub fn write(
         &self,
         epoch: u64,
@@ -158,31 +144,8 @@ impl CheckpointStore {
         crash: Option<CheckpointCrash>,
     ) -> Result<WrittenCheckpoint> {
         let image = encode_checkpoint(epoch, db);
-        let tmp = self.temp_path();
-        let mut f = File::create(&tmp).map_err(|e| ckpt_err("create temp", &e))?;
-        if let Some(CheckpointCrash::MidTempWrite(n)) = crash {
-            // Tear the temp file: write a strict prefix, make sure it is
-            // the bytes a power cut would leave, and die.
-            let keep = (n as usize).min(image.len().saturating_sub(1));
-            let _ = f.write_all(&image[..keep]);
-            let _ = f.sync_all();
-            std::process::abort();
-        }
-        f.write_all(&image)
-            .map_err(|e| ckpt_err("write temp", &e))?;
-        if crash == Some(CheckpointCrash::BeforeRename) {
-            std::process::abort();
-        }
-        f.sync_all().map_err(|e| ckpt_err("fsync temp", &e))?;
-        drop(f);
         let path = self.path_for(epoch);
-        std::fs::rename(&tmp, &path).map_err(|e| ckpt_err("rename", &e))?;
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
-        if crash == Some(CheckpointCrash::AfterRename) {
-            std::process::abort();
-        }
+        codec::replace_file(&self.temp_path(), &path, &image, "checkpoint", crash)?;
         Ok(WrittenCheckpoint {
             epoch,
             path,
@@ -232,17 +195,20 @@ impl CheckpointStore {
         for (_, path) in list.drain(..drop_n) {
             match archive_dir {
                 Some(dir) => {
-                    std::fs::create_dir_all(dir).map_err(|e| ckpt_err("archive mkdir", &e))?;
+                    std::fs::create_dir_all(dir)
+                        .map_err(|e| io_err("checkpoint archive mkdir", &e))?;
                     let dest = dir.join(path.file_name().unwrap_or_default());
                     if std::fs::rename(&path, &dest).is_err() {
                         // Cross-device fallback: copy, then remove.
-                        std::fs::copy(&path, &dest).map_err(|e| ckpt_err("archive copy", &e))?;
-                        std::fs::remove_file(&path).map_err(|e| ckpt_err("archive rm", &e))?;
+                        std::fs::copy(&path, &dest)
+                            .map_err(|e| io_err("checkpoint archive copy", &e))?;
+                        std::fs::remove_file(&path)
+                            .map_err(|e| io_err("checkpoint archive rm", &e))?;
                     }
                     report.archived += 1;
                 }
                 None => {
-                    std::fs::remove_file(&path).map_err(|e| ckpt_err("remove", &e))?;
+                    std::fs::remove_file(&path).map_err(|e| io_err("checkpoint remove", &e))?;
                     report.removed += 1;
                 }
             }
@@ -251,17 +217,16 @@ impl CheckpointStore {
     }
 }
 
-fn ckpt_err(what: &str, e: &std::io::Error) -> RelGoError {
-    RelGoError::execution(format!("checkpoint {what} failed: {e}"))
-}
-
-fn corrupt(what: &str) -> RelGoError {
-    RelGoError::execution(format!("checkpoint corrupt: {what}"))
-}
-
 // --------------------------------------------------------------------------
-// Codec.
+// Snapshot payload: what one checkpoint stores inside its frame.
 // --------------------------------------------------------------------------
+
+/// The name decode errors carry.
+const ARTIFACT: &str = "checkpoint";
+
+fn corrupt(what: impl std::fmt::Display) -> RelGoError {
+    codec::corrupt(ARTIFACT, what)
+}
 
 fn dtype_tag(dt: DataType) -> u8 {
     match dt {
@@ -280,133 +245,126 @@ fn dtype_from(tag: u8) -> Result<DataType> {
         2 => DataType::Str,
         3 => DataType::Bool,
         4 => DataType::Date,
-        t => return Err(corrupt(&format!("unknown data type tag {t}"))),
+        t => return Err(corrupt(format_args!("unknown data type tag {t}"))),
     })
 }
 
-/// Encode the complete checkpoint file image (header + payload) for `db`
+/// Encode the complete checkpoint file image (magic + one frame) for `db`
 /// at `epoch`.
 pub fn encode_checkpoint(epoch: u64, db: &Database) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(256);
-    payload.extend_from_slice(&epoch.to_le_bytes());
-    let tables: Vec<_> = db.tables().collect();
-    payload.extend_from_slice(&(tables.len() as u32).to_le_bytes());
-    for table in &tables {
-        put_bytes(&mut payload, table.name().as_bytes());
-        let fields = table.schema().fields();
-        payload.extend_from_slice(&(fields.len() as u32).to_le_bytes());
-        for field in fields {
-            put_bytes(&mut payload, field.name.as_bytes());
-            payload.push(dtype_tag(field.dtype));
-        }
-        payload.extend_from_slice(&(table.num_rows() as u64).to_le_bytes());
-        for r in 0..table.num_rows() as u32 {
-            for v in table.row(r) {
-                put_value(&mut payload, &v);
+    let mut image = Vec::with_capacity(256);
+    image.extend_from_slice(MAGIC);
+    codec::push_frame(&mut image, |w| {
+        w.u64(epoch);
+        let tables: Vec<_> = db.tables().collect();
+        w.count(tables.len());
+        for table in &tables {
+            w.str(table.name());
+            let fields = table.schema().fields();
+            w.count(fields.len());
+            for field in fields {
+                w.str(&field.name);
+                w.u8(dtype_tag(field.dtype));
+            }
+            w.u64(table.num_rows() as u64);
+            for r in 0..table.num_rows() as u32 {
+                for v in table.row(r) {
+                    w.value(&v);
+                }
             }
         }
-    }
-    let pks: Vec<(&str, &str)> = tables
-        .iter()
-        .filter_map(|t| db.primary_key(t.name()).map(|pk| (t.name(), pk)))
-        .collect();
-    payload.extend_from_slice(&(pks.len() as u32).to_le_bytes());
-    for (table, column) in pks {
-        put_bytes(&mut payload, table.as_bytes());
-        put_bytes(&mut payload, column.as_bytes());
-    }
-    let fks = db.foreign_keys();
-    payload.extend_from_slice(&(fks.len() as u32).to_le_bytes());
-    for fk in fks {
-        put_bytes(&mut payload, fk.table.as_bytes());
-        put_bytes(&mut payload, fk.column.as_bytes());
-        put_bytes(&mut payload, fk.ref_table.as_bytes());
-        put_bytes(&mut payload, fk.ref_column.as_bytes());
-    }
-
-    let mut image = Vec::with_capacity(MAGIC.len() + 12 + payload.len());
-    image.extend_from_slice(MAGIC);
-    image.extend_from_slice(&crc32(&payload).to_le_bytes());
-    image.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    image.extend_from_slice(&payload);
+        let pks: Vec<(&str, &str)> = tables
+            .iter()
+            .filter_map(|t| db.primary_key(t.name()).map(|pk| (t.name(), pk)))
+            .collect();
+        w.count(pks.len());
+        for (table, column) in pks {
+            w.str(table);
+            w.str(column);
+        }
+        let fks = db.foreign_keys();
+        w.count(fks.len());
+        for fk in fks {
+            w.str(&fk.table);
+            w.str(&fk.column);
+            w.str(&fk.ref_table);
+            w.str(&fk.ref_column);
+        }
+    });
     image
 }
 
 /// Decode a checkpoint file image back into `(epoch, Database)`, verifying
-/// the magic, the length, and the CRC before touching the payload, and
-/// re-warming one key index per primary key afterwards.
+/// the magic and the frame (length and CRC) before touching the payload,
+/// and re-warming one key index per primary key afterwards.
 pub fn decode_checkpoint(image: &[u8]) -> Result<(u64, Database)> {
-    let header_len = MAGIC.len() + 12;
-    let Some(header) = image.get(..header_len) else {
-        return Err(corrupt("truncated header"));
-    };
-    if &header[..MAGIC.len()] != MAGIC {
+    let Some(framed) = image.strip_prefix(MAGIC.as_slice()) else {
         return Err(corrupt("bad magic"));
-    }
-    let crc = u32::from_le_bytes(header[MAGIC.len()..MAGIC.len() + 4].try_into().unwrap());
-    let len = u64::from_le_bytes(header[MAGIC.len() + 4..header_len].try_into().unwrap());
-    let Some(payload) = image.get(header_len..) else {
-        return Err(corrupt("truncated payload"));
     };
-    if payload.len() as u64 != len {
-        return Err(corrupt("payload length mismatch"));
-    }
-    if crc32(payload) != crc {
-        return Err(corrupt("crc mismatch"));
+    let (payload, rest) = codec::read_frame(framed, u64::MAX).map_err(corrupt)?;
+    if !rest.is_empty() {
+        return Err(corrupt("bytes after the frame"));
     }
 
-    let mut r = Reader {
-        buf: payload,
-        off: 0,
-    };
+    let mut r = Reader::new(payload, ARTIFACT);
     let epoch = r.u64()?;
-    let n_tables = r.u32()? as usize;
     let mut db = Database::new();
-    for _ in 0..n_tables {
-        let name = r.string()?;
-        let n_fields = r.u32()? as usize;
+    for _ in 0..r.count()? {
+        let name = r.str()?;
+        let n_fields = r.count()?;
         let mut fields = Vec::with_capacity(n_fields.min(64));
         for _ in 0..n_fields {
-            let fname = r.string()?;
-            let tag = r.take(1)?[0];
-            fields.push(Field::new(fname, dtype_from(tag)?));
+            let fname = r.str()?;
+            fields.push(Field::new(fname, dtype_from(r.u8()?)?));
         }
         let schema = Schema::new(fields)?;
-        let n_rows = r.u64()? as usize;
-        let mut builder = TableBuilder::new(&name, schema.clone());
+        let n_rows = r.u64()?;
+        // Every encoded value takes at least one byte, so the bytes left
+        // bound the rows a table can hold; the count is checked before the
+        // loop because a zero-field table would otherwise spin through any
+        // claimed count without consuming input.
+        let fits = match n_fields {
+            0 => n_rows == 0,
+            _ => n_rows <= (r.remaining() / n_fields) as u64,
+        };
+        if !fits {
+            return Err(r.corrupt(format_args!(
+                "table {name} claims {n_rows} rows of {n_fields} fields \
+                 with {} bytes left",
+                r.remaining()
+            )));
+        }
+        let mut builder = TableBuilder::new(name, schema);
         for _ in 0..n_rows {
-            let mut row = Vec::with_capacity(schema.len());
-            for _ in 0..schema.len() {
+            let mut row = Vec::with_capacity(n_fields);
+            for _ in 0..n_fields {
                 row.push(r.value()?);
             }
             builder.push_row(row)?;
         }
         db.add_table(builder.finish());
     }
-    let n_pks = r.u32()? as usize;
+    let n_pks = r.count()?;
     let mut pks = Vec::with_capacity(n_pks.min(64));
     for _ in 0..n_pks {
-        let table = r.string()?;
-        let column = r.string()?;
-        db.set_primary_key(&table, &column)?;
+        let table = r.str()?;
+        let column = r.str()?;
+        db.set_primary_key(table, column)?;
         pks.push((table, column));
     }
     // Foreign keys validate against primary keys, so they decode after the
     // whole primary-key map is in place.
-    let n_fks = r.u32()? as usize;
-    for _ in 0..n_fks {
-        let table = r.string()?;
-        let column = r.string()?;
-        let ref_table = r.string()?;
-        let ref_column = r.string()?;
-        db.add_foreign_key(&table, &column, &ref_table, &ref_column)?;
+    for _ in 0..r.count()? {
+        let table = r.str()?;
+        let column = r.str()?;
+        let ref_table = r.str()?;
+        let ref_column = r.str()?;
+        db.add_foreign_key(table, column, ref_table, ref_column)?;
     }
-    if r.off != payload.len() {
-        return Err(corrupt("trailing bytes"));
-    }
+    r.finish()?;
     // Re-warm the unique key indexes the snapshot's metadata names; this
     // also re-validates primary-key uniqueness of the decoded rows.
-    for (table, column) in &pks {
+    for (table, column) in pks {
         db.key_index(table, column)?;
     }
     Ok((epoch, db))
@@ -481,23 +439,13 @@ mod tests {
     }
 
     fn dbs_identical(a: &Database, b: &Database) -> bool {
-        let names_a = a.table_names();
-        if names_a != b.table_names() {
-            return false;
-        }
-        for name in names_a {
-            let (ta, tb) = (a.table(name).unwrap(), b.table(name).unwrap());
-            if ta.schema() != tb.schema() || ta.num_rows() != tb.num_rows() {
-                return false;
-            }
-            if (0..ta.num_rows() as u32).any(|r| ta.row(r) != tb.row(r)) {
-                return false;
-            }
-            if a.primary_key(name) != b.primary_key(name) {
-                return false;
-            }
-        }
-        a.foreign_keys() == b.foreign_keys()
+        let names = a.table_names();
+        names == b.table_names()
+            && names.iter().all(|name| {
+                a.table(name).unwrap().bit_identical(b.table(name).unwrap())
+                    && a.primary_key(name) == b.primary_key(name)
+            })
+            && a.foreign_keys() == b.foreign_keys()
     }
 
     #[test]
@@ -528,8 +476,44 @@ mod tests {
         assert!(decode_checkpoint(&bad).is_err());
         // A flipped CRC byte is equally fatal.
         let mut bad = image;
-        bad[MAGIC.len()] ^= 0x01;
+        bad[MAGIC.len() + codec::LEN_BYTES] ^= 0x01;
         assert!(decode_checkpoint(&bad).is_err());
+
+        // Structurally bad payloads behind a valid magic, length and CRC.
+        let sealed = |payload: &dyn Fn(&mut codec::Writer<'_>)| {
+            let mut image = MAGIC.to_vec();
+            codec::push_frame(&mut image, payload);
+            decode_checkpoint(&image).unwrap_err().to_string()
+        };
+        // A payload that stops short is a checkpoint fault, not a WAL one.
+        let msg = sealed(&|w| w.u64(7));
+        assert!(msg.contains("checkpoint corrupt: truncated"), "{msg}");
+        assert!(!msg.contains("wal"), "{msg}");
+        // 57 bytes: one table of zero fields claiming 2^32 rows. Decoding
+        // it row by row consumes no input and so never runs out of it; the
+        // row count has to be refused up front.
+        let msg = sealed(&|w| {
+            w.u64(7);
+            w.count(1);
+            w.str("T");
+            w.count(0);
+            w.u64(1 << 32);
+            w.count(0);
+            w.count(0);
+        });
+        assert!(msg.contains("checkpoint corrupt"), "{msg}");
+        assert!(msg.contains("4294967296 rows"), "{msg}");
+        // A count the remaining bytes cannot hold is refused the same way.
+        let msg = sealed(&|w| {
+            w.u64(7);
+            w.count(1);
+            w.str("T");
+            w.count(1);
+            w.str("k");
+            w.u8(dtype_tag(DataType::Int));
+            w.u64(u64::MAX);
+        });
+        assert!(msg.contains("18446744073709551615 rows"), "{msg}");
     }
 
     #[test]

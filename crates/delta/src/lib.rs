@@ -24,6 +24,7 @@ use relgo_graph::GraphView;
 use relgo_storage::{Database, Table, TableChange, WriteSet};
 
 pub mod checkpoint;
+mod codec;
 pub mod wal;
 
 /// The pending delta against one table: appended rows plus primary-key

@@ -2,18 +2,13 @@
 //!
 //! ## Format
 //!
-//! The log is a flat sequence of length-prefixed, CRC-checked records:
-//!
-//! ```text
-//! [u32 len][u32 crc32(payload)][payload: len bytes] ...
-//! ```
-//!
-//! The payload is a hand-rolled little-endian encoding of one committed
-//! epoch: the epoch number followed by the per-table deltas in sorted table
-//! order (the same deterministic order [`DeltaSet::apply`] merges in) —
-//! inserted rows as tagged [`Value`]s, tombstones as primary-key `i64`s.
-//! The vendored serde shim is a no-op marker (no serialization machinery),
-//! so the codec lives here.
+//! The log is a flat sequence of frames — length, CRC-32, payload; the
+//! layout, the value encoding and the checks that make a frame *intact*
+//! are `codec.rs`'s, documented in its header. This module owns what goes
+//! *in* a frame: one committed epoch — the epoch number followed by the
+//! per-table deltas in sorted table order (the same deterministic order
+//! [`DeltaSet::apply`] merges in), inserted rows as tagged
+//! [`relgo_common::Value`]s, tombstones as primary-key `i64`s.
 //!
 //! ## Group commit
 //!
@@ -32,28 +27,39 @@
 //! appends while holding its writer lock), so the byte order of the log is
 //! the epoch order and recovery replay is deterministic.
 //!
+//! ## A failed flush fails closed
+//!
+//! When the leader's write or fsync fails, the records it took are gone
+//! from memory and an unknown prefix of them is on disk. Staging them again
+//! would put intact frames *behind* a torn one, where no scan ever reaches
+//! them, so the log refuses instead: the error is remembered, and from then
+//! on no [`Wal::sync_through`] returns `Ok` for a sequence that was not
+//! already durable and no [`Wal::compact_through`] runs. Reopening the log
+//! ([`Wal::open`] truncates the tear away) is the way back.
+//!
 //! ## Recovery
 //!
 //! [`Wal::open`] scans the log from the start and stops at the first torn
-//! record — a short header, a length running past end-of-file, a CRC
-//! mismatch, or a structurally undecodable payload. Everything before the
-//! tear is returned for replay; the file is truncated to that valid prefix
-//! so subsequent appends extend a clean log. A torn tail loses only the
-//! suffix of not-fully-flushed commits — never a record before the tear —
-//! which is the prefix-consistency contract the crash-recovery differential
-//! harness (`tests/wal_recovery.rs`) checks against a never-crashed oracle.
+//! record — a frame that is not intact, or an intact one whose payload does
+//! not decode. Everything before the tear is returned for replay; the file
+//! is truncated to that valid prefix so subsequent appends extend a clean
+//! log. A torn tail loses only the suffix of not-fully-flushed commits —
+//! never a record before the tear — which is the prefix-consistency
+//! contract the crash-recovery differential harness
+//! (`tests/wal_recovery.rs`) checks against a never-crashed oracle.
 
+use crate::codec::{self, io_err, Reader, Writer};
 use crate::DeltaSet;
-use relgo_common::{RelGoError, Result, Value};
+use relgo_common::{RelGoError, Result};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Guard against absurd length prefixes when scanning a corrupt log.
-const MAX_RECORD: usize = 1 << 30;
+const MAX_RECORD: u64 = 1 << 30;
 
 /// WAL behavior knobs.
 #[derive(Debug, Clone, Copy)]
@@ -156,16 +162,20 @@ pub struct WalRecovery {
     pub truncated_bytes: u64,
 }
 
+#[derive(Default)]
 struct WalState {
     /// Encoded records staged but not yet flushed.
     staged: Vec<u8>,
-    /// Sequence number the next [`Wal::append`] hands out (starts at 1).
-    next_seq: u64,
+    /// Sequence number the last [`Wal::append`] handed out (the first is 1).
+    last_seq: u64,
     /// Every sequence `<= durable_seq` has been flushed (and fsynced when
     /// enabled).
     durable_seq: u64,
     /// A flush leader is currently writing.
     flushing: bool,
+    /// The first flush error. Set once, never cleared: the records that
+    /// flush took cannot be made durable any more (see the module header).
+    failed: Option<String>,
     stats: WalStats,
 }
 
@@ -200,61 +210,37 @@ impl Wal {
             .create(true)
             .truncate(false)
             .open(&path)
-            .map_err(|e| io_err("open", &e))?;
+            .map_err(|e| io_err("wal open", &e))?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)
-            .map_err(|e| io_err("read", &e))?;
+            .map_err(|e| io_err("wal read", &e))?;
 
         let mut records = Vec::new();
-        let mut off = 0usize;
-        // Stops at the first sign of a torn tail: a short header is a clean
-        // end-of-file or an interrupted header write, everything else below
-        // breaks explicitly.
-        while let Some(header) = bytes.get(off..off + 8) {
-            let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
-            let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-            if len > MAX_RECORD {
-                break; // corrupt length prefix
-            }
-            let Some(payload) = bytes.get(off + 8..off + 8 + len) else {
-                break; // record runs past end-of-file: torn write
-            };
-            if crc32(payload) != crc {
-                break; // bit rot or torn payload
-            }
-            let Ok(record) = decode_payload(payload) else {
-                break; // CRC matched but the structure is bad: treat as torn
-            };
+        let valid = scan_log(&bytes, |record| {
             records.push(record);
-            off += 8 + len;
-        }
-        let truncated = (bytes.len() - off) as u64;
+            true
+        });
+        let truncated = (bytes.len() - valid) as u64;
         if truncated > 0 {
-            file.set_len(off as u64)
-                .map_err(|e| io_err("truncate", &e))?;
+            file.set_len(valid as u64)
+                .map_err(|e| io_err("wal truncate", &e))?;
         }
-        file.seek(SeekFrom::Start(off as u64))
-            .map_err(|e| io_err("seek", &e))?;
+        file.seek(SeekFrom::Start(valid as u64))
+            .map_err(|e| io_err("wal seek", &e))?;
 
         let recovery = WalRecovery {
             records,
-            bytes: off as u64,
+            bytes: valid as u64,
             truncated_bytes: truncated,
         };
         let wal = Wal {
             file: Mutex::new(file),
-            state: Mutex::new(WalState {
-                staged: Vec::new(),
-                next_seq: 1,
-                durable_seq: 0,
-                flushing: false,
-                stats: WalStats::default(),
-            }),
+            state: Mutex::new(WalState::default()),
             flushed: Condvar::new(),
             options,
             path,
             written: AtomicU64::new(0),
-            disk_len: AtomicU64::new(off as u64),
+            disk_len: AtomicU64::new(valid as u64),
         };
         Ok((wal, recovery))
     }
@@ -280,25 +266,26 @@ impl Wal {
     /// memory — durability comes from [`Wal::sync_through`]. Callers must
     /// stage in commit order (the session appends under its writer lock).
     pub fn append(&self, epoch: u64, delta: &DeltaSet) -> u64 {
-        let payload = encode_payload(epoch, delta);
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        let mut frame = Vec::with_capacity(64);
+        codec::push_frame(&mut frame, |w| encode_record(w, epoch, delta));
 
         let mut st = self.state.lock().unwrap();
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        st.staged.extend_from_slice(&frame);
+        st.last_seq += 1;
         st.stats.records += 1;
-        seq
+        // After a failed flush the sequence is still handed out — and can
+        // never be acknowledged — but nothing will take the bytes.
+        if st.failed.is_none() {
+            st.staged.extend_from_slice(&frame);
+        }
+        st.last_seq
     }
 
     /// Block until every record staged up to `seq` is flushed (and fsynced,
     /// when enabled). Group commit: the first caller to find no flush in
     /// progress becomes the leader and writes *all* currently staged bytes
     /// with one write + one sync; callers whose records ride along just
-    /// wait for the leader's report.
+    /// wait for the leader's report. Errors if this or an earlier flush
+    /// failed before `seq` became durable.
     pub fn sync_through(&self, seq: u64) -> Result<()> {
         let mut st = self.state.lock().unwrap();
         loop {
@@ -309,35 +296,64 @@ impl Wal {
                 st = self.flushed.wait(st).unwrap();
                 continue;
             }
-            // Become the leader: take everything staged so far.
-            let buf = std::mem::take(&mut st.staged);
-            let through = st.next_seq - 1;
-            st.flushing = true;
-            drop(st);
-            let outcome = self.flush(&buf);
-            st = self.state.lock().unwrap();
-            st.flushing = false;
-            match outcome {
-                Ok(()) => {
-                    st.durable_seq = st.durable_seq.max(through);
-                    st.stats.flushes += 1;
-                    st.stats.bytes += buf.len() as u64;
-                    if self.options.fsync {
-                        st.stats.syncs += 1;
-                    }
-                    self.flushed.notify_all();
-                }
-                Err(e) => {
-                    self.flushed.notify_all();
-                    return Err(e);
-                }
-            }
+            (st, ()) = self.lead(st, |_| Ok(()))?;
         }
     }
 
-    /// The leader's write + sync (only one leader runs at a time).
-    fn flush(&self, buf: &[u8]) -> Result<()> {
+    /// The one flush-leader routine. Called with the state lock held and no
+    /// flush in progress: takes everything staged, releases the lock for
+    /// the I/O, writes the batch with [`Wal::flush`], then runs `then` on
+    /// the log file while still the only leader. Reports the outcome to
+    /// the waiting committers and hands the re-taken lock back.
+    ///
+    /// A flush error is sticky (see the module header). An error from
+    /// `then` is not: it runs after the batch is durable and, by contract,
+    /// leaves the log file and the handle's position alone when it fails.
+    fn lead<'a, T>(
+        &'a self,
+        mut st: MutexGuard<'a, WalState>,
+        then: impl FnOnce(&mut File) -> Result<T>,
+    ) -> Result<(MutexGuard<'a, WalState>, T)> {
+        if let Some(why) = &st.failed {
+            return Err(RelGoError::execution(format!(
+                "wal is failed closed after an earlier flush error: {why}"
+            )));
+        }
+        let buf = std::mem::take(&mut st.staged);
+        let through = st.last_seq;
+        st.flushing = true;
+        drop(st);
+
         let mut file = self.file.lock().unwrap();
+        // An empty batch has nothing to make durable (compaction of an
+        // already-synced log): no write, no fsync, no flush counted.
+        let flushed = if buf.is_empty() {
+            Ok(())
+        } else {
+            self.flush(&mut file, &buf)
+        };
+        let failure = flushed.as_ref().err().map(ToString::to_string);
+        let outcome = flushed.and_then(|()| then(&mut file));
+        drop(file);
+
+        let mut st = self.state.lock().unwrap();
+        st.flushing = false;
+        if failure.is_some() {
+            st.failed = failure;
+        } else {
+            st.durable_seq = through;
+            if !buf.is_empty() {
+                st.stats.flushes += 1;
+                st.stats.bytes += buf.len() as u64;
+                st.stats.syncs += self.options.fsync as u64;
+            }
+        }
+        self.flushed.notify_all();
+        outcome.map(|value| (st, value))
+    }
+
+    /// The leader's write + sync (only one leader runs at a time).
+    fn flush(&self, file: &mut File, buf: &[u8]) -> Result<()> {
         if let Some(limit) = self.options.crash_after_bytes {
             let written = self.written.load(Ordering::Relaxed);
             if written + buf.len() as u64 > limit {
@@ -349,16 +365,14 @@ impl Wal {
                 std::process::abort();
             }
         }
-        file.write_all(buf).map_err(|e| io_err("write", &e))?;
+        file.write_all(buf).map_err(|e| io_err("wal write", &e))?;
         self.written.fetch_add(buf.len() as u64, Ordering::Relaxed);
         self.disk_len.fetch_add(buf.len() as u64, Ordering::Relaxed);
-        if !buf.is_empty() {
-            if let Some(delay) = self.options.sync_delay {
-                std::thread::sleep(delay);
-            }
+        if let Some(delay) = self.options.sync_delay {
+            std::thread::sleep(delay);
         }
         if self.options.fsync {
-            file.sync_all().map_err(|e| io_err("fsync", &e))?;
+            file.sync_all().map_err(|e| io_err("wal fsync", &e))?;
         }
         Ok(())
     }
@@ -369,11 +383,11 @@ impl Wal {
     ///
     /// The caller names an epoch already captured by a durable checkpoint.
     /// Compaction quiesces flushing by becoming the flush leader itself (so
-    /// staged records are on disk before the log is rewritten), then writes
-    /// the surviving tail to a sibling temp file, fsyncs it, and atomically
-    /// renames it over the log. A crash before the rename leaves the old
-    /// log (recovery skips the already-checkpointed prefix); a crash after
-    /// leaves exactly the tail — never a torn log.
+    /// staged records are on disk before the log is rewritten), then puts
+    /// the surviving tail in the log's place with the codec's atomic
+    /// replace. A crash before the rename leaves the old log (recovery
+    /// skips the already-checkpointed prefix); a crash after leaves exactly
+    /// the tail — never a torn log.
     ///
     /// `archive_to`, when given, appends the dropped record-aligned prefix
     /// to that file before truncation, so the full commit history remains
@@ -383,321 +397,136 @@ impl Wal {
         while st.flushing {
             st = self.flushed.wait(st).unwrap();
         }
-        // Become the leader: compaction must see every staged record on
-        // disk, so it flushes the buffer itself as part of the rewrite.
-        let staged = std::mem::take(&mut st.staged);
-        let through = st.next_seq - 1;
-        st.flushing = true;
-        drop(st);
-
-        let outcome = self.compact_inner(epoch, &staged, archive_to);
-
-        let mut st = self.state.lock().unwrap();
-        st.flushing = false;
-        if outcome.is_ok() {
-            st.durable_seq = st.durable_seq.max(through);
-            if !staged.is_empty() {
-                st.stats.flushes += 1;
-                st.stats.bytes += staged.len() as u64;
-                if self.options.fsync {
-                    st.stats.syncs += 1;
-                }
-            }
-        }
-        self.flushed.notify_all();
-        outcome
+        let (_st, compaction) = self.lead(st, |file| self.rewrite_tail(file, epoch, archive_to))?;
+        Ok(compaction)
     }
 
-    /// The compaction body; runs as the (sole) flush leader.
-    fn compact_inner(
+    /// The compaction body; runs as the (sole) flush leader, after the
+    /// staged records are on disk. Keeps [`Wal::lead`]'s contract for
+    /// `then`: the log is read through a second handle, so `file`'s append
+    /// position never moves, and until the rename succeeds — after which
+    /// nothing can fail — the log itself is untouched.
+    fn rewrite_tail(
         &self,
+        file: &mut File,
         epoch: u64,
-        staged: &[u8],
         archive_to: Option<&Path>,
     ) -> Result<WalCompaction> {
-        let mut file = self.file.lock().unwrap();
-        if !staged.is_empty() {
-            file.write_all(staged).map_err(|e| io_err("write", &e))?;
-            self.disk_len
-                .fetch_add(staged.len() as u64, Ordering::Relaxed);
-            if self.options.fsync {
-                file.sync_all().map_err(|e| io_err("fsync", &e))?;
-            }
-        }
-        file.seek(SeekFrom::Start(0))
-            .map_err(|e| io_err("seek", &e))?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)
-            .map_err(|e| io_err("read", &e))?;
+        let bytes = std::fs::read(&self.path).map_err(|e| io_err("wal read", &e))?;
 
-        // Find the first record the checkpoint does not cover; everything
-        // before it is the droppable prefix. Only fully-valid records are
-        // walked — a torn tail (possible only after an unflushed crash, not
-        // in this live process) is conservatively kept.
-        let mut off = 0usize;
+        // Everything before the first record the checkpoint does not cover
+        // is the droppable prefix. Only intact records are walked — a torn
+        // tail (possible only after an unflushed crash, not in this live
+        // process) is conservatively kept.
         let mut dropped = 0u64;
-        while let Some(header) = bytes.get(off..off + 8) {
-            let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
-            let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-            if len > MAX_RECORD {
-                break;
-            }
-            let Some(payload) = bytes.get(off + 8..off + 8 + len) else {
-                break;
-            };
-            if crc32(payload) != crc {
-                break;
-            }
-            let Ok(record) = decode_payload(payload) else {
-                break;
-            };
-            if record.epoch > epoch {
-                break;
-            }
-            dropped += 1;
-            off += 8 + len;
-        }
-        if off == 0 {
+        let off = scan_log(&bytes, |record| {
+            let covered = record.epoch <= epoch;
+            dropped += covered as u64;
+            covered
+        });
+        let (prefix, tail) = bytes.split_at(off);
+        if prefix.is_empty() {
             // Nothing to drop; leave the log alone.
-            file.seek(SeekFrom::End(0))
-                .map_err(|e| io_err("seek", &e))?;
             return Ok(WalCompaction {
-                bytes_retained: bytes.len() as u64,
+                bytes_retained: tail.len() as u64,
                 ..WalCompaction::default()
             });
         }
 
-        let archived_bytes = match archive_to {
-            Some(archive) => {
-                let mut f = OpenOptions::new()
-                    .append(true)
-                    .create(true)
-                    .open(archive)
-                    .map_err(|e| io_err("archive open", &e))?;
-                f.write_all(&bytes[..off])
-                    .map_err(|e| io_err("archive write", &e))?;
-                f.sync_all().map_err(|e| io_err("archive fsync", &e))?;
-                off as u64
-            }
-            None => 0,
-        };
+        if let Some(archive) = archive_to {
+            let mut f = OpenOptions::new()
+                .append(true)
+                .create(true)
+                .open(archive)
+                .map_err(|e| io_err("wal archive open", &e))?;
+            f.write_all(prefix)
+                .map_err(|e| io_err("wal archive write", &e))?;
+            f.sync_all().map_err(|e| io_err("wal archive fsync", &e))?;
+        }
 
-        // Rewrite the log as tail-only: temp + fsync + atomic rename, then
-        // swap the live handle to the new file.
-        let tail = &bytes[off..];
-        let mut tmp_name = self.path.clone().into_os_string();
-        tmp_name.push(".compact.tmp");
-        let tmp = PathBuf::from(tmp_name);
-        {
-            let mut f = File::create(&tmp).map_err(|e| io_err("compact create", &e))?;
-            f.write_all(tail).map_err(|e| io_err("compact write", &e))?;
-            f.sync_all().map_err(|e| io_err("compact fsync", &e))?;
-        }
-        std::fs::rename(&tmp, &self.path).map_err(|e| io_err("compact rename", &e))?;
-        if let Some(dir) = self.path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            if let Ok(d) = File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        let mut new_file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&self.path)
-            .map_err(|e| io_err("compact reopen", &e))?;
-        new_file
-            .seek(SeekFrom::End(0))
-            .map_err(|e| io_err("seek", &e))?;
-        *file = new_file;
+        let mut tmp = self.path.clone().into_os_string();
+        tmp.push(".compact.tmp");
+        // The renamed temp file *is* the new log: its handle, positioned at
+        // the end of the tail, becomes the live one.
+        *file = codec::replace_file(Path::new(&tmp), &self.path, tail, "wal compact", None)?;
         self.disk_len.store(tail.len() as u64, Ordering::Relaxed);
 
         Ok(WalCompaction {
             records_dropped: dropped,
-            bytes_dropped: off as u64,
+            bytes_dropped: prefix.len() as u64,
             bytes_retained: tail.len() as u64,
-            archived_bytes,
+            archived_bytes: archive_to.map_or(0, |_| prefix.len() as u64),
         })
     }
 }
 
-fn io_err(what: &str, e: &std::io::Error) -> RelGoError {
-    RelGoError::execution(format!("wal {what} failed: {e}"))
+/// The one walk over a log image: hand each intact, decodable record at the
+/// head of `bytes` to `accept` until it declines one, and return the byte
+/// offset just past the last accepted record. Stops at the first sign of a
+/// torn tail — any frame the codec does not call intact (a short header is
+/// also the clean end of the log), or a payload whose CRC matched but whose
+/// structure is bad.
+fn scan_log(bytes: &[u8], mut accept: impl FnMut(WalRecord) -> bool) -> usize {
+    let mut rest = bytes;
+    while let Ok((payload, after)) = codec::read_frame(rest, MAX_RECORD) {
+        if !decode_record(payload).is_ok_and(&mut accept) {
+            break;
+        }
+        rest = after;
+    }
+    bytes.len() - rest.len()
 }
 
 // --------------------------------------------------------------------------
-// Record codec (hand-rolled: the vendored serde shim has no machinery).
+// Record payload: what one commit stores inside a frame.
 // --------------------------------------------------------------------------
 
-fn encode_payload(epoch: u64, delta: &DeltaSet) -> Vec<u8> {
+fn encode_record(w: &mut Writer<'_>, epoch: u64, delta: &DeltaSet) {
     let tables = delta.tables_sorted();
-    let mut out = Vec::with_capacity(64);
-    out.extend_from_slice(&epoch.to_le_bytes());
-    out.extend_from_slice(&(tables.len() as u32).to_le_bytes());
+    w.u64(epoch);
+    w.count(tables.len());
     for (name, td) in tables {
-        put_bytes(&mut out, name.as_bytes());
-        out.extend_from_slice(&(td.inserts().len() as u32).to_le_bytes());
+        w.str(name);
+        w.count(td.inserts().len());
         for row in td.inserts() {
-            out.extend_from_slice(&(row.len() as u32).to_le_bytes());
+            w.count(row.len());
             for v in row {
-                put_value(&mut out, v);
+                w.value(v);
             }
         }
-        out.extend_from_slice(&(td.delete_keys().len() as u32).to_le_bytes());
+        w.count(td.delete_keys().len());
         for &k in td.delete_keys() {
-            out.extend_from_slice(&k.to_le_bytes());
-        }
-    }
-    out
-}
-
-pub(crate) fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-    out.extend_from_slice(b);
-}
-
-pub(crate) fn put_value(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => out.push(0),
-        Value::Int(i) => {
-            out.push(1);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Float(f) => {
-            out.push(2);
-            out.extend_from_slice(&f.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(3);
-            put_bytes(out, s.as_bytes());
-        }
-        Value::Bool(b) => {
-            out.push(4);
-            out.push(*b as u8);
-        }
-        Value::Date(d) => {
-            out.push(5);
-            out.extend_from_slice(&d.to_le_bytes());
+            w.i64(k);
         }
     }
 }
 
-fn decode_payload(payload: &[u8]) -> Result<WalRecord> {
-    let mut r = Reader {
-        buf: payload,
-        off: 0,
-    };
+fn decode_record(payload: &[u8]) -> Result<WalRecord> {
+    let mut r = Reader::new(payload, "wal record");
     let epoch = r.u64()?;
-    let n_tables = r.u32()? as usize;
     let mut delta = DeltaSet::new();
-    for _ in 0..n_tables {
-        let name = r.string()?;
-        let n_inserts = r.u32()? as usize;
-        for _ in 0..n_inserts {
-            let n_vals = r.u32()? as usize;
+    for _ in 0..r.count()? {
+        let name = r.str()?;
+        for _ in 0..r.count()? {
+            let n_vals = r.count()?;
             let mut row = Vec::with_capacity(n_vals.min(64));
             for _ in 0..n_vals {
                 row.push(r.value()?);
             }
-            delta.insert(&name, row);
+            delta.insert(name, row);
         }
-        let n_deletes = r.u32()? as usize;
-        for _ in 0..n_deletes {
-            delta.delete(&name, r.i64()?);
+        for _ in 0..r.count()? {
+            delta.delete(name, r.i64()?);
         }
     }
-    if r.off != payload.len() {
-        return Err(RelGoError::execution("wal record has trailing bytes"));
-    }
+    r.finish()?;
     Ok(WalRecord { epoch, delta })
-}
-
-pub(crate) struct Reader<'a> {
-    pub(crate) buf: &'a [u8],
-    pub(crate) off: usize,
-}
-
-impl Reader<'_> {
-    pub(crate) fn take(&mut self, n: usize) -> Result<&[u8]> {
-        let Some(b) = self.buf.get(self.off..self.off + n) else {
-            return Err(RelGoError::execution("wal record truncated"));
-        };
-        self.off += n;
-        Ok(b)
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn string(&mut self) -> Result<String> {
-        let n = self.u32()? as usize;
-        let b = self.take(n)?;
-        String::from_utf8(b.to_vec())
-            .map_err(|_| RelGoError::execution("wal record has invalid utf-8"))
-    }
-
-    pub(crate) fn value(&mut self) -> Result<Value> {
-        Ok(match self.take(1)?[0] {
-            0 => Value::Null,
-            1 => Value::Int(self.i64()?),
-            2 => Value::Float(f64::from_bits(self.u64()?)),
-            3 => Value::Str(self.string()?.into()),
-            4 => Value::Bool(self.take(1)?[0] != 0),
-            5 => Value::Date(self.i64()?),
-            t => {
-                return Err(RelGoError::execution(format!(
-                    "wal record has unknown value tag {t}"
-                )))
-            }
-        })
-    }
-}
-
-// --------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected). Table-driven, built at compile time.
-// --------------------------------------------------------------------------
-
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xedb8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc_table();
-
-/// CRC-32 of `data` (IEEE polynomial — the checksum guarding each record).
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = !0u32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
-    }
-    !c
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use relgo_common::Value;
     use std::sync::atomic::AtomicUsize;
 
     fn temp_wal(tag: &str) -> PathBuf {
@@ -736,13 +565,6 @@ mod tests {
             && ta.iter().zip(&tb).all(|((na, da), (nb, db))| {
                 na == nb && da.inserts() == db.inserts() && da.delete_keys() == db.delete_keys()
             })
-    }
-
-    #[test]
-    fn crc32_known_vectors() {
-        // Standard check value for "123456789" under CRC-32/IEEE.
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]
@@ -813,6 +635,18 @@ mod tests {
         assert_eq!(rec.records.len(), 2);
         assert_eq!(rec.truncated_bytes, 0);
         std::fs::remove_file(&path).ok();
+
+        // The same tear handed straight to the record decoder is reported
+        // as a fault of the log, not of some other artifact.
+        let mut frame = Vec::new();
+        codec::push_frame(&mut frame, |w| encode_record(w, 1, &sample_delta(0)));
+        let (payload, _) = codec::read_frame(&frame, MAX_RECORD).unwrap();
+        assert!(decode_record(payload).is_ok());
+        let err = decode_record(&payload[..payload.len() - 3]).unwrap_err();
+        assert!(
+            err.to_string().contains("wal record corrupt: truncated"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -828,7 +662,7 @@ mod tests {
         drop(wal);
         // Flip one byte inside the last record's payload.
         let mut bytes = std::fs::read(&path).unwrap();
-        let last_payload = offsets[2] as usize + 8;
+        let last_payload = offsets[2] as usize + codec::FRAME_HEADER;
         bytes[last_payload + 4] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
         let (_w, rec) = Wal::open(&path, WalOptions::default()).unwrap();
@@ -838,7 +672,7 @@ mod tests {
         // Corrupting the stored CRC itself (not the payload) is equally
         // fatal for that record.
         let mut bytes = std::fs::read(&path).unwrap();
-        let second_crc = offsets[1] as usize + 4;
+        let second_crc = offsets[1] as usize + codec::LEN_BYTES;
         bytes[second_crc] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         let (_w, rec) = Wal::open(&path, WalOptions::default()).unwrap();
@@ -899,6 +733,59 @@ mod tests {
         // Everything the writers considered durable is on disk.
         let (_w, rec) = Wal::open(&path, WalOptions::default()).unwrap();
         assert_eq!(rec.records.len(), writers * per);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Make the log's next write fail (a read-only handle rejects it) and
+    /// hand back the working handle.
+    fn break_file(wal: &Wal) -> File {
+        let read_only = File::open(wal.path()).unwrap();
+        std::mem::replace(&mut *wal.file.lock().unwrap(), read_only)
+    }
+
+    #[test]
+    fn failed_flush_fails_closed() {
+        let path = temp_wal("failclosed");
+        let (wal, _) = Wal::open(&path, WalOptions::default()).unwrap();
+        let acked = wal.append(1, &sample_delta(0));
+        wal.sync_through(acked).unwrap();
+
+        let good = break_file(&wal);
+        let first = wal.append(2, &sample_delta(1));
+        let second = wal.append(3, &sample_delta(2));
+        assert!(wal.sync_through(first).is_err(), "the write must fail");
+        *wal.file.lock().unwrap() = good;
+
+        // The second record was in the batch the failed leader took and
+        // dropped: with a working file again it still must not be
+        // acknowledged, and neither may anything staged afterwards.
+        let err = wal.sync_through(second).unwrap_err();
+        assert!(err.to_string().contains("failed closed"), "{err}");
+        let later = wal.append(4, &sample_delta(3));
+        assert!(wal.sync_through(later).is_err());
+        assert!(wal.compact_through(1, None).is_err());
+        // What was durable before the failure still is.
+        wal.sync_through(acked).unwrap();
+        let stats = wal.stats();
+        assert_eq!((stats.flushes, stats.syncs), (1, 1));
+        drop(wal);
+        let (_w, rec) = Wal::open(&path, WalOptions::default()).unwrap();
+        let epochs: Vec<u64> = rec.records.iter().map(|r| r.epoch).collect();
+        assert_eq!(epochs, vec![1], "exactly the acknowledged record");
+        std::fs::remove_file(&path).ok();
+
+        // Compaction flushes through the same leader: a staged record its
+        // failed write dropped is never acknowledged either.
+        let path = temp_wal("failclosed_compact");
+        let (wal, _) = Wal::open(&path, WalOptions::default()).unwrap();
+        let good = break_file(&wal);
+        let staged = wal.append(1, &sample_delta(0));
+        assert!(wal.compact_through(0, None).is_err());
+        *wal.file.lock().unwrap() = good;
+        assert!(wal.sync_through(staged).is_err());
+        drop(wal);
+        let (_w, rec) = Wal::open(&path, WalOptions::default()).unwrap();
+        assert!(rec.records.is_empty());
         std::fs::remove_file(&path).ok();
     }
 

@@ -127,6 +127,29 @@ impl Table {
         }
     }
 
+    /// Whether `other` holds exactly the same data: the same schema and the
+    /// same cells in the same row order, compared by representation — the
+    /// same [`Value`] variant, floats by their bits — not by `Value::eq`,
+    /// under which `Int(5) == Date(5)`, `Int(1) == Float(1.0)` and
+    /// `-0.0 == 0.0`. The table's name is not data and is not compared.
+    pub fn bit_identical(&self, other: &Table) -> bool {
+        let same_cell = |a: Value, b: Value| match (a, b) {
+            (Value::Null, Value::Null) => true,
+            (Value::Int(a), Value::Int(b)) | (Value::Date(a), Value::Date(b)) => a == b,
+            (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
+            (Value::Str(a), Value::Str(b)) => a == b,
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            _ => false,
+        };
+        self.schema == other.schema
+            && self.rows == other.rows
+            && self
+                .columns
+                .iter()
+                .zip(&other.columns)
+                .all(|(a, b)| (0..self.rows as RowId).all(|r| same_cell(a.get(r), b.get(r))))
+    }
+
     /// All rows, materialized and sorted — deterministic representation for
     /// result comparison in tests.
     pub fn sorted_rows(&self) -> Vec<Vec<Value>> {
@@ -401,6 +424,28 @@ mod tests {
         assert_eq!(t.value(1, 1), Value::str("Bob"));
         assert_eq!(t.row(0), vec![1.into(), "Tom".into(), 10.into()]);
         assert_eq!(t.column_by_name("place_id").unwrap().get_int(2), Some(20));
+    }
+
+    #[test]
+    fn bit_identical_compares_representation_not_value_eq() {
+        let one = |dtype, v: Value| table_of("t", &[("c", dtype)], vec![vec![v]]);
+        assert!(people().bit_identical(&people()));
+        // Each pair is equal under `Value::eq`.
+        assert_eq!(Value::Int(5), Value::Date(5));
+        assert!(
+            !one(DataType::Int, Value::Int(5)).bit_identical(&one(DataType::Date, Value::Date(5)))
+        );
+        assert_eq!(Value::Float(0.0), Value::Float(-0.0));
+        assert!(!one(DataType::Float, Value::Float(0.0))
+            .bit_identical(&one(DataType::Float, Value::Float(-0.0))));
+        // NaN is its own bit pattern, not "unequal to everything".
+        assert!(one(DataType::Float, Value::Float(f64::NAN))
+            .bit_identical(&one(DataType::Float, Value::Float(f64::NAN))));
+        assert!(!one(DataType::Int, Value::Null).bit_identical(&one(DataType::Int, Value::Int(0))));
+        // Row order and column names are part of the data.
+        assert!(!people().bit_identical(&people().take(&[1, 0, 2])));
+        let renamed = table_of("t", &[("d", DataType::Int)], vec![vec![Value::Int(5)]]);
+        assert!(!one(DataType::Int, Value::Int(5)).bit_identical(&renamed));
     }
 
     #[test]

@@ -173,10 +173,6 @@ fn options(threads: usize, staleness: f64) -> SessionOptions {
 }
 
 /// Row-for-row table equality (stricter than set equality).
-fn bit_identical(a: &Table, b: &Table) -> bool {
-    a.num_rows() == b.num_rows() && (0..a.num_rows() as u32).all(|r| a.row(r) == b.row(r))
-}
-
 /// Run one template draw through the ingested session's four regimes and
 /// the fresh session's `run`; assert bit-identity everywhere.
 fn differential_case(
@@ -191,33 +187,33 @@ fn differential_case(
     let expected = fresh.run(&q, mode).unwrap().table;
     let direct = ingested.run(&q, mode).unwrap().table;
     assert!(
-        bit_identical(&expected, &direct),
+        expected.bit_identical(&direct),
         "{name} draw {draw} {}: ingested run diverges from fresh session",
         mode.name()
     );
     let cached = ingested.run_cached(&q, mode).unwrap().table;
     assert!(
-        bit_identical(&expected, &cached),
+        expected.bit_identical(&cached),
         "{name} draw {draw} {}: ingested run_cached diverges",
         mode.name()
     );
     let stmt = ingested.prepare(&t.instantiate(0).unwrap(), mode).unwrap();
     let prepared = stmt.execute(&t.bindings(draw).unwrap()).unwrap().table;
     assert!(
-        bit_identical(&expected, &prepared),
+        expected.bit_identical(&prepared),
         "{name} draw {draw} {}: ingested prepared execute diverges",
         mode.name()
     );
     let batch: Vec<Vec<Value>> = (draw..draw + 2).map(|d| t.bindings(d).unwrap()).collect();
     let out = stmt.execute_batch(&batch).unwrap();
     assert!(
-        bit_identical(&expected, &out.tables[0]),
+        expected.bit_identical(&out.tables[0]),
         "{name} draw {draw} {}: ingested batched execute diverges",
         mode.name()
     );
     let twin = fresh.run(&t.instantiate(draw + 1).unwrap(), mode).unwrap();
     assert!(
-        bit_identical(&twin.table, &out.tables[1]),
+        twin.table.bit_identical(&out.tables[1]),
         "{name} draw {} {}: batch member 1 diverges",
         draw + 1,
         mode.name()
@@ -273,7 +269,7 @@ proptest! {
             }
         }
         prop_assert!(
-            bit_identical(&per_threads[0], &per_threads[1]),
+            per_threads[0].bit_identical(&per_threads[1]),
             "1-thread and 4-thread results diverge"
         );
     }
@@ -469,7 +465,7 @@ proptest! {
             let replayed = oracle.db();
             for name in ["Person", "Knows", "Likes"] {
                 prop_assert!(
-                    bit_identical(live.table(name).unwrap(), replayed.table(name).unwrap()),
+                    live.table(name).unwrap().bit_identical(replayed.table(name).unwrap()),
                     "table {} diverges from serial replay of the winners",
                     name
                 );
@@ -480,9 +476,9 @@ proptest! {
         for mode in [OptimizerMode::RelGo, OptimizerMode::GRainDb] {
             let want = oracle.run(&q, mode).unwrap().table;
             let got = session.run(&q, mode).unwrap().table;
-            prop_assert!(bit_identical(&want, &got), "{} run diverges", mode.name());
+            prop_assert!(want.bit_identical(&got), "{} run diverges", mode.name());
             let cached = session.run_cached(&q, mode).unwrap().table;
-            prop_assert!(bit_identical(&want, &cached), "{} run_cached diverges", mode.name());
+            prop_assert!(want.bit_identical(&cached), "{} run_cached diverges", mode.name());
         }
     }
 }
@@ -511,24 +507,15 @@ fn snapshot_isolation_pins_query_results() {
             Op::Delete(table, key) => batch.delete_row(table, *key).unwrap(),
         }
     }
-    assert!(bit_identical(
-        &frozen,
-        &session.run(&q, OptimizerMode::RelGo).unwrap().table
-    ));
+    assert!(frozen.bit_identical(&session.run(&q, OptimizerMode::RelGo).unwrap().table));
     batch.commit().unwrap();
 
     // The pinned snapshot still serves the old epoch, bit-for-bit — through
     // the direct, cached and oracle paths.
     assert_eq!(snap.epoch(), 0);
     assert_eq!(session.epoch(), 1);
-    assert!(bit_identical(
-        &frozen,
-        &snap.run(&q, OptimizerMode::RelGo).unwrap().table
-    ));
-    assert!(bit_identical(
-        &frozen,
-        &snap.run_cached(&q, OptimizerMode::RelGo).unwrap().table
-    ));
+    assert!(frozen.bit_identical(&snap.run(&q, OptimizerMode::RelGo).unwrap().table));
+    assert!(frozen.bit_identical(&snap.run_cached(&q, OptimizerMode::RelGo).unwrap().table));
     assert_eq!(frozen.sorted_rows(), snap.oracle(&q).unwrap().sorted_rows());
     // A fresh snapshot sees the new epoch.
     assert_eq!(session.snapshot().epoch(), 1);

@@ -191,12 +191,6 @@ fn query_for(pattern: Pattern, with_filter: bool) -> SpjmQuery {
     b.build()
 }
 
-/// Row-for-row table equality — stricter than the set-equality used by the
-/// oracle comparisons.
-fn bit_identical(a: &Table, b: &Table) -> bool {
-    a.num_rows() == b.num_rows() && (0..a.num_rows() as u32).all(|r| a.row(r) == b.row(r))
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -216,7 +210,7 @@ proptest! {
                 let par = build_session(&g, threads);
                 let out = par.run(&query, mode).unwrap();
                 prop_assert!(
-                    bit_identical(&base.table, &out.table),
+                    base.table.bit_identical(&out.table),
                     "{:?} with {} threads diverges on {:?}",
                     mode, threads, shape
                 );
@@ -263,6 +257,6 @@ fn parallel_session_composes_with_plan_cache() {
     let warm = par.run_cached(&query, OptimizerMode::RelGo).unwrap();
     assert!(!cold.cached);
     assert!(warm.cached);
-    assert!(bit_identical(&base.table, &cold.table));
-    assert!(bit_identical(&base.table, &warm.table));
+    assert!(base.table.bit_identical(&cold.table));
+    assert!(base.table.bit_identical(&warm.table));
 }

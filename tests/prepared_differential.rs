@@ -55,10 +55,6 @@ fn job_sessions() -> &'static [(Session, ImdbSchema); 2] {
 }
 
 /// Row-for-row table equality (stricter than set equality).
-fn bit_identical(a: &Table, b: &Table) -> bool {
-    a.num_rows() == b.num_rows() && (0..a.num_rows() as u32).all(|r| a.row(r) == b.row(r))
-}
-
 /// Run one template draw through all four regimes on one session and
 /// assert bit-identity; returns regime 1's table for cross-session checks.
 fn differential_case(
@@ -72,7 +68,7 @@ fn differential_case(
     let direct = session.run(&q, mode).unwrap().table;
     let cached = session.run_cached(&q, mode).unwrap().table;
     assert!(
-        bit_identical(&direct, &cached),
+        direct.bit_identical(&cached),
         "{name} draw {draw} {}: run_cached diverges from run",
         mode.name()
     );
@@ -81,7 +77,7 @@ fn differential_case(
     let bindings = t.bindings(draw).unwrap();
     let prepared = stmt.execute(&bindings).unwrap().table;
     assert!(
-        bit_identical(&direct, &prepared),
+        direct.bit_identical(&prepared),
         "{name} draw {draw} {}: prepared execute diverges from run",
         mode.name()
     );
@@ -91,14 +87,14 @@ fn differential_case(
     let out = stmt.execute_batch(&batch).unwrap();
     assert_eq!(out.tables.len(), 3);
     assert!(
-        bit_identical(&direct, &out.tables[0]),
+        direct.bit_identical(&out.tables[0]),
         "{name} draw {draw} {}: batched result diverges from run",
         mode.name()
     );
     for (i, (b, batched)) in batch.iter().zip(&out.tables).enumerate().skip(1) {
         let single = stmt.execute(b).unwrap().table;
         assert!(
-            bit_identical(&single, batched),
+            single.bit_identical(batched),
             "{name} draw {} {}: batch member {i} diverges from per-query execute",
             draw + i as u64,
             mode.name()
@@ -123,7 +119,7 @@ proptest! {
             per_threads.push(differential_case(session, t, draw, mode));
         }
         prop_assert!(
-            bit_identical(&per_threads[0], &per_threads[1]),
+            per_threads[0].bit_identical(&per_threads[1]),
             "SNB template {} draw {}: 1-thread and 4-thread results diverge", idx, draw
         );
     }
@@ -141,7 +137,7 @@ proptest! {
             per_threads.push(differential_case(session, t, draw, mode));
         }
         prop_assert!(
-            bit_identical(&per_threads[0], &per_threads[1]),
+            per_threads[0].bit_identical(&per_threads[1]),
             "JOB template {} draw {}: 1-thread and 4-thread results diverge", idx, draw
         );
     }
@@ -169,8 +165,7 @@ fn stale_prepared_handle_reoptimizes_transparently() {
     let out = stmt.execute(&t.bindings(2).unwrap()).unwrap();
     assert!(!out.cached, "stale pin re-optimized");
     assert!(
-        bit_identical(
-            &out.table,
+        out.table.bit_identical(
             &session
                 .run(&t.instantiate(2).unwrap(), OptimizerMode::RelGo)
                 .unwrap()
@@ -235,8 +230,7 @@ fn evicted_entry_does_not_break_pinned_handle() {
     assert_eq!(delta.prepared_hits, 1, "{delta:?}");
     assert_eq!(delta.prepared_invalidations, 0, "{delta:?}");
     assert!(
-        bit_identical(
-            &out.table,
+        out.table.bit_identical(
             &session
                 .run(&t0.instantiate(5).unwrap(), OptimizerMode::RelGo)
                 .unwrap()
@@ -282,5 +276,5 @@ fn ambiguous_prepared_rebind_falls_back() {
     let delta = session.cache_metrics().since(&before);
     assert!(delta.rebind_failures >= 1, "{delta:?}");
     let expected = session.run(&make(3, 15_000), OptimizerMode::RelGo).unwrap();
-    assert!(bit_identical(&out.table, &expected.table));
+    assert!(out.table.bit_identical(&expected.table));
 }

@@ -52,10 +52,6 @@ fn job_sessions() -> &'static [(Session, ImdbSchema); 3] {
 }
 
 /// Row-for-row table equality (stricter than set equality).
-fn bit_identical(a: &Table, b: &Table) -> bool {
-    a.num_rows() == b.num_rows() && (0..a.num_rows() as u32).all(|r| a.row(r) == b.row(r))
-}
-
 /// The deterministic core of a [`PlanReport`]: operator kind and measured
 /// cardinalities in operator-id order. Wall times, morsel counts, and
 /// budget charges legitimately vary across threads and runs; row counts
@@ -100,7 +96,7 @@ fn probe(
     let (outcome, report) = call().unwrap_or_else(|e| panic!("{what}: {e}"));
     let after = path_counts(session);
     assert!(
-        bit_identical(plain, &outcome.table),
+        plain.bit_identical(&outcome.table),
         "{what} changed the result"
     );
     let report = report.unwrap_or_else(|| panic!("{what}: profiling was on"));
@@ -292,5 +288,5 @@ fn explain_does_not_execute_and_profiling_leaves_no_residue() {
     assert_eq!(rendered.lines().count(), report.ops.len());
 
     let after = session.run(&q, OptimizerMode::RelGo).unwrap().table;
-    assert!(bit_identical(&before, &after));
+    assert!(before.bit_identical(&after));
 }

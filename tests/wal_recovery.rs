@@ -123,10 +123,6 @@ fn base() -> &'static (Database, relgo::graph::RGMapping) {
     })
 }
 
-fn bit_identical(a: &Table, b: &Table) -> bool {
-    a.num_rows() == b.num_rows() && (0..a.num_rows() as u32).all(|r| a.row(r) == b.row(r))
-}
-
 /// Child-process entry point. Inert in the normal suite; when the parent
 /// sets `RELGO_WAL_CHILD_PATH` it opens a durable session with an armed
 /// crash hook and commits until it either finishes or the hook aborts the
@@ -321,10 +317,10 @@ fn run_ckpt_crash_case(
         let oracle_db = oracle.db();
         for name in ["Person", "Knows", "Likes"] {
             assert!(
-                bit_identical(
-                    recovered_db.table(name).unwrap(),
-                    oracle_db.table(name).unwrap()
-                ),
+                recovered_db
+                    .table(name)
+                    .unwrap()
+                    .bit_identical(oracle_db.table(name).unwrap()),
                 "table {name} diverges after a phase-{phase} checkpoint crash"
             );
         }
@@ -335,17 +331,17 @@ fn run_ckpt_crash_case(
     for mode in [OptimizerMode::RelGo, OptimizerMode::GRainDb] {
         let want = oracle.run(&q, mode).unwrap().table;
         let got = session.run(&q, mode).unwrap().table;
-        assert!(bit_identical(&want, &got), "{} run diverges", mode.name());
+        assert!(want.bit_identical(&got), "{} run diverges", mode.name());
         let cached = session.run_cached(&q, mode).unwrap().table;
         assert!(
-            bit_identical(&want, &cached),
+            want.bit_identical(&cached),
             "{} run_cached diverges",
             mode.name()
         );
         let stmt = session.prepare(&t.instantiate(0).unwrap(), mode).unwrap();
         let prepared = stmt.execute(&t.bindings(draw).unwrap()).unwrap().table;
         assert!(
-            bit_identical(&want, &prepared),
+            want.bit_identical(&prepared),
             "{} prepared execute diverges",
             mode.name()
         );
@@ -469,10 +465,7 @@ proptest! {
             let oracle_db = oracle.db();
             for name in ["Person", "Knows", "Likes"] {
                 prop_assert!(
-                    bit_identical(
-                        recovered_db.table(name).unwrap(),
-                        oracle_db.table(name).unwrap()
-                    ),
+                    recovered_db.table(name).unwrap().bit_identical(oracle_db.table(name).unwrap()),
                     "table {} diverges after recovering {} commits",
                     name,
                     k
@@ -485,17 +478,17 @@ proptest! {
         for mode in [OptimizerMode::RelGo, OptimizerMode::GRainDb] {
             let want = oracle.run(&q, mode).unwrap().table;
             let got = session.run(&q, mode).unwrap().table;
-            prop_assert!(bit_identical(&want, &got), "{} run diverges", mode.name());
+            prop_assert!(want.bit_identical(&got), "{} run diverges", mode.name());
             let cached = session.run_cached(&q, mode).unwrap().table;
             prop_assert!(
-                bit_identical(&want, &cached),
+                want.bit_identical(&cached),
                 "{} run_cached diverges",
                 mode.name()
             );
             let stmt = session.prepare(&t.instantiate(0).unwrap(), mode).unwrap();
             let prepared = stmt.execute(&t.bindings(draw).unwrap()).unwrap().table;
             prop_assert!(
-                bit_identical(&want, &prepared),
+                want.bit_identical(&prepared),
                 "{} prepared execute diverges",
                 mode.name()
             );
@@ -557,10 +550,10 @@ fn post_recovery_commits_extend_the_recovered_log() {
     let oracle_db = oracle.db();
     for name in ["Person", "Knows", "Likes"] {
         assert!(
-            bit_identical(
-                recovered_db.table(name).unwrap(),
-                oracle_db.table(name).unwrap()
-            ),
+            recovered_db
+                .table(name)
+                .unwrap()
+                .bit_identical(oracle_db.table(name).unwrap()),
             "table {name} diverges"
         );
     }
