@@ -59,6 +59,19 @@ impl ParamQuery {
             slot_sig: self.slot_sig.clone(),
         }
     }
+
+    /// [`ParamQuery::key`] without the copies: the key takes the
+    /// descriptor strings and the bindings come back beside it (what the
+    /// serving path does per query).
+    pub fn into_key(self, mode: OptimizerMode) -> (PlanKey, Vec<Value>) {
+        let key = PlanKey {
+            mode,
+            canon_fingerprint: self.canon_fingerprint,
+            shape: self.shape,
+            slot_sig: self.slot_sig,
+        };
+        (key, self.params)
+    }
 }
 
 /// A plan-cache key: `(mode, canonical pattern fingerprint, relational
@@ -751,6 +764,8 @@ mod tests {
             a.key(OptimizerMode::DuckDbLike),
             "mode is part of the key"
         );
+        let (key, params) = (a.key(OptimizerMode::RelGo), a.params.clone());
+        assert_eq!(a.into_key(OptimizerMode::RelGo), (key, params));
     }
 
     #[test]

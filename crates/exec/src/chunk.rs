@@ -40,6 +40,26 @@ impl GraphChunk {
         c
     }
 
+    /// A chunk binding edge `e` to `rows` and its endpoints, pattern
+    /// vertices `src` and `dst`, to the matching `srcs` / `dsts`.
+    pub fn from_edge(
+        (nv, ne): (usize, usize),
+        (e, rows): (usize, Vec<RowId>),
+        (src, srcs): (usize, Vec<RowId>),
+        (dst, dsts): (usize, Vec<RowId>),
+    ) -> Result<Self> {
+        if src == dst {
+            return Err(RelGoError::execution(format!(
+                "vertex {dst} is already bound"
+            )));
+        }
+        let mut c = GraphChunk::from_vertex(nv, ne, src, srcs);
+        c.vcols[dst] = Some(1);
+        c.ecols[e] = Some(2);
+        c.cols.extend([dsts, rows]);
+        Ok(c)
+    }
+
     /// Number of rows (matches).
     pub fn len(&self) -> usize {
         self.len
@@ -158,10 +178,41 @@ impl GraphChunk {
         Ok(out)
     }
 
+    /// The join of `left` and `right` on matched row pairs: output row `i`
+    /// holds the bindings of `left` row `lidx[i]` and `right` row
+    /// `ridx[i]`, gathered one column at a time — vertices then edges, in
+    /// pattern order; an element bound on both sides is taken from `left`.
+    pub fn join(left: &GraphChunk, lidx: &[u32], right: &GraphChunk, ridx: &[u32]) -> GraphChunk {
+        let mut out = GraphChunk::new(left.vcols.len(), left.ecols.len());
+        out.len = lidx.len();
+        let gather = |col: &[RowId], idx: &[u32]| idx.iter().map(|&i| col[i as usize]).collect();
+        let mut bind = |l: Option<usize>, r: Option<usize>| {
+            let col = match (l, r) {
+                (Some(c), _) => gather(&left.cols[c], lidx),
+                (None, Some(c)) => gather(&right.cols[c], ridx),
+                (None, None) => return None,
+            };
+            out.cols.push(col);
+            Some(out.cols.len() - 1)
+        };
+        out.vcols = (0..left.vcols.len())
+            .map(|v| bind(left.vcols[v], right.vcols[v]))
+            .collect();
+        out.ecols = (0..left.ecols.len())
+            .map(|e| bind(left.ecols[e], right.ecols[e]))
+            .collect();
+        out
+    }
+}
+
+/// The row-at-a-time join output the executor used to build, kept as the
+/// reference the column-wise [`GraphChunk::join`] is tested against.
+#[cfg(test)]
+impl GraphChunk {
     /// Concatenate the bindings of `left` row `li` and `right` row `ri`
     /// into a joined chunk built by repeated [`GraphChunk::push_joined`];
     /// prepare the output layout first.
-    pub fn join_layout(left: &GraphChunk, right: &GraphChunk) -> GraphChunk {
+    pub(crate) fn join_layout(left: &GraphChunk, right: &GraphChunk) -> GraphChunk {
         let nv = left.vcols.len();
         let ne = left.ecols.len();
         let mut out = GraphChunk::new(nv, ne);
@@ -184,7 +235,7 @@ impl GraphChunk {
 
     /// Append one joined row (see [`GraphChunk::join_layout`]); bindings
     /// present on both sides are taken from `left`.
-    pub fn push_joined(
+    pub(crate) fn push_joined(
         &mut self,
         left: &GraphChunk,
         li: usize,

@@ -5,9 +5,10 @@
 //! * **indexed** — `EXPAND`/`EXPAND_INTERSECT` traverse the VE-index;
 //!   `SCAN_EDGE` reads endpoints from the EV-index (GRainDB's predefined
 //!   join);
-//! * **unindexed** — `EXPAND` builds a transient hash multimap over the
-//!   edge relation (a hash join, which is what DuckDB-like and RelGoHash
-//!   executions pay); endpoint resolution goes through the λ key indexes.
+//! * **unindexed** — `EXPAND` builds a transient adjacency over the edge
+//!   relation per query (the join build that DuckDB-like and RelGoHash
+//!   executions pay); endpoint resolution goes through the λ key indexes,
+//!   a column at a time.
 //!
 //! Bag semantics are preserved exactly: expansions iterate *adjacency
 //! entries* (one output row per data edge), so trimming the edge column
@@ -25,27 +26,32 @@
 //!
 //! ## Allocation-free expansion
 //!
-//! The per-row hot path borrows adjacency lists as slices (no `(Vec, Vec)`
-//! clone per input row — the hashed fallback stores its multimap in flat
-//! CSR-like arrays), and per-element predicates are precomputed into
+//! The per-row hot path borrows adjacency lists as slices (both regimes
+//! read a CSR), and per-element predicates are precomputed into
 //! per-table-row boolean masks whenever the expansion touches enough
-//! entries to amortize one evaluation per table row.
+//! entries to amortize one evaluation per table row. Scans, masks and
+//! `FILTER_VERTEX` evaluate predicates through the batch driver
+//! [`ScalarExpr::select`]; `JOIN_SUB` is build → probe → gather over packed
+//! row-id keys ([`JoinTable`]).
 
 use crate::chunk::GraphChunk;
 use crate::profile::ProfileSink;
 use relgo_common::morsel::{self, RowBudget, TimeBudget};
 use relgo_common::{FxHashMap, LabelId, RelGoError, Result, RowId};
 use relgo_core::graph_plan::{GraphOp, StarLeg};
+use relgo_graph::index::Csr;
 use relgo_graph::{Direction, GraphIndex, GraphView};
 use relgo_pattern::Pattern;
+use relgo_storage::ops::JoinTable;
 use relgo_storage::{ScalarExpr, Table};
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Per-batch shared operator state (the batched-serving seam): when N
 /// rebound instances of one plan skeleton execute as a batch, the per-query
 /// setup that does not depend on the instance's literals is built once here
-/// and reused — the hash-fallback adjacency multimaps (an `O(E log E)`
+/// and reused — the hash-fallback adjacencies (an `O(E log E)`
 /// build per `EXPAND` in unindexed regimes) and the per-table-row predicate
 /// pass masks of *structural* (literal-identical) predicates. Adjacencies
 /// are keyed by `(edge label, direction)`; masks by `(table name,
@@ -56,7 +62,7 @@ type MaskCache = Vec<(String, ScalarExpr, Arc<Vec<bool>>)>;
 
 #[derive(Default)]
 pub struct BatchState {
-    hashed: Mutex<FxHashMap<(LabelId, Direction), Arc<HashedAdj>>>,
+    hashed: Mutex<FxHashMap<(LabelId, Direction), Arc<Csr>>>,
     masks: Mutex<MaskCache>,
 }
 
@@ -106,6 +112,11 @@ impl<'a> GraphExecContext<'a> {
     /// serial operators' deadline checkpoint.
     fn guard(&self, rows: usize) -> Result<()> {
         self.check_deadline()?;
+        self.check_rows(rows)
+    }
+
+    /// The row-limit half of [`GraphExecContext::guard`].
+    fn check_rows(&self, rows: usize) -> Result<()> {
         if rows > self.row_limit {
             return Err(RelGoError::ResourceExhausted(format!(
                 "intermediate graph relation of {rows} rows exceeds the {} row budget",
@@ -259,51 +270,34 @@ fn scan_edge(
         None => (0..table.num_rows() as RowId).collect(),
     };
     ctx.guard(rows.len())?;
-    let mut srcs = Vec::with_capacity(rows.len());
-    let mut dsts = Vec::with_capacity(rows.len());
-    if ctx.use_index {
+    let (srcs, dsts) = if ctx.use_index {
         let idx = ctx.index()?;
-        for &r in &rows {
-            srcs.push(idx.edge_src(pe.label, r));
-            dsts.push(idx.edge_dst(pe.label, r));
-        }
+        (
+            rows.iter().map(|&r| idx.edge_src(pe.label, r)).collect(),
+            rows.iter().map(|&r| idx.edge_dst(pe.label, r)).collect(),
+        )
     } else {
-        for &r in &rows {
-            srcs.push(ctx.view.resolve_src(pe.label, r)?);
-            dsts.push(ctx.view.resolve_dst(pe.label, r)?);
-        }
-    }
-    // Src column seeds the chunk; dst and the edge binding extend it.
-    let base = GraphChunk::from_vertex(
-        ctx.pattern.vertex_count(),
-        ctx.pattern.edge_count(),
-        pe.src,
-        srcs,
-    );
-    let gather: Vec<usize> = (0..rows.len()).collect();
-    base.extend(&gather, Some((pe.dst, dsts)), vec![(e, rows)])
-}
-
-/// The hash-join adjacency fallback in flat CSR-like form (see
-/// [`Adjacency::Hashed`]); `Arc`-shared so a batch builds it once.
-struct HashedAdj {
-    /// from-vertex row → `(start, end)` range into the flat arrays.
-    buckets: FxHashMap<RowId, (u32, u32)>,
-    edge_rid: Vec<RowId>,
-    nbr_rid: Vec<RowId>,
+        ctx.view.resolve_endpoints(pe.label, Some(&rows))?
+    };
+    GraphChunk::from_edge(
+        (ctx.pattern.vertex_count(), ctx.pattern.edge_count()),
+        (e, rows),
+        (pe.src, srcs),
+        (pe.dst, dsts),
+    )
 }
 
 /// Adjacency provider for one `(edge label, direction)`: the VE-index, or a
-/// transient hash multimap over the edge relation (the hash-join fallback),
-/// stored as flat CSR-like arrays so probes borrow slices instead of
-/// collecting per-probe `Vec`s.
+/// transient [`Csr`] built over the edge relation per query (the hash-join
+/// fallback; `Arc`-shared so a batch builds it once) — the same structure
+/// in the same entry order, so both regimes enumerate identically.
 enum Adjacency<'a> {
     Indexed {
         index: &'a GraphIndex,
         label: LabelId,
         dir: Direction,
     },
-    Hashed(Arc<HashedAdj>),
+    Hashed(Arc<Csr>),
 }
 
 impl<'a> Adjacency<'a> {
@@ -317,7 +311,7 @@ impl<'a> Adjacency<'a> {
             });
         }
         // Batched execution: every instance of the skeleton expands the
-        // same (label, dir), and the multimap is literal-independent — the
+        // same (label, dir), and the adjacency is literal-independent — the
         // first query in the batch builds it, the rest reuse it.
         if let Some(batch) = ctx.batch {
             if let Some(adj) = batch.hashed.lock().unwrap().get(&(pe.label, dir)) {
@@ -325,42 +319,17 @@ impl<'a> Adjacency<'a> {
             }
         }
         // Hash fallback: resolve both endpoints of every edge row through
-        // the λ key indexes, sort by (from, neighbor) — intersection logic
-        // relies on neighbor-sorted buckets — and record each from-vertex's
-        // contiguous range, with the bucket map pre-reserved to the upper
-        // bound of distinct keys.
-        let table = ctx.view.edge_table(pe.label);
-        let m = table.num_rows();
-        let mut triples: Vec<(RowId, RowId, RowId)> = Vec::with_capacity(m);
-        for r in 0..m as RowId {
-            let s = ctx.view.resolve_src(pe.label, r)?;
-            let t = ctx.view.resolve_dst(pe.label, r)?;
-            let (from, to) = match dir {
-                Direction::Out => (s, t),
-                Direction::In => (t, s),
-            };
-            triples.push((from, r, to));
-        }
-        // Same total order as the VE-index CSR — (from, neighbor, edge) —
-        // so parallel data edges enumerate identically in both regimes.
-        triples.sort_unstable_by_key(|&(f, e, n)| (f, n, e));
-        let mut buckets: FxHashMap<RowId, (u32, u32)> =
-            FxHashMap::with_capacity_and_hasher(m, Default::default());
-        let mut edge_rid = Vec::with_capacity(m);
-        let mut nbr_rid = Vec::with_capacity(m);
-        for (i, &(from, e, to)) in triples.iter().enumerate() {
-            edge_rid.push(e);
-            nbr_rid.push(to);
-            buckets
-                .entry(from)
-                .and_modify(|r| r.1 = i as u32 + 1)
-                .or_insert((i as u32, i as u32 + 1));
-        }
-        let adj = Arc::new(HashedAdj {
-            buckets,
-            edge_rid,
-            nbr_rid,
-        });
+        // the λ key indexes and group them by from-vertex.
+        let (srcs, dsts) = ctx.view.resolve_endpoints(pe.label, None)?;
+        let (src_label, dst_label) = ctx.view.schema().edge_endpoints(pe.label);
+        let (from_label, from, to) = match dir {
+            Direction::Out => (src_label, srcs, dsts),
+            Direction::In => (dst_label, dsts, srcs),
+        };
+        let triples = (0..from.len())
+            .map(|r| (from[r], r as RowId, to[r]))
+            .collect();
+        let adj = Arc::new(Csr::build(ctx.view.vertex_count(from_label), triples));
         if let Some(batch) = ctx.batch {
             batch
                 .hashed
@@ -377,13 +346,7 @@ impl<'a> Adjacency<'a> {
     fn neighbors(&self, v: RowId) -> (&[RowId], &[RowId]) {
         match self {
             Adjacency::Indexed { index, label, dir } => index.neighbors(*label, *dir, v),
-            Adjacency::Hashed(adj) => match adj.buckets.get(&v) {
-                Some(&(lo, hi)) => (
-                    &adj.edge_rid[lo as usize..hi as usize],
-                    &adj.nbr_rid[lo as usize..hi as usize],
-                ),
-                None => (&[], &[]),
-            },
+            Adjacency::Hashed(adj) => adj.neighbors(v),
         }
     }
 
@@ -392,10 +355,7 @@ impl<'a> Adjacency<'a> {
     fn degree(&self, v: RowId) -> usize {
         match self {
             Adjacency::Indexed { index, label, dir } => index.degree(*label, *dir, v),
-            Adjacency::Hashed(adj) => adj
-                .buckets
-                .get(&v)
-                .map_or(0, |&(lo, hi)| (hi - lo) as usize),
+            Adjacency::Hashed(adj) => adj.degree(v),
         }
     }
 }
@@ -746,20 +706,21 @@ fn filter_vertex(
         morsel::DEFAULT_MORSEL_ROWS,
         |_, range| {
             ctx.check_deadline()?;
-            let mut keep = Vec::new();
-            for i in range {
-                if passes(&mask, Some(predicate), table, col[i])? {
-                    keep.push(i);
-                }
+            if let Some(mask) = &mask {
+                return Ok(range.filter(|&i| mask[col[i] as usize]).collect());
             }
-            Ok(keep)
+            let pass = predicate.select_positions(table, Some(&col[range.clone()]))?;
+            Ok(pass.iter().map(|&p| range.start + p as usize).collect())
         },
     )?;
     let keep: Vec<usize> = parts.concat();
     Ok(input.take(&keep))
 }
 
-/// Hash join of two chunks on common element bindings.
+/// Hash join of two chunks on common element bindings: build a
+/// [`JoinTable`] on the smaller side, probe with the larger in row order,
+/// gather the matched pairs column-wise. Output is probe-major, the build
+/// rows of one probe row in input order.
 fn join_chunks(
     left: &GraphChunk,
     right: &GraphChunk,
@@ -767,38 +728,73 @@ fn join_chunks(
     on_edges: &[usize],
     ctx: &GraphExecContext<'_>,
 ) -> Result<GraphChunk> {
-    // Build on the smaller side.
     let (build, probe, swapped) = if left.len() <= right.len() {
         (left, right, false)
     } else {
         (right, left, true)
     };
-    let key_of = |chunk: &GraphChunk, row: usize| -> Result<Vec<RowId>> {
-        let mut k = Vec::with_capacity(on_vertices.len() + on_edges.len());
-        for &v in on_vertices {
-            k.push(chunk.vertex_at(v, row)?);
-        }
-        for &e in on_edges {
-            k.push(chunk.edge_at(e, row)?);
-        }
-        Ok(k)
+    if u32::try_from(probe.len()).is_err() {
+        return Err(RelGoError::ResourceExhausted(format!(
+            "join probe side of {} rows exceeds the row id range",
+            probe.len()
+        )));
+    }
+    fn key_cols<'a>(
+        chunk: &'a GraphChunk,
+        on_vertices: &[usize],
+        on_edges: &[usize],
+    ) -> Result<Vec<Cow<'a, [RowId]>>> {
+        let vertices = on_vertices.iter().map(|&v| chunk.vertex_col(v));
+        let edges = on_edges.iter().map(|&e| chunk.edge_col(e));
+        vertices
+            .chain(edges)
+            .map(|c| c.map(Cow::Borrowed))
+            .collect()
+    }
+    let mut bcols = key_cols(build, on_vertices, on_edges)?;
+    let mut pcols = key_cols(probe, on_vertices, on_edges)?;
+    // A key is one `i64`: no column is 0 (a cross product), one is the row
+    // id, two pack into its halves. A wider key first folds its leading
+    // pair into one column by numbering the build side's distinct pairs; a
+    // probe pair the build side never saw gets `RowId::MAX`, which is
+    // never a row id or a number, so it matches nothing.
+    let pack = |cols: &[Cow<'_, [RowId]>], row: usize| {
+        cols.iter()
+            .fold(0i64, |key, col| (key << 32) | col[row] as i64)
     };
-    let mut table: FxHashMap<Vec<RowId>, Vec<usize>> = FxHashMap::default();
-    for row in 0..build.len() {
-        table.entry(key_of(build, row)?).or_default().push(row);
+    while bcols.len() > 2 {
+        let mut ids: FxHashMap<i64, RowId> = FxHashMap::default();
+        let folded: Vec<RowId> = (0..build.len())
+            .map(|row| {
+                let next = ids.len() as RowId;
+                *ids.entry(pack(&bcols[..2], row)).or_insert(next)
+            })
+            .collect();
+        bcols.splice(..2, [Cow::Owned(folded)]);
+        let folded = (0..probe.len())
+            .map(|row| *ids.get(&pack(&pcols[..2], row)).unwrap_or(&RowId::MAX))
+            .collect();
+        pcols.splice(..2, [Cow::Owned(folded)]);
     }
-    let mut out = GraphChunk::join_layout(left, right);
-    for prow in 0..probe.len() {
-        if let Some(rows) = table.get(&key_of(probe, prow)?) {
-            for &brow in rows {
-                let (li, ri) = if swapped { (prow, brow) } else { (brow, prow) };
-                out.push_joined(left, li, right, ri)?;
-                // Guard inside the loop: joins are where blow-ups happen.
+    let table = JoinTable::build(build.len(), |row| Some(pack(&bcols, row)))?;
+    let (mut bidx, mut pidx): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
+    for morsel in 0..morsel::morsel_count(probe.len(), morsel::DEFAULT_MORSEL_ROWS) {
+        // Once per morsel whether or not anything matched: a long probe
+        // that finds nothing must still notice its deadline.
+        ctx.check_deadline()?;
+        for prow in morsel::morsel_range(morsel, probe.len(), morsel::DEFAULT_MORSEL_ROWS) {
+            let matches = table.probe(pack(&pcols, prow));
+            if !matches.is_empty() {
+                bidx.extend_from_slice(matches);
+                pidx.resize(bidx.len(), prow as u32);
+                // Joins are where blow-ups happen: trip on the pair count,
+                // before anything is gathered.
+                ctx.check_rows(bidx.len())?;
             }
-            ctx.guard(out.len())?;
         }
     }
-    Ok(out)
+    let (lidx, ridx) = if swapped { (pidx, bidx) } else { (bidx, pidx) };
+    Ok(GraphChunk::join(left, &lidx, right, &ridx))
 }
 
 #[cfg(test)]
@@ -976,7 +972,7 @@ mod tests {
             (Adjacency::Hashed(x), Adjacency::Hashed(y)) => {
                 assert!(
                     Arc::ptr_eq(x, y),
-                    "second build reuses the batch's multimap"
+                    "second build reuses the batch's adjacency"
                 );
             }
             _ => panic!("hash fallback expected"),
@@ -1180,6 +1176,133 @@ mod tests {
         assert_eq!(out.len(), 8, "wedges again, via join");
     }
 
+    /// The `join_chunks` this one replaced: a heap-allocated key and a
+    /// `Result` lookup per row and column.
+    fn join_chunks_reference(
+        left: &GraphChunk,
+        right: &GraphChunk,
+        on_vertices: &[usize],
+        on_edges: &[usize],
+    ) -> GraphChunk {
+        let (build, probe, swapped) = if left.len() <= right.len() {
+            (left, right, false)
+        } else {
+            (right, left, true)
+        };
+        let key_of = |chunk: &GraphChunk, row: usize| -> Vec<RowId> {
+            let vs = on_vertices
+                .iter()
+                .map(|&v| chunk.vertex_at(v, row).unwrap());
+            let es = on_edges.iter().map(|&e| chunk.edge_at(e, row).unwrap());
+            vs.chain(es).collect()
+        };
+        let mut table: FxHashMap<Vec<RowId>, Vec<usize>> = FxHashMap::default();
+        for row in 0..build.len() {
+            table.entry(key_of(build, row)).or_default().push(row);
+        }
+        let mut out = GraphChunk::join_layout(left, right);
+        for prow in 0..probe.len() {
+            for &brow in table.get(&key_of(probe, prow)).into_iter().flatten() {
+                let (li, ri) = if swapped { (prow, brow) } else { (brow, prow) };
+                out.push_joined(left, li, right, ri).unwrap();
+            }
+        }
+        out
+    }
+
+    /// A chunk over a 4-vertex, 2-edge pattern binding `vs` and `es`, its
+    /// cells drawn from `domain` by a fixed linear congruence — few values,
+    /// so keys repeat on both sides.
+    fn chunk_of(
+        vs: &[usize],
+        es: &[usize],
+        rows: usize,
+        domain: &[RowId],
+        seed: u64,
+    ) -> GraphChunk {
+        let mut state = seed;
+        let mut col = || -> Vec<RowId> {
+            (0..rows)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    domain[(state >> 33) as usize % domain.len()]
+                })
+                .collect()
+        };
+        let first = GraphChunk::from_vertex(4, 2, vs[0], col());
+        let gather: Vec<usize> = (0..rows).collect();
+        let mut chunk = first;
+        for &v in &vs[1..] {
+            chunk = chunk.extend(&gather, Some((v, col())), vec![]).unwrap();
+        }
+        let edges = es.iter().map(|&e| (e, col())).collect();
+        chunk.extend(&gather, None, edges).unwrap()
+    }
+
+    #[test]
+    fn join_equals_the_row_at_a_time_reference_for_every_key_width() {
+        let view = fig2_view();
+        let pat = wedge_pattern();
+        let c = ctx(&view, &pat, true);
+        // Dense ids take the direct-address directory, scattered ones the
+        // hashed one.
+        for domain in [&[0, 1, 2][..], &[5, 1_000_000, 4_000_000_000][..]] {
+            let a = chunk_of(&[0, 1, 2], &[0, 1], 40, domain, 1);
+            let b = chunk_of(&[1, 2, 3], &[0], 25, domain, 2);
+            let keys: [(&[usize], &[usize]); 4] =
+                [(&[], &[]), (&[1], &[]), (&[1, 2], &[]), (&[1, 2], &[0])];
+            for (on_v, on_e) in keys {
+                // Either argument order: build side on the left, then right.
+                for (l, r) in [(&a, &b), (&b, &a)] {
+                    let got = join_chunks(l, r, on_v, on_e, &c).unwrap();
+                    let want = join_chunks_reference(l, r, on_v, on_e);
+                    assert_eq!(got.len(), want.len(), "width {}", on_v.len() + on_e.len());
+                    assert!(!want.is_empty(), "vacuous join");
+                    for v in 0..4 {
+                        assert_eq!(got.vertex_col(v).unwrap(), want.vertex_col(v).unwrap());
+                    }
+                    for e in 0..2 {
+                        assert_eq!(got.edge_col(e).unwrap(), want.edge_col(e).unwrap());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn join_trips_the_row_limit_on_the_probe_row_that_crosses_it() {
+        let view = fig2_view();
+        let pat = wedge_pattern();
+        let mut c = ctx(&view, &pat, true);
+        let a = chunk_of(&[0], &[], 40, &[0, 1, 2], 1);
+        let b = chunk_of(&[1], &[], 25, &[0, 1, 2], 2);
+        // The cross product reaches 1000 rows with the last probe row.
+        c.row_limit = 999;
+        match join_chunks(&a, &b, &[], &[], &c) {
+            Err(RelGoError::ResourceExhausted(m)) => assert!(m.contains("of 1000 rows"), "{m}"),
+            other => panic!("expected resource exhaustion, got {other:?}"),
+        }
+        c.row_limit = 1000;
+        assert_eq!(join_chunks(&a, &b, &[], &[], &c).unwrap().len(), 1000);
+    }
+
+    #[test]
+    fn deadline_is_checked_by_a_join_that_matches_nothing() {
+        let view = fig2_view();
+        let pat = wedge_pattern();
+        let mut c = ctx(&view, &pat, true);
+        let a = chunk_of(&[0, 1], &[], 3000, &[0, 1, 2], 1);
+        let b = chunk_of(&[1, 2], &[], 10, &[7, 8, 9], 2);
+        assert_eq!(join_chunks(&a, &b, &[1], &[], &c).unwrap().len(), 0);
+        c.deadline = Some(TimeBudget::new(std::time::Duration::ZERO));
+        assert!(matches!(
+            join_chunks(&a, &b, &[1], &[], &c),
+            Err(RelGoError::DeadlineExceeded(_))
+        ));
+    }
+
     #[test]
     fn filter_vertex_prunes_bindings() {
         let view = fig2_view();
@@ -1197,6 +1320,45 @@ mod tests {
         let out = execute_graph(&plan, &ctx(&view, &pat, true)).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out.vertex_at(0, 0).unwrap(), 1);
+    }
+
+    #[test]
+    fn filter_vertex_keeps_the_same_rows_with_and_without_a_mask() {
+        let mut db = Database::new();
+        db.add_table(table_of(
+            "P",
+            &[("id", DataType::Int), ("score", DataType::Int)],
+            (0..16).map(|i| vec![i.into(), (i % 4).into()]).collect(),
+        ));
+        db.add_table(table_of(
+            "K",
+            &[
+                ("id", DataType::Int),
+                ("a", DataType::Int),
+                ("b", DataType::Int),
+            ],
+            vec![vec![0.into(), 0.into(), 1.into()]],
+        ));
+        db.set_primary_key("P", "id").unwrap();
+        db.set_primary_key("K", "id").unwrap();
+        let mapping = RGMapping::new().vertex("P").edge("K", "a", "P", "b", "P");
+        let view = GraphView::build(&mut db, mapping).unwrap();
+        let mut b = PatternBuilder::new();
+        b.vertex("p", LabelId(0));
+        let pat = b.build().unwrap();
+        let c = ctx(&view, &pat, false);
+        let pred = ScalarExpr::col_eq(1, 1);
+        // Three bindings of a 16-row table stay under the mask threshold
+        // and go through `select`; five build the mask. Repeats and
+        // disorder in the bindings survive either way.
+        for (bindings, keep) in [
+            (vec![5, 2, 5], vec![5, 5]),
+            (vec![5, 2, 5, 9, 2], vec![5, 5, 9]),
+        ] {
+            let input = GraphChunk::from_vertex(1, 0, 0, bindings);
+            let out = filter_vertex(&input, 0, &pred, &c).unwrap();
+            assert_eq!(out.vertex_col(0).unwrap(), keep);
+        }
     }
 
     #[test]

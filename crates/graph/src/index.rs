@@ -53,12 +53,14 @@ pub struct Csr {
 }
 
 impl Csr {
-    fn build(num_vertices: usize, mut triples: Vec<(RowId, RowId, RowId)>) -> Csr {
-        // triples = (vertex, edge, neighbor); sort by vertex then neighbor
-        // for intersection-friendly lists, with the edge row as the final
-        // tie-breaker so the entry order is a *total* order — parallel data
-        // edges land in edge-row order, and the delta merge path
-        // (`Csr::merged_with_delta`) reproduces it exactly.
+    /// Build from `(vertex, edge, neighbor)` triples over `num_vertices`
+    /// vertex rows (also the executor's adjacency when no index exists).
+    pub fn build(num_vertices: usize, mut triples: Vec<(RowId, RowId, RowId)>) -> Csr {
+        // Sort by vertex then neighbor for intersection-friendly lists,
+        // with the edge row as the final tie-breaker so the entry order is
+        // a *total* order — parallel data edges land in edge-row order, and
+        // the delta merge path (`Csr::merged_with_delta`) reproduces it
+        // exactly.
         triples.sort_unstable_by_key(|&(v, e, n)| (v, n, e));
         Csr::from_sorted(num_vertices, &triples)
     }
@@ -200,30 +202,21 @@ impl GraphIndex {
         for li in 0..n_edges as u16 {
             let el = LabelId(li);
             let (src_label, dst_label) = view.schema().edge_endpoints(el);
-            let m = view.edge_count(el);
-            let mut idx = EvIndex {
-                src_rid: Vec::with_capacity(m),
-                dst_rid: Vec::with_capacity(m),
+            let (src_rid, dst_rid) = view.resolve_endpoints(el, None)?;
+            let triples = |from: &[RowId], to: &[RowId]| -> Vec<(RowId, RowId, RowId)> {
+                (0..from.len())
+                    .map(|e| (from[e], e as RowId, to[e]))
+                    .collect()
             };
-            let mut out_triples = Vec::with_capacity(m);
-            let mut in_triples = Vec::with_capacity(m);
-            for e in 0..m as RowId {
-                let s = view.resolve_src(el, e)?;
-                let t = view.resolve_dst(el, e)?;
-                idx.src_rid.push(s);
-                idx.dst_rid.push(t);
-                out_triples.push((s, e, t));
-                in_triples.push((t, e, s));
-            }
             ve_out.push(Arc::new(Csr::build(
                 view.vertex_count(src_label),
-                out_triples,
+                triples(&src_rid, &dst_rid),
             )));
             ve_in.push(Arc::new(Csr::build(
                 view.vertex_count(dst_label),
-                in_triples,
+                triples(&dst_rid, &src_rid),
             )));
-            ev.push(Arc::new(idx));
+            ev.push(Arc::new(EvIndex { src_rid, dst_rid }));
         }
         Ok(GraphIndex { ev, ve_out, ve_in })
     }
@@ -393,17 +386,18 @@ fn rebuild_label(
         ev.src_rid.push(s);
         ev.dst_rid.push(t);
     }
-    let mut delta_out = Vec::with_capacity(echange.inserted());
-    let mut delta_in = Vec::with_capacity(echange.inserted());
-    for i in 0..echange.inserted() {
-        let e_new = echange.insert_id(i);
-        let s = view.resolve_src(el, e_new)?;
-        let t = view.resolve_dst(el, e_new)?;
-        ev.src_rid.push(s);
-        ev.dst_rid.push(t);
+    let inserted: Vec<RowId> = (0..echange.inserted())
+        .map(|i| echange.insert_id(i))
+        .collect();
+    let (srcs, dsts) = view.resolve_endpoints(el, Some(&inserted))?;
+    let mut delta_out = Vec::with_capacity(inserted.len());
+    let mut delta_in = Vec::with_capacity(inserted.len());
+    for ((&e_new, &s), &t) in inserted.iter().zip(&srcs).zip(&dsts) {
         delta_out.push((s, e_new, t));
         delta_in.push((t, e_new, s));
     }
+    ev.src_rid.extend(srcs);
+    ev.dst_rid.extend(dsts);
     delta_out.sort_unstable_by_key(|&(v, e, n)| (v, n, e));
     delta_in.sort_unstable_by_key(|&(v, e, n)| (v, n, e));
 

@@ -181,50 +181,57 @@ impl GraphView {
         self.edge_dst_col[l.0 as usize]
     }
 
-    /// λˢ: resolve the source vertex row of edge row `erow` of label `el`
-    /// through a hash lookup on the vertex primary key (the *no-index* path;
-    /// with a graph index, use [`GraphIndex::edge_src`] instead).
-    pub fn resolve_src(&self, el: LabelId, erow: RowId) -> Result<RowId> {
-        let (src_label, _) = self.schema.edge_endpoints(el);
-        let key = self.edge_tables[el.0 as usize]
-            .column(self.edge_src_col[el.0 as usize])
-            .get_int(erow)
-            .ok_or_else(|| {
-                RelGoError::execution(format!(
-                    "λs: NULL source key in edge {}@{erow}",
-                    self.schema.edge_label_name(el)
-                ))
-            })?;
-        self.vertex_pk_index[src_label.0 as usize]
-            .lookup(key)
-            .ok_or_else(|| {
-                RelGoError::execution(format!(
-                    "λs: dangling source key {key} in edge {}@{erow} (λ must be total)",
-                    self.schema.edge_label_name(el)
-                ))
-            })
-    }
-
-    /// λᵗ: resolve the target vertex row of edge row `erow` of label `el`.
-    pub fn resolve_dst(&self, el: LabelId, erow: RowId) -> Result<RowId> {
-        let (_, dst_label) = self.schema.edge_endpoints(el);
-        let key = self.edge_tables[el.0 as usize]
-            .column(self.edge_dst_col[el.0 as usize])
-            .get_int(erow)
-            .ok_or_else(|| {
-                RelGoError::execution(format!(
-                    "λt: NULL target key in edge {}@{erow}",
-                    self.schema.edge_label_name(el)
-                ))
-            })?;
-        self.vertex_pk_index[dst_label.0 as usize]
-            .lookup(key)
-            .ok_or_else(|| {
-                RelGoError::execution(format!(
-                    "λt: dangling target key {key} in edge {}@{erow} (λ must be total)",
-                    self.schema.edge_label_name(el)
-                ))
-            })
+    /// λˢ and λᵗ over a whole slice of edge rows of label `el` (every row
+    /// when `rows` is `None`): the source and target vertex rows, through
+    /// the vertex primary-key indexes — the *no-index* path; with a graph
+    /// index, read [`GraphIndex::edge_src`] / [`GraphIndex::edge_dst`]
+    /// instead. Each key column is resolved in one loop with one dispatch
+    /// on its type; a NULL or dangling key is reported afterwards, for the
+    /// first edge row that has one (its source before its target).
+    pub fn resolve_endpoints(
+        &self,
+        el: LabelId,
+        rows: Option<&[RowId]>,
+    ) -> Result<(Vec<RowId>, Vec<RowId>)> {
+        /// Never a row id: tables hold fewer than `u32::MAX` rows.
+        const UNRESOLVED: RowId = RowId::MAX;
+        let li = el.0 as usize;
+        let table = &self.edge_tables[li];
+        let n = rows.map_or(table.num_rows(), <[RowId]>::len);
+        let side = |col: usize, label: LabelId| -> Vec<RowId> {
+            let Some((keys, valid)) = table.column(col).as_ints() else {
+                return vec![UNRESOLVED; n];
+            };
+            let index = &*self.vertex_pk_index[label.0 as usize];
+            let resolve = |erow: RowId| match valid {
+                Some(valid) if !valid[erow as usize] => UNRESOLVED,
+                _ => index.lookup(keys[erow as usize]).unwrap_or(UNRESOLVED),
+            };
+            match rows {
+                Some(rows) => rows.iter().map(|&erow| resolve(erow)).collect(),
+                None => (0..n as RowId).map(resolve).collect(),
+            }
+        };
+        let (src_label, dst_label) = self.schema.edge_endpoints(el);
+        let (src_col, dst_col) = (self.edge_src_col[li], self.edge_dst_col[li]);
+        let (srcs, dsts) = (side(src_col, src_label), side(dst_col, dst_label));
+        if let Some(i) = (0..n).find(|&i| srcs[i] == UNRESOLVED || dsts[i] == UNRESOLVED) {
+            let erow = rows.map_or(i as RowId, |rows| rows[i]);
+            let (lambda, end, col) = match srcs[i] {
+                UNRESOLVED => ("λs", "source", src_col),
+                _ => ("λt", "target", dst_col),
+            };
+            let name = self.schema.edge_label_name(el);
+            return Err(RelGoError::execution(
+                match table.column(col).get_int(erow) {
+                    None => format!("{lambda}: NULL {end} key in edge {name}@{erow}"),
+                    Some(key) => format!(
+                        "{lambda}: dangling {end} key {key} in edge {name}@{erow} (λ must be total)"
+                    ),
+                },
+            ));
+        }
+        Ok((srcs, dsts))
     }
 
     /// Compute label-level statistics (cardinalities, average degrees).
@@ -325,12 +332,21 @@ mod tests {
         let g = GraphView::build(&mut db, fig2_mapping()).unwrap();
         let likes = g.schema().edge_label_id("Likes").unwrap();
         // Edge l2 = row 1: Bob (person row 1) likes m1 (message row 0).
-        assert_eq!(g.resolve_src(likes, 1).unwrap(), 1);
-        assert_eq!(g.resolve_dst(likes, 1).unwrap(), 0);
+        assert_eq!(
+            g.resolve_endpoints(likes, Some(&[1])).unwrap(),
+            (vec![1], vec![0])
+        );
         let knows = g.schema().edge_label_id("Knows").unwrap();
-        // Edge k4 = row 3: David (row 2) knows Bob (row 1).
-        assert_eq!(g.resolve_src(knows, 3).unwrap(), 2);
-        assert_eq!(g.resolve_dst(knows, 3).unwrap(), 1);
+        // Edge k4 = row 3: David (row 2) knows Bob (row 1); the whole
+        // column resolves in row order.
+        assert_eq!(
+            g.resolve_endpoints(knows, Some(&[3])).unwrap(),
+            (vec![2], vec![1])
+        );
+        assert_eq!(
+            g.resolve_endpoints(knows, None).unwrap(),
+            (vec![0, 1, 1, 2], vec![1, 0, 2, 1])
+        );
     }
 
     #[test]
@@ -343,14 +359,21 @@ mod tests {
                 ("pid", DataType::Int),
                 ("mid", DataType::Int),
             ],
-            vec![vec![1.into(), 99.into(), 100.into()]],
+            vec![
+                vec![1.into(), 1.into(), 100.into()],
+                vec![2.into(), 99.into(), 100.into()],
+            ],
         ));
         db.set_primary_key("Bad", "bad_id").unwrap();
         let m = fig2_mapping().edge("Bad", "pid", "Person", "mid", "Message");
         let g = GraphView::build(&mut db, m).unwrap();
         let bad = g.schema().edge_label_id("Bad").unwrap();
-        assert!(g.resolve_src(bad, 0).is_err());
-        assert!(g.resolve_dst(bad, 0).is_ok());
+        assert!(g.resolve_endpoints(bad, Some(&[0])).is_ok());
+        let err = g.resolve_endpoints(bad, None).unwrap_err().to_string();
+        assert!(
+            err.contains("λs: dangling source key 99 in edge Bad@1 (λ must be total)"),
+            "{err}"
+        );
     }
 
     #[test]

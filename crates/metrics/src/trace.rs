@@ -92,6 +92,12 @@ impl QueryTrace {
         }
     }
 
+    /// When the trace began (so a caller can date its own measurements
+    /// from the same clock read).
+    pub fn started(&self) -> Instant {
+        self.started
+    }
+
     /// Run `f`, charging its wall time to `stage`.
     #[inline]
     pub fn time<T>(&mut self, stage: Stage, f: impl FnOnce() -> T) -> T {

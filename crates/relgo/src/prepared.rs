@@ -156,11 +156,11 @@ impl PreparedStatement<'_> {
         };
         if let Some(pin) = snapshot {
             match trace.time(Stage::Rebind, || {
-                rebind_plan(&pin.plan, &pin.params, bindings)
+                rebind_plan(&pin.plan, &pin.params, bindings).map(ResolvedPlan::rebound)
             }) {
-                Ok(plan) => {
+                Ok(resolved) => {
                     cache.note_prepared_hit();
-                    return Ok(ResolvedPlan::rebound(plan));
+                    return Ok(resolved);
                 }
                 // Ambiguous rebind (slots that shared a value in the pin
                 // diverged): fall through to a fresh optimization, like

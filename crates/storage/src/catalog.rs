@@ -7,6 +7,7 @@
 //! of [`ForeignKey`]s. [`KeyIndex`] resolves key values into row ids in O(1),
 //! which is exactly the machinery the graph-index builder needs.
 
+use crate::directory::Directory;
 use crate::table::Table;
 use relgo_common::{FxHashMap, RelGoError, Result, RowId};
 use std::sync::Arc;
@@ -24,10 +25,14 @@ pub struct ForeignKey {
     pub ref_column: String,
 }
 
-/// Unique hash index: key value (`i64`) → row id.
-#[derive(Debug, Clone, Default)]
+/// Unique index: key value (`i64`) → row id, over the directory that
+/// [`JoinTable`](crate::ops::JoinTable) shares: direct-addressed when the
+/// keys are dense in their range — a property of the data — and hashed
+/// otherwise.
+#[derive(Debug, Clone)]
 pub struct KeyIndex {
-    map: FxHashMap<i64, RowId>,
+    keys: Directory,
+    len: usize,
 }
 
 impl KeyIndex {
@@ -37,9 +42,11 @@ impl KeyIndex {
     /// NULLs (a primary key must be total and unique).
     pub fn build(table: &Table, column: &str) -> Result<Self> {
         let col = table.column_by_name(column)?;
-        let mut map = FxHashMap::default();
-        map.reserve(table.num_rows());
-        for r in 0..table.num_rows() as RowId {
+        let len = table.num_rows();
+        // Shaped for whatever integers are there; NULLs and duplicates are
+        // reported by the pass below, in row order.
+        let mut keys = Directory::for_keys((0..len as RowId).filter_map(|r| col.get_int(r)));
+        for r in 0..len as RowId {
             let Some(k) = col.get_int(r) else {
                 return Err(RelGoError::schema(format!(
                     "primary key {}.{} contains NULL or non-integer at row {r}",
@@ -47,7 +54,8 @@ impl KeyIndex {
                     column
                 )));
             };
-            if map.insert(k, r).is_some() {
+            // An earlier row holds the slot: every earlier row id is smaller.
+            if keys.get_or_insert(k, r) != r {
                 return Err(RelGoError::schema(format!(
                     "primary key {}.{} has duplicate value {k}",
                     table.name(),
@@ -55,23 +63,23 @@ impl KeyIndex {
                 )));
             }
         }
-        Ok(KeyIndex { map })
+        Ok(KeyIndex { keys, len })
     }
 
     /// Resolve a key value to its row id.
     #[inline]
     pub fn lookup(&self, key: i64) -> Option<RowId> {
-        self.map.get(&key).copied()
+        self.keys.get(key)
     }
 
     /// Number of indexed keys.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.len
     }
 
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len == 0
     }
 }
 
@@ -316,6 +324,87 @@ mod tests {
         assert!(db
             .replace_table(table_of("Nope", &[("k", DataType::Int)], vec![]))
             .is_err());
+    }
+
+    fn keyed(keys: &[i64]) -> Table {
+        table_of(
+            "T",
+            &[("k", DataType::Int)],
+            keys.iter().map(|&k| vec![k.into()]).collect(),
+        )
+    }
+
+    /// Every key resolves to its row, and nothing around the keys or at
+    /// the ends of the `i64` range resolves at all.
+    fn assert_resolves(keys: &[i64], dense: bool) {
+        let idx = KeyIndex::build(&keyed(keys), "k").unwrap();
+        assert_eq!(
+            matches!(idx.keys, Directory::Direct { .. }),
+            dense,
+            "{keys:?}"
+        );
+        assert_eq!(idx.len(), keys.len());
+        let hashed: FxHashMap<i64, RowId> = keys.iter().copied().zip(0..).collect();
+        let around = keys
+            .iter()
+            .flat_map(|&k| [k.wrapping_sub(1), k, k.wrapping_add(1)]);
+        for probe in around.chain([i64::MIN, -1, 0, 1, i64::MAX]) {
+            assert_eq!(idx.lookup(probe), hashed.get(&probe).copied(), "{probe}");
+        }
+    }
+
+    #[test]
+    fn dense_and_hashed_key_indexes_resolve_alike() {
+        // Dense, in order and shuffled, with a gap and negative keys.
+        assert_resolves(&[1, 2, 3, 4, 5, 6], true);
+        assert_resolves(&[4, -2, 0, 3, -1, 1], true);
+        assert_resolves(&[10, 13, 11, 16], true);
+        // Sparse.
+        assert_resolves(&[1, 1_000, 1_000_000], false);
+        assert_resolves(&[-5_000, 7, 9_000_000_000], false);
+        // One key, no key, and keys whose range overflows `i64`.
+        assert_resolves(&[42], true);
+        assert_resolves(&[i64::MIN], true);
+        assert_resolves(&[i64::MAX], true);
+        assert_resolves(&[i64::MAX - 1, i64::MAX], true);
+        assert_resolves(&[i64::MIN + 1, i64::MIN], true);
+        assert_resolves(&[], false);
+        assert_resolves(&[i64::MIN, i64::MAX], false);
+        assert_resolves(&[i64::MIN, 0, i64::MAX], false);
+        assert_resolves(&[-1, i64::MAX], false);
+    }
+
+    #[test]
+    fn key_index_errors_name_the_first_offending_row() {
+        // The duplicate at row 2 comes before the NULL at row 3, in either
+        // representation.
+        for first in [1, 1_000_000] {
+            let t = table_of(
+                "T",
+                &[("k", DataType::Int)],
+                vec![
+                    vec![first.into()],
+                    vec![2.into()],
+                    vec![2.into()],
+                    vec![Value::Null],
+                ],
+            );
+            let err = KeyIndex::build(&t, "k").unwrap_err().to_string();
+            assert!(
+                err.contains("primary key T.k has duplicate value 2"),
+                "{err}"
+            );
+        }
+        let t = table_of(
+            "T",
+            &[("k", DataType::Int)],
+            vec![vec![1.into()], vec![Value::Null], vec![1.into()]],
+        );
+        let err = KeyIndex::build(&t, "k").unwrap_err().to_string();
+        assert!(
+            err.contains("primary key T.k contains NULL or non-integer at row 1"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -72,13 +72,23 @@ impl Column {
         self.len() == 0
     }
 
-    fn validity(&self) -> Option<&Vec<bool>> {
+    /// The validity mask (`false` = NULL), if any cell is NULL.
+    pub(crate) fn validity(&self) -> Option<&[bool]> {
         match self {
             Column::Int(_, m)
             | Column::Date(_, m)
             | Column::Float(_, m)
             | Column::Str(_, m)
-            | Column::Bool(_, m) => m.as_ref(),
+            | Column::Bool(_, m) => m.as_deref(),
+        }
+    }
+
+    /// The raw `i64` cells and validity mask of an `Int`/`Date` column — the
+    /// slice form of [`Column::get_int`] for loops that dispatch once.
+    pub fn as_ints(&self) -> Option<(&[i64], Option<&[bool]>)> {
+        match self {
+            Column::Int(v, m) | Column::Date(v, m) => Some((v, m.as_deref())),
+            _ => None,
         }
     }
 

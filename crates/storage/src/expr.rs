@@ -2,13 +2,17 @@
 //!
 //! Predicates in SPJM queries — both the relational σ and the per-pattern-
 //! element constraints produced by `FilterIntoMatchRule` — are built from
-//! [`ScalarExpr`]. Evaluation is row-at-a-time over a [`Table`] with a batch
-//! `filter` driver; the selectivity estimator feeds the relational cost
-//! models.
+//! [`ScalarExpr`]. [`ScalarExpr::eval`] is the scalar, row-at-a-time
+//! definition (what the oracle runs); [`ScalarExpr::select`] is the batch
+//! driver every operator filters through: it walks the expression once and
+//! runs typed kernels over column slices, with a selection vector threaded
+//! through `AND`. The selectivity estimator feeds the relational cost models.
 
+use crate::column::Column;
 use crate::table::Table;
 use relgo_common::{RelGoError, Result, RowId, Value};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -38,6 +42,17 @@ impl BinaryOp {
             BinaryOp::Le => ord != Ordering::Greater,
             BinaryOp::Gt => ord == Ordering::Greater,
             BinaryOp::Ge => ord != Ordering::Less,
+        }
+    }
+
+    /// The operator with its operands swapped (`lit < col` is `col > lit`).
+    fn flipped(self) -> BinaryOp {
+        match self {
+            BinaryOp::Lt => BinaryOp::Gt,
+            BinaryOp::Le => BinaryOp::Ge,
+            BinaryOp::Gt => BinaryOp::Lt,
+            BinaryOp::Ge => BinaryOp::Le,
+            eq_or_ne => eq_or_ne,
         }
     }
 
@@ -131,15 +146,7 @@ impl ScalarExpr {
     /// Evaluate to a [`Value`] for row `row` of `table`.
     pub fn eval(&self, table: &Table, row: RowId) -> Result<Value> {
         match self {
-            ScalarExpr::Col(i) => {
-                if *i >= table.num_columns() {
-                    return Err(RelGoError::query(format!(
-                        "column index {i} out of bounds for {}",
-                        table.schema()
-                    )));
-                }
-                Ok(table.value(row, *i))
-            }
+            ScalarExpr::Col(i) => Ok(column(table, *i)?.get(row)),
             ScalarExpr::Lit(v) => Ok(v.clone()),
             ScalarExpr::Cmp(op, l, r) => {
                 let lv = l.eval(table, row)?;
@@ -200,13 +207,138 @@ impl ScalarExpr {
 
     /// Batch filter: all row ids of `table` satisfying the predicate.
     pub fn filter(&self, table: &Table) -> Result<Vec<RowId>> {
-        let mut out = Vec::new();
-        for r in 0..table.num_rows() as RowId {
-            if self.matches(table, r)? {
-                out.push(r);
-            }
+        self.select(table, None)
+    }
+
+    /// The batch predicate driver: the entries of `rows` (every row of
+    /// `table` when `None`), in order and with repeats, for which
+    /// [`ScalarExpr::matches`] holds. It evaluates a sub-expression on
+    /// exactly the rows the scalar short-circuit would reach, so it also
+    /// fails exactly when some row's scalar evaluation would; only which of
+    /// several distinct errors is reported may differ.
+    pub fn select(&self, table: &Table, rows: Option<&[RowId]>) -> Result<Vec<RowId>> {
+        let yes = self.select_positions(table, rows)?;
+        Ok(match rows {
+            Some(rows) => yes.into_iter().map(|p| rows[p as usize]).collect(),
+            None => yes,
+        })
+    }
+
+    /// [`ScalarExpr::select`] by position: the ascending indices into
+    /// `rows` (row ids of `table` when `None`) of the entries that pass.
+    pub fn select_positions(&self, table: &Table, rows: Option<&[RowId]>) -> Result<Vec<u32>> {
+        let input = Input {
+            table,
+            rows,
+            n: rows.map_or(table.num_rows(), <[RowId]>::len),
+        };
+        Ok(self.split(&input, None)?.yes)
+    }
+
+    /// Where, within the selection `sel` (`None` = every position), this
+    /// predicate is TRUE and where it is NULL — SQL three-valued logic, so
+    /// `OR`/`NOT` above a NULL stay exact.
+    fn split(&self, input: &Input<'_>, sel: Option<&[u32]>) -> Result<Split> {
+        if sel.map_or(input.n, <[u32]>::len) == 0 {
+            return Ok(Split::default());
         }
-        Ok(out)
+        let all = || match sel {
+            Some(sel) => Cow::Borrowed(sel),
+            None => Cow::Owned((0..input.n as u32).collect()),
+        };
+        match self {
+            ScalarExpr::And(l, r) => {
+                // `r` runs where `l` is not FALSE; of those rows the result
+                // is TRUE where both are, NULL where neither is FALSE.
+                let l = l.split(input, sel)?;
+                if l.unknown.is_empty() {
+                    // No NULL to carry: the selection vector is the answer.
+                    return r.split(input, Some(&l.yes));
+                }
+                let r = r.split(input, Some(&merge(&l.yes, &l.unknown, UNION)))?;
+                Ok(Split {
+                    yes: merge(&r.yes, &l.unknown, MINUS),
+                    unknown: merge(&r.unknown, &merge(&r.yes, &l.unknown, BOTH), UNION),
+                })
+            }
+            ScalarExpr::Or(l, r) => {
+                // `r` runs where `l` is not TRUE; a NULL on either side
+                // survives unless `r` is TRUE.
+                let l = l.split(input, sel)?;
+                let r = r.split(input, Some(&merge(&all(), &l.yes, MINUS)))?;
+                Ok(Split {
+                    unknown: merge(&merge(&l.unknown, &r.unknown, UNION), &r.yes, MINUS),
+                    yes: merge(&l.yes, &r.yes, UNION),
+                })
+            }
+            ScalarExpr::Not(e) => {
+                let e = e.split(input, sel)?;
+                let not_false = merge(&e.yes, &e.unknown, UNION);
+                Ok(Split {
+                    yes: merge(&all(), &not_false, MINUS),
+                    unknown: e.unknown,
+                })
+            }
+            leaf => match leaf.kernel(input, sel)? {
+                Some(split) => Ok(split),
+                // No typed kernel for this shape: the scalar definition,
+                // row by row. Anything but a boolean counts as NULL, as it
+                // does under `AND`/`OR`/`NOT` in `eval`.
+                None => {
+                    let mut out = Split::default();
+                    for &p in all().iter() {
+                        match leaf.eval(input.table, input.row(p) as RowId)? {
+                            Value::Bool(true) => out.yes.push(p),
+                            Value::Bool(false) => {}
+                            _ => out.unknown.push(p),
+                        }
+                    }
+                    Ok(out)
+                }
+            },
+        }
+    }
+
+    /// The typed, allocation-free kernel for a leaf over one column and
+    /// literals; `None` for every other shape.
+    fn kernel(&self, input: &Input<'_>, sel: Option<&[u32]>) -> Result<Option<Split>> {
+        use ScalarExpr::{Cmp, Col, Contains, InList, IsNull, Lit, StartsWith};
+        let col = |e: &ScalarExpr| match e {
+            Col(c) => column(input.table, *c).map(Some),
+            _ => Ok(None),
+        };
+        Ok(match self {
+            Cmp(op, l, r) => match (&**l, &**r) {
+                (l, Lit(v)) => col(l)?.map(|c| compare(c, *op, v, input, sel)),
+                (Lit(v), r) => col(r)?.map(|c| compare(c, op.flipped(), v, input, sel)),
+                _ => None,
+            },
+            StartsWith(e, prefix) => {
+                col(e)?.map(|c| strings(c, input, sel, |s| s.starts_with(prefix.as_str())))
+            }
+            Contains(e, needle) => {
+                col(e)?.map(|c| strings(c, input, sel, |s| s.contains(needle.as_str())))
+            }
+            IsNull(e) => col(e)?.map(|c| {
+                let valid = c.validity();
+                input.scan(sel, None, |r| Some(valid.is_some_and(|m| !m[r])))
+            }),
+            // List entries of another type never equal a cell — except a
+            // FLOAT entry an INT cell, which is left to the scalar path.
+            InList(e, list) => match col(e)? {
+                Some(Column::Int(..)) if list.iter().any(|v| matches!(v, Value::Float(_))) => None,
+                Some(c @ (Column::Int(d, _) | Column::Date(d, _))) => {
+                    let ints: Vec<i64> = list.iter().filter_map(Value::as_int).collect();
+                    Some(input.scan(sel, c.validity(), |r| Some(ints.contains(&d[r]))))
+                }
+                Some(c @ Column::Str(d, _)) => {
+                    let strs: Vec<&str> = list.iter().filter_map(Value::as_str).collect();
+                    Some(input.scan(sel, c.validity(), |r| Some(strs.contains(&&*d[r]))))
+                }
+                _ => None,
+            },
+            _ => None,
+        })
     }
 
     /// Remap column references through `mapping[i] = new index of old col i`.
@@ -286,6 +418,148 @@ impl ScalarExpr {
             ScalarExpr::InList(_, l) => (0.005 * l.len() as f64).min(1.0),
         }
     }
+}
+
+/// Column `i` of `table`, or the error a reference to it evaluates to.
+fn column(table: &Table, i: usize) -> Result<&Column> {
+    if i >= table.num_columns() {
+        return Err(RelGoError::query(format!(
+            "column index {i} out of bounds for {}",
+            table.schema()
+        )));
+    }
+    Ok(table.column(i))
+}
+
+/// The candidates of one [`ScalarExpr::select`] call. Position `p` of `0..n`
+/// stands for table row `rows[p]` (`p` itself over the whole table);
+/// selections are ascending position lists, so they merge linearly even when
+/// `rows` repeats or is unordered.
+struct Input<'a> {
+    table: &'a Table,
+    rows: Option<&'a [RowId]>,
+    n: usize,
+}
+
+/// Three-valued outcome over a selection: the positions where a predicate is
+/// TRUE and where it is NULL, both ascending; it is FALSE everywhere else.
+#[derive(Default)]
+struct Split {
+    yes: Vec<u32>,
+    unknown: Vec<u32>,
+}
+
+impl Input<'_> {
+    #[inline]
+    fn row(&self, p: u32) -> usize {
+        match self.rows {
+            Some(rows) => rows[p as usize] as usize,
+            None => p as usize,
+        }
+    }
+
+    /// Split `sel` by a three-valued test of the table row; a cell that is
+    /// NULL under `valid` is NULL without being tested.
+    fn scan(
+        &self,
+        sel: Option<&[u32]>,
+        valid: Option<&[bool]>,
+        test: impl Fn(usize) -> Option<bool>,
+    ) -> Split {
+        let mut out = Split::default();
+        let mut visit = |p: u32| {
+            let r = self.row(p);
+            match valid.is_none_or(|m| m[r]).then(|| test(r)).flatten() {
+                Some(true) => out.yes.push(p),
+                Some(false) => {}
+                None => out.unknown.push(p),
+            }
+        };
+        match sel {
+            Some(sel) => sel.iter().copied().for_each(&mut visit),
+            None => (0..self.n as u32).for_each(&mut visit),
+        }
+        out
+    }
+}
+
+/// `column <op> literal` by [`Value::try_cmp`]'s rules, dispatched once on
+/// the (column type, literal type) pair instead of once per row.
+fn compare(
+    col: &Column,
+    op: BinaryOp,
+    lit: &Value,
+    input: &Input<'_>,
+    sel: Option<&[u32]>,
+) -> Split {
+    let test = |ord: Option<Ordering>| ord.map(|o| op.test(o));
+    let valid = col.validity();
+    match (col, lit) {
+        (Column::Int(d, _) | Column::Date(d, _), Value::Int(x) | Value::Date(x)) => {
+            input.scan(sel, valid, |r| test(Some(d[r].cmp(x))))
+        }
+        (Column::Int(d, _), Value::Float(x)) => {
+            input.scan(sel, valid, |r| test((d[r] as f64).partial_cmp(x)))
+        }
+        (Column::Float(d, _), Value::Float(x)) => {
+            input.scan(sel, valid, |r| test(d[r].partial_cmp(x)))
+        }
+        (Column::Float(d, _), Value::Int(x)) => {
+            let x = *x as f64;
+            input.scan(sel, valid, |r| test(d[r].partial_cmp(&x)))
+        }
+        (Column::Str(d, _), Value::Str(x)) => {
+            input.scan(sel, valid, |r| test(Some((*d[r]).cmp(&**x))))
+        }
+        (Column::Bool(d, _), Value::Bool(x)) => input.scan(sel, valid, |r| test(Some(d[r].cmp(x)))),
+        // A NULL or incomparable literal: NULL on every row.
+        _ => input.scan(sel, None, |_| None),
+    }
+}
+
+/// A string test over a column; a non-NULL cell that is not a string fails it.
+fn strings(
+    col: &Column,
+    input: &Input<'_>,
+    sel: Option<&[u32]>,
+    test: impl Fn(&str) -> bool,
+) -> Split {
+    match col {
+        Column::Str(d, _) => input.scan(sel, col.validity(), |r| Some(test(&d[r]))),
+        _ => input.scan(sel, col.validity(), |_| Some(false)),
+    }
+}
+
+/// [`merge`] modes: `a ∪ b`, `a ∖ b`, `a ∩ b`.
+const UNION: [bool; 3] = [true, true, true];
+const MINUS: [bool; 3] = [true, false, false];
+const BOTH: [bool; 3] = [false, true, false];
+
+/// Merge two ascending position lists, keeping a position by where it
+/// occurs: `keep = [only in a, in both, only in b]`.
+fn merge(a: &[u32], b: &[u32], keep: [bool; 3]) -> Vec<u32> {
+    let mut out = Vec::new();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        let which = match x.cmp(&y) {
+            Ordering::Less => 0,
+            Ordering::Equal => 1,
+            Ordering::Greater => 2,
+        };
+        if keep[which] {
+            out.push(x.min(y));
+        }
+        i += (which < 2) as usize;
+        j += (which > 0) as usize;
+    }
+    if keep[0] {
+        out.extend_from_slice(&a[i..]);
+    }
+    if keep[2] {
+        out.extend_from_slice(&b[j..]);
+    }
+    out
 }
 
 impl fmt::Display for ScalarExpr {

@@ -9,11 +9,13 @@
 //!   ([`table::Table`]) built through [`table::TableBuilder`];
 //! * a catalog ([`catalog::Database`]) carrying primary/foreign-key metadata
 //!   — the raw material for `RGMapping`'s λ total functions;
-//! * a scalar expression AST ([`expr::ScalarExpr`]) with row-at-a-time and
-//!   batch evaluation;
-//! * unique-key hash indexes ([`catalog::KeyIndex`]) used to resolve foreign
+//! * a scalar expression AST ([`expr::ScalarExpr`]) with a scalar
+//!   definition (`eval`) and a typed, column-at-a-time batch driver
+//!   (`select`) that every filter runs through;
+//! * unique-key indexes ([`catalog::KeyIndex`]) used to resolve foreign
 //!   keys into row ids when graph indexes are built;
-//! * baseline relational operators ([`ops`]) — filter, project, hash join,
+//! * baseline relational operators ([`ops`]) — filter, project, hash join
+//!   (over [`ops::JoinTable`]),
 //!   aggregate — shared by the executor and by the test oracles;
 //! * table statistics ([`stats`]) consumed by the relational optimizers;
 //! * primary-key write-sets ([`writeset::WriteSet`]) — the stable conflict
@@ -22,6 +24,7 @@
 
 pub mod catalog;
 pub mod column;
+mod directory;
 pub mod expr;
 pub mod ops;
 pub mod stats;

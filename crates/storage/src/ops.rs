@@ -6,6 +6,8 @@
 //! aggregation. The graph-specific operators (EXPAND, EXPAND_INTERSECT, …)
 //! live in `relgo-exec`; the test oracles reuse the functions here.
 
+use crate::column::Column;
+use crate::directory::Directory;
 use crate::expr::ScalarExpr;
 use crate::table::Table;
 use relgo_common::{FxHashMap, RelGoError, Result, RowId, Schema, Value};
@@ -44,27 +46,121 @@ fn key_of(table: &Table, row: RowId, cols: &[usize]) -> Option<Vec<Value>> {
     Some(key)
 }
 
-/// ⋈ — equi hash join. Builds on the smaller side is the *optimizer's* job;
-/// this operator always builds on `left`.
-pub fn hash_join(left: &Table, right: &Table, keys: &JoinKeys) -> Result<Table> {
-    let lcols: Vec<usize> = keys.iter().map(|&(l, _)| l).collect();
-    let rcols: Vec<usize> = keys.iter().map(|&(_, r)| r).collect();
-    let mut build: FxHashMap<Vec<Value>, Vec<RowId>> = FxHashMap::default();
-    for r in 0..left.num_rows() as RowId {
-        if let Some(k) = key_of(left, r, &lcols) {
-            build.entry(k).or_default().push(r);
+/// The build side of an equi-join on one `i64` key: a directory from key to
+/// bucket (the one [`crate::KeyIndex`] stands on — direct-addressed when
+/// the keys are dense in their range, hashed otherwise; buckets numbered in
+/// order of first appearance), and the build rows of every bucket in input
+/// order (a CSR filled by a stable counting sort). Shared by [`hash_join`]
+/// and the executor's chunk join.
+#[derive(Debug)]
+pub struct JoinTable {
+    directory: Directory,
+    /// Bucket `b` holds `rows[offsets[b]..offsets[b + 1]]`.
+    offsets: Vec<u32>,
+    rows: Vec<RowId>,
+}
+
+impl JoinTable {
+    /// Index build rows `0..n` by `key(row)`; a `None` key (SQL NULL)
+    /// joins nothing.
+    pub fn build(n: usize, key: impl Fn(usize) -> Option<i64>) -> Result<JoinTable> {
+        if RowId::try_from(n).is_err() {
+            return Err(RelGoError::ResourceExhausted(format!(
+                "join build side of {n} rows exceeds the row id range"
+            )));
+        }
+        let mut directory = Directory::for_keys((0..n).filter_map(&key));
+        // Count each bucket one slot up, so the running sum turns counts
+        // into start offsets.
+        let mut offsets = vec![0u32];
+        for k in (0..n).filter_map(&key) {
+            let fresh = offsets.len() as u32 - 1;
+            let b = directory.get_or_insert(k, fresh);
+            if b == fresh {
+                offsets.push(0);
+            }
+            offsets[b as usize + 1] += 1;
+        }
+        for b in 1..offsets.len() {
+            offsets[b] += offsets[b - 1];
+        }
+        let mut next = offsets.clone();
+        let mut rows = vec![0; offsets[offsets.len() - 1] as usize];
+        for i in 0..n {
+            if let Some(b) = key(i).and_then(|k| directory.get(k)) {
+                rows[next[b as usize] as usize] = i as RowId;
+                next[b as usize] += 1;
+            }
+        }
+        Ok(JoinTable {
+            directory,
+            offsets,
+            rows,
+        })
+    }
+
+    /// The build rows whose key equals `key`, in input order.
+    #[inline]
+    pub fn probe(&self, key: i64) -> &[RowId] {
+        match self.directory.get(key) {
+            Some(b) => {
+                let b = b as usize;
+                &self.rows[self.offsets[b] as usize..self.offsets[b + 1] as usize]
+            }
+            None => &[],
         }
     }
+}
+
+/// ⋈ — equi hash join. Builds on the smaller side is the *optimizer's* job;
+/// this operator always builds on `left`. Output is probe-major: `right`
+/// rows in order, each with its `left` matches in order.
+pub fn hash_join(left: &Table, right: &Table, keys: &JoinKeys) -> Result<Table> {
+    // One integer key column a side: read the cells as they are.
+    if let [(l, r)] = keys {
+        if let (Some((ld, lvalid)), Some((rd, rvalid))) =
+            (left.column(*l).as_ints(), right.column(*r).as_ints())
+        {
+            return join_on(
+                left,
+                right,
+                |i| lvalid.is_none_or(|m| m[i]).then(|| ld[i]),
+                |i| rvalid.is_none_or(|m| m[i]).then(|| rd[i]),
+            );
+        }
+    }
+    // Any other key: number the build side's distinct key tuples; a probe
+    // tuple the build side never saw joins nothing.
+    let lcols: Vec<usize> = keys.iter().map(|&(l, _)| l).collect();
+    let rcols: Vec<usize> = keys.iter().map(|&(_, r)| r).collect();
+    let mut ids: FxHashMap<Vec<Value>, i64> = FxHashMap::default();
+    let lkeys: Vec<Option<i64>> = (0..left.num_rows() as RowId)
+        .map(|r| {
+            let next = ids.len() as i64;
+            key_of(left, r, &lcols).map(|k| *ids.entry(k).or_insert(next))
+        })
+        .collect();
+    let rkeys: Vec<Option<i64>> = (0..right.num_rows() as RowId)
+        .map(|r| key_of(right, r, &rcols).and_then(|k| ids.get(&k).copied()))
+        .collect();
+    join_on(left, right, |i| lkeys[i], |i| rkeys[i])
+}
+
+/// Build on `left`, probe with `right`, gather the matched pairs.
+fn join_on(
+    left: &Table,
+    right: &Table,
+    lkey: impl Fn(usize) -> Option<i64>,
+    rkey: impl Fn(usize) -> Option<i64>,
+) -> Result<Table> {
+    let table = JoinTable::build(left.num_rows(), lkey)?;
     let mut lrows = Vec::new();
     let mut rrows = Vec::new();
-    for r in 0..right.num_rows() as RowId {
-        if let Some(k) = key_of(right, r, &rcols) {
-            if let Some(matches) = build.get(&k) {
-                for &l in matches {
-                    lrows.push(l);
-                    rrows.push(r);
-                }
-            }
+    for r in 0..right.num_rows() {
+        if let Some(k) = rkey(r) {
+            let matches = table.probe(k);
+            lrows.extend_from_slice(matches);
+            rrows.resize(rrows.len() + matches.len(), r as RowId);
         }
     }
     concat_rows(left, right, &lrows, &rrows)
@@ -90,19 +186,16 @@ pub fn rid_join(left: &Table, rid_col: usize, right: &Table) -> Result<Table> {
 }
 
 fn concat_rows(left: &Table, right: &Table, lrows: &[RowId], rrows: &[RowId]) -> Result<Table> {
-    let lpart = left.take(lrows);
-    let rpart = right.take(rrows);
-    let schema = left.schema().join(right.schema());
-    let mut columns = Vec::with_capacity(left.num_columns() + right.num_columns());
-    for i in 0..lpart.num_columns() {
-        columns.push(lpart.column(i).clone());
-    }
-    for i in 0..rpart.num_columns() {
-        columns.push(rpart.column(i).clone());
-    }
+    let gather = |t: &Table, rows: &[RowId]| -> Vec<Column> {
+        (0..t.num_columns())
+            .map(|i| t.column(i).take(rows))
+            .collect()
+    };
+    let mut columns = gather(left, lrows);
+    columns.extend(gather(right, rrows));
     Table::from_columns(
         format!("{}_join_{}", left.name(), right.name()),
-        schema,
+        left.schema().join(right.schema()),
         columns,
     )
 }
@@ -319,6 +412,65 @@ mod tests {
         );
         let j = hash_join(&a, &b, &[(0, 0)]).unwrap();
         assert_eq!(j.num_rows(), 1);
+    }
+
+    #[test]
+    fn every_key_shape_joins_like_the_nested_loop() {
+        let of = |name: &str, dtype, keys: Vec<Value>| {
+            let rows = keys
+                .into_iter()
+                .zip(0..)
+                .map(|(k, i)| vec![k, Value::Int(i)]);
+            table_of(
+                name,
+                &[("k", dtype), ("row", DataType::Int)],
+                rows.collect(),
+            )
+        };
+        let ints = |keys: &[i64]| keys.iter().map(|&k| Value::Int(k)).collect::<Vec<_>>();
+        let cases = [
+            // Dense keys (direct-address directory), repeated on both sides.
+            (
+                of("l", DataType::Int, ints(&[3, 1, 3, 2, 1])),
+                of("r", DataType::Int, ints(&[1, 3, 9, 3])),
+            ),
+            // Scattered and extreme keys (hashed directory), a NULL each.
+            (
+                of(
+                    "l",
+                    DataType::Int,
+                    [ints(&[i64::MAX, -7, i64::MIN, -7]), vec![Value::Null]].concat(),
+                ),
+                of(
+                    "r",
+                    DataType::Date,
+                    vec![Value::Date(-7), Value::Null, Value::Date(i64::MIN)],
+                ),
+            ),
+            // Keys that are not integers go through the numbered tuples.
+            (
+                of("l", DataType::Str, vec!["a".into(), "b".into(), "a".into()]),
+                of("r", DataType::Str, vec!["b".into(), "a".into(), "z".into()]),
+            ),
+        ];
+        for (l, r) in &cases {
+            let j = hash_join(l, r, &[(0, 0)]).unwrap();
+            let got: Vec<(Value, Value)> = (0..j.num_rows() as RowId)
+                .map(|i| (j.value(i, 1), j.value(i, 3)))
+                .collect();
+            // Probe-major, build rows in input order; NULL = NULL is not a match.
+            let mut want = Vec::new();
+            for rr in 0..r.num_rows() as RowId {
+                for lr in 0..l.num_rows() as RowId {
+                    let (lk, rk) = (l.value(lr, 0), r.value(rr, 0));
+                    if !lk.is_null() && lk == rk {
+                        want.push((l.value(lr, 1), r.value(rr, 1)));
+                    }
+                }
+            }
+            assert!(!want.is_empty());
+            assert_eq!(got, want, "{} ⋈ {}", l.schema(), r.schema());
+        }
     }
 
     #[test]

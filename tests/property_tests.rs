@@ -284,3 +284,141 @@ proptest! {
         }
     }
 }
+
+/// SplitMix64: the entropy behind one random table, expression and selection.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn pick<T: Clone>(&mut self, of: &[T]) -> T {
+        of[self.below(of.len())].clone()
+    }
+}
+
+const STRS: [&str; 5] = ["", "a", "ab", "b", "ba"];
+const FLOATS: [f64; 6] = [-1.5, 0.0, 1.0, 2.0, 2.5, f64::NAN];
+/// Column types of the random table, by position.
+const TYPES: [DataType; 5] = [
+    DataType::Int,
+    DataType::Float,
+    DataType::Str,
+    DataType::Bool,
+    DataType::Date,
+];
+
+/// A cell or literal of `dtype` from a domain small enough for matches, or
+/// NULL one time in five.
+fn random_value(mix: &mut Mix, dtype: DataType) -> Value {
+    if mix.below(5) == 0 {
+        return Value::Null;
+    }
+    match dtype {
+        DataType::Int => Value::Int(mix.below(6) as i64 - 2),
+        DataType::Float => Value::Float(mix.pick(&FLOATS)),
+        DataType::Str => Value::str(mix.pick(&STRS)),
+        DataType::Bool => Value::Bool(mix.below(2) == 0),
+        DataType::Date => Value::Date(mix.below(4) as i64),
+    }
+}
+
+/// A literal of any type: often not the type of the column it meets.
+fn random_literal(mix: &mut Mix) -> Value {
+    let dtype = mix.pick(&TYPES);
+    random_value(mix, dtype)
+}
+
+/// A column reference: in bounds, or — rarely, and always the same one, so
+/// every such error reads alike — column 9 of a 5-column table.
+fn random_col(mix: &mut Mix) -> ScalarExpr {
+    ScalarExpr::Col(if mix.below(25) == 0 { 9 } else { mix.below(5) })
+}
+
+fn random_expr(mix: &mut Mix, depth: usize) -> ScalarExpr {
+    use relgo::storage::BinaryOp::*;
+    // An operand: a column most of the time (the shapes with kernels), else
+    // a literal or — while depth lasts — any sub-expression.
+    let operand = |mix: &mut Mix| match mix.below(8) {
+        0 => ScalarExpr::Lit(random_literal(mix)),
+        1 if depth > 0 => random_expr(mix, depth - 1),
+        _ => random_col(mix),
+    };
+    let boxed = |e| Box::new(e);
+    let inner = if depth > 0 { 10 } else { 7 };
+    match mix.below(inner) {
+        0 => random_col(mix),
+        1 => ScalarExpr::Lit(random_literal(mix)),
+        2 | 3 => {
+            let op = mix.pick(&[Eq, Ne, Lt, Le, Gt, Ge]);
+            let (l, r) = (operand(mix), ScalarExpr::Lit(random_literal(mix)));
+            let (l, r) = if mix.below(4) == 0 { (r, l) } else { (l, r) };
+            ScalarExpr::Cmp(op, boxed(l), boxed(r))
+        }
+        4 => {
+            let s = mix.pick(&STRS).to_string();
+            if mix.below(2) == 0 {
+                ScalarExpr::StartsWith(boxed(operand(mix)), s)
+            } else {
+                ScalarExpr::Contains(boxed(operand(mix)), s)
+            }
+        }
+        5 => ScalarExpr::IsNull(boxed(operand(mix))),
+        6 => {
+            let list = (0..mix.below(4)).map(|_| random_literal(mix)).collect();
+            ScalarExpr::InList(boxed(operand(mix)), list)
+        }
+        7 => ScalarExpr::And(
+            boxed(random_expr(mix, depth - 1)),
+            boxed(random_expr(mix, depth - 1)),
+        ),
+        8 => ScalarExpr::Or(
+            boxed(random_expr(mix, depth - 1)),
+            boxed(random_expr(mix, depth - 1)),
+        ),
+        _ => ScalarExpr::Not(boxed(random_expr(mix, depth - 1))),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// The batch driver is the scalar definition, row for row and error for
+    /// error: `select(table, sel)` = `sel.filter(|r| matches(table, r))`.
+    #[test]
+    fn select_equals_row_at_a_time_matches(seed in any::<i64>()) {
+        let mix = &mut Mix(seed as u64);
+        let spec: Vec<(&str, DataType)> =
+            ["c0", "c1", "c2", "c3", "c4"].into_iter().zip(TYPES).collect();
+        let n = mix.below(40);
+        let mut table = TableBuilder::new("t", CommonSchema::of(&spec));
+        for _ in 0..n {
+            table.push_row(TYPES.iter().map(|&t| random_value(mix, t)).collect()).unwrap();
+        }
+        let table = table.finish();
+        let expr = random_expr(mix, 4);
+        // The whole table, or a selection with repeats, in no order.
+        let sel: Option<Vec<u32>> = (n > 0 && mix.below(3) > 0)
+            .then(|| (0..mix.below(2 * n)).map(|_| mix.below(n) as u32).collect());
+        let candidates: Vec<u32> = sel.clone().unwrap_or_else(|| (0..n as u32).collect());
+        let want: std::result::Result<Vec<u32>, String> = candidates
+            .iter()
+            .filter_map(|&r| match expr.matches(&table, r) {
+                Ok(true) => Some(Ok(r)),
+                Ok(false) => None,
+                Err(e) => Some(Err(e.to_string())),
+            })
+            .collect();
+        let got = expr.select(&table, sel.as_deref()).map_err(|e| e.to_string());
+        prop_assert_eq!(got, want, "{} over {:?}", expr, sel);
+    }
+}
