@@ -19,9 +19,9 @@
 //! (`relgo::Session::begin_ingest`), which swaps the merged snapshot in
 //! atomically so in-flight queries keep reading the old epoch.
 
-use relgo_common::{FxHashMap, RelGoError, Result, RowId, Value};
+use relgo_common::{FxHashMap, FxHashSet, RelGoError, Result, RowId, Value};
 use relgo_graph::GraphView;
-use relgo_storage::{Database, Table, TableChange, WriteSet};
+use relgo_storage::{Database, KeyIndex, Table, TableChange, WriteSet};
 
 pub mod checkpoint;
 mod codec;
@@ -234,7 +234,9 @@ impl DeltaSet {
 }
 
 /// Merge one table's delta: resolve tombstones through the primary key,
-/// validate insert keys, and gather the merged columns.
+/// validate insert keys, and gather the merged columns. A base table that
+/// itself violates its declared primary key (NULL, duplicate or non-integer
+/// values) is reported as such before the delta is looked at.
 fn merge_table(
     base: &Table,
     delta: &TableDelta,
@@ -255,16 +257,12 @@ fn merge_table(
     let mut deleted: Vec<RowId> = Vec::with_capacity(delta.delete_keys.len());
     if let Some(pk) = primary_key {
         let pk_col = base.schema().index_of(pk)?;
-        let col = base.column(pk_col);
-        let mut by_key: FxHashMap<i64, RowId> = FxHashMap::default();
-        by_key.reserve(base.num_rows());
-        for r in 0..base.num_rows() as RowId {
-            if let Some(k) = col.get_int(r) {
-                by_key.insert(k, r);
-            }
-        }
+        // One index over the base answers both questions; only the batch's
+        // own keys are hashed, so validation costs what the batch costs
+        // beyond the index's two passes over the key column.
+        let index = KeyIndex::build(base, pk)?;
         for &key in &delta.delete_keys {
-            let Some(&row) = by_key.get(&key) else {
+            let Some(row) = index.lookup(key) else {
                 return Err(RelGoError::not_found(format!(
                     "{name}.{pk} = {key} (delete target)"
                 )));
@@ -274,18 +272,20 @@ fn merge_table(
         deleted.sort_unstable();
         deleted.dedup();
         // Surviving keys + insert keys must stay unique.
-        let mut live: relgo_common::FxHashSet<i64> = by_key
-            .iter()
-            .filter(|(_, &r)| deleted.binary_search(&r).is_err())
-            .map(|(&k, _)| k)
-            .collect();
+        let survives = |k: i64| {
+            index
+                .lookup(k)
+                .is_some_and(|row| deleted.binary_search(&row).is_err())
+        };
+        let mut inserted: FxHashSet<i64> = FxHashSet::default();
+        inserted.reserve(delta.inserts.len());
         for row in &delta.inserts {
             let Some(k) = row[pk_col].as_int() else {
                 return Err(RelGoError::schema(format!(
                     "insert into {name} has a non-integer/NULL primary key"
                 )));
             };
-            if !live.insert(k) {
+            if survives(k) || !inserted.insert(k) {
                 return Err(RelGoError::schema(format!(
                     "insert into {name} duplicates primary key {k}"
                 )));
@@ -405,10 +405,11 @@ mod tests {
         let mut d = DeltaSet::new();
         d.insert("Person", vec!["oops".into(), "Ada".into()]);
         assert!(d.apply(&db).is_err());
+        let message = |d: &DeltaSet| d.apply(&db).unwrap_err().to_string();
         // Duplicate primary key against a surviving base row.
         let mut d = DeltaSet::new();
         d.insert("Person", vec![10.into(), "Dup".into()]);
-        assert!(d.apply(&db).is_err());
+        assert!(message(&d).ends_with("insert into Person duplicates primary key 10"));
         // …but re-using a tombstoned key is fine.
         let mut d = DeltaSet::new();
         d.delete("Person", 10);
@@ -419,11 +420,21 @@ mod tests {
         let mut d = DeltaSet::new();
         d.insert("Person", vec![50.into(), "A".into()]);
         d.insert("Person", vec![50.into(), "B".into()]);
-        assert!(d.apply(&db).is_err());
-        // Deleting a missing key.
+        assert!(message(&d).ends_with("insert into Person duplicates primary key 50"));
+        // A NULL key, reported before the duplicate that follows it.
+        let mut d = DeltaSet::new();
+        d.insert("Person", vec![Value::Null, "A".into()]);
+        d.insert("Person", vec![10.into(), "Dup".into()]);
+        assert!(message(&d).ends_with("insert into Person has a non-integer/NULL primary key"));
+        // Deleting a missing key; deleting the same key twice is one delete.
         let mut d = DeltaSet::new();
         d.delete("Person", 99);
-        assert!(d.apply(&db).is_err());
+        assert!(message(&d).ends_with("Person.person_id = 99 (delete target)"));
+        let mut d = DeltaSet::new();
+        d.delete("Person", 20);
+        d.delete("Person", 20);
+        let (merged, _) = d.apply(&db).unwrap();
+        assert_eq!(merged.table("Person").unwrap().num_rows(), 2);
         // Unknown table.
         let mut d = DeltaSet::new();
         d.insert("Nope", vec![1.into()]);

@@ -24,26 +24,33 @@
 //! guard is a shared [`RowBudget`] charged with each row's projected output
 //! size *before* the rows are materialized.
 //!
-//! ## Allocation-free expansion
+//! ## Seek, select, then materialize
 //!
-//! The per-row hot path borrows adjacency lists as slices (both regimes
-//! read a CSR), and per-element predicates are precomputed into
-//! per-table-row boolean masks whenever the expansion touches enough
-//! entries to amortize one evaluation per table row. Scans, masks and
-//! `FILTER_VERTEX` evaluate predicates through the batch driver
-//! [`ScalarExpr::select`]; `JOIN_SUB` is build → probe → gather over packed
-//! row-id keys ([`JoinTable`]).
+//! The operators touch only what they return. A vertex predicate that pins
+//! the label's primary key is answered by a seek through the view's key
+//! index (`vertex_rows`, which `SCAN_VERTEX` and the mask builder share).
+//! Expansion borrows adjacency lists as slices (both regimes read a CSR); a
+//! predicated `EXPAND` appends the entries to candidate vectors and, every
+//! `CANDIDATE_BATCH` entries, runs the edge then the vertex predicate over
+//! them through the batch driver [`ScalarExpr::select_positions`] — or
+//! through a whole-table pass mask when the table has no more rows than the
+//! expansion has entries (`Test`, shared with `EXPAND_INTERSECT` and
+//! `FILTER_VERTEX`). Only the survivors are charged and pushed, and the edge
+//! half of an adjacency is read only when an edge column or predicate asks
+//! for it. `EXPAND_INTERSECT` intersects the legs' sorted neighbour runs by
+//! one forward merge, galloping into the longer lists; `JOIN_SUB` is build →
+//! probe → gather over packed row-id keys ([`JoinTable`]).
 
 use crate::chunk::GraphChunk;
 use crate::profile::ProfileSink;
 use relgo_common::morsel::{self, RowBudget, TimeBudget};
-use relgo_common::{FxHashMap, LabelId, RelGoError, Result, RowId};
+use relgo_common::{FxHashMap, LabelId, RelGoError, Result, RowId, Value};
 use relgo_core::graph_plan::{GraphOp, StarLeg};
 use relgo_graph::index::Csr;
 use relgo_graph::{Direction, GraphIndex, GraphView};
 use relgo_pattern::Pattern;
 use relgo_storage::ops::JoinTable;
-use relgo_storage::{ScalarExpr, Table};
+use relgo_storage::{BinaryOp, ScalarExpr, Table};
 use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -58,7 +65,7 @@ use std::time::Instant;
 /// predicate)` compared *structurally* (a rendered-string key could be
 /// forged by string literals containing operator text), so
 /// instance-specific predicates simply miss.
-type MaskCache = Vec<(String, ScalarExpr, Arc<Vec<bool>>)>;
+type MaskCache = Vec<(String, ScalarExpr, Arc<PassMask>)>;
 
 #[derive(Default)]
 pub struct BatchState {
@@ -151,11 +158,7 @@ pub fn execute_graph(op: &GraphOp, ctx: &GraphExecContext<'_>) -> Result<GraphCh
         GraphOp::ScanVertex { v, predicate, .. } => {
             let t0 = op_id.map(|_| Instant::now());
             let label = ctx.pattern.vertex(*v).label;
-            let table = ctx.view.vertex_table(label);
-            let rows: Vec<RowId> = match predicate {
-                Some(p) => p.filter(table)?,
-                None => (0..table.num_rows() as RowId).collect(),
-            };
+            let rows = vertex_rows(ctx.view, label, predicate.as_ref())?;
             ctx.guard(rows.len())?;
             (0, 0, t0, GraphChunk::from_vertex(nv, ne, *v, rows))
         }
@@ -290,25 +293,30 @@ fn scan_edge(
 /// Adjacency provider for one `(edge label, direction)`: the VE-index, or a
 /// transient [`Csr`] built over the edge relation per query (the hash-join
 /// fallback; `Arc`-shared so a batch builds it once) — the same structure
-/// in the same entry order, so both regimes enumerate identically.
+/// in the same entry order, so both regimes enumerate identically, through
+/// the [`Csr`] either dereferences to.
 enum Adjacency<'a> {
-    Indexed {
-        index: &'a GraphIndex,
-        label: LabelId,
-        dir: Direction,
-    },
+    Indexed(&'a Csr),
     Hashed(Arc<Csr>),
+}
+
+impl std::ops::Deref for Adjacency<'_> {
+    type Target = Csr;
+
+    #[inline]
+    fn deref(&self) -> &Csr {
+        match self {
+            Adjacency::Indexed(adj) => adj,
+            Adjacency::Hashed(adj) => adj,
+        }
+    }
 }
 
 impl<'a> Adjacency<'a> {
     fn build(edge: usize, dir: Direction, ctx: &'a GraphExecContext<'_>) -> Result<Adjacency<'a>> {
         let pe = ctx.pattern.edge(edge);
         if ctx.use_index {
-            return Ok(Adjacency::Indexed {
-                index: ctx.index()?,
-                label: pe.label,
-                dir,
-            });
+            return Ok(Adjacency::Indexed(ctx.index()?.adjacency(pe.label, dir)));
         }
         // Batched execution: every instance of the skeleton expands the
         // same (label, dir), and the adjacency is literal-independent — the
@@ -339,85 +347,259 @@ impl<'a> Adjacency<'a> {
         }
         Ok(Adjacency::Hashed(adj))
     }
+}
 
-    /// `(edges, neighbors)` adjacent to `v`, sorted by neighbor — borrowed,
-    /// not copied.
-    #[inline]
-    fn neighbors(&self, v: RowId) -> (&[RowId], &[RowId]) {
-        match self {
-            Adjacency::Indexed { index, label, dir } => index.neighbors(*label, *dir, v),
-            Adjacency::Hashed(adj) => adj.neighbors(v),
-        }
-    }
+/// Entries a predicated `EXPAND` (candidates an `EXPAND_INTERSECT`) buffers
+/// before it runs its predicates over them: the transient memory of the
+/// filtered path is of this order, whatever the fan-out.
+const CANDIDATE_BATCH: usize = morsel::DEFAULT_MORSEL_ROWS;
 
-    /// Number of adjacency entries of `v`.
-    #[inline]
-    fn degree(&self, v: RowId) -> usize {
-        match self {
-            Adjacency::Indexed { index, label, dir } => index.degree(*label, *dir, v),
-            Adjacency::Hashed(adj) => adj.degree(v),
-        }
+/// The rows of vertex label `label` that pass `predicate` (every row without
+/// one), ascending. A predicate that is — or has as a top-level `AND`
+/// conjunct — `pk = <INT literal>` on the label's primary key can only hold
+/// on the row that key resolves to: the view's key index finds it and the
+/// whole predicate is evaluated there, instead of on every row. Decided from
+/// the predicate as executed, so rebound (cached, prepared) plans seek too.
+fn vertex_rows(
+    view: &GraphView,
+    label: LabelId,
+    predicate: Option<&ScalarExpr>,
+) -> Result<Vec<RowId>> {
+    let table = view.vertex_table(label);
+    let Some(p) = predicate else {
+        return Ok((0..table.num_rows() as RowId).collect());
+    };
+    match pinned_key(p, view.vertex_pk_col(label)) {
+        // A primary key is never NULL: with no row under the key the
+        // conjunct is FALSE everywhere, and nothing else is evaluated.
+        Some(key) => match view.vertex_pk_index(label).lookup(key) {
+            Some(row) => p.select(table, Some(&[row])),
+            None => Ok(Vec::new()),
+        },
+        None => p.select(table, None),
     }
 }
 
-/// Precompute a per-table-row pass mask for `pred` when the expansion will
-/// touch enough entries (`entries`, with repeats) to amortize evaluating
-/// the predicate once per table row instead of once per adjacency entry.
-/// Under batched execution, masks are shared through [`BatchState`] keyed
-/// by `(table, rendered predicate)`: structural predicates (identical
-/// across the batch's rebound instances) are computed once, and a cached
-/// mask is used even below the volume threshold — it is already paid for.
-fn predicate_mask(
-    pred: Option<&ScalarExpr>,
-    table: &Table,
-    entries: usize,
-    batch: Option<&BatchState>,
-) -> Result<Option<Arc<Vec<bool>>>> {
-    let Some(p) = pred else { return Ok(None) };
-    if let Some(batch) = batch {
-        // A batch caches a handful of masks; linear scan with structural
-        // predicate equality (never aliasable, unlike a rendered string).
-        let masks = batch.masks.lock().unwrap();
-        if let Some((_, _, mask)) = masks
-            .iter()
-            .find(|(t, cached, _)| t == table.name() && cached == p)
-        {
-            return Ok(Some(Arc::clone(mask)));
-        }
-    }
-    let n = table.num_rows();
-    if entries < n / 4 {
-        return Ok(None);
-    }
-    let mut mask = vec![false; n];
-    for r in p.filter(table)? {
-        mask[r as usize] = true;
-    }
-    let mask = Arc::new(mask);
-    if let Some(batch) = batch {
-        batch
-            .masks
-            .lock()
-            .unwrap()
-            .push((table.name().to_string(), p.clone(), Arc::clone(&mask)));
-    }
-    Ok(Some(mask))
-}
-
-/// Whether `row` passes `pred`, through the precomputed `mask` when present.
-#[inline]
-fn passes(
-    mask: &Option<Arc<Vec<bool>>>,
-    pred: Option<&ScalarExpr>,
-    table: &Table,
-    row: RowId,
-) -> Result<bool> {
-    if let Some(m) = mask {
-        return Ok(m[row as usize]);
-    }
+/// The key `pred` pins column `pk` to: `pk = k` / `k = pk` with an INT
+/// literal, at the top or under top-level `AND`s.
+fn pinned_key(pred: &ScalarExpr, pk: usize) -> Option<i64> {
+    use ScalarExpr::{And, Cmp, Col, Lit};
     match pred {
-        None => Ok(true),
-        Some(p) => p.matches(table, row),
+        And(l, r) => pinned_key(l, pk).or_else(|| pinned_key(r, pk)),
+        Cmp(BinaryOp::Eq, l, r) => match (&**l, &**r) {
+            (Col(c), Lit(Value::Int(k))) | (Lit(Value::Int(k)), Col(c)) if *c == pk => Some(*k),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// The rows of one table that pass one predicate, a bit a row.
+#[derive(Debug)]
+struct PassMask(Vec<u64>);
+
+impl PassMask {
+    fn of(rows: &[RowId], table_rows: usize) -> PassMask {
+        let mut words = vec![0u64; table_rows.div_ceil(64)];
+        for &r in rows {
+            words[r as usize / 64] |= 1 << (r % 64);
+        }
+        PassMask(words)
+    }
+
+    #[inline]
+    fn get(&self, row: RowId) -> bool {
+        self.0[row as usize / 64] >> (row % 64) & 1 == 1
+    }
+}
+
+/// One predicate of an operator, in the form its candidate rows are tested
+/// in: a whole-table [`PassMask`] when that is the cheaper evaluation, else
+/// the predicate itself, run over the candidate vector.
+struct Test<'a> {
+    pred: &'a ScalarExpr,
+    table: &'a Table,
+    mask: Option<Arc<PassMask>>,
+}
+
+impl<'a> Test<'a> {
+    /// The test of `pred` over `table` for an operator about to test
+    /// `entries` candidate rows (with repeats). The mask costs one
+    /// evaluation per table row — `rows` produces the passing ones — and the
+    /// candidate vector one per entry, so the mask is built when the table
+    /// has no more rows than there are entries. Under batched execution
+    /// masks are shared through [`BatchState`]: structural predicates
+    /// (identical across the batch's rebound instances) are computed once,
+    /// and a cached mask is used whatever the volume — it is already paid
+    /// for.
+    fn new(
+        pred: &'a ScalarExpr,
+        table: &'a Table,
+        entries: usize,
+        batch: Option<&BatchState>,
+        rows: impl FnOnce() -> Result<Vec<RowId>>,
+    ) -> Result<Test<'a>> {
+        let with = |mask| Test { pred, table, mask };
+        if let Some(batch) = batch {
+            // A batch caches a handful of masks; linear scan with structural
+            // predicate equality (never aliasable, unlike a rendered string).
+            let masks = batch.masks.lock().unwrap();
+            if let Some((_, _, mask)) = masks
+                .iter()
+                .find(|(t, cached, _)| t == table.name() && cached == pred)
+            {
+                return Ok(with(Some(Arc::clone(mask))));
+            }
+        }
+        if table.num_rows() > entries {
+            return Ok(with(None));
+        }
+        let mask = Arc::new(PassMask::of(&rows()?, table.num_rows()));
+        if let Some(batch) = batch {
+            batch.masks.lock().unwrap().push((
+                table.name().to_string(),
+                pred.clone(),
+                Arc::clone(&mask),
+            ));
+        }
+        Ok(with(Some(mask)))
+    }
+
+    /// [`Test::new`] for the predicate on pattern vertex `v`, if it has one.
+    fn of_vertex(
+        pred: Option<&'a ScalarExpr>,
+        v: usize,
+        entries: usize,
+        ctx: &'a GraphExecContext<'_>,
+    ) -> Result<Option<Test<'a>>> {
+        let label = ctx.pattern.vertex(v).label;
+        pred.map(|p| {
+            let rows = || vertex_rows(ctx.view, label, Some(p));
+            Test::new(p, ctx.view.vertex_table(label), entries, ctx.batch, rows)
+        })
+        .transpose()
+    }
+
+    /// [`Test::new`] for the predicate on pattern edge `e`, if it has one.
+    fn of_edge(
+        pred: Option<&'a ScalarExpr>,
+        e: usize,
+        entries: usize,
+        ctx: &'a GraphExecContext<'_>,
+    ) -> Result<Option<Test<'a>>> {
+        let table = ctx.view.edge_table(ctx.pattern.edge(e).label);
+        pred.map(|p| Test::new(p, table, entries, ctx.batch, || p.select(table, None)))
+            .transpose()
+    }
+
+    /// The ascending positions of `rows` (rows of the table, with repeats
+    /// and in any order) that pass.
+    fn passing(&self, rows: &[RowId]) -> Result<Vec<u32>> {
+        match &self.mask {
+            Some(mask) => Ok((0..rows.len() as u32)
+                .filter(|&p| mask.get(rows[p as usize]))
+                .collect()),
+            None => self.pred.select_positions(self.table, Some(rows)),
+        }
+    }
+}
+
+/// Adjacency entries of an `EXPAND`, a column each: the input row an entry
+/// expands, the neighbour it reaches and its edge row. Both a morsel's
+/// output and the candidates still awaiting their predicates.
+struct Entries {
+    inputs: Vec<usize>,
+    nbrs: Vec<RowId>,
+    /// `None` when nobody will read the edge rows — no predicate on them, no
+    /// edge column in the output: that half of the adjacency is then never
+    /// touched.
+    edges: Option<Vec<RowId>>,
+}
+
+/// Keep the cells of `col` at the ascending positions `keep`.
+fn compact<T: Copy>(col: &mut Vec<T>, keep: &[u32]) {
+    for (to, &from) in keep.iter().enumerate() {
+        col[to] = col[from as usize];
+    }
+    col.truncate(keep.len());
+}
+
+impl Entries {
+    fn with_capacity(cap: usize, edges: bool) -> Entries {
+        Entries {
+            inputs: Vec::with_capacity(cap),
+            nbrs: Vec::with_capacity(cap),
+            edges: edges.then(|| Vec::with_capacity(cap)),
+        }
+    }
+
+    /// Append entries of input row `input`.
+    fn push(&mut self, input: usize, edges: &[RowId], nbrs: &[RowId]) {
+        // A many-to-one edge (a message's creator, place, forum) reaches one
+        // neighbour from every vertex: that entry is pushed, not copied by
+        // three slice calls.
+        if let [nbr] = nbrs {
+            self.inputs.push(input);
+            self.nbrs.push(*nbr);
+            if let Some(col) = &mut self.edges {
+                col.push(edges[0]);
+            }
+            return;
+        }
+        self.inputs.resize(self.inputs.len() + nbrs.len(), input);
+        self.nbrs.extend_from_slice(nbrs);
+        if let Some(col) = &mut self.edges {
+            col.extend_from_slice(edges);
+        }
+    }
+
+    /// Keep the entries at the ascending positions `keep`.
+    fn retain(&mut self, keep: &[u32]) {
+        compact(&mut self.inputs, keep);
+        compact(&mut self.nbrs, keep);
+        if let Some(col) = &mut self.edges {
+            compact(col, keep);
+        }
+    }
+
+    /// Move every entry to the end of `out`, whose edge column is one these
+    /// entries have too.
+    fn drain_into(&mut self, out: &mut Entries) {
+        out.inputs.append(&mut self.inputs);
+        out.nbrs.append(&mut self.nbrs);
+        if let Some(from) = &mut self.edges {
+            match &mut out.edges {
+                Some(to) => to.append(from),
+                None => from.clear(),
+            }
+        }
+    }
+
+    /// Run the edge then the vertex predicate over these candidates, charge
+    /// the survivors against `budget` and move them to `out`.
+    fn select_into(
+        &mut self,
+        edge_test: Option<&Test<'_>>,
+        vertex_test: Option<&Test<'_>>,
+        budget: &RowBudget,
+        out: &mut Entries,
+    ) -> Result<()> {
+        if let Some(test) = edge_test {
+            let edges = self.edges.as_deref().expect("a tested column is kept");
+            let keep = test.passing(edges)?;
+            self.retain(&keep);
+        }
+        if let Some(test) = vertex_test {
+            let keep = test.passing(&self.nbrs)?;
+            self.retain(&keep);
+        }
+        // Exact, and charged before anything is pushed — input row by input
+        // row, so the limit trips where the unfiltered path trips it.
+        for of_one_input in self.inputs.chunk_by(|a, b| a == b) {
+            budget.charge(of_one_input.len())?;
+        }
+        self.drain_into(out);
+        Ok(())
     }
 }
 
@@ -434,83 +616,239 @@ fn expand(
     vertex_predicate: Option<&ScalarExpr>,
     ctx: &GraphExecContext<'_>,
 ) -> Result<GraphChunk> {
-    let pe = ctx.pattern.edge(edge);
     let adj = Adjacency::build(edge, dir, ctx)?;
-    let etable = ctx.view.edge_table(pe.label);
-    let vtable = ctx.view.vertex_table(ctx.pattern.vertex(to).label);
+    let adj: &Csr = &adj;
     let from_col = input.vertex_col(from)?;
 
     // Pre-pass: per-row degrees (memoized — the hash-fallback probe is not
     // free) size the output columns and decide whether masks pay off.
     let degs: Vec<usize> = from_col.iter().map(|&v| adj.degree(v)).collect();
     let total: usize = degs.iter().sum();
-    let emask = predicate_mask(edge_predicate, etable, total, ctx.batch)?;
-    let vmask = predicate_mask(vertex_predicate, vtable, total, ctx.batch)?;
-    let unfiltered = edge_predicate.is_none() && vertex_predicate.is_none();
+    let edge_test = Test::of_edge(edge_predicate, edge, total, ctx)?;
+    let vertex_test = Test::of_vertex(vertex_predicate, to, total, ctx)?;
+    let unfiltered = edge_test.is_none() && vertex_test.is_none();
 
     let budget = RowBudget::new(ctx.row_limit);
-    type ExpandPart = (Vec<usize>, Vec<RowId>, Vec<RowId>);
-    let parts: Vec<ExpandPart> = morsel::run_morsels(
+    let parts: Vec<Entries> = morsel::run_morsels(
         from_col.len(),
         ctx.threads,
         morsel::DEFAULT_MORSEL_ROWS,
         |_, range| {
             ctx.check_deadline()?;
-            let cap: usize = degs[range.clone()].iter().sum();
-            let mut gather = Vec::with_capacity(cap);
-            let mut to_col = Vec::with_capacity(cap);
-            let mut edge_col = Vec::with_capacity(if emit_edge { cap } else { 0 });
-            // Reusable per-row buffer of predicate survivors.
-            let mut hits: Vec<(RowId, RowId)> = Vec::new();
-            for i in range {
-                let (es, ns) = adj.neighbors(from_col[i]);
-                if unfiltered {
+            let mut out = Entries::with_capacity(degs[range.clone()].iter().sum(), emit_edge);
+            if unfiltered {
+                for i in range {
+                    let (es, ns) = adj.neighbors(from_col[i]);
                     // Projected output size is exact: charge before
                     // materializing anything.
                     budget.charge(es.len())?;
-                    gather.resize(gather.len() + es.len(), i);
-                    to_col.extend_from_slice(ns);
-                    if emit_edge {
-                        edge_col.extend_from_slice(es);
-                    }
-                } else {
-                    hits.clear();
-                    for (&erow, &nrow) in es.iter().zip(ns.iter()) {
-                        if passes(&emask, edge_predicate, etable, erow)?
-                            && passes(&vmask, vertex_predicate, vtable, nrow)?
-                        {
-                            hits.push((erow, nrow));
-                        }
-                    }
-                    budget.charge(hits.len())?;
-                    for &(erow, nrow) in &hits {
-                        gather.push(i);
-                        to_col.push(nrow);
-                        if emit_edge {
-                            edge_col.push(erow);
-                        }
+                    out.push(i, es, ns);
+                }
+                return Ok(out);
+            }
+            // Reusable candidate vectors, flushed whenever they fill — in
+            // the middle of a hub's adjacency if need be.
+            let mut candidates =
+                Entries::with_capacity(CANDIDATE_BATCH, emit_edge || edge_test.is_some());
+            for i in range {
+                let (mut es, mut ns) = adj.neighbors(from_col[i]);
+                while !es.is_empty() {
+                    let room = CANDIDATE_BATCH - candidates.inputs.len();
+                    let take = es.len().min(room);
+                    candidates.push(i, &es[..take], &ns[..take]);
+                    (es, ns) = (&es[take..], &ns[take..]);
+                    if take == room {
+                        candidates.select_into(
+                            edge_test.as_ref(),
+                            vertex_test.as_ref(),
+                            &budget,
+                            &mut out,
+                        )?;
                     }
                 }
             }
-            Ok((gather, to_col, edge_col))
+            candidates.select_into(edge_test.as_ref(), vertex_test.as_ref(), &budget, &mut out)?;
+            Ok(out)
         },
     )?;
 
-    let out_rows: usize = parts.iter().map(|p| p.0.len()).sum();
-    let mut gather = Vec::with_capacity(out_rows);
-    let mut to_col = Vec::with_capacity(out_rows);
-    let mut edge_col = Vec::with_capacity(if emit_edge { out_rows } else { 0 });
-    for (g, t, e) in parts {
-        gather.extend_from_slice(&g);
-        to_col.extend_from_slice(&t);
-        edge_col.extend_from_slice(&e);
+    let out_rows: usize = parts.iter().map(|p| p.inputs.len()).sum();
+    let mut out = Entries::with_capacity(out_rows, emit_edge);
+    for mut part in parts {
+        part.drain_into(&mut out);
     }
-    let new_edges = if emit_edge {
-        vec![(edge, edge_col)]
-    } else {
-        Vec::new()
-    };
-    input.extend(&gather, Some((to, to_col)), new_edges)
+    let new_edges = out.edges.map(|col| (edge, col)).into_iter().collect();
+    input.extend(&out.inputs, Some((to, out.nbrs)), new_edges)
+}
+
+/// The first index at or after `from` whose entry of the ascending `ns` is
+/// not below `w`: windows of doubling width are hopped over while they end
+/// below `w`, then the last one is searched — a short hop costs a comparison
+/// or two, a long one its logarithm.
+#[inline]
+fn gallop(ns: &[RowId], from: usize, w: RowId) -> usize {
+    let (mut lo, mut width) = (from, 8);
+    loop {
+        let window = &ns[lo..ns.len().min(lo + width)];
+        match window.last() {
+            Some(&last) if last < w => (lo, width) = (lo + window.len(), 2 * width),
+            _ => return lo + window.partition_point(|&x| x < w),
+        }
+    }
+}
+
+/// The length of the run of `w` that the ascending `ns` starts with.
+#[inline]
+fn run_of(ns: &[RowId], w: RowId) -> usize {
+    ns.iter().take_while(|&&x| x == w).count()
+}
+
+/// Candidates of an `EXPAND_INTERSECT` awaiting their predicates: a
+/// neighbour every leg of one input row reaches, with the run of parallel
+/// edge rows each leg reaches it by.
+struct Intersections<'a> {
+    legs: usize,
+    inputs: Vec<usize>,
+    nbrs: Vec<RowId>,
+    /// Candidate-major: `runs[c * legs + i]` is candidate `c`'s run on leg `i`.
+    runs: Vec<&'a [RowId]>,
+    // Scratch of `select_into`, kept for its capacity. Per leg, the edge
+    // rows that passed, every candidate's after the last one's;
+    // `ends[i][c]` is where candidate `c`'s stop.
+    passed: Vec<Vec<RowId>>,
+    ends: Vec<Vec<usize>>,
+    alive: Vec<bool>,
+    digits: Vec<usize>,
+}
+
+/// A morsel's `EXPAND_INTERSECT` output: the input row and common neighbour
+/// of each match, and its edge row on every leg.
+struct IntersectPart {
+    inputs: Vec<usize>,
+    nbrs: Vec<RowId>,
+    edges: Vec<Vec<RowId>>,
+}
+
+impl<'a> Intersections<'a> {
+    fn new(legs: usize) -> Intersections<'a> {
+        Intersections {
+            legs,
+            inputs: Vec::new(),
+            nbrs: Vec::new(),
+            runs: Vec::new(),
+            passed: vec![Vec::new(); legs],
+            ends: vec![Vec::new(); legs],
+            alive: Vec::new(),
+            digits: Vec::new(),
+        }
+    }
+
+    /// Keep the candidates at the ascending positions `keep`.
+    fn retain(&mut self, keep: &[u32]) {
+        for (to, &from) in keep.iter().enumerate() {
+            let from = from as usize;
+            self.inputs[to] = self.inputs[from];
+            self.nbrs[to] = self.nbrs[from];
+            self.runs
+                .copy_within(from * self.legs..(from + 1) * self.legs, to * self.legs);
+        }
+        self.inputs.truncate(keep.len());
+        self.nbrs.truncate(keep.len());
+        self.runs.truncate(keep.len() * self.legs);
+    }
+
+    /// Run the vertex predicate, then each leg's edge predicate in leg
+    /// order, over these candidates; charge every surviving combination of
+    /// parallel edges against `budget` and push it to `out`.
+    fn select_into(
+        &mut self,
+        vertex_test: Option<&Test<'_>>,
+        edge_tests: &[Option<Test<'_>>],
+        budget: &RowBudget,
+        emit_edges: bool,
+        out: &mut IntersectPart,
+    ) -> Result<()> {
+        if let Some(test) = vertex_test {
+            let keep = test.passing(&self.nbrs)?;
+            self.retain(&keep);
+        }
+        let n = self.inputs.len();
+        self.alive.clear();
+        self.alive.resize(n, true);
+        for (i, test) in edge_tests.iter().enumerate() {
+            let (passed, ends) = (&mut self.passed[i], &mut self.ends[i]);
+            passed.clear();
+            ends.clear();
+            // A candidate an earlier leg emptied is not tested again.
+            for c in 0..n {
+                if self.alive[c] {
+                    passed.extend_from_slice(self.runs[c * self.legs + i]);
+                }
+                ends.push(passed.len());
+            }
+            if let Some(test) = test {
+                // Compact to the passing positions, moving every
+                // candidate's end with them.
+                let keep = test.passing(passed)?;
+                let mut kept = 0;
+                for end in ends.iter_mut() {
+                    while kept < keep.len() && (keep[kept] as usize) < *end {
+                        passed[kept] = passed[keep[kept] as usize];
+                        kept += 1;
+                    }
+                    *end = kept;
+                }
+                passed.truncate(kept);
+            }
+            let mut start = 0;
+            for (alive, &end) in self.alive.iter_mut().zip(ends.iter()) {
+                *alive &= end > start;
+                start = end;
+            }
+        }
+        for c in (0..n).filter(|&c| self.alive[c]) {
+            let of_leg = |i: usize| -> &[RowId] {
+                let start = if c == 0 { 0 } else { self.ends[i][c - 1] };
+                &self.passed[i][start..self.ends[i][c]]
+            };
+            // The projected row count is the product of the legs' edge
+            // candidates. Saturate: a wrapped product would undercharge the
+            // budget — the guard must trip, not overflow. Charged before
+            // the combinations are materialized.
+            let combos = (0..self.legs).fold(1usize, |n, i| n.saturating_mul(of_leg(i).len()));
+            budget.charge(combos)?;
+            // Cartesian product over per-leg edge candidates (usually 1×1),
+            // the first leg's varying fastest.
+            self.digits.clear();
+            self.digits.resize(self.legs, 0);
+            loop {
+                out.inputs.push(self.inputs[c]);
+                out.nbrs.push(self.nbrs[c]);
+                if emit_edges {
+                    for (i, &j) in self.digits.iter().enumerate() {
+                        out.edges[i].push(of_leg(i)[j]);
+                    }
+                }
+                // Advance the mixed-radix counter.
+                let mut k = 0;
+                while k < self.legs {
+                    self.digits[k] += 1;
+                    if self.digits[k] < of_leg(k).len() {
+                        break;
+                    }
+                    self.digits[k] = 0;
+                    k += 1;
+                }
+                if k == self.legs {
+                    break;
+                }
+            }
+        }
+        self.inputs.clear();
+        self.nbrs.clear();
+        self.runs.clear();
+        Ok(())
+    }
 }
 
 /// `EXPAND_INTERSECT`: per input row, intersect the (sorted) adjacency
@@ -533,148 +871,127 @@ fn expand_intersect(
         .iter()
         .map(|l| Adjacency::build(l.edge, l.dir, ctx))
         .collect::<Result<_>>()?;
-    let etables: Vec<_> = legs
-        .iter()
-        .map(|l| ctx.view.edge_table(ctx.pattern.edge(l.edge).label))
-        .collect();
-    let epreds: Vec<Option<&ScalarExpr>> = legs
-        .iter()
-        .map(|l| ctx.pattern.edge(l.edge).predicate.as_ref())
-        .collect();
-    let vtable = ctx.view.vertex_table(ctx.pattern.vertex(to).label);
+    let adjs: Vec<&Csr> = adjs.iter().map(|adj| &**adj).collect();
     // Hoisted binding columns: one slice per leg, no per-row Result lookup.
     let from_cols: Vec<&[RowId]> = legs
         .iter()
         .map(|l| input.vertex_col(l.from))
         .collect::<Result<_>>()?;
-    // Candidate volume estimate for the mask heuristic: the intersection
-    // only touches entries of the shortest list, so sum the per-row
-    // *minimum* leg degree (leg 0's full degree would overestimate and
-    // trigger full-table predicate evaluation for tiny intersections).
-    let entries: usize = (0..input.len())
-        .map(|row| {
-            adjs.iter()
-                .enumerate()
-                .map(|(leg_i, adj)| adj.degree(from_cols[leg_i][row]))
-                .min()
-                .unwrap_or(0)
+    // The operator closes a cycle — a few candidates an input row at most —
+    // so the input rows stand for the entries the predicates will see.
+    let entries = input.len();
+    let edge_tests: Vec<Option<Test<'_>>> = legs
+        .iter()
+        .map(|l| {
+            let predicate = ctx.pattern.edge(l.edge).predicate.as_ref();
+            Test::of_edge(predicate, l.edge, entries, ctx)
         })
-        .sum();
-    let emasks: Vec<Option<Arc<Vec<bool>>>> = (0..legs.len())
-        .map(|i| predicate_mask(epreds[i], etables[i], entries, ctx.batch))
         .collect::<Result<_>>()?;
-    let vmask = predicate_mask(vertex_predicate, vtable, entries, ctx.batch)?;
+    let vertex_test = Test::of_vertex(vertex_predicate, to, entries, ctx)?;
 
     let budget = RowBudget::new(ctx.row_limit);
-    type EiPart = (Vec<usize>, Vec<RowId>, Vec<Vec<RowId>>);
-    let parts: Vec<EiPart> = morsel::run_morsels(
+    let parts: Vec<IntersectPart> = morsel::run_morsels(
         input.len(),
         ctx.threads,
         morsel::DEFAULT_MORSEL_ROWS,
         |_, range| {
             ctx.check_deadline()?;
-            let mut gather = Vec::new();
-            let mut to_col: Vec<RowId> = Vec::new();
-            let mut edge_cols: Vec<Vec<RowId>> = vec![Vec::new(); legs.len()];
-            // Reusable per-row buffers (performance-guide workhorse pattern).
-            let mut lists: Vec<(&[RowId], &[RowId])> = Vec::with_capacity(legs.len());
-            let mut order: Vec<usize> = Vec::with_capacity(legs.len());
-            let mut per_leg: Vec<Vec<RowId>> = vec![Vec::new(); legs.len()];
-            let mut idx: Vec<usize> = Vec::with_capacity(legs.len());
-            for row in range {
-                lists.clear();
-                for (leg_i, adj) in adjs.iter().enumerate() {
-                    lists.push(adj.neighbors(from_cols[leg_i][row]));
+            let mut out = IntersectPart {
+                inputs: Vec::new(),
+                nbrs: Vec::new(),
+                edges: vec![Vec::new(); legs.len()],
+            };
+            let mut candidates = Intersections::new(legs.len());
+            // First, in one tight loop of independent degree reads: the
+            // leg each row of the morsel walks — its shortest, the first of
+            // several — or `DEAD` when a leg reaches nothing, so that the
+            // merge visits no row it could not extend.
+            const DEAD: u32 = u32::MAX;
+            let walk: Vec<u32> = range
+                .clone()
+                .map(|row| {
+                    let (mut shortest, mut least) = (DEAD, usize::MAX);
+                    for (i, (adj, from)) in adjs.iter().zip(&from_cols).enumerate() {
+                        let degree = adj.degree(from[row]);
+                        if degree < least {
+                            (shortest, least) = (i as u32, degree);
+                        }
+                    }
+                    match least {
+                        0 => DEAD,
+                        _ => shortest,
+                    }
+                })
+                .collect();
+            // Where each leg's cursor stands in its list, for one input row.
+            let mut at: Vec<usize> = vec![0; legs.len()];
+            for (row, &walk) in range.zip(&walk) {
+                let list = |i: usize| adjs[i].neighbors(from_cols[i][row]);
+                // Walk the distinct neighbours of the shortest list; every
+                // leg follows with a cursor that only moves forward.
+                if walk == DEAD {
+                    continue;
                 }
-                // Intersect candidate neighbor sets, shortest first.
-                order.clear();
-                order.extend(0..legs.len());
-                order.sort_by_key(|&i| lists[i].1.len());
-                let (first, rest) = order.split_first().expect("≥2 legs");
-                'candidate: for (pos, &w) in lists[*first].1.iter().enumerate() {
-                    // Skip duplicate runs in the first list; multiplicity is
-                    // handled by enumerating edge combinations below.
-                    if pos > 0 && lists[*first].1[pos - 1] == w {
-                        continue;
-                    }
-                    for &i in rest {
-                        if lists[i].1.binary_search(&w).is_err() {
+                let walked = list(walk as usize).1;
+                at.fill(0);
+                let mut next = 0;
+                'candidate: while next < walked.len() {
+                    let w = walked[next];
+                    next += run_of(&walked[next..], w);
+                    let first_run = candidates.runs.len();
+                    for (i, at) in at.iter_mut().enumerate() {
+                        // A leg's multiplicity is the run of `w` it stands
+                        // on. An empty one drops the candidate — and ends
+                        // the walk when the leg has nothing larger either.
+                        let (es, ns) = list(i);
+                        let lo = gallop(ns, *at, w);
+                        let hi = lo + run_of(&ns[lo..], w);
+                        *at = hi;
+                        if lo == hi {
+                            candidates.runs.truncate(first_run);
+                            if lo == ns.len() {
+                                break 'candidate;
+                            }
                             continue 'candidate;
                         }
+                        candidates.runs.push(&es[lo..hi]);
                     }
-                    if !passes(&vmask, vertex_predicate, vtable, w)? {
-                        continue;
-                    }
-                    // Edge candidates per leg pointing at w (predicate-
-                    // filtered); the projected row count is the product.
-                    let mut combos = 1usize;
-                    for (i, &(es, ns)) in lists.iter().enumerate() {
-                        let lo = ns.partition_point(|&x| x < w);
-                        let hi = ns.partition_point(|&x| x <= w);
-                        let cands = &mut per_leg[i];
-                        cands.clear();
-                        for &erow in &es[lo..hi] {
-                            if passes(&emasks[i], epreds[i], etables[i], erow)? {
-                                cands.push(erow);
-                            }
-                        }
-                        if cands.is_empty() {
-                            continue 'candidate;
-                        }
-                        // Saturate: a wrapped product would undercharge the
-                        // budget — the guard must trip, not overflow.
-                        combos = combos.saturating_mul(cands.len());
-                    }
-                    // Charge the projected combination count before
-                    // materializing it.
-                    budget.charge(combos)?;
-                    // Cartesian product over per-leg edge candidates
-                    // (usually 1×1).
-                    idx.clear();
-                    idx.resize(per_leg.len(), 0);
-                    loop {
-                        gather.push(row);
-                        to_col.push(w);
-                        if emit_edges {
-                            for (i, &j) in idx.iter().enumerate() {
-                                edge_cols[i].push(per_leg[i][j]);
-                            }
-                        }
-                        // Advance the mixed-radix counter.
-                        let mut k = 0;
-                        loop {
-                            if k == idx.len() {
-                                break;
-                            }
-                            idx[k] += 1;
-                            if idx[k] < per_leg[k].len() {
-                                break;
-                            }
-                            idx[k] = 0;
-                            k += 1;
-                        }
-                        if k == idx.len() {
-                            break;
-                        }
+                    candidates.inputs.push(row);
+                    candidates.nbrs.push(w);
+                    if candidates.inputs.len() == CANDIDATE_BATCH {
+                        candidates.select_into(
+                            vertex_test.as_ref(),
+                            &edge_tests,
+                            &budget,
+                            emit_edges,
+                            &mut out,
+                        )?;
                     }
                 }
             }
-            Ok((gather, to_col, edge_cols))
+            candidates.select_into(
+                vertex_test.as_ref(),
+                &edge_tests,
+                &budget,
+                emit_edges,
+                &mut out,
+            )?;
+            Ok(out)
         },
     )?;
 
-    let out_rows: usize = parts.iter().map(|p| p.0.len()).sum();
+    let out_rows: usize = parts.iter().map(|p| p.inputs.len()).sum();
     let mut gather = Vec::with_capacity(out_rows);
     let mut to_col = Vec::with_capacity(out_rows);
     // (`vec![..; n]` would clone away the capacity hint.)
     let mut edge_cols: Vec<Vec<RowId>> = (0..legs.len())
         .map(|_| Vec::with_capacity(out_rows))
         .collect();
-    for (g, t, ecols) in parts {
-        gather.extend_from_slice(&g);
-        to_col.extend_from_slice(&t);
-        for (i, col) in ecols.into_iter().enumerate() {
-            edge_cols[i].extend_from_slice(&col);
+    for mut part in parts {
+        gather.append(&mut part.inputs);
+        to_col.append(&mut part.nbrs);
+        for (col, of_part) in edge_cols.iter_mut().zip(&mut part.edges) {
+            col.append(of_part);
         }
     }
     let new_edges = if emit_edges {
@@ -689,27 +1006,25 @@ fn expand_intersect(
 }
 
 /// `FILTER_VERTEX`: prune rows whose binding of `v` fails the predicate,
-/// morsel-parallel with a precomputed pass mask when worthwhile.
+/// morsel-parallel.
 fn filter_vertex(
     input: &GraphChunk,
     v: usize,
     predicate: &ScalarExpr,
     ctx: &GraphExecContext<'_>,
 ) -> Result<GraphChunk> {
+    let col = input.vertex_col(v)?;
     let label = ctx.pattern.vertex(v).label;
     let table = ctx.view.vertex_table(label);
-    let col = input.vertex_col(v)?;
-    let mask = predicate_mask(Some(predicate), table, col.len(), ctx.batch)?;
+    let rows = || vertex_rows(ctx.view, label, Some(predicate));
+    let test = Test::new(predicate, table, col.len(), ctx.batch, rows)?;
     let parts: Vec<Vec<usize>> = morsel::run_morsels(
         col.len(),
         ctx.threads,
         morsel::DEFAULT_MORSEL_ROWS,
         |_, range| {
             ctx.check_deadline()?;
-            if let Some(mask) = &mask {
-                return Ok(range.filter(|&i| mask[col[i] as usize]).collect());
-            }
-            let pass = predicate.select_positions(table, Some(&col[range.clone()]))?;
+            let pass = test.passing(&col[range.clone()])?;
             Ok(pass.iter().map(|&p| range.start + p as usize).collect())
         },
     )?;
@@ -987,21 +1302,19 @@ mod tests {
         // threshold the cached mask is reused.
         let table = view.vertex_table(LabelId(0));
         let pred = ScalarExpr::col_eq(1, "Bob");
-        let m1 = predicate_mask(Some(&pred), table, usize::MAX, Some(&batch))
-            .unwrap()
-            .expect("mask built");
-        let m2 = predicate_mask(Some(&pred), table, 0, Some(&batch))
-            .unwrap()
-            .expect("cached mask served below threshold");
+        let rows = || pred.select(table, None);
+        let mask_of = |entries, batch| Test::new(&pred, table, entries, batch, rows).unwrap().mask;
+        let m1 = mask_of(usize::MAX, Some(&batch)).expect("mask built");
+        let m2 = mask_of(0, Some(&batch)).expect("cached mask served below threshold");
         assert!(Arc::ptr_eq(&m1, &m2));
-        assert_eq!(m1.as_slice(), &[false, true, false]);
-        // Without a batch, the volume threshold still gates mask
-        // construction (the 4-row Likes table has a nonzero threshold).
-        let likes = view.edge_table(LabelId(0));
-        let epred = ScalarExpr::col_cmp(3, relgo_storage::BinaryOp::Ge, Value::Date(28));
-        assert!(predicate_mask(Some(&epred), likes, 0, None)
-            .unwrap()
-            .is_none());
+        assert_eq!(
+            (0..3).map(|r| m1.get(r)).collect::<Vec<_>>(),
+            [false, true, false]
+        );
+        // Without a batch the rule decides alone: a mask when the table has
+        // no more rows than there are entries to test, and only then.
+        assert!(mask_of(3, None).is_some());
+        assert!(mask_of(2, None).is_none());
     }
 
     #[test]
@@ -1348,12 +1661,15 @@ mod tests {
         let pat = b.build().unwrap();
         let c = ctx(&view, &pat, false);
         let pred = ScalarExpr::col_eq(1, 1);
-        // Three bindings of a 16-row table stay under the mask threshold
-        // and go through `select`; five build the mask. Repeats and
-        // disorder in the bindings survive either way.
+        // Five bindings of a 16-row table go through `select`; sixteen
+        // build the mask. Repeats and disorder in the bindings survive
+        // either way.
         for (bindings, keep) in [
-            (vec![5, 2, 5], vec![5, 5]),
             (vec![5, 2, 5, 9, 2], vec![5, 5, 9]),
+            (
+                vec![5, 2, 5, 9, 2, 0, 1, 3, 4, 6, 7, 8, 13, 13, 1, 15],
+                vec![5, 5, 9, 1, 13, 13, 1],
+            ),
         ] {
             let input = GraphChunk::from_vertex(1, 0, 0, bindings);
             let out = filter_vertex(&input, 0, &pred, &c).unwrap();
@@ -1416,5 +1732,746 @@ mod tests {
         };
         let out = execute_graph(&plan, &ctx(&view, &pat, true)).unwrap();
         assert_eq!(out.len(), 2, "likes with date ≥ 28: l1, l2");
+    }
+
+    /// The pass mask of the implementation the candidate vectors replaced:
+    /// one `bool` a table row, built when the expansion touches at least a
+    /// quarter as many entries as the table has rows.
+    fn predicate_mask_reference(
+        pred: Option<&ScalarExpr>,
+        table: &Table,
+        entries: usize,
+    ) -> Result<Option<Vec<bool>>> {
+        let Some(p) = pred else { return Ok(None) };
+        let n = table.num_rows();
+        if entries < n / 4 {
+            return Ok(None);
+        }
+        let mut mask = vec![false; n];
+        for r in p.filter(table)? {
+            mask[r as usize] = true;
+        }
+        Ok(Some(mask))
+    }
+
+    /// Whether `row` passes `pred`, through the precomputed `mask` when present.
+    #[inline]
+    fn passes_reference(
+        mask: &Option<Vec<bool>>,
+        pred: Option<&ScalarExpr>,
+        table: &Table,
+        row: RowId,
+    ) -> Result<bool> {
+        if let Some(m) = mask {
+            return Ok(m[row as usize]);
+        }
+        match pred {
+            None => Ok(true),
+            Some(p) => p.matches(table, row),
+        }
+    }
+
+    /// `EXPAND` as it was: `matches` per adjacency entry unless a mask was built.
+    #[allow(clippy::too_many_arguments)]
+    fn expand_reference(
+        input: &GraphChunk,
+        from: usize,
+        edge: usize,
+        to: usize,
+        dir: Direction,
+        emit_edge: bool,
+        edge_predicate: Option<&ScalarExpr>,
+        vertex_predicate: Option<&ScalarExpr>,
+        ctx: &GraphExecContext<'_>,
+    ) -> Result<GraphChunk> {
+        let pe = ctx.pattern.edge(edge);
+        let adj = Adjacency::build(edge, dir, ctx)?;
+        let etable = ctx.view.edge_table(pe.label);
+        let vtable = ctx.view.vertex_table(ctx.pattern.vertex(to).label);
+        let from_col = input.vertex_col(from)?;
+
+        // Pre-pass: per-row degrees (memoized — the hash-fallback probe is not
+        // free) size the output columns and decide whether masks pay off.
+        let degs: Vec<usize> = from_col.iter().map(|&v| adj.degree(v)).collect();
+        let total: usize = degs.iter().sum();
+        let emask = predicate_mask_reference(edge_predicate, etable, total)?;
+        let vmask = predicate_mask_reference(vertex_predicate, vtable, total)?;
+        let unfiltered = edge_predicate.is_none() && vertex_predicate.is_none();
+
+        let budget = RowBudget::new(ctx.row_limit);
+        type ExpandPart = (Vec<usize>, Vec<RowId>, Vec<RowId>);
+        let parts: Vec<ExpandPart> = morsel::run_morsels(
+            from_col.len(),
+            ctx.threads,
+            morsel::DEFAULT_MORSEL_ROWS,
+            |_, range| {
+                ctx.check_deadline()?;
+                let cap: usize = degs[range.clone()].iter().sum();
+                let mut gather = Vec::with_capacity(cap);
+                let mut to_col = Vec::with_capacity(cap);
+                let mut edge_col = Vec::with_capacity(if emit_edge { cap } else { 0 });
+                // Reusable per-row buffer of predicate survivors.
+                let mut hits: Vec<(RowId, RowId)> = Vec::new();
+                for i in range {
+                    let (es, ns) = adj.neighbors(from_col[i]);
+                    if unfiltered {
+                        // Projected output size is exact: charge before
+                        // materializing anything.
+                        budget.charge(es.len())?;
+                        gather.resize(gather.len() + es.len(), i);
+                        to_col.extend_from_slice(ns);
+                        if emit_edge {
+                            edge_col.extend_from_slice(es);
+                        }
+                    } else {
+                        hits.clear();
+                        for (&erow, &nrow) in es.iter().zip(ns.iter()) {
+                            if passes_reference(&emask, edge_predicate, etable, erow)?
+                                && passes_reference(&vmask, vertex_predicate, vtable, nrow)?
+                            {
+                                hits.push((erow, nrow));
+                            }
+                        }
+                        budget.charge(hits.len())?;
+                        for &(erow, nrow) in &hits {
+                            gather.push(i);
+                            to_col.push(nrow);
+                            if emit_edge {
+                                edge_col.push(erow);
+                            }
+                        }
+                    }
+                }
+                Ok((gather, to_col, edge_col))
+            },
+        )?;
+
+        let out_rows: usize = parts.iter().map(|p| p.0.len()).sum();
+        let mut gather = Vec::with_capacity(out_rows);
+        let mut to_col = Vec::with_capacity(out_rows);
+        let mut edge_col = Vec::with_capacity(if emit_edge { out_rows } else { 0 });
+        for (g, t, e) in parts {
+            gather.extend_from_slice(&g);
+            to_col.extend_from_slice(&t);
+            edge_col.extend_from_slice(&e);
+        }
+        let new_edges = if emit_edge {
+            vec![(edge, edge_col)]
+        } else {
+            Vec::new()
+        };
+        input.extend(&gather, Some((to, to_col)), new_edges)
+    }
+
+    /// `EXPAND_INTERSECT` as it was: a binary search per leg and candidate,
+    /// `matches` per candidate and edge.
+    fn expand_intersect_reference(
+        input: &GraphChunk,
+        legs: &[StarLeg],
+        to: usize,
+        emit_edges: bool,
+        vertex_predicate: Option<&ScalarExpr>,
+        ctx: &GraphExecContext<'_>,
+    ) -> Result<GraphChunk> {
+        if legs.len() < 2 {
+            return Err(RelGoError::execution(
+                "EXPAND_INTERSECT requires at least two legs",
+            ));
+        }
+        let adjs: Vec<Adjacency<'_>> = legs
+            .iter()
+            .map(|l| Adjacency::build(l.edge, l.dir, ctx))
+            .collect::<Result<_>>()?;
+        let etables: Vec<_> = legs
+            .iter()
+            .map(|l| ctx.view.edge_table(ctx.pattern.edge(l.edge).label))
+            .collect();
+        let epreds: Vec<Option<&ScalarExpr>> = legs
+            .iter()
+            .map(|l| ctx.pattern.edge(l.edge).predicate.as_ref())
+            .collect();
+        let vtable = ctx.view.vertex_table(ctx.pattern.vertex(to).label);
+        // Hoisted binding columns: one slice per leg, no per-row Result lookup.
+        let from_cols: Vec<&[RowId]> = legs
+            .iter()
+            .map(|l| input.vertex_col(l.from))
+            .collect::<Result<_>>()?;
+        // Candidate volume estimate for the mask heuristic: the intersection
+        // only touches entries of the shortest list, so sum the per-row
+        // *minimum* leg degree (leg 0's full degree would overestimate and
+        // trigger full-table predicate evaluation for tiny intersections).
+        let entries: usize = (0..input.len())
+            .map(|row| {
+                adjs.iter()
+                    .enumerate()
+                    .map(|(leg_i, adj)| adj.degree(from_cols[leg_i][row]))
+                    .min()
+                    .unwrap_or(0)
+            })
+            .sum();
+        let emasks: Vec<Option<Vec<bool>>> = (0..legs.len())
+            .map(|i| predicate_mask_reference(epreds[i], etables[i], entries))
+            .collect::<Result<_>>()?;
+        let vmask = predicate_mask_reference(vertex_predicate, vtable, entries)?;
+
+        let budget = RowBudget::new(ctx.row_limit);
+        type EiPart = (Vec<usize>, Vec<RowId>, Vec<Vec<RowId>>);
+        let parts: Vec<EiPart> = morsel::run_morsels(
+            input.len(),
+            ctx.threads,
+            morsel::DEFAULT_MORSEL_ROWS,
+            |_, range| {
+                ctx.check_deadline()?;
+                let mut gather = Vec::new();
+                let mut to_col: Vec<RowId> = Vec::new();
+                let mut edge_cols: Vec<Vec<RowId>> = vec![Vec::new(); legs.len()];
+                // Reusable per-row buffers (performance-guide workhorse pattern).
+                let mut lists: Vec<(&[RowId], &[RowId])> = Vec::with_capacity(legs.len());
+                let mut order: Vec<usize> = Vec::with_capacity(legs.len());
+                let mut per_leg: Vec<Vec<RowId>> = vec![Vec::new(); legs.len()];
+                let mut idx: Vec<usize> = Vec::with_capacity(legs.len());
+                for row in range {
+                    lists.clear();
+                    for (leg_i, adj) in adjs.iter().enumerate() {
+                        lists.push(adj.neighbors(from_cols[leg_i][row]));
+                    }
+                    // Intersect candidate neighbor sets, shortest first.
+                    order.clear();
+                    order.extend(0..legs.len());
+                    order.sort_by_key(|&i| lists[i].1.len());
+                    let (first, rest) = order.split_first().expect("≥2 legs");
+                    'candidate: for (pos, &w) in lists[*first].1.iter().enumerate() {
+                        // Skip duplicate runs in the first list; multiplicity is
+                        // handled by enumerating edge combinations below.
+                        if pos > 0 && lists[*first].1[pos - 1] == w {
+                            continue;
+                        }
+                        for &i in rest {
+                            if lists[i].1.binary_search(&w).is_err() {
+                                continue 'candidate;
+                            }
+                        }
+                        if !passes_reference(&vmask, vertex_predicate, vtable, w)? {
+                            continue;
+                        }
+                        // Edge candidates per leg pointing at w (predicate-
+                        // filtered); the projected row count is the product.
+                        let mut combos = 1usize;
+                        for (i, &(es, ns)) in lists.iter().enumerate() {
+                            let lo = ns.partition_point(|&x| x < w);
+                            let hi = ns.partition_point(|&x| x <= w);
+                            let cands = &mut per_leg[i];
+                            cands.clear();
+                            for &erow in &es[lo..hi] {
+                                if passes_reference(&emasks[i], epreds[i], etables[i], erow)? {
+                                    cands.push(erow);
+                                }
+                            }
+                            if cands.is_empty() {
+                                continue 'candidate;
+                            }
+                            // Saturate: a wrapped product would undercharge the
+                            // budget — the guard must trip, not overflow.
+                            combos = combos.saturating_mul(cands.len());
+                        }
+                        // Charge the projected combination count before
+                        // materializing it.
+                        budget.charge(combos)?;
+                        // Cartesian product over per-leg edge candidates
+                        // (usually 1×1).
+                        idx.clear();
+                        idx.resize(per_leg.len(), 0);
+                        loop {
+                            gather.push(row);
+                            to_col.push(w);
+                            if emit_edges {
+                                for (i, &j) in idx.iter().enumerate() {
+                                    edge_cols[i].push(per_leg[i][j]);
+                                }
+                            }
+                            // Advance the mixed-radix counter.
+                            let mut k = 0;
+                            loop {
+                                if k == idx.len() {
+                                    break;
+                                }
+                                idx[k] += 1;
+                                if idx[k] < per_leg[k].len() {
+                                    break;
+                                }
+                                idx[k] = 0;
+                                k += 1;
+                            }
+                            if k == idx.len() {
+                                break;
+                            }
+                        }
+                    }
+                }
+                Ok((gather, to_col, edge_cols))
+            },
+        )?;
+
+        let out_rows: usize = parts.iter().map(|p| p.0.len()).sum();
+        let mut gather = Vec::with_capacity(out_rows);
+        let mut to_col = Vec::with_capacity(out_rows);
+        // (`vec![..; n]` would clone away the capacity hint.)
+        let mut edge_cols: Vec<Vec<RowId>> = (0..legs.len())
+            .map(|_| Vec::with_capacity(out_rows))
+            .collect();
+        for (g, t, ecols) in parts {
+            gather.extend_from_slice(&g);
+            to_col.extend_from_slice(&t);
+            for (i, col) in ecols.into_iter().enumerate() {
+                edge_cols[i].extend_from_slice(&col);
+            }
+        }
+        let new_edges = if emit_edges {
+            legs.iter()
+                .map(|l| l.edge)
+                .zip(edge_cols)
+                .collect::<Vec<_>>()
+        } else {
+            Vec::new()
+        };
+        input.extend(&gather, Some((to, to_col)), new_edges)
+    }
+
+    /// A graph for the differential tests: `n` vertices `P(id, score = id %
+    /// 7, name)` — a NULL name every eleventh row — and edges `K(id, a, b, w
+    /// = id % 5)`: vertex 0 is a hub reaching 1..=`hub` (every third one
+    /// twice — parallel edges); every other vertex `v` but the last ten,
+    /// which reach nothing, reaches `v + 1` (twice when `v % 4 == 0`) and
+    /// `v + 2`. Ids are `10 × row`, so a key is never its row.
+    fn hub_view(n: i64, hub: i64) -> GraphView {
+        let mut db = Database::new();
+        db.add_table(table_of(
+            "P",
+            &[
+                ("id", DataType::Int),
+                ("score", DataType::Int),
+                ("name", DataType::Str),
+            ],
+            (0..n)
+                .map(|v| {
+                    let name = match v % 11 {
+                        0 => Value::Null,
+                        _ => format!("p{}", v % 13).into(),
+                    };
+                    vec![(10 * v).into(), (v % 7).into(), name]
+                })
+                .collect(),
+        ));
+        let mut pairs: Vec<(i64, i64)> = Vec::new();
+        for x in 1..=hub {
+            pairs.extend(std::iter::repeat_n((0, x), if x % 3 == 0 { 2 } else { 1 }));
+        }
+        for v in 1..n - 10 {
+            pairs.extend(std::iter::repeat_n(
+                (v, v + 1),
+                if v % 4 == 0 { 2 } else { 1 },
+            ));
+            pairs.push((v, v + 2));
+        }
+        db.add_table(table_of(
+            "K",
+            &[
+                ("id", DataType::Int),
+                ("a", DataType::Int),
+                ("b", DataType::Int),
+                ("w", DataType::Int),
+            ],
+            pairs
+                .iter()
+                .zip(0i64..)
+                .map(|(&(a, b), id)| {
+                    vec![id.into(), (10 * a).into(), (10 * b).into(), (id % 5).into()]
+                })
+                .collect(),
+        ));
+        db.set_primary_key("P", "id").unwrap();
+        db.set_primary_key("K", "id").unwrap();
+        let mapping = RGMapping::new().vertex("P").edge("K", "a", "P", "b", "P");
+        let mut g = GraphView::build(&mut db, mapping).unwrap();
+        g.build_index().unwrap();
+        g
+    }
+
+    /// `legs` vertices that each reach one more, the last, by an edge of
+    /// their own; edge `e` carries `edge_preds[e]`.
+    fn star_pattern(legs: usize, edge_preds: &[Option<ScalarExpr>]) -> relgo_pattern::Pattern {
+        let mut b = PatternBuilder::new();
+        let vs: Vec<usize> = (0..=legs)
+            .map(|i| b.vertex(&format!("v{i}"), LabelId(0)))
+            .collect();
+        for (i, pred) in (0..legs).zip(edge_preds) {
+            let e = b.edge(vs[i], vs[legs], LabelId(0)).unwrap();
+            if let Some(p) = pred {
+                b.edge_predicate(e, p.clone());
+            }
+        }
+        b.build().unwrap()
+    }
+
+    fn assert_same_chunk(got: &GraphChunk, want: &GraphChunk, what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        assert_eq!(got.bound_vertices(), want.bound_vertices(), "{what}");
+        assert_eq!(got.bound_edges(), want.bound_edges(), "{what}");
+        for v in want.bound_vertices() {
+            assert_eq!(
+                got.vertex_col(v).unwrap(),
+                want.vertex_col(v).unwrap(),
+                "{what}"
+            );
+        }
+        for e in want.bound_edges() {
+            assert_eq!(
+                got.edge_col(e).unwrap(),
+                want.edge_col(e).unwrap(),
+                "{what}"
+            );
+        }
+    }
+
+    /// Both sides fail alike or agree row for row; the rows, if any.
+    fn assert_same_outcome(
+        got: Result<GraphChunk>,
+        want: Result<GraphChunk>,
+        what: &str,
+    ) -> Option<GraphChunk> {
+        match (got, want) {
+            (Ok(got), Ok(want)) => {
+                assert_same_chunk(&got, &want, what);
+                Some(got)
+            }
+            (Err(got), Err(want)) => {
+                assert_eq!(got.to_string(), want.to_string(), "{what}");
+                None
+            }
+            (got, want) => panic!("{what}: {got:?} against {want:?}"),
+        }
+    }
+
+    fn w_below(x: i64) -> ScalarExpr {
+        ScalarExpr::col_cmp(3, BinaryOp::Lt, x)
+    }
+
+    /// NULL on every eleventh vertex: `OR` and `NOT` above it must stay
+    /// three-valued in both implementations.
+    fn score_or_name() -> ScalarExpr {
+        let named = ScalarExpr::StartsWith(Box::new(ScalarExpr::Col(2)), "p1".into());
+        ScalarExpr::col_cmp(1, BinaryOp::Ge, 5).or(ScalarExpr::Not(Box::new(named)))
+    }
+
+    #[test]
+    fn expand_equals_the_per_entry_reference() {
+        let view = hub_view(3000, 2000);
+        let pat = star_pattern(2, &[None, None]);
+        // The hub's 2666 entries straddle three candidate batches; with the
+        // other inputs the expansion is smaller than both tables, larger
+        // than the vertex table only, or — from every vertex, twice —
+        // larger than both: the mask rule's two sides, for either predicate.
+        let few = vec![5, 0, 7];
+        let more = vec![5, 0, 7, 0];
+        let all: Vec<RowId> = (0..3000).rev().chain(0..3000).collect();
+        let (vertices, edges) = (3000, view.edge_count(LabelId(0)));
+        let index = view.index().unwrap();
+        for (inputs, masks) in [
+            (&few, [false, false]),
+            (&more, [true, false]),
+            (&all, [true, true]),
+        ] {
+            let degree = |&v: &RowId| index.degree(LabelId(0), Direction::Out, v);
+            let entries: usize = inputs.iter().map(degree).sum();
+            assert_eq!([vertices <= entries, edges <= entries], masks);
+            let input = GraphChunk::from_vertex(3, 2, 0, inputs.clone());
+            for indexed in [true, false] {
+                let mut c = ctx(&view, &pat, indexed);
+                for dir in [Direction::Out, Direction::In] {
+                    for emit_edge in [false, true] {
+                        for epred in [None, Some(w_below(3))] {
+                            for vpred in [None, Some(score_or_name())] {
+                                let what = format!(
+                                    "{} inputs indexed={indexed} {dir:?} emit={emit_edge} \
+                                     edge={} vertex={}",
+                                    inputs.len(),
+                                    epred.is_some(),
+                                    vpred.is_some()
+                                );
+                                let run = |c: &GraphExecContext<'_>, reference: bool| {
+                                    let (e, v) = (epred.as_ref(), vpred.as_ref());
+                                    match reference {
+                                        true => expand_reference(
+                                            &input, 0, 0, 2, dir, emit_edge, e, v, c,
+                                        ),
+                                        false => expand(&input, 0, 0, 2, dir, emit_edge, e, v, c),
+                                    }
+                                };
+                                c.row_limit = usize::MAX;
+                                let out = assert_same_outcome(run(&c, false), run(&c, true), &what)
+                                    .expect("no limit");
+                                if dir == Direction::Out {
+                                    assert!(out.len() > 1024, "{what}: vacuous");
+                                }
+                                // One row short, the limit trips with the
+                                // reference's message: the same rows were
+                                // charged in the same order.
+                                if !out.is_empty() {
+                                    c.row_limit = out.len() - 1;
+                                    let tripped =
+                                        assert_same_outcome(run(&c, false), run(&c, true), &what);
+                                    assert!(tripped.is_none(), "{what}");
+                                    c.row_limit = out.len();
+                                    assert_eq!(run(&c, false).unwrap().len(), out.len());
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn expand_reports_its_charge_and_keeps_its_deadline() {
+        let view = hub_view(3000, 2000);
+        let pat = star_pattern(2, &[None, None]);
+        let plan = |edge_predicate: Option<ScalarExpr>| GraphOp::Expand {
+            input: Box::new(GraphOp::ScanVertex {
+                v: 0,
+                predicate: Some(ScalarExpr::col_cmp(0, BinaryOp::Lt, 100)),
+                ann: ann(),
+            }),
+            from: 0,
+            edge: 0,
+            to: 2,
+            dir: Direction::Out,
+            emit_edge: true,
+            edge_predicate,
+            vertex_predicate: None,
+            ann: ann(),
+        };
+        for edge_predicate in [None, Some(w_below(3))] {
+            let sink = ProfileSink::new();
+            let mut c = ctx(&view, &pat, true);
+            c.profile = Some(&sink);
+            let out = execute_graph(&plan(edge_predicate.clone()), &c).unwrap();
+            let profile = sink.take().ops.swap_remove(0);
+            assert_eq!(profile.kind, "expand");
+            assert_eq!(profile.rows_out, out.len() as u64);
+            assert_eq!(profile.budget_charged, profile.rows_out);
+            // Exactly that many rows were charged: the limit holds them and
+            // not one fewer.
+            c.profile = None;
+            c.row_limit = out.len();
+            assert_eq!(
+                execute_graph(&plan(edge_predicate.clone()), &c)
+                    .unwrap()
+                    .len(),
+                out.len()
+            );
+            c.row_limit = out.len() - 1;
+            assert!(matches!(
+                execute_graph(&plan(edge_predicate.clone()), &c),
+                Err(RelGoError::ResourceExhausted(_))
+            ));
+            // An expired deadline stops the operator itself, at its first
+            // morsel.
+            c.row_limit = usize::MAX;
+            c.deadline = Some(TimeBudget::new(std::time::Duration::ZERO));
+            let input = GraphChunk::from_vertex(3, 2, 0, vec![0, 1]);
+            let edge_predicate = edge_predicate.as_ref();
+            assert!(matches!(
+                expand(
+                    &input,
+                    0,
+                    0,
+                    2,
+                    Direction::Out,
+                    true,
+                    edge_predicate,
+                    None,
+                    &c
+                ),
+                Err(RelGoError::DeadlineExceeded(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn expand_intersect_equals_the_binary_search_reference() {
+        let view = hub_view(3000, 2000);
+        // Input rows bind the legs' sources: the hub against its own
+        // neighbourhood (long list against short ones, parallel edges on
+        // one leg or on both), neighbours against each other, a vertex
+        // against itself, and the sinks at the end, whose legs are empty.
+        let sources: Vec<[RowId; 3]> = (0..2100)
+            .map(|v| [0, v, v + 1])
+            .chain((1..400).map(|v| [v, v + 1, v]))
+            .chain((1..50).map(|v| [4 * v, 4 * v, 0]))
+            .chain([[2995, 0, 2994], [0, 2999, 1], [2990, 2989, 2988]])
+            .collect();
+        for legs in [2usize, 3] {
+            let gather: Vec<usize> = (0..sources.len()).collect();
+            let column = |i: usize| sources.iter().map(|s| s[i]).collect::<Vec<RowId>>();
+            let mut input = GraphChunk::from_vertex(legs + 1, legs, 0, column(0));
+            for i in 1..legs {
+                input = input.extend(&gather, Some((i, column(i))), vec![]).unwrap();
+            }
+            let star: Vec<StarLeg> = (0..legs)
+                .map(|i| StarLeg {
+                    from: i,
+                    edge: i,
+                    dir: Direction::Out,
+                })
+                .collect();
+            let edge_preds = [
+                vec![None, None, None],
+                vec![Some(w_below(3)), None, None],
+                vec![Some(w_below(4)), Some(w_below(2)), Some(w_below(3))],
+            ];
+            for edge_preds in &edge_preds {
+                let pat = star_pattern(legs, edge_preds);
+                for indexed in [true, false] {
+                    for emit_edges in [false, true] {
+                        for vpred in [None, Some(score_or_name())] {
+                            let what = format!(
+                                "{legs} legs indexed={indexed} emit={emit_edges} edge={} vertex={}",
+                                edge_preds.iter().flatten().count(),
+                                vpred.is_some()
+                            );
+                            let mut c = ctx(&view, &pat, indexed);
+                            let run = |c: &GraphExecContext<'_>, reference: bool| {
+                                let v = vpred.as_ref();
+                                match reference {
+                                    true => expand_intersect_reference(
+                                        &input, &star, legs, emit_edges, v, c,
+                                    ),
+                                    false => {
+                                        expand_intersect(&input, &star, legs, emit_edges, v, c)
+                                    }
+                                }
+                            };
+                            c.row_limit = usize::MAX;
+                            let out = assert_same_outcome(run(&c, false), run(&c, true), &what)
+                                .expect("no limit");
+                            assert!(out.len() > 100, "{what}: vacuous ({})", out.len());
+                            c.row_limit = out.len() - 1;
+                            assert!(
+                                assert_same_outcome(run(&c, false), run(&c, true), &what).is_none()
+                            );
+                            c.row_limit = out.len();
+                            assert_eq!(run(&c, false).unwrap().len(), out.len());
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gallop_lands_where_a_linear_scan_does() {
+        let ns: Vec<RowId> = vec![1, 1, 4, 4, 4, 7, 9, 9, 12, 15, 15, 20, 21, 22, 30, 31];
+        for from in 0..=ns.len() {
+            for w in 0..35 {
+                let want = from + ns[from..].iter().take_while(|&&x| x < w).count();
+                assert_eq!(gallop(&ns, from, w), want, "from {from} to {w}");
+            }
+        }
+        assert_eq!(gallop(&[], 0, 3), 0);
+        assert_eq!(run_of(&ns[2..], 4), 3);
+        assert_eq!(run_of(&ns[2..], 5), 0);
+        assert_eq!(run_of(&[], 5), 0);
+    }
+
+    #[test]
+    fn vertex_rows_seeks_exactly_what_select_finds() {
+        let view = hub_view(3000, 2000);
+        let label = LabelId(0);
+        let table = view.vertex_table(label);
+        let id_is = |v: Value| ScalarExpr::col_eq(0, v);
+        let flipped = ScalarExpr::Cmp(
+            BinaryOp::Eq,
+            Box::new(ScalarExpr::Lit(50.into())),
+            Box::new(ScalarExpr::Col(0)),
+        );
+        let named = |name: &str| ScalarExpr::col_eq(2, name);
+        let cases = [
+            // Seeks: a hit, a miss between keys, a negative key, the
+            // literal on the left, and conjunctions either way round —
+            // true, false, and NULL on the row found.
+            (id_is(50.into()), Some(50), vec![5]),
+            (id_is(55.into()), Some(55), vec![]),
+            (id_is((-10).into()), Some(-10), vec![]),
+            (flipped, Some(50), vec![5]),
+            (id_is(50.into()).and(named("p5")), Some(50), vec![5]),
+            (named("p5").and(id_is(50.into())), Some(50), vec![5]),
+            (id_is(50.into()).and(named("p6")), Some(50), vec![]),
+            (id_is(110.into()).and(named("p11")), Some(110), vec![]),
+            (
+                named("p5").and(score_or_name().and(id_is(50.into()))),
+                Some(50),
+                vec![5],
+            ),
+            (id_is(50.into()).and(id_is(60.into())), Some(50), vec![]),
+            // Scans: a literal that is not an INT, a disjunction, a
+            // negation, equality on another column, another comparison.
+            (id_is(50.0.into()), None, vec![5]),
+            (id_is(Value::Date(50)), None, vec![5]),
+            (id_is(Value::Null), None, vec![]),
+            (id_is(50.into()).or(id_is(70.into())), None, vec![5, 7]),
+            (
+                ScalarExpr::Not(Box::new(id_is(50.into()))).and(ScalarExpr::col_cmp(
+                    0,
+                    BinaryOp::Le,
+                    60,
+                )),
+                None,
+                vec![0, 1, 2, 3, 4, 6],
+            ),
+            (
+                ScalarExpr::col_eq(1, 6).and(ScalarExpr::col_cmp(0, BinaryOp::Lt, 200)),
+                None,
+                vec![6, 13],
+            ),
+            (ScalarExpr::col_cmp(0, BinaryOp::Le, 10), None, vec![0, 1]),
+        ];
+        for (pred, key, rows) in cases {
+            assert_eq!(pinned_key(&pred, view.vertex_pk_col(label)), key, "{pred}");
+            assert_eq!(
+                vertex_rows(&view, label, Some(&pred)).unwrap(),
+                rows,
+                "{pred}"
+            );
+            assert_eq!(pred.select(table, None).unwrap(), rows, "{pred}");
+        }
+        assert_eq!(vertex_rows(&view, label, None).unwrap().len(), 3000);
+        // A seek evaluates the whole predicate on the row it finds, and so
+        // reports what a scan reports there.
+        let broken = id_is(50.into()).and(ScalarExpr::col_eq(9, 1));
+        assert_eq!(
+            vertex_rows(&view, label, Some(&broken))
+                .unwrap_err()
+                .to_string(),
+            broken.select(table, None).unwrap_err().to_string()
+        );
+        // The scan operator and the mask builder both go through it.
+        let pat = star_pattern(2, &[None, None]);
+        let c = ctx(&view, &pat, true);
+        let scan = GraphOp::ScanVertex {
+            v: 1,
+            predicate: Some(id_is(50.into()).and(named("p5"))),
+            ann: ann(),
+        };
+        assert_eq!(
+            execute_graph(&scan, &c).unwrap().vertex_col(1).unwrap(),
+            [5]
+        );
+        let pinned = id_is(50.into());
+        let test = Test::of_vertex(Some(&pinned), 2, 3000, &c)
+            .unwrap()
+            .unwrap();
+        assert!(test.mask.is_some());
+        assert_eq!(test.passing(&[4, 5, 5, 6, 2999]).unwrap(), [1, 2]);
     }
 }

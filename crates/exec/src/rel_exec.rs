@@ -169,7 +169,9 @@ fn exec_rel(
         RelOp::Project { input, cols } => {
             let t = exec_rel(input, pattern, view, db, cfg, batch, sink)?;
             let t0 = op_id.map(|_| Instant::now());
-            (t.num_rows(), t0, Arc::new(ops::project(&t, cols)?))
+            // The child's output is usually this operator's alone (the π̂
+            // flatten's table): its columns become the result's.
+            (t.num_rows(), t0, Arc::new(ops::project_arc(t, cols)?))
         }
         RelOp::Aggregate { input, aggs } => {
             let t = exec_rel(input, pattern, view, db, cfg, batch, sink)?;

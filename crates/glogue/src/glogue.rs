@@ -15,28 +15,31 @@ use relgo_common::fxhash::FxHashMap;
 use relgo_common::{RelGoError, Result};
 use relgo_graph::{GraphStats, GraphView};
 use relgo_pattern::decompose::{self, is_induced_connected, iter_vertices, sub_pattern, VertexSet};
-use relgo_pattern::{canonical_code, Pattern};
+use relgo_pattern::{canonical_form, Pattern};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Cache key: canonical skeleton code + canonicalized predicate summary.
 type StatKey = (relgo_pattern::CanonCode, String);
 
+/// A predicate is named by the canonical *position* of the element it sits
+/// on, not by the element's label: the same predicate on two different
+/// same-label vertices of one skeleton is a different statistic.
 fn stat_key(p: &Pattern) -> StatKey {
-    let code = canonical_code(p);
+    let form = canonical_form(p);
     let mut preds: Vec<String> = Vec::new();
-    for v in p.vertices() {
-        if let Some(e) = &v.predicate {
-            preds.push(format!("v{}:{}", v.label.0, e));
+    for (v, pv) in p.vertices().iter().enumerate() {
+        if let Some(e) = &pv.predicate {
+            preds.push(format!("v{}:{}", form.vertex_perm[v], e));
         }
     }
-    for e in p.edges() {
-        if let Some(x) = &e.predicate {
-            preds.push(format!("e{}:{}", e.label.0, x));
+    for (e, pe) in p.edges().iter().enumerate() {
+        if let Some(x) = &pe.predicate {
+            preds.push(format!("e{}:{}", form.edge_perm[e], x));
         }
     }
     preds.sort();
-    (code, preds.join("&"))
+    (form.code, preds.join("&"))
 }
 
 /// The set of vertex and edge labels a cached count depends on. A pattern's
@@ -456,6 +459,33 @@ mod tests {
         assert_eq!(gl.cardinality(&t).unwrap(), 4.0);
         // p1 = Tom: knows pairs from Tom: (T,B); common message m1 → 1.
         assert_eq!(gl.cardinality(&t_tom).unwrap(), 1.0);
+    }
+
+    #[test]
+    fn same_predicate_on_different_vertices_is_a_different_statistic() {
+        // (a)-[Knows]->(m)-[Knows]->(c): one skeleton, three Person
+        // vertices, the same predicate text on `a` or on `m`.
+        let path = |on: usize| {
+            let mut b = PatternBuilder::new();
+            let a = b.vertex("a", LabelId(0));
+            let m = b.vertex("m", LabelId(0));
+            let c = b.vertex("c", LabelId(0));
+            b.edge(a, m, LabelId(1)).unwrap();
+            b.edge(m, c, LabelId(1)).unwrap();
+            let mut p = b.build().unwrap();
+            p.add_vertex_predicate(on, ScalarExpr::col_eq(1, "Bob"));
+            p
+        };
+        // Bob knows Tom and David, each of whom knows only Bob: 2 paths
+        // start at Bob; Tom and David know Bob, who knows two: 4 pass him.
+        for order in [[0, 1], [1, 0]] {
+            let gl = GLogue::new(fig2_view(), 3, 1).unwrap();
+            for on in order {
+                let want = [2.0, 4.0][on];
+                assert_eq!(gl.cardinality(&path(on)).unwrap(), want, "Bob on {on}");
+            }
+            assert_eq!(gl.cached_patterns(), 2);
+        }
     }
 
     #[test]

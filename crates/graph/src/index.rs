@@ -315,31 +315,31 @@ impl GraphIndex {
         }
     }
 
+    /// The VE-index of `(el, dir)` as a whole, for a caller that looks up
+    /// many vertices: the label and direction are resolved once.
+    pub fn adjacency(&self, el: LabelId, dir: Direction) -> &Csr {
+        match dir {
+            Direction::Out => &self.ve_out[el.0 as usize],
+            Direction::In => &self.ve_in[el.0 as usize],
+        }
+    }
+
     /// VE-index lookup: `(edges, neighbors)` adjacent to vertex row `v`
     /// through edge label `el` in direction `dir`; sorted by neighbor.
     #[inline]
     pub fn neighbors(&self, el: LabelId, dir: Direction, v: RowId) -> (&[RowId], &[RowId]) {
-        match dir {
-            Direction::Out => self.ve_out[el.0 as usize].neighbors(v),
-            Direction::In => self.ve_in[el.0 as usize].neighbors(v),
-        }
+        self.adjacency(el, dir).neighbors(v)
     }
 
     /// Degree of vertex row `v` through `(el, dir)`.
     #[inline]
     pub fn degree(&self, el: LabelId, dir: Direction, v: RowId) -> usize {
-        match dir {
-            Direction::Out => self.ve_out[el.0 as usize].degree(v),
-            Direction::In => self.ve_in[el.0 as usize].degree(v),
-        }
+        self.adjacency(el, dir).degree(v)
     }
 
     /// Total adjacency entries of `(el, dir)` (= edge count; for tests).
     pub fn adjacency_len(&self, el: LabelId, dir: Direction) -> usize {
-        match dir {
-            Direction::Out => self.ve_out[el.0 as usize].len(),
-            Direction::In => self.ve_in[el.0 as usize].len(),
-        }
+        self.adjacency(el, dir).len()
     }
 }
 

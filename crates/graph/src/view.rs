@@ -171,6 +171,12 @@ impl GraphView {
         self.vertex_pk_col[l.0 as usize]
     }
 
+    /// The unique index over the primary key of vertex label `l`: key
+    /// value → row of [`GraphView::vertex_table`], as of this view's epoch.
+    pub fn vertex_pk_index(&self, l: LabelId) -> &KeyIndex {
+        &self.vertex_pk_index[l.0 as usize]
+    }
+
     /// Source FK column index of edge label `l`.
     pub fn edge_src_col(&self, l: LabelId) -> usize {
         self.edge_src_col[l.0 as usize]

@@ -508,7 +508,8 @@ impl Session {
 mod tests {
     use super::*;
     use crate::session::SessionOptions;
-    use relgo_core::OptimizerMode;
+    use crate::QueryOutcome;
+    use relgo_core::{OptimizerMode, SpjmQuery};
     use relgo_workloads::snb_queries;
 
     #[test]
@@ -589,6 +590,49 @@ mod tests {
         assert!(pinned.epoch < session.epoch());
         let live = session.run_cached(&q, OptimizerMode::RelGo).unwrap();
         assert_eq!(live.epoch, session.epoch());
+    }
+
+    #[test]
+    fn primary_key_seek_answers_from_the_epoch_it_is_asked_at() {
+        // IC1 at distance 0 is `SCAN v0 ($0 = key)` and nothing else: the
+        // scan seeks through the key index of the view it runs against.
+        let (session, schema) = Session::snb(0.03, 42).unwrap();
+        let ghost = |at: &dyn Fn(&SpjmQuery) -> Result<QueryOutcome>| {
+            let q = snb_queries::ic1(&schema, 0, 777_000).unwrap();
+            let fresh = at(&q).unwrap().table;
+            (fresh.num_rows() == 1).then(|| fresh.value(0, 0))
+        };
+        let live = |q: &SpjmQuery| session.run(q, OptimizerMode::RelGo);
+        let cached = |q: &SpjmQuery| session.run_cached(q, OptimizerMode::RelGo);
+        let before = session.snapshot();
+        assert_eq!(ghost(&live), None);
+
+        let mut batch = session.begin_ingest();
+        let row = vec![777_000.into(), "Ghost".into(), Value::Date(17_000)];
+        batch.insert_row("Person", row).unwrap();
+        batch.commit().unwrap();
+        let during = session.snapshot();
+        // The new key is found, by fresh and by cached (rebound) plans…
+        assert_eq!(ghost(&live), Some(Value::str("Ghost")));
+        assert_eq!(ghost(&cached), Some(Value::str("Ghost")));
+
+        let mut batch = session.begin_ingest();
+        batch.delete_row("Person", 777_000).unwrap();
+        batch.commit().unwrap();
+        // …the deleted one is not, and every pinned snapshot still answers
+        // from the index of its own epoch.
+        assert_eq!(ghost(&live), None);
+        assert_eq!(ghost(&cached), None);
+        let at_epoch =
+            |snap: &crate::Snapshot<'_>| ghost(&|q: &SpjmQuery| snap.run(q, OptimizerMode::RelGo));
+        assert_eq!((before.epoch(), at_epoch(&before)), (0, None));
+        assert_eq!(
+            (during.epoch(), at_epoch(&during)),
+            (1, Some(Value::str("Ghost")))
+        );
+        // An old key still resolves to its row after rows shifted under it.
+        let q = snb_queries::ic1(&schema, 0, 5).unwrap();
+        assert_eq!(live(&q).unwrap().table.num_rows(), 1);
     }
 
     #[test]

@@ -11,6 +11,7 @@ use crate::directory::Directory;
 use crate::expr::ScalarExpr;
 use crate::table::Table;
 use relgo_common::{FxHashMap, RelGoError, Result, RowId, Schema, Value};
+use std::sync::Arc;
 
 /// σ — keep the rows of `input` satisfying `predicate`.
 pub fn filter(input: &Table, predicate: &ScalarExpr) -> Result<Table> {
@@ -20,15 +21,34 @@ pub fn filter(input: &Table, predicate: &ScalarExpr) -> Result<Table> {
 
 /// π — project `input` to the columns at `cols`.
 pub fn project(input: &Table, cols: &[usize]) -> Result<Table> {
-    for &c in cols {
-        if c >= input.num_columns() {
-            return Err(RelGoError::query(format!(
-                "projection column {c} out of bounds ({} columns)",
-                input.num_columns()
-            )));
+    check_projection(input, cols)?;
+    Ok(input.project(cols))
+}
+
+/// [`project`] for an operator's input, which the operator is often the only
+/// holder of — the table its child has just built. The columns are then
+/// moved into the result; a table someone else still holds, or a projection
+/// that lists a column twice, is copied as [`project`] copies it.
+pub fn project_arc(mut input: Arc<Table>, cols: &[usize]) -> Result<Table> {
+    check_projection(&input, cols)?;
+    let repeats = (1..cols.len()).any(|i| cols[..i].contains(&cols[i]));
+    if !repeats {
+        match Arc::try_unwrap(input) {
+            Ok(owned) => return Ok(owned.into_projection(cols)),
+            Err(shared) => input = shared,
         }
     }
     Ok(input.project(cols))
+}
+
+fn check_projection(input: &Table, cols: &[usize]) -> Result<()> {
+    match cols.iter().find(|&&c| c >= input.num_columns()) {
+        None => Ok(()),
+        Some(c) => Err(RelGoError::query(format!(
+            "projection column {c} out of bounds ({} columns)",
+            input.num_columns()
+        ))),
+    }
 }
 
 /// Join keys: pairs of (left column, right column) compared with equality.
@@ -369,6 +389,42 @@ mod tests {
         let p = project(&f, &[1]).unwrap();
         assert_eq!(p.value(0, 0), Value::str("Bob"));
         assert!(project(&t, &[9]).is_err());
+    }
+
+    #[test]
+    fn project_arc_moves_only_what_nobody_else_can_see() {
+        let buffer = |t: &Table, c: usize| t.column(c).as_ints().unwrap().0.as_ptr();
+        for cols in [&[1, 0][..], &[1], &[], &[0, 0], &[1, 0, 1]] {
+            let want = project(&likes(), cols).unwrap();
+            let repeats = cols.len() > 2 || cols == [0, 0];
+            // The only holder: the columns are moved unless one is listed twice.
+            let owned = Arc::new(likes());
+            let before: Vec<_> = cols.iter().map(|&c| buffer(&owned, c)).collect();
+            let got = project_arc(owned, cols).unwrap();
+            assert!(got.bit_identical(&want), "{cols:?}");
+            assert_eq!(got.schema(), want.schema());
+            for (i, &was) in before.iter().enumerate() {
+                assert_eq!(buffer(&got, i) == was, !repeats, "{cols:?}[{i}]");
+            }
+            // A second holder keeps its table, cell for cell.
+            let shared = Arc::new(likes());
+            let got = project_arc(Arc::clone(&shared), cols).unwrap();
+            assert!(got.bit_identical(&want), "{cols:?}");
+            assert!(shared.bit_identical(&likes()));
+            for (i, &c) in cols.iter().enumerate() {
+                assert_ne!(buffer(&got, i), buffer(&shared, c));
+            }
+        }
+        // Out of range is `project`'s error, whoever holds the table.
+        let want = project(&likes(), &[0, 2]).unwrap_err().to_string();
+        assert_eq!(
+            want,
+            "query error: projection column 2 out of bounds (2 columns)"
+        );
+        let shared = Arc::new(likes());
+        for input in [Arc::new(likes()), Arc::clone(&shared)] {
+            assert_eq!(project_arc(input, &[0, 2]).unwrap_err().to_string(), want);
+        }
     }
 
     #[test]

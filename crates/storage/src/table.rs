@@ -127,6 +127,25 @@ impl Table {
         }
     }
 
+    /// [`Table::project`] of a table nobody else holds: the columns are moved
+    /// out, not copied. `cols` must not list a column twice.
+    pub(crate) fn into_projection(self, cols: &[usize]) -> Table {
+        let mut columns: Vec<Option<Column>> = self.columns.into_iter().map(Some).collect();
+        Table {
+            name: self.name,
+            schema: self.schema.project(cols),
+            columns: cols
+                .iter()
+                .map(|&i| {
+                    columns[i]
+                        .take()
+                        .expect("a projected column is listed once")
+                })
+                .collect(),
+            rows: self.rows,
+        }
+    }
+
     /// Whether `other` holds exactly the same data: the same schema and the
     /// same cells in the same row order, compared by representation — the
     /// same [`Value`] variant, floats by their bits — not by `Value::eq`,
