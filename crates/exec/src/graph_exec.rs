@@ -40,6 +40,14 @@
 //! for it. `EXPAND_INTERSECT` intersects the legs' sorted neighbour runs by
 //! one forward merge, galloping into the longer lists; `JOIN_SUB` is build →
 //! probe → gather over packed row-id keys ([`JoinTable`]).
+//!
+//! `SCAN_EDGE` binds the edge and resolves nothing: its endpoints are
+//! deferred columns of the [`GraphChunk`], λ of the edge column through the
+//! regime's source ([`GraphView::edge_end`]), looked up by whichever operator
+//! first reads them — a join on them, π̂, an `EXPAND` from them — and only
+//! for the rows that reached it. A `FILTER_VERTEX` on an endpoint nobody has
+//! read yet does not read it either: it is a semijoin of the edge rows with
+//! the passing vertices' keys.
 
 use crate::chunk::GraphChunk;
 use crate::profile::ProfileSink;
@@ -52,6 +60,7 @@ use relgo_pattern::Pattern;
 use relgo_storage::ops::JoinTable;
 use relgo_storage::{BinaryOp, ScalarExpr, Table};
 use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -260,7 +269,11 @@ fn morsel_count(rows: usize, ctx: &GraphExecContext<'_>) -> u64 {
     morsel::morsel_count(rows, morsel::DEFAULT_MORSEL_ROWS) as u64
 }
 
-/// `SCAN_EDGE`: bind the edge and both endpoints.
+/// `SCAN_EDGE`: bind the edge — its rows that pass `predicate`, or the whole
+/// relation without listing it — and *defer* both endpoints: each is λ of
+/// the edge column, read from the EV-index or resolved through the key index
+/// as the regime says, by the operator that first reads it and for the rows
+/// that have survived until then.
 fn scan_edge(
     e: usize,
     predicate: Option<&ScalarExpr>,
@@ -268,25 +281,15 @@ fn scan_edge(
 ) -> Result<GraphChunk> {
     let pe = ctx.pattern.edge(e);
     let table = ctx.view.edge_table(pe.label);
-    let rows: Vec<RowId> = match predicate {
-        Some(p) => p.filter(table)?,
-        None => (0..table.num_rows() as RowId).collect(),
-    };
-    ctx.guard(rows.len())?;
-    let (srcs, dsts) = if ctx.use_index {
-        let idx = ctx.index()?;
-        (
-            rows.iter().map(|&r| idx.edge_src(pe.label, r)).collect(),
-            rows.iter().map(|&r| idx.edge_dst(pe.label, r)).collect(),
-        )
-    } else {
-        ctx.view.resolve_endpoints(pe.label, Some(&rows))?
-    };
-    GraphChunk::from_edge(
+    let rows = predicate.map(|p| p.filter(table)).transpose()?;
+    let len = rows.as_ref().map_or(table.num_rows(), Vec::len);
+    ctx.guard(len)?;
+    let end = |dir| ctx.view.edge_end(pe.label, dir, ctx.use_index);
+    GraphChunk::from_edge_scan(
         (ctx.pattern.vertex_count(), ctx.pattern.edge_count()),
-        (e, rows),
-        (pe.src, srcs),
-        (pe.dst, dsts),
+        (e, len, rows),
+        (pe.src, end(Direction::In)?),
+        (pe.dst, end(Direction::Out)?),
     )
 }
 
@@ -1006,30 +1009,56 @@ fn expand_intersect(
 }
 
 /// `FILTER_VERTEX`: prune rows whose binding of `v` fails the predicate,
-/// morsel-parallel.
+/// morsel-parallel. Over an endpoint nobody has read yet this is a semijoin
+/// on the key: the passing vertices become a set in λ's key space, the edge
+/// rows are tested against it in one sequential pass, and no endpoint is
+/// looked up — the survivors' are when someone reads them. It takes the
+/// whole-table evaluation [`Test::new`] would choose a mask at, so it runs
+/// under the same volume rule; any other column is tested as it stands.
 fn filter_vertex(
     input: &GraphChunk,
     v: usize,
     predicate: &ScalarExpr,
     ctx: &GraphExecContext<'_>,
 ) -> Result<GraphChunk> {
-    let col = input.vertex_col(v)?;
     let label = ctx.pattern.vertex(v).label;
     let table = ctx.view.vertex_table(label);
     let rows = || vertex_rows(ctx.view, label, Some(predicate));
-    let test = Test::new(predicate, table, col.len(), ctx.batch, rows)?;
+    let keep = match input.unread_endpoint(v)? {
+        Some(end) if table.num_rows() <= input.len() => {
+            let set = end.lambda.key_set(&rows()?);
+            kept_rows(input.len(), ctx, |range| {
+                Ok(end.lambda.select(end.edges, range, &set))
+            })?
+        }
+        _ => {
+            let col = input.vertex_col(v)?;
+            let test = Test::new(predicate, table, col.len(), ctx.batch, rows)?;
+            kept_rows(col.len(), ctx, |range| {
+                let pass = test.passing(&col[range.clone()])?;
+                Ok(pass.iter().map(|&p| range.start + p as usize).collect())
+            })?
+        }
+    };
+    Ok(input.take(&keep))
+}
+
+/// The rows of `0..rows` that `pass` keeps of each morsel, ascending.
+fn kept_rows(
+    rows: usize,
+    ctx: &GraphExecContext<'_>,
+    pass: impl Fn(Range<usize>) -> Result<Vec<usize>> + Sync,
+) -> Result<Vec<usize>> {
     let parts: Vec<Vec<usize>> = morsel::run_morsels(
-        col.len(),
+        rows,
         ctx.threads,
         morsel::DEFAULT_MORSEL_ROWS,
         |_, range| {
             ctx.check_deadline()?;
-            let pass = test.passing(&col[range.clone()])?;
-            Ok(pass.iter().map(|&p| range.start + p as usize).collect())
+            pass(range)
         },
     )?;
-    let keep: Vec<usize> = parts.concat();
-    Ok(input.take(&keep))
+    Ok(parts.concat())
 }
 
 /// Hash join of two chunks on common element bindings: build a
@@ -1109,7 +1138,7 @@ fn join_chunks(
         }
     }
     let (lidx, ridx) = if swapped { (pidx, bidx) } else { (bidx, pidx) };
-    Ok(GraphChunk::join(left, &lidx, right, &ridx))
+    GraphChunk::join(left, &lidx, right, &ridx)
 }
 
 #[cfg(test)]
@@ -1117,7 +1146,7 @@ mod tests {
     use super::*;
     use relgo_common::{DataType, LabelId, Value};
     use relgo_core::graph_plan::PlanAnnotation;
-    use relgo_graph::RGMapping;
+    use relgo_graph::{Lambda, RGMapping};
     use relgo_pattern::PatternBuilder;
     use relgo_storage::table::table_of;
     use relgo_storage::Database;
@@ -2473,5 +2502,202 @@ mod tests {
             .unwrap();
         assert!(test.mask.is_some());
         assert_eq!(test.passing(&[4, 5, 5, 6, 2999]).unwrap(), [1, 2]);
+    }
+
+    /// Vertices `P(id, score)` under the primary keys `pks`, and `edges`
+    /// edges `K(id, a → P, b → P, w)` that reach every vertex many times.
+    fn keyed_view(pks: &[i64], edges: usize) -> GraphView {
+        let mut db = Database::new();
+        db.add_table(table_of(
+            "P",
+            &[("id", DataType::Int), ("score", DataType::Int)],
+            (pks.iter().zip(0i64..))
+                .map(|(&pk, i)| vec![pk.into(), (i % 4).into()])
+                .collect(),
+        ));
+        db.add_table(table_of(
+            "K",
+            &[
+                ("id", DataType::Int),
+                ("a", DataType::Int),
+                ("b", DataType::Int),
+                ("w", DataType::Int),
+            ],
+            (0..edges)
+                .map(|i| {
+                    let (a, b) = (pks[i * 7 % pks.len()], pks[(i * 3 + 1) % pks.len()]);
+                    vec![(i as i64).into(), a.into(), b.into(), (i as i64 % 5).into()]
+                })
+                .collect(),
+        ));
+        db.set_primary_key("P", "id").unwrap();
+        db.set_primary_key("K", "id").unwrap();
+        let mapping = RGMapping::new().vertex("P").edge("K", "a", "P", "b", "P");
+        let mut view = GraphView::build(&mut db, mapping).unwrap();
+        view.build_index().unwrap();
+        view
+    }
+
+    #[test]
+    fn filter_on_an_unread_endpoint_keeps_what_the_test_on_the_read_column_keeps() {
+        let families: [(&str, Vec<i64>); 4] = [
+            ("dense", (0..40).collect()),
+            ("sparse", (0..40).map(|i| 3 + i * 1_000_003).collect()),
+            ("negative", (-20..20).collect()),
+            ("offset", (1000..1040).collect()),
+        ];
+        let mut b = PatternBuilder::new();
+        let (p, q) = (b.vertex("p", LabelId(0)), b.vertex("q", LabelId(0)));
+        b.edge(p, q, LabelId(0)).unwrap();
+        let pat = b.build().unwrap();
+        for (family, pks) in families {
+            let view = keyed_view(&pks, 3000);
+            let pinned = ScalarExpr::col_eq(0, pks[5]);
+            let predicates = [
+                ScalarExpr::col_eq(1, 1),
+                // Nothing passes.
+                ScalarExpr::col_eq(1, 99),
+                // The primary key is pinned: `vertex_rows` seeks.
+                pinned.clone(),
+                pinned.and(ScalarExpr::col_eq(1, 2)),
+            ];
+            let edge_predicates = [None, Some(ScalarExpr::col_cmp(3, BinaryOp::Lt, 3))];
+            for (pred, edge_pred) in predicates.iter().flat_map(|p| {
+                edge_predicates
+                    .iter()
+                    .map(move |edge_pred| (p, edge_pred.clone()))
+            }) {
+                let scan = GraphOp::ScanEdge {
+                    e: 0,
+                    predicate: edge_pred,
+                    ann: ann(),
+                };
+                for (indexed, threads, v) in
+                    [(false, 1, p), (false, 4, q), (true, 1, q), (true, 4, p)]
+                {
+                    let what = format!("{family} keys, {pred}, indexed {indexed}, x{threads}");
+                    let mut c = ctx(&view, &pat, indexed);
+                    c.threads = threads;
+                    let unread = execute_graph(&scan, &c).unwrap();
+                    assert!(unread.len() > morsel::DEFAULT_MORSEL_ROWS, "{what}");
+                    let read = unread.clone();
+                    read.vertex_col(v).unwrap();
+                    assert!(unread.unread_endpoint(v).unwrap().is_some(), "{what}");
+                    assert!(read.unread_endpoint(v).unwrap().is_none(), "{what}");
+                    let got = filter_vertex(&unread, v, pred, &c).unwrap();
+                    let want = filter_vertex(&read, v, pred, &c).unwrap();
+                    // The semijoin looked nothing up; the reference had to.
+                    assert!(got.unread_endpoint(v).unwrap().is_some(), "{what}");
+                    assert_same_chunk(&got, &want, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn filter_over_a_scan_tests_every_key_and_looks_up_only_the_survivors() {
+        use crate::chunk::tests::TableLambda;
+        use std::sync::atomic::Ordering::Relaxed;
+        let view = fig2_view();
+        let pat = wedge_pattern();
+        // λˢ / λᵗ of Likes as the view has them, through a counting double.
+        let (srcs, dsts) = view.resolve_endpoints(LabelId(0), None).unwrap();
+        let (src, dst) = (TableLambda::new(srcs, 3), TableLambda::new(dsts, 2));
+        let scan = GraphChunk::from_edge_scan(
+            (pat.vertex_count(), pat.edge_count()),
+            (0, 4, None),
+            (0, Arc::clone(&src) as Arc<dyn Lambda>),
+            (2, Arc::clone(&dst) as Arc<dyn Lambda>),
+        )
+        .unwrap();
+        let counts = |of: &TableLambda| (of.key_tests.load(Relaxed), of.lookups.load(Relaxed));
+        for threads in [1, 4] {
+            let mut c = ctx(&view, &pat, false);
+            c.threads = threads;
+            let bob = ScalarExpr::col_eq(1, "Bob");
+            let (before_src, before_dst) = (counts(&src), counts(&dst));
+            // FILTER p1 (SCAN_EDGE Likes): n = 4 rows in, k = 2 out.
+            let out = filter_vertex(&scan, 0, &bob, &c).unwrap();
+            assert_eq!(out.len(), 2);
+            // n key tests, and nothing looked up: nothing has been read.
+            assert_eq!(counts(&src), (before_src.0 + 4, before_src.1));
+            assert_eq!(counts(&dst), before_dst);
+            // What a join on `m` and a projection of `p1` go on to read is
+            // looked up for the k survivors each — k + k, not 2 n.
+            assert_eq!(out.vertex_col(0).unwrap(), &[1, 1]);
+            assert_eq!(out.vertex_col(2).unwrap(), &[0, 1]);
+            assert_eq!(counts(&src), (before_src.0 + 4, before_src.1 + 2));
+            assert_eq!(counts(&dst), (before_dst.0, before_dst.1 + 2));
+        }
+    }
+
+    #[test]
+    fn a_dangling_or_null_key_is_reported_when_its_endpoint_is_read() {
+        let mut db = Database::new();
+        db.add_table(table_of(
+            "P",
+            &[("id", DataType::Int)],
+            vec![vec![1.into()], vec![2.into()]],
+        ));
+        db.add_table(table_of(
+            "K",
+            &[
+                ("id", DataType::Int),
+                ("a", DataType::Int),
+                ("b", DataType::Int),
+            ],
+            vec![
+                vec![1.into(), 1.into(), 2.into()],
+                vec![2.into(), 2.into(), 99.into()],
+                vec![3.into(), Value::Null, 1.into()],
+            ],
+        ));
+        db.set_primary_key("P", "id").unwrap();
+        db.set_primary_key("K", "id").unwrap();
+        let mapping = RGMapping::new().vertex("P").edge("K", "a", "P", "b", "P");
+        // A bare view: no graph index has proven λ total.
+        let view = GraphView::build(&mut db, mapping).unwrap();
+        let mut b = PatternBuilder::new();
+        let (p, q) = (b.vertex("p", LabelId(0)), b.vertex("q", LabelId(0)));
+        b.edge(p, q, LabelId(0)).unwrap();
+        let pat = b.build().unwrap();
+        let c = ctx(&view, &pat, false);
+        let scan = |predicate| GraphOp::ScanEdge {
+            e: 0,
+            predicate,
+            ann: ann(),
+        };
+        // The scan binds the edge and reads no key; reading an endpoint says
+        // what resolving the column has always said.
+        let all = execute_graph(&scan(None), &c).unwrap();
+        assert_eq!(all.edge_col(0).unwrap(), &[0, 1, 2]);
+        let null = all.vertex_col(p).unwrap_err().to_string();
+        assert_eq!(null, "execution error: λs: NULL source key in edge K@2");
+        let dangling = all.vertex_col(q).unwrap_err().to_string();
+        assert_eq!(
+            dangling,
+            "execution error: λt: dangling target key 99 in edge K@1 (λ must be total)"
+        );
+        // `resolve_endpoints` reports the first bad row, K@1.
+        let eager = view.resolve_endpoints(LabelId(0), None).unwrap_err();
+        assert_eq!(dangling, eager.to_string());
+        // The error is the column's: a second read repeats it.
+        assert_eq!(all.vertex_col(q).unwrap_err().to_string(), dangling);
+        // An edge predicate that drops the rows first leaves λ total on
+        // what is read, and the query succeeds.
+        let first = execute_graph(&scan(Some(ScalarExpr::col_eq(0, 1))), &c).unwrap();
+        assert_eq!(first.vertex_col(p).unwrap(), &[0]);
+        assert_eq!(first.vertex_col(q).unwrap(), &[1]);
+        // So does a key-space filter: a key that resolves to nothing is in
+        // no set of vertices.
+        let filtered = GraphOp::FilterVertex {
+            input: Box::new(scan(None)),
+            v: q,
+            predicate: ScalarExpr::col_eq(0, 2),
+            ann: ann(),
+        };
+        let out = execute_graph(&filtered, &c).unwrap();
+        assert_eq!(out.edge_col(0).unwrap(), &[0]);
+        assert_eq!(out.vertex_col(p).unwrap(), &[0]);
     }
 }

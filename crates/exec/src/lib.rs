@@ -4,7 +4,8 @@
 //! stand-in for the paper's DuckDB runtime module (§4.3).
 //!
 //! * [`chunk::GraphChunk`] — the graph-relation runtime representation:
-//!   one row-id column per bound pattern element (struct-of-arrays);
+//!   one row-id column per bound pattern element (struct-of-arrays), an
+//!   edge scan's endpoint columns looked up when first read;
 //! * [`graph_exec`] — interprets [`relgo_core::GraphOp`] trees: `SCAN`,
 //!   `EXPAND` (VE-index traversal or hash fallback), `EXPAND_INTERSECT`
 //!   (sorted-list merge intersection), binding hash joins, vertex filters;

@@ -294,6 +294,11 @@ impl GraphIndex {
             && Arc::ptr_eq(&self.ve_in[i], &other.ve_in[i])
     }
 
+    /// The EV-index of label `el` as a whole, shared with this epoch.
+    pub(crate) fn ev(&self, el: LabelId) -> &Arc<EvIndex> {
+        &self.ev[el.0 as usize]
+    }
+
     /// EV-index lookup: source vertex row of edge row `e` (label `el`).
     #[inline]
     pub fn edge_src(&self, el: LabelId, e: RowId) -> RowId {

@@ -12,16 +12,21 @@
 //!   (per-edge source/target row ids, i.e. the extra rowid columns of
 //!   GRainDB) and the **VE-index** (CSR adjacency per edge label and
 //!   direction, neighbor lists sorted to support intersection).
+//! * λ as a value ([`lambda::Lambda`]) — one end of an edge label, through
+//!   the key index or the EV-index, for operators that bind an edge first
+//!   and look its endpoints up when something reads them.
 //! * Graph statistics ([`stats::GraphStats`]) — label cardinalities and
 //!   average degrees, the `d̄` of the paper's cost model.
 
 pub mod index;
+pub mod lambda;
 pub mod mapping;
 pub mod schema;
 pub mod stats;
 pub mod view;
 
 pub use index::{Direction, GraphIndex};
+pub use lambda::Lambda;
 pub use mapping::{EdgeMapping, RGMapping, VertexMapping};
 pub use schema::GraphSchema;
 pub use stats::GraphStats;

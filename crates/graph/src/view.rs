@@ -4,7 +4,8 @@
 //! [`Database`] into label→table bindings, key indexes for the λˢ/λᵗ total
 //! functions, and (on demand) the GRainDB-style [`GraphIndex`].
 
-use crate::index::GraphIndex;
+use crate::index::{Direction, GraphIndex};
+use crate::lambda::{EvEnd, KeyEnd, Lambda, UNRESOLVED};
 use crate::mapping::RGMapping;
 use crate::schema::GraphSchema;
 use crate::stats::GraphStats;
@@ -187,55 +188,76 @@ impl GraphView {
         self.edge_dst_col[l.0 as usize]
     }
 
+    /// λ of one end of edge label `el` through the vertex primary-key index
+    /// — [`Direction::In`] is the source end (λˢ), [`Direction::Out`] the
+    /// target end (λᵗ), the vertex an edge is left by or reaches.
+    fn key_end(&self, el: LabelId, dir: Direction) -> KeyEnd {
+        let li = el.0 as usize;
+        let label = self.end_label(el, dir).0 as usize;
+        KeyEnd {
+            edges: Arc::clone(&self.edge_tables[li]),
+            fk: match dir {
+                Direction::In => self.edge_src_col[li],
+                Direction::Out => self.edge_dst_col[li],
+            },
+            vertices: Arc::clone(&self.vertex_tables[label]),
+            pk: self.vertex_pk_col[label],
+            index: Arc::clone(&self.vertex_pk_index[label]),
+            label: self.schema.edge_label_name(el).to_string(),
+            dir,
+        }
+    }
+
+    /// The vertex label at the `dir` end of edge label `el`.
+    fn end_label(&self, el: LabelId, dir: Direction) -> LabelId {
+        let (src, dst) = self.schema.edge_endpoints(el);
+        match dir {
+            Direction::In => src,
+            Direction::Out => dst,
+        }
+    }
+
+    /// λ of one end of edge label `el` as a value an operator can keep and
+    /// resolve later, on the edge rows that are still of interest then:
+    /// [`Direction::In`] is λˢ, [`Direction::Out`] λᵗ. `indexed` reads the
+    /// graph index's EV array (an error when none is built), otherwise the
+    /// foreign key goes through the vertex primary-key index.
+    pub fn edge_end(&self, el: LabelId, dir: Direction, indexed: bool) -> Result<Arc<dyn Lambda>> {
+        if !indexed {
+            return Ok(Arc::new(self.key_end(el, dir)));
+        }
+        let index = self
+            .index()
+            .ok_or_else(|| RelGoError::execution("graph index required but not built"))?;
+        Ok(Arc::new(EvEnd {
+            ev: Arc::clone(index.ev(el)),
+            dir,
+            vertices: self.vertex_count(self.end_label(el, dir)),
+        }))
+    }
+
     /// λˢ and λᵗ over a whole slice of edge rows of label `el` (every row
     /// when `rows` is `None`): the source and target vertex rows, through
-    /// the vertex primary-key indexes — the *no-index* path; with a graph
-    /// index, read [`GraphIndex::edge_src`] / [`GraphIndex::edge_dst`]
-    /// instead. Each key column is resolved in one loop with one dispatch
-    /// on its type; a NULL or dangling key is reported afterwards, for the
-    /// first edge row that has one (its source before its target).
+    /// the vertex primary-key indexes — what the graph index is built from.
+    /// A query reads endpoints through [`GraphView::edge_end`] instead. A
+    /// NULL or dangling key is reported after both columns are resolved, for
+    /// the first edge row that has one (its source before its target).
     pub fn resolve_endpoints(
         &self,
         el: LabelId,
         rows: Option<&[RowId]>,
     ) -> Result<(Vec<RowId>, Vec<RowId>)> {
-        /// Never a row id: tables hold fewer than `u32::MAX` rows.
-        const UNRESOLVED: RowId = RowId::MAX;
-        let li = el.0 as usize;
-        let table = &self.edge_tables[li];
-        let n = rows.map_or(table.num_rows(), <[RowId]>::len);
-        let side = |col: usize, label: LabelId| -> Vec<RowId> {
-            let Some((keys, valid)) = table.column(col).as_ints() else {
-                return vec![UNRESOLVED; n];
-            };
-            let index = &*self.vertex_pk_index[label.0 as usize];
-            let resolve = |erow: RowId| match valid {
-                Some(valid) if !valid[erow as usize] => UNRESOLVED,
-                _ => index.lookup(keys[erow as usize]).unwrap_or(UNRESOLVED),
-            };
-            match rows {
-                Some(rows) => rows.iter().map(|&erow| resolve(erow)).collect(),
-                None => (0..n as RowId).map(resolve).collect(),
-            }
-        };
-        let (src_label, dst_label) = self.schema.edge_endpoints(el);
-        let (src_col, dst_col) = (self.edge_src_col[li], self.edge_dst_col[li]);
-        let (srcs, dsts) = (side(src_col, src_label), side(dst_col, dst_label));
-        if let Some(i) = (0..n).find(|&i| srcs[i] == UNRESOLVED || dsts[i] == UNRESOLVED) {
+        let (src, dst) = (
+            self.key_end(el, Direction::In),
+            self.key_end(el, Direction::Out),
+        );
+        let (srcs, dsts) = (src.raw(rows), dst.raw(rows));
+        if let Some(i) = (0..srcs.len()).find(|&i| srcs[i] == UNRESOLVED || dsts[i] == UNRESOLVED) {
             let erow = rows.map_or(i as RowId, |rows| rows[i]);
-            let (lambda, end, col) = match srcs[i] {
-                UNRESOLVED => ("λs", "source", src_col),
-                _ => ("λt", "target", dst_col),
-            };
-            let name = self.schema.edge_label_name(el);
-            return Err(RelGoError::execution(
-                match table.column(col).get_int(erow) {
-                    None => format!("{lambda}: NULL {end} key in edge {name}@{erow}"),
-                    Some(key) => format!(
-                        "{lambda}: dangling {end} key {key} in edge {name}@{erow} (λ must be total)"
-                    ),
-                },
-            ));
+            return Err(match srcs[i] {
+                UNRESOLVED => src.error_at(erow),
+                _ => dst.error_at(erow),
+            });
         }
         Ok((srcs, dsts))
     }

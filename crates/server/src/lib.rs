@@ -17,7 +17,7 @@
 //! `Connection: close` (or speaks HTTP/1.0 without `keep-alive`), the
 //! connection idles past [`ServerConfig::idle_timeout`], it reaches
 //! [`ServerConfig::max_requests_per_connection`], a framing error poisons
-//! the stream position (`400`/`413`/`431` close; handler-level errors do
+//! the stream position (`400`/`413`/`431`/`501` close; handler-level errors do
 //! not), or drain begins — shutdown finishes the in-flight request, then
 //! answers it with `Connection: close`. Every response advertises the
 //! decision in its `Connection` header.
@@ -434,13 +434,15 @@ impl<'s> Shared<'s> {
         }
     }
 
-    /// Append one JSON line to the access log (no-op when disabled).
-    fn log_access(&self, line: &str) {
+    /// Append one JSON line to the access log; without a log the line is
+    /// never rendered.
+    fn log_access(&self, line: impl FnOnce() -> String) {
         if let Some(log) = &self.access_log {
+            let line = line() + "\n";
             let mut file = log.lock().expect("access log lock");
             // One write per line: the mutex orders writers, a single
             // write_all keeps lines unsplit under concurrency.
-            let _ = file.write_all(format!("{line}\n").as_bytes());
+            let _ = file.write_all(line.as_bytes());
         }
     }
 }
@@ -541,11 +543,10 @@ impl Endpoint {
         }
     }
 
+    /// The endpoint's place in [`Endpoint::ALL`], which lists the variants
+    /// in declaration order.
     fn idx(self) -> usize {
-        Endpoint::ALL
-            .iter()
-            .position(|e| *e == self)
-            .expect("known endpoint")
+        self as usize
     }
 }
 
@@ -646,6 +647,7 @@ fn status_text(status: u16) -> &'static str {
         413 => "Payload Too Large",
         429 => "Too Many Requests",
         431 => "Request Header Fields Too Large",
+        501 => "Not Implemented",
         503 => "Service Unavailable",
         _ => "Internal Server Error",
     }
@@ -707,15 +709,17 @@ fn handle_connection(stream: TcpStream, shared: &Shared<'_>) {
             .config
             .slow_query_ms
             .is_some_and(|ms| elapsed >= Duration::from_millis(ms));
-        shared.log_access(&access_log_line(
-            req.as_ref(),
-            &response,
-            endpoint,
-            conn_id,
-            seq,
-            elapsed,
-            slow,
-        ));
+        shared.log_access(|| {
+            access_log_line(
+                req.as_ref(),
+                &response,
+                endpoint,
+                conn_id,
+                seq,
+                elapsed,
+                slow,
+            )
+        });
         write_response(&stream, &response, keep_alive);
         if !keep_alive {
             break;
@@ -773,8 +777,9 @@ fn read_header_line(
 /// `Content-Length` must parse and appear at most once (`400` otherwise —
 /// the old `unwrap_or(0)` would desynchronize every later request on the
 /// connection), an oversized declared body is `413` *before* any buffer
-/// is allocated, and query-string percent-escapes must decode to valid
-/// UTF-8 (`400`).
+/// is allocated, a `Transfer-Encoding` header is `501` before any body is
+/// read (chunked bodies are not decoded), and query-string percent-escapes
+/// must decode to valid UTF-8 (`400`).
 fn read_request(
     reader: &mut BufReader<&TcpStream>,
     stream: &TcpStream,
@@ -845,6 +850,17 @@ fn read_request(
                         "duplicate Content-Length header",
                     ));
                 }
+            } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                // Without a decoder the body's end is unknown: answering as
+                // if it were empty would acknowledge what was never read and
+                // parse its chunks as the next request.
+                return ReadOutcome::Bad(Response::fatal(
+                    501,
+                    format!(
+                        "Transfer-Encoding {:?} is not supported; send Content-Length",
+                        value.trim()
+                    ),
+                ));
             } else if name.eq_ignore_ascii_case("connection") {
                 connection = Some(value.trim().to_ascii_lowercase());
             }

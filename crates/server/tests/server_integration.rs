@@ -1150,6 +1150,36 @@ fn keepalive_deadlines_framing_and_access_log() {
             let (_, _, health) = ka.send("GET", "/healthz", "");
             assert_eq!(health.trim(), "ok epoch=0");
 
+            // --- Transfer-Encoding: refused before any body is read ------
+            // A chunked ingest used to be answered `200 ok … inserted=0`
+            // — acknowledged, nothing committed — with the chunk bytes left
+            // on the socket to be parsed as the next request line.
+            let persons = || session.db().table("Person").expect("Person").num_rows();
+            let persons_before = persons();
+            let row = "Person|i:900010|s:chunked|d:17000\n";
+            let mut f = KeepAliveClient::connect(&addr);
+            let (status, head, body) = f.send_raw(
+                format!(
+                    "POST /ingest HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
+                     {:x}\r\n{row}\r\n0\r\n\r\n",
+                    row.len()
+                )
+                .as_bytes(),
+            );
+            assert_eq!(status, 501, "chunked ingest: {body}");
+            assert!(head.contains("501 Not Implemented"), "{head}");
+            assert!(head.contains("Connection: close"), "{head}");
+            assert!(body.contains("Transfer-Encoding"), "{body}");
+            assert!(f.closed_by_server(), "501 poisons the connection");
+            assert_eq!((session.epoch(), persons()), (0, persons_before));
+            // The same row framed by Content-Length, on a fresh connection,
+            // commits.
+            let mut ka = KeepAliveClient::connect(&addr);
+            let (status, _, body) = ka.send("POST", "/ingest", row);
+            assert_eq!(status, 200, "Content-Length ingest: {body}");
+            assert!(body.contains("epoch=1 inserted=1"), "{body}");
+            assert_eq!((session.epoch(), persons()), (1, persons_before + 1));
+
             // --- HTTP/1.0 and Connection: close semantics ----------------
             let mut f = KeepAliveClient::connect(&addr);
             let (status, head, _) =

@@ -7,7 +7,7 @@
 //! of [`ForeignKey`]s. [`KeyIndex`] resolves key values into row ids in O(1),
 //! which is exactly the machinery the graph-index builder needs.
 
-use crate::directory::Directory;
+use crate::directory::{Directory, KeySet};
 use crate::table::Table;
 use relgo_common::{FxHashMap, RelGoError, Result, RowId};
 use std::sync::Arc;
@@ -70,6 +70,12 @@ impl KeyIndex {
     #[inline]
     pub fn lookup(&self, key: i64) -> Option<RowId> {
         self.keys.get(key)
+    }
+
+    /// `keys`, each a key of this index, as a set answering "is this key
+    /// one of them" for any `i64` — the probe side of a semijoin on the key.
+    pub fn key_set(&self, keys: impl Iterator<Item = i64>) -> KeySet {
+        self.keys.key_set(keys)
     }
 
     /// Number of indexed keys.

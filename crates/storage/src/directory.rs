@@ -3,7 +3,7 @@
 //! direct-addressed when the keys are dense in their range (DuckDB's
 //! perfect-hash join), hashed otherwise — a property of the data, not a knob.
 
-use relgo_common::FxHashMap;
+use relgo_common::{FxHashMap, FxHashSet};
 
 /// How far a direct-address directory may outgrow the keys it holds: a
 /// 4-byte slot per value of the key range costs no more than a 16-byte
@@ -73,6 +73,61 @@ impl Directory {
                 slots.get(at).copied().filter(|&s| s != VACANT)
             }
             Directory::Hashed(map) => map.get(&key).copied(),
+        }
+    }
+}
+
+/// Some of the keys a [`KeyIndex`](crate::KeyIndex) holds, in the shape its
+/// directory has: a bit per value of the key range under a direct-addressed
+/// one, a hash set under a hashed one — membership costs what a lookup would,
+/// minus the slot.
+#[derive(Debug, Clone)]
+pub enum KeySet {
+    /// Bit `key - min` of `bits`.
+    Direct {
+        /// The smallest key of the range.
+        min: i64,
+        /// One bit per value of the range, in 64-bit words.
+        bits: Vec<u64>,
+    },
+    /// The keys themselves.
+    Hashed(FxHashSet<i64>),
+}
+
+impl KeySet {
+    /// The set of `keys` among the values `min .. min + span`; a key outside
+    /// that range is not recorded.
+    pub fn direct(min: i64, span: usize, keys: impl Iterator<Item = i64>) -> KeySet {
+        let mut bits = vec![0u64; span.div_ceil(64)];
+        for key in keys {
+            let at = key.checked_sub(min).and_then(|at| usize::try_from(at).ok());
+            if let Some(at) = at.filter(|&at| at < span) {
+                bits[at / 64] |= 1 << (at % 64);
+            }
+        }
+        KeySet::Direct { min, bits }
+    }
+
+    /// Whether `key`, any `i64`, is in the set.
+    #[inline]
+    pub fn contains(&self, key: i64) -> bool {
+        match self {
+            KeySet::Direct { min, bits } => key
+                .checked_sub(*min)
+                .and_then(|at| usize::try_from(at).ok())
+                .and_then(|at| Some(bits.get(at / 64)? >> (at % 64) & 1 == 1))
+                .unwrap_or(false),
+            KeySet::Hashed(keys) => keys.contains(&key),
+        }
+    }
+}
+
+impl Directory {
+    /// `keys` — keys this directory holds — as a [`KeySet`] of its shape.
+    pub(crate) fn key_set(&self, keys: impl Iterator<Item = i64>) -> KeySet {
+        match self {
+            Directory::Direct { min, slots } => KeySet::direct(*min, slots.len(), keys),
+            Directory::Hashed(_) => KeySet::Hashed(keys.collect()),
         }
     }
 }
