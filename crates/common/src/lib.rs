@@ -15,13 +15,16 @@
 //!   tables; we vendor it instead of adding a dependency);
 //! * [`ids`] — strongly typed identifiers (`LabelId`, `RowId`, `ElementId`);
 //! * [`morsel`] — the morsel-driven intra-query parallel scheduler shared by
-//!   the execution engine and GLogue counting.
+//!   the execution engine and GLogue counting;
+//! * [`select`] — the branch-free selection loops every filter, semijoin and
+//!   predicate kernel turns its per-row test into positions with.
 
 pub mod error;
 pub mod fxhash;
 pub mod ids;
 pub mod morsel;
 pub mod schema;
+pub mod select;
 pub mod value;
 
 pub use error::{RelGoError, Result};

@@ -48,19 +48,19 @@ impl Col {
         }
     }
 
-    /// The cells at `idx` (through `at`) as a column of another chunk: a
-    /// gather of what is in memory; the gathered positions for an unread
-    /// identity; an unread endpoint as it is, to be looked up from that
-    /// chunk's gathered edge column.
-    fn gathered<I: Copy>(&self, idx: &[I], at: impl Fn(I) -> usize) -> Col {
+    /// The cells at `idx` as a column of another chunk: a gather of what is
+    /// in memory; the gathered positions for an unread identity; an unread
+    /// endpoint as it is, to be looked up from that chunk's gathered edge
+    /// column.
+    fn gathered(&self, idx: &[u32]) -> Col {
         match (self.materialized(), self) {
-            (Some(rows), _) => Col::Rows(idx.iter().map(|&i| rows[at(i)]).collect()),
+            (Some(rows), _) => Col::Rows(idx.iter().map(|&i| rows[i as usize]).collect()),
             (None, Col::Endpoint { edge, lambda, .. }) => Col::Endpoint {
                 edge: *edge,
                 lambda: Arc::clone(lambda),
                 rows: OnceLock::new(),
             },
-            (None, _) => Col::Rows(idx.iter().map(|&i| at(i) as RowId).collect()),
+            (None, _) => Col::Rows(idx.to_vec()),
         }
     }
 }
@@ -244,15 +244,11 @@ impl GraphChunk {
     }
 
     /// Gather rows at `indices` into a new chunk (same bindings).
-    pub fn take(&self, indices: &[usize]) -> GraphChunk {
+    pub fn take(&self, indices: &[u32]) -> GraphChunk {
         GraphChunk {
             vcols: self.vcols.clone(),
             ecols: self.ecols.clone(),
-            cols: self
-                .cols
-                .iter()
-                .map(|c| c.gathered(indices, |i| i))
-                .collect(),
+            cols: self.cols.iter().map(|c| c.gathered(indices)).collect(),
             len: indices.len(),
         }
     }
@@ -264,7 +260,7 @@ impl GraphChunk {
     /// `(element-kind, element, column)` in `new_cols` binds a new element.
     pub fn extend(
         &self,
-        gather: &[usize],
+        gather: &[u32],
         new_vertex: Option<(usize, Vec<RowId>)>,
         new_edges: Vec<(usize, Vec<RowId>)>,
     ) -> Result<GraphChunk> {
@@ -320,7 +316,7 @@ impl GraphChunk {
                     side.read(c)?;
                 }
             }
-            out.cols.push(side.cols[c].gathered(idx, |i| i as usize));
+            out.cols.push(side.cols[c].gathered(idx));
             Ok(Some(out.cols.len() - 1))
         };
         let vcols = (0..left.vcols.len())
@@ -421,6 +417,7 @@ impl GraphChunk {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use relgo_common::select::select;
     use relgo_storage::KeySet;
     use std::ops::Range;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -521,12 +518,11 @@ pub(crate) mod tests {
             KeySet::direct(0, self.vertices, vertices.iter().map(|&v| v as i64))
         }
 
-        fn select(&self, edges: Option<&[RowId]>, range: Range<usize>, set: &KeySet) -> Vec<usize> {
+        fn select(&self, edges: Option<&[RowId]>, range: Range<usize>, set: &KeySet) -> Vec<u32> {
             self.key_tests.fetch_add(range.len(), Ordering::Relaxed);
-            let erow = |i: usize| edges.map_or(i, |edges| edges[i] as usize);
-            range
-                .filter(|&i| set.contains(self.to[erow(i)] as i64))
-                .collect()
+            let erow = |i: u32| edges.map_or(i, |edges| edges[i as usize]);
+            let range = range.start as u32..range.end as u32;
+            select(range, |i| set.contains(self.to[erow(i) as usize] as i64))
         }
     }
 
@@ -599,8 +595,8 @@ pub(crate) mod tests {
             let (mut got, mut want) = scan_pair(rng.below(3), seed % 2 == 0, &mut rng);
             for _ in 0..rng.below(7) {
                 let len = got.len();
-                let indices = |rng: &mut Lcg, n: usize| -> Vec<usize> {
-                    (0..n).map(|_| rng.below(len.max(1))).collect()
+                let indices = |rng: &mut Lcg, n: usize| -> Vec<u32> {
+                    (0..n).map(|_| rng.below(len.max(1)) as u32).collect()
                 };
                 match rng.below(4) {
                     0 if len > 0 => {

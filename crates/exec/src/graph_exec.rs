@@ -47,18 +47,23 @@
 //! first reads them — a join on them, π̂, an `EXPAND` from them — and only
 //! for the rows that reached it. A `FILTER_VERTEX` on an endpoint nobody has
 //! read yet does not read it either: it is a semijoin of the edge rows with
-//! the passing vertices' keys.
+//! the passing vertices' keys — and so is the first step of a `JOIN_SUB` on
+//! one vertex that its probe side has not read: the probe rows are cut down
+//! to the build side's keys before any of them is looked up or hashed.
+//! Every selection here — a predicate kernel, a pass mask, a key test — goes
+//! through the branch-free loops of [`relgo_common::select`].
 
-use crate::chunk::GraphChunk;
+use crate::chunk::{GraphChunk, UnreadEndpoint};
 use crate::profile::ProfileSink;
 use relgo_common::morsel::{self, RowBudget, TimeBudget};
+use relgo_common::select::select;
 use relgo_common::{FxHashMap, LabelId, RelGoError, Result, RowId, Value};
 use relgo_core::graph_plan::{GraphOp, StarLeg};
 use relgo_graph::index::Csr;
 use relgo_graph::{Direction, GraphIndex, GraphView};
 use relgo_pattern::Pattern;
 use relgo_storage::ops::JoinTable;
-use relgo_storage::{BinaryOp, ScalarExpr, Table};
+use relgo_storage::{BinaryOp, KeySet, ScalarExpr, Table};
 use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
@@ -499,9 +504,7 @@ impl<'a> Test<'a> {
     /// and in any order) that pass.
     fn passing(&self, rows: &[RowId]) -> Result<Vec<u32>> {
         match &self.mask {
-            Some(mask) => Ok((0..rows.len() as u32)
-                .filter(|&p| mask.get(rows[p as usize]))
-                .collect()),
+            Some(mask) => Ok(select(0..rows.len() as u32, |p| mask.get(rows[p as usize]))),
             None => self.pred.select_positions(self.table, Some(rows)),
         }
     }
@@ -511,7 +514,7 @@ impl<'a> Test<'a> {
 /// expands, the neighbour it reaches and its edge row. Both a morsel's
 /// output and the candidates still awaiting their predicates.
 struct Entries {
-    inputs: Vec<usize>,
+    inputs: Vec<u32>,
     nbrs: Vec<RowId>,
     /// `None` when nobody will read the edge rows — no predicate on them, no
     /// edge column in the output: that half of the adjacency is then never
@@ -537,7 +540,7 @@ impl Entries {
     }
 
     /// Append entries of input row `input`.
-    fn push(&mut self, input: usize, edges: &[RowId], nbrs: &[RowId]) {
+    fn push(&mut self, input: u32, edges: &[RowId], nbrs: &[RowId]) {
         // A many-to-one edge (a message's creator, place, forum) reaches one
         // neighbour from every vertex: that entry is pushed, not copied by
         // three slice calls.
@@ -645,7 +648,7 @@ fn expand(
                     // Projected output size is exact: charge before
                     // materializing anything.
                     budget.charge(es.len())?;
-                    out.push(i, es, ns);
+                    out.push(i as u32, es, ns);
                 }
                 return Ok(out);
             }
@@ -658,7 +661,7 @@ fn expand(
                 while !es.is_empty() {
                     let room = CANDIDATE_BATCH - candidates.inputs.len();
                     let take = es.len().min(room);
-                    candidates.push(i, &es[..take], &ns[..take]);
+                    candidates.push(i as u32, &es[..take], &ns[..take]);
                     (es, ns) = (&es[take..], &ns[take..]);
                     if take == room {
                         candidates.select_into(
@@ -711,7 +714,7 @@ fn run_of(ns: &[RowId], w: RowId) -> usize {
 /// edge rows each leg reaches it by.
 struct Intersections<'a> {
     legs: usize,
-    inputs: Vec<usize>,
+    inputs: Vec<u32>,
     nbrs: Vec<RowId>,
     /// Candidate-major: `runs[c * legs + i]` is candidate `c`'s run on leg `i`.
     runs: Vec<&'a [RowId]>,
@@ -727,7 +730,7 @@ struct Intersections<'a> {
 /// A morsel's `EXPAND_INTERSECT` output: the input row and common neighbour
 /// of each match, and its edge row on every leg.
 struct IntersectPart {
-    inputs: Vec<usize>,
+    inputs: Vec<u32>,
     nbrs: Vec<RowId>,
     edges: Vec<Vec<RowId>>,
 }
@@ -959,7 +962,7 @@ fn expand_intersect(
                         }
                         candidates.runs.push(&es[lo..hi]);
                     }
-                    candidates.inputs.push(row);
+                    candidates.inputs.push(row as u32);
                     candidates.nbrs.push(w);
                     if candidates.inputs.len() == CANDIDATE_BATCH {
                         candidates.select_into(
@@ -1027,29 +1030,42 @@ fn filter_vertex(
     let keep = match input.unread_endpoint(v)? {
         Some(end) if table.num_rows() <= input.len() => {
             let set = end.lambda.key_set(&rows()?);
-            kept_rows(input.len(), ctx, |range| {
-                Ok(end.lambda.select(end.edges, range, &set))
-            })?
+            semijoin(end, &set, input.len(), ctx)?
         }
         _ => {
             let col = input.vertex_col(v)?;
             let test = Test::new(predicate, table, col.len(), ctx.batch, rows)?;
             kept_rows(col.len(), ctx, |range| {
-                let pass = test.passing(&col[range.clone()])?;
-                Ok(pass.iter().map(|&p| range.start + p as usize).collect())
+                let mut pass = test.passing(&col[range.clone()])?;
+                pass.iter_mut().for_each(|p| *p += range.start as u32);
+                Ok(pass)
             })?
         }
     };
     Ok(input.take(&keep))
 }
 
+/// The rows of a chunk of `rows` rows whose unread endpoint `end` is in
+/// `set` (a [`Lambda::key_set`](relgo_graph::Lambda::key_set) of its λ),
+/// ascending: one key test a row, no lookup.
+fn semijoin(
+    end: UnreadEndpoint<'_>,
+    set: &KeySet,
+    rows: usize,
+    ctx: &GraphExecContext<'_>,
+) -> Result<Vec<u32>> {
+    kept_rows(rows, ctx, |range| {
+        Ok(end.lambda.select(end.edges, range, set))
+    })
+}
+
 /// The rows of `0..rows` that `pass` keeps of each morsel, ascending.
 fn kept_rows(
     rows: usize,
     ctx: &GraphExecContext<'_>,
-    pass: impl Fn(Range<usize>) -> Result<Vec<usize>> + Sync,
-) -> Result<Vec<usize>> {
-    let parts: Vec<Vec<usize>> = morsel::run_morsels(
+    pass: impl Fn(Range<usize>) -> Result<Vec<u32>> + Sync,
+) -> Result<Vec<u32>> {
+    let parts: Vec<Vec<u32>> = morsel::run_morsels(
         rows,
         ctx.threads,
         morsel::DEFAULT_MORSEL_ROWS,
@@ -1065,6 +1081,14 @@ fn kept_rows(
 /// [`JoinTable`] on the smaller side, probe with the larger in row order,
 /// gather the matched pairs column-wise. Output is probe-major, the build
 /// rows of one probe row in input order.
+///
+/// When the join is on one vertex that the probe side has not read yet (an
+/// endpoint of a scanned edge), the probe side is first cut down in key
+/// space: the build side's vertices become a set of λ's keys and only the
+/// probe rows whose key is in it are kept — a semijoin, one key test a row
+/// — so the probe rows that match nothing are never looked up or hashed.
+/// A key that is NULL or dangling is in no set: such a row is dropped here,
+/// not reported by a lookup.
 fn join_chunks(
     left: &GraphChunk,
     right: &GraphChunk,
@@ -1083,6 +1107,21 @@ fn join_chunks(
             probe.len()
         )));
     }
+    let reduced;
+    let probe = match (on_vertices, on_edges) {
+        ([v], []) => {
+            let bcol = build.vertex_col(*v)?;
+            match probe.unread_endpoint(*v)? {
+                Some(end) => {
+                    let set = end.lambda.key_set(bcol);
+                    reduced = probe.take(&semijoin(end, &set, probe.len(), ctx)?);
+                    &reduced
+                }
+                None => probe,
+            }
+        }
+        _ => probe,
+    };
     fn key_cols<'a>(
         chunk: &'a GraphChunk,
         on_vertices: &[usize],
@@ -1137,8 +1176,11 @@ fn join_chunks(
             }
         }
     }
-    let (lidx, ridx) = if swapped { (pidx, bidx) } else { (bidx, pidx) };
-    GraphChunk::join(left, &lidx, right, &ridx)
+    // The probe side may be the reduced chunk: gather from that one.
+    match swapped {
+        false => GraphChunk::join(build, &bidx, probe, &pidx),
+        true => GraphChunk::join(probe, &pidx, build, &bidx),
+    }
 }
 
 #[cfg(test)]
@@ -1574,7 +1616,7 @@ mod tests {
                 .collect()
         };
         let first = GraphChunk::from_vertex(4, 2, vs[0], col());
-        let gather: Vec<usize> = (0..rows).collect();
+        let gather: Vec<u32> = (0..rows as u32).collect();
         let mut chunk = first;
         for &v in &vs[1..] {
             chunk = chunk.extend(&gather, Some((v, col())), vec![]).unwrap();
@@ -1828,7 +1870,7 @@ mod tests {
         let unfiltered = edge_predicate.is_none() && vertex_predicate.is_none();
 
         let budget = RowBudget::new(ctx.row_limit);
-        type ExpandPart = (Vec<usize>, Vec<RowId>, Vec<RowId>);
+        type ExpandPart = (Vec<u32>, Vec<RowId>, Vec<RowId>);
         let parts: Vec<ExpandPart> = morsel::run_morsels(
             from_col.len(),
             ctx.threads,
@@ -1847,7 +1889,7 @@ mod tests {
                         // Projected output size is exact: charge before
                         // materializing anything.
                         budget.charge(es.len())?;
-                        gather.resize(gather.len() + es.len(), i);
+                        gather.resize(gather.len() + es.len(), i as u32);
                         to_col.extend_from_slice(ns);
                         if emit_edge {
                             edge_col.extend_from_slice(es);
@@ -1863,7 +1905,7 @@ mod tests {
                         }
                         budget.charge(hits.len())?;
                         for &(erow, nrow) in &hits {
-                            gather.push(i);
+                            gather.push(i as u32);
                             to_col.push(nrow);
                             if emit_edge {
                                 edge_col.push(erow);
@@ -1944,7 +1986,7 @@ mod tests {
         let vmask = predicate_mask_reference(vertex_predicate, vtable, entries)?;
 
         let budget = RowBudget::new(ctx.row_limit);
-        type EiPart = (Vec<usize>, Vec<RowId>, Vec<Vec<RowId>>);
+        type EiPart = (Vec<u32>, Vec<RowId>, Vec<Vec<RowId>>);
         let parts: Vec<EiPart> = morsel::run_morsels(
             input.len(),
             ctx.threads,
@@ -2011,7 +2053,7 @@ mod tests {
                         idx.clear();
                         idx.resize(per_leg.len(), 0);
                         loop {
-                            gather.push(row);
+                            gather.push(row as u32);
                             to_col.push(w);
                             if emit_edges {
                                 for (i, &j) in idx.iter().enumerate() {
@@ -2341,7 +2383,7 @@ mod tests {
             .chain([[2995, 0, 2994], [0, 2999, 1], [2990, 2989, 2988]])
             .collect();
         for legs in [2usize, 3] {
-            let gather: Vec<usize> = (0..sources.len()).collect();
+            let gather: Vec<u32> = (0..sources.len() as u32).collect();
             let column = |i: usize| sources.iter().map(|s| s[i]).collect::<Vec<RowId>>();
             let mut input = GraphChunk::from_vertex(legs + 1, legs, 0, column(0));
             for i in 1..legs {
@@ -2632,6 +2674,119 @@ mod tests {
     }
 
     #[test]
+    fn a_join_on_an_unread_probe_endpoint_equals_the_reference() {
+        // p -[0]-> q <-[1]- s, joined on q.
+        let mut b = PatternBuilder::new();
+        let (p, q, s) = (
+            b.vertex("p", LabelId(0)),
+            b.vertex("q", LabelId(0)),
+            b.vertex("s", LabelId(0)),
+        );
+        b.edge(p, q, LabelId(0)).unwrap();
+        b.edge(s, q, LabelId(0)).unwrap();
+        let pat = b.build().unwrap();
+        let scan = |e, predicate| GraphOp::ScanEdge {
+            e,
+            predicate,
+            ann: ann(),
+        };
+        let vertices = |predicate| GraphOp::ScanVertex {
+            v: q,
+            predicate: Some(predicate),
+            ann: ann(),
+        };
+        // Build sides, all smaller than the probe's 3000 edge rows: distinct
+        // keys, repeated keys on a still unread endpoint, nothing.
+        let builds = [
+            ("distinct", vertices(ScalarExpr::col_eq(1, 1))),
+            (
+                "repeated",
+                GraphOp::FilterVertex {
+                    input: Box::new(scan(1, Some(w_below(1)))),
+                    v: s,
+                    predicate: ScalarExpr::col_eq(1, 2),
+                    ann: ann(),
+                },
+            ),
+            ("empty", vertices(ScalarExpr::col_eq(1, 99))),
+        ];
+        let families: [(&str, Vec<i64>); 2] = [
+            ("dense", (0..40).collect()),
+            // A hashed `KeyIndex`, so a hashed `KeySet`.
+            ("sparse", (0..40).map(|i| 3 + i * 1_000_003).collect()),
+        ];
+        for (family, pks) in families {
+            let view = keyed_view(&pks, 3000);
+            // Unindexed: λ through the key column (`KeyEnd`); indexed: the
+            // EV array (`EvEnd`).
+            for (indexed, threads) in [(false, 1), (false, 4), (true, 1), (true, 4)] {
+                let mut c = ctx(&view, &pat, indexed);
+                c.threads = threads;
+                for (shape, build) in &builds {
+                    let probe = execute_graph(&scan(0, None), &c).unwrap();
+                    let build = execute_graph(build, &c).unwrap();
+                    assert!(build.len() < probe.len());
+                    // The probe side on the right, then on the left: the
+                    // gather must come from the reduced chunk either way.
+                    for swapped in [false, true] {
+                        let what = format!(
+                            "{family} keys, {shape} build, indexed {indexed}, x{threads}, \
+                             swapped {swapped}"
+                        );
+                        let (l, r) = match swapped {
+                            false => (&build, &probe),
+                            true => (&probe, &build),
+                        };
+                        let want = join_chunks_reference(&l.clone(), &r.clone(), &[q], &[]);
+                        let got = join_chunks(l, r, &[q], &[], &c).unwrap();
+                        assert!(probe.unread_endpoint(q).unwrap().is_some(), "{what}");
+                        assert_same_chunk(&got, &want, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_join_tests_every_probe_key_and_looks_up_only_the_rows_it_keeps() {
+        use crate::chunk::tests::TableLambda;
+        use std::sync::atomic::Ordering::Relaxed;
+        let view = fig2_view();
+        let pat = wedge_pattern();
+        // n edge rows, their sources cycling through 10 vertices.
+        let n = 3000;
+        let (src, dst) = (
+            TableLambda::new((0..n as RowId).map(|i| i % 10).collect(), 10),
+            TableLambda::new((0..n as RowId).map(|i| i % 7).collect(), 7),
+        );
+        let probe = GraphChunk::from_edge_scan(
+            (pat.vertex_count(), pat.edge_count()),
+            (0, n, None),
+            (0, Arc::clone(&src) as Arc<dyn Lambda>),
+            (2, Arc::clone(&dst) as Arc<dyn Lambda>),
+        )
+        .unwrap();
+        // Sources 2 and 5 (twice) on the build side: m = 600 probe rows
+        // have a key in it, and 300 + 2 × 300 pairs match.
+        let build = GraphChunk::from_vertex(3, 2, 0, vec![5, 2, 5]);
+        let m = 600;
+        let counts = |of: &TableLambda| (of.key_tests.load(Relaxed), of.lookups.load(Relaxed));
+        for threads in [1, 4] {
+            let mut c = ctx(&view, &pat, false);
+            c.threads = threads;
+            for (l, r) in [(&probe, &build), (&build, &probe)] {
+                let (before_src, before_dst) = (counts(&src), counts(&dst));
+                let out = join_chunks(l, r, &[0], &[], &c).unwrap();
+                assert_eq!(out.len(), 900);
+                // n key tests and m lookups, not n; the other end unread.
+                assert_eq!(counts(&src), (before_src.0 + n, before_src.1 + m));
+                assert_eq!(counts(&dst), before_dst);
+                assert!(out.unread_endpoint(2).unwrap().is_some());
+            }
+        }
+    }
+
+    #[test]
     fn a_dangling_or_null_key_is_reported_when_its_endpoint_is_read() {
         let mut db = Database::new();
         db.add_table(table_of(
@@ -2699,5 +2854,35 @@ mod tests {
         let out = execute_graph(&filtered, &c).unwrap();
         assert_eq!(out.edge_col(0).unwrap(), &[0]);
         assert_eq!(out.vertex_col(p).unwrap(), &[0]);
+        // And so does a join on an endpoint of the larger (probe) side that
+        // nobody has read: it is cut down to the build side's keys first, so
+        // the dangling K@1 (on q) and the NULL K@2 (on p) match nothing and
+        // are dropped, not reported.
+        let join = |on: usize, build| GraphOp::JoinSub {
+            left: Box::new(scan(None)),
+            right: Box::new(build),
+            on_vertices: vec![on],
+            on_edges: vec![],
+            ann: ann(),
+        };
+        let id_is = |v, id: i64| GraphOp::ScanVertex {
+            v,
+            predicate: Some(ScalarExpr::col_eq(0, id)),
+            ann: ann(),
+        };
+        for (on, id) in [(q, 2), (p, 1)] {
+            let out = execute_graph(&join(on, id_is(on, id)), &c).unwrap();
+            assert_eq!(out.edge_col(0).unwrap(), &[0]);
+        }
+        // Where the join reads the column anyway — the probe side read it
+        // before, or the edge scan is the smaller (build) side — the lookup
+        // reports as it always has.
+        let one = execute_graph(&id_is(q, 2), &c).unwrap();
+        let err = join_chunks(&all, &one, &[q], &[], &c).unwrap_err();
+        assert_eq!(err.to_string(), dangling);
+        let fresh = execute_graph(&scan(None), &c).unwrap();
+        let larger = GraphChunk::from_vertex(2, 1, q, vec![1; 5]);
+        let err = join_chunks(&larger, &fresh, &[q], &[], &c).unwrap_err();
+        assert_eq!(err.to_string(), dangling);
     }
 }

@@ -184,15 +184,15 @@ pub fn execute_query(query: &SpjmQuery, view: &GraphView, db: &Database) -> Resu
     // Attach the remaining vertex and edge binding columns.
     for v in 1..n {
         let col: Vec<RowId> = matches.iter().map(|(vb, _)| vb[v]).collect();
-        let gather: Vec<usize> = (0..matches.len()).collect();
+        let gather: Vec<u32> = (0..matches.len() as u32).collect();
         chunk = chunk.extend(&gather, Some((v, col)), vec![])?;
     }
     for e in 0..m {
         let col: Vec<RowId> = matches.iter().map(|(_, eb)| eb[e]).collect();
-        let gather: Vec<usize> = (0..matches.len()).collect();
+        let gather: Vec<u32> = (0..matches.len() as u32).collect();
         chunk = chunk.extend(&gather, None, vec![(e, col)])?;
     }
-    let chunk = apply_semantics(&chunk, &query.pattern, view)?;
+    let chunk = apply_semantics(&chunk, &query.pattern)?;
 
     // 2. π̂ through the COLUMNS clause.
     let mut table = project_graph_table(&chunk, &query.pattern, view, &query.columns)?;

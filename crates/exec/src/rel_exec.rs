@@ -16,6 +16,7 @@ use relgo_graph::GraphView;
 use relgo_pattern::{MatchSemantics, Pattern};
 use relgo_storage::ops;
 use relgo_storage::{Column, Database, Table};
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -141,7 +142,7 @@ fn exec_rel(
             let chunk = execute_graph(graph, &ctx)?;
             let t0 = op_id.map(|_| Instant::now());
             let rows_in = chunk.len();
-            let chunk = apply_semantics(&chunk, pattern, view)?;
+            let chunk = apply_semantics(&chunk, pattern)?;
             let out = Arc::new(project_graph_table(&chunk, pattern, view, columns)?);
             (rows_in, t0, out)
         }
@@ -204,19 +205,18 @@ fn exec_rel(
 }
 
 /// Apply the all-distinct operator when the pattern requests isomorphism-
-/// like semantics (§2.2 / §3.1).
-pub fn apply_semantics(
-    chunk: &GraphChunk,
+/// like semantics (§2.2 / §3.1); `chunk` itself when no row can collide.
+pub fn apply_semantics<'a>(
+    chunk: &'a GraphChunk,
     pattern: &Pattern,
-    _view: &GraphView,
-) -> Result<GraphChunk> {
+) -> Result<Cow<'a, GraphChunk>> {
     match pattern.semantics() {
-        MatchSemantics::Homomorphism => Ok(chunk.clone()),
+        MatchSemantics::Homomorphism => Ok(Cow::Borrowed(chunk)),
         MatchSemantics::DistinctVertices => {
             // Only same-label vertices can collide.
             let groups = same_label_groups(pattern);
             if groups.is_empty() {
-                return Ok(chunk.clone());
+                return Ok(Cow::Borrowed(chunk));
             }
             let mut keep = Vec::new();
             'row: for row in 0..chunk.len() {
@@ -229,9 +229,9 @@ pub fn apply_semantics(
                         }
                     }
                 }
-                keep.push(row);
+                keep.push(row as u32);
             }
-            Ok(chunk.take(&keep))
+            Ok(Cow::Owned(chunk.take(&keep)))
         }
         MatchSemantics::DistinctEdges => {
             let mut groups: FxHashMap<u16, Vec<usize>> = FxHashMap::default();
@@ -240,7 +240,7 @@ pub fn apply_semantics(
             }
             let groups: Vec<Vec<usize>> = groups.into_values().filter(|g| g.len() > 1).collect();
             if groups.is_empty() {
-                return Ok(chunk.clone());
+                return Ok(Cow::Borrowed(chunk));
             }
             let mut keep = Vec::new();
             'row: for row in 0..chunk.len() {
@@ -253,9 +253,9 @@ pub fn apply_semantics(
                         }
                     }
                 }
-                keep.push(row);
+                keep.push(row as u32);
             }
-            Ok(chunk.take(&keep))
+            Ok(Cow::Owned(chunk.take(&keep)))
         }
     }
 }
@@ -523,7 +523,7 @@ mod tests {
         };
         let chunk = execute_graph(&plan, &ctx).unwrap();
         assert_eq!(chunk.len(), 8);
-        let filtered = apply_semantics(&chunk, &pattern, &view).unwrap();
+        let filtered = apply_semantics(&chunk, &pattern).unwrap();
         assert_eq!(filtered.len(), 4);
     }
 }

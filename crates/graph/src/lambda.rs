@@ -9,6 +9,7 @@
 //! the EV array of a [`GraphIndex`](crate::GraphIndex).
 
 use crate::index::{Direction, EvIndex};
+use relgo_common::select::select;
 use relgo_common::{RelGoError, Result, RowId};
 use relgo_storage::{KeyIndex, KeySet, Table};
 use std::fmt::Debug;
@@ -31,19 +32,20 @@ pub trait Lambda: Debug + Send + Sync {
     /// `set` (a [`Lambda::key_set`] of this λ): the semijoin of the edge
     /// rows with a set of vertices, on the key. An edge row whose key is NULL
     /// or dangling has no endpoint and is in no set.
-    fn select(&self, edges: Option<&[RowId]>, range: Range<usize>, set: &KeySet) -> Vec<usize>;
+    fn select(&self, edges: Option<&[RowId]>, range: Range<usize>, set: &KeySet) -> Vec<u32>;
 }
 
-/// The positions in `range` of `edges` whose edge row `pass`es, one loop per
-/// form of `edges`.
+/// The positions in `range` of `edges` whose edge row `pass`es, one
+/// branch-free loop per form of `edges`.
 fn positions(
     edges: Option<&[RowId]>,
     range: Range<usize>,
     pass: impl Fn(usize) -> bool,
-) -> Vec<usize> {
+) -> Vec<u32> {
+    let range = range.start as u32..range.end as u32;
     match edges {
-        Some(rows) => range.filter(|&i| pass(rows[i] as usize)).collect(),
-        None => range.filter(|&erow| pass(erow)).collect(),
+        Some(rows) => select(range, |i| pass(rows[i as usize] as usize)),
+        None => select(range, |erow| pass(erow as usize)),
     }
 }
 
@@ -113,13 +115,15 @@ impl Lambda for KeyEnd {
             .key_set(vertices.iter().filter_map(|&v| pks.get_int(v)))
     }
 
-    fn select(&self, edges: Option<&[RowId]>, range: Range<usize>, set: &KeySet) -> Vec<usize> {
-        let Some((keys, valid)) = self.edges.column(self.fk).as_ints() else {
-            return Vec::new();
-        };
-        positions(edges, range, |erow| {
-            valid.is_none_or(|v| v[erow]) && set.contains(keys[erow])
-        })
+    fn select(&self, edges: Option<&[RowId]>, range: Range<usize>, set: &KeySet) -> Vec<u32> {
+        match self.edges.column(self.fk).as_ints() {
+            Some((keys, None)) => positions(edges, range, |erow| set.contains(keys[erow])),
+            // A NULL cell holds a placeholder key: the mask is ANDed in.
+            Some((keys, Some(valid))) => {
+                positions(edges, range, |erow| valid[erow] & set.contains(keys[erow]))
+            }
+            None => Vec::new(),
+        }
     }
 }
 
@@ -155,7 +159,7 @@ impl Lambda for EvEnd {
         KeySet::direct(0, self.vertices, vertices.iter().map(|&v| v as i64))
     }
 
-    fn select(&self, edges: Option<&[RowId]>, range: Range<usize>, set: &KeySet) -> Vec<usize> {
+    fn select(&self, edges: Option<&[RowId]>, range: Range<usize>, set: &KeySet) -> Vec<u32> {
         let rids = self.rids();
         positions(edges, range, |erow| set.contains(rids[erow] as i64))
     }

@@ -10,6 +10,7 @@
 
 use crate::column::Column;
 use crate::table::Table;
+use relgo_common::select::{select, split_into};
 use relgo_common::{RelGoError, Result, RowId, Value};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -34,15 +35,21 @@ pub enum BinaryOp {
 }
 
 impl BinaryOp {
-    fn test(self, ord: Ordering) -> bool {
-        match self {
-            BinaryOp::Eq => ord == Ordering::Equal,
-            BinaryOp::Ne => ord != Ordering::Equal,
-            BinaryOp::Lt => ord == Ordering::Less,
-            BinaryOp::Le => ord != Ordering::Greater,
-            BinaryOp::Gt => ord == Ordering::Greater,
-            BinaryOp::Ge => ord != Ordering::Less,
-        }
+    /// Whether an operand pair in order `ord` satisfies the operator, with
+    /// the operator decided once: a bit per [`Ordering`], so a row's outcome
+    /// is a shift, not a branch.
+    #[inline]
+    fn accepts(self) -> impl Fn(Ordering) -> bool + Copy {
+        // Bit `ord + 1`: Less, Equal, Greater.
+        let bits: u8 = match self {
+            BinaryOp::Eq => 0b010,
+            BinaryOp::Ne => 0b101,
+            BinaryOp::Lt => 0b001,
+            BinaryOp::Le => 0b011,
+            BinaryOp::Gt => 0b100,
+            BinaryOp::Ge => 0b110,
+        };
+        move |ord| bits >> (ord as i8 + 1) & 1 == 1
     }
 
     /// The operator with its operands swapped (`lit < col` is `col > lit`).
@@ -152,7 +159,7 @@ impl ScalarExpr {
                 let lv = l.eval(table, row)?;
                 let rv = r.eval(table, row)?;
                 Ok(match lv.try_cmp(&rv) {
-                    Some(ord) => Value::Bool(op.test(ord)),
+                    Some(ord) => Value::Bool(op.accepts()(ord)),
                     None => Value::Null,
                 })
             }
@@ -319,9 +326,9 @@ impl ScalarExpr {
             Contains(e, needle) => {
                 col(e)?.map(|c| strings(c, input, sel, |s| s.contains(needle.as_str())))
             }
-            IsNull(e) => col(e)?.map(|c| {
-                let valid = c.validity();
-                input.scan(sel, None, |r| Some(valid.is_some_and(|m| !m[r])))
+            IsNull(e) => col(e)?.map(|c| match c.validity() {
+                Some(valid) => input.scan(sel, None, |r| !valid[r]),
+                None => Split::default(),
             }),
             // List entries of another type never equal a cell — except a
             // FLOAT entry an INT cell, which is left to the scalar path.
@@ -329,11 +336,11 @@ impl ScalarExpr {
                 Some(Column::Int(..)) if list.iter().any(|v| matches!(v, Value::Float(_))) => None,
                 Some(c @ (Column::Int(d, _) | Column::Date(d, _))) => {
                     let ints: Vec<i64> = list.iter().filter_map(Value::as_int).collect();
-                    Some(input.scan(sel, c.validity(), |r| Some(ints.contains(&d[r]))))
+                    Some(input.scan(sel, c.validity(), |r| ints.contains(&d[r])))
                 }
                 Some(c @ Column::Str(d, _)) => {
                     let strs: Vec<&str> = list.iter().filter_map(Value::as_str).collect();
-                    Some(input.scan(sel, c.validity(), |r| Some(strs.contains(&&*d[r]))))
+                    Some(input.scan(sel, c.validity(), |r| strs.contains(&&*d[r])))
                 }
                 _ => None,
             },
@@ -458,26 +465,38 @@ impl Input<'_> {
         }
     }
 
-    /// Split `sel` by a three-valued test of the table row; a cell that is
-    /// NULL under `valid` is NULL without being tested.
+    /// Split `sel` by a two-valued test of the table row; a cell that is
+    /// NULL under `valid` is NULL whatever the test says of its placeholder.
+    /// Without a mask that is one branch-free selection; with one, the mask
+    /// is ANDed into the test and the NULL positions go through a second
+    /// cursor.
     fn scan(
         &self,
         sel: Option<&[u32]>,
         valid: Option<&[bool]>,
-        test: impl Fn(usize) -> Option<bool>,
+        test: impl Fn(usize) -> bool,
     ) -> Split {
-        let mut out = Split::default();
-        let mut visit = |p: u32| {
-            let r = self.row(p);
-            match valid.is_none_or(|m| m[r]).then(|| test(r)).flatten() {
-                Some(true) => out.yes.push(p),
-                Some(false) => {}
-                None => out.unknown.push(p),
-            }
+        let Some(valid) = valid else {
+            let yes = match sel {
+                Some(sel) => select(sel.iter().copied(), |p| test(self.row(p))),
+                None => select(0..self.n as u32, |p| test(self.row(p))),
+            };
+            return Split {
+                yes,
+                unknown: Vec::new(),
+            };
         };
+        self.scan3(sel, |r| (valid[r] & test(r), !valid[r]))
+    }
+
+    /// Split `sel` by a three-valued test of the table row: whether it is
+    /// TRUE and whether it is NULL.
+    fn scan3(&self, sel: Option<&[u32]>, test: impl Fn(usize) -> (bool, bool)) -> Split {
+        let mut out = Split::default();
+        let (yes, unknown) = (&mut out.yes, &mut out.unknown);
         match sel {
-            Some(sel) => sel.iter().copied().for_each(&mut visit),
-            None => (0..self.n as u32).for_each(&mut visit),
+            Some(sel) => split_into(yes, unknown, sel.iter().copied(), |p| test(self.row(p))),
+            None => split_into(yes, unknown, 0..self.n as u32, |p| test(self.row(p))),
         }
         out
     }
@@ -492,28 +511,32 @@ fn compare(
     input: &Input<'_>,
     sel: Option<&[u32]>,
 ) -> Split {
-    let test = |ord: Option<Ordering>| ord.map(|o| op.test(o));
+    let test = op.accepts();
     let valid = col.validity();
+    // A float comparison is NULL where either side is NaN, as well as where
+    // the cell is.
+    let partial = |ord: Option<Ordering>, r: usize| {
+        let known = valid.is_none_or(|m| m[r]) & ord.is_some();
+        (known & ord.is_some_and(test), !known)
+    };
     match (col, lit) {
         (Column::Int(d, _) | Column::Date(d, _), Value::Int(x) | Value::Date(x)) => {
-            input.scan(sel, valid, |r| test(Some(d[r].cmp(x))))
+            input.scan(sel, valid, |r| test(d[r].cmp(x)))
         }
         (Column::Int(d, _), Value::Float(x)) => {
-            input.scan(sel, valid, |r| test((d[r] as f64).partial_cmp(x)))
+            input.scan3(sel, |r| partial((d[r] as f64).partial_cmp(x), r))
         }
         (Column::Float(d, _), Value::Float(x)) => {
-            input.scan(sel, valid, |r| test(d[r].partial_cmp(x)))
+            input.scan3(sel, |r| partial(d[r].partial_cmp(x), r))
         }
         (Column::Float(d, _), Value::Int(x)) => {
             let x = *x as f64;
-            input.scan(sel, valid, |r| test(d[r].partial_cmp(&x)))
+            input.scan3(sel, |r| partial(d[r].partial_cmp(&x), r))
         }
-        (Column::Str(d, _), Value::Str(x)) => {
-            input.scan(sel, valid, |r| test(Some((*d[r]).cmp(&**x))))
-        }
-        (Column::Bool(d, _), Value::Bool(x)) => input.scan(sel, valid, |r| test(Some(d[r].cmp(x)))),
+        (Column::Str(d, _), Value::Str(x)) => input.scan(sel, valid, |r| test((*d[r]).cmp(&**x))),
+        (Column::Bool(d, _), Value::Bool(x)) => input.scan(sel, valid, |r| test(d[r].cmp(x))),
         // A NULL or incomparable literal: NULL on every row.
-        _ => input.scan(sel, None, |_| None),
+        _ => input.scan3(sel, |_| (false, true)),
     }
 }
 
@@ -525,8 +548,8 @@ fn strings(
     test: impl Fn(&str) -> bool,
 ) -> Split {
     match col {
-        Column::Str(d, _) => input.scan(sel, col.validity(), |r| Some(test(&d[r]))),
-        _ => input.scan(sel, col.validity(), |_| Some(false)),
+        Column::Str(d, _) => input.scan(sel, col.validity(), |r| test(&d[r])),
+        _ => input.scan(sel, col.validity(), |_| false),
     }
 }
 
