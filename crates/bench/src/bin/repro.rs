@@ -2,25 +2,27 @@
 //!
 //! Usage:
 //! ```text
-//! repro [fig4a|fig4b|fig7|fig8|fig9|fig10|fig11|fig12|figcache|figpar|figprepared|figingest|figwal|figckpt|figserve|figprofile|stats|all] [--quick]
+//! repro [stats|fig4a|fig4b|fig7|fig8|fig9|fig10|fig11|fig12|all] [--quick]
 //! ```
 //!
-//! `--quick` (or `RELGO_BENCH_QUICK=1`) shrinks scales and repetitions for
-//! a fast smoke run; the default configuration produces the numbers
-//! recorded in `EXPERIMENTS.md`.
+//! `--quick` shrinks scales and repetitions for a fast smoke run; the
+//! default configuration produces the numbers recorded in `EXPERIMENTS.md`.
 
 use relgo_bench::figures;
 use relgo_bench::harness::BenchConfig;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    let cfg = if args.iter().any(|a| a == "--quick") {
+        BenchConfig::quick()
+    } else {
+        BenchConfig::full()
+    };
     let what = args
         .iter()
         .find(|a| !a.starts_with("--"))
         .cloned()
         .unwrap_or_else(|| "all".to_string());
-    let cfg = BenchConfig::from_env(quick);
 
     let run = |name: &str| -> bool { what == "all" || what == name };
     let mut ran_any = false;
@@ -48,23 +50,14 @@ fn main() {
     emit("fig10", &|| figures::fig10(&cfg));
     emit("fig11", &|| figures::fig11(&cfg));
     emit("fig12", &|| figures::fig12(&cfg));
-    emit("figcache", &|| figures::fig_cache(&cfg));
-    emit("figpar", &|| figures::fig_par(&cfg));
-    emit("figprepared", &|| figures::fig_prepared(&cfg));
-    emit("figingest", &|| figures::fig_ingest(&cfg));
-    emit("figwal", &|| figures::fig_wal(&cfg));
-    emit("figckpt", &|| figures::fig_ckpt(&cfg));
-    emit("figserve", &|| figures::fig_serve(&cfg));
-    emit("figprofile", &|| figures::fig_profile(&cfg));
 
     if !ran_any {
         eprintln!(
-            "unknown target '{what}'; expected one of: stats fig4a fig4b fig7 fig8 fig9 fig10 fig11 fig12 figcache figpar figprepared figingest figwal figckpt figserve figprofile all"
+            "unknown target '{what}'; expected one of: stats fig4a fig4b fig7 fig8 fig9 fig10 fig11 fig12 all"
         );
         std::process::exit(2);
     }
-    // Figures are self-checking: a figure that fails its own invariants
-    // must fail the run, not just print to stderr.
+    // A figure that errors must fail the run, not just print to stderr.
     if !failed.is_empty() {
         eprintln!("failed figures: {}", failed.join(" "));
         std::process::exit(1);

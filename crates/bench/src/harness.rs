@@ -50,16 +50,6 @@ impl BenchConfig {
             opt_timeout: Duration::from_millis(500),
         }
     }
-
-    /// Pick from the environment (`RELGO_BENCH_QUICK=1`) or an explicit
-    /// flag.
-    pub fn from_env(quick_flag: bool) -> BenchConfig {
-        if quick_flag || std::env::var("RELGO_BENCH_QUICK").is_ok() {
-            BenchConfig::quick()
-        } else {
-            BenchConfig::full()
-        }
-    }
 }
 
 /// One measured query run.
@@ -71,8 +61,6 @@ pub enum Timing {
         opt_ms: f64,
         /// Execution time (ms).
         exec_ms: f64,
-        /// Result rows.
-        rows: usize,
     },
     /// The executor tripped the intermediate-size guard.
     Oom,
@@ -83,9 +71,7 @@ impl Timing {
     /// paper treats failed runs when averaging speedups).
     pub fn e2e_ms(&self) -> f64 {
         match self {
-            Timing::Ok {
-                opt_ms, exec_ms, ..
-            } => opt_ms + exec_ms,
+            Timing::Ok { opt_ms, exec_ms } => opt_ms + exec_ms,
             Timing::Oom => f64::INFINITY,
         }
     }
@@ -93,9 +79,7 @@ impl Timing {
     /// Render like the paper's tables (`12.34` or `OOM`).
     pub fn display(&self) -> String {
         match self {
-            Timing::Ok {
-                opt_ms, exec_ms, ..
-            } => format!("{:.2}", opt_ms + exec_ms),
+            Timing::Ok { opt_ms, exec_ms } => format!("{:.2}", opt_ms + exec_ms),
             Timing::Oom => "OOM".to_string(),
         }
     }
@@ -117,13 +101,11 @@ pub fn measure(
     }
     let mut opts = Vec::with_capacity(reps);
     let mut execs = Vec::with_capacity(reps);
-    let mut rows = 0usize;
     for _ in 0..reps.max(1) {
         match session.run(query, mode) {
             Ok(out) => {
                 opts.push(out.opt.elapsed.as_secs_f64() * 1e3);
                 execs.push(out.exec_time.as_secs_f64() * 1e3);
-                rows = out.table.num_rows();
             }
             Err(RelGoError::ResourceExhausted(_)) => return Ok(Timing::Oom),
             Err(e) => return Err(e),
@@ -132,7 +114,6 @@ pub fn measure(
     Ok(Timing::Ok {
         opt_ms: median(&mut opts),
         exec_ms: median(&mut execs),
-        rows,
     })
 }
 
@@ -178,9 +159,7 @@ mod tests {
         let q = relgo::workloads::snb_queries::ic1(&schema, 1, 5).unwrap();
         let t = measure(&session, &q, OptimizerMode::RelGo, 2).unwrap();
         match t {
-            Timing::Ok {
-                opt_ms, exec_ms, ..
-            } => {
+            Timing::Ok { opt_ms, exec_ms } => {
                 assert!(opt_ms >= 0.0 && exec_ms >= 0.0);
             }
             Timing::Oom => panic!("tiny query must not OOM"),

@@ -5,10 +5,9 @@
 //! paper plots; the `repro` binary prints them. Timed perf points come from
 //! the fixed harness in `benchmark/` (`bash benchmark/run.sh`).
 //!
-//! Scale notes: `RELGO_BENCH_QUICK=1` (or `--quick`) shrinks scale factors
-//! and repetition counts so the whole suite completes in well under a
-//! minute; the default configuration corresponds to the shapes reported in
-//! `EXPERIMENTS.md`.
+//! Scale notes: `repro --quick` shrinks scale factors and repetition counts
+//! so the whole suite completes in well under a minute; the default
+//! configuration corresponds to the shapes reported in `EXPERIMENTS.md`.
 
 pub mod figures;
 pub mod harness;

@@ -20,8 +20,8 @@
 //! `write` + one `fsync`. Committers whose records ride along simply wait on
 //! a condvar and return when the leader reports their sequence durable. Under
 //! `n` concurrent writers this amortizes the dominant fsync cost: fsyncs per
-//! commit drop from 1 toward `1/n` (the `fig_wal` figure measures exactly
-//! this).
+//! commit drop from 1 toward `1/n` (the benchmark's
+//! `delta.wal_syncs_per_commit` row measures exactly this).
 //!
 //! Callers are expected to stage records in commit order (the session layer
 //! appends while holding its writer lock), so the byte order of the log is
@@ -65,8 +65,7 @@ const MAX_RECORD: u64 = 1 << 30;
 #[derive(Debug, Clone, Copy)]
 pub struct WalOptions {
     /// `fsync` after every group flush (durability). Off, records are still
-    /// written at commit but the OS may lose them on power failure — the
-    /// `fig_wal` figure uses this to price the sync itself.
+    /// written at commit but the OS may lose them on power failure.
     pub fsync: bool,
     /// Test/bench hook: sleep this long inside every flush, modeling device
     /// latency. Makes group-commit batching deterministic on machines whose

@@ -191,8 +191,7 @@ impl PlanReport {
 
     /// Check the internal row accounting: every operator's `rows_in` must
     /// equal the summed `rows_out` of its inputs — i.e. each operator's
-    /// actual rows reconcile with the result cardinality it feeds. The
-    /// `figprofile` figure errors on any violation.
+    /// actual rows reconcile with the result cardinality it feeds.
     pub fn reconcile(&self) -> Result<()> {
         for op in &self.ops {
             let fed: u64 = op

@@ -16,7 +16,6 @@ use relgo_common::{RelGoError, Result};
 use relgo_graph::{GraphStats, GraphView};
 use relgo_pattern::decompose::{self, is_induced_connected, iter_vertices, sub_pattern, VertexSet};
 use relgo_pattern::{canonical_form, Pattern};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Cache key: canonical skeleton code + canonicalized predicate summary.
@@ -105,9 +104,7 @@ pub struct GLogue {
     /// sampling scaled back by `s`.
     stride: usize,
     /// Worker threads for seed-partitioned counting (1 = serial).
-    /// Atomic so a shared (`Arc`ed) GLogue can be retuned without
-    /// invalidating its cache — parallel counts equal serial counts.
-    threads: AtomicUsize,
+    threads: usize,
     /// Cached exact counts, each stamped with the labels it depends on so
     /// [`GLogue::refreshed`] can carry unaffected entries across an ingest
     /// commit.
@@ -119,7 +116,7 @@ impl std::fmt::Debug for GLogue {
         f.debug_struct("GLogue")
             .field("k", &self.k)
             .field("stride", &self.stride)
-            .field("threads", &self.threads.load(Ordering::Relaxed))
+            .field("threads", &self.threads)
             .field("cached_patterns", &self.cache.lock().len())
             .finish()
     }
@@ -152,7 +149,7 @@ impl GLogue {
             stats,
             k: k.max(1),
             stride: stride.max(1),
-            threads: AtomicUsize::new(threads.max(1)),
+            threads: threads.max(1),
             cache: Mutex::new(FxHashMap::default()),
         })
     }
@@ -189,7 +186,7 @@ impl GLogue {
             stats,
             k: prev.k,
             stride: prev.stride,
-            threads: AtomicUsize::new(prev.threads()),
+            threads: prev.threads,
             cache: Mutex::new(cache),
         })
     }
@@ -202,17 +199,6 @@ impl GLogue {
     /// Sparsification stride (1 = exact).
     pub fn stride(&self) -> usize {
         self.stride
-    }
-
-    /// Current counting-worker thread count.
-    pub fn threads(&self) -> usize {
-        self.threads.load(Ordering::Relaxed)
-    }
-
-    /// Retune the counting-worker thread count. Cached cardinalities stay
-    /// valid: parallel counting is count-identical to serial.
-    pub fn set_threads(&self, threads: usize) {
-        self.threads.store(threads.max(1), Ordering::Relaxed);
     }
 
     /// The underlying graph view.
@@ -236,7 +222,7 @@ impl GLogue {
         if let Some(&(c, _)) = self.cache.lock().get(&key) {
             return Ok(c);
         }
-        let c = count_homomorphisms_par(&self.view, p, self.stride, self.threads())?;
+        let c = count_homomorphisms_par(&self.view, p, self.stride, self.threads)?;
         self.cache.lock().insert(key, (c, LabelMask::of_pattern(p)));
         Ok(c)
     }

@@ -1,6 +1,6 @@
 //! A minimal parser/validator for the Prometheus text exposition format,
-//! used by integration tests and the self-checking `figserve` figure to
-//! reconcile scraped values against client-side tallies. Hand-rolled on
+//! used by integration tests to reconcile scraped values against
+//! client-side tallies. Hand-rolled on
 //! `std` because the build environment has no crates.io access.
 
 use std::collections::HashMap;

@@ -3,7 +3,7 @@
 //! execute → materialize → serialize, plus the ingest-side WAL append) and
 //! folds into [`StageTimings`], whose [`StageTimings::coverage`]
 //! quantifies how much of the measured end-to-end latency the stages
-//! account for — the self-check the `figserve` figure enforces (≥ 96%).
+//! account for — the benchmark's `relgo.trace_coverage` row.
 
 use std::time::{Duration, Instant};
 

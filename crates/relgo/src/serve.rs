@@ -104,7 +104,7 @@ pub enum ServeMode {
 }
 
 impl ServeMode {
-    /// Short display name (figure tables).
+    /// Short display name (report tables).
     pub fn name(&self) -> &'static str {
         match self {
             ServeMode::Cached => "cached",
@@ -712,6 +712,7 @@ mod tests {
         assert_eq!(report.metrics.misses, 0);
         assert_eq!(report.cached_queries, report.queries);
         assert!(report.throughput() > 0.0);
+        assert!(report.p99().is_some(), "finite p99 latency");
     }
 
     #[test]
@@ -733,6 +734,7 @@ mod tests {
         assert_eq!(report.prepared_queries, expected);
         assert_eq!(report.cached_queries, expected, "{:?}", report.metrics);
         assert_eq!(report.metrics.prepared_hits as usize, expected);
+        assert!(report.p99().is_some(), "finite p99 latency");
         // Preparation probed the cache once per template; no query paid a
         // probe after that.
         assert_eq!(

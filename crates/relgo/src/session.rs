@@ -79,8 +79,7 @@ pub struct SessionOptions {
 
 /// When a durable session checkpoints automatically. Either threshold
 /// triggers; recovery replay is thereby bounded to at most `max_records`
-/// WAL records (the `figckpt` figure proves this stays flat while
-/// checkpoint-less replay grows with commit history).
+/// WAL records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointPolicy {
     /// Checkpoint once the WAL holds this many on-disk bytes.
@@ -846,14 +845,6 @@ impl Session {
         *self.tuning.lock()
     }
 
-    /// Retune the intra-query thread count without invalidating anything:
-    /// parallel execution and counting are bit-identical to serial, so
-    /// cached plans and GLogue cardinalities remain valid.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.options.threads = threads.max(1);
-        self.state().glogue.set_threads(self.options.threads);
-    }
-
     fn planner_context(&self, state: &SessionState) -> PlannerContext {
         PlannerContext {
             view: Arc::clone(&state.view),
@@ -1405,6 +1396,7 @@ mod tests {
         let report = session.checkpoint().unwrap();
         assert_eq!(report.epoch, 6);
         assert_eq!(report.wal.records_dropped, 6);
+        assert_eq!(report.wal.bytes_retained, 0);
         assert_eq!(session.last_checkpoint_epoch(), 6);
         assert_eq!(session.wal_bytes_since_checkpoint(), Some(0));
         assert_eq!(session.metrics().checkpoints(), 1);
@@ -1459,12 +1451,67 @@ mod tests {
         assert_eq!(session.metrics().checkpoints(), 1);
         commit_person(&session, 800_003);
         assert_eq!(session.last_checkpoint_epoch(), 3, "counter restarted");
-        for i in 4..6 {
+        for i in 4..7 {
             commit_person(&session, 800_000 + i);
         }
         assert_eq!(session.last_checkpoint_epoch(), 6);
         assert_eq!(session.metrics().checkpoints(), 2);
+
+        // The policy bounds recovery: the checkpoint plus a short tail.
+        let (db, mapping) = generate_snb(&SnbParams { sf: 0.03, seed: 42 });
+        let (back, rec) = Session::recover(db, mapping, &path).unwrap();
+        assert!(rec.checkpoint_loaded);
+        assert!(rec.records <= 3, "replayed {} records", rec.records);
+        assert_eq!(back.epoch(), session.epoch());
+        for name in ["Person", "Knows", "Likes"] {
+            assert!(
+                session
+                    .db()
+                    .table(name)
+                    .unwrap()
+                    .bit_identical(back.db().table(name).unwrap()),
+                "{name} diverges after policy-bounded recovery"
+            );
+        }
         cleanup_wal(&path);
+    }
+
+    #[test]
+    fn single_writer_syncs_once_per_commit_only_with_fsync() {
+        use relgo_datagen::{generate_snb, SnbParams};
+        let (db, mapping) = generate_snb(&SnbParams { sf: 0.03, seed: 42 });
+        let commits = 4u64;
+        for fsync in [true, false] {
+            let path = temp_wal(&format!("fsync_{fsync}"));
+            let (session, _) = Session::open_durable(
+                db.clone(),
+                mapping.clone(),
+                SessionOptions::default(),
+                &path,
+                WalOptions {
+                    fsync,
+                    ..WalOptions::default()
+                },
+            )
+            .unwrap();
+            for i in 0..commits {
+                commit_person(&session, 800_000 + i as i64);
+            }
+            let stats = session.wal_stats().unwrap();
+            assert_eq!(stats.records, commits);
+            assert_eq!(
+                stats.syncs,
+                if fsync { commits } else { 0 },
+                "fsync={fsync}"
+            );
+            // Every durable commit is charged to the `wal_append` stage.
+            let registry = session.observability_snapshot().registry;
+            match registry.get("relgo_query_stage_seconds", &[("stage", "wal_append")]) {
+                Some(relgo_metrics::SampleValue::Histogram(h)) => assert_eq!(h.count, commits),
+                other => panic!("missing wal_append stage histogram: {other:?}"),
+            }
+            cleanup_wal(&path);
+        }
     }
 
     #[test]

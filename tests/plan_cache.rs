@@ -90,7 +90,7 @@ fn warm_cache_skips_optimizer_10x() {
         }
     }
     // Wall-clock ratios are only asserted in release builds, where the
-    // margin over the 10x contract is wide (`fig_cache` measures 15-200x);
+    // margin over the 10x contract is wide;
     // debug builds rely on the deterministic plans_visited/cached asserts
     // above so a loaded CI runner cannot flake the suite.
     if !cfg!(debug_assertions) {

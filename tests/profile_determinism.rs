@@ -213,6 +213,7 @@ fn profiled_case(
 
     let ea = probe(session, &plain, &format!("{case}: explain_analyze"), || {
         let ea = session.explain_analyze(&q, mode)?;
+        assert_eq!(ea.rendered.lines().count(), ea.report.ops.len());
         Ok((ea.outcome, Some(ea.report)))
     });
     assert_eq!(ea.path_increments, run.path_increments);

@@ -537,6 +537,10 @@ fn post_recovery_commits_extend_the_recovered_log() {
     drop(second);
 
     let (third, rec) = Session::recover(db.clone(), mapping.clone(), &path).unwrap();
+    assert!(
+        !rec.checkpoint_loaded,
+        "a never-checkpointed log replays in full"
+    );
     assert_eq!(rec.records, 3);
     assert_eq!(third.epoch(), 3);
 
