@@ -66,33 +66,7 @@ use relgo_storage::ops::JoinTable;
 use relgo_storage::{BinaryOp, KeySet, ScalarExpr, Table};
 use std::borrow::Cow;
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// Per-batch shared operator state (the batched-serving seam): when N
-/// rebound instances of one plan skeleton execute as a batch, the per-query
-/// setup that does not depend on the instance's literals is built once here
-/// and reused — the hash-fallback adjacencies (an `O(E log E)`
-/// build per `EXPAND` in unindexed regimes) and the per-table-row predicate
-/// pass masks of *structural* (literal-identical) predicates. Adjacencies
-/// are keyed by `(edge label, direction)`; masks by `(table name,
-/// predicate)` compared *structurally* (a rendered-string key could be
-/// forged by string literals containing operator text), so
-/// instance-specific predicates simply miss.
-type MaskCache = Vec<(String, ScalarExpr, Arc<PassMask>)>;
-
-#[derive(Default)]
-pub struct BatchState {
-    hashed: Mutex<FxHashMap<(LabelId, Direction), Arc<Csr>>>,
-    masks: Mutex<MaskCache>,
-}
-
-impl BatchState {
-    /// Fresh shared state for one batch.
-    pub fn new() -> BatchState {
-        BatchState::default()
-    }
-}
 
 /// Execution context for the graph component.
 pub struct GraphExecContext<'a> {
@@ -110,8 +84,6 @@ pub struct GraphExecContext<'a> {
     /// Optional wall-clock budget: every morsel boundary (and the serial
     /// row guard) checks it, so expiry aborts within one morsel's work.
     pub deadline: Option<TimeBudget>,
-    /// Shared per-batch state (`None` outside batched execution).
-    pub batch: Option<&'a BatchState>,
     /// Profile collection target (`None` = profiling off; the hot path
     /// pays one branch per operator). Only the plan-driving thread touches
     /// it — morsel workers never see the sink.
@@ -298,63 +270,34 @@ fn scan_edge(
     )
 }
 
-/// Adjacency provider for one `(edge label, direction)`: the VE-index, or a
-/// transient [`Csr`] built over the edge relation per query (the hash-join
-/// fallback; `Arc`-shared so a batch builds it once) — the same structure
-/// in the same entry order, so both regimes enumerate identically, through
-/// the [`Csr`] either dereferences to.
-enum Adjacency<'a> {
-    Indexed(&'a Csr),
-    Hashed(Arc<Csr>),
-}
-
-impl std::ops::Deref for Adjacency<'_> {
-    type Target = Csr;
-
-    #[inline]
-    fn deref(&self) -> &Csr {
-        match self {
-            Adjacency::Indexed(adj) => adj,
-            Adjacency::Hashed(adj) => adj,
-        }
+/// Adjacency of pattern edge `edge` in direction `dir`: the VE-index's,
+/// borrowed, or a transient [`Csr`] built over the edge relation per query
+/// (the hash-join fallback) — the same structure in the same entry order,
+/// so both regimes enumerate identically.
+fn adjacency<'a>(
+    edge: usize,
+    dir: Direction,
+    ctx: &'a GraphExecContext<'_>,
+) -> Result<Cow<'a, Csr>> {
+    let pe = ctx.pattern.edge(edge);
+    if ctx.use_index {
+        return Ok(Cow::Borrowed(ctx.index()?.adjacency(pe.label, dir)));
     }
-}
-
-impl<'a> Adjacency<'a> {
-    fn build(edge: usize, dir: Direction, ctx: &'a GraphExecContext<'_>) -> Result<Adjacency<'a>> {
-        let pe = ctx.pattern.edge(edge);
-        if ctx.use_index {
-            return Ok(Adjacency::Indexed(ctx.index()?.adjacency(pe.label, dir)));
-        }
-        // Batched execution: every instance of the skeleton expands the
-        // same (label, dir), and the adjacency is literal-independent — the
-        // first query in the batch builds it, the rest reuse it.
-        if let Some(batch) = ctx.batch {
-            if let Some(adj) = batch.hashed.lock().unwrap().get(&(pe.label, dir)) {
-                return Ok(Adjacency::Hashed(Arc::clone(adj)));
-            }
-        }
-        // Hash fallback: resolve both endpoints of every edge row through
-        // the λ key indexes and group them by from-vertex.
-        let (srcs, dsts) = ctx.view.resolve_endpoints(pe.label, None)?;
-        let (src_label, dst_label) = ctx.view.schema().edge_endpoints(pe.label);
-        let (from_label, from, to) = match dir {
-            Direction::Out => (src_label, srcs, dsts),
-            Direction::In => (dst_label, dsts, srcs),
-        };
-        let triples = (0..from.len())
-            .map(|r| (from[r], r as RowId, to[r]))
-            .collect();
-        let adj = Arc::new(Csr::build(ctx.view.vertex_count(from_label), triples));
-        if let Some(batch) = ctx.batch {
-            batch
-                .hashed
-                .lock()
-                .unwrap()
-                .insert((pe.label, dir), Arc::clone(&adj));
-        }
-        Ok(Adjacency::Hashed(adj))
-    }
+    // Hash fallback: resolve both endpoints of every edge row through the
+    // λ key indexes and group them by from-vertex.
+    let (srcs, dsts) = ctx.view.resolve_endpoints(pe.label, None)?;
+    let (src_label, dst_label) = ctx.view.schema().edge_endpoints(pe.label);
+    let (from_label, from, to) = match dir {
+        Direction::Out => (src_label, srcs, dsts),
+        Direction::In => (dst_label, dsts, srcs),
+    };
+    let triples = (0..from.len())
+        .map(|r| (from[r], r as RowId, to[r]))
+        .collect();
+    Ok(Cow::Owned(Csr::build(
+        ctx.view.vertex_count(from_label),
+        triples,
+    )))
 }
 
 /// Entries a predicated `EXPAND` (candidates an `EXPAND_INTERSECT`) buffers
@@ -427,7 +370,7 @@ impl PassMask {
 struct Test<'a> {
     pred: &'a ScalarExpr,
     table: &'a Table,
-    mask: Option<Arc<PassMask>>,
+    mask: Option<PassMask>,
 }
 
 impl<'a> Test<'a> {
@@ -435,42 +378,19 @@ impl<'a> Test<'a> {
     /// `entries` candidate rows (with repeats). The mask costs one
     /// evaluation per table row — `rows` produces the passing ones — and the
     /// candidate vector one per entry, so the mask is built when the table
-    /// has no more rows than there are entries. Under batched execution
-    /// masks are shared through [`BatchState`]: structural predicates
-    /// (identical across the batch's rebound instances) are computed once,
-    /// and a cached mask is used whatever the volume — it is already paid
-    /// for.
+    /// has no more rows than there are entries.
     fn new(
         pred: &'a ScalarExpr,
         table: &'a Table,
         entries: usize,
-        batch: Option<&BatchState>,
         rows: impl FnOnce() -> Result<Vec<RowId>>,
     ) -> Result<Test<'a>> {
-        let with = |mask| Test { pred, table, mask };
-        if let Some(batch) = batch {
-            // A batch caches a handful of masks; linear scan with structural
-            // predicate equality (never aliasable, unlike a rendered string).
-            let masks = batch.masks.lock().unwrap();
-            if let Some((_, _, mask)) = masks
-                .iter()
-                .find(|(t, cached, _)| t == table.name() && cached == pred)
-            {
-                return Ok(with(Some(Arc::clone(mask))));
-            }
-        }
-        if table.num_rows() > entries {
-            return Ok(with(None));
-        }
-        let mask = Arc::new(PassMask::of(&rows()?, table.num_rows()));
-        if let Some(batch) = batch {
-            batch.masks.lock().unwrap().push((
-                table.name().to_string(),
-                pred.clone(),
-                Arc::clone(&mask),
-            ));
-        }
-        Ok(with(Some(mask)))
+        let mask = if table.num_rows() <= entries {
+            Some(PassMask::of(&rows()?, table.num_rows()))
+        } else {
+            None
+        };
+        Ok(Test { pred, table, mask })
     }
 
     /// [`Test::new`] for the predicate on pattern vertex `v`, if it has one.
@@ -483,7 +403,7 @@ impl<'a> Test<'a> {
         let label = ctx.pattern.vertex(v).label;
         pred.map(|p| {
             let rows = || vertex_rows(ctx.view, label, Some(p));
-            Test::new(p, ctx.view.vertex_table(label), entries, ctx.batch, rows)
+            Test::new(p, ctx.view.vertex_table(label), entries, rows)
         })
         .transpose()
     }
@@ -496,7 +416,7 @@ impl<'a> Test<'a> {
         ctx: &'a GraphExecContext<'_>,
     ) -> Result<Option<Test<'a>>> {
         let table = ctx.view.edge_table(ctx.pattern.edge(e).label);
-        pred.map(|p| Test::new(p, table, entries, ctx.batch, || p.select(table, None)))
+        pred.map(|p| Test::new(p, table, entries, || p.select(table, None)))
             .transpose()
     }
 
@@ -622,7 +542,7 @@ fn expand(
     vertex_predicate: Option<&ScalarExpr>,
     ctx: &GraphExecContext<'_>,
 ) -> Result<GraphChunk> {
-    let adj = Adjacency::build(edge, dir, ctx)?;
+    let adj = adjacency(edge, dir, ctx)?;
     let adj: &Csr = &adj;
     let from_col = input.vertex_col(from)?;
 
@@ -873,9 +793,9 @@ fn expand_intersect(
             "EXPAND_INTERSECT requires at least two legs",
         ));
     }
-    let adjs: Vec<Adjacency<'_>> = legs
+    let adjs: Vec<Cow<'_, Csr>> = legs
         .iter()
-        .map(|l| Adjacency::build(l.edge, l.dir, ctx))
+        .map(|l| adjacency(l.edge, l.dir, ctx))
         .collect::<Result<_>>()?;
     let adjs: Vec<&Csr> = adjs.iter().map(|adj| &**adj).collect();
     // Hoisted binding columns: one slice per leg, no per-row Result lookup.
@@ -1034,7 +954,7 @@ fn filter_vertex(
         }
         _ => {
             let col = input.vertex_col(v)?;
-            let test = Test::new(predicate, table, col.len(), ctx.batch, rows)?;
+            let test = Test::new(predicate, table, col.len(), rows)?;
             kept_rows(col.len(), ctx, |range| {
                 let mut pass = test.passing(&col[range.clone()])?;
                 pass.iter_mut().for_each(|p| *p += range.start as u32);
@@ -1192,6 +1112,7 @@ mod tests {
     use relgo_pattern::PatternBuilder;
     use relgo_storage::table::table_of;
     use relgo_storage::Database;
+    use std::sync::Arc;
 
     fn fig2_view() -> GraphView {
         let mut db = Database::new();
@@ -1275,7 +1196,6 @@ mod tests {
             row_limit: 1_000_000,
             threads: 1,
             deadline: None,
-            batch: None,
             profile: None,
         }
     }
@@ -1328,7 +1248,7 @@ mod tests {
         let view = fig2_view();
         let pat = wedge_pattern();
         let c = ctx(&view, &pat, false);
-        let adj = Adjacency::build(0, Direction::Out, &c).unwrap();
+        let adj = adjacency(0, Direction::Out, &c).unwrap();
         for v in 0..3 {
             let (es, ns) = adj.neighbors(v);
             assert_eq!(es.len(), ns.len());
@@ -1339,53 +1259,29 @@ mod tests {
         assert_eq!(adj.neighbors(1).1, &[0, 1]);
         // The indexed and hashed providers agree entry-for-entry.
         let idx_ctx = ctx(&view, &pat, true);
-        let idx_adj = Adjacency::build(0, Direction::Out, &idx_ctx).unwrap();
+        let idx_adj = adjacency(0, Direction::Out, &idx_ctx).unwrap();
         for v in 0..3 {
             assert_eq!(adj.neighbors(v), idx_adj.neighbors(v));
         }
     }
 
     #[test]
-    fn batch_state_shares_hashed_adjacency_and_masks() {
+    fn mask_follows_the_volume_rule() {
         let view = fig2_view();
-        let pat = wedge_pattern();
-        let batch = BatchState::new();
-        let mut c = ctx(&view, &pat, false);
-        c.batch = Some(&batch);
-        let a = Adjacency::build(0, Direction::Out, &c).unwrap();
-        let b = Adjacency::build(0, Direction::Out, &c).unwrap();
-        match (&a, &b) {
-            (Adjacency::Hashed(x), Adjacency::Hashed(y)) => {
-                assert!(
-                    Arc::ptr_eq(x, y),
-                    "second build reuses the batch's adjacency"
-                );
-            }
-            _ => panic!("hash fallback expected"),
-        }
-        // Distinct (label, dir) keys stay distinct.
-        let rev = Adjacency::build(0, Direction::In, &c).unwrap();
-        match (&a, &rev) {
-            (Adjacency::Hashed(x), Adjacency::Hashed(y)) => assert!(!Arc::ptr_eq(x, y)),
-            _ => panic!("hash fallback expected"),
-        }
-        // Identical predicates share one mask; even below the volume
-        // threshold the cached mask is reused.
         let table = view.vertex_table(LabelId(0));
         let pred = ScalarExpr::col_eq(1, "Bob");
-        let rows = || pred.select(table, None);
-        let mask_of = |entries, batch| Test::new(&pred, table, entries, batch, rows).unwrap().mask;
-        let m1 = mask_of(usize::MAX, Some(&batch)).expect("mask built");
-        let m2 = mask_of(0, Some(&batch)).expect("cached mask served below threshold");
-        assert!(Arc::ptr_eq(&m1, &m2));
+        let mask_of = |entries| {
+            Test::new(&pred, table, entries, || pred.select(table, None))
+                .unwrap()
+                .mask
+        };
+        // Three Person rows: a mask at three entries to test, and only then.
+        let mask = mask_of(3).expect("mask built");
         assert_eq!(
-            (0..3).map(|r| m1.get(r)).collect::<Vec<_>>(),
+            (0..3).map(|r| mask.get(r)).collect::<Vec<_>>(),
             [false, true, false]
         );
-        // Without a batch the rule decides alone: a mask when the table has
-        // no more rows than there are entries to test, and only then.
-        assert!(mask_of(3, None).is_some());
-        assert!(mask_of(2, None).is_none());
+        assert!(mask_of(2).is_none());
     }
 
     #[test]
@@ -1856,7 +1752,7 @@ mod tests {
         ctx: &GraphExecContext<'_>,
     ) -> Result<GraphChunk> {
         let pe = ctx.pattern.edge(edge);
-        let adj = Adjacency::build(edge, dir, ctx)?;
+        let adj = adjacency(edge, dir, ctx)?;
         let etable = ctx.view.edge_table(pe.label);
         let vtable = ctx.view.vertex_table(ctx.pattern.vertex(to).label);
         let from_col = input.vertex_col(from)?;
@@ -1949,9 +1845,9 @@ mod tests {
                 "EXPAND_INTERSECT requires at least two legs",
             ));
         }
-        let adjs: Vec<Adjacency<'_>> = legs
+        let adjs: Vec<Cow<'_, Csr>> = legs
             .iter()
-            .map(|l| Adjacency::build(l.edge, l.dir, ctx))
+            .map(|l| adjacency(l.edge, l.dir, ctx))
             .collect::<Result<_>>()?;
         let etables: Vec<_> = legs
             .iter()

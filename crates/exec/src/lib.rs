@@ -26,8 +26,7 @@ pub mod profile;
 pub mod rel_exec;
 
 pub use chunk::GraphChunk;
-pub use graph_exec::BatchState;
 pub use profile::{
     OperatorProfile, OperatorReport, PlanProfile, PlanReport, ProfileMode, ProfileSink,
 };
-pub use rel_exec::{execute_plan, execute_plan_batch, execute_plan_with, ExecConfig};
+pub use rel_exec::{execute_plan, execute_plan_with, ExecConfig};

@@ -6,7 +6,7 @@
 //! through the `COLUMNS` clause into a columnar [`Table`] — the π̂ operator.
 
 use crate::chunk::GraphChunk;
-use crate::graph_exec::{execute_graph, BatchState, GraphExecContext};
+use crate::graph_exec::{execute_graph, GraphExecContext};
 use crate::profile::{PlanProfile, ProfileMode, ProfileSink};
 use relgo_common::morsel::TimeBudget;
 use relgo_common::{DataType, ElementId, Field, FxHashMap, Result, Schema};
@@ -72,40 +72,9 @@ pub fn execute_plan_with(
         ProfileMode::Off => None,
         ProfileMode::On => Some(ProfileSink::new()),
     };
-    let out = exec_rel(
-        &plan.root,
-        &plan.pattern,
-        view,
-        db,
-        cfg,
-        None,
-        sink.as_ref(),
-    )?;
+    let out = exec_rel(&plan.root, &plan.pattern, view, db, cfg, sink.as_ref())?;
     let table = Arc::try_unwrap(out).unwrap_or_else(|arc| (*arc).clone());
     Ok((table, sink.map(|s| s.take())))
-}
-
-/// Execute N rebound instances of one plan skeleton as a batch. Results are
-/// bit-identical to executing each plan through [`execute_plan`]; the
-/// instances run in order but share one [`BatchState`], amortizing
-/// literal-independent per-query setup (hash-fallback adjacency builds,
-/// structural predicate masks) across the batch. The first error aborts the
-/// batch.
-pub fn execute_plan_batch<P: std::borrow::Borrow<PhysicalPlan>>(
-    plans: &[P],
-    view: &GraphView,
-    db: &Database,
-    cfg: &ExecConfig,
-) -> Result<Vec<Table>> {
-    let batch = BatchState::new();
-    plans
-        .iter()
-        .map(|plan| {
-            let plan = plan.borrow();
-            let out = exec_rel(&plan.root, &plan.pattern, view, db, cfg, Some(&batch), None)?;
-            Ok(Arc::try_unwrap(out).unwrap_or_else(|arc| (*arc).clone()))
-        })
-        .collect()
 }
 
 fn exec_rel(
@@ -114,7 +83,6 @@ fn exec_rel(
     view: &GraphView,
     db: &Database,
     cfg: &ExecConfig,
-    batch: Option<&BatchState>,
     sink: Option<&ProfileSink>,
 ) -> Result<Arc<Table>> {
     // Operator-boundary deadline check for the relational tree; the graph
@@ -136,7 +104,6 @@ fn exec_rel(
                 row_limit: cfg.row_limit,
                 threads: cfg.threads,
                 deadline: cfg.deadline,
-                batch,
                 profile: sink,
             };
             let chunk = execute_graph(graph, &ctx)?;
@@ -156,43 +123,43 @@ fn exec_rel(
             (0, t0, out)
         }
         RelOp::HashJoin { left, right, keys } => {
-            let l = exec_rel(left, pattern, view, db, cfg, batch, sink)?;
-            let r = exec_rel(right, pattern, view, db, cfg, batch, sink)?;
+            let l = exec_rel(left, pattern, view, db, cfg, sink)?;
+            let r = exec_rel(right, pattern, view, db, cfg, sink)?;
             let t0 = op_id.map(|_| Instant::now());
             let rows_in = l.num_rows() + r.num_rows();
             (rows_in, t0, Arc::new(ops::hash_join(&l, &r, keys)?))
         }
         RelOp::Filter { input, predicate } => {
-            let t = exec_rel(input, pattern, view, db, cfg, batch, sink)?;
+            let t = exec_rel(input, pattern, view, db, cfg, sink)?;
             let t0 = op_id.map(|_| Instant::now());
             (t.num_rows(), t0, Arc::new(ops::filter(&t, predicate)?))
         }
         RelOp::Project { input, cols } => {
-            let t = exec_rel(input, pattern, view, db, cfg, batch, sink)?;
+            let t = exec_rel(input, pattern, view, db, cfg, sink)?;
             let t0 = op_id.map(|_| Instant::now());
             // The child's output is usually this operator's alone (the π̂
             // flatten's table): its columns become the result's.
             (t.num_rows(), t0, Arc::new(ops::project_arc(t, cols)?))
         }
         RelOp::Aggregate { input, aggs } => {
-            let t = exec_rel(input, pattern, view, db, cfg, batch, sink)?;
+            let t = exec_rel(input, pattern, view, db, cfg, sink)?;
             let t0 = op_id.map(|_| Instant::now());
             let spec: Vec<(ops::AggFunc, usize)> =
                 aggs.iter().map(|a| (a.func, a.column)).collect();
             (t.num_rows(), t0, Arc::new(ops::aggregate(&t, &spec)?))
         }
         RelOp::Distinct { input } => {
-            let t = exec_rel(input, pattern, view, db, cfg, batch, sink)?;
+            let t = exec_rel(input, pattern, view, db, cfg, sink)?;
             let t0 = op_id.map(|_| Instant::now());
             (t.num_rows(), t0, Arc::new(ops::distinct(&t)))
         }
         RelOp::Sort { input, keys } => {
-            let t = exec_rel(input, pattern, view, db, cfg, batch, sink)?;
+            let t = exec_rel(input, pattern, view, db, cfg, sink)?;
             let t0 = op_id.map(|_| Instant::now());
             (t.num_rows(), t0, Arc::new(ops::sort(&t, keys)?))
         }
         RelOp::Limit { input, n } => {
-            let t = exec_rel(input, pattern, view, db, cfg, batch, sink)?;
+            let t = exec_rel(input, pattern, view, db, cfg, sink)?;
             let t0 = op_id.map(|_| Instant::now());
             (t.num_rows(), t0, Arc::new(ops::limit(&t, *n)))
         }
@@ -518,7 +485,6 @@ mod tests {
             row_limit: 1_000_000,
             threads: 1,
             deadline: None,
-            batch: None,
             profile: None,
         };
         let chunk = execute_graph(&plan, &ctx).unwrap();

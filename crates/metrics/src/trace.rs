@@ -174,15 +174,6 @@ impl StageTimings {
             self.accounted().as_secs_f64() / self.total.as_secs_f64()
         }
     }
-
-    /// Accumulate another trace's timings (totals add; used when a batch
-    /// reports one merged trace).
-    pub fn merge(&mut self, other: &StageTimings) {
-        for i in 0..self.stages.len() {
-            self.stages[i] += other.stages[i];
-        }
-        self.total += other.total;
-    }
 }
 
 #[cfg(test)]
@@ -236,16 +227,5 @@ mod tests {
             "the total tracks the after-the-fact charge"
         );
         assert_eq!(with_edge.nonzero().len(), 2);
-    }
-
-    #[test]
-    fn merge_adds_componentwise() {
-        let mut a = StageTimings::default();
-        let mut t = QueryTrace::start();
-        t.add(Stage::Execute, Duration::from_millis(3));
-        let b = t.finish();
-        a.merge(&b);
-        a.merge(&b);
-        assert_eq!(a.get(Stage::Execute), Duration::from_millis(6));
     }
 }

@@ -48,7 +48,7 @@ pub use relgo_workloads as workloads;
 
 pub use ingest::{CommitError, IngestBatch, IngestReport, RetryPolicy, StatsRefresh};
 pub use observe::{ObservabilitySnapshot, QueryPath, SessionMetrics};
-pub use prepared::{BatchOutcome, PreparedStatement};
+pub use prepared::PreparedStatement;
 pub use relgo_delta::checkpoint::{CheckpointCrash, CheckpointStore};
 pub use relgo_delta::wal::{Wal, WalOptions, WalStats};
 pub use serve::{replay_concurrent, replay_concurrent_with, ReplayReport, ServeMode};
@@ -61,7 +61,7 @@ pub use session::{
 pub mod prelude {
     pub use crate::ingest::{CommitError, IngestBatch, IngestReport, RetryPolicy, StatsRefresh};
     pub use crate::observe::{ObservabilitySnapshot, QueryPath, SessionMetrics};
-    pub use crate::prepared::{BatchOutcome, PreparedStatement};
+    pub use crate::prepared::PreparedStatement;
     pub use crate::serve::{replay_concurrent, replay_concurrent_with, ReplayReport, ServeMode};
     pub use crate::session::{
         CheckpointPolicy, CheckpointReport, CheckpointRequest, ExplainAnalyze, PlanSource,

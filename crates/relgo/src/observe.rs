@@ -28,18 +28,11 @@ pub enum QueryPath {
     Cached,
     /// [`crate::PreparedStatement::execute`]: pinned-skeleton rebind.
     Prepared,
-    /// [`crate::PreparedStatement::execute_batch`]: shared batch state.
-    Batched,
 }
 
 impl QueryPath {
     /// Every path, in declaration order.
-    pub const ALL: [QueryPath; 4] = [
-        QueryPath::Run,
-        QueryPath::Cached,
-        QueryPath::Prepared,
-        QueryPath::Batched,
-    ];
+    pub const ALL: [QueryPath; 3] = [QueryPath::Run, QueryPath::Cached, QueryPath::Prepared];
 
     /// The `path` label value.
     pub fn name(self) -> &'static str {
@@ -47,7 +40,6 @@ impl QueryPath {
             QueryPath::Run => "run",
             QueryPath::Cached => "cached",
             QueryPath::Prepared => "prepared",
-            QueryPath::Batched => "batched",
         }
     }
 
@@ -56,7 +48,6 @@ impl QueryPath {
             QueryPath::Run => 0,
             QueryPath::Cached => 1,
             QueryPath::Prepared => 2,
-            QueryPath::Batched => 3,
         }
     }
 }
@@ -68,8 +59,8 @@ impl QueryPath {
 #[derive(Debug)]
 pub struct SessionMetrics {
     registry: Arc<Registry>,
-    queries: [Arc<Counter>; 4],
-    query_seconds: [Arc<Histogram>; 4],
+    queries: [Arc<Counter>; 3],
+    query_seconds: [Arc<Histogram>; 3],
     stage_seconds: [Arc<Histogram>; 9],
     ingest_commits: Arc<Counter>,
     ingest_conflicts: Arc<Counter>,
@@ -187,24 +178,8 @@ impl SessionMetrics {
     /// Record one completed query: bumps the path counter, records the
     /// end-to-end latency, and charges every traced stage to its histogram.
     pub fn record_query(&self, path: QueryPath, timings: &StageTimings) {
-        self.record_queries(path, 1, timings);
-    }
-
-    /// [`SessionMetrics::record_query`] for a batch that completed `n`
-    /// queries under one merged trace: the counter advances by `n`, while
-    /// the latency histogram receives the batch's per-query share so its
-    /// count stays per-query comparable across paths.
-    pub fn record_queries(&self, path: QueryPath, n: usize, timings: &StageTimings) {
-        if n == 0 {
-            return;
-        }
-        self.queries[path.idx()].add(n as u64);
-        let share = Duration::from_nanos(
-            (timings.total.as_nanos() / n as u128).min(u64::MAX as u128) as u64,
-        );
-        for _ in 0..n {
-            self.query_seconds[path.idx()].record(share);
-        }
+        self.queries[path.idx()].inc();
+        self.query_seconds[path.idx()].record(timings.total);
         for (stage, d) in timings.nonzero() {
             let i = Stage::ALL
                 .iter()
@@ -474,20 +449,6 @@ mod tests {
                 assert_eq!(h.sum_us, 700);
             }
             other => panic!("missing stage histogram: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn batch_recording_keeps_counts_per_query() {
-        let m = SessionMetrics::new();
-        let mut t = QueryTrace::start();
-        t.add(Stage::Execute, Duration::from_micros(900));
-        m.record_queries(QueryPath::Batched, 3, &t.finish());
-        let snap = m.registry().snapshot();
-        assert_eq!(snap.counter_sum("relgo_queries_total"), 3);
-        match snap.get("relgo_query_seconds", &[("path", "batched")]) {
-            Some(relgo_metrics::SampleValue::Histogram(h)) => assert_eq!(h.count, 3),
-            other => panic!("missing histogram: {other:?}"),
         }
     }
 

@@ -16,16 +16,7 @@
 //! [`relgo_core::bind_query`]), re-inserts, and re-pins. The
 //! `prepared_hits` / `prepared_invalidations` cache metrics count the two
 //! outcomes.
-//!
-//! [`PreparedStatement::execute_batch`] rebinds N binding vectors against
-//! the one skeleton and drives them through
-//! [`relgo_exec::execute_plan_batch`]: the instances share one
-//! `BatchState`, amortizing literal-independent per-query setup
-//! (hash-fallback adjacency multimaps, structural predicate masks) across
-//! the batch. Batch results are bit-identical to per-query
-//! [`PreparedStatement::execute`] calls.
 
-use crate::observe::QueryPath;
 use crate::session::{
     profiled, QueryOptions, QueryOutcome, ResolvedPlan, Session, SessionState, Source,
 };
@@ -33,15 +24,10 @@ use parking_lot::Mutex;
 use relgo_cache::PinnedPlan;
 use relgo_common::morsel::TimeBudget;
 use relgo_common::{Result, Value};
-use relgo_core::{
-    bind_query, parameterize, rebind_plan, validate_bindings, OptStats, OptimizerMode, PlanKey,
-    SpjmQuery,
-};
+use relgo_core::{bind_query, parameterize, rebind_plan, OptimizerMode, PlanKey, SpjmQuery};
 use relgo_exec::PlanReport;
-use relgo_metrics::trace::{QueryTrace, Stage, StageTimings};
-use relgo_storage::Table;
+use relgo_metrics::trace::{QueryTrace, Stage};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// A prepared query handle bound to a [`Session`]. Cheap to share across
 /// serving threads (`&PreparedStatement` is `Send + Sync`); all interior
@@ -52,29 +38,9 @@ pub struct PreparedStatement<'a> {
     /// The instance `prepare` captured (stale re-optimization rebinding
     /// source).
     query: SpjmQuery,
-    /// The instance's own literals, in slot order.
-    params: Vec<Value>,
     key: PlanKey,
     slot_sig: String,
     pinned: Mutex<PinnedPlan>,
-}
-
-/// The result of one [`PreparedStatement::execute_batch`] call.
-#[derive(Debug, Clone)]
-pub struct BatchOutcome {
-    /// One result table per binding vector, in input order — bit-identical
-    /// to executing each binding through [`PreparedStatement::execute`].
-    pub tables: Vec<Table>,
-    /// Summed validate + rebind (or re-optimize) statistics for the batch.
-    pub opt: OptStats,
-    /// Wall time of the shared batched execution.
-    pub exec_time: Duration,
-    /// How many of the batch's plans came straight from the pinned
-    /// skeleton (the rest re-optimized: stale pin or ambiguous rebind).
-    pub pinned_queries: usize,
-    /// Merged per-stage lifecycle timings of the whole batch (also recorded
-    /// into the session's metrics registry, per-query-share).
-    pub trace: StageTimings,
 }
 
 impl Session {
@@ -89,7 +55,7 @@ impl Session {
         let pinned = match cache.lookup(&key) {
             Some((plan, cached_params)) => cache.pin(plan, cached_params),
             None => {
-                self.plan_on_miss(&self.state(), query, mode, key.clone(), pq.params.clone())?
+                self.plan_on_miss(&self.state(), query, mode, key.clone(), pq.params)?
                     .0
             }
         };
@@ -97,7 +63,6 @@ impl Session {
             session: self,
             mode,
             query: query.clone(),
-            params: pq.params,
             key,
             slot_sig: pq.slot_sig,
             pinned: Mutex::new(pinned),
@@ -119,11 +84,6 @@ impl PreparedStatement<'_> {
     /// The template's parameter-slot signature (one type tag per slot).
     pub fn slot_sig(&self) -> &str {
         &self.slot_sig
-    }
-
-    /// The literals the statement was prepared with, in slot order.
-    pub fn params(&self) -> &[Value] {
-        &self.params
     }
 
     /// Whether the pinned skeleton is still planned under the session's
@@ -230,64 +190,11 @@ impl PreparedStatement<'_> {
         };
         self.query(bindings, &options).map(profiled)
     }
-
-    /// Execute N binding vectors as one batch: every vector is validated
-    /// and rebound against the same skeleton, then all instances run
-    /// through a shared [`relgo_exec::BatchState`] so per-query setup is
-    /// amortized. `tables[i]` is bit-identical to
-    /// `self.execute(&batch[i])?.table`.
-    pub fn execute_batch(&self, batch: &[Vec<Value>]) -> Result<BatchOutcome> {
-        // Pin one epoch for the whole batch, planning included: a racing
-        // ingest commit must not split the batch across two data versions.
-        let state = self.session.state();
-        let mut trace = QueryTrace::start();
-        let opt_start = Instant::now();
-        // Validate every vector before rebinding any: a malformed binding
-        // rejects the whole batch without touching the prepared metrics.
-        trace.time(Stage::Parse, || {
-            batch
-                .iter()
-                .try_for_each(|bindings| validate_bindings(&self.slot_sig, bindings))
-        })?;
-        let mut plans = Vec::with_capacity(batch.len());
-        let mut opt = OptStats::default();
-        let mut pinned_queries = 0usize;
-        for bindings in batch {
-            let resolved = self.resolve(&state, bindings, &mut trace)?;
-            opt.plans_visited += resolved.opt.plans_visited;
-            opt.timed_out |= resolved.opt.timed_out;
-            pinned_queries += usize::from(resolved.cached);
-            plans.push(resolved.plan);
-        }
-        opt.elapsed = opt_start.elapsed();
-        let start = Instant::now();
-        let tables = trace.time(Stage::Execute, || {
-            relgo_exec::execute_plan_batch(
-                &plans,
-                &state.view,
-                &state.db,
-                &self.session.exec_config(self.mode, None),
-            )
-        })?;
-        let exec_time = start.elapsed();
-        let trace = trace.finish();
-        self.session
-            .metrics()
-            .record_queries(QueryPath::Batched, tables.len(), &trace);
-        Ok(BatchOutcome {
-            tables,
-            opt,
-            exec_time,
-            pinned_queries,
-            trace,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::SessionOptions;
     use relgo_workloads::templates::snb_templates;
 
     #[test]
@@ -327,42 +234,29 @@ mod tests {
             .prepare(&t.instantiate(0).unwrap(), OptimizerMode::RelGo)
             .unwrap();
         assert_eq!(stmt.slot_sig(), "id");
+        // The registry hands back the session's own counter.
+        let prepared_queries = || {
+            let registry = session.metrics().registry();
+            let path = [("path", "prepared")];
+            registry
+                .counter_with("relgo_queries_total", "", &path)
+                .get()
+        };
+        let before = session.cache_metrics();
         assert!(stmt.execute(&[Value::Int(1)]).is_err(), "arity");
         assert!(
             stmt.execute(&[Value::Date(1), Value::Int(2)]).is_err(),
             "types"
         );
-        let before = session.cache_metrics();
+        // Rejected bindings are counted nowhere.
+        assert_eq!(session.cache_metrics().since(&before).prepared_hits, 0);
+        assert_eq!(prepared_queries(), 0);
         assert!(
             stmt.execute(&[Value::Int(1), Value::Date(16_000)])
                 .unwrap()
                 .cached
         );
         assert_eq!(session.cache_metrics().since(&before).prepared_hits, 1);
-    }
-
-    #[test]
-    fn batch_is_bit_identical_to_per_query_execute() {
-        let options = SessionOptions {
-            threads: 2,
-            ..SessionOptions::default()
-        };
-        let (session, schema) = Session::snb_with(0.03, 42, options).unwrap();
-        for t in &snb_templates(&schema) {
-            let stmt = session
-                .prepare(&t.instantiate(0).unwrap(), OptimizerMode::RelGo)
-                .unwrap();
-            let batch: Vec<Vec<Value>> = (1..=6).map(|d| t.bindings(d).unwrap()).collect();
-            let out = stmt.execute_batch(&batch).unwrap();
-            assert_eq!(out.tables.len(), batch.len());
-            assert_eq!(out.pinned_queries, batch.len());
-            for (bindings, table) in batch.iter().zip(&out.tables) {
-                let single = stmt.execute(bindings).unwrap().table;
-                assert_eq!(single.num_rows(), table.num_rows(), "{}", t.name());
-                for r in 0..single.num_rows() as u32 {
-                    assert_eq!(single.row(r), table.row(r), "{} row {r}", t.name());
-                }
-            }
-        }
+        assert_eq!(prepared_queries(), 1);
     }
 }

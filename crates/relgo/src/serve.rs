@@ -8,16 +8,13 @@
 //! with all the others. The report carries the cache-metric deltas so
 //! callers can assert the expected hit/miss split.
 //!
-//! Four serving regimes ([`ServeMode`]):
+//! Three serving regimes ([`ServeMode`]):
 //!
 //! * [`ServeMode::Cached`] — every query goes through
 //!   [`Session::run_cached`] (parameterize + cache probe + rebind);
 //! * [`ServeMode::Prepared`] — each template is prepared **once** (shared
 //!   by all workers); per draw only the binding vector is generated and
 //!   [`PreparedStatement::execute`] rebinds the pinned skeleton;
-//! * [`ServeMode::PreparedBatched`] — like `Prepared`, but each worker
-//!   groups its draws into batches of `batch` bindings driven through
-//!   [`PreparedStatement::execute_batch`]'s shared operator state;
 //! * [`ServeMode::Mixed`] — `writers` concurrent writer threads ingest
 //!   update batches (each commit publishing a new epoch and invalidating
 //!   cached plans/pins) while reader threads serve snapshot-pinned,
@@ -68,12 +65,6 @@ pub enum ServeMode {
     Cached,
     /// Prepare each template once, then rebind-only executes per draw.
     Prepared,
-    /// Prepared, with each worker's draws executed in batches of `batch`
-    /// bindings through the shared batch operator state.
-    PreparedBatched {
-        /// Bindings per `execute_batch` call (≥ 1).
-        batch: usize,
-    },
     /// Interleave writers and readers: `writers` concurrent writer threads
     /// publish `commits` epoch-publishing batches of `ops_per_commit`
     /// private rows each (disjoint primary-key ranges per batch), while
@@ -109,7 +100,6 @@ impl ServeMode {
         match self {
             ServeMode::Cached => "cached",
             ServeMode::Prepared => "prepared",
-            ServeMode::PreparedBatched { .. } => "prep-batch",
             ServeMode::Mixed { .. } => "mixed",
         }
     }
@@ -132,8 +122,6 @@ pub struct ReplayReport {
     pub cached_queries: usize,
     /// Queries served through a prepared handle (0 in [`ServeMode::Cached`]).
     pub prepared_queries: usize,
-    /// `execute_batch` calls (0 outside [`ServeMode::PreparedBatched`]).
-    pub batches: usize,
     /// Ingest commits published (0 outside [`ServeMode::Mixed`]).
     pub commits: usize,
     /// Rows actually committed by the writers — staged rows of batches that
@@ -152,9 +140,8 @@ pub struct ReplayReport {
     /// cache behavior off this).
     pub metrics: MetricsSnapshot,
     /// Per-query end-to-end latency distribution over the replay
-    /// (optimizer plus execution per query; batched queries contribute
-    /// their per-query share). `latency.p50()` / `latency.p99()` are the
-    /// serving-mode figures' reporting unit.
+    /// (optimizer plus execution per query). `latency.p50()` /
+    /// `latency.p99()` are the serving-mode figures' reporting unit.
     pub latency: HistogramSnapshot,
 }
 
@@ -183,7 +170,6 @@ struct Counts {
     completed: usize,
     cached: usize,
     prepared: usize,
-    batches: usize,
     commits: usize,
     ingested: usize,
     conflicts: usize,
@@ -196,7 +182,6 @@ impl Counts {
         self.completed += o.completed;
         self.cached += o.cached;
         self.prepared += o.prepared;
-        self.batches += o.batches;
         self.commits += o.commits;
         self.ingested += o.ingested;
         self.conflicts += o.conflicts;
@@ -255,12 +240,10 @@ pub fn replay_concurrent_with(
     // draw-0 instance before any worker starts (so workers never optimize).
     let statements: Vec<PreparedStatement<'_>> = match serve {
         ServeMode::Cached => Vec::new(),
-        ServeMode::Prepared | ServeMode::PreparedBatched { .. } | ServeMode::Mixed { .. } => {
-            templates
-                .iter()
-                .map(|t| session.prepare(&t.instantiate(0)?, mode))
-                .collect::<Result<_>>()?
-        }
+        ServeMode::Prepared | ServeMode::Mixed { .. } => templates
+            .iter()
+            .map(|t| session.prepare(&t.instantiate(0)?, mode))
+            .collect::<Result<_>>()?,
     };
     // Mixed mode: writers commit in rounds, synchronized per round by a
     // barrier *between staging and committing*, so every batch of a round
@@ -287,9 +270,9 @@ pub fn replay_concurrent_with(
         .collect();
 
     let abort = AtomicBool::new(false);
-    // Run one unit of serving work (a query or a whole batch, however the
-    // mode shapes it) and record it; returns whether the worker should
-    // keep going. Shared so the abort/tally/error bookkeeping cannot
+    // Run one unit of serving work (one query, or the mixed mode's cached +
+    // prepared pair) and record it; returns whether the worker should keep
+    // going. Shared so the abort/tally/error bookkeeping cannot
     // diverge between the regimes: the abort check precedes the work, so
     // every unit that *ran* (and therefore touched session metrics) is
     // always tallied.
@@ -344,40 +327,6 @@ pub fn replay_concurrent_with(
                                 completed: 1,
                                 cached: usize::from(o.cached),
                                 prepared: 1,
-                                opt: o.opt.elapsed,
-                                exec: o.exec_time,
-                                ..Counts::default()
-                            })
-                        });
-                        if !keep {
-                            break 'outer;
-                        }
-                    }
-                }
-            }
-            ServeMode::PreparedBatched { batch } => {
-                let batch = batch.max(1);
-                'outer: for (t, stmt) in templates.iter().zip(&statements) {
-                    let draws: Vec<u64> = (0..rounds).map(|r| (w * rounds + r) as u64).collect();
-                    for chunk in draws.chunks(batch) {
-                        let keep = step(&mut tally, &mut || {
-                            let bindings = chunk
-                                .iter()
-                                .map(|&d| t.bindings(d))
-                                .collect::<Result<Vec<_>>>()?;
-                            let o = stmt.execute_batch(&bindings)?;
-                            // Batched queries contribute their per-query
-                            // share of the batch's wall time.
-                            let n = o.tables.len().max(1) as u32;
-                            let share = (o.opt.elapsed + o.exec_time) / n;
-                            for _ in 0..o.tables.len() {
-                                latency.record(share);
-                            }
-                            Ok(Counts {
-                                completed: o.tables.len(),
-                                cached: o.pinned_queries,
-                                prepared: o.tables.len(),
-                                batches: 1,
                                 opt: o.opt.elapsed,
                                 exec: o.exec_time,
                                 ..Counts::default()
@@ -558,7 +507,6 @@ pub fn replay_concurrent_with(
         exec_time: Duration::ZERO,
         cached_queries: 0,
         prepared_queries: 0,
-        batches: 0,
         commits: 0,
         ingested_rows: 0,
         conflicts: 0,
@@ -574,7 +522,6 @@ pub fn replay_concurrent_with(
         report.queries += tally.counts.completed;
         report.cached_queries += tally.counts.cached;
         report.prepared_queries += tally.counts.prepared;
-        report.batches += tally.counts.batches;
         report.commits += tally.counts.commits;
         report.ingested_rows += tally.counts.ingested;
         report.conflicts += tally.counts.conflicts;
@@ -693,7 +640,6 @@ mod tests {
         assert_eq!(report.queries, 2 * 2 * templates.len());
         assert_eq!(report.cached_queries, report.queries);
         assert_eq!(report.prepared_queries, 0);
-        assert_eq!(report.batches, 0);
     }
 
     #[test]
@@ -741,28 +687,6 @@ mod tests {
             report.metrics.hits + report.metrics.misses,
             templates.len() as u64
         );
-    }
-
-    #[test]
-    fn batched_replay_matches_prepared_counts() {
-        let (session, schema) = Session::snb(0.03, 42).unwrap();
-        let templates = snb_templates(&schema);
-        let (threads, rounds) = (2, 5);
-        let report = replay_concurrent_with(
-            &session,
-            &templates,
-            OptimizerMode::RelGo,
-            threads,
-            rounds,
-            ServeMode::PreparedBatched { batch: 2 },
-        )
-        .unwrap();
-        let expected = threads * rounds * templates.len();
-        assert_eq!(report.queries, expected);
-        assert_eq!(report.prepared_queries, expected);
-        assert_eq!(report.cached_queries, expected);
-        // 5 rounds in batches of 2 → 3 batches per (worker, template).
-        assert_eq!(report.batches, threads * templates.len() * 3);
     }
 
     /// Mixed mode: concurrent writers' commits interleave with verified
@@ -924,15 +848,15 @@ mod tests {
         assert_eq!(report.queries, 4);
     }
 
-    /// A failing query (not a failing instantiate) mid-batch also aborts
-    /// cleanly in the batched regime.
+    /// A failing query (not a failing instantiate) mid-replay also aborts
+    /// cleanly in the prepared regime.
     #[test]
-    fn batched_replay_propagates_binding_errors() {
+    fn prepared_replay_propagates_binding_errors() {
         let (session, schema) = Session::snb(0.03, 42).unwrap();
         let t = QueryTemplate::new("bad-bindings", move |d| {
             snb_queries::ic1(&schema, 2, (d % 20) as i64)
         })
-        // Wrong arity from draw 3 on: execute_batch must reject it.
+        // IC1 has one slot; wrong arity from draw 3 on: execute must reject it.
         .with_bindings(|d| {
             if d >= 3 {
                 vec![]
@@ -947,12 +871,12 @@ mod tests {
             OptimizerMode::RelGo,
             1,
             4,
-            ServeMode::PreparedBatched { batch: 4 },
+            ServeMode::Prepared,
         )
         .unwrap_err();
         assert!(err.to_string().contains("arity"), "{err}");
-        // Up-front validation rejected the whole batch before any member
-        // was rebound: no prepared hit is counted for work that never ran.
-        assert_eq!(session.cache_metrics().since(&before).prepared_hits, 0);
+        // Draws 0–2 ran and each counted one prepared hit; the rejected
+        // draw 3 counted nothing.
+        assert_eq!(session.cache_metrics().since(&before).prepared_hits, 3);
     }
 }

@@ -771,7 +771,7 @@ impl Session {
     }
 
     /// The session's metrics registry: every serving path (run, cached,
-    /// prepared, batched) and the ingest pipeline record into it. The
+    /// prepared) and the ingest pipeline record into it. The
     /// server registers its HTTP-edge series on the same registry so one
     /// scrape covers the whole process.
     pub fn metrics(&self) -> &Arc<SessionMetrics> {
@@ -872,27 +872,13 @@ impl Session {
         self.optimize_at(&self.state(), query, mode)
     }
 
-    /// The execution configuration `mode` runs under (shared by the
-    /// per-query and batched execution paths). With a `deadline`,
-    /// execution checks it at morsel boundaries and aborts with
-    /// `DeadlineExceeded` on expiry.
-    pub(crate) fn exec_config(
-        &self,
-        mode: OptimizerMode,
-        deadline: Option<TimeBudget>,
-    ) -> ExecConfig {
-        ExecConfig {
-            use_index: mode.uses_graph_index(),
-            row_limit: self.options.row_limit,
-            threads: self.options.threads,
-            deadline,
-        }
-    }
-
-    /// Execute `plan` against `state`. With `profile` set, plan-time metas
-    /// (operator ids, estimates) are joined with the run-time profiles into
-    /// a [`PlanReport`] and recorded into the session's operator/Q-error
-    /// metric series. The result table is bit-identical either way.
+    /// Execute `plan` against `state` under `mode`'s execution regime. With
+    /// a `deadline`, execution checks it at morsel boundaries and aborts
+    /// with `DeadlineExceeded` on expiry. With `profile` set, plan-time
+    /// metas (operator ids, estimates) are joined with the run-time profiles
+    /// into a [`PlanReport`] and recorded into the session's
+    /// operator/Q-error metric series. The result table is bit-identical
+    /// either way.
     fn execute_at(
         &self,
         state: &SessionState,
@@ -906,13 +892,13 @@ impl Session {
         } else {
             ProfileMode::Off
         };
-        let (table, prof) = execute_plan_with(
-            plan,
-            &state.view,
-            &state.db,
-            &self.exec_config(mode, deadline),
-            profile,
-        )?;
+        let cfg = ExecConfig {
+            use_index: mode.uses_graph_index(),
+            row_limit: self.options.row_limit,
+            threads: self.options.threads,
+            deadline,
+        };
+        let (table, prof) = execute_plan_with(plan, &state.view, &state.db, &cfg, profile)?;
         let report = match prof {
             Some(p) => {
                 let report = PlanReport::join(plan.operator_metas(&state.db), p)?;

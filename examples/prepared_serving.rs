@@ -1,8 +1,7 @@
 //! Prepared-statement serving demo: the same templated SNB workload served
-//! three ways — through the plan cache (`run_cached`), through prepared
-//! handles (`execute`: rebind only), and through prepared batches
-//! (`execute_batch`: shared operator state) — with per-regime timing and
-//! the cache's prepared-statement metrics.
+//! two ways — through the plan cache (`run_cached`) and through prepared
+//! handles (`execute`: rebind only) — with per-regime timing and the
+//! cache's prepared-statement metrics.
 //!
 //! `RELGO_THREADS=2` gives every query 2 morsel workers inside its graph
 //! operators; the replay itself runs from several serving threads, and the
@@ -15,11 +14,7 @@ use relgo::workloads::templates::snb_templates;
 
 fn main() -> Result<()> {
     let quick = std::env::args().any(|a| a == "--quick");
-    let (sf, threads, rounds, batch) = if quick {
-        (0.03, 2, 4, 2)
-    } else {
-        (0.1, 4, 24, 8)
-    };
+    let (sf, threads, rounds) = if quick { (0.03, 2, 4) } else { (0.1, 4, 24) };
 
     println!("generating SNB-like data (sf={sf}) and building the session...");
     let options = SessionOptions::default();
@@ -39,16 +34,6 @@ fn main() -> Result<()> {
             stmt.slot_sig(),
             stmt.key().fingerprint()
         );
-        // Sanity: a batched execute is bit-identical to per-query executes.
-        let bindings: Vec<Vec<Value>> = (1..=3).map(|d| t.bindings(d)).collect::<Result<_>>()?;
-        let batched = stmt.execute_batch(&bindings)?;
-        for (b, table) in bindings.iter().zip(&batched.tables) {
-            let single = stmt.execute(b)?.table;
-            assert_eq!(single.num_rows(), table.num_rows());
-            for r in 0..single.num_rows() as u32 {
-                assert_eq!(single.row(r), table.row(r), "batch must be bit-identical");
-            }
-        }
     }
 
     // Replay the same traffic under each serving regime.
@@ -56,11 +41,7 @@ fn main() -> Result<()> {
         "replaying {threads} threads x {rounds} rounds x {} templates per regime...",
         templates.len()
     );
-    for serve in [
-        ServeMode::Cached,
-        ServeMode::Prepared,
-        ServeMode::PreparedBatched { batch },
-    ] {
+    for serve in [ServeMode::Cached, ServeMode::Prepared] {
         let report = replay_concurrent_with(
             &session,
             &templates,
@@ -71,7 +52,7 @@ fn main() -> Result<()> {
         )?;
         let ms = |d: Option<std::time::Duration>| d.map_or(f64::NAN, |d| d.as_secs_f64() * 1e3);
         println!(
-            "  {:<10} {} queries in {:>7.1} ms ({:>6.0} q/s)  p50 {:>6.3} ms  p99 {:>6.3} ms  opt {:>7.3} ms  cached {}  batches {}",
+            "  {:<10} {} queries in {:>7.1} ms ({:>6.0} q/s)  p50 {:>6.3} ms  p99 {:>6.3} ms  opt {:>7.3} ms  cached {}",
             serve.name(),
             report.queries,
             report.elapsed.as_secs_f64() * 1e3,
@@ -79,8 +60,7 @@ fn main() -> Result<()> {
             ms(report.p50()),
             ms(report.p99()),
             report.opt_time.as_secs_f64() * 1e3,
-            report.cached_queries,
-            report.batches
+            report.cached_queries
         );
         // Per-replay cache-metric deltas (not the session-lifetime totals):
         // what this regime alone did to the cache.

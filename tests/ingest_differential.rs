@@ -3,9 +3,8 @@
 //! The core property: a session that ingests a randomized delta stream
 //! (person/knows/likes inserts and edge-row deletes, split across several
 //! commits) returns **bit-identical** rows to a fresh session built from
-//! the final merged dataset — across all four execution regimes
-//! (`run`, `run_cached`, prepared `execute`, prepared `execute_batch`),
-//! both optimizer modes, and 1/4 intra-query threads. Any divergence is an
+//! the final merged dataset — across all three execution regimes
+//! (`run`, `run_cached`, prepared `execute`), both optimizer modes, and 1/4 intra-query threads. Any divergence is an
 //! incremental-maintenance bug: the merged tables, the label-shared graph
 //! index, or the carried-over GLogue statistics disagree with a
 //! from-scratch build.
@@ -172,8 +171,7 @@ fn options(threads: usize, staleness: f64) -> SessionOptions {
     }
 }
 
-/// Row-for-row table equality (stricter than set equality).
-/// Run one template draw through the ingested session's four regimes and
+/// Run one template draw through the ingested session's three regimes and
 /// the fresh session's `run`; assert bit-identity everywhere.
 fn differential_case(
     ingested: &Session,
@@ -202,20 +200,6 @@ fn differential_case(
     assert!(
         expected.bit_identical(&prepared),
         "{name} draw {draw} {}: ingested prepared execute diverges",
-        mode.name()
-    );
-    let batch: Vec<Vec<Value>> = (draw..draw + 2).map(|d| t.bindings(d).unwrap()).collect();
-    let out = stmt.execute_batch(&batch).unwrap();
-    assert!(
-        expected.bit_identical(&out.tables[0]),
-        "{name} draw {draw} {}: ingested batched execute diverges",
-        mode.name()
-    );
-    let twin = fresh.run(&t.instantiate(draw + 1).unwrap(), mode).unwrap();
-    assert!(
-        twin.table.bit_identical(&out.tables[1]),
-        "{name} draw {} {}: batch member 1 diverges",
-        draw + 1,
         mode.name()
     );
     expected

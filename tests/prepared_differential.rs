@@ -1,19 +1,17 @@
-//! Randomized differential testing of the four serving regimes.
+//! Randomized differential testing of the three serving regimes.
 //!
 //! For random SNB/JOB template instances, the rows returned by
 //!
 //! 1. direct `Session::run` (fresh optimization per instance),
-//! 2. `Session::run_cached` (plan-cache probe + literal rebind),
-//! 3. `PreparedStatement::execute` (pinned skeleton, rebind only), and
-//! 4. `PreparedStatement::execute_batch` (shared batch operator state)
+//! 2. `Session::run_cached` (plan-cache probe + literal rebind), and
+//! 3. `PreparedStatement::execute` (pinned skeleton, rebind only)
 //!
 //! must be **bit-identical** — same rows in the same order, not just
 //! set-equal — under both the RelGo and GRainDB optimizer modes, at 1 and
 //! 4 intra-query threads (and across the two thread counts: morsel
 //! parallelism never reorders results). The optimizer's cost model is
 //! literal-independent, so every instance of a template optimizes to the
-//! same skeleton; any divergence between the regimes is a rebinding or
-//! batching bug.
+//! same skeleton; any divergence between the regimes is a rebinding bug.
 //!
 //! Plain tests below the properties cover the prepared-handle lifecycle:
 //! statistics-version invalidation forces a transparent re-optimize
@@ -54,8 +52,7 @@ fn job_sessions() -> &'static [(Session, ImdbSchema); 2] {
     })
 }
 
-/// Row-for-row table equality (stricter than set equality).
-/// Run one template draw through all four regimes on one session and
+/// Run one template draw through all three regimes on one session and
 /// assert bit-identity; returns regime 1's table for cross-session checks.
 fn differential_case(
     session: &Session,
@@ -81,25 +78,6 @@ fn differential_case(
         "{name} draw {draw} {}: prepared execute diverges from run",
         mode.name()
     );
-    // A batch around the draw (3 bindings); every member must equal its
-    // per-query twin.
-    let batch: Vec<Vec<Value>> = (draw..draw + 3).map(|d| t.bindings(d).unwrap()).collect();
-    let out = stmt.execute_batch(&batch).unwrap();
-    assert_eq!(out.tables.len(), 3);
-    assert!(
-        direct.bit_identical(&out.tables[0]),
-        "{name} draw {draw} {}: batched result diverges from run",
-        mode.name()
-    );
-    for (i, (b, batched)) in batch.iter().zip(&out.tables).enumerate().skip(1) {
-        let single = stmt.execute(b).unwrap().table;
-        assert!(
-            single.bit_identical(batched),
-            "{name} draw {} {}: batch member {i} diverges from per-query execute",
-            draw + i as u64,
-            mode.name()
-        );
-    }
     direct
 }
 

@@ -64,9 +64,12 @@ fn op_rows(report: &relgo::prelude::PlanReport) -> Vec<(&'static str, u64, u64)>
         .collect()
 }
 
+/// One count per [`QueryPath`], in [`QueryPath::ALL`] order.
+type PathCounts = [u64; QueryPath::ALL.len()];
+
 /// `relgo_queries_total`, one count per [`QueryPath`] (the registry hands
 /// back the session's own counter for a known name + label pair).
-fn path_counts(session: &Session) -> [u64; 4] {
+fn path_counts(session: &Session) -> PathCounts {
     QueryPath::ALL.map(|p| {
         session
             .metrics()
@@ -76,12 +79,17 @@ fn path_counts(session: &Session) -> [u64; 4] {
     })
 }
 
+/// The increments of one query answered on `path`.
+fn one_on(path: QueryPath) -> PathCounts {
+    QueryPath::ALL.map(|p| u64::from(p == path))
+}
+
 /// What one profiled call did, as far as it must repeat.
 #[derive(Debug, PartialEq)]
 struct Probe {
     ops: Vec<(&'static str, u64, u64)>,
     cached: bool,
-    path_increments: [u64; 4],
+    path_increments: PathCounts,
 }
 
 /// Run one profiled call, hold its rows to `plain`, and keep the rest for
@@ -171,7 +179,10 @@ fn profiled_case(
         || session.run_profiled(&q, mode),
         |options| session.query(&q, mode, options),
     );
-    assert_eq!((run.cached, run.path_increments), (false, [1, 0, 0, 0]));
+    assert_eq!(
+        (run.cached, run.path_increments),
+        (false, one_on(QueryPath::Run))
+    );
 
     // Prepare from the draw-0 instance so execute_profiled really rebinds.
     let stmt = session.prepare(&t.instantiate(0).unwrap(), mode).unwrap();
@@ -194,7 +205,7 @@ fn profiled_case(
         );
         assert_eq!(
             (cached.cached, cached.path_increments),
-            (!stale, [0, 1, 0, 0])
+            (!stale, one_on(QueryPath::Cached))
         );
         let prepared = regime(
             session,
@@ -206,7 +217,7 @@ fn profiled_case(
         );
         assert_eq!(
             (prepared.cached, prepared.path_increments),
-            (!stale, [0, 0, 1, 0])
+            (!stale, one_on(QueryPath::Prepared))
         );
         regimes.extend([cached, prepared]);
     }
