@@ -308,6 +308,11 @@ fn merge_table(
                 .map_err(|e| RelGoError::schema(format!("insert into {name} rejected: {e}")))?;
         }
     }
+    // Survivors share the base's string dictionaries and inserts append to
+    // them.
+    for col in &mut columns {
+        col.bound_dictionary();
+    }
     let merged = Table::from_columns(name, base.schema().clone(), columns)?;
     Ok((merged, change))
 }
@@ -463,6 +468,49 @@ mod tests {
         assert_eq!(got.num_rows(), expected.num_rows());
         for r in 0..expected.num_rows() as RowId {
             assert_eq!(got.row(r), expected.row(r));
+        }
+    }
+
+    #[test]
+    fn delete_and_reinsert_keeps_dictionaries_bounded() {
+        let rows = 600;
+        let cell = |k: i64| Value::str(format!("s{}", k % 3));
+        let mut db = Database::new();
+        let t = (0..rows).map(|k| vec![Value::Int(k), cell(k)]).collect();
+        db.add_table(table_of(
+            "T",
+            &[("id", DataType::Int), ("s", DataType::Str)],
+            t,
+        ));
+        db.set_primary_key("T", "id").unwrap();
+        let mut largest = 0;
+        for round in 0..50 {
+            let mut d = DeltaSet::new();
+            for k in (0..rows).step_by(2) {
+                d.delete("T", k);
+                d.insert("T", vec![Value::Int(k), Value::str(format!("r{round}"))]);
+            }
+            db = d.apply(&db).unwrap().0;
+            let t = db.table("T").unwrap();
+            let entries = t.column(1).as_strs().unwrap().0.dict().len();
+            assert!(
+                entries <= 2 * t.num_rows() + 1024,
+                "round {round}: {entries}"
+            );
+            largest = largest.max(entries);
+        }
+        // Each round appends 300 entries: the bound was reached and held.
+        assert!(largest > 2 * rows as usize, "{largest}");
+        let t = db.table("T").unwrap();
+        assert_eq!(t.num_rows(), rows as usize);
+        for r in 0..t.num_rows() as RowId {
+            let k = t.column(0).get_int(r).unwrap();
+            let want = if k % 2 == 0 {
+                Value::str("r49")
+            } else {
+                cell(k)
+            };
+            assert_eq!(t.value(r, 1), want);
         }
     }
 

@@ -338,9 +338,9 @@ impl ScalarExpr {
                     let ints: Vec<i64> = list.iter().filter_map(Value::as_int).collect();
                     Some(input.scan(sel, c.validity(), |r| ints.contains(&d[r])))
                 }
-                Some(c @ Column::Str(d, _)) => {
+                Some(c @ Column::Str(..)) => {
                     let strs: Vec<&str> = list.iter().filter_map(Value::as_str).collect();
-                    Some(input.scan(sel, c.validity(), |r| strs.contains(&&*d[r])))
+                    Some(strings(c, input, sel, |s| strs.contains(&s)))
                 }
                 _ => None,
             },
@@ -533,23 +533,40 @@ fn compare(
             let x = *x as f64;
             input.scan3(sel, |r| partial(d[r].partial_cmp(&x), r))
         }
-        (Column::Str(d, _), Value::Str(x)) => input.scan(sel, valid, |r| test((*d[r]).cmp(&**x))),
+        (Column::Str(..), Value::Str(x)) => strings(col, input, sel, |s| test(s.cmp(x))),
         (Column::Bool(d, _), Value::Bool(x)) => input.scan(sel, valid, |r| test(d[r].cmp(x))),
         // A NULL or incomparable literal: NULL on every row.
         _ => input.scan3(sel, |_| (false, true)),
     }
 }
 
-/// A string test over a column; a non-NULL cell that is not a string fails it.
+/// The one kernel under every string leaf: a two-valued test of a column's
+/// strings, where a non-NULL cell that is not a string fails. When the
+/// dictionary has fewer entries than there are candidates, the test runs
+/// once per entry into a bitset and a row reads its code's bit; otherwise
+/// each candidate is tested through the dictionary. Entries need not be
+/// distinct, so each is tested on its own.
 fn strings(
     col: &Column,
     input: &Input<'_>,
     sel: Option<&[u32]>,
     test: impl Fn(&str) -> bool,
 ) -> Split {
-    match col {
-        Column::Str(d, _) => input.scan(sel, col.validity(), |r| test(&d[r])),
-        _ => input.scan(sel, col.validity(), |_| false),
+    let Some((s, valid)) = col.as_strs() else {
+        return input.scan(sel, col.validity(), |_| false);
+    };
+    let (codes, dict) = (s.codes(), s.dict());
+    if dict.len() < sel.map_or(input.n, <[u32]>::len) {
+        let mut bits = vec![0u64; dict.len().div_ceil(64)];
+        for (e, entry) in dict.iter().enumerate() {
+            bits[e / 64] |= (test(entry) as u64) << (e % 64);
+        }
+        input.scan(sel, valid, |r| {
+            let c = codes[r] as usize;
+            bits[c / 64] >> (c % 64) & 1 == 1
+        })
+    } else {
+        input.scan(sel, valid, |r| test(&dict[codes[r] as usize]))
     }
 }
 

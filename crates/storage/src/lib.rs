@@ -35,6 +35,5 @@ pub use catalog::{Database, ForeignKey, KeyIndex};
 pub use column::Column;
 pub use directory::KeySet;
 pub use expr::{BinaryOp, ScalarExpr};
-pub use stats::{ColumnStats, TableStats};
 pub use table::{Table, TableBuilder, TableChange};
 pub use writeset::WriteSet;

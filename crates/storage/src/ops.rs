@@ -11,6 +11,7 @@ use crate::directory::Directory;
 use crate::expr::ScalarExpr;
 use crate::table::Table;
 use relgo_common::{FxHashMap, RelGoError, Result, RowId, Schema, Value};
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// σ — keep the rows of `input` satisfying `predicate`.
@@ -250,39 +251,26 @@ pub fn aggregate(input: &Table, aggs: &[(AggFunc, usize)]) -> Result<Table> {
                     )));
                 }
                 let c = input.column(col);
-                let mut best: Option<Value> = None;
-                for r in 0..input.num_rows() as RowId {
-                    let v = c.get(r);
-                    if v.is_null() {
-                        continue;
+                let wanted = if func == AggFunc::Min {
+                    Ordering::Less
+                } else {
+                    Ordering::Greater
+                };
+                let valid = c.validity();
+                let best = match c {
+                    Column::Int(v, _) | Column::Date(v, _) => {
+                        extreme(v.len(), valid, wanted, |r| v[r])
                     }
-                    best = Some(match best {
-                        None => v,
-                        Some(b) => {
-                            let keep_new = match v.try_cmp(&b) {
-                                Some(o) => {
-                                    if func == AggFunc::Min {
-                                        o == std::cmp::Ordering::Less
-                                    } else {
-                                        o == std::cmp::Ordering::Greater
-                                    }
-                                }
-                                None => false,
-                            };
-                            if keep_new {
-                                v
-                            } else {
-                                b
-                            }
-                        }
-                    });
-                }
+                    Column::Float(v, _) => extreme(v.len(), valid, wanted, |r| v[r]),
+                    Column::Bool(v, _) => extreme(v.len(), valid, wanted, |r| v[r]),
+                    Column::Str(s, _) => extreme(s.codes().len(), valid, wanted, |r| s.str_at(r)),
+                };
                 let prefix = if func == AggFunc::Min { "min" } else { "max" };
                 fields.push(Field::new(
                     format!("{prefix}_{}", input.schema().field(col).name),
                     input.schema().field(col).dtype,
                 ));
-                row.push(best.unwrap_or(Value::Null));
+                row.push(best.map_or(Value::Null, |r| c.get(r as RowId)));
             }
         }
     }
@@ -290,6 +278,27 @@ pub fn aggregate(input: &Table, aggs: &[(AggFunc, usize)]) -> Result<Table> {
     let mut b = crate::table::TableBuilder::new("agg", schema);
     b.push_row(row)?;
     Ok(b.finish())
+}
+
+/// The row holding MIN (`wanted` = `Less`) or MAX (`Greater`) of the
+/// non-NULL cells `0..n`, folded as [`Value::try_cmp`] folds them: the
+/// first cell seeds the result, even a NaN, and a later cell replaces it
+/// only when it compares strictly `wanted`.
+fn extreme<T: PartialOrd>(
+    n: usize,
+    valid: Option<&[bool]>,
+    wanted: Ordering,
+    cell: impl Fn(usize) -> T,
+) -> Option<usize> {
+    let mut best: Option<(usize, T)> = None;
+    for r in (0..n).filter(|&r| valid.is_none_or(|m| m[r])) {
+        let v = cell(r);
+        match &best {
+            Some((_, b)) if v.partial_cmp(b) != Some(wanted) => {}
+            _ => best = Some((r, v)),
+        }
+    }
+    best.map(|(r, _)| r)
 }
 
 /// Sort key: column index + direction.

@@ -1,14 +1,14 @@
 //! Low-order table statistics.
 //!
-//! These are the "low-order statistics" of the paper (§4.3): per-table
-//! cardinalities and per-column distinct counts / value ranges. The
-//! graph-agnostic optimizers estimate join cardinalities from them with the
+//! These are the "low-order statistics" of the paper (§4.3): equi-width
+//! histograms over integer columns, with heuristic priors for every other
+//! predicate. The graph-agnostic optimizers estimate join cardinalities from them with the
 //! classic independence assumptions; the graph-aware optimizer instead uses
 //! the high-order statistics of `relgo-glogue`.
 
 use crate::expr::{BinaryOp, ScalarExpr};
-use crate::table::{Table, TableChange};
-use relgo_common::{DataType, FxHashSet, RowId, Value};
+use crate::table::Table;
+use relgo_common::{DataType, RowId};
 
 /// An equi-width histogram over an integer/date column — the "attribute
 /// distribution" statistic the paper credits Umbra's better estimates to
@@ -159,164 +159,6 @@ fn flip(op: BinaryOp) -> BinaryOp {
     }
 }
 
-/// Statistics of one column.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ColumnStats {
-    /// Number of distinct non-NULL values.
-    pub distinct: usize,
-    /// Number of NULLs.
-    pub nulls: usize,
-    /// Minimum non-NULL value.
-    pub min: Option<Value>,
-    /// Maximum non-NULL value.
-    pub max: Option<Value>,
-}
-
-/// Statistics of one table.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TableStats {
-    /// Row count.
-    pub rows: usize,
-    /// Per-column statistics, aligned with the schema.
-    pub columns: Vec<ColumnStats>,
-}
-
-impl TableStats {
-    /// Compute exact statistics in one pass per column.
-    pub fn compute(table: &Table) -> Self {
-        let mut columns = Vec::with_capacity(table.num_columns());
-        for c in 0..table.num_columns() {
-            let col = table.column(c);
-            let mut nulls = 0usize;
-            let mut min: Option<Value> = None;
-            let mut max: Option<Value> = None;
-            // Distinct counting: hash the value fingerprints.
-            let mut seen: FxHashSet<Value> = FxHashSet::default();
-            for r in 0..table.num_rows() as RowId {
-                let v = col.get(r);
-                if v.is_null() {
-                    nulls += 1;
-                    continue;
-                }
-                if min.as_ref().is_none_or(|m| v < *m) {
-                    min = Some(v.clone());
-                }
-                if max.as_ref().is_none_or(|m| v > *m) {
-                    max = Some(v.clone());
-                }
-                seen.insert(v);
-            }
-            columns.push(ColumnStats {
-                distinct: seen.len(),
-                nulls,
-                min,
-                max,
-            });
-        }
-        TableStats {
-            rows: table.num_rows(),
-            columns,
-        }
-    }
-
-    /// Delta-aware refresh: statistics of `merged` given the statistics of
-    /// its base and the [`TableChange`] that produced it.
-    ///
-    /// Deletions can retract extremes and distinct values, so they force a
-    /// full recompute. Append-only changes are incremental: rows, NULLs and
-    /// min/max are updated by scanning **only the appended rows**, and the
-    /// distinct count is maintained without touching the base whenever every
-    /// appended value lies outside the base min/max (the dominant ingest
-    /// shape — ascending surrogate keys and timestamps); an appended value
-    /// inside the base range may collide with an existing one, so only that
-    /// column falls back to a full distinct pass.
-    pub fn merge_delta(&self, merged: &Table, change: &TableChange) -> TableStats {
-        if !change.is_append_only() {
-            return TableStats::compute(merged);
-        }
-        let base_rows = change.base_rows() as RowId;
-        let mut columns = Vec::with_capacity(merged.num_columns());
-        for (c, base) in self.columns.iter().enumerate() {
-            let col = merged.column(c);
-            let mut nulls = base.nulls;
-            let mut min = base.min.clone();
-            let mut max = base.max.clone();
-            let mut fresh: FxHashSet<Value> = FxHashSet::default();
-            let mut all_outside = true;
-            for r in base_rows..merged.num_rows() as RowId {
-                let v = col.get(r);
-                if v.is_null() {
-                    nulls += 1;
-                    continue;
-                }
-                let below = min.as_ref().is_none_or(|m| v < *m);
-                let above = max.as_ref().is_none_or(|m| v > *m);
-                all_outside &= below || above;
-                if below {
-                    min = Some(v.clone());
-                }
-                if above {
-                    max = Some(v.clone());
-                }
-                fresh.insert(v);
-            }
-            let distinct = if all_outside {
-                base.distinct + fresh.len()
-            } else {
-                // Some appended value falls inside the base range: resolve
-                // collisions exactly with one pass over this column.
-                let mut seen: FxHashSet<Value> = FxHashSet::default();
-                for r in 0..merged.num_rows() as RowId {
-                    let v = col.get(r);
-                    if !v.is_null() {
-                        seen.insert(v);
-                    }
-                }
-                seen.len()
-            };
-            columns.push(ColumnStats {
-                distinct,
-                nulls,
-                min,
-                max,
-            });
-        }
-        TableStats {
-            rows: merged.num_rows(),
-            columns,
-        }
-    }
-
-    /// Estimated selectivity of `col = const` under uniformity: `1/distinct`.
-    pub fn eq_selectivity(&self, col: usize) -> f64 {
-        let d = self.columns[col].distinct.max(1);
-        1.0 / d as f64
-    }
-
-    /// Estimated selectivity of a range predicate on `col` assuming a
-    /// uniform distribution between min and max (integer/date columns only;
-    /// falls back to 1/3 otherwise).
-    pub fn range_selectivity(&self, col: usize, lo: Option<i64>, hi: Option<i64>) -> f64 {
-        let stats = &self.columns[col];
-        let (Some(min), Some(max)) = (
-            stats.min.as_ref().and_then(Value::as_int),
-            stats.max.as_ref().and_then(Value::as_int),
-        ) else {
-            return 1.0 / 3.0;
-        };
-        if max <= min {
-            return 1.0;
-        }
-        let span = (max - min) as f64;
-        let lo = lo.unwrap_or(min).max(min);
-        let hi = hi.unwrap_or(max).min(max);
-        if hi < lo {
-            return 0.0;
-        }
-        ((hi - lo) as f64 / span).clamp(0.0, 1.0)
-    }
-}
-
 /// Dataset-level statistic summary used by the `repro stats` report: per
 /// table `(name, rows, columns)` plus a `DataType` histogram.
 pub fn dataset_summary(tables: &[&Table]) -> Vec<(String, usize, usize)> {
@@ -351,6 +193,7 @@ pub fn dtype_histogram(tables: &[&Table]) -> Vec<(DataType, usize)> {
 mod tests {
     use super::*;
     use crate::table::table_of;
+    use relgo_common::Value;
 
     fn t() -> Table {
         table_of(
@@ -363,35 +206,6 @@ mod tests {
                 vec![9.into(), "a".into()],
             ],
         )
-    }
-
-    #[test]
-    fn stats_exact() {
-        let s = TableStats::compute(&t());
-        assert_eq!(s.rows, 4);
-        assert_eq!(s.columns[0].distinct, 3);
-        assert_eq!(s.columns[0].min, Some(Value::Int(1)));
-        assert_eq!(s.columns[0].max, Some(Value::Int(9)));
-        assert_eq!(s.columns[1].distinct, 2);
-        assert_eq!(s.columns[1].nulls, 1);
-    }
-
-    #[test]
-    fn eq_selectivity_uses_distinct() {
-        let s = TableStats::compute(&t());
-        assert!((s.eq_selectivity(0) - 1.0 / 3.0).abs() < 1e-12);
-        assert!((s.eq_selectivity(1) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn range_selectivity_uniform() {
-        let s = TableStats::compute(&t());
-        // span 1..9 == 8; predicate k > 5 covers 5..9 == 4/8.
-        let sel = s.range_selectivity(0, Some(5), None);
-        assert!((sel - 0.5).abs() < 1e-12);
-        assert_eq!(s.range_selectivity(0, Some(100), None), 0.0);
-        // String column falls back.
-        assert!((s.range_selectivity(1, None, None) - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -460,62 +274,6 @@ mod tests {
         let b = ScalarExpr::col_cmp(0, BinaryOp::Ge, 8i64);
         let sel_and = predicate_selectivity(&t, &a.clone().and(b.clone()));
         assert!(sel_and <= predicate_selectivity(&t, &a));
-    }
-
-    #[test]
-    fn merge_delta_append_outside_range_is_incremental() {
-        let base = t();
-        let stats = TableStats::compute(&base);
-        // Appended keys above the base max: distinct adds without a rescan.
-        let merged = table_of(
-            "t",
-            &[("k", DataType::Int), ("s", DataType::Str)],
-            vec![
-                vec![1.into(), "a".into()],
-                vec![5.into(), "b".into()],
-                vec![5.into(), Value::Null],
-                vec![9.into(), "a".into()],
-                vec![12.into(), "z9".into()],
-                vec![12.into(), Value::Null],
-            ],
-        );
-        let change = TableChange::new(4, vec![], 2);
-        let inc = stats.merge_delta(&merged, &change);
-        assert_eq!(inc, TableStats::compute(&merged));
-        assert_eq!(inc.rows, 6);
-        assert_eq!(inc.columns[0].distinct, 4);
-        assert_eq!(inc.columns[0].max, Some(Value::Int(12)));
-        assert_eq!(inc.columns[1].nulls, 2);
-    }
-
-    #[test]
-    fn merge_delta_collision_and_deletion_stay_exact() {
-        let base = t();
-        let stats = TableStats::compute(&base);
-        // Appended key 5 collides with an existing value: the column falls
-        // back to a full distinct pass and must stay exact.
-        let merged = table_of(
-            "t",
-            &[("k", DataType::Int), ("s", DataType::Str)],
-            vec![
-                vec![1.into(), "a".into()],
-                vec![5.into(), "b".into()],
-                vec![5.into(), Value::Null],
-                vec![9.into(), "a".into()],
-                vec![5.into(), "b".into()],
-            ],
-        );
-        let inc = stats.merge_delta(&merged, &TableChange::new(4, vec![], 1));
-        assert_eq!(inc, TableStats::compute(&merged));
-        assert_eq!(inc.columns[0].distinct, 3);
-        // A deletion forces the full path (and matches it).
-        let shrunk = table_of(
-            "t",
-            &[("k", DataType::Int), ("s", DataType::Str)],
-            vec![vec![1.into(), "a".into()], vec![9.into(), "a".into()]],
-        );
-        let inc = stats.merge_delta(&shrunk, &TableChange::new(4, vec![1, 2], 0));
-        assert_eq!(inc, TableStats::compute(&shrunk));
     }
 
     #[test]

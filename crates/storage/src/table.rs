@@ -1,6 +1,6 @@
 //! Immutable columnar tables and their builder.
 
-use crate::column::Column;
+use crate::column::{Column, Interner, StrColumn};
 use relgo_common::{DataType, RelGoError, Result, RowId, Schema, Value};
 use std::fmt;
 use std::sync::Arc;
@@ -228,42 +228,47 @@ impl fmt::Display for Table {
     }
 }
 
+/// Rows a string column is interned for before its distinct count can stop
+/// the interning.
+const INTERN_PROBE_ROWS: usize = 1024;
+/// Distinct strings past which a column, after its first
+/// [`INTERN_PROBE_ROWS`] rows, stops interning.
+const INTERN_MAX_DISTINCT: usize = 512;
+
 /// Row-at-a-time builder for [`Table`].
 #[derive(Debug)]
 pub struct TableBuilder {
     name: String,
     schema: Schema,
     columns: Vec<Column>,
+    /// Per column, the code of each string interned so far; `None` for a
+    /// column that is not `Str` or has stopped interning.
+    interners: Vec<Option<Interner>>,
     rows: usize,
 }
 
 impl TableBuilder {
     /// Start building a table with the given schema.
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
-        let columns = schema
-            .fields()
-            .iter()
-            .map(|f| Column::new(f.dtype))
-            .collect();
-        TableBuilder {
-            name: name.into(),
-            schema,
-            columns,
-            rows: 0,
-        }
+        TableBuilder::with_capacity(name, schema, 0)
     }
 
     /// Pre-reserve capacity in every column.
     pub fn with_capacity(name: impl Into<String>, schema: Schema, cap: usize) -> Self {
-        let columns = schema
-            .fields()
+        let fields = schema.fields();
+        let columns = fields
             .iter()
             .map(|f| Column::with_capacity(f.dtype, cap))
+            .collect();
+        let interners = fields
+            .iter()
+            .map(|f| (f.dtype == DataType::Str).then(StrColumn::interner))
             .collect();
         TableBuilder {
             name: name.into(),
             schema,
             columns,
+            interners,
             rows: 0,
         }
     }
@@ -278,7 +283,8 @@ impl TableBuilder {
         self.rows == 0
     }
 
-    /// Append one row; arity and types must match the schema.
+    /// Append one row; arity and types must match the schema. A row that
+    /// does not is rejected whole: no column takes any of its values.
     pub fn push_row(&mut self, values: Vec<Value>) -> Result<()> {
         if values.len() != self.columns.len() {
             return Err(RelGoError::schema(format!(
@@ -288,13 +294,26 @@ impl TableBuilder {
                 self.columns.len()
             )));
         }
-        for (c, v) in self.columns.iter_mut().zip(values) {
-            c.push(v)?;
-        }
-        self.rows += 1;
-        if self.rows > u32::MAX as usize {
+        if self.rows >= u32::MAX as usize {
             return Err(RelGoError::schema("table exceeds u32::MAX rows"));
         }
+        if let Some((c, v)) = self.columns.iter().zip(&values).find(|(c, v)| !c.fits(v)) {
+            return Err(c.mismatch(v));
+        }
+        let columns = self.columns.iter_mut().zip(&mut self.interners);
+        for ((c, interner), v) in columns.zip(values) {
+            // A column with too many distinct strings stops interning, and
+            // each of its strings becomes a new entry from then on.
+            if self.rows >= INTERN_PROBE_ROWS
+                && interner
+                    .as_ref()
+                    .is_some_and(|m| m.len() > INTERN_MAX_DISTINCT)
+            {
+                *interner = None;
+            }
+            c.push_checked(v, interner.as_mut());
+        }
+        self.rows += 1;
         Ok(())
     }
 
@@ -471,6 +490,75 @@ mod tests {
     fn arity_mismatch_rejected() {
         let mut b = TableBuilder::new("t", Schema::of(&[("a", DataType::Int)]));
         assert!(b.push_row(vec![1.into(), 2.into()]).is_err());
+    }
+
+    #[test]
+    fn rejected_row_leaves_no_trace() {
+        let schema = Schema::of(&[
+            ("a", DataType::Int),
+            ("s", DataType::Str),
+            ("f", DataType::Float),
+            ("d", DataType::Date),
+        ]);
+        let mut b = TableBuilder::new("t", schema);
+        // Column 2 rejects a string after columns 0 and 1 would have taken
+        // their values.
+        let bad = vec![1.into(), "bad".into(), "x".into(), 3.into()];
+        assert!(b.push_row(bad).is_err());
+        // The coercions `Column::push` accepts: INT into FLOAT and DATE.
+        b.push_row(vec![Value::Date(2), "ok".into(), 4.into(), 5.into()])
+            .unwrap();
+        let t = b.finish();
+        assert_eq!(t.num_rows(), 1);
+        for c in 0..t.num_columns() {
+            assert_eq!(t.column(c).len(), 1);
+        }
+        let want = [
+            Value::Int(2),
+            "ok".into(),
+            Value::Float(4.0),
+            Value::Date(5),
+        ];
+        assert!(t.bit_identical(&table_of(
+            "t",
+            &[
+                ("a", DataType::Int),
+                ("s", DataType::Str),
+                ("f", DataType::Float),
+                ("d", DataType::Date),
+            ],
+            vec![want.to_vec()]
+        )));
+        assert_eq!(t.column(1).as_strs().unwrap().0.dict().len(), 2);
+    }
+
+    #[test]
+    fn builder_interns_only_repetitive_columns() {
+        let rows = (0..10_000).map(|i| {
+            let v = if i % 7 == 3 {
+                Value::Null
+            } else {
+                Value::str(["a", "bb", "c", "dd"][i % 4])
+            };
+            vec![v, Value::str(format!("u{i}"))]
+        });
+        let t = table_of(
+            "t",
+            &[("few", DataType::Str), ("unique", DataType::Str)],
+            rows.collect(),
+        );
+        let entries = |c: usize| t.column(c).as_strs().unwrap().0.dict().len();
+        assert!(entries(0) <= 5, "{}", entries(0));
+        assert_eq!(entries(1), t.num_rows() + 1);
+        assert_eq!(t.value(5, 0), Value::str("bb"));
+        assert_eq!(t.value(3, 0), Value::Null);
+        assert_eq!(t.value(9_999, 1), Value::str("u9999"));
+        // A gather shares the dictionary.
+        let sub = t.take(&[9, 2]);
+        for c in 0..2 {
+            let dict = |t: &Table| Arc::clone(t.column(c).as_strs().unwrap().0.dict());
+            assert!(Arc::ptr_eq(&dict(&t), &dict(&sub)));
+        }
     }
 
     #[test]

@@ -443,3 +443,165 @@ proptest! {
         }
     }
 }
+
+/// One to three letters from the first `letters` of "abcdef" — a domain
+/// small enough that cells repeat — or NULL one time in six.
+fn random_word(mix: &mut Mix, letters: usize) -> Value {
+    if mix.below(6) == 0 {
+        return Value::Null;
+    }
+    let word: String = (0..1 + mix.below(3))
+        .map(|_| b"abcdef"[mix.below(letters)] as char)
+        .collect();
+    Value::str(word)
+}
+
+/// A string leaf over column 0 or 1: a comparison in either orientation,
+/// `STARTS WITH`, `CONTAINS`, `IN` with entries of other types, `IS NULL`.
+fn string_leaf(mix: &mut Mix, letters: usize) -> ScalarExpr {
+    use relgo::storage::BinaryOp::*;
+    let col = Box::new(ScalarExpr::Col(mix.below(2)));
+    let text = |mix: &mut Mix| match random_word(mix, letters) {
+        Value::Str(s) => s.to_string(),
+        _ => String::new(),
+    };
+    match mix.below(6) {
+        0 | 1 => {
+            let op = mix.pick(&[Eq, Ne, Lt, Le, Gt, Ge]);
+            let lit = Box::new(ScalarExpr::Lit(random_word(mix, letters)));
+            if mix.below(2) == 0 {
+                ScalarExpr::Cmp(op, col, lit)
+            } else {
+                ScalarExpr::Cmp(op, lit, col)
+            }
+        }
+        2 => ScalarExpr::StartsWith(col, text(mix)),
+        3 => ScalarExpr::Contains(col, text(mix)),
+        4 => {
+            let others = [Value::Int(1), Value::Bool(true), Value::Null];
+            let list = (0..mix.below(4))
+                .map(|_| match mix.below(3) {
+                    0 => mix.pick(&others),
+                    _ => random_word(mix, letters),
+                })
+                .collect();
+            ScalarExpr::InList(col, list)
+        }
+        _ => ScalarExpr::IsNull(col),
+    }
+}
+
+/// String leaves under `NOT` / `AND` / `OR`.
+fn string_expr(mix: &mut Mix, letters: usize, depth: usize) -> ScalarExpr {
+    let sub = |mix: &mut Mix| Box::new(string_expr(mix, letters, depth - 1));
+    match if depth == 0 { 0 } else { mix.below(5) } {
+        0 | 1 => string_leaf(mix, letters),
+        2 => ScalarExpr::Not(sub(mix)),
+        3 => ScalarExpr::And(sub(mix), sub(mix)),
+        _ => ScalarExpr::Or(sub(mix), sub(mix)),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// The dictionary kernel is the scalar definition over both kinds of
+    /// string column: interned by `TableBuilder`, and gathered by `take`
+    /// then extended by `Column::push`, so the dictionary is shared and
+    /// holds repeats. Each expression runs over the whole table, a
+    /// selection shorter than the dictionary (each candidate tested through
+    /// it) and a long one with repeats (each entry tested once).
+    #[test]
+    fn string_kernels_equal_row_at_a_time_matches(seed in any::<i64>()) {
+        let mix = &mut Mix(seed as u64);
+        let letters = 3 + mix.below(4);
+        let n = 50 + mix.below(150);
+        let spec = [("s", DataType::Str), ("t", DataType::Str)];
+        let mut b = TableBuilder::new("t", CommonSchema::of(&spec));
+        for _ in 0..n {
+            b.push_row(vec![random_word(mix, letters), random_word(mix, letters)]).unwrap();
+        }
+        let built = b.finish();
+        let pushed = {
+            let keep: Vec<u32> = (0..n / 2).map(|_| mix.below(n) as u32).collect();
+            let columns = (0..2)
+                .map(|c| {
+                    let mut col = built.column(c).take(&keep);
+                    while col.len() < n {
+                        col.push(random_word(mix, letters)).unwrap();
+                    }
+                    col
+                })
+                .collect();
+            relgo_storage::Table::from_columns("t", CommonSchema::of(&spec), columns).unwrap()
+        };
+        for table in [&built, &pushed] {
+            let entries = |c: usize| table.column(c).as_strs().unwrap().0.dict().len();
+            let short: Vec<u32> = (0..mix.below(entries(0).min(entries(1))))
+                .map(|_| mix.below(n) as u32)
+                .collect();
+            let long: Vec<u32> = (0..4 * n).map(|_| mix.below(n) as u32).collect();
+            prop_assert!(long.len() > entries(0).max(entries(1)));
+            let expr = string_expr(mix, letters, 3);
+            for sel in [None, Some(short), Some(long)] {
+                let candidates = sel.clone().unwrap_or_else(|| (0..n as u32).collect());
+                let want: Vec<u32> = candidates
+                    .iter()
+                    .copied()
+                    .filter(|&r| expr.matches(table, r).unwrap())
+                    .collect();
+                let got = expr.select(table, sel.as_deref()).unwrap();
+                prop_assert_eq!(got, want, "{} over {:?}", expr, sel);
+            }
+        }
+    }
+
+    /// Typed MIN / MAX is the `Value::try_cmp` fold for every column type:
+    /// the first non-NULL cell seeds it (a NaN too, which nothing then
+    /// replaces), a later cell replaces it only when strictly smaller /
+    /// larger, and no non-NULL cell gives NULL.
+    #[test]
+    fn min_max_equal_the_try_cmp_fold(seed in any::<i64>()) {
+        use relgo_storage::ops::{aggregate, AggFunc};
+        let mix = &mut Mix(seed as u64);
+        let spec: Vec<(&str, DataType)> =
+            ["c0", "c1", "c2", "c3", "c4"].into_iter().zip(TYPES).collect();
+        let n = mix.below(12);
+        let mut b = TableBuilder::new("t", CommonSchema::of(&spec));
+        for _ in 0..n {
+            b.push_row(TYPES.iter().map(|&t| random_value(mix, t)).collect()).unwrap();
+        }
+        let table = b.finish();
+        let same = |a: &Value, b: &Value| match (a, b) {
+            (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
+            (Value::Int(_), Value::Int(_))
+            | (Value::Date(_), Value::Date(_))
+            | (Value::Str(_), Value::Str(_))
+            | (Value::Bool(_), Value::Bool(_))
+            | (Value::Null, Value::Null) => a == b,
+            _ => false,
+        };
+        for (func, wanted) in [
+            (AggFunc::Min, std::cmp::Ordering::Less),
+            (AggFunc::Max, std::cmp::Ordering::Greater),
+        ] {
+            let aggs: Vec<(AggFunc, usize)> = (0..TYPES.len()).map(|c| (func, c)).collect();
+            let got = aggregate(&table, &aggs).unwrap();
+            for (c, (_, dtype)) in spec.iter().enumerate() {
+                let mut want: Option<Value> = None;
+                for r in 0..n as u32 {
+                    let v = table.value(r, c);
+                    if v.is_null() {
+                        continue;
+                    }
+                    if want.as_ref().is_none_or(|b| v.try_cmp(b) == Some(wanted)) {
+                        want = Some(v);
+                    }
+                }
+                let want = want.unwrap_or(Value::Null);
+                prop_assert!(same(&got.value(0, c), &want), "{:?} of {}: {:?} vs {:?}",
+                    func, dtype, got.value(0, c), want);
+            }
+        }
+    }
+}
