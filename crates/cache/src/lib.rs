@@ -92,7 +92,7 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Counter-wise difference since `earlier` (replay reporting).
+    /// Counter-wise difference since `earlier` (what one phase of traffic did).
     pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
         MetricsSnapshot {
             hits: self.hits - earlier.hits,

@@ -208,42 +208,9 @@ impl HistogramSnapshot {
         None
     }
 
-    /// The median ([`HistogramSnapshot::quantile`] at 0.5).
-    pub fn p50(&self) -> Option<Duration> {
-        self.quantile(0.5)
-    }
-
-    /// The 90th percentile.
-    pub fn p90(&self) -> Option<Duration> {
-        self.quantile(0.9)
-    }
-
-    /// The 99th percentile.
+    /// The 99th percentile ([`HistogramSnapshot::quantile`] at 0.99).
     pub fn p99(&self) -> Option<Duration> {
         self.quantile(0.99)
-    }
-
-    /// Mean recorded duration (`None` when empty).
-    pub fn mean(&self) -> Option<Duration> {
-        self.sum_us
-            .checked_div(self.count)
-            .map(Duration::from_micros)
-    }
-
-    /// Counter-wise difference since `earlier` (same bounds required).
-    pub fn since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        assert_eq!(self.bounds_us, earlier.bounds_us, "histogram bounds differ");
-        HistogramSnapshot {
-            bounds_us: self.bounds_us.clone(),
-            counts: self
-                .counts
-                .iter()
-                .zip(&earlier.counts)
-                .map(|(a, b)| a - b)
-                .collect(),
-            sum_us: self.sum_us - earlier.sum_us,
-            count: self.count - earlier.count,
-        }
     }
 }
 
@@ -680,9 +647,8 @@ mod tests {
         assert_eq!(s.counts, vec![2, 1, 2, 0]);
         assert_eq!(s.sum_us, 5 + 7 + 50 + 500 + 800);
         // Ranks: p50 → rank 3 → bucket ≤100; p99 → rank 5 → bucket ≤1000.
-        assert_eq!(s.p50(), Some(Duration::from_micros(100)));
+        assert_eq!(s.quantile(0.5), Some(Duration::from_micros(100)));
         assert_eq!(s.p99(), Some(Duration::from_micros(1000)));
-        assert!(s.mean().is_some());
     }
 
     #[test]
@@ -693,19 +659,7 @@ mod tests {
         assert_eq!(h.snapshot().p99(), None, "overflow rank is not finite");
         h.record_us(1);
         // p50 rank 1 lands in the finite bucket.
-        assert_eq!(h.snapshot().p50(), Some(Duration::from_micros(10)));
-    }
-
-    #[test]
-    fn histogram_snapshot_since() {
-        let h = Histogram::new(&[10, 100]);
-        h.record_us(5);
-        let before = h.snapshot();
-        h.record_us(50);
-        h.record_us(7);
-        let d = h.snapshot().since(&before);
-        assert_eq!(d.count, 2);
-        assert_eq!(d.counts, vec![1, 1, 0]);
+        assert_eq!(h.snapshot().quantile(0.5), Some(Duration::from_micros(10)));
     }
 
     #[test]

@@ -590,6 +590,9 @@ mod tests {
         assert!(pinned.epoch < session.epoch());
         let live = session.run_cached(&q, OptimizerMode::RelGo).unwrap();
         assert_eq!(live.epoch, session.epoch());
+        // The snapshot's miss was costed on epoch 0's statistics, so it
+        // must not be served to the live session as current.
+        assert!(!live.cached);
     }
 
     #[test]

@@ -30,7 +30,6 @@
 pub mod ingest;
 pub mod observe;
 pub mod prepared;
-pub mod serve;
 pub mod session;
 
 pub use relgo_cache as cache;
@@ -51,7 +50,6 @@ pub use observe::{ObservabilitySnapshot, QueryPath, SessionMetrics};
 pub use prepared::PreparedStatement;
 pub use relgo_delta::checkpoint::{CheckpointCrash, CheckpointStore};
 pub use relgo_delta::wal::{Wal, WalOptions, WalStats};
-pub use serve::{replay_concurrent, replay_concurrent_with, ReplayReport, ServeMode};
 pub use session::{
     CheckpointPolicy, CheckpointReport, CheckpointRequest, ExplainAnalyze, PlanSource,
     QueryOptions, QueryOutcome, RecoveryReport, Session, SessionOptions, Snapshot,
@@ -62,7 +60,6 @@ pub mod prelude {
     pub use crate::ingest::{CommitError, IngestBatch, IngestReport, RetryPolicy, StatsRefresh};
     pub use crate::observe::{ObservabilitySnapshot, QueryPath, SessionMetrics};
     pub use crate::prepared::PreparedStatement;
-    pub use crate::serve::{replay_concurrent, replay_concurrent_with, ReplayReport, ServeMode};
     pub use crate::session::{
         CheckpointPolicy, CheckpointReport, CheckpointRequest, ExplainAnalyze, PlanSource,
         QueryOptions, QueryOutcome, RecoveryReport, Session, SessionOptions, Snapshot,

@@ -18,7 +18,7 @@
 //! outcomes.
 
 use crate::session::{
-    profiled, QueryOptions, QueryOutcome, ResolvedPlan, Session, SessionState, Source,
+    profiled, QueryOptions, QueryOutcome, ResolvedPlan, Session, Snapshot, Source,
 };
 use parking_lot::Mutex;
 use relgo_cache::PinnedPlan;
@@ -55,7 +55,7 @@ impl Session {
         let pinned = match cache.lookup(&key) {
             Some((plan, cached_params)) => cache.pin(plan, cached_params),
             None => {
-                self.plan_on_miss(&self.state(), query, mode, key.clone(), pq.params)?
+                self.plan_on_miss(&self.snapshot(), query, mode, key.clone(), pq.params)?
                     .0
             }
         };
@@ -97,7 +97,7 @@ impl PreparedStatement<'_> {
 
     /// Resolve one (already validated) binding vector to an executable
     /// plan: the pinned skeleton rebound (the hot path), or a transparent
-    /// re-optimize against `state` when the pin is stale / the rebind is
+    /// re-optimize against `snap` when the pin is stale / the rebind is
     /// ambiguous, which also replaces the pin.
     ///
     /// The pin mutex is held only to snapshot (or replace) the pin — the
@@ -105,7 +105,7 @@ impl PreparedStatement<'_> {
     /// executes on one shared handle do not serialize on the hot path.
     pub(crate) fn resolve(
         &self,
-        state: &SessionState,
+        snap: &Snapshot<'_>,
         bindings: &[Value],
         trace: &mut QueryTrace,
     ) -> Result<ResolvedPlan> {
@@ -132,13 +132,8 @@ impl PreparedStatement<'_> {
         }
         let query = trace.time(Stage::Parameterize, || bind_query(&self.query, bindings))?;
         let (pin, opt) = trace.time(Stage::Optimize, || {
-            self.session.plan_on_miss(
-                state,
-                &query,
-                self.mode,
-                self.key.clone(),
-                bindings.to_vec(),
-            )
+            self.session
+                .plan_on_miss(snap, &query, self.mode, self.key.clone(), bindings.to_vec())
         })?;
         let plan = Arc::clone(&pin.plan);
         *self.pinned.lock() = pin;
@@ -162,7 +157,7 @@ impl PreparedStatement<'_> {
         options: &QueryOptions,
     ) -> Result<(QueryOutcome, Option<PlanReport>)> {
         self.session.pipeline(
-            &self.session.state(),
+            &self.session.snapshot(),
             Source::Statement(self, bindings),
             self.mode,
             options,

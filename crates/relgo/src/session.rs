@@ -733,9 +733,14 @@ impl Session {
     /// the returned [`Snapshot`] sees this exact data version, regardless
     /// of ingest commits that land in the meantime.
     pub fn snapshot(&self) -> Snapshot<'_> {
+        // Statistics version first, state second: commits publish before
+        // they invalidate, so the version a snapshot carries is never newer
+        // than the statistics its state was built with.
+        let version = self.cache.stats_version();
         Snapshot {
             session: self,
             state: self.state(),
+            version,
         }
     }
 
@@ -916,25 +921,29 @@ impl Session {
     }
 
     /// The one miss path behind every cached plan (a `Cached` miss,
-    /// [`Session::prepare`], a stale prepared pin): optimize against
-    /// `state`, insert the skeleton, and return it pinned.
+    /// [`Session::prepare`], a stale prepared pin): optimize against the
+    /// snapshot's state, insert the skeleton, and return it pinned.
     ///
-    /// The statistics version is snapshotted *before* optimizing: if a
-    /// `rebuild_statistics` or ingest commit races past while the optimizer
-    /// runs, the entry and the pin are stamped with the superseded version
-    /// and die on their next lookup instead of being served as current. A
-    /// timed-out search produced a fallback plan; it serves this caller but
-    /// is not inserted for every future instance of the template.
+    /// The entry and the pin are stamped with the statistics version the
+    /// snapshot read *before* pinning its state (see [`Session::snapshot`]),
+    /// not the version current when the optimizer finishes. A snapshot
+    /// taken before a `rebuild_statistics` or ingest commit, or one that
+    /// raced the commit between its publish and its invalidation, therefore
+    /// stamps its plan with the superseded version: the entry dies on its
+    /// next lookup instead of being served as current on statistics it was
+    /// not costed on. A timed-out search produced a fallback plan; it serves
+    /// this caller but is not inserted for every future instance of the
+    /// template.
     pub(crate) fn plan_on_miss(
         &self,
-        state: &SessionState,
+        snap: &Snapshot<'_>,
         query: &SpjmQuery,
         mode: OptimizerMode,
         key: PlanKey,
         params: Vec<Value>,
     ) -> Result<(PinnedPlan, OptStats)> {
-        let version = self.cache.stats_version();
-        let (plan, opt) = self.optimize_at(state, query, mode)?;
+        let version = snap.version;
+        let (plan, opt) = self.optimize_at(&snap.state, query, mode)?;
         let plan = Arc::new(plan);
         if !opt.timed_out {
             self.cache
@@ -951,7 +960,7 @@ impl Session {
     /// optimized normally and the skeleton inserted for the next instance.
     fn resolve_cached(
         &self,
-        state: &SessionState,
+        snap: &Snapshot<'_>,
         query: &SpjmQuery,
         mode: OptimizerMode,
         trace: &mut QueryTrace,
@@ -974,7 +983,7 @@ impl Session {
             }
         }
         let (pin, opt) = trace.time(Stage::Optimize, || {
-            self.plan_on_miss(state, query, mode, key, params)
+            self.plan_on_miss(snap, query, mode, key, params)
         })?;
         Ok(ResolvedPlan {
             plan: pin.plan,
@@ -983,18 +992,19 @@ impl Session {
         })
     }
 
-    /// The one query pipeline: against the pinned `state`, resolve a plan
+    /// The one query pipeline: against the snapshot's state, resolve a plan
     /// (`Fresh` optimize | `Cached` parameterize + probe + rebind | a
     /// prepared statement's pinned skeleton + bindings), execute it, and
     /// account for it — every public query entry is a wrapper over this.
     /// Planning and execution see the same epoch on every path.
     pub(crate) fn pipeline(
         &self,
-        state: &SessionState,
+        snap: &Snapshot<'_>,
         source: Source<'_>,
         mode: OptimizerMode,
         options: &QueryOptions,
     ) -> Result<(QueryOutcome, Option<PlanReport>)> {
+        let state = &*snap.state;
         let mut trace = QueryTrace::start();
         let (path, resolved) = match (source, options.plan) {
             (Source::Query(query), PlanSource::Fresh) => {
@@ -1008,14 +1018,14 @@ impl Session {
                 (QueryPath::Run, resolved)
             }
             (Source::Query(query), PlanSource::Cached) => {
-                let resolved = self.resolve_cached(state, query, mode, &mut trace)?;
+                let resolved = self.resolve_cached(snap, query, mode, &mut trace)?;
                 (QueryPath::Cached, resolved)
             }
             (Source::Statement(stmt, bindings), _) => {
                 trace.time(Stage::Parse, || {
                     validate_bindings(stmt.slot_sig(), bindings)
                 })?;
-                let resolved = stmt.resolve(state, bindings, &mut trace)?;
+                let resolved = stmt.resolve(snap, bindings, &mut trace)?;
                 (QueryPath::Prepared, resolved)
             }
         };
@@ -1186,6 +1196,9 @@ pub(crate) fn profiled(
 pub struct Snapshot<'s> {
     session: &'s Session,
     state: Arc<SessionState>,
+    /// The plan cache's statistics version, read before `state` was
+    /// pinned: what a plan this snapshot inserts is stamped with.
+    version: u64,
 }
 
 impl Snapshot<'_> {
@@ -1213,7 +1226,7 @@ impl Snapshot<'_> {
         options: &QueryOptions,
     ) -> Result<(QueryOutcome, Option<PlanReport>)> {
         self.session
-            .pipeline(&self.state, Source::Query(query), mode, options)
+            .pipeline(self, Source::Query(query), mode, options)
     }
 
     /// Optimize + execute against the pinned epoch.

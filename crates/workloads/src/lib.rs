@@ -11,10 +11,11 @@
 //!   schema (all acyclic, star-shaped around `title`, with skewed
 //!   predicates and `MIN` aggregates like the originals);
 //! * [`templates`] — parameterized query templates (fixed structure,
-//!   draw-dependent literals) replayed against the plan cache;
+//!   draw-dependent literals) served through the plan cache and prepared
+//!   statements; the dynamic-SNB update stream that interleaves with them
+//!   is `relgo_datagen::snb_update_stream`;
 //! * [`Workload`] — a named query with metadata used by the harness.
 
-pub mod dynamic;
 pub mod job_queries;
 pub mod snb_queries;
 pub mod templates;

@@ -3,38 +3,33 @@
 //!
 //! The walkthrough:
 //!
-//! 1. a manual ingest batch — insert a person and a knows edge, commit, and
-//!    watch the epoch advance, statistics refresh incrementally, and the
-//!    plan cache invalidate;
+//! 1. a manual ingest batch — insert a person and a knows edge plus the
+//!    head of the generated update stream, commit, and watch the epoch
+//!    advance, statistics refresh incrementally, and the plan cache
+//!    invalidate;
 //! 2. snapshot isolation — a reader pinned to the pre-commit epoch keeps
-//!    seeing the old data;
-//! 3. a mixed replay (`ServeMode::Mixed`): concurrent writer threads
-//!    committing update batches — racing on a shared marker row, so the
-//!    losers observe first-committer-wins conflicts and retry — while
-//!    reader threads serve snapshot-pinned verified cached queries plus
-//!    prepared executes, with the per-replay cache-metric deltas printed
-//!    at the end.
+//!    seeing the old data.
+//!
+//! Answers checked against the oracle while commits race with reads are
+//! `tests/concurrent_differential.rs`.
 //!
 //! Run with: `cargo run --release --example dynamic_serving [-- --quick]`
 //! (`RELGO_THREADS=2` additionally gives every query 2 morsel workers.)
 
+use relgo::datagen::snb_update_stream;
 use relgo::prelude::*;
-use relgo::workloads::dynamic::dynamic_snb;
+use relgo::workloads::templates::snb_templates;
 
 fn main() -> Result<()> {
     let quick = std::env::args().any(|a| a == "--quick");
-    let (sf, readers, rounds, commits, ops, writers) = if quick {
-        (0.03, 2, 3, 3, 6, 2)
-    } else {
-        (0.1, 4, 8, 6, 25, 2)
-    };
+    let sf = if quick { 0.03 } else { 0.1 };
 
     println!("generating SNB-like data (sf={sf}) and building the session...");
     let (session, schema) = Session::snb_with(sf, 42, SessionOptions::default())?;
-    // The dynamic-SNB bundle: IC read templates + a person/knows update
-    // stream whose prefixes are safe to split across commits.
-    let workload = dynamic_snb(&schema, &session.db(), 7, 8)?;
-    let templates = &workload.templates;
+    // IC read templates plus a person/knows update stream whose prefixes
+    // are safe to split across commits.
+    let templates = snb_templates(&schema);
+    let stream = snb_update_stream(&session.db(), 7, 8)?;
 
     // --- 1. one manual ingest batch -----------------------------------
     let persons = session.db().table("Person")?.num_rows();
@@ -62,11 +57,11 @@ fn main() -> Result<()> {
         ],
     )?;
     // Plus the head of the generated update stream, through the same API.
-    for op in &workload.ops {
+    for op in &stream {
         batch.insert_row(&op.table, op.row.clone())?;
     }
     let report = batch.commit()?;
-    let stream_persons = workload.ops.iter().filter(|o| o.table == "Person").count();
+    let stream_persons = stream.iter().filter(|o| o.table == "Person").count();
     println!(
         "committed epoch {}: +{} rows into {:?} ({:.2}% of the data changed)",
         report.epoch,
@@ -97,68 +92,8 @@ fn main() -> Result<()> {
         "snapshot pinned to epoch 0 still sees {persons} persons; the live session sees {new_persons}"
     );
 
-    // --- 3. mixed replay ----------------------------------------------
-    println!(
-        "mixed replay: {readers} readers x {rounds} rounds (verified) + {writers} writers x {commits} commits x {ops} rows..."
-    );
-    let before = session.cache_metrics();
-    let report = replay_concurrent_with(
-        &session,
-        templates,
-        OptimizerMode::RelGo,
-        readers,
-        rounds,
-        ServeMode::Mixed {
-            commits,
-            ops_per_commit: ops,
-            writers,
-        },
-    )?;
-    let ms = |d: Option<std::time::Duration>| d.map_or(f64::NAN, |d| d.as_secs_f64() * 1e3);
-    println!(
-        "  {} queries ({} prepared, {} from cache/pins) in {:.1} ms ({:.0} q/s, p50 {:.3} ms, p99 {:.3} ms) — zero divergences",
-        report.queries,
-        report.prepared_queries,
-        report.cached_queries,
-        report.elapsed.as_secs_f64() * 1e3,
-        report.throughput(),
-        ms(report.p50()),
-        ms(report.p99())
-    );
-    println!(
-        "  writers: {} commits, {} rows committed, {} write conflicts retried, final epoch {}",
-        report.commits,
-        report.ingested_rows,
-        report.conflicts,
-        session.epoch()
-    );
-    // The per-replay cache-metric deltas: how serving behaved *during*
-    // the ingest traffic.
-    let m = report.metrics;
-    println!(
-        "  replay cache deltas: hits={} misses={} invalidations={} prepared_hits={} prepared_invalidations={} rebind_failures={}",
-        m.hits, m.misses, m.invalidations, m.prepared_hits, m.prepared_invalidations, m.rebind_failures
-    );
-    assert_eq!(report.commits, commits);
-    let writer_rounds = commits.div_ceil(writers);
-    assert_eq!(
-        report.conflicts,
-        commits - writer_rounds,
-        "every multi-writer round produces exactly one marker conflict"
-    );
-    assert!(
-        m.invalidations >= commits as u64,
-        "every commit invalidates"
-    );
-    assert!(
-        m.prepared_invalidations >= 1,
-        "stale pins re-optimized after commits"
-    );
-    let delta = session.cache_metrics().since(&before);
-    assert_eq!(m, delta, "report deltas equal the session-level diff");
-
-    // The unified snapshot folds the ingest counters the replay produced
-    // into the same registry the server's /metrics endpoint scrapes.
+    // The unified snapshot folds the ingest counters into the same
+    // registry the server's /metrics endpoint scrapes.
     let obs = session.observability_snapshot();
     println!(
         "  observability: epoch {}, {} series, {} ingest commits / {} conflicts / {} rows recorded",

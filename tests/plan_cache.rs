@@ -101,9 +101,10 @@ fn warm_cache_skips_optimizer_10x() {
     }
 }
 
-/// Deterministic hit/miss accounting under multi-threaded replay: after a
-/// single-threaded priming pass (one miss per template), a concurrent
-/// replay is hits-only.
+/// Deterministic hit/miss accounting under multi-threaded serving: after a
+/// single-threaded priming pass (one miss per template), concurrent
+/// `run_cached` traffic is hits-only, and concurrent executes of shared
+/// prepared handles are pinned hits that never probe the cache.
 #[test]
 fn multithreaded_replay_reports_expected_counts() {
     let (session, schema) = Session::snb(0.03, 42).unwrap();
@@ -118,19 +119,57 @@ fn multithreaded_replay_reports_expected_counts() {
     assert_eq!(primed.misses as usize, templates.len());
     assert_eq!(primed.hits, 0);
 
+    // Worker `w`'s draw in round `r` is `w * rounds + r`: literals vary,
+    // template structure repeats.
     let (threads, rounds) = (4, 5);
-    let report =
-        replay_concurrent(&session, &templates, OptimizerMode::RelGo, threads, rounds).unwrap();
-    let expected = threads * rounds * templates.len();
-    assert_eq!(report.queries, expected);
+    let queries = threads * rounds * templates.len();
+    let templates = &templates;
+    let serve = |query: &(dyn Fn(usize, u64) -> QueryOutcome + Sync)| {
+        std::thread::scope(|s| {
+            for w in 0..threads {
+                s.spawn(move || {
+                    for r in 0..rounds {
+                        for (t, template) in templates.iter().enumerate() {
+                            let out = query(t, (w * rounds + r) as u64);
+                            assert!(out.cached, "{} must not optimize", template.name());
+                        }
+                    }
+                });
+            }
+        });
+    };
+
+    let before = session.cache_metrics();
+    serve(&|t, draw| {
+        let q = templates[t].instantiate(draw).unwrap();
+        session.run_cached(&q, OptimizerMode::RelGo).unwrap()
+    });
+    let cached = session.cache_metrics().since(&before);
+    assert_eq!(cached.hits as usize, queries, "{cached:?}");
+    assert_eq!(cached.misses, 0, "{cached:?}");
+
+    // Second phase: one shared handle per template. Preparing probes the
+    // cache once per template; executes only rebind the pin.
+    let before = session.cache_metrics();
+    let statements: Vec<_> = templates
+        .iter()
+        .map(|t| {
+            session
+                .prepare(&t.instantiate(0).unwrap(), OptimizerMode::RelGo)
+                .unwrap()
+        })
+        .collect();
+    serve(&|t, draw| {
+        let bindings = templates[t].bindings(draw).unwrap();
+        statements[t].execute(&bindings).unwrap()
+    });
+    let prepared = session.cache_metrics().since(&before);
+    assert_eq!(prepared.prepared_hits as usize, queries, "{prepared:?}");
     assert_eq!(
-        report.metrics.hits as usize, expected,
-        "{:?}",
-        report.metrics
+        (prepared.hits + prepared.misses) as usize,
+        templates.len(),
+        "only the prepare probes touch the cache: {prepared:?}"
     );
-    assert_eq!(report.metrics.misses, 0, "{:?}", report.metrics);
-    assert_eq!(report.cached_queries, expected);
-    assert!(report.opt_time < report.elapsed * threads as u32);
 }
 
 /// Statistics rebuilds invalidate cached plans; capacity pressure evicts.
