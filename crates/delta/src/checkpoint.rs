@@ -73,8 +73,6 @@ pub struct LoadedCheckpoint {
 pub struct RetentionReport {
     /// Checkpoint files deleted.
     pub removed: usize,
-    /// Checkpoint files moved into the archive directory.
-    pub archived: usize,
 }
 
 /// A family of checkpoint files living next to a WAL: `<wal>.ckpt.<epoch>`,
@@ -181,11 +179,11 @@ impl CheckpointStore {
         Ok(None)
     }
 
-    /// Keep the `keep` newest checkpoint files; delete older ones, or move
-    /// them into `archive_dir` when given. Keeping at least 2 preserves the
-    /// fallback target [`CheckpointStore::load_newest`] relies on if the
-    /// newest file rots after its rename.
-    pub fn retain(&self, keep: usize, archive_dir: Option<&Path>) -> Result<RetentionReport> {
+    /// Keep the `keep` newest checkpoint files and delete older ones.
+    /// Keeping at least 2 preserves the fallback target
+    /// [`CheckpointStore::load_newest`] relies on if the newest file rots
+    /// after its rename.
+    pub fn retain(&self, keep: usize) -> Result<RetentionReport> {
         let mut list = self.list()?;
         let mut report = RetentionReport::default();
         if list.len() <= keep {
@@ -193,25 +191,8 @@ impl CheckpointStore {
         }
         let drop_n = list.len() - keep;
         for (_, path) in list.drain(..drop_n) {
-            match archive_dir {
-                Some(dir) => {
-                    std::fs::create_dir_all(dir)
-                        .map_err(|e| io_err("checkpoint archive mkdir", &e))?;
-                    let dest = dir.join(path.file_name().unwrap_or_default());
-                    if std::fs::rename(&path, &dest).is_err() {
-                        // Cross-device fallback: copy, then remove.
-                        std::fs::copy(&path, &dest)
-                            .map_err(|e| io_err("checkpoint archive copy", &e))?;
-                        std::fs::remove_file(&path)
-                            .map_err(|e| io_err("checkpoint archive rm", &e))?;
-                    }
-                    report.archived += 1;
-                }
-                None => {
-                    std::fs::remove_file(&path).map_err(|e| io_err("checkpoint remove", &e))?;
-                    report.removed += 1;
-                }
-            }
+            std::fs::remove_file(&path).map_err(|e| io_err("checkpoint remove", &e))?;
+            report.removed += 1;
         }
         Ok(report)
     }
@@ -591,32 +572,17 @@ mod tests {
     }
 
     #[test]
-    fn retention_keeps_newest_and_archives_or_deletes_the_rest() {
+    fn retention_keeps_the_newest_and_deletes_the_rest() {
         let store = CheckpointStore::for_wal(temp_wal("retain"));
         cleanup(&store);
         let db = sample_db();
         for epoch in [1u64, 2, 3, 4] {
             store.write(epoch, &db, None).unwrap();
         }
-        let report = store.retain(2, None).unwrap();
-        assert_eq!((report.removed, report.archived), (2, 0));
+        let report = store.retain(2).unwrap();
+        assert_eq!(report.removed, 2);
         let epochs: Vec<u64> = store.list().unwrap().iter().map(|(e, _)| *e).collect();
         assert_eq!(epochs, vec![3, 4]);
-
-        // Archival moves instead of deleting.
-        store.write(5, &db, None).unwrap();
-        let archive =
-            std::env::temp_dir().join(format!("relgo_ckpt_archive_{}", std::process::id()));
-        let report = store.retain(2, Some(&archive)).unwrap();
-        assert_eq!((report.removed, report.archived), (0, 1));
-        let archived = CheckpointStore {
-            dir: archive.clone(),
-            prefix: store.prefix.clone(),
-        };
-        let moved = archived.list().unwrap();
-        assert_eq!(moved.len(), 1);
-        assert_eq!(moved[0].0, 3);
-        std::fs::remove_dir_all(&archive).ok();
         cleanup(&store);
     }
 }

@@ -92,13 +92,6 @@ impl ChangeSummary {
     pub fn deleted_rows(&self) -> usize {
         self.changes.values().map(|c| c.deleted().len()).sum()
     }
-
-    /// Fraction of the base database's rows that changed — the staleness
-    /// measure deciding incremental vs. full statistics refresh.
-    pub fn changed_fraction(&self, base: &Database) -> f64 {
-        let changed: usize = self.changes.values().map(TableChange::changed_rows).sum();
-        changed as f64 / base.total_rows().max(1) as f64
-    }
 }
 
 /// A set of pending per-table deltas: the write side of one ingest batch.
@@ -375,11 +368,10 @@ mod tests {
         assert_eq!(person.row(1), vec![30.into(), "Eve".into()]);
         assert_eq!(person.row(2), vec![40.into(), "Ada".into()]);
         assert_eq!(merged.table("Knows").unwrap().num_rows(), 2);
-        // Summary reflects both tables; fraction = 4 changed rows / 4 base.
+        // Summary reflects both tables.
         assert_eq!(summary.tables(), vec!["Knows", "Person"]);
         assert_eq!(summary.inserted_rows(), 2);
         assert_eq!(summary.deleted_rows(), 1);
-        assert!((summary.changed_fraction(&db) - 3.0 / 4.0).abs() < 1e-12);
         let pc = summary.change("Person").unwrap();
         assert_eq!(pc.deleted(), &[1]);
         assert_eq!(pc.new_id(2), Some(1));
@@ -521,7 +513,7 @@ mod tests {
         assert!(d.is_empty());
         let (merged, summary) = d.apply(&db).unwrap();
         assert!(summary.tables().is_empty());
-        assert_eq!(summary.changed_fraction(&db), 0.0);
+        assert_eq!(summary.inserted_rows() + summary.deleted_rows(), 0);
         assert!(std::sync::Arc::ptr_eq(
             db.table("Person").unwrap(),
             merged.table("Person").unwrap()

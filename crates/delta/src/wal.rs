@@ -98,8 +98,6 @@ pub struct WalCompaction {
     pub bytes_dropped: u64,
     /// Bytes of log tail kept (records above the checkpoint epoch).
     pub bytes_retained: u64,
-    /// Bytes appended to the archive file (0 when no archive was given).
-    pub archived_bytes: u64,
 }
 
 /// Monotonic WAL counters (records staged, group flushes, fsyncs, bytes
@@ -387,16 +385,12 @@ impl Wal {
     /// replace. A crash before the rename leaves the old log (recovery
     /// skips the already-checkpointed prefix); a crash after leaves exactly
     /// the tail — never a torn log.
-    ///
-    /// `archive_to`, when given, appends the dropped record-aligned prefix
-    /// to that file before truncation, so the full commit history remains
-    /// replayable offline (the archive is itself a valid WAL).
-    pub fn compact_through(&self, epoch: u64, archive_to: Option<&Path>) -> Result<WalCompaction> {
+    pub fn compact_through(&self, epoch: u64) -> Result<WalCompaction> {
         let mut st = self.state.lock().unwrap();
         while st.flushing {
             st = self.flushed.wait(st).unwrap();
         }
-        let (_st, compaction) = self.lead(st, |file| self.rewrite_tail(file, epoch, archive_to))?;
+        let (_st, compaction) = self.lead(st, |file| self.rewrite_tail(file, epoch))?;
         Ok(compaction)
     }
 
@@ -405,12 +399,7 @@ impl Wal {
     /// `then`: the log is read through a second handle, so `file`'s append
     /// position never moves, and until the rename succeeds — after which
     /// nothing can fail — the log itself is untouched.
-    fn rewrite_tail(
-        &self,
-        file: &mut File,
-        epoch: u64,
-        archive_to: Option<&Path>,
-    ) -> Result<WalCompaction> {
+    fn rewrite_tail(&self, file: &mut File, epoch: u64) -> Result<WalCompaction> {
         let bytes = std::fs::read(&self.path).map_err(|e| io_err("wal read", &e))?;
 
         // Everything before the first record the checkpoint does not cover
@@ -432,17 +421,6 @@ impl Wal {
             });
         }
 
-        if let Some(archive) = archive_to {
-            let mut f = OpenOptions::new()
-                .append(true)
-                .create(true)
-                .open(archive)
-                .map_err(|e| io_err("wal archive open", &e))?;
-            f.write_all(prefix)
-                .map_err(|e| io_err("wal archive write", &e))?;
-            f.sync_all().map_err(|e| io_err("wal archive fsync", &e))?;
-        }
-
         let mut tmp = self.path.clone().into_os_string();
         tmp.push(".compact.tmp");
         // The renamed temp file *is* the new log: its handle, positioned at
@@ -454,7 +432,6 @@ impl Wal {
             records_dropped: dropped,
             bytes_dropped: prefix.len() as u64,
             bytes_retained: tail.len() as u64,
-            archived_bytes: archive_to.map_or(0, |_| prefix.len() as u64),
         })
     }
 }
@@ -762,7 +739,7 @@ mod tests {
         assert!(err.to_string().contains("failed closed"), "{err}");
         let later = wal.append(4, &sample_delta(3));
         assert!(wal.sync_through(later).is_err());
-        assert!(wal.compact_through(1, None).is_err());
+        assert!(wal.compact_through(1).is_err());
         // What was durable before the failure still is.
         wal.sync_through(acked).unwrap();
         let stats = wal.stats();
@@ -779,7 +756,7 @@ mod tests {
         let (wal, _) = Wal::open(&path, WalOptions::default()).unwrap();
         let good = break_file(&wal);
         let staged = wal.append(1, &sample_delta(0));
-        assert!(wal.compact_through(0, None).is_err());
+        assert!(wal.compact_through(0).is_err());
         *wal.file.lock().unwrap() = good;
         assert!(wal.sync_through(staged).is_err());
         drop(wal);
@@ -797,7 +774,7 @@ mod tests {
             wal.sync_through(seq).unwrap();
         }
         let before = wal.disk_len();
-        let c = wal.compact_through(4, None).unwrap();
+        let c = wal.compact_through(4).unwrap();
         assert_eq!(c.records_dropped, 4);
         assert!(c.bytes_dropped > 0);
         assert_eq!(c.bytes_dropped + c.bytes_retained, before);
@@ -823,7 +800,7 @@ mod tests {
             // Staged only: no sync_through before compaction.
             wal.append(i as u64 + 1, &sample_delta(i));
         }
-        let c = wal.compact_through(2, None).unwrap();
+        let c = wal.compact_through(2).unwrap();
         assert_eq!(c.records_dropped, 2);
         drop(wal);
         let (_w, rec) = Wal::open(&path, WalOptions::default()).unwrap();
@@ -841,7 +818,7 @@ mod tests {
             wal.sync_through(seq).unwrap();
         }
         let before = wal.disk_len();
-        let c = wal.compact_through(5, None).unwrap();
+        let c = wal.compact_through(5).unwrap();
         assert_eq!((c.records_dropped, c.bytes_dropped), (0, 0));
         assert_eq!(c.bytes_retained, before);
         // The log still appends and replays cleanly.
@@ -851,32 +828,6 @@ mod tests {
         let (_w, rec) = Wal::open(&path, WalOptions::default()).unwrap();
         assert_eq!(rec.records.len(), 4);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn compaction_archive_preserves_the_dropped_history() {
-        let path = temp_wal("compact_archive");
-        let archive = temp_wal("compact_archive_out");
-        let (wal, _) = Wal::open(&path, WalOptions::default()).unwrap();
-        for i in 0..5 {
-            let seq = wal.append(i as u64 + 1, &sample_delta(i));
-            wal.sync_through(seq).unwrap();
-        }
-        let c = wal.compact_through(3, Some(&archive)).unwrap();
-        assert_eq!(c.records_dropped, 3);
-        assert_eq!(c.archived_bytes, c.bytes_dropped);
-        // The archive is itself a valid WAL holding exactly the dropped
-        // prefix; a second compaction appends to it.
-        let (_a, rec) = Wal::open(&archive, WalOptions::default()).unwrap();
-        let epochs: Vec<u64> = rec.records.iter().map(|r| r.epoch).collect();
-        assert_eq!(epochs, vec![1, 2, 3]);
-        wal.compact_through(4, Some(&archive)).unwrap();
-        drop(wal);
-        let (_a, rec) = Wal::open(&archive, WalOptions::default()).unwrap();
-        let epochs: Vec<u64> = rec.records.iter().map(|r| r.epoch).collect();
-        assert_eq!(epochs, vec![1, 2, 3, 4]);
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&archive).ok();
     }
 
     #[test]

@@ -191,16 +191,6 @@ impl GLogue {
         })
     }
 
-    /// Exact-counting threshold `k`.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Sparsification stride (1 = exact).
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
     /// The underlying graph view.
     pub fn view(&self) -> &Arc<GraphView> {
         &self.view
@@ -532,8 +522,7 @@ mod tests {
         let changed_v = vec![true, false];
         let changed_e = vec![true, true];
         let refreshed = GLogue::refreshed(&gl, Arc::clone(&view), &changed_v, &changed_e).unwrap();
-        assert_eq!(refreshed.k(), 3);
-        assert_eq!(refreshed.stride(), 1);
+        assert_eq!((refreshed.k, refreshed.stride), (3, 1));
         assert!(refreshed.cached_patterns() < cached);
         assert!(refreshed.cached_patterns() >= 1, "message count retained");
         // Counts stay exact after the refresh (same view here).

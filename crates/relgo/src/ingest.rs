@@ -15,11 +15,9 @@
 //!    `Arc`s),
 //! 3. incrementally refreshes the graph view and GRainDB-style index
 //!    (untouched edge labels share the previous epoch's memory),
-//! 4. refreshes statistics: below the
-//!    [`crate::SessionOptions::stats_staleness`] fraction the GLogue keeps
-//!    every cached pattern count whose labels the delta did not touch
-//!    ([`relgo_glogue::GLogue::refreshed`]); past it, a full pattern-count
-//!    rebuild runs — both exact,
+//! 4. refreshes statistics: the GLogue keeps every cached pattern count
+//!    whose labels the delta did not touch and evicts the rest, to be
+//!    recounted exactly on demand ([`relgo_glogue::GLogue::refreshed`]),
 //! 5. on a durable session, stages the delta as a write-ahead-log record
 //!    ([`relgo_delta::wal::Wal::append`]),
 //! 6. publishes the next epoch with one pointer swap and bumps the plan
@@ -173,22 +171,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// How a commit refreshed the GLogue statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StatsRefresh {
-    /// Delta-aware refresh: cached pattern counts for untouched labels were
-    /// carried into the new epoch.
-    Incremental {
-        /// Cached counts carried over.
-        retained: usize,
-        /// Cached counts evicted (their labels were touched).
-        evicted: usize,
-    },
-    /// The changed-row fraction exceeded the staleness threshold: full
-    /// pattern-count rebuild (empty cache, lazily recounted).
-    Full,
-}
-
 /// What one committed ingest batch did.
 #[derive(Debug, Clone)]
 pub struct IngestReport {
@@ -198,12 +180,8 @@ pub struct IngestReport {
     pub inserted: usize,
     /// Rows deleted across all tables.
     pub deleted: usize,
-    /// Fraction of the base database's rows the batch changed.
-    pub changed_fraction: f64,
     /// Names of the tables the batch touched (sorted).
     pub tables: Vec<String>,
-    /// How statistics were refreshed.
-    pub stats: StatsRefresh,
     /// Wall time of the statistics refresh alone.
     pub stats_time: Duration,
     /// Wall time spent making the commit durable: WAL record staging plus
@@ -369,12 +347,7 @@ impl Session {
                 epoch: state.epoch,
                 inserted: 0,
                 deleted: 0,
-                changed_fraction: 0.0,
                 tables: Vec::new(),
-                stats: StatsRefresh::Incremental {
-                    retained: state.glogue.cached_patterns(),
-                    evicted: 0,
-                },
                 stats_time: Duration::ZERO,
                 wal_time: Duration::ZERO,
                 commit_time: start.elapsed(),
@@ -401,34 +374,15 @@ impl Session {
 
         let (mut db, summary) = delta.apply(&state.db)?;
         let view = Arc::new(relgo_delta::refresh_view(&state.view, &mut db, &summary)?);
-        let changed_fraction = summary.changed_fraction(&state.db);
         let (changed_v, changed_e) = view.changed_label_flags(summary.map());
 
         let stats_start = Instant::now();
-        let (glogue, stats) = if changed_fraction <= self.options().stats_staleness {
-            let before = state.glogue.cached_patterns();
-            let refreshed =
-                GLogue::refreshed(&state.glogue, Arc::clone(&view), &changed_v, &changed_e)?;
-            let retained = refreshed.cached_patterns();
-            (
-                Arc::new(refreshed),
-                StatsRefresh::Incremental {
-                    retained,
-                    evicted: before - retained,
-                },
-            )
-        } else {
-            let (k, stride) = self.statistics_tuning();
-            (
-                Arc::new(GLogue::with_threads(
-                    Arc::clone(&view),
-                    k,
-                    stride,
-                    self.options().threads,
-                )?),
-                StatsRefresh::Full,
-            )
-        };
+        let glogue = Arc::new(GLogue::refreshed(
+            &state.glogue,
+            Arc::clone(&view),
+            &changed_v,
+            &changed_e,
+        )?);
         let stats_time = stats_start.elapsed();
 
         let epoch = state.epoch + 1;
@@ -484,19 +438,11 @@ impl Session {
             Some(_) => self.metrics().record_ingest_commit(rows, commit_time),
             None => self.metrics().record_recovery_replay(rows, commit_time),
         }
-        // The commit is durable (or the session is in-memory): a live commit
-        // may now trigger the auto-checkpoint policy. Replay never does —
-        // recovery checkpoints once at the end if at all, not per record.
-        if base_epoch.is_some() {
-            self.maybe_auto_checkpoint(epoch);
-        }
         Ok(IngestReport {
             epoch,
             inserted: summary.inserted_rows(),
             deleted: summary.deleted_rows(),
-            changed_fraction,
             tables: summary.tables().iter().map(|s| s.to_string()).collect(),
-            stats,
             stats_time,
             wal_time,
             commit_time,
@@ -507,7 +453,6 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::SessionOptions;
     use crate::QueryOutcome;
     use relgo_core::{OptimizerMode, SpjmQuery};
     use relgo_workloads::snb_queries;
@@ -546,7 +491,6 @@ mod tests {
         assert_eq!(session.epoch(), 1);
         assert_eq!(report.inserted, 2);
         assert_eq!(report.tables, vec!["Knows", "Person"]);
-        assert!(matches!(report.stats, StatsRefresh::Incremental { .. }));
 
         // Data is visible, cached plans were invalidated (miss → reopt).
         assert_eq!(session.db().table("Person").unwrap().num_rows(), person + 1);
@@ -636,32 +580,6 @@ mod tests {
         // An old key still resolves to its row after rows shifted under it.
         let q = snb_queries::ic1(&schema, 0, 5).unwrap();
         assert_eq!(live(&q).unwrap().table.num_rows(), 1);
-    }
-
-    #[test]
-    fn staleness_threshold_forces_full_rebuild() {
-        let options = SessionOptions {
-            stats_staleness: 0.0,
-            ..SessionOptions::default()
-        };
-        let (session, schema) = Session::snb_with(0.03, 42, options).unwrap();
-        // Warm a count, then commit with staleness 0: everything rebuilt.
-        session
-            .run(
-                &snb_queries::ic1(&schema, 1, 0).unwrap(),
-                OptimizerMode::RelGo,
-            )
-            .unwrap();
-        let mut batch = session.begin_ingest();
-        batch
-            .insert_row(
-                "Person",
-                vec![777_000.into(), "Zed".into(), Value::Date(17_000)],
-            )
-            .unwrap();
-        let report = batch.commit().unwrap();
-        assert_eq!(report.stats, StatsRefresh::Full);
-        assert_eq!(session.glogue().cached_patterns(), 0);
     }
 
     #[test]

@@ -45,24 +45,24 @@ pub use relgo_pattern as pattern;
 pub use relgo_storage as storage;
 pub use relgo_workloads as workloads;
 
-pub use ingest::{CommitError, IngestBatch, IngestReport, RetryPolicy, StatsRefresh};
+pub use ingest::{CommitError, IngestBatch, IngestReport, RetryPolicy};
 pub use observe::{ObservabilitySnapshot, QueryPath, SessionMetrics};
 pub use prepared::PreparedStatement;
 pub use relgo_delta::checkpoint::{CheckpointCrash, CheckpointStore};
 pub use relgo_delta::wal::{Wal, WalOptions, WalStats};
 pub use session::{
-    CheckpointPolicy, CheckpointReport, CheckpointRequest, ExplainAnalyze, PlanSource,
-    QueryOptions, QueryOutcome, RecoveryReport, Session, SessionOptions, Snapshot,
+    CheckpointReport, ExplainAnalyze, PlanSource, QueryOptions, QueryOutcome, RecoveryReport,
+    Session, SessionOptions, Snapshot,
 };
 
 /// The convenient all-in-one import.
 pub mod prelude {
-    pub use crate::ingest::{CommitError, IngestBatch, IngestReport, RetryPolicy, StatsRefresh};
+    pub use crate::ingest::{CommitError, IngestBatch, IngestReport, RetryPolicy};
     pub use crate::observe::{ObservabilitySnapshot, QueryPath, SessionMetrics};
     pub use crate::prepared::PreparedStatement;
     pub use crate::session::{
-        CheckpointPolicy, CheckpointReport, CheckpointRequest, ExplainAnalyze, PlanSource,
-        QueryOptions, QueryOutcome, RecoveryReport, Session, SessionOptions, Snapshot,
+        CheckpointReport, ExplainAnalyze, PlanSource, QueryOptions, QueryOutcome, RecoveryReport,
+        Session, SessionOptions, Snapshot,
     };
     pub use relgo_cache::{CacheConfig, MetricsSnapshot, PinnedPlan, PlanCache};
     pub use relgo_common::morsel::TimeBudget;

@@ -43,13 +43,13 @@ use std::time::{Duration, Instant};
 /// is conservatively rejected ([`CommitError::StaleBase`]).
 const COMMIT_LOG_CAP: usize = 1024;
 
+/// GLogue's exact-counting threshold: patterns of up to `k` vertices are
+/// counted exactly (the paper's constant).
+const GLOGUE_K: usize = 3;
+
 /// Session construction options.
 #[derive(Debug, Clone, Copy)]
 pub struct SessionOptions {
-    /// GLogue exact-counting threshold `k` (paper default: 3).
-    pub glogue_k: usize,
-    /// GLogue sparsification stride (1 = exact counting).
-    pub glogue_stride: usize,
     /// Optimizer time budget (the paper's 10-minute cap, scaled down).
     pub opt_timeout: Duration,
     /// Intermediate-result row budget (models OOM).
@@ -62,54 +62,16 @@ pub struct SessionOptions {
     /// seed-partitioned GLogue counting (1 = serial; parallel results are
     /// bit-identical to serial). Defaults to `RELGO_THREADS` when set.
     pub threads: usize,
-    /// Ingest-commit staleness threshold: when a committed delta changes at
-    /// most this fraction of the database's rows, statistics are refreshed
-    /// incrementally (GLogue keeps cached counts for untouched labels);
-    /// past it, the commit performs a full pattern-count rebuild. Both
-    /// paths are exact — the knob trades commit latency against retained
-    /// optimizer warmth.
-    pub stats_staleness: f64,
-    /// Auto-checkpoint policy for durable sessions: when set, a commit
-    /// whose WAL growth crosses either threshold triggers a checkpoint +
-    /// log compaction inline (one at a time; concurrent committers skip).
-    /// `None` (the default) means checkpoints happen only via
-    /// [`Session::checkpoint`].
-    pub checkpoint: Option<CheckpointPolicy>,
-}
-
-/// When a durable session checkpoints automatically. Either threshold
-/// triggers; recovery replay is thereby bounded to at most `max_records`
-/// WAL records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CheckpointPolicy {
-    /// Checkpoint once the WAL holds this many on-disk bytes.
-    pub max_wal_bytes: u64,
-    /// Checkpoint once this many commits accumulate since the last
-    /// checkpoint.
-    pub max_records: u64,
-}
-
-impl Default for CheckpointPolicy {
-    fn default() -> Self {
-        CheckpointPolicy {
-            max_wal_bytes: 16 << 20,
-            max_records: 512,
-        }
-    }
 }
 
 impl Default for SessionOptions {
     fn default() -> Self {
         SessionOptions {
-            glogue_k: 3,
-            glogue_stride: 1,
             opt_timeout: Duration::from_secs(10),
             row_limit: 50_000_000,
             plan_cache_shards: 8,
             plan_cache_capacity: 1024,
             threads: relgo_common::morsel::threads_from_env().unwrap_or(1),
-            stats_staleness: 0.2,
-            checkpoint: None,
         }
     }
 }
@@ -246,21 +208,17 @@ pub(crate) struct SessionState {
 /// An open database + property-graph session.
 ///
 /// All data-dependent state sits in an epoch-stamped `SessionState`
-/// behind a lock, so [`Session::rebuild_statistics`] and ingest commits
-/// work through `&self`: a serving setup keeps plan-cache traffic and
-/// prepared-statement handles live across both (the handles notice the
-/// statistics-version bump on their next execute and transparently
-/// re-optimize).
+/// behind a lock, so ingest commits work through `&self`: a serving setup
+/// keeps plan-cache traffic and prepared-statement handles live across them
+/// (the handles notice the statistics-version bump on their next execute
+/// and transparently re-optimize).
 pub struct Session {
     state: RwLock<Arc<SessionState>>,
     options: SessionOptions,
     cache: Arc<PlanCache>,
-    /// Last statistics tuning pair, reused by
-    /// [`Session::refresh_statistics`] and full ingest-commit rebuilds.
-    tuning: Mutex<(usize, usize)>,
-    /// Serializes the validate-and-publish critical section of commits (and
-    /// statistics rebuilds). [`IngestBatch`]es stage *outside* this lock —
-    /// only their commit takes it.
+    /// Serializes the validate-and-publish critical section of commits.
+    /// [`IngestBatch`]es stage *outside* this lock — only their commit
+    /// takes it.
     pub(crate) write_lock: Mutex<()>,
     /// The write-sets of recent commits, newest at the back, for
     /// first-committer-wins validation (bounded by [`COMMIT_LOG_CAP`]).
@@ -274,7 +232,7 @@ pub struct Session {
     /// never takes `write_lock`.
     ckpt_lock: Mutex<()>,
     /// Epoch of the newest durable checkpoint (0 = none). Drives the
-    /// auto-checkpoint record threshold and the checkpoint-age gauge.
+    /// checkpoint-age gauge.
     last_checkpoint_epoch: AtomicU64,
     /// The session's metrics registry: every serving path records into it,
     /// and [`Session::observability_snapshot`] folds the subsystem counters
@@ -328,19 +286,6 @@ pub struct CheckpointReport {
     pub elapsed: Duration,
 }
 
-/// Knobs for one explicit [`Session::checkpoint_with`] call.
-#[derive(Debug, Clone, Default)]
-pub struct CheckpointRequest {
-    /// Archive instead of delete: superseded checkpoint files move into
-    /// this directory, and the WAL records compaction drops are appended to
-    /// `<dir>/<wal-name>.archive` (itself a replayable log) before the live
-    /// log is truncated.
-    pub archive_dir: Option<PathBuf>,
-    /// Crash-fault injection for the recovery harness: abort the process
-    /// inside the chosen checkpoint phase.
-    pub crash: Option<CheckpointCrash>,
-}
-
 impl Session {
     /// Open a session over `db` with the given RGMapping: builds the graph
     /// view, the GRainDB-style graph index, and the GLogue statistics.
@@ -359,8 +304,8 @@ impl Session {
         let view = Arc::new(view);
         let glogue = Arc::new(GLogue::with_threads(
             Arc::clone(&view),
-            options.glogue_k,
-            options.glogue_stride,
+            GLOGUE_K,
+            1,
             options.threads,
         )?);
         let cache = Arc::new(PlanCache::new(CacheConfig {
@@ -376,7 +321,6 @@ impl Session {
             })),
             options,
             cache,
-            tuning: Mutex::new((options.glogue_k, options.glogue_stride)),
             write_lock: Mutex::new(()),
             committed: Mutex::new(VecDeque::new()),
             wal: OnceLock::new(),
@@ -543,14 +487,15 @@ impl Session {
     /// published state and never blocks writers. Requires a durable
     /// session.
     pub fn checkpoint(&self) -> Result<CheckpointReport> {
-        self.checkpoint_with(CheckpointRequest::default())
+        self.checkpoint_with(None)
     }
 
-    /// [`Session::checkpoint`] with explicit knobs (archival, crash-fault
-    /// injection for the recovery harness).
-    pub fn checkpoint_with(&self, request: CheckpointRequest) -> Result<CheckpointReport> {
+    /// [`Session::checkpoint`] with crash-fault injection: `crash` aborts
+    /// the process inside the chosen checkpoint phase. This is the crash
+    /// harness's hook; `None` is a plain checkpoint.
+    pub fn checkpoint_with(&self, crash: Option<CheckpointCrash>) -> Result<CheckpointReport> {
         let _ckpt = self.ckpt_lock.lock();
-        let result = self.checkpoint_locked(&request);
+        let result = self.checkpoint_locked(crash);
         match &result {
             Ok(report) => self.metrics.record_checkpoint(report.elapsed),
             Err(_) => self.metrics.record_checkpoint_failure(),
@@ -559,7 +504,7 @@ impl Session {
     }
 
     /// The checkpoint body; runs with `ckpt_lock` held.
-    fn checkpoint_locked(&self, request: &CheckpointRequest) -> Result<CheckpointReport> {
+    fn checkpoint_locked(&self, crash: Option<CheckpointCrash>) -> Result<CheckpointReport> {
         let Some(wal) = self.wal() else {
             return Err(RelGoError::execution(
                 "checkpoint requires a durable session (open the session \
@@ -569,26 +514,12 @@ impl Session {
         let start = Instant::now();
         let state = self.state();
         let store = CheckpointStore::for_wal(wal.path());
-        let wal_archive = match &request.archive_dir {
-            Some(dir) => {
-                std::fs::create_dir_all(dir).map_err(|e| {
-                    RelGoError::execution(format!("checkpoint archive mkdir failed: {e}"))
-                })?;
-                let name = wal
-                    .path()
-                    .file_name()
-                    .map(|f| f.to_string_lossy().into_owned())
-                    .unwrap_or_else(|| "wal".to_string());
-                Some(dir.join(format!("{name}.archive")))
-            }
-            None => None,
-        };
-        let written = store.write(state.epoch, &state.db, request.crash)?;
+        let written = store.write(state.epoch, &state.db, crash)?;
         // The snapshot is durable; everything at or below its epoch is now
         // redundant in the log. A crash before (or during) this truncation
         // is fine — recovery skips records the checkpoint covers.
-        let compaction = wal.compact_through(state.epoch, wal_archive.as_deref())?;
-        let retention = store.retain(2, request.archive_dir.as_deref())?;
+        let compaction = wal.compact_through(state.epoch)?;
+        let retention = store.retain(2)?;
         self.last_checkpoint_epoch
             .fetch_max(state.epoch, Ordering::AcqRel);
         Ok(CheckpointReport {
@@ -599,37 +530,6 @@ impl Session {
             retention,
             elapsed: start.elapsed(),
         })
-    }
-
-    /// Auto-checkpoint hook: called by the commit pipeline after a live
-    /// commit is durable. Checkpoints inline when the session's
-    /// [`CheckpointPolicy`] thresholds are crossed; concurrent committers
-    /// skip while one checkpoint runs. Failures are counted in metrics but
-    /// do not fail the (already durable) commit.
-    pub(crate) fn maybe_auto_checkpoint(&self, epoch: u64) {
-        let Some(policy) = self.options.checkpoint else {
-            return;
-        };
-        let Some(wal) = self.wal() else { return };
-        let due = |last: u64| {
-            epoch.saturating_sub(last) >= policy.max_records
-                || wal.disk_len() >= policy.max_wal_bytes
-        };
-        if !due(self.last_checkpoint_epoch()) {
-            return;
-        }
-        let Some(_ckpt) = self.ckpt_lock.try_lock() else {
-            return; // a checkpoint is already running; its epoch covers us
-        };
-        // Re-check under the lock: the previous holder may have
-        // checkpointed past this commit already.
-        if !due(self.last_checkpoint_epoch()) {
-            return;
-        }
-        match self.checkpoint_locked(&CheckpointRequest::default()) {
-            Ok(report) => self.metrics.record_checkpoint(report.elapsed),
-            Err(_) => self.metrics.record_checkpoint_failure(),
-        }
     }
 
     /// First-committer-wins validation: reject iff some commit that
@@ -693,7 +593,7 @@ impl Session {
     }
 
     /// Generate and open the LDBC-SNB-like dataset with explicit options
-    /// (benches tune `glogue_k`, timeouts and cache sizing this way).
+    /// (benches set threads, timeouts and cache sizing this way).
     pub fn snb_with(sf: f64, seed: u64, options: SessionOptions) -> Result<(Session, SnbSchema)> {
         let (db, mapping) = generate_snb(&SnbParams { sf, seed });
         let session = Session::open_with(db, mapping, options)?;
@@ -754,8 +654,8 @@ impl Session {
         Arc::clone(&self.state().view)
     }
 
-    /// The current GLogue statistics (a snapshot: `rebuild_statistics` and
-    /// ingest commits swap in fresh instances).
+    /// The current GLogue statistics (a snapshot: ingest commits swap in
+    /// refreshed instances).
     pub fn glogue(&self) -> Arc<GLogue> {
         Arc::clone(&self.state().glogue)
     }
@@ -806,48 +706,6 @@ impl Session {
     /// retryable [`CommitError::Conflict`]. Readers are never blocked.
     pub fn begin_ingest(&self) -> IngestBatch<'_> {
         IngestBatch::begin(self)
-    }
-
-    /// Rebuild the GLogue statistics with new parameters. Every cached
-    /// plan was costed against the old statistics, so the plan cache's
-    /// statistics version is bumped: existing entries die on next lookup,
-    /// and pinned prepared-statement handles re-optimize on next execute.
-    /// Works through `&self` — serving traffic may continue concurrently.
-    /// (`options()` keeps reporting the construction-time `glogue_k` /
-    /// `glogue_stride`; the live values are the ones passed here, and
-    /// [`Session::refresh_statistics`] reuses them.)
-    pub fn rebuild_statistics(&self, glogue_k: usize, glogue_stride: usize) -> Result<()> {
-        let _writer = self.write_lock.lock();
-        let state = self.state();
-        let glogue = Arc::new(GLogue::with_threads(
-            Arc::clone(&state.view),
-            glogue_k,
-            glogue_stride,
-            self.options.threads,
-        )?);
-        *self.tuning.lock() = (glogue_k, glogue_stride);
-        self.publish(SessionState {
-            epoch: state.epoch,
-            db: Arc::clone(&state.db),
-            view: Arc::clone(&state.view),
-            glogue,
-        });
-        self.cache.invalidate_all();
-        Ok(())
-    }
-
-    /// [`Session::rebuild_statistics`] with the last-used tuning pair —
-    /// callers that just want fresh statistics no longer re-pass
-    /// `(glogue_k, glogue_stride)` they did not choose.
-    pub fn refresh_statistics(&self) -> Result<()> {
-        let (k, stride) = *self.tuning.lock();
-        self.rebuild_statistics(k, stride)
-    }
-
-    /// The last statistics tuning pair (construction options, or the last
-    /// [`Session::rebuild_statistics`] arguments).
-    pub fn statistics_tuning(&self) -> (usize, usize) {
-        *self.tuning.lock()
     }
 
     fn planner_context(&self, state: &SessionState) -> PlannerContext {
@@ -927,7 +785,7 @@ impl Session {
     /// The entry and the pin are stamped with the statistics version the
     /// snapshot read *before* pinning its state (see [`Session::snapshot`]),
     /// not the version current when the optimizer finishes. A snapshot
-    /// taken before a `rebuild_statistics` or ingest commit, or one that
+    /// taken before an ingest commit, or one that
     /// raced the commit between its publish and its invalidation, therefore
     /// stamps its plan with the superseded version: the entry dies on its
     /// next lookup instead of being served as current on statistics it was
@@ -1429,53 +1287,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_checkpoint_policy_fires_on_record_threshold() {
-        use relgo_datagen::{generate_snb, SnbParams};
-        let path = temp_wal("autockpt");
-        let (db, mapping) = generate_snb(&SnbParams { sf: 0.03, seed: 42 });
-        let options = SessionOptions {
-            checkpoint: Some(CheckpointPolicy {
-                max_records: 3,
-                max_wal_bytes: u64::MAX,
-            }),
-            ..SessionOptions::default()
-        };
-        let (session, _) =
-            Session::open_durable(db, mapping, options, &path, WalOptions::default()).unwrap();
-        commit_person(&session, 800_000);
-        commit_person(&session, 800_001);
-        assert_eq!(session.last_checkpoint_epoch(), 0, "below threshold");
-        commit_person(&session, 800_002);
-        assert_eq!(session.last_checkpoint_epoch(), 3, "third commit triggers");
-        assert_eq!(session.metrics().checkpoints(), 1);
-        commit_person(&session, 800_003);
-        assert_eq!(session.last_checkpoint_epoch(), 3, "counter restarted");
-        for i in 4..7 {
-            commit_person(&session, 800_000 + i);
-        }
-        assert_eq!(session.last_checkpoint_epoch(), 6);
-        assert_eq!(session.metrics().checkpoints(), 2);
-
-        // The policy bounds recovery: the checkpoint plus a short tail.
-        let (db, mapping) = generate_snb(&SnbParams { sf: 0.03, seed: 42 });
-        let (back, rec) = Session::recover(db, mapping, &path).unwrap();
-        assert!(rec.checkpoint_loaded);
-        assert!(rec.records <= 3, "replayed {} records", rec.records);
-        assert_eq!(back.epoch(), session.epoch());
-        for name in ["Person", "Knows", "Likes"] {
-            assert!(
-                session
-                    .db()
-                    .table(name)
-                    .unwrap()
-                    .bit_identical(back.db().table(name).unwrap()),
-                "{name} diverges after policy-bounded recovery"
-            );
-        }
-        cleanup_wal(&path);
-    }
-
-    #[test]
     fn single_writer_syncs_once_per_commit_only_with_fsync() {
         use relgo_datagen::{generate_snb, SnbParams};
         let (db, mapping) = generate_snb(&SnbParams { sf: 0.03, seed: 42 });
@@ -1518,25 +1329,5 @@ mod tests {
         let (session, _) = Session::snb(0.03, 42).unwrap();
         let err = session.checkpoint().unwrap_err();
         assert!(err.to_string().contains("durable"), "{err}");
-    }
-
-    #[test]
-    fn refresh_statistics_reuses_last_tuning() {
-        let (session, schema) = Session::snb(0.03, 42).unwrap();
-        assert_eq!(session.statistics_tuning(), (3, 1));
-        session.rebuild_statistics(2, 2).unwrap();
-        assert_eq!(session.statistics_tuning(), (2, 2));
-        let invalidations_before = session.cache_metrics().invalidations;
-        session.refresh_statistics().unwrap();
-        assert_eq!(session.statistics_tuning(), (2, 2));
-        assert_eq!(
-            session.cache_metrics().invalidations,
-            invalidations_before + 1
-        );
-        let gl = session.glogue();
-        assert_eq!((gl.k(), gl.stride()), (2, 2));
-        // Queries still answer correctly under the retuned statistics.
-        let q = snb_queries::ic1(&schema, 1, 5).unwrap();
-        session.run(&q, OptimizerMode::RelGo).unwrap();
     }
 }

@@ -1271,28 +1271,39 @@ fn handle_prepare(
     // Any instance parameterizes to the template's plan-cache key; draw 0
     // is as good a representative as any.
     let query = template.instantiate(0).map_err(|e| Response::err(400, e))?;
+    let cap = shared.config.max_prepared_statements;
+    // Refuse at the cap before planning: a client there must neither make
+    // the server optimize nor move the plan-cache counters.
+    if shared.statements.lock().expect("statements lock").len() >= cap {
+        return Err(prepared_cap_reached(shared));
+    }
     let stmt = shared
         .session
         .prepare(&query, mode)
         .map(Arc::new)
         .map_err(|e| Response::err(500, e))?;
     let id = shared.next_stmt.fetch_add(1, Ordering::Relaxed);
-    // Cap check and insert under one lock acquisition, so concurrent
-    // prepares cannot overshoot the cap between a check and an insert.
+    // Re-check and insert under one lock acquisition, so concurrent
+    // prepares that all passed the check above cannot overshoot the cap.
     let mut statements = shared.statements.lock().expect("statements lock");
-    if statements.len() >= shared.config.max_prepared_statements {
+    if statements.len() >= cap {
         drop(statements);
-        shared.metrics.rejections.inc();
-        return Err(Response::err(
-            429,
-            format!(
-                "prepared-statement cap ({}) reached; release handles via POST /unprepare",
-                shared.config.max_prepared_statements
-            ),
-        ));
+        return Err(prepared_cap_reached(shared));
     }
     statements.insert(id, StmtEntry { stmt, template_idx });
     Ok(Response::ok(format!("ok stmt={id}\n")))
+}
+
+/// The `429` a `/prepare` gets at the prepared-statement cap.
+fn prepared_cap_reached(shared: &Shared<'_>) -> Response {
+    shared.metrics.rejections.inc();
+    Response::err(
+        429,
+        format!(
+            "prepared-statement cap ({}) reached; release handles via POST /unprepare",
+            shared.config.max_prepared_statements
+        ),
+    )
 }
 
 /// Release a prepared handle: drops the pinned plan (once no in-flight

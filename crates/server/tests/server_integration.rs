@@ -1274,3 +1274,69 @@ fn keepalive_deadlines_framing_and_access_log() {
     assert!(saw_431, "framing rejections are logged too");
     std::fs::remove_file(&log_path).ok();
 }
+
+/// The prepared-statement cap refuses before any planning work, and a
+/// slot freed by `/unprepare` is reusable; the server-wide default
+/// deadline applies unless the request names its own.
+#[test]
+fn in_process_prepared_cap_and_default_deadline() {
+    let (session, schema) = Session::snb(0.01, 11).expect("session");
+    let templates = snb_templates(&schema);
+    let config = ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 2,
+        max_prepared_statements: 1,
+        default_deadline_ms: Some(0),
+        ..ServerConfig::default()
+    };
+    let bound = Server::new(&session, &templates, config)
+        .bind()
+        .expect("bind");
+    let addr = bound.local_addr().to_string();
+
+    let client = std::thread::scope(|scope| {
+        let server = scope.spawn(move || bound.run().expect("server run"));
+        let client = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            // --- prepared-statement cap ----------------------------------
+            let (status, body) = http(&addr, "POST", "/prepare?template=IC1-2", "");
+            assert_eq!(status, 200, "first prepare fits the cap: {body}");
+            let first = body.trim().strip_prefix("ok stmt=").expect("stmt id");
+            let probes = |m: MetricsSnapshot| m.hits + m.misses;
+            let before = probes(session.cache_metrics());
+            let (status, body) = http(&addr, "POST", "/prepare?template=IC2", "");
+            assert_eq!(status, 429, "second prepare is over the cap: {body}");
+            assert_eq!(
+                probes(session.cache_metrics()),
+                before,
+                "a refused prepare never reaches the plan cache"
+            );
+            let (status, body) = http(&addr, "POST", &format!("/unprepare?stmt={first}"), "");
+            assert_eq!(status, 200, "{body}");
+            let (status, body) = http(&addr, "POST", "/prepare?template=IC2", "");
+            assert_eq!(status, 200, "the freed slot is reusable: {body}");
+
+            // --- default deadline ----------------------------------------
+            let mut ka = KeepAliveClient::connect(&addr);
+            let query_path = "/query?template=IC1-2&draw=0";
+            let (status, head, body) = ka.send("POST", query_path, "");
+            assert_eq!(status, 503, "the default 0 ms deadline expires: {body}");
+            assert!(head.contains("Retry-After:"), "{head}");
+            let (status, _, body) = ka.send("POST", &format!("{query_path}&deadline_ms=60000"), "");
+            assert_eq!(status, 200, "the request's deadline wins: {body}");
+            let (status, scrape_body) = http(&addr, "GET", "/metrics", "");
+            assert_eq!(status, 200);
+            let scrape = text::parse(&scrape_body).expect("scrape parses");
+            assert_eq!(
+                scrape.value("relgo_http_deadline_expirations_total", &[]),
+                Some(1.0)
+            );
+        }));
+        let (status, _) = http(&addr, "POST", "/shutdown", "");
+        assert_eq!(status, 200);
+        server.join().expect("server thread");
+        client
+    });
+    if let Err(p) = client {
+        std::panic::resume_unwind(p);
+    }
+}

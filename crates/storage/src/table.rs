@@ -391,11 +391,6 @@ impl TableChange {
         self.base_rows - self.deleted.len() + self.inserted
     }
 
-    /// Rows touched (deleted + inserted) — the staleness measure.
-    pub fn changed_rows(&self) -> usize {
-        self.deleted.len() + self.inserted
-    }
-
     /// Whether the change deletes nothing (row ids of survivors are stable).
     pub fn is_append_only(&self) -> bool {
         self.deleted.is_empty()
@@ -604,7 +599,6 @@ mod tests {
         let c = TableChange::new(6, vec![4, 1, 4], 3);
         assert_eq!(c.deleted(), &[1, 4]);
         assert_eq!(c.new_rows(), 7);
-        assert_eq!(c.changed_rows(), 5);
         assert!(!c.is_append_only());
         assert!(c.is_deleted(1) && !c.is_deleted(2));
         assert_eq!(c.new_id(0), Some(0));

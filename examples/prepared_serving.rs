@@ -113,7 +113,7 @@ fn main() -> Result<()> {
         );
         assert_eq!(outcomes.len(), threads * rounds * templates.len());
         assert!(outcomes.iter().all(|o| o.cached), "serving is warm");
-        assert_eq!(m.invalidations, 0, "no statistics rebuilds mid-serving");
+        assert_eq!(m.invalidations, 0, "no commits mid-serving");
     }
 
     // One unified snapshot covers the cache counters, the query-latency

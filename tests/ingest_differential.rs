@@ -11,9 +11,8 @@
 //!
 //! A second property pins the statistics themselves: after an arbitrary
 //! committed delta stream, `GraphStats` and warm GLogue pattern counts must
-//! equal a from-scratch recompute on the merged data — under both the
-//! incremental refresh (staleness 1.0) and the full rebuild (staleness
-//! 0.0) commit paths.
+//! equal a from-scratch recompute on the merged data: the incremental
+//! refresh every commit runs is exact.
 //!
 //! A third property exercises the MVCC write path: N threads commit
 //! overlapping randomized batches concurrently; per contested primary key
@@ -163,10 +162,9 @@ fn apply_ops(session: &Session, ops: &[Op], commits: usize) -> Vec<IngestReport>
     reports
 }
 
-fn options(threads: usize, staleness: f64) -> SessionOptions {
+fn options(threads: usize) -> SessionOptions {
     SessionOptions {
         threads,
-        stats_staleness: staleness,
         ..SessionOptions::default()
     }
 }
@@ -222,14 +220,11 @@ proptest! {
         let ops = gen_ops(db, seed, n_ops);
         let mut per_threads: Vec<Table> = Vec::new();
         for threads in [1usize, 4] {
-            // Alternate commit staleness by seed so both refresh paths are
-            // continuously differentially tested.
-            let staleness = if seed % 2 == 0 { 1.0 } else { 0.0 };
             let (ingested, schema) = {
                 let session = Session::open_with(
                     db.clone(),
                     mapping.clone(),
-                    options(threads, staleness),
+                    options(threads),
                 ).unwrap();
                 let schema = SnbSchema::resolve(session.view().schema()).unwrap();
                 (session, schema)
@@ -243,7 +238,7 @@ proptest! {
             let fresh = Session::open_with(
                 (*ingested.db()).clone(),
                 mapping.clone(),
-                options(threads, 0.2),
+                options(threads),
             ).unwrap();
             for mode in [OptimizerMode::RelGo, OptimizerMode::GRainDb] {
                 let expected = differential_case(&ingested, &fresh, t, draw, mode);
@@ -260,21 +255,18 @@ proptest! {
 
     /// Statistics equality: after an arbitrary committed delta stream, the
     /// label statistics and warm GLogue pattern counts equal a from-scratch
-    /// recompute over the merged data — for both the incremental and the
-    /// full-rebuild commit paths.
+    /// recompute over the merged data.
     #[test]
     fn delta_statistics_equal_recompute(
         seed in 0u64..1_000,
         n_ops in 1usize..16,
         commits in 1usize..3,
-        incremental in any::<bool>(),
     ) {
         use relgo::pattern::PatternBuilder;
 
         let (db, mapping) = base();
         let ops = gen_ops(db, seed, n_ops);
-        let staleness = if incremental { 1.0 } else { 0.0 };
-        let session = Session::open_with(db.clone(), mapping.clone(), options(1, staleness)).unwrap();
+        let session = Session::open_with(db.clone(), mapping.clone(), options(1)).unwrap();
         let schema = SnbSchema::resolve(session.view().schema()).unwrap();
 
         // Small probe patterns over the labels the delta touches (and one
@@ -308,7 +300,7 @@ proptest! {
         }
         apply_ops(&session, &ops, commits);
 
-        let fresh = Session::open_with((*session.db()).clone(), mapping.clone(), options(1, 0.2)).unwrap();
+        let fresh = Session::open_with((*session.db()).clone(), mapping.clone(), options(1)).unwrap();
         // Label statistics match exactly.
         let got = session.glogue();
         let want = fresh.glogue();
@@ -360,7 +352,7 @@ proptest! {
 
         let (db, mapping) = base();
         let groups = groups.min(writers);
-        let session = Session::open_with(db.clone(), mapping.clone(), options(1, 1.0)).unwrap();
+        let session = Session::open_with(db.clone(), mapping.clone(), options(1)).unwrap();
         let schema = SnbSchema::resolve(session.view().schema()).unwrap();
         let barrier = std::sync::Barrier::new(writers);
 
@@ -431,7 +423,7 @@ proptest! {
 
         // Serial replay of the winning batches in commit order reproduces the
         // surviving state bit-for-bit — tables and query results alike.
-        let oracle = Session::open_with(db.clone(), mapping.clone(), options(1, 1.0)).unwrap();
+        let oracle = Session::open_with(db.clone(), mapping.clone(), options(1)).unwrap();
         winners.sort_by_key(|(epoch, _)| *epoch);
         for (_, staged) in &winners {
             let mut batch = oracle.begin_ingest();
@@ -473,7 +465,7 @@ proptest! {
 fn snapshot_isolation_pins_query_results() {
     let (db, mapping) = base();
     let (session, schema) = {
-        let s = Session::open_with(db.clone(), mapping.clone(), options(1, 1.0)).unwrap();
+        let s = Session::open_with(db.clone(), mapping.clone(), options(1)).unwrap();
         let schema = SnbSchema::resolve(s.view().schema()).unwrap();
         (s, schema)
     };
@@ -505,37 +497,23 @@ fn snapshot_isolation_pins_query_results() {
     assert_eq!(session.snapshot().epoch(), 1);
 }
 
-/// The two commit paths report what they did: incremental refresh retains
-/// warm counts, the full path drops them; both serve correct plans after.
+/// A commit keeps the warm pattern counts whose labels the delta misses
+/// and evicts the rest.
 #[test]
-fn commit_reports_describe_the_refresh() {
+fn commit_keeps_the_warm_counts_the_delta_misses() {
     let (db, mapping) = base();
-    for (staleness, expect_full) in [(1.0, false), (0.0, true)] {
-        let session =
-            Session::open_with(db.clone(), mapping.clone(), options(1, staleness)).unwrap();
-        let schema = SnbSchema::resolve(session.view().schema()).unwrap();
-        // Warm a Likes-only count plus a TagHasType count (the delta below
-        // never touches tags).
-        let t = &snb_templates(&schema)[1]; // IC2 (knows + has_creator)
-        session
-            .run(&t.instantiate(0).unwrap(), OptimizerMode::RelGo)
-            .unwrap();
-        let warm = session.glogue().cached_patterns();
-        assert!(warm > 0);
+    let session = Session::open_with(db.clone(), mapping.clone(), options(1)).unwrap();
+    let schema = SnbSchema::resolve(session.view().schema()).unwrap();
+    let t = &snb_templates(&schema)[1]; // IC2 (knows + has_creator)
+    session
+        .run(&t.instantiate(0).unwrap(), OptimizerMode::RelGo)
+        .unwrap();
+    let warm = session.glogue().cached_patterns();
 
-        let ops = gen_ops(db, 5, 6);
-        let report = apply_ops(&session, &ops, 1).pop().unwrap();
-        match (expect_full, report.stats) {
-            (true, StatsRefresh::Full) => {
-                assert_eq!(session.glogue().cached_patterns(), 0);
-            }
-            (false, StatsRefresh::Incremental { retained, evicted }) => {
-                assert!(retained > 0, "warm counts the delta misses survive");
-                assert_eq!(session.glogue().cached_patterns(), retained);
-                assert_eq!(retained + evicted, warm);
-            }
-            (want, got) => panic!("staleness {staleness}: wanted full={want}, got {got:?}"),
-        }
-        assert!(report.commit_time >= report.stats_time);
-    }
+    let ops = gen_ops(db, 5, 6);
+    let report = apply_ops(&session, &ops, 1).pop().unwrap();
+    let kept = session.glogue().cached_patterns();
+    assert!(0 < kept, "warm counts the delta misses survive");
+    assert!(kept < warm, "counts over touched labels are evicted");
+    assert!(report.commit_time >= report.stats_time);
 }

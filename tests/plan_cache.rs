@@ -195,18 +195,22 @@ fn invalidation_and_eviction() {
     );
     assert!(session.plan_cache().len() <= 2);
 
-    // A statistics rebuild bumps the version: the next lookup misses.
+    // A commit refreshes the statistics and bumps the version: the next
+    // lookup misses.
     let t0 = &templates[templates.len() - 1];
     let hit = session
         .run_cached(&t0.instantiate(1).unwrap(), OptimizerMode::RelGo)
         .unwrap();
-    assert!(hit.cached, "entry live before the rebuild");
-    session.rebuild_statistics(2, 1).unwrap();
+    assert!(hit.cached, "entry live before the commit");
+    let mut batch = session.begin_ingest();
+    let row = vec![800_000.into(), "Fresh".into(), Value::Date(17_000)];
+    batch.insert_row("Person", row).unwrap();
+    batch.commit().unwrap();
     assert_eq!(session.cache_metrics().invalidations, 1);
     let out = session
         .run_cached(&t0.instantiate(2).unwrap(), OptimizerMode::RelGo)
         .unwrap();
-    assert!(!out.cached, "stale plan discarded after rebuild");
+    assert!(!out.cached, "stale plan discarded after the commit");
 }
 
 /// An ambiguous rebind (two slots shared a literal when the plan was

@@ -121,8 +121,8 @@ proptest! {
     }
 }
 
-/// `rebuild_statistics` after `prepare` forces a transparent re-optimize on
-/// the next `execute`, visible in the `CacheMetrics` deltas; afterwards the
+/// An ingest commit after `prepare` bumps the statistics version and forces
+/// a transparent re-optimize on the next `execute`, visible in the `CacheMetrics` deltas; afterwards the
 /// handle is pinned again and serves rebind-only.
 #[test]
 fn stale_prepared_handle_reoptimizes_transparently() {
@@ -136,7 +136,10 @@ fn stale_prepared_handle_reoptimizes_transparently() {
     let warm = stmt.execute(&t.bindings(1).unwrap()).unwrap();
     assert!(warm.cached);
 
-    session.rebuild_statistics(2, 1).unwrap();
+    let mut batch = session.begin_ingest();
+    let row = vec![800_000.into(), "Fresh".into(), Value::Date(17_000)];
+    batch.insert_row("Person", row).unwrap();
+    batch.commit().unwrap();
     assert!(!stmt.is_current(), "version bump staled the pin");
 
     let before = session.cache_metrics();

@@ -31,7 +31,7 @@
 use proptest::prelude::*;
 use relgo::prelude::*;
 use relgo::workloads::templates::snb_templates;
-use relgo::{CheckpointCrash, CheckpointRequest, CheckpointStore};
+use relgo::{CheckpointCrash, CheckpointStore};
 use relgo_storage::Database;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -202,10 +202,7 @@ fn ckpt_child_entry() {
         1 => CheckpointCrash::BeforeRename,
         _ => CheckpointCrash::AfterRename,
     };
-    let _ = session.checkpoint_with(CheckpointRequest {
-        crash: Some(crash),
-        ..CheckpointRequest::default()
-    });
+    let _ = session.checkpoint_with(Some(crash));
     // The armed checkpoint aborts the process inside the chosen phase; the
     // parent asserts this line was never reached.
     println!("CKPT_CHILD_SURVIVED_CRASH");
