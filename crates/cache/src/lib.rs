@@ -23,7 +23,11 @@
 //! * **Statistics versioning** — the cache carries a version counter;
 //!   entries remember the version they were planned under and
 //!   [`PlanCache::invalidate_all`] bumps it (GLogue/catalog rebuilds call
-//!   this), so stale plans die lazily on their next lookup.
+//!   this), so stale plans die lazily on their next lookup. Every stamp is
+//!   explicit: [`PlanCache::insert`] and [`PlanCache::pin`] take the
+//!   version the caller read *before* pinning the state it planned on, so
+//!   a plan raced by an invalidation is at worst born stale, never
+//!   wrongly current.
 //! * **Metrics** — hits, misses, evictions, invalidations and rebind
 //!   failures are atomic counters, snapshot via [`PlanCache::metrics`].
 //! * **Pinning** — a prepared-statement handle captures a [`PinnedPlan`]
@@ -253,25 +257,13 @@ impl PlanCache {
         }
     }
 
-    /// Insert (or replace) a plan skeleton optimized with `params` under the
-    /// current statistics version, evicting the shard's LRU entry when the
-    /// shard is full.
-    pub fn insert(&self, key: PlanKey, plan: Arc<PhysicalPlan>, params: Vec<Value>) {
-        self.insert_at(key, plan, params, self.stats_version());
-    }
-
-    /// Insert stamped with an explicit statistics version: callers that
-    /// *began* optimizing before a concurrent `invalidate_all` pass the
-    /// version they observed, so a plan costed against superseded
-    /// statistics is born stale and dies on its next lookup instead of
-    /// being served as current.
-    pub fn insert_at(
-        &self,
-        key: PlanKey,
-        plan: Arc<PhysicalPlan>,
-        params: Vec<Value>,
-        version: u64,
-    ) {
+    /// Insert (or replace) a plan skeleton optimized with `params`, evicting
+    /// the shard's LRU entry when the shard is full. `version` is the
+    /// statistics version the caller read *before* pinning the state it
+    /// optimized against: if a concurrent `invalidate_all` raced past it,
+    /// the plan was costed against superseded statistics and is born stale
+    /// (it dies on its next lookup instead of being served as current).
+    pub fn insert(&self, key: PlanKey, plan: Arc<PhysicalPlan>, params: Vec<Value>, version: u64) {
         let current = self.stats_version();
         let last_used = self.tick();
         let mut shard = self.shard(&key).lock();
@@ -306,20 +298,11 @@ impl PlanCache {
         self.metrics.rebind_failures.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Pin `plan` under the current statistics version. The returned
-    /// snapshot stays executable across LRU evictions; staleness is checked
-    /// with [`PlanCache::pin_is_current`].
-    pub fn pin(&self, plan: Arc<PhysicalPlan>, params: Vec<Value>) -> PinnedPlan {
-        PinnedPlan {
-            plan,
-            params,
-            version: self.stats_version(),
-        }
-    }
-
-    /// Pin `plan` under an explicit statistics version (the version the
-    /// caller observed before optimizing — see [`PlanCache::insert_at`]).
-    pub fn pin_at(&self, plan: Arc<PhysicalPlan>, params: Vec<Value>, version: u64) -> PinnedPlan {
+    /// Pin `plan` under the statistics version the caller read before
+    /// pinning the state it planned on (see [`PlanCache::insert`]). The
+    /// returned snapshot stays executable across LRU evictions; staleness
+    /// is checked with [`PlanCache::pin_is_current`].
+    pub fn pin(&self, plan: Arc<PhysicalPlan>, params: Vec<Value>, version: u64) -> PinnedPlan {
         PinnedPlan {
             plan,
             params,
@@ -407,7 +390,12 @@ mod tests {
     fn hit_miss_and_params_roundtrip() {
         let cache = PlanCache::default();
         assert!(cache.lookup(&key(1)).is_none());
-        cache.insert(key(1), dummy_plan(), vec![Value::Int(5)]);
+        cache.insert(
+            key(1),
+            dummy_plan(),
+            vec![Value::Int(5)],
+            cache.stats_version(),
+        );
         let (plan, params) = cache.lookup(&key(1)).expect("hit");
         assert_eq!(params, vec![Value::Int(5)]);
         assert!(matches!(plan.root, RelOp::ScanTable { .. }));
@@ -421,11 +409,11 @@ mod tests {
             shards: 1,
             capacity: 2,
         });
-        cache.insert(key(1), dummy_plan(), vec![]);
-        cache.insert(key(2), dummy_plan(), vec![]);
+        cache.insert(key(1), dummy_plan(), vec![], cache.stats_version());
+        cache.insert(key(2), dummy_plan(), vec![], cache.stats_version());
         // Touch key 1 so key 2 is the LRU victim.
         assert!(cache.lookup(&key(1)).is_some());
-        cache.insert(key(3), dummy_plan(), vec![]);
+        cache.insert(key(3), dummy_plan(), vec![], cache.stats_version());
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.metrics().evictions, 1);
         assert!(cache.lookup(&key(1)).is_some(), "recently used survives");
@@ -436,13 +424,13 @@ mod tests {
     #[test]
     fn invalidation_makes_entries_stale() {
         let cache = PlanCache::default();
-        cache.insert(key(1), dummy_plan(), vec![]);
+        cache.insert(key(1), dummy_plan(), vec![], cache.stats_version());
         assert!(cache.lookup(&key(1)).is_some());
         cache.invalidate_all();
         assert!(cache.lookup(&key(1)).is_none(), "stale after version bump");
         assert_eq!(cache.metrics().invalidations, 1);
         // Re-insert under the new version works.
-        cache.insert(key(1), dummy_plan(), vec![]);
+        cache.insert(key(1), dummy_plan(), vec![], cache.stats_version());
         assert!(cache.lookup(&key(1)).is_some());
     }
 
@@ -453,7 +441,12 @@ mod tests {
             capacity: 64,
         }));
         for n in 0..8 {
-            cache.insert(key(n), dummy_plan(), vec![Value::Int(n as i64)]);
+            cache.insert(
+                key(n),
+                dummy_plan(),
+                vec![Value::Int(n as i64)],
+                cache.stats_version(),
+            );
         }
         std::thread::scope(|scope| {
             for t in 0..8 {
@@ -478,11 +471,16 @@ mod tests {
             shards: 1,
             capacity: 1,
         });
-        cache.insert(key(1), dummy_plan(), vec![Value::Int(5)]);
+        cache.insert(
+            key(1),
+            dummy_plan(),
+            vec![Value::Int(5)],
+            cache.stats_version(),
+        );
         let (plan, params) = cache.lookup(&key(1)).expect("hit");
-        let pin = cache.pin(plan, params);
+        let pin = cache.pin(plan, params, cache.stats_version());
         // Displace the entry: the pin still answers.
-        cache.insert(key(2), dummy_plan(), vec![]);
+        cache.insert(key(2), dummy_plan(), vec![], cache.stats_version());
         assert!(cache.lookup(&key(1)).is_none(), "entry evicted");
         assert!(cache.pin_is_current(&pin), "pin outlives eviction");
         assert_eq!(pin.params, vec![Value::Int(5)]);
@@ -496,18 +494,18 @@ mod tests {
     }
 
     #[test]
-    fn insert_at_superseded_version_is_born_stale() {
+    fn insert_with_superseded_version_is_born_stale() {
         let cache = PlanCache::default();
         // A caller snapshots the version, then a rebuild races past it.
         let observed = cache.stats_version();
         cache.invalidate_all();
-        cache.insert_at(key(1), dummy_plan(), vec![], observed);
+        cache.insert(key(1), dummy_plan(), vec![], observed);
         assert!(
             cache.lookup(&key(1)).is_none(),
             "plan optimized against superseded statistics must not be served"
         );
         // A pin taken at the observed version is likewise already stale.
-        let pin = cache.pin_at(dummy_plan(), vec![], observed);
+        let pin = cache.pin(dummy_plan(), vec![], observed);
         assert!(!cache.pin_is_current(&pin));
     }
 

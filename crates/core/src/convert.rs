@@ -83,12 +83,12 @@ pub fn spj_to_spjm(spj: &SpjQuery, view: &GraphView, db: &Database) -> Result<Co
     // Resolve which catalog tables are vertex/edge relations.
     let mut vertex_label_of: FxHashMap<&str, relgo_common::LabelId> = FxHashMap::default();
     for vm in view.mapping().vertices() {
-        vertex_label_of.insert(vm.table.as_str(), schema.vertex_label_id(&vm.label)?);
+        vertex_label_of.insert(vm.table.as_str(), schema.vertex_label_id(&vm.table)?);
     }
     let mut edge_meta: FxHashMap<&str, (relgo_common::LabelId, usize, usize, String, String)> =
         FxHashMap::default();
     for em in view.mapping().edges() {
-        let label = schema.edge_label_id(&em.label)?;
+        let label = schema.edge_label_id(&em.table)?;
         let t = db.table(&em.table)?;
         let src_col = t.schema().index_of(&em.src_key)?;
         let dst_col = t.schema().index_of(&em.dst_key)?;

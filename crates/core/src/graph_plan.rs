@@ -345,20 +345,6 @@ impl GraphOp {
     }
 }
 
-/// Bound elements of a `ScanEdge` including endpoints — the planner-side
-/// helper (the op itself does not know its pattern).
-pub fn scan_edge_bound(pattern: &relgo_pattern::Pattern, e: usize) -> Vec<PatternElem> {
-    let edge = pattern.edge(e);
-    let mut v = vec![
-        PatternElem::Edge(e),
-        PatternElem::Vertex(edge.src),
-        PatternElem::Vertex(edge.dst),
-    ];
-    v.sort();
-    v.dedup();
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -249,13 +249,6 @@ impl PhysicalPlan {
         self.root.explain_into(&mut out, 0, &names);
         out
     }
-
-    /// Render with custom element names (vertex aliases from the query).
-    pub fn explain_with_names(&self, names: &dyn Fn(PatternElem) -> String) -> String {
-        let mut out = String::new();
-        self.root.explain_into(&mut out, 0, names);
-        out
-    }
 }
 
 #[cfg(test)]

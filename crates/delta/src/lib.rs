@@ -126,11 +126,6 @@ impl DeltaSet {
             .push(key);
     }
 
-    /// The pending delta of `table`, if any.
-    pub fn table_delta(&self, table: &str) -> Option<&TableDelta> {
-        self.tables.get(table)
-    }
-
     /// The non-empty per-table deltas, sorted by table name — the
     /// deterministic iteration order shared by [`DeltaSet::apply`] and the
     /// WAL record codec ([`wal`]).

@@ -163,8 +163,8 @@ impl GLogue {
     /// count would reproduce them bit-for-bit), and evicted entries are
     /// lazily recounted against the merged view — so a refreshed GLogue is
     /// observationally identical to a from-scratch rebuild, at a fraction
-    /// of the recounting cost. Label-level statistics are refreshed through
-    /// [`GraphStats::refresh_delta`].
+    /// of the recounting cost. Label-level statistics are recomputed from
+    /// the merged view ([`GraphView::stats`], one row count per label).
     pub fn refreshed(
         prev: &GLogue,
         view: Arc<GraphView>,
@@ -176,8 +176,7 @@ impl GLogue {
                 "GLogue requires the graph index (build_index first)",
             ));
         }
-        let stats =
-            GraphStats::refresh_delta(prev.graph_stats(), &view, changed_vertex, changed_edge);
+        let stats = view.stats();
         let changed = LabelMask::of_flags(changed_vertex, changed_edge);
         let mut cache = prev.cache.lock().clone();
         cache.retain(|_, (_, mask)| !mask.intersects(&changed));

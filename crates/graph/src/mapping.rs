@@ -10,23 +10,20 @@ use relgo_common::{RelGoError, Result};
 use relgo_storage::Database;
 
 /// A vertex mapping: one relation whose tuples become vertices labeled with
-/// the relation's name (or an explicit label).
+/// the relation's name.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VertexMapping {
-    /// Backing relation.
+    /// Backing relation, and the vertex label.
     pub table: String,
-    /// Vertex label (defaults to the table name).
-    pub label: String,
 }
 
-/// An edge mapping: one relation whose tuples become edges, with source and
-/// target resolved through foreign keys into vertex relations.
+/// An edge mapping: one relation whose tuples become edges labeled with the
+/// relation's name, with source and target resolved through foreign keys
+/// into vertex relations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EdgeMapping {
-    /// Backing relation.
+    /// Backing relation, and the edge label.
     pub table: String,
-    /// Edge label (defaults to the table name).
-    pub label: String,
     /// Foreign-key column in the edge relation pointing at the source
     /// vertex relation's primary key (λˢ).
     pub src_key: String,
@@ -56,16 +53,6 @@ impl RGMapping {
     pub fn vertex(mut self, table: &str) -> Self {
         self.vertices.push(VertexMapping {
             table: table.to_string(),
-            label: table.to_string(),
-        });
-        self
-    }
-
-    /// Declare a vertex table with an explicit label.
-    pub fn vertex_as(mut self, table: &str, label: &str) -> Self {
-        self.vertices.push(VertexMapping {
-            table: table.to_string(),
-            label: label.to_string(),
         });
         self
     }
@@ -83,29 +70,6 @@ impl RGMapping {
     ) -> Self {
         self.edges.push(EdgeMapping {
             table: table.to_string(),
-            label: table.to_string(),
-            src_key: src_key.to_string(),
-            src_table: src_table.to_string(),
-            dst_key: dst_key.to_string(),
-            dst_table: dst_table.to_string(),
-        });
-        self
-    }
-
-    /// Declare an edge table with an explicit label.
-    #[allow(clippy::too_many_arguments)]
-    pub fn edge_as(
-        mut self,
-        table: &str,
-        label: &str,
-        src_key: &str,
-        src_table: &str,
-        dst_key: &str,
-        dst_table: &str,
-    ) -> Self {
-        self.edges.push(EdgeMapping {
-            table: table.to_string(),
-            label: label.to_string(),
             src_key: src_key.to_string(),
             src_table: src_table.to_string(),
             dst_key: dst_key.to_string(),
@@ -134,10 +98,10 @@ impl RGMapping {
     pub fn validate(&self, db: &Database) -> Result<()> {
         for (i, v) in self.vertices.iter().enumerate() {
             db.table(&v.table)?;
-            if self.vertices[..i].iter().any(|w| w.label == v.label) {
+            if self.vertices[..i].iter().any(|w| w.table == v.table) {
                 return Err(RelGoError::schema(format!(
                     "duplicate vertex label '{}'",
-                    v.label
+                    v.table
                 )));
             }
             if db.primary_key(&v.table).is_none() {
@@ -149,10 +113,10 @@ impl RGMapping {
         }
         for (i, e) in self.edges.iter().enumerate() {
             let t = db.table(&e.table)?;
-            if self.edges[..i].iter().any(|f| f.label == e.label) {
+            if self.edges[..i].iter().any(|f| f.table == e.table) {
                 return Err(RelGoError::schema(format!(
                     "duplicate edge label '{}'",
-                    e.label
+                    e.table
                 )));
             }
             t.schema().index_of(&e.src_key)?;
@@ -161,7 +125,7 @@ impl RGMapping {
                 if !self.vertices.iter().any(|v| v.table == *endpoint) {
                     return Err(RelGoError::schema(format!(
                         "edge '{}' references '{}', which is not a declared vertex table",
-                        e.label, endpoint
+                        e.table, endpoint
                     )));
                 }
             }
@@ -223,9 +187,7 @@ mod tests {
 
     #[test]
     fn duplicate_labels_rejected() {
-        let m = RGMapping::new()
-            .vertex("Person")
-            .vertex_as("Message", "Person");
+        let m = RGMapping::new().vertex("Person").vertex("Person");
         assert!(m.validate(&db()).is_err());
     }
 

@@ -23,25 +23,25 @@ impl GraphSchema {
         let mut s = GraphSchema::default();
         for v in mapping.vertices() {
             let id = LabelId(s.vertex_labels.len() as u16);
-            if s.vertex_by_name.insert(v.label.clone(), id).is_some() {
+            if s.vertex_by_name.insert(v.table.clone(), id).is_some() {
                 return Err(RelGoError::schema(format!(
                     "duplicate vertex label '{}'",
-                    v.label
+                    v.table
                 )));
             }
-            s.vertex_labels.push(v.label.clone());
+            s.vertex_labels.push(v.table.clone());
         }
         for e in mapping.edges() {
             let id = LabelId(s.edge_labels.len() as u16);
-            if s.edge_by_name.insert(e.label.clone(), id).is_some() {
+            if s.edge_by_name.insert(e.table.clone(), id).is_some() {
                 return Err(RelGoError::schema(format!(
                     "duplicate edge label '{}'",
-                    e.label
+                    e.table
                 )));
             }
-            s.edge_labels.push(e.label.clone());
-            let src = s.vertex_label_id(&vertex_label_for_table(mapping, &e.src_table)?)?;
-            let dst = s.vertex_label_id(&vertex_label_for_table(mapping, &e.dst_table)?)?;
+            s.edge_labels.push(e.table.clone());
+            let src = s.vertex_label_id(&e.src_table)?;
+            let dst = s.vertex_label_id(&e.dst_table)?;
             s.endpoints.push((src, dst));
         }
         Ok(s)
@@ -87,25 +87,6 @@ impl GraphSchema {
     pub fn edge_endpoints(&self, id: LabelId) -> (LabelId, LabelId) {
         self.endpoints[id.0 as usize]
     }
-
-    /// All edge labels incident (as source or target) to vertex label `v`.
-    pub fn edges_touching(&self, v: LabelId) -> Vec<LabelId> {
-        self.endpoints
-            .iter()
-            .enumerate()
-            .filter(|(_, &(s, t))| s == v || t == v)
-            .map(|(i, _)| LabelId(i as u16))
-            .collect()
-    }
-}
-
-fn vertex_label_for_table(mapping: &RGMapping, table: &str) -> Result<String> {
-    mapping
-        .vertices()
-        .iter()
-        .find(|v| v.table == table)
-        .map(|v| v.label.clone())
-        .ok_or_else(|| RelGoError::not_found(format!("vertex table '{table}' in mapping")))
 }
 
 #[cfg(test)]
@@ -144,13 +125,6 @@ mod tests {
             (LabelId(0), LabelId(0)),
             "Knows: Person → Person"
         );
-    }
-
-    #[test]
-    fn edges_touching_vertex_label() {
-        let s = GraphSchema::from_mapping(&mapping()).unwrap();
-        assert_eq!(s.edges_touching(LabelId(0)), vec![LabelId(0), LabelId(1)]);
-        assert_eq!(s.edges_touching(LabelId(1)), vec![LabelId(0)]);
     }
 
     #[test]

@@ -45,55 +45,6 @@ impl GraphStats {
         }
     }
 
-    /// Delta-aware refresh after a committed ingest: recompute only the
-    /// labels the change flags mark (see
-    /// [`crate::view::GraphView::changed_label_flags`]) and copy the rest
-    /// from `prev`. Exact: an unchanged label's tables are bit-identical
-    /// across the epochs, so its recomputed statistics would be too.
-    pub fn refresh_delta(
-        prev: &GraphStats,
-        view: &GraphView,
-        changed_vertex: &[bool],
-        changed_edge: &[bool],
-    ) -> GraphStats {
-        let nv = view.schema().vertex_label_count();
-        let ne = view.schema().edge_label_count();
-        let vertex_counts: Vec<usize> = (0..nv as u16)
-            .map(|l| {
-                if changed_vertex[l as usize] {
-                    view.vertex_count(LabelId(l))
-                } else {
-                    prev.vertex_counts[l as usize]
-                }
-            })
-            .collect();
-        let mut edge_counts = Vec::with_capacity(ne);
-        let mut avg_out_degree = Vec::with_capacity(ne);
-        let mut avg_in_degree = Vec::with_capacity(ne);
-        for l in 0..ne as u16 {
-            let el = LabelId(l);
-            if !changed_edge[l as usize] {
-                edge_counts.push(prev.edge_counts[l as usize]);
-                avg_out_degree.push(prev.avg_out_degree[l as usize]);
-                avg_in_degree.push(prev.avg_in_degree[l as usize]);
-                continue;
-            }
-            let m = view.edge_count(el);
-            let (src, dst) = view.schema().edge_endpoints(el);
-            let ns = vertex_counts[src.0 as usize].max(1);
-            let nt = vertex_counts[dst.0 as usize].max(1);
-            edge_counts.push(m);
-            avg_out_degree.push(m as f64 / ns as f64);
-            avg_in_degree.push(m as f64 / nt as f64);
-        }
-        GraphStats {
-            vertex_counts,
-            edge_counts,
-            avg_out_degree,
-            avg_in_degree,
-        }
-    }
-
     /// Number of vertices of label `l`.
     pub fn vertex_count(&self, l: LabelId) -> usize {
         self.vertex_counts[l.0 as usize]

@@ -109,8 +109,8 @@ impl GraphView {
     /// changed when its backing table is; an edge label when its table *or
     /// either endpoint table* is (endpoint row counts feed its degree
     /// statistics, and endpoint deletions shift its row ids). The flags
-    /// drive statistics refresh ([`GraphStats::refresh_delta`]) and GLogue
-    /// cache retention.
+    /// drive GLogue cache retention: a cached pattern count survives a
+    /// commit exactly when none of its labels is flagged.
     pub fn changed_label_flags(
         &self,
         changes: &FxHashMap<String, TableChange>,

@@ -38,7 +38,6 @@
 //! a failed commit publishes nothing and discards the batch.
 
 use crate::session::{Session, SessionState};
-use rand::{Rng, SeedableRng};
 use relgo_common::{RelGoError, Result, Value};
 use relgo_delta::DeltaSet;
 use relgo_glogue::GLogue;
@@ -140,37 +139,6 @@ impl From<CommitError> for RelGoError {
     }
 }
 
-/// Backoff schedule for [`IngestBatch::commit_with_retry`].
-///
-/// Retryable losses ([`CommitError::Conflict`], [`CommitError::StaleBase`])
-/// are re-staged against the then-current epoch after an exponentially
-/// growing, fully jittered sleep: attempt *n* sleeps a uniform-random
-/// duration in `[0, min(base_delay · 2ⁿ⁻¹, max_delay)]`. Full jitter
-/// de-synchronizes writers that lost the same race, so the retry storm does
-/// not re-collide in lockstep. [`CommitError::Failed`] is never retried.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries after the first attempt (0 = plain [`IngestBatch::commit`]).
-    pub max_retries: u32,
-    /// Backoff cap for attempt 1; doubles per subsequent attempt.
-    pub base_delay: Duration,
-    /// Ceiling on the backoff cap, whatever the attempt number.
-    pub max_delay: Duration,
-    /// Seed of the deterministic jitter stream (vary per writer).
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 8,
-            base_delay: Duration::from_micros(500),
-            max_delay: Duration::from_millis(20),
-            seed: 0x9e37_79b9_7f4a_7c15,
-        }
-    }
-}
-
 /// What one committed ingest batch did.
 #[derive(Debug, Clone)]
 pub struct IngestReport {
@@ -260,16 +228,6 @@ impl<'s> IngestBatch<'s> {
         Ok(())
     }
 
-    /// Rows queued for insertion.
-    pub fn pending_inserts(&self) -> usize {
-        self.delta.inserted_rows()
-    }
-
-    /// Rows queued for deletion.
-    pub fn pending_deletes(&self) -> usize {
-        self.delta.deleted_rows()
-    }
-
     /// Whether nothing is queued.
     pub fn is_empty(&self) -> bool {
         self.delta.is_empty()
@@ -282,49 +240,6 @@ impl<'s> IngestBatch<'s> {
     /// that publishes nothing.
     pub fn commit(self) -> std::result::Result<IngestReport, CommitError> {
         self.session.commit_delta(self.delta, Some(self.base_epoch))
-    }
-
-    /// [`IngestBatch::commit`], re-staged automatically on retryable losses.
-    ///
-    /// A lost first-committer-wins race ([`CommitError::Conflict`]) or an
-    /// evicted validation window ([`CommitError::StaleBase`]) sleeps per the
-    /// [`RetryPolicy`]'s jittered exponential backoff, rebases the same
-    /// delta onto the then-current epoch and commits again, up to
-    /// `policy.max_retries` times. The rebased delta revalidates in full, so
-    /// a retry that *still* overlaps a newer commit loses again rather than
-    /// clobbering it. Non-retryable errors and exhausted budgets return the
-    /// last error unchanged.
-    pub fn commit_with_retry(
-        self,
-        policy: RetryPolicy,
-    ) -> std::result::Result<IngestReport, CommitError> {
-        let IngestBatch {
-            session,
-            mut base_epoch,
-            delta,
-        } = self;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(policy.seed);
-        let mut attempt = 0u32;
-        loop {
-            match session.commit_delta(delta.clone(), Some(base_epoch)) {
-                Err(e) if e.is_conflict() && attempt < policy.max_retries => {
-                    attempt += 1;
-                    // Full jitter: uniform in [0, min(base·2ⁿ⁻¹, max)].
-                    let cap = policy
-                        .base_delay
-                        .saturating_mul(1u32 << (attempt - 1).min(20))
-                        .min(policy.max_delay);
-                    let nanos = u64::try_from(cap.as_nanos()).unwrap_or(u64::MAX);
-                    if nanos > 0 {
-                        std::thread::sleep(Duration::from_nanos(rng.gen_range(0..nanos + 1)));
-                    }
-                    // Rebase: everything the winners published is now part
-                    // of the base this delta validates (and applies) against.
-                    base_epoch = session.epoch();
-                }
-                done => return done,
-            }
-        }
     }
 }
 
@@ -485,7 +400,6 @@ mod tests {
                 ],
             )
             .unwrap();
-        assert_eq!(batch.pending_inserts(), 2);
         let report = batch.commit().unwrap();
         assert_eq!(report.epoch, 1);
         assert_eq!(session.epoch(), 1);
@@ -684,103 +598,6 @@ mod tests {
         retry.delete_row("Person", key).unwrap();
         let report = retry.commit().unwrap();
         assert_eq!((report.epoch, report.deleted), (2, 1));
-    }
-
-    #[test]
-    fn commit_with_retry_rebases_past_a_conflict() {
-        let (session, _) = Session::snb(0.03, 42).unwrap();
-        let key = 800_000i64;
-        let mut winner = session.begin_ingest();
-        let mut loser = session.begin_ingest();
-        winner
-            .insert_row(
-                "Person",
-                vec![key.into(), "Winner".into(), Value::Date(17_000)],
-            )
-            .unwrap();
-        loser.delete_row("Person", key).unwrap();
-        winner.commit().unwrap();
-        // The plain commit would lose first-committer-wins; the retry
-        // rebases onto epoch 1 where the winner's row exists and deletes it.
-        let report = loser
-            .commit_with_retry(RetryPolicy {
-                base_delay: Duration::ZERO,
-                ..RetryPolicy::default()
-            })
-            .unwrap();
-        assert_eq!((report.epoch, report.deleted), (2, 1));
-        assert_eq!(session.epoch(), 2);
-        // Both the loss and the eventual success were counted.
-        let snap = session.metrics().registry().snapshot();
-        assert_eq!(snap.counter_sum("relgo_ingest_conflicts_total"), 1);
-        assert_eq!(snap.counter_sum("relgo_ingest_commits_total"), 2);
-    }
-
-    #[test]
-    fn commit_with_retry_rebases_past_a_stale_base() {
-        let (session, _) = Session::snb(0.03, 42).unwrap();
-        let mut old = session.begin_ingest();
-        old.insert_row(
-            "Person",
-            vec![800_000.into(), "Old".into(), Value::Date(17_000)],
-        )
-        .unwrap();
-        for (i, name) in [(1i64, "X"), (2, "Y")] {
-            let mut b = session.begin_ingest();
-            b.insert_row(
-                "Person",
-                vec![(900_000 + i).into(), name.into(), Value::Date(17_000)],
-            )
-            .unwrap();
-            b.commit().unwrap();
-        }
-        session.forget_oldest_commits(2);
-        // First attempt hits StaleBase; the rebase lands at epoch 2, inside
-        // the retained window, and the disjoint delta commits.
-        let report = old
-            .commit_with_retry(RetryPolicy {
-                base_delay: Duration::ZERO,
-                ..RetryPolicy::default()
-            })
-            .unwrap();
-        assert_eq!((report.epoch, report.inserted), (3, 1));
-    }
-
-    #[test]
-    fn commit_with_retry_exhausted_budget_returns_the_conflict() {
-        let (session, _) = Session::snb(0.03, 42).unwrap();
-        let key = 800_000i64;
-        let mut winner = session.begin_ingest();
-        let mut loser = session.begin_ingest();
-        winner
-            .insert_row(
-                "Person",
-                vec![key.into(), "Winner".into(), Value::Date(17_000)],
-            )
-            .unwrap();
-        loser.delete_row("Person", key).unwrap();
-        winner.commit().unwrap();
-        // Zero retries: behaves exactly like the plain commit.
-        let err = loser
-            .commit_with_retry(RetryPolicy {
-                max_retries: 0,
-                ..RetryPolicy::default()
-            })
-            .unwrap_err();
-        assert!(err.is_conflict());
-        assert_eq!(session.epoch(), 1);
-    }
-
-    #[test]
-    fn commit_with_retry_does_not_retry_validation_failures() {
-        let (session, _) = Session::snb(0.03, 42).unwrap();
-        let mut batch = session.begin_ingest();
-        batch
-            .insert_row("Person", vec![0.into(), "Dup".into(), Value::Date(17_000)])
-            .unwrap();
-        let err = batch.commit_with_retry(RetryPolicy::default()).unwrap_err();
-        assert!(matches!(err, CommitError::Failed(_)), "{err}");
-        assert_eq!(session.epoch(), 0);
     }
 
     #[test]

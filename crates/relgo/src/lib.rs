@@ -45,7 +45,7 @@ pub use relgo_pattern as pattern;
 pub use relgo_storage as storage;
 pub use relgo_workloads as workloads;
 
-pub use ingest::{CommitError, IngestBatch, IngestReport, RetryPolicy};
+pub use ingest::{CommitError, IngestBatch, IngestReport};
 pub use observe::{ObservabilitySnapshot, QueryPath, SessionMetrics};
 pub use prepared::PreparedStatement;
 pub use relgo_delta::checkpoint::{CheckpointCrash, CheckpointStore};
@@ -57,7 +57,7 @@ pub use session::{
 
 /// The convenient all-in-one import.
 pub mod prelude {
-    pub use crate::ingest::{CommitError, IngestBatch, IngestReport, RetryPolicy};
+    pub use crate::ingest::{CommitError, IngestBatch, IngestReport};
     pub use crate::observe::{ObservabilitySnapshot, QueryPath, SessionMetrics};
     pub use crate::prepared::PreparedStatement;
     pub use crate::session::{

@@ -10,7 +10,6 @@
 //! `relgo-server` `/metrics` endpoint returns.
 
 use relgo_cache::MetricsSnapshot;
-use relgo_common::morsel::MorselCounters;
 use relgo_delta::wal::WalStats;
 use relgo_exec::PlanReport;
 use relgo_metrics::trace::{Stage, StageTimings};
@@ -306,24 +305,12 @@ impl SessionMetrics {
 }
 
 /// The unified observability view of one [`crate::Session`]: the metrics
-/// registry plus every pre-registry subsystem counter, merged at snapshot
-/// time.
+/// registry with every pre-registry subsystem counter (epoch, plan cache,
+/// WAL, checkpoint, morsel scheduler) folded in as additional series at
+/// snapshot time.
 #[derive(Debug, Clone)]
 pub struct ObservabilitySnapshot {
-    /// The session's current data epoch.
-    pub epoch: u64,
-    /// Plan-cache counters ([`crate::Session::cache_metrics`]).
-    pub cache: MetricsSnapshot,
-    /// WAL counters on a durable session (`None` otherwise).
-    pub wal: Option<WalStats>,
-    /// Epoch of the newest durable checkpoint (0 when none exists).
-    pub checkpoint_epoch: u64,
-    /// WAL bytes accumulated since the last checkpoint (`None` when the
-    /// session is not durable).
-    pub wal_bytes_since_checkpoint: Option<u64>,
-    /// Process-global morsel-scheduler counters.
-    pub morsels: MorselCounters,
-    /// The registry snapshot with the above folded in as additional series.
+    /// The registry snapshot, subsystem series included.
     pub registry: Snapshot,
 }
 
@@ -402,15 +389,7 @@ impl ObservabilitySnapshot {
             &[],
             morsels.morsels,
         );
-        ObservabilitySnapshot {
-            epoch,
-            cache,
-            wal,
-            checkpoint_epoch,
-            wal_bytes_since_checkpoint,
-            morsels,
-            registry,
-        }
+        ObservabilitySnapshot { registry }
     }
 
     /// The full Prometheus text-format exposition (what `GET /metrics`

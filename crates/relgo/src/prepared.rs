@@ -52,10 +52,14 @@ impl Session {
         let pq = parameterize(query);
         let key = pq.key(mode);
         let cache = self.plan_cache();
+        // The snapshot reads the statistics version before the probe, so a
+        // commit landing between the probe and the pin leaves the pin born
+        // stale (one re-optimize), never wrongly current.
+        let snap = self.snapshot();
         let pinned = match cache.lookup(&key) {
-            Some((plan, cached_params)) => cache.pin(plan, cached_params),
+            Some((plan, cached_params)) => cache.pin(plan, cached_params, snap.version),
             None => {
-                self.plan_on_miss(&self.snapshot(), query, mode, key.clone(), pq.params)?
+                self.plan_on_miss(&snap, query, mode, key.clone(), pq.params)?
                     .0
             }
         };

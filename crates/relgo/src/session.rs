@@ -683,10 +683,12 @@ impl Session {
         &self.metrics
     }
 
-    /// The unified observability view: the metrics registry merged with the
-    /// plan-cache counters, WAL stats (when durable), the morsel-scheduler
-    /// globals and the current epoch — one struct instead of four ad-hoc
-    /// accessors, and the source of the Prometheus `/metrics` exposition.
+    /// The unified observability view: the metrics registry with the
+    /// plan-cache counters, WAL stats (when durable), checkpoint gauges, the
+    /// morsel-scheduler globals and the current epoch folded in as series —
+    /// the source of the Prometheus `/metrics` exposition. Typed values come
+    /// from the accessors ([`Session::epoch`], [`Session::cache_metrics`],
+    /// [`Session::wal_stats`], …).
     pub fn observability_snapshot(&self) -> ObservabilitySnapshot {
         ObservabilitySnapshot::collect(
             &self.metrics,
@@ -784,12 +786,13 @@ impl Session {
     ///
     /// The entry and the pin are stamped with the statistics version the
     /// snapshot read *before* pinning its state (see [`Session::snapshot`]),
-    /// not the version current when the optimizer finishes. A snapshot
-    /// taken before an ingest commit, or one that
-    /// raced the commit between its publish and its invalidation, therefore
-    /// stamps its plan with the superseded version: the entry dies on its
-    /// next lookup instead of being served as current on statistics it was
-    /// not costed on. A timed-out search produced a fallback plan; it serves
+    /// not the version current when the optimizer finishes — the one rule
+    /// for every stamp, which [`Session::prepare`]'s hit path follows too.
+    /// A snapshot taken before an ingest commit, or one that raced the
+    /// commit between its publish and its invalidation, therefore stamps
+    /// its plan with the superseded version: the entry dies on its next
+    /// lookup instead of being served as current on statistics it was not
+    /// costed on. A timed-out search produced a fallback plan; it serves
     /// this caller but is not inserted for every future instance of the
     /// template.
     pub(crate) fn plan_on_miss(
@@ -805,9 +808,9 @@ impl Session {
         let plan = Arc::new(plan);
         if !opt.timed_out {
             self.cache
-                .insert_at(key, Arc::clone(&plan), params.clone(), version);
+                .insert(key, Arc::clone(&plan), params.clone(), version);
         }
-        Ok((self.cache.pin_at(plan, params, version), opt))
+        Ok((self.cache.pin(plan, params, version), opt))
     }
 
     /// Resolve a `Cached` plan: parameterize (comparison literals lifted
@@ -1012,31 +1015,6 @@ impl Session {
         let (outcome, report) = self.run_profiled(query, mode)?;
         Ok(ExplainAnalyze::render(outcome, report))
     }
-
-    /// Check that every optimizer mode agrees with the oracle on `query`;
-    /// returns the per-mode outcomes (testing and demo helper). Runs
-    /// entirely against one pinned epoch.
-    pub fn verify_all_modes(
-        &self,
-        query: &SpjmQuery,
-    ) -> Result<Vec<(OptimizerMode, QueryOutcome)>> {
-        let snapshot = self.snapshot();
-        let expected = snapshot.oracle(query)?.sorted_rows();
-        let mut outcomes = Vec::new();
-        for mode in OptimizerMode::ALL {
-            let outcome = snapshot.run(query, mode)?;
-            if outcome.table.sorted_rows() != expected {
-                return Err(RelGoError::execution(format!(
-                    "{} disagrees with the oracle ({} vs {} rows)",
-                    mode.name(),
-                    outcome.table.num_rows(),
-                    expected.len()
-                )));
-            }
-            outcomes.push((mode, outcome));
-        }
-        Ok(outcomes)
-    }
 }
 
 /// Unwrap the report of a `profile: true` pipeline call.
@@ -1055,8 +1033,8 @@ pub struct Snapshot<'s> {
     session: &'s Session,
     state: Arc<SessionState>,
     /// The plan cache's statistics version, read before `state` was
-    /// pinned: what a plan this snapshot inserts is stamped with.
-    version: u64,
+    /// pinned: what a plan this snapshot inserts or pins is stamped with.
+    pub(crate) version: u64,
 }
 
 impl Snapshot<'_> {
@@ -1113,14 +1091,6 @@ mod tests {
     use super::*;
     use relgo_common::Value;
     use relgo_workloads::snb_queries;
-
-    #[test]
-    fn snb_session_runs_fig1_in_all_modes() {
-        let (session, schema) = Session::snb(0.03, 42).unwrap();
-        let query = snb_queries::fig1_example(&schema, "Tom").unwrap();
-        let outcomes = session.verify_all_modes(&query).unwrap();
-        assert_eq!(outcomes.len(), OptimizerMode::ALL.len());
-    }
 
     #[test]
     fn explain_mentions_graph_table() {
@@ -1257,9 +1227,6 @@ mod tests {
         assert_eq!(session.last_checkpoint_epoch(), 6);
         assert_eq!(session.wal_bytes_since_checkpoint(), Some(0));
         assert_eq!(session.metrics().checkpoints(), 1);
-        let snap = session.observability_snapshot();
-        assert_eq!(snap.checkpoint_epoch, 6);
-        assert_eq!(snap.wal_bytes_since_checkpoint, Some(0));
 
         // Two commits land after the checkpoint: the WAL holds only them.
         commit_person(&session, 800_100);

@@ -187,25 +187,6 @@ fn join_on(
     concat_rows(left, right, &lrows, &rrows)
 }
 
-/// GRainDB-style predefined (rid) join: `rid_col` of `left` holds *row ids*
-/// into `right`; no hash table is built — each probe is a direct array
-/// lookup. A negative rid (or NULL) drops the row, mirroring a dangling
-/// foreign key.
-pub fn rid_join(left: &Table, rid_col: usize, right: &Table) -> Result<Table> {
-    let col = left.column(rid_col);
-    let mut lrows = Vec::new();
-    let mut rrows = Vec::new();
-    for r in 0..left.num_rows() as RowId {
-        if let Some(rid) = col.get_int(r) {
-            if rid >= 0 && (rid as usize) < right.num_rows() {
-                lrows.push(r);
-                rrows.push(rid as RowId);
-            }
-        }
-    }
-    concat_rows(left, right, &lrows, &rrows)
-}
-
 fn concat_rows(left: &Table, right: &Table, lrows: &[RowId], rrows: &[RowId]) -> Result<Table> {
     let gather = |t: &Table, rows: &[RowId]| -> Vec<Column> {
         (0..t.num_columns())
@@ -536,25 +517,6 @@ mod tests {
             assert!(!want.is_empty());
             assert_eq!(got, want, "{} ⋈ {}", l.schema(), r.schema());
         }
-    }
-
-    #[test]
-    fn rid_join_is_positional() {
-        // rid column points straight at person row ids.
-        let edges = table_of(
-            "e",
-            &[("rid", DataType::Int)],
-            vec![
-                vec![2.into()],
-                vec![0.into()],
-                vec![7.into()],
-                vec![Value::Null],
-            ],
-        );
-        let j = rid_join(&edges, 0, &person()).unwrap();
-        assert_eq!(j.num_rows(), 2);
-        assert_eq!(j.value(0, 2), Value::str("Eve"));
-        assert_eq!(j.value(1, 2), Value::str("Tom"));
     }
 
     #[test]

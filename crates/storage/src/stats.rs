@@ -159,54 +159,11 @@ fn flip(op: BinaryOp) -> BinaryOp {
     }
 }
 
-/// Dataset-level statistic summary used by the `repro stats` report: per
-/// table `(name, rows, columns)` plus a `DataType` histogram.
-pub fn dataset_summary(tables: &[&Table]) -> Vec<(String, usize, usize)> {
-    tables
-        .iter()
-        .map(|t| (t.name().to_string(), t.num_rows(), t.num_columns()))
-        .collect()
-}
-
-/// Count how many columns of each data type exist across `tables`.
-pub fn dtype_histogram(tables: &[&Table]) -> Vec<(DataType, usize)> {
-    let mut counts: Vec<(DataType, usize)> = vec![
-        (DataType::Int, 0),
-        (DataType::Float, 0),
-        (DataType::Str, 0),
-        (DataType::Bool, 0),
-        (DataType::Date, 0),
-    ];
-    for t in tables {
-        for f in t.schema().fields() {
-            for entry in counts.iter_mut() {
-                if entry.0 == f.dtype {
-                    entry.1 += 1;
-                }
-            }
-        }
-    }
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::table::table_of;
     use relgo_common::Value;
-
-    fn t() -> Table {
-        table_of(
-            "t",
-            &[("k", DataType::Int), ("s", DataType::Str)],
-            vec![
-                vec![1.into(), "a".into()],
-                vec![5.into(), "b".into()],
-                vec![5.into(), Value::Null],
-                vec![9.into(), "a".into()],
-            ],
-        )
-    }
 
     #[test]
     fn histogram_eq_and_range() {
@@ -274,16 +231,5 @@ mod tests {
         let b = ScalarExpr::col_cmp(0, BinaryOp::Ge, 8i64);
         let sel_and = predicate_selectivity(&t, &a.clone().and(b.clone()));
         assert!(sel_and <= predicate_selectivity(&t, &a));
-    }
-
-    #[test]
-    fn summaries() {
-        let binding = t();
-        let tables = vec![&binding];
-        let sum = dataset_summary(&tables);
-        assert_eq!(sum, vec![("t".to_string(), 4, 2)]);
-        let hist = dtype_histogram(&tables);
-        assert!(hist.contains(&(DataType::Int, 1)));
-        assert!(hist.contains(&(DataType::Str, 1)));
     }
 }

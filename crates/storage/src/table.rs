@@ -3,7 +3,6 @@
 use crate::column::{Column, Interner, StrColumn};
 use relgo_common::{DataType, RelGoError, Result, RowId, Schema, Value};
 use std::fmt;
-use std::sync::Arc;
 
 /// An immutable, named, columnar relation.
 #[derive(Debug, Clone)]
@@ -338,9 +337,6 @@ pub fn table_of(name: &str, spec: &[(&str, DataType)], rows: Vec<Vec<Value>>) ->
     b.finish()
 }
 
-/// Shared-ownership alias used across the planner and executor.
-pub type TableRef = Arc<Table>;
-
 /// The shape of one committed change against an immutable table: which base
 /// rows were deleted and how many new rows were appended after the
 /// survivors. This is the contract between the delta store (`relgo-delta`)
@@ -433,6 +429,7 @@ impl TableChange {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn people() -> Table {
         table_of(

@@ -90,7 +90,7 @@ fn main() -> Result<()> {
     let obs = session.observability_snapshot();
     println!(
         "  observability: epoch {}, {} series, {} ingest commits / {} conflicts / {} rows recorded",
-        obs.epoch,
+        session.epoch(),
         obs.registry.names().len(),
         obs.registry.counter_sum("relgo_ingest_commits_total"),
         obs.registry.counter_sum("relgo_ingest_conflicts_total"),

@@ -116,17 +116,17 @@ fn main() -> Result<()> {
         assert_eq!(m.invalidations, 0, "no commits mid-serving");
     }
 
-    // One unified snapshot covers the cache counters, the query-latency
-    // histograms, and everything else the session registers.
+    // The cache counters come from the session; the unified snapshot
+    // covers the query-latency histograms and everything else it registers.
     let obs = session.observability_snapshot();
-    let m = obs.cache;
+    let m = session.cache_metrics();
     println!(
         "  cache metrics: hits={} misses={} prepared_hits={} prepared_invalidations={} rebind_failures={}",
         m.hits, m.misses, m.prepared_hits, m.prepared_invalidations, m.rebind_failures
     );
     println!(
         "  observability: epoch {}, {} series, {} queries recorded across all paths",
-        obs.epoch,
+        session.epoch(),
         obs.registry.names().len(),
         obs.registry.counter_sum("relgo_queries_total")
     );
