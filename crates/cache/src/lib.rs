@@ -22,8 +22,9 @@
 //!   clock orders uses).
 //! * **Statistics versioning** — the cache carries a version counter;
 //!   entries remember the version they were planned under and
-//!   [`PlanCache::invalidate_all`] bumps it (GLogue/catalog rebuilds call
-//!   this), so stale plans die lazily on their next lookup. Every stamp is
+//!   [`PlanCache::invalidate_all`] bumps it (the session's `commit_delta`
+//!   calls it, once per published commit), so stale plans die lazily on
+//!   their next lookup. Every stamp is
 //!   explicit: [`PlanCache::insert`] and [`PlanCache::pin`] take the
 //!   version the caller read *before* pinning the state it planned on, so
 //!   a plan raced by an invalidation is at worst born stale, never

@@ -265,148 +265,86 @@ impl SearchSpace for RelationSpace<'_> {
 /// side — the predefined join. Joins that close a cycle (both endpoints
 /// bound) stay hash joins, which is precisely where GRainDB loses to
 /// RelGo's `EXPAND_INTERSECT`.
-pub fn upgrade_to_predefined_joins(pattern: &Pattern, op: GraphOp) -> GraphOp {
-    match op {
-        GraphOp::JoinSub {
-            left,
-            right,
-            on_vertices,
-            on_edges,
-            ann,
-        } => {
-            let left = Box::new(upgrade_to_predefined_joins(pattern, *left));
-            let right = Box::new(upgrade_to_predefined_joins(pattern, *right));
-            // Try to turn the join into an expand of a single edge leaf.
-            for (probe, leaf) in [(&left, &right), (&right, &left)] {
-                if let Some((e, filters)) = as_edge_leaf(leaf) {
-                    let edge = pattern.edge(e);
-                    let probe_bound = probe.bound_elements(pattern);
-                    let src_bound = probe_bound.contains(&PatternElem::Vertex(edge.src));
-                    let dst_bound = probe_bound.contains(&PatternElem::Vertex(edge.dst));
-                    if src_bound != dst_bound {
-                        let (from, to, dir) = if src_bound {
-                            (edge.src, edge.dst, Direction::Out)
-                        } else {
-                            (edge.dst, edge.src, Direction::In)
-                        };
-                        // Vertex filters the leaf carried must not be lost:
-                        // a filter on the *target* runs inline during the
-                        // expansion; a filter on the *source* (bound by the
-                        // probe but never evaluated, since its site was
-                        // this leaf) is applied below the expand so it
-                        // prunes before the fan-out.
-                        let mut input = probe.clone();
-                        let mut vertex_predicate = None;
-                        for (v, pred) in filters {
-                            if v == to {
-                                vertex_predicate = Some(match vertex_predicate {
-                                    None => pred,
-                                    Some(p) => {
-                                        relgo_storage::ScalarExpr::And(Box::new(p), Box::new(pred))
-                                    }
-                                });
-                            } else {
-                                input = Box::new(GraphOp::FilterVertex {
-                                    input,
-                                    v,
-                                    predicate: pred,
-                                    ann,
-                                });
-                            }
-                        }
-                        return GraphOp::Expand {
-                            input,
-                            from,
-                            edge: e,
-                            to,
-                            dir,
-                            emit_edge: true,
-                            edge_predicate: edge.predicate.clone(),
-                            vertex_predicate,
-                            ann,
-                        };
-                    }
-                }
-            }
-            GraphOp::JoinSub {
-                left,
-                right,
-                on_vertices,
-                on_edges,
-                ann,
+pub fn upgrade_to_predefined_joins(pattern: &Pattern, mut op: GraphOp) -> GraphOp {
+    op.rewrite_bottom_up(&mut |op| {
+        if let Some(expand) = predefined_join(pattern, op) {
+            *op = expand;
+        }
+    });
+    op
+}
+
+/// The `EXPAND` that replaces `op` if it is a join of a single edge leaf
+/// with a side binding exactly one of the edge's endpoints.
+fn predefined_join(pattern: &Pattern, op: &GraphOp) -> Option<GraphOp> {
+    let GraphOp::JoinSub {
+        left, right, ann, ..
+    } = op
+    else {
+        return None;
+    };
+    for (probe, leaf) in [(left, right), (right, left)] {
+        let Some((e, filters)) = as_edge_leaf(leaf) else {
+            continue;
+        };
+        let edge = pattern.edge(e);
+        let probe_bound = probe.bound_elements(pattern);
+        let src_bound = probe_bound.contains(&PatternElem::Vertex(edge.src));
+        let dst_bound = probe_bound.contains(&PatternElem::Vertex(edge.dst));
+        if src_bound == dst_bound {
+            continue;
+        }
+        let (from, to, dir) = if src_bound {
+            (edge.src, edge.dst, Direction::Out)
+        } else {
+            (edge.dst, edge.src, Direction::In)
+        };
+        // Vertex filters the leaf carried must not be lost: a filter on the
+        // *target* runs inline during the expansion; a filter on the
+        // *source* (bound by the probe but never evaluated, since its site
+        // was this leaf) is applied below the expand so it prunes before
+        // the fan-out.
+        let mut input = probe.clone();
+        let mut vertex_predicate = None;
+        for (v, predicate) in filters {
+            if v == to {
+                vertex_predicate = Some(ScalarExpr::conjoin(vertex_predicate, predicate));
+            } else {
+                input = Box::new(GraphOp::FilterVertex {
+                    input,
+                    v,
+                    predicate,
+                    ann: *ann,
+                });
             }
         }
-        GraphOp::Expand {
+        return Some(GraphOp::Expand {
             input,
             from,
-            edge,
+            edge: e,
             to,
             dir,
-            emit_edge,
-            edge_predicate,
+            emit_edge: true,
+            edge_predicate: edge.predicate.clone(),
             vertex_predicate,
-            ann,
-        } => GraphOp::Expand {
-            input: Box::new(upgrade_to_predefined_joins(pattern, *input)),
-            from,
-            edge,
-            to,
-            dir,
-            emit_edge,
-            edge_predicate,
-            vertex_predicate,
-            ann,
-        },
-        GraphOp::ExpandIntersect {
-            input,
-            legs,
-            to,
-            emit_edges,
-            vertex_predicate,
-            ann,
-        } => GraphOp::ExpandIntersect {
-            input: Box::new(upgrade_to_predefined_joins(pattern, *input)),
-            legs,
-            to,
-            emit_edges,
-            vertex_predicate,
-            ann,
-        },
-        GraphOp::FilterVertex {
-            input,
-            v,
-            predicate,
-            ann,
-        } => GraphOp::FilterVertex {
-            input: Box::new(upgrade_to_predefined_joins(pattern, *input)),
-            v,
-            predicate,
-            ann,
-        },
-        leaf => leaf,
+            ann: *ann,
+        });
     }
+    None
 }
 
 /// If `op` is a `ScanEdge` optionally wrapped in vertex filters, return the
 /// edge index and the filters (innermost first).
-fn as_edge_leaf(op: &GraphOp) -> Option<(usize, Vec<(usize, relgo_storage::ScalarExpr)>)> {
+fn as_edge_leaf(op: &GraphOp) -> Option<(usize, Vec<(usize, ScalarExpr)>)> {
     let mut filters = Vec::new();
-    let mut cur = op;
-    loop {
-        match cur {
+    for op in op.preorder() {
+        match op {
             GraphOp::ScanEdge { e, .. } => return Some((*e, filters)),
-            GraphOp::FilterVertex {
-                input,
-                v,
-                predicate,
-                ..
-            } => {
-                filters.push((*v, predicate.clone()));
-                cur = input;
-            }
+            GraphOp::FilterVertex { v, predicate, .. } => filters.push((*v, predicate.clone())),
             _ => return None,
         }
     }
+    None
 }
 
 /// Kùzu-like graph-native heuristic plan: start at the most selective
@@ -417,6 +355,13 @@ pub fn kuzu_heuristic_plan(pattern: &Pattern, view: &GraphView) -> Result<GraphO
     let n = pattern.vertex_count();
     if n == 0 {
         return Err(RelGoError::plan("empty pattern"));
+    }
+    if pattern.edge_count() > u64::BITS as usize {
+        return Err(RelGoError::plan(format!(
+            "Kùzu heuristic: pattern has {} edges, more than the {} its edge set holds",
+            pattern.edge_count(),
+            u64::BITS
+        )));
     }
     // Start vertex: predicated if any, else smallest label cardinality.
     let start = (0..n)
@@ -609,8 +554,12 @@ mod tests {
         for e in 0..3 {
             assert!(bound.contains(&PatternElem::Edge(e)), "edge {e} unbound");
         }
-        assert!(plan.uses_join());
-        assert!(!plan.uses_intersect(), "agnostic plans never intersect");
+        let kinds: Vec<&str> = plan.preorder().map(GraphOp::kind).collect();
+        assert!(kinds.contains(&"join_sub"), "{kinds:?}");
+        assert!(
+            !kinds.contains(&"expand_intersect"),
+            "agnostic plans never intersect"
+        );
     }
 
     #[test]
@@ -618,20 +567,14 @@ mod tests {
         let v = view();
         let hash_plan = greedy(&triangle(), &v);
         let upgraded = upgrade_to_predefined_joins(&triangle(), hash_plan.clone());
-        fn count_expands(op: &GraphOp) -> usize {
-            match op {
-                GraphOp::Expand { input, .. } => 1 + count_expands(input),
-                GraphOp::ExpandIntersect { input, .. } | GraphOp::FilterVertex { input, .. } => {
-                    count_expands(input)
-                }
-                GraphOp::JoinSub { left, right, .. } => count_expands(left) + count_expands(right),
-                _ => 0,
-            }
-        }
-        assert_eq!(count_expands(&hash_plan), 0);
-        assert!(count_expands(&upgraded) >= 1, "plan: {upgraded:?}");
+        let count = |op: &GraphOp, kind| op.preorder().filter(|o| o.kind() == kind).count();
+        assert_eq!(count(&hash_plan, "expand"), 0);
+        assert!(count(&upgraded, "expand") >= 1, "plan: {upgraded:?}");
         // The triangle-closing edge must stay a hash join.
-        assert!(upgraded.uses_join(), "cycle closure stays a join");
+        assert!(
+            count(&upgraded, "join_sub") >= 1,
+            "cycle closure stays a join"
+        );
     }
 
     #[test]
@@ -696,17 +639,11 @@ mod tests {
         p.add_vertex_predicate(0, ScalarExpr::col_eq(1, "Tom"));
         let v = view();
         let plan = greedy(&p, &v);
-        fn count_filters(op: &GraphOp) -> usize {
-            match op {
-                GraphOp::FilterVertex { input, .. } => 1 + count_filters(input),
-                GraphOp::Expand { input, .. } | GraphOp::ExpandIntersect { input, .. } => {
-                    count_filters(input)
-                }
-                GraphOp::JoinSub { left, right, .. } => count_filters(left) + count_filters(right),
-                _ => 0,
-            }
-        }
-        assert_eq!(count_filters(&plan), 1, "plan: {plan:?}");
+        let filters = plan
+            .preorder()
+            .filter(|op| matches!(op, GraphOp::FilterVertex { .. }))
+            .count();
+        assert_eq!(filters, 1, "plan: {plan:?}");
     }
 
     #[test]
@@ -715,7 +652,32 @@ mod tests {
         let plan = kuzu_heuristic_plan(&triangle(), &v).unwrap();
         let bound = plan.bound_elements(&triangle());
         assert_eq!(bound.len(), 6, "3 vertices + 3 edges: {bound:?}");
-        assert!(!plan.uses_intersect(), "Kùzu-like mode has no EI join");
+        assert!(
+            plan.preorder().all(|op| op.kind() != "expand_intersect"),
+            "Kùzu-like mode has no EI join"
+        );
+    }
+
+    #[test]
+    fn kuzu_plan_refuses_more_edges_than_its_edge_set_holds() {
+        let parallel_knows = |m: usize| {
+            let mut b = PatternBuilder::new();
+            let p1 = b.vertex("p1", LabelId(0));
+            let p2 = b.vertex("p2", LabelId(0));
+            for _ in 0..m {
+                b.edge(p1, p2, LabelId(1)).unwrap();
+            }
+            b.build().unwrap()
+        };
+        let v = view();
+        let err = kuzu_heuristic_plan(&parallel_knows(65), &v).unwrap_err();
+        let msg = err.to_string();
+        assert!(msg.contains("plan error"), "{msg}");
+        assert!(msg.contains("65 edges") && msg.contains("64"), "{msg}");
+        let p = parallel_knows(64);
+        let plan = kuzu_heuristic_plan(&p, &v).unwrap();
+        let bound = plan.bound_elements(&p);
+        assert!((0..64).all(|e| bound.contains(&PatternElem::Edge(e))));
     }
 
     #[test]

@@ -136,60 +136,113 @@ pub enum GraphOp {
 }
 
 impl GraphOp {
+    /// The direct inputs, left before right — the order of EXPLAIN lines
+    /// and operator ids.
+    pub(crate) fn inputs(&self) -> impl DoubleEndedIterator<Item = &GraphOp> {
+        let (first, second) = match self {
+            GraphOp::ScanVertex { .. } | GraphOp::ScanEdge { .. } => (None, None),
+            GraphOp::Expand { input, .. }
+            | GraphOp::ExpandIntersect { input, .. }
+            | GraphOp::FilterVertex { input, .. } => (Some(&**input), None),
+            GraphOp::JoinSub { left, right, .. } => (Some(&**left), Some(&**right)),
+        };
+        first.into_iter().chain(second)
+    }
+
+    /// [`GraphOp::inputs`], mutably.
+    pub(crate) fn inputs_mut(&mut self) -> impl Iterator<Item = &mut GraphOp> {
+        let (first, second) = match self {
+            GraphOp::ScanVertex { .. } | GraphOp::ScanEdge { .. } => (None, None),
+            GraphOp::Expand { input, .. }
+            | GraphOp::ExpandIntersect { input, .. }
+            | GraphOp::FilterVertex { input, .. } => (Some(&mut **input), None),
+            GraphOp::JoinSub { left, right, .. } => (Some(&mut **left), Some(&mut **right)),
+        };
+        first.into_iter().chain(second)
+    }
+
+    /// This node's own predicate sites (its inputs' are not included).
+    pub(crate) fn predicates_mut(&mut self) -> [Option<&mut ScalarExpr>; 2] {
+        match self {
+            GraphOp::ScanVertex { predicate, .. } | GraphOp::ScanEdge { predicate, .. } => {
+                [predicate.as_mut(), None]
+            }
+            GraphOp::Expand {
+                edge_predicate,
+                vertex_predicate,
+                ..
+            } => [edge_predicate.as_mut(), vertex_predicate.as_mut()],
+            GraphOp::ExpandIntersect {
+                vertex_predicate, ..
+            } => [vertex_predicate.as_mut(), None],
+            GraphOp::JoinSub { .. } => [None, None],
+            GraphOp::FilterVertex { predicate, .. } => [Some(predicate), None],
+        }
+    }
+
+    /// Every node of the sub-plan in pre-order: a node before its inputs,
+    /// left before right.
+    pub fn preorder(&self) -> impl Iterator<Item = &GraphOp> {
+        let mut stack = vec![self];
+        std::iter::from_fn(move || {
+            let op = stack.pop()?;
+            stack.extend(op.inputs().rev());
+            Some(op)
+        })
+    }
+
+    /// Rewrite the sub-plan bottom-up: `f` sees each node after its inputs.
+    pub(crate) fn rewrite_bottom_up(&mut self, f: &mut dyn FnMut(&mut GraphOp)) {
+        for input in self.inputs_mut() {
+            input.rewrite_bottom_up(f);
+        }
+        f(self);
+    }
+
     /// The pattern elements bound by this sub-plan, sorted. `ScanEdge`
     /// binds the edge *and* both endpoint vertices, so the pattern is
     /// required to resolve them.
     pub fn bound_elements(&self, pattern: &relgo_pattern::Pattern) -> Vec<PatternElem> {
         let mut out = Vec::new();
-        self.collect_bound(pattern, &mut out);
+        for op in self.preorder() {
+            match op {
+                GraphOp::ScanVertex { v, .. } => out.push(PatternElem::Vertex(*v)),
+                GraphOp::ScanEdge { e, .. } => {
+                    let edge = pattern.edge(*e);
+                    out.extend([
+                        PatternElem::Edge(*e),
+                        PatternElem::Vertex(edge.src),
+                        PatternElem::Vertex(edge.dst),
+                    ]);
+                }
+                GraphOp::Expand {
+                    edge,
+                    to,
+                    emit_edge,
+                    ..
+                } => {
+                    out.push(PatternElem::Vertex(*to));
+                    if *emit_edge {
+                        out.push(PatternElem::Edge(*edge));
+                    }
+                }
+                GraphOp::ExpandIntersect {
+                    legs,
+                    to,
+                    emit_edges,
+                    ..
+                } => {
+                    out.push(PatternElem::Vertex(*to));
+                    if *emit_edges {
+                        out.extend(legs.iter().map(|leg| PatternElem::Edge(leg.edge)));
+                    }
+                }
+                GraphOp::JoinSub { .. } | GraphOp::FilterVertex { .. } => {}
+            }
+        }
         out.sort();
         out.dedup();
         out
-    }
-
-    fn collect_bound(&self, pattern: &relgo_pattern::Pattern, out: &mut Vec<PatternElem>) {
-        match self {
-            GraphOp::ScanVertex { v, .. } => out.push(PatternElem::Vertex(*v)),
-            GraphOp::ScanEdge { e, .. } => {
-                out.push(PatternElem::Edge(*e));
-                let edge = pattern.edge(*e);
-                out.push(PatternElem::Vertex(edge.src));
-                out.push(PatternElem::Vertex(edge.dst));
-            }
-            GraphOp::Expand {
-                input,
-                edge,
-                to,
-                emit_edge,
-                ..
-            } => {
-                input.collect_bound(pattern, out);
-                out.push(PatternElem::Vertex(*to));
-                if *emit_edge {
-                    out.push(PatternElem::Edge(*edge));
-                }
-            }
-            GraphOp::ExpandIntersect {
-                input,
-                legs,
-                to,
-                emit_edges,
-                ..
-            } => {
-                input.collect_bound(pattern, out);
-                out.push(PatternElem::Vertex(*to));
-                if *emit_edges {
-                    for leg in legs {
-                        out.push(PatternElem::Edge(leg.edge));
-                    }
-                }
-            }
-            GraphOp::JoinSub { left, right, .. } => {
-                left.collect_bound(pattern, out);
-                right.collect_bound(pattern, out);
-            }
-            GraphOp::FilterVertex { input, .. } => input.collect_bound(pattern, out),
-        }
     }
 
     /// The annotations of this node.
@@ -201,40 +254,6 @@ impl GraphOp {
             | GraphOp::ExpandIntersect { ann, .. }
             | GraphOp::JoinSub { ann, .. }
             | GraphOp::FilterVertex { ann, .. } => *ann,
-        }
-    }
-
-    /// Count operators in the sub-plan (tests, diagnostics).
-    pub fn op_count(&self) -> usize {
-        match self {
-            GraphOp::ScanVertex { .. } | GraphOp::ScanEdge { .. } => 1,
-            GraphOp::Expand { input, .. }
-            | GraphOp::ExpandIntersect { input, .. }
-            | GraphOp::FilterVertex { input, .. } => 1 + input.op_count(),
-            GraphOp::JoinSub { left, right, .. } => 1 + left.op_count() + right.op_count(),
-        }
-    }
-
-    /// Whether the sub-plan contains an `EXPAND_INTERSECT`.
-    pub fn uses_intersect(&self) -> bool {
-        match self {
-            GraphOp::ScanVertex { .. } | GraphOp::ScanEdge { .. } => false,
-            GraphOp::ExpandIntersect { .. } => true,
-            GraphOp::Expand { input, .. } | GraphOp::FilterVertex { input, .. } => {
-                input.uses_intersect()
-            }
-            GraphOp::JoinSub { left, right, .. } => left.uses_intersect() || right.uses_intersect(),
-        }
-    }
-
-    /// Whether the sub-plan contains any hash join on bindings.
-    pub fn uses_join(&self) -> bool {
-        match self {
-            GraphOp::ScanVertex { .. } | GraphOp::ScanEdge { .. } => false,
-            GraphOp::JoinSub { .. } => true,
-            GraphOp::Expand { input, .. }
-            | GraphOp::ExpandIntersect { input, .. }
-            | GraphOp::FilterVertex { input, .. } => input.uses_join(),
         }
     }
 
@@ -370,22 +389,28 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bound_elements_of_expand_chain() {
-        let plan = GraphOp::Expand {
+    fn expand(emit_edge: bool, est_card: f64) -> GraphOp {
+        GraphOp::Expand {
             input: Box::new(scan(0)),
             from: 0,
             edge: 0,
             to: 1,
             dir: Direction::Out,
-            emit_edge: true,
+            emit_edge,
             edge_predicate: None,
             vertex_predicate: None,
-            ann: PlanAnnotation::default(),
-        };
+            ann: PlanAnnotation {
+                est_card,
+                est_cost: 100.0,
+            },
+        }
+    }
+
+    #[test]
+    fn bound_elements_of_expand_chain() {
         let pat = two_vertex_pattern();
         assert_eq!(
-            plan.bound_elements(&pat),
+            expand(true, 1.0).bound_elements(&pat),
             vec![
                 PatternElem::Vertex(0),
                 PatternElem::Vertex(1),
@@ -393,74 +418,51 @@ mod tests {
             ]
         );
         // Fused expand drops the edge binding.
-        let fused = GraphOp::Expand {
-            input: Box::new(scan(0)),
-            from: 0,
-            edge: 0,
-            to: 1,
-            dir: Direction::Out,
-            emit_edge: false,
-            edge_predicate: None,
-            vertex_predicate: None,
-            ann: PlanAnnotation::default(),
-        };
         assert_eq!(
-            fused.bound_elements(&pat),
+            expand(false, 1.0).bound_elements(&pat),
             vec![PatternElem::Vertex(0), PatternElem::Vertex(1)]
         );
     }
 
     #[test]
     fn op_count_and_flags() {
-        let join = GraphOp::JoinSub {
-            left: Box::new(scan(0)),
-            right: Box::new(scan(1)),
-            on_vertices: vec![],
-            on_edges: vec![],
-            ann: PlanAnnotation::default(),
+        let leg = |from| StarLeg {
+            from,
+            edge: from,
+            dir: Direction::Out,
         };
-        assert_eq!(join.op_count(), 3);
-        assert!(join.uses_join());
-        assert!(!join.uses_intersect());
         let ei = GraphOp::ExpandIntersect {
             input: Box::new(scan(0)),
-            legs: vec![
-                StarLeg {
-                    from: 0,
-                    edge: 0,
-                    dir: Direction::Out,
-                },
-                StarLeg {
-                    from: 1,
-                    edge: 1,
-                    dir: Direction::Out,
-                },
-            ],
+            legs: vec![leg(0), leg(1)],
             to: 2,
             emit_edges: false,
             vertex_predicate: None,
             ann: PlanAnnotation::default(),
         };
-        assert!(ei.uses_intersect());
+        let join = GraphOp::JoinSub {
+            left: Box::new(ei),
+            right: Box::new(expand(true, 1.0)),
+            on_vertices: vec![],
+            on_edges: vec![],
+            ann: PlanAnnotation::default(),
+        };
+        // Pre-order: a node before its inputs, the left subtree first.
+        let kinds: Vec<&str> = join.preorder().map(GraphOp::kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                "join_sub",
+                "expand_intersect",
+                "scan_vertex",
+                "expand",
+                "scan_vertex"
+            ]
+        );
     }
 
     #[test]
     fn explain_renders_tree() {
-        let plan = GraphOp::Expand {
-            input: Box::new(scan(0)),
-            from: 0,
-            edge: 0,
-            to: 1,
-            dir: Direction::Out,
-            emit_edge: false,
-            edge_predicate: None,
-            vertex_predicate: None,
-            ann: PlanAnnotation {
-                est_card: 42.0,
-                est_cost: 100.0,
-            },
-        };
-        let s = plan.explain(&|e| match e {
+        let s = expand(false, 42.0).explain(&|e| match e {
             PatternElem::Vertex(v) => format!("v{v}"),
             PatternElem::Edge(e) => format!("e{e}"),
         });

@@ -3,7 +3,10 @@
 //! cardinality/cost, collected in **pre-order** (node before children;
 //! join children left then right).
 //!
-//! Pre-order is the one traversal every consumer shares: the EXPLAIN
+//! Pre-order is the one traversal every consumer shares, and
+//! `GraphOp::inputs` / `RelOp::inputs` define it: each node names its
+//! direct inputs once, left before right, and every walk — these metas,
+//! [`GraphOp::preorder`], rebinding — recurses through them. The EXPLAIN
 //! renderers emit exactly one line per operator in this order, and the
 //! executors assign profiling ids by reserving the next id at operator
 //! entry before recursing — so plan-time metas, rendered lines, and
@@ -56,17 +59,10 @@ impl GraphOp {
             est_cost: ann.est_cost,
             inputs: Vec::new(),
         });
-        let inputs = match self {
-            GraphOp::ScanVertex { .. } | GraphOp::ScanEdge { .. } => Vec::new(),
-            GraphOp::Expand { input, .. }
-            | GraphOp::ExpandIntersect { input, .. }
-            | GraphOp::FilterVertex { input, .. } => vec![input.collect_metas(out)],
-            GraphOp::JoinSub { left, right, .. } => {
-                let l = left.collect_metas(out);
-                let r = right.collect_metas(out);
-                vec![l, r]
-            }
-        };
+        let inputs = self
+            .inputs()
+            .map(|input| input.collect_metas(out))
+            .collect();
         out[id].inputs = inputs;
         id
     }
@@ -105,12 +101,15 @@ impl RelOp {
             est_cost: 0.0,
             inputs: Vec::new(),
         });
-        let (est_rows, est_cost, inputs) = match self {
-            RelOp::ScanGraphTable { graph, .. } => {
-                let g = graph.collect_metas(out);
-                let est = out[g].est_rows;
-                (est, out[g].est_cost + est, vec![g])
-            }
+        let inputs: Vec<usize> = match self {
+            RelOp::ScanGraphTable { graph, .. } => vec![graph.collect_metas(out)],
+            _ => self
+                .inputs()
+                .map(|input| input.collect_metas(db, out))
+                .collect(),
+        };
+        let input = |i: usize| &out[inputs[i]];
+        let (est_rows, est_cost) = match self {
             RelOp::ScanTable { table, predicate } => {
                 let rows = db.table(table).map(|t| t.num_rows() as f64).unwrap_or(0.0);
                 let est = if predicate.is_some() {
@@ -118,35 +117,26 @@ impl RelOp {
                 } else {
                     rows
                 };
-                (est, rows, Vec::new())
+                (est, rows)
             }
-            RelOp::HashJoin { left, right, .. } => {
-                let l = left.collect_metas(db, out);
-                let r = right.collect_metas(db, out);
-                let est = out[l].est_rows.max(out[r].est_rows);
-                (est, out[l].est_cost + out[r].est_cost + est, vec![l, r])
+            RelOp::HashJoin { .. } => {
+                let (l, r) = (input(0), input(1));
+                let est = l.est_rows.max(r.est_rows);
+                (est, l.est_cost + r.est_cost + est)
             }
-            RelOp::Filter { input, .. } => {
-                let c = input.collect_metas(db, out);
-                let est = out[c].est_rows / 3.0;
-                (est, out[c].est_cost + out[c].est_rows, vec![c])
+            RelOp::Filter { .. } => (
+                input(0).est_rows / 3.0,
+                input(0).est_cost + input(0).est_rows,
+            ),
+            RelOp::Aggregate { .. } => (1.0, input(0).est_cost + input(0).est_rows),
+            RelOp::Limit { n, .. } => {
+                let est = input(0).est_rows.min(*n as f64);
+                (est, input(0).est_cost + est)
             }
-            RelOp::Project { input, .. }
-            | RelOp::Distinct { input }
-            | RelOp::Sort { input, .. } => {
-                let c = input.collect_metas(db, out);
-                let est = out[c].est_rows;
-                (est, out[c].est_cost + est, vec![c])
-            }
-            RelOp::Aggregate { input, .. } => {
-                let c = input.collect_metas(db, out);
-                (1.0, out[c].est_cost + out[c].est_rows, vec![c])
-            }
-            RelOp::Limit { input, n } => {
-                let c = input.collect_metas(db, out);
-                let est = out[c].est_rows.min(*n as f64);
-                (est, out[c].est_cost + est, vec![c])
-            }
+            RelOp::ScanGraphTable { .. }
+            | RelOp::Project { .. }
+            | RelOp::Distinct { .. }
+            | RelOp::Sort { .. } => (input(0).est_rows, input(0).est_cost + input(0).est_rows),
         };
         let meta = &mut out[id];
         meta.est_rows = est_rows;
@@ -196,8 +186,8 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn plan() -> PhysicalPlan {
-        let graph = GraphOp::Expand {
+    fn expand() -> GraphOp {
+        GraphOp::Expand {
             input: Box::new(GraphOp::ScanVertex {
                 v: 0,
                 predicate: None,
@@ -217,7 +207,10 @@ mod tests {
                 est_card: 40.0,
                 est_cost: 50.0,
             },
-        };
+        }
+    }
+
+    fn plan(graph: GraphOp) -> PhysicalPlan {
         PhysicalPlan {
             pattern: pattern(),
             root: RelOp::Distinct {
@@ -233,27 +226,72 @@ mod tests {
         }
     }
 
+    /// `JoinSub(Expand(ScanVertex), ScanEdge)`: the left input's subtree
+    /// comes before the right input.
+    fn join_plan() -> PhysicalPlan {
+        plan(GraphOp::JoinSub {
+            left: Box::new(expand()),
+            right: Box::new(GraphOp::ScanEdge {
+                e: 0,
+                predicate: None,
+                ann: PlanAnnotation {
+                    est_card: 7.0,
+                    est_cost: 7.0,
+                },
+            }),
+            on_vertices: vec![0, 1],
+            on_edges: vec![],
+            ann: PlanAnnotation {
+                est_card: 5.0,
+                est_cost: 62.0,
+            },
+        })
+    }
+
     #[test]
     fn metas_are_preorder_and_match_explain_lines() {
-        let plan = plan();
         let db = Database::new();
-        let metas = plan.operator_metas(&db);
-        let kinds: Vec<&str> = metas.iter().map(|m| m.kind).collect();
-        assert_eq!(
-            kinds,
-            vec!["distinct", "scan_graph_table", "expand", "scan_vertex"]
-        );
-        for (i, m) in metas.iter().enumerate() {
-            assert_eq!(m.op_id, i, "op_id is the pre-order index");
+        // Each plan with its operators in pre-order and their input ids.
+        let cases = [
+            (
+                plan(expand()),
+                "distinct scan_graph_table expand scan_vertex",
+                vec![vec![1], vec![2], vec![3], vec![]],
+            ),
+            (
+                join_plan(),
+                "distinct scan_graph_table join_sub expand scan_vertex scan_edge",
+                vec![vec![1], vec![2], vec![3, 5], vec![4], vec![], vec![]],
+            ),
+        ];
+        for (plan, kinds, inputs) in cases {
+            let kinds: Vec<&str> = kinds.split(' ').collect();
+            let metas = plan.operator_metas(&db);
+            for (i, m) in metas.iter().enumerate() {
+                assert_eq!(m.op_id, i, "op_id is the pre-order index");
+                assert_eq!((m.kind, &m.inputs), (kinds[i], &inputs[i]), "op {i}");
+            }
+            assert_eq!(metas.len(), kinds.len());
+            // The graph plan's own pre-order walk yields the same operators.
+            let graph = plan.root.graph_plan().unwrap();
+            assert!(graph.preorder().map(GraphOp::kind).eq(kinds[2..].to_vec()));
+            // One EXPLAIN line per operator, in the same order.
+            let explain = plan.explain();
+            assert_eq!(explain.lines().count(), metas.len(), "{explain}");
+            for (line, kind) in explain.lines().zip(kinds) {
+                let head = match kind {
+                    "join_sub" => "HASH_JOIN",
+                    "expand" => "EXPAND v0 -> v1",
+                    "scan_vertex" => "SCAN v0",
+                    "scan_edge" => "SCAN_EDGE e0",
+                    relational => &relational.to_uppercase(),
+                };
+                let line = line.trim_start_matches([' ', '|']);
+                assert!(line.starts_with(head), "{kind}: {line}");
+            }
         }
-        // One EXPLAIN line per operator, in the same order.
-        assert_eq!(plan.explain().lines().count(), metas.len());
-        // Child links point at the right nodes.
-        assert_eq!(metas[0].inputs, vec![1]);
-        assert_eq!(metas[1].inputs, vec![2]);
-        assert_eq!(metas[2].inputs, vec![3]);
-        assert!(metas[3].inputs.is_empty());
         // Graph estimates come straight from the optimizer annotations.
+        let metas = plan(expand()).operator_metas(&db);
         assert_eq!(metas[2].est_rows, 40.0);
         assert_eq!(metas[3].est_rows, 10.0);
         assert_eq!(metas[1].est_rows, 40.0);
@@ -261,8 +299,7 @@ mod tests {
 
     #[test]
     fn explain_annotated_suffixes_every_line_in_order() {
-        let plan = plan();
-        let s = plan.explain_annotated(|id| format!("  <op={id}>"));
+        let s = plan(expand()).explain_annotated(|id| format!("  <op={id}>"));
         for (i, line) in s.lines().enumerate() {
             assert!(line.ends_with(&format!("<op={i}>")), "line {i}: {line}");
         }

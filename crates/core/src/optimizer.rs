@@ -512,7 +512,11 @@ mod tests {
         let ctx = setup();
         let (plan, _) = optimize(&fig1_query(), OptimizerMode::RelGo, &ctx).unwrap();
         let g = plan.root.graph_plan().unwrap();
-        assert!(g.uses_intersect(), "{}", plan.explain());
+        assert!(
+            g.preorder().any(|op| op.kind() == "expand_intersect"),
+            "{}",
+            plan.explain()
+        );
     }
 
     #[test]
@@ -520,7 +524,7 @@ mod tests {
         let ctx = setup();
         let (plan, _) = optimize(&fig1_query(), OptimizerMode::RelGoNoEI, &ctx).unwrap();
         let g = plan.root.graph_plan().unwrap();
-        assert!(!g.uses_intersect());
+        assert!(g.preorder().all(|op| op.kind() != "expand_intersect"));
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! optimizer run, counting a *rebind failure*.
 
 use crate::optimizer::OptimizerMode;
-use crate::rel_plan::{PhysicalPlan, RelOp};
+use crate::rel_plan::PhysicalPlan;
 use crate::spjm::{AttrRef, PatternElemRef, SpjmQuery};
 use relgo_common::fxhash::{combine, hash_u64, FxHasher};
 use relgo_common::{RelGoError, Result, Value};
@@ -171,30 +171,24 @@ fn render_template(expr: &ScalarExpr, out: &mut String, params: &mut Vec<Value>)
             let _ = write!(out, "${i}");
         }
         ScalarExpr::Lit(v) => render_value(out, v),
-        ScalarExpr::Cmp(op, l, r) => {
-            match (is_lit(l), is_lit(r)) {
-                (false, true) => {
-                    render_template(l, out, params);
-                    let _ = write!(out, " {op} ?{}", params.len());
-                    if let ScalarExpr::Lit(v) = r.as_ref() {
-                        params.push(v.clone());
-                    }
-                }
-                (true, false) => {
-                    let _ = write!(out, "?{} {op} ", params.len());
-                    if let ScalarExpr::Lit(v) = l.as_ref() {
-                        params.push(v.clone());
-                    }
-                    render_template(r, out, params);
-                }
-                _ => {
-                    // Two literals or two expressions: structural.
-                    render_template(l, out, params);
-                    let _ = write!(out, " {op} ");
-                    render_template(r, out, params);
-                }
+        ScalarExpr::Cmp(op, l, r) => match (l.as_ref(), r.as_ref()) {
+            (l, ScalarExpr::Lit(v)) if !is_lit(l) => {
+                render_template(l, out, params);
+                let _ = write!(out, " {op} ?{}", params.len());
+                params.push(v.clone());
             }
-        }
+            (ScalarExpr::Lit(v), r) if !is_lit(r) => {
+                let _ = write!(out, "?{} {op} ", params.len());
+                params.push(v.clone());
+                render_template(r, out, params);
+            }
+            // Two literals or two expressions: structural.
+            (l, r) => {
+                render_template(l, out, params);
+                let _ = write!(out, " {op} ");
+                render_template(r, out, params);
+            }
+        },
         ScalarExpr::And(l, r) => {
             out.push('(');
             render_template(l, out, params);
@@ -239,6 +233,16 @@ fn render_template(expr: &ScalarExpr, out: &mut String, params: &mut Vec<Value>)
             out.push(')');
         }
     }
+}
+
+/// Element indices in canonical order, given `perm[old] = canonical
+/// position`: the slot order of pattern predicates.
+fn canonical_order(perm: &[usize]) -> impl Iterator<Item = usize> {
+    let mut order = vec![0; perm.len()];
+    for (old, &canon) in perm.iter().enumerate() {
+        order[canon] = old;
+    }
+    order.into_iter()
 }
 
 /// Compute the parameterized view of `query`.
@@ -287,25 +291,17 @@ pub fn parameterize(query: &SpjmQuery) -> ParamQuery {
     shape.push(';');
 
     // Pattern predicates in canonical element order.
-    let mut by_canon: Vec<(usize, usize)> = (0..query.pattern.vertex_count())
-        .map(|v| (form.vertex_perm[v], v))
-        .collect();
-    by_canon.sort_unstable();
     shape.push_str("vpred:");
-    for &(canon, old) in &by_canon {
-        if let Some(p) = &query.pattern.vertex(old).predicate {
+    for (canon, v) in canonical_order(&form.vertex_perm).enumerate() {
+        if let Some(p) = &query.pattern.vertex(v).predicate {
             let _ = write!(shape, "v{canon}[");
             render_template(p, &mut shape, &mut params);
             shape.push_str("];");
         }
     }
-    let mut edges_by_canon: Vec<(usize, usize)> = (0..query.pattern.edge_count())
-        .map(|e| (form.edge_perm[e], e))
-        .collect();
-    edges_by_canon.sort_unstable();
     shape.push_str("epred:");
-    for &(canon, old) in &edges_by_canon {
-        if let Some(p) = &query.pattern.edge(old).predicate {
+    for (canon, e) in canonical_order(&form.edge_perm).enumerate() {
+        if let Some(p) = &query.pattern.edge(e).predicate {
             let _ = write!(shape, "e{canon}[");
             render_template(p, &mut shape, &mut params);
             shape.push_str("];");
@@ -392,176 +388,45 @@ impl Bindings {
     }
 }
 
-/// Substitute parameter-position literals of `expr` through `b`.
-fn rebind_expr(expr: &ScalarExpr, b: &mut Bindings) -> ScalarExpr {
+/// Visit the parameter slots of `expr` in slot order: the literal side of
+/// each comparison whose other side is not a literal, in the order
+/// [`render_template`] numbers them.
+fn for_each_slot(expr: &mut ScalarExpr, f: &mut dyn FnMut(&mut Value)) {
     match expr {
-        ScalarExpr::Cmp(op, l, r) => {
-            let rebound_side = |side: &ScalarExpr, b: &mut Bindings| match side {
-                ScalarExpr::Lit(v) => match b.substitute(v) {
-                    Some(n) => ScalarExpr::Lit(n),
-                    None => side.clone(),
-                },
-                other => rebind_expr(other, b),
-            };
-            match (is_lit(l), is_lit(r)) {
-                (false, true) => ScalarExpr::Cmp(
-                    *op,
-                    Box::new(rebind_expr(l, b)),
-                    Box::new(rebound_side(r, b)),
-                ),
-                (true, false) => ScalarExpr::Cmp(
-                    *op,
-                    Box::new(rebound_side(l, b)),
-                    Box::new(rebind_expr(r, b)),
-                ),
-                _ => ScalarExpr::Cmp(
-                    *op,
-                    Box::new(rebind_expr(l, b)),
-                    Box::new(rebind_expr(r, b)),
-                ),
+        ScalarExpr::Cmp(_, l, r) => match (l.as_mut(), r.as_mut()) {
+            (l, ScalarExpr::Lit(v)) if !is_lit(l) => {
+                for_each_slot(l, f);
+                f(v);
             }
+            (ScalarExpr::Lit(v), r) if !is_lit(r) => {
+                f(v);
+                for_each_slot(r, f);
+            }
+            (l, r) => {
+                for_each_slot(l, f);
+                for_each_slot(r, f);
+            }
+        },
+        ScalarExpr::And(l, r) | ScalarExpr::Or(l, r) => {
+            for_each_slot(l, f);
+            for_each_slot(r, f);
         }
-        ScalarExpr::And(l, r) => {
-            ScalarExpr::And(Box::new(rebind_expr(l, b)), Box::new(rebind_expr(r, b)))
-        }
-        ScalarExpr::Or(l, r) => {
-            ScalarExpr::Or(Box::new(rebind_expr(l, b)), Box::new(rebind_expr(r, b)))
-        }
-        ScalarExpr::Not(e) => ScalarExpr::Not(Box::new(rebind_expr(e, b))),
-        ScalarExpr::StartsWith(e, p) => {
-            ScalarExpr::StartsWith(Box::new(rebind_expr(e, b)), p.clone())
-        }
-        ScalarExpr::Contains(e, p) => ScalarExpr::Contains(Box::new(rebind_expr(e, b)), p.clone()),
-        ScalarExpr::IsNull(e) => ScalarExpr::IsNull(Box::new(rebind_expr(e, b))),
-        ScalarExpr::InList(e, list) => {
-            ScalarExpr::InList(Box::new(rebind_expr(e, b)), list.clone())
-        }
-        leaf @ (ScalarExpr::Col(_) | ScalarExpr::Lit(_)) => leaf.clone(),
+        ScalarExpr::Not(e)
+        | ScalarExpr::StartsWith(e, _)
+        | ScalarExpr::Contains(e, _)
+        | ScalarExpr::IsNull(e)
+        | ScalarExpr::InList(e, _) => for_each_slot(e, f),
+        ScalarExpr::Col(_) | ScalarExpr::Lit(_) => {}
     }
 }
 
-fn rebind_opt(p: &Option<ScalarExpr>, b: &mut Bindings) -> Option<ScalarExpr> {
-    p.as_ref().map(|e| rebind_expr(e, b))
-}
-
-fn rebind_graph_op(
-    op: &crate::graph_plan::GraphOp,
-    b: &mut Bindings,
-) -> crate::graph_plan::GraphOp {
-    use crate::graph_plan::GraphOp;
-    match op {
-        GraphOp::ScanVertex { v, predicate, ann } => GraphOp::ScanVertex {
-            v: *v,
-            predicate: rebind_opt(predicate, b),
-            ann: *ann,
-        },
-        GraphOp::ScanEdge { e, predicate, ann } => GraphOp::ScanEdge {
-            e: *e,
-            predicate: rebind_opt(predicate, b),
-            ann: *ann,
-        },
-        GraphOp::Expand {
-            input,
-            from,
-            edge,
-            to,
-            dir,
-            emit_edge,
-            edge_predicate,
-            vertex_predicate,
-            ann,
-        } => GraphOp::Expand {
-            input: Box::new(rebind_graph_op(input, b)),
-            from: *from,
-            edge: *edge,
-            to: *to,
-            dir: *dir,
-            emit_edge: *emit_edge,
-            edge_predicate: rebind_opt(edge_predicate, b),
-            vertex_predicate: rebind_opt(vertex_predicate, b),
-            ann: *ann,
-        },
-        GraphOp::ExpandIntersect {
-            input,
-            legs,
-            to,
-            emit_edges,
-            vertex_predicate,
-            ann,
-        } => GraphOp::ExpandIntersect {
-            input: Box::new(rebind_graph_op(input, b)),
-            legs: legs.clone(),
-            to: *to,
-            emit_edges: *emit_edges,
-            vertex_predicate: rebind_opt(vertex_predicate, b),
-            ann: *ann,
-        },
-        GraphOp::JoinSub {
-            left,
-            right,
-            on_vertices,
-            on_edges,
-            ann,
-        } => GraphOp::JoinSub {
-            left: Box::new(rebind_graph_op(left, b)),
-            right: Box::new(rebind_graph_op(right, b)),
-            on_vertices: on_vertices.clone(),
-            on_edges: on_edges.clone(),
-            ann: *ann,
-        },
-        GraphOp::FilterVertex {
-            input,
-            v,
-            predicate,
-            ann,
-        } => GraphOp::FilterVertex {
-            input: Box::new(rebind_graph_op(input, b)),
-            v: *v,
-            predicate: rebind_expr(predicate, b),
-            ann: *ann,
-        },
-    }
-}
-
-fn rebind_rel_op(op: &RelOp, b: &mut Bindings) -> RelOp {
-    match op {
-        RelOp::ScanGraphTable { graph, columns } => RelOp::ScanGraphTable {
-            graph: rebind_graph_op(graph, b),
-            columns: columns.clone(),
-        },
-        RelOp::ScanTable { table, predicate } => RelOp::ScanTable {
-            table: table.clone(),
-            predicate: rebind_opt(predicate, b),
-        },
-        RelOp::HashJoin { left, right, keys } => RelOp::HashJoin {
-            left: Box::new(rebind_rel_op(left, b)),
-            right: Box::new(rebind_rel_op(right, b)),
-            keys: keys.clone(),
-        },
-        RelOp::Filter { input, predicate } => RelOp::Filter {
-            input: Box::new(rebind_rel_op(input, b)),
-            predicate: rebind_expr(predicate, b),
-        },
-        RelOp::Project { input, cols } => RelOp::Project {
-            input: Box::new(rebind_rel_op(input, b)),
-            cols: cols.clone(),
-        },
-        RelOp::Aggregate { input, aggs } => RelOp::Aggregate {
-            input: Box::new(rebind_rel_op(input, b)),
-            aggs: aggs.clone(),
-        },
-        RelOp::Distinct { input } => RelOp::Distinct {
-            input: Box::new(rebind_rel_op(input, b)),
-        },
-        RelOp::Sort { input, keys } => RelOp::Sort {
-            input: Box::new(rebind_rel_op(input, b)),
-            keys: keys.clone(),
-        },
-        RelOp::Limit { input, n } => RelOp::Limit {
-            input: Box::new(rebind_rel_op(input, b)),
-            n: *n,
-        },
-    }
+/// Substitute parameter-position literals of `expr` through `b`.
+fn rebind_expr(expr: &mut ScalarExpr, b: &mut Bindings) {
+    for_each_slot(expr, &mut |v| {
+        if let Some(n) = b.substitute(v) {
+            *v = n;
+        }
+    });
 }
 
 /// Substitute fresh literal bindings into a cached plan skeleton.
@@ -578,70 +443,10 @@ pub fn rebind_plan(plan: &PhysicalPlan, old: &[Value], new: &[Value]) -> Result<
         return Ok(plan.clone());
     }
     let mut b = Bindings::build(old, new)?;
-    let pattern = plan
-        .pattern
-        .map_predicates(&mut |e: &ScalarExpr| rebind_expr(e, &mut b));
-    let root = rebind_rel_op(&plan.root, &mut b);
+    let mut plan = plan.clone();
+    plan.for_each_predicate_mut(&mut |e| rebind_expr(e, &mut b));
     b.check_complete()?;
-    Ok(PhysicalPlan { pattern, root })
-}
-
-/// Take the next positional slot value.
-fn take_slot(next: &mut usize, new: &[Value]) -> Result<Value> {
-    let v = new.get(*next).cloned().ok_or_else(|| {
-        RelGoError::query(format!(
-            "bind_query: template has more than {} slot(s), got {} binding(s)",
-            *next,
-            new.len()
-        ))
-    })?;
-    *next += 1;
-    Ok(v)
-}
-
-/// Positional mirror of [`render_template`]: replace each
-/// parameter-position literal with the next binding, traversing in exactly
-/// the order `parameterize` assigns slot indices.
-fn bind_template(expr: &ScalarExpr, next: &mut usize, new: &[Value]) -> Result<ScalarExpr> {
-    Ok(match expr {
-        ScalarExpr::Cmp(op, l, r) => match (is_lit(l), is_lit(r)) {
-            (false, true) => {
-                let l2 = bind_template(l, next, new)?;
-                let v = take_slot(next, new)?;
-                ScalarExpr::Cmp(*op, Box::new(l2), Box::new(ScalarExpr::Lit(v)))
-            }
-            (true, false) => {
-                let v = take_slot(next, new)?;
-                let r2 = bind_template(r, next, new)?;
-                ScalarExpr::Cmp(*op, Box::new(ScalarExpr::Lit(v)), Box::new(r2))
-            }
-            _ => ScalarExpr::Cmp(
-                *op,
-                Box::new(bind_template(l, next, new)?),
-                Box::new(bind_template(r, next, new)?),
-            ),
-        },
-        ScalarExpr::And(l, r) => ScalarExpr::And(
-            Box::new(bind_template(l, next, new)?),
-            Box::new(bind_template(r, next, new)?),
-        ),
-        ScalarExpr::Or(l, r) => ScalarExpr::Or(
-            Box::new(bind_template(l, next, new)?),
-            Box::new(bind_template(r, next, new)?),
-        ),
-        ScalarExpr::Not(e) => ScalarExpr::Not(Box::new(bind_template(e, next, new)?)),
-        ScalarExpr::StartsWith(e, p) => {
-            ScalarExpr::StartsWith(Box::new(bind_template(e, next, new)?), p.clone())
-        }
-        ScalarExpr::Contains(e, p) => {
-            ScalarExpr::Contains(Box::new(bind_template(e, next, new)?), p.clone())
-        }
-        ScalarExpr::IsNull(e) => ScalarExpr::IsNull(Box::new(bind_template(e, next, new)?)),
-        ScalarExpr::InList(e, list) => {
-            ScalarExpr::InList(Box::new(bind_template(e, next, new)?), list.clone())
-        }
-        leaf @ (ScalarExpr::Col(_) | ScalarExpr::Lit(_)) => leaf.clone(),
-    })
+    Ok(plan)
 }
 
 /// Substitute fresh literal bindings into a *query* (not a plan): the
@@ -656,45 +461,32 @@ fn bind_template(expr: &ScalarExpr, next: &mut usize, new: &[Value]) -> Result<S
 /// in slot `i`. Errors on arity mismatch.
 pub fn bind_query(query: &SpjmQuery, new: &[Value]) -> Result<SpjmQuery> {
     let form = relgo_pattern::canonical_form(&query.pattern);
-    let mut next = 0usize;
     let mut q = query.clone();
-    q.selection = match &query.selection {
-        Some(e) => Some(bind_template(e, &mut next, new)?),
-        None => None,
+    let mut slots = 0usize;
+    let mut bind = |e: &mut ScalarExpr| {
+        for_each_slot(e, &mut |v| {
+            if let Some(n) = new.get(slots) {
+                *v = n.clone();
+            }
+            slots += 1;
+        })
     };
-
-    // Pattern predicates bound in canonical element order (the slot
-    // order), then queued in *element index* order — the order
-    // `map_predicates` visits sites (vertices first, then edges).
-    let mut vpreds: Vec<Option<ScalarExpr>> = vec![None; query.pattern.vertex_count()];
-    let mut by_canon: Vec<(usize, usize)> = (0..query.pattern.vertex_count())
-        .map(|v| (form.vertex_perm[v], v))
-        .collect();
-    by_canon.sort_unstable();
-    for &(_, old) in &by_canon {
-        if let Some(p) = &query.pattern.vertex(old).predicate {
-            vpreds[old] = Some(bind_template(p, &mut next, new)?);
+    if let Some(selection) = &mut q.selection {
+        bind(selection);
+    }
+    for v in canonical_order(&form.vertex_perm) {
+        if let Some(p) = q.pattern.vertex_predicate_mut(v) {
+            bind(p);
         }
     }
-    let mut epreds: Vec<Option<ScalarExpr>> = vec![None; query.pattern.edge_count()];
-    let mut edges_by_canon: Vec<(usize, usize)> = (0..query.pattern.edge_count())
-        .map(|e| (form.edge_perm[e], e))
-        .collect();
-    edges_by_canon.sort_unstable();
-    for &(_, old) in &edges_by_canon {
-        if let Some(p) = &query.pattern.edge(old).predicate {
-            epreds[old] = Some(bind_template(p, &mut next, new)?);
+    for e in canonical_order(&form.edge_perm) {
+        if let Some(p) = q.pattern.edge_predicate_mut(e) {
+            bind(p);
         }
     }
-    let mut queue: std::collections::VecDeque<ScalarExpr> =
-        vpreds.into_iter().chain(epreds).flatten().collect();
-    q.pattern = query
-        .pattern
-        .map_predicates(&mut |_| queue.pop_front().expect("one bound predicate per site"));
-
-    if next != new.len() {
+    if slots != new.len() {
         return Err(RelGoError::query(format!(
-            "bind_query arity mismatch: template has {next} slot(s), got {} binding(s)",
+            "bind_query arity mismatch: template has {slots} slot(s), got {} binding(s)",
             new.len()
         )));
     }
@@ -901,6 +693,98 @@ mod tests {
         assert_eq!(parameterize(&rebound).params, pq.params, "round trip");
     }
 
+    /// A plan with one distinct slot literal at every predicate site.
+    fn plan_with_every_predicate_site(lit: impl Fn(i64) -> ScalarExpr) -> PhysicalPlan {
+        use crate::graph_plan::{GraphOp, PlanAnnotation, StarLeg};
+        use crate::rel_plan::RelOp;
+        use relgo_graph::Direction;
+        let ann = PlanAnnotation::default();
+        let mut pb = PatternBuilder::new();
+        let p = pb.vertex("p", LabelId(0));
+        let m = pb.vertex("m", LabelId(1));
+        pb.edge(p, m, LabelId(0)).unwrap();
+        pb.vertex_predicate(p, lit(0));
+        pb.edge_predicate(0, lit(1));
+        let expand = GraphOp::Expand {
+            input: Box::new(GraphOp::ScanVertex {
+                v: 0,
+                predicate: Some(lit(2)),
+                ann,
+            }),
+            from: 0,
+            edge: 0,
+            to: 1,
+            dir: Direction::Out,
+            emit_edge: true,
+            edge_predicate: Some(lit(3)),
+            vertex_predicate: Some(lit(4)),
+            ann,
+        };
+        let intersect = GraphOp::ExpandIntersect {
+            input: Box::new(GraphOp::ScanEdge {
+                e: 0,
+                predicate: Some(lit(5)),
+                ann,
+            }),
+            legs: vec![StarLeg {
+                from: 0,
+                edge: 0,
+                dir: Direction::Out,
+            }],
+            to: 1,
+            emit_edges: true,
+            vertex_predicate: Some(lit(6)),
+            ann,
+        };
+        let graph = GraphOp::JoinSub {
+            left: Box::new(expand),
+            right: Box::new(GraphOp::FilterVertex {
+                input: Box::new(intersect),
+                v: 1,
+                predicate: lit(7),
+                ann,
+            }),
+            on_vertices: vec![0, 1],
+            on_edges: vec![],
+            ann,
+        };
+        let join = RelOp::HashJoin {
+            left: Box::new(RelOp::ScanGraphTable {
+                graph,
+                columns: vec![],
+            }),
+            right: Box::new(RelOp::ScanTable {
+                table: "T".into(),
+                predicate: Some(lit(8)),
+            }),
+            keys: vec![(0, 0)],
+        };
+        PhysicalPlan {
+            pattern: pb.build().unwrap(),
+            root: RelOp::Filter {
+                input: Box::new(join),
+                predicate: lit(9),
+            },
+        }
+    }
+
+    #[test]
+    fn rebind_reaches_every_predicate_site() {
+        const SITES: i64 = 10;
+        let old: Vec<Value> = (0..SITES).map(|i| Value::Int(1000 + i)).collect();
+        let new: Vec<Value> = (0..SITES).map(|i| Value::Int(2000 + i)).collect();
+        let plan = plan_with_every_predicate_site(|i| ScalarExpr::col_eq(0, 1000 + i));
+        let rebound = rebind_plan(&plan, &old, &new).unwrap();
+        let rendered = format!("{rebound:?}");
+        for (o, n) in old.iter().zip(&new) {
+            assert!(!rendered.contains(&format!("{o:?}")), "{o} survived");
+            assert!(rendered.contains(&format!("{n:?}")), "{n} missing");
+        }
+        // Literal for literal, the rebound plan is the one built fresh.
+        let fresh = plan_with_every_predicate_site(|i| ScalarExpr::col_eq(0, 2000 + i));
+        assert_eq!(rendered, format!("{fresh:?}"));
+    }
+
     #[test]
     fn rebind_expr_substitutes_param_positions_only() {
         let e = ScalarExpr::col_eq(0, 5i64).and(ScalarExpr::InList(
@@ -908,7 +792,8 @@ mod tests {
             vec![Value::Int(5)],
         ));
         let mut b = Bindings::build(&[Value::Int(5)], &[Value::Int(42)]).unwrap();
-        let rebound = rebind_expr(&e, &mut b);
+        let mut rebound = e.clone();
+        rebind_expr(&mut rebound, &mut b);
         let s = rebound.to_string();
         assert!(s.contains("$0 = 42"), "{s}");
         assert!(s.contains("IN (5)"), "IN-list untouched: {s}");

@@ -127,18 +127,52 @@ impl RelOp {
         }
     }
 
-    /// The embedded graph plan, if any.
-    pub fn graph_plan(&self) -> Option<&GraphOp> {
-        match self {
-            RelOp::ScanGraphTable { graph, .. } => Some(graph),
-            RelOp::ScanTable { .. } => None,
-            RelOp::HashJoin { left, right, .. } => left.graph_plan().or_else(|| right.graph_plan()),
+    /// The direct inputs, left before right — the order of EXPLAIN lines
+    /// and operator ids. `SCAN_GRAPH_TABLE`'s graph plan is not a
+    /// relational input.
+    pub(crate) fn inputs(&self) -> impl Iterator<Item = &RelOp> {
+        let (first, second) = match self {
+            RelOp::ScanGraphTable { .. } | RelOp::ScanTable { .. } => (None, None),
+            RelOp::HashJoin { left, right, .. } => (Some(&**left), Some(&**right)),
             RelOp::Filter { input, .. }
             | RelOp::Project { input, .. }
             | RelOp::Aggregate { input, .. }
             | RelOp::Distinct { input }
             | RelOp::Sort { input, .. }
-            | RelOp::Limit { input, .. } => input.graph_plan(),
+            | RelOp::Limit { input, .. } => (Some(&**input), None),
+        };
+        first.into_iter().chain(second)
+    }
+
+    /// [`RelOp::inputs`], mutably.
+    fn inputs_mut(&mut self) -> impl Iterator<Item = &mut RelOp> {
+        let (first, second) = match self {
+            RelOp::ScanGraphTable { .. } | RelOp::ScanTable { .. } => (None, None),
+            RelOp::HashJoin { left, right, .. } => (Some(&mut **left), Some(&mut **right)),
+            RelOp::Filter { input, .. }
+            | RelOp::Project { input, .. }
+            | RelOp::Aggregate { input, .. }
+            | RelOp::Distinct { input }
+            | RelOp::Sort { input, .. }
+            | RelOp::Limit { input, .. } => (Some(&mut **input), None),
+        };
+        first.into_iter().chain(second)
+    }
+
+    /// This operator's own predicate site, if it has one.
+    fn predicate_mut(&mut self) -> Option<&mut ScalarExpr> {
+        match self {
+            RelOp::ScanTable { predicate, .. } => predicate.as_mut(),
+            RelOp::Filter { predicate, .. } => Some(predicate),
+            _ => None,
+        }
+    }
+
+    /// The embedded graph plan, if any (the leftmost one).
+    pub fn graph_plan(&self) -> Option<&GraphOp> {
+        match self {
+            RelOp::ScanGraphTable { graph, .. } => Some(graph),
+            _ => self.inputs().find_map(RelOp::graph_plan),
         }
     }
 
@@ -248,6 +282,34 @@ impl PhysicalPlan {
         let mut out = String::new();
         self.root.explain_into(&mut out, 0, &names);
         out
+    }
+
+    /// Visit every predicate site in place: the pattern's element
+    /// predicates, then each relational operator's and each graph
+    /// operator's.
+    pub(crate) fn for_each_predicate_mut(&mut self, f: &mut dyn FnMut(&mut ScalarExpr)) {
+        for v in 0..self.pattern.vertex_count() {
+            if let Some(p) = self.pattern.vertex_predicate_mut(v) {
+                f(p);
+            }
+        }
+        for e in 0..self.pattern.edge_count() {
+            if let Some(p) = self.pattern.edge_predicate_mut(e) {
+                f(p);
+            }
+        }
+        fn walk(op: &mut RelOp, f: &mut dyn FnMut(&mut ScalarExpr)) {
+            if let RelOp::ScanGraphTable { graph, .. } = op {
+                graph.rewrite_bottom_up(&mut |g| {
+                    g.predicates_mut().into_iter().flatten().for_each(&mut *f)
+                });
+            }
+            if let Some(p) = op.predicate_mut() {
+                f(p);
+            }
+            op.inputs_mut().for_each(|input| walk(input, f));
+        }
+        walk(&mut self.root, f);
     }
 }
 

@@ -119,7 +119,7 @@ fn used_global_columns(query: &SpjmQuery) -> Option<FxHashSet<usize>> {
 ///    referenced by any remaining column switch `emit_edge` off — the
 ///    `EXPAND_EDGE`/`GET_VERTEX` pair becomes the fused `EXPAND`; star legs
 ///    of `EXPAND_INTERSECT` are trimmed likewise.
-pub fn trim_and_fuse(query: &SpjmQuery, graph: GraphOp) -> (SpjmQuery, GraphOp) {
+pub fn trim_and_fuse(query: &SpjmQuery, mut graph: GraphOp) -> (SpjmQuery, GraphOp) {
     let mut out = query.clone();
     if let Some(used) = used_global_columns(query) {
         let width = query.graph_width();
@@ -168,77 +168,21 @@ pub fn trim_and_fuse(query: &SpjmQuery, graph: GraphOp) -> (SpjmQuery, GraphOp) 
                 })
                 .collect()
         };
-    let fused = fuse(graph, &needed_edges);
-    (out, fused)
+    fuse(&mut graph, &needed_edges);
+    (out, graph)
 }
 
-fn fuse(op: GraphOp, needed: &FxHashSet<usize>) -> GraphOp {
-    match op {
+/// Switch off the edge bindings no consumer needs (one bottom-up pass).
+fn fuse(op: &mut GraphOp, needed: &FxHashSet<usize>) {
+    op.rewrite_bottom_up(&mut |op| match op {
         GraphOp::Expand {
-            input,
-            from,
-            edge,
-            to,
-            dir,
-            emit_edge,
-            edge_predicate,
-            vertex_predicate,
-            ann,
-        } => GraphOp::Expand {
-            input: Box::new(fuse(*input, needed)),
-            from,
-            edge,
-            to,
-            dir,
-            emit_edge: emit_edge && needed.contains(&edge),
-            edge_predicate,
-            vertex_predicate,
-            ann,
-        },
+            edge, emit_edge, ..
+        } => *emit_edge &= needed.contains(edge),
         GraphOp::ExpandIntersect {
-            input,
-            legs,
-            to,
-            emit_edges,
-            vertex_predicate,
-            ann,
-        } => {
-            let still_needed = legs.iter().any(|l| needed.contains(&l.edge));
-            GraphOp::ExpandIntersect {
-                input: Box::new(fuse(*input, needed)),
-                legs,
-                to,
-                emit_edges: emit_edges && still_needed,
-                vertex_predicate,
-                ann,
-            }
-        }
-        GraphOp::JoinSub {
-            left,
-            right,
-            on_vertices,
-            on_edges,
-            ann,
-        } => GraphOp::JoinSub {
-            left: Box::new(fuse(*left, needed)),
-            right: Box::new(fuse(*right, needed)),
-            on_vertices,
-            on_edges,
-            ann,
-        },
-        GraphOp::FilterVertex {
-            input,
-            v,
-            predicate,
-            ann,
-        } => GraphOp::FilterVertex {
-            input: Box::new(fuse(*input, needed)),
-            v,
-            predicate,
-            ann,
-        },
-        leaf @ (GraphOp::ScanVertex { .. } | GraphOp::ScanEdge { .. }) => leaf,
-    }
+            legs, emit_edges, ..
+        } => *emit_edges &= legs.iter().any(|l| needed.contains(&l.edge)),
+        _ => {}
+    });
 }
 
 #[cfg(test)]
@@ -358,10 +302,7 @@ mod tests {
         let (q2, g2) = trim_and_fuse(&q, expand_plan(true));
         assert_eq!(q2.graph_width(), 1, "edge id column trimmed");
         assert_eq!(q2.projection, vec![0]);
-        match g2 {
-            GraphOp::Expand { emit_edge, .. } => assert!(!emit_edge, "fused into EXPAND"),
-            other => panic!("unexpected plan {other:?}"),
-        }
+        assert_eq!(g2, expand_plan(false), "fused into EXPAND");
     }
 
     #[test]
@@ -378,10 +319,7 @@ mod tests {
         let q = b.build();
         let (q2, g2) = trim_and_fuse(&q, expand_plan(true));
         assert_eq!(q2.graph_width(), 2, "edge column kept for the selection");
-        match g2 {
-            GraphOp::Expand { emit_edge, .. } => assert!(emit_edge),
-            other => panic!("unexpected plan {other:?}"),
-        }
+        assert_eq!(g2, expand_plan(true));
     }
 
     #[test]
@@ -392,10 +330,7 @@ mod tests {
         let q = b.build();
         let (q2, g2) = trim_and_fuse(&q, expand_plan(true));
         assert_eq!(q2.graph_width(), 2);
-        match g2 {
-            GraphOp::Expand { emit_edge, .. } => assert!(emit_edge),
-            other => panic!("unexpected plan {other:?}"),
-        }
+        assert_eq!(g2, expand_plan(true));
     }
 
     #[test]

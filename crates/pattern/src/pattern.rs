@@ -170,21 +170,15 @@ impl Pattern {
         *slot = Some(ScalarExpr::conjoin(slot.take(), pred));
     }
 
-    /// Rewrite every element predicate through `f` (plan-cache rebinding
-    /// substitutes fresh parameter literals this way).
-    pub fn map_predicates(&self, f: &mut dyn FnMut(&ScalarExpr) -> ScalarExpr) -> Pattern {
-        let mut out = self.clone();
-        for v in &mut out.vertices {
-            if let Some(p) = &v.predicate {
-                v.predicate = Some(f(p));
-            }
-        }
-        for e in &mut out.edges {
-            if let Some(p) = &e.predicate {
-                e.predicate = Some(f(p));
-            }
-        }
-        out
+    /// The predicate of vertex `v`, for in-place rewriting (plan-cache
+    /// rebinding substitutes fresh parameter literals this way).
+    pub fn vertex_predicate_mut(&mut self, v: usize) -> Option<&mut ScalarExpr> {
+        self.vertices[v].predicate.as_mut()
+    }
+
+    /// The predicate of edge `e`, for in-place rewriting.
+    pub fn edge_predicate_mut(&mut self, e: usize) -> Option<&mut ScalarExpr> {
+        self.edges[e].predicate.as_mut()
     }
 
     /// Whether any pattern element carries a predicate.

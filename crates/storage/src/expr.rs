@@ -53,7 +53,7 @@ impl BinaryOp {
     }
 
     /// The operator with its operands swapped (`lit < col` is `col > lit`).
-    fn flipped(self) -> BinaryOp {
+    pub(crate) fn flipped(self) -> BinaryOp {
         match self {
             BinaryOp::Lt => BinaryOp::Gt,
             BinaryOp::Le => BinaryOp::Ge,
@@ -408,17 +408,25 @@ impl ScalarExpr {
     /// Heuristic selectivity estimate in `(0, 1]` (no data access) — the
     /// low-order-statistics path used by the graph-agnostic optimizers.
     pub fn estimated_selectivity(&self) -> f64 {
+        self.selectivity_with(&|_, _, _| None)
+    }
+
+    /// Selectivity estimate in `(0, 1]` combining independent conjuncts and
+    /// disjuncts. `cmp` estimates a comparison `l <op> r`; where it returns
+    /// `None` (and at every other leaf) the heuristic priors apply.
+    pub(crate) fn selectivity_with(
+        &self,
+        cmp: &dyn Fn(BinaryOp, &ScalarExpr, &ScalarExpr) -> Option<f64>,
+    ) -> f64 {
         match self {
             ScalarExpr::Col(_) | ScalarExpr::Lit(_) => 1.0,
-            ScalarExpr::Cmp(op, _, _) => op.default_selectivity(),
-            ScalarExpr::And(l, r) => {
-                (l.estimated_selectivity() * r.estimated_selectivity()).max(1e-9)
-            }
+            ScalarExpr::Cmp(op, l, r) => cmp(*op, l, r).unwrap_or_else(|| op.default_selectivity()),
+            ScalarExpr::And(l, r) => (l.selectivity_with(cmp) * r.selectivity_with(cmp)).max(1e-9),
             ScalarExpr::Or(l, r) => {
-                let (a, b) = (l.estimated_selectivity(), r.estimated_selectivity());
+                let (a, b) = (l.selectivity_with(cmp), r.selectivity_with(cmp));
                 (a + b - a * b).min(1.0)
             }
-            ScalarExpr::Not(e) => (1.0 - e.estimated_selectivity()).max(1e-9),
+            ScalarExpr::Not(e) => (1.0 - e.selectivity_with(cmp)).max(1e-9),
             ScalarExpr::StartsWith(..) => 0.05,
             ScalarExpr::Contains(..) => 0.1,
             ScalarExpr::IsNull(_) => 0.02,

@@ -111,52 +111,24 @@ impl Histogram {
 /// Integer comparisons consult equi-width histograms; everything else falls
 /// back to the heuristic priors of [`ScalarExpr::estimated_selectivity`].
 pub fn predicate_selectivity(table: &Table, expr: &ScalarExpr) -> f64 {
-    match expr {
-        ScalarExpr::And(l, r) => {
-            (predicate_selectivity(table, l) * predicate_selectivity(table, r)).max(1e-9)
-        }
-        ScalarExpr::Or(l, r) => {
-            let (a, b) = (
-                predicate_selectivity(table, l),
-                predicate_selectivity(table, r),
-            );
-            (a + b - a * b).min(1.0)
-        }
-        ScalarExpr::Not(e) => (1.0 - predicate_selectivity(table, e)).max(1e-9),
-        ScalarExpr::Cmp(op, l, r) => {
-            // col <op> literal (either orientation).
-            let (col, lit, op) = match (l.as_ref(), r.as_ref()) {
-                (ScalarExpr::Col(c), ScalarExpr::Lit(v)) => (*c, v.clone(), *op),
-                (ScalarExpr::Lit(v), ScalarExpr::Col(c)) => (*c, v.clone(), flip(*op)),
-                _ => return expr.estimated_selectivity(),
-            };
-            let Some(v) = lit.as_int() else {
-                return expr.estimated_selectivity();
-            };
-            let Some(h) = Histogram::build(table, col) else {
-                return expr.estimated_selectivity();
-            };
-            match op {
-                BinaryOp::Eq => h.eq_selectivity(v).max(1e-9),
-                BinaryOp::Ne => (1.0 - h.eq_selectivity(v)).max(1e-9),
-                BinaryOp::Lt => h.range_selectivity(None, Some(v - 1)).max(1e-9),
-                BinaryOp::Le => h.range_selectivity(None, Some(v)).max(1e-9),
-                BinaryOp::Gt => h.range_selectivity(Some(v + 1), None).max(1e-9),
-                BinaryOp::Ge => h.range_selectivity(Some(v), None).max(1e-9),
-            }
-        }
-        other => other.estimated_selectivity(),
-    }
-}
-
-fn flip(op: BinaryOp) -> BinaryOp {
-    match op {
-        BinaryOp::Lt => BinaryOp::Gt,
-        BinaryOp::Le => BinaryOp::Ge,
-        BinaryOp::Gt => BinaryOp::Lt,
-        BinaryOp::Ge => BinaryOp::Le,
-        other => other,
-    }
+    expr.selectivity_with(&|op, l, r| {
+        // col <op> literal (either orientation).
+        let (col, lit, op) = match (l, r) {
+            (ScalarExpr::Col(c), ScalarExpr::Lit(v)) => (*c, v, op),
+            (ScalarExpr::Lit(v), ScalarExpr::Col(c)) => (*c, v, op.flipped()),
+            _ => return None,
+        };
+        let v = lit.as_int()?;
+        let h = Histogram::build(table, col)?;
+        Some(match op {
+            BinaryOp::Eq => h.eq_selectivity(v).max(1e-9),
+            BinaryOp::Ne => (1.0 - h.eq_selectivity(v)).max(1e-9),
+            BinaryOp::Lt => h.range_selectivity(None, Some(v - 1)).max(1e-9),
+            BinaryOp::Le => h.range_selectivity(None, Some(v)).max(1e-9),
+            BinaryOp::Gt => h.range_selectivity(Some(v + 1), None).max(1e-9),
+            BinaryOp::Ge => h.range_selectivity(Some(v), None).max(1e-9),
+        })
+    })
 }
 
 #[cfg(test)]

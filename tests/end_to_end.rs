@@ -9,15 +9,10 @@ fn session() -> (Session, SnbSchema) {
     Session::snb(0.05, 42).expect("session")
 }
 
-fn count_ops(op: &GraphOp, pred: &dyn Fn(&GraphOp) -> bool) -> usize {
-    let own = pred(op) as usize;
-    own + match op {
-        GraphOp::ScanVertex { .. } | GraphOp::ScanEdge { .. } => 0,
-        GraphOp::Expand { input, .. }
-        | GraphOp::ExpandIntersect { input, .. }
-        | GraphOp::FilterVertex { input, .. } => count_ops(input, pred),
-        GraphOp::JoinSub { left, right, .. } => count_ops(left, pred) + count_ops(right, pred),
-    }
+/// How many operators of the plan's graph component satisfy `pred`.
+fn count_ops(plan: &PhysicalPlan, pred: impl Fn(&GraphOp) -> bool) -> usize {
+    let graph = plan.root.graph_plan().unwrap();
+    graph.preorder().filter(|op| pred(op)).count()
 }
 
 #[test]
@@ -43,29 +38,12 @@ fn trim_and_fuse_produces_fused_expands() {
     // QR3 projects only the endpoint name; every knows-edge is trimmable.
     let q = &qr[2].query;
     let (plan, _) = session.optimize(q, OptimizerMode::RelGo).unwrap();
-    let g = plan.root.graph_plan().unwrap();
-    let fused = count_ops(g, &|op| {
-        matches!(
-            op,
-            GraphOp::Expand {
-                emit_edge: false,
-                ..
-            }
-        )
-    });
-    assert!(fused >= 1, "expected fused EXPANDs:\n{}", plan.explain());
+    let fused = |op: &GraphOp| matches!(op, GraphOp::Expand { emit_edge, .. } if !emit_edge);
+    let n = count_ops(&plan, fused);
+    assert!(n >= 1, "expected fused EXPANDs:\n{}", plan.explain());
     let (norule, _) = session.optimize(q, OptimizerMode::RelGoNoRule).unwrap();
-    let g2 = norule.root.graph_plan().unwrap();
-    let fused2 = count_ops(g2, &|op| {
-        matches!(
-            op,
-            GraphOp::Expand {
-                emit_edge: false,
-                ..
-            }
-        )
-    });
-    assert_eq!(fused2, 0, "NoRule keeps EXPAND_EDGE+GET_VERTEX pairs");
+    let n = count_ops(&norule, fused);
+    assert_eq!(n, 0, "NoRule keeps EXPAND_EDGE+GET_VERTEX pairs");
 }
 
 #[test]
@@ -73,10 +51,11 @@ fn qc_triangle_uses_intersect_only_in_ei_modes() {
     let (session, schema) = session();
     let qc = snb_queries::qc_queries(&schema).unwrap();
     let q = &qc[0].query; // triangle
+    let intersect = |op: &GraphOp| op.kind() == "expand_intersect";
     let (relgo, _) = session.optimize(q, OptimizerMode::RelGo).unwrap();
-    assert!(relgo.root.graph_plan().unwrap().uses_intersect());
+    assert!(count_ops(&relgo, intersect) > 0);
     let (noei, _) = session.optimize(q, OptimizerMode::RelGoNoEI).unwrap();
-    assert!(!noei.root.graph_plan().unwrap().uses_intersect());
+    assert_eq!(count_ops(&noei, intersect), 0);
     // Agnostic baselines never intersect.
     for mode in [
         OptimizerMode::DuckDbLike,
@@ -84,7 +63,7 @@ fn qc_triangle_uses_intersect_only_in_ei_modes() {
         OptimizerMode::UmbraLike,
     ] {
         let (p, _) = session.optimize(q, mode).unwrap();
-        assert!(!p.root.graph_plan().unwrap().uses_intersect(), "{mode:?}");
+        assert_eq!(count_ops(&p, intersect), 0, "{mode:?}");
     }
 }
 
