@@ -37,6 +37,10 @@ pub enum RelGoError {
     /// morsel boundaries, see `morsel::TimeBudget`). Retryable with a
     /// longer deadline — the serving edge maps it to `503` + `Retry-After`.
     DeadlineExceeded(String),
+    /// Durable recovery cannot restore every acknowledged commit: a
+    /// checkpoint it could not read holds epochs the compacted log no longer
+    /// does. Not retryable — the named file has to be repaired or restored.
+    DataLoss(String),
 }
 
 impl RelGoError {
@@ -87,6 +91,7 @@ impl fmt::Display for RelGoError {
             RelGoError::ResourceExhausted(s) => write!(f, "resource exhausted: {s}"),
             RelGoError::Conflict(s) => write!(f, "write conflict: {s}"),
             RelGoError::DeadlineExceeded(s) => write!(f, "deadline exceeded: {s}"),
+            RelGoError::DataLoss(s) => write!(f, "data loss: {s}"),
         }
     }
 }
@@ -115,6 +120,8 @@ mod tests {
         assert!(e.to_string().starts_with("write conflict"));
         let e = RelGoError::deadline_exceeded("query ran past its 50ms deadline");
         assert!(e.to_string().starts_with("deadline exceeded"));
+        let e = RelGoError::DataLoss("epochs 3..=4".into());
+        assert!(e.to_string().starts_with("data loss"));
     }
 
     #[test]

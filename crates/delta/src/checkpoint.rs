@@ -25,17 +25,19 @@
 //! through the codec's atomic replace, so a crash at any point leaves
 //! either the old checkpoint set or the new one — never a torn visible
 //! checkpoint, because torn bytes only ever live under the temp name, which
-//! the loader ignores. [`CheckpointCrash`] lets the crash-recovery harness
-//! kill the process inside each phase to prove it.
-//! [`CheckpointStore::load_newest`] additionally tolerates a corrupted
-//! newest file (bit rot after rename) by falling back to the previous
-//! checkpoint, which retention keeps around for exactly this reason.
+//! the loader ignores. The fault harness (`tests/wal_recovery.rs`) cuts the
+//! power inside each phase through the codec's I/O seam to prove it.
+//! [`CheckpointStore::load_newest`] additionally tolerates a corrupted or
+//! unreadable newest file (bit rot after rename) by falling back to the
+//! previous checkpoint, which retention keeps around for exactly this
+//! reason, and names every file it rejected: the caller decides whether the
+//! log still holds the epochs between the two.
 
-pub use crate::codec::CheckpointCrash;
-use crate::codec::{self, io_err, Reader};
+use crate::codec::{self, io_err, Fs, Io, Reader, Site};
 use relgo_common::{DataType, Field, RelGoError, Result, Schema};
 use relgo_storage::{Database, TableBuilder};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Leading bytes of every checkpoint file; the trailing digit is the
 /// format version.
@@ -63,10 +65,11 @@ pub struct LoadedCheckpoint {
     pub path: PathBuf,
     /// File size in bytes.
     pub bytes: u64,
-    /// Newer checkpoint files that were rejected as corrupt before this
-    /// one loaded (0 on the happy path).
-    pub rejected: usize,
 }
+
+/// A checkpoint file [`CheckpointStore::load_newest`] could not load:
+/// `(epoch, path, why)`.
+pub type RejectedCheckpoint = (u64, PathBuf, String);
 
 /// What [`CheckpointStore::retain`] did with superseded checkpoints.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -81,10 +84,13 @@ pub struct RetentionReport {
 pub struct CheckpointStore {
     dir: PathBuf,
     prefix: String,
+    io: Arc<dyn Io>,
 }
 
 impl CheckpointStore {
-    /// The store for checkpoints of the log at `wal_path`.
+    /// The store for checkpoints of the log at `wal_path`, on the
+    /// filesystem ([`crate::wal::Wal::checkpoints`] is the store on the
+    /// log's own seam).
     pub fn for_wal(wal_path: impl AsRef<Path>) -> CheckpointStore {
         let wal_path = wal_path.as_ref();
         let dir = match wal_path.parent() {
@@ -98,7 +104,12 @@ impl CheckpointStore {
         CheckpointStore {
             dir,
             prefix: format!("{file}.ckpt."),
+            io: Arc::new(Fs),
         }
+    }
+
+    pub(crate) fn with_io(self, io: Arc<dyn Io>) -> CheckpointStore {
+        CheckpointStore { io, ..self }
     }
 
     fn path_for(&self, epoch: u64) -> PathBuf {
@@ -110,40 +121,32 @@ impl CheckpointStore {
     }
 
     /// Existing checkpoint files as `(epoch, path)`, ascending by epoch.
-    /// Temp files and foreign names are ignored.
+    /// Temp files and foreign names are ignored; a directory that cannot be
+    /// listed is an error (the log lives in it, so it exists).
     pub fn list(&self) -> Result<Vec<(u64, PathBuf)>> {
-        let mut out = Vec::new();
-        let entries = match std::fs::read_dir(&self.dir) {
-            Ok(e) => e,
-            Err(_) => return Ok(out), // no directory yet: no checkpoints
-        };
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let Some(suffix) = name.strip_prefix(&self.prefix) else {
-                continue;
-            };
-            let Ok(epoch) = suffix.parse::<u64>() else {
-                continue; // the temp file or an unrelated sibling
-            };
-            out.push((epoch, entry.path()));
-        }
+        let entries = self
+            .io
+            .list(Site::CheckpointList, &self.dir)
+            .map_err(|e| io_err("checkpoint list", &e))?;
+        let mut out: Vec<(u64, PathBuf)> = entries
+            .into_iter()
+            .filter_map(|path| {
+                let name = path.file_name()?.to_str()?;
+                // The temp file and unrelated siblings do not parse.
+                let epoch = name.strip_prefix(&self.prefix)?.parse().ok()?;
+                Some((epoch, path))
+            })
+            .collect();
         out.sort_unstable_by_key(|(e, _)| *e);
         Ok(out)
     }
 
     /// Snapshot `db` at `epoch`, published atomically (the codec's
-    /// temp + fsync + rename + directory-fsync replace). `crash` is the
-    /// harness's fault-injection hook.
-    pub fn write(
-        &self,
-        epoch: u64,
-        db: &Database,
-        crash: Option<CheckpointCrash>,
-    ) -> Result<WrittenCheckpoint> {
+    /// temp + fsync + rename + directory-fsync replace).
+    pub fn write(&self, epoch: u64, db: &Database) -> Result<WrittenCheckpoint> {
         let image = encode_checkpoint(epoch, db);
         let path = self.path_for(epoch);
-        codec::replace_file(&self.temp_path(), &path, &image, "checkpoint", crash)?;
+        codec::replace_file(&*self.io, &self.temp_path(), &path, &image, "checkpoint")?;
         Ok(WrittenCheckpoint {
             epoch,
             path,
@@ -151,32 +154,38 @@ impl CheckpointStore {
         })
     }
 
-    /// Load the newest checkpoint that decodes cleanly, skipping (and
-    /// counting) corrupt newer files — a flipped CRC byte, a truncated
-    /// header, or a zero-length file all fall back to the checkpoint
-    /// before them. `Ok(None)` means no valid checkpoint exists.
-    pub fn load_newest(&self) -> Result<Option<LoadedCheckpoint>> {
+    /// Load the newest checkpoint that reads and decodes cleanly, skipping
+    /// newer files that do not — a read error, a flipped CRC byte, a
+    /// truncated header, or a zero-length file all fall back to the
+    /// checkpoint before them. Returns the loaded checkpoint (`None` when no
+    /// valid one exists) and the files rejected on the way, newest first.
+    pub fn load_newest(&self) -> Result<(Option<LoadedCheckpoint>, Vec<RejectedCheckpoint>)> {
         let mut list = self.list()?;
-        let mut rejected = 0usize;
+        let mut rejected = Vec::new();
         while let Some((epoch, path)) = list.pop() {
-            let Ok(bytes) = std::fs::read(&path) else {
-                rejected += 1;
-                continue;
-            };
-            match decode_checkpoint(&bytes) {
-                Ok((e, db)) if e == epoch => {
-                    return Ok(Some(LoadedCheckpoint {
+            let loaded = self
+                .io
+                .read(Site::CheckpointRead, &path)
+                .map_err(|e| format!("read failed: {e}"))
+                .and_then(|bytes| match decode_checkpoint(&bytes) {
+                    Ok((e, db)) if e == epoch => Ok((db, bytes.len() as u64)),
+                    Ok((e, _)) => Err(format!("holds epoch {e}")),
+                    Err(e) => Err(e.to_string()),
+                });
+            match loaded {
+                Ok((db, bytes)) => {
+                    let loaded = LoadedCheckpoint {
                         epoch,
                         db,
                         path,
-                        bytes: bytes.len() as u64,
-                        rejected,
-                    }))
+                        bytes,
+                    };
+                    return Ok((Some(loaded), rejected));
                 }
-                _ => rejected += 1,
+                Err(why) => rejected.push((epoch, path, why)),
             }
         }
-        Ok(None)
+        Ok((None, rejected))
     }
 
     /// Keep the `keep` newest checkpoint files and delete older ones.
@@ -191,7 +200,9 @@ impl CheckpointStore {
         }
         let drop_n = list.len() - keep;
         for (_, path) in list.drain(..drop_n) {
-            std::fs::remove_file(&path).map_err(|e| io_err("checkpoint remove", &e))?;
+            self.io
+                .remove(Site::CheckpointRemove, &path)
+                .map_err(|e| io_err("checkpoint remove", &e))?;
             report.removed += 1;
         }
         Ok(report)
@@ -367,6 +378,10 @@ mod tests {
         ))
     }
 
+    fn epochs(store: &CheckpointStore) -> Vec<u64> {
+        store.list().unwrap().iter().map(|(e, _)| *e).collect()
+    }
+
     fn cleanup(store: &CheckpointStore) {
         for (_, path) in store.list().unwrap() {
             std::fs::remove_file(path).ok();
@@ -502,23 +517,16 @@ mod tests {
         let store = CheckpointStore::for_wal(temp_wal("store"));
         cleanup(&store);
         let db = sample_db();
-        let w1 = store.write(3, &db, None).unwrap();
+        let w1 = store.write(3, &db).unwrap();
         assert!(w1.path.exists());
-        store.write(9, &db, None).unwrap();
+        store.write(9, &db).unwrap();
         // No temp file survives a completed write.
         assert!(!store.temp_path().exists());
-        let loaded = store.load_newest().unwrap().unwrap();
-        assert_eq!((loaded.epoch, loaded.rejected), (9, 0));
+        let (loaded, rejected) = store.load_newest().unwrap();
+        let loaded = loaded.unwrap();
+        assert_eq!((loaded.epoch, rejected.len()), (9, 0));
         assert!(dbs_identical(&db, &loaded.db));
-        assert_eq!(
-            store
-                .list()
-                .unwrap()
-                .iter()
-                .map(|(e, _)| *e)
-                .collect::<Vec<_>>(),
-            vec![3, 9]
-        );
+        assert_eq!(epochs(&store), [3, 9]);
         cleanup(&store);
     }
 
@@ -527,32 +535,41 @@ mod tests {
         let store = CheckpointStore::for_wal(temp_wal("fallback"));
         cleanup(&store);
         let db = sample_db();
-        store.write(3, &db, None).unwrap();
-        let w2 = store.write(9, &db, None).unwrap();
+        store.write(3, &db).unwrap();
+        let w2 = store.write(9, &db).unwrap();
 
-        // Flip one byte of the newest file: load falls back to epoch 3.
+        // Flip one byte of the newest file: load falls back to epoch 3 and
+        // names the file it rejected.
+        let fallback = |store: &CheckpointStore| {
+            let (loaded, rejected) = store.load_newest().unwrap();
+            let loaded = loaded.unwrap();
+            assert_eq!(loaded.epoch, 3);
+            assert!(dbs_identical(&db, &loaded.db));
+            assert_eq!(rejected.len(), 1);
+            assert_eq!((rejected[0].0, &rejected[0].1), (9, &w2.path));
+            rejected[0].2.clone()
+        };
         let mut bytes = std::fs::read(&w2.path).unwrap();
         bytes[MAGIC.len() + 1] ^= 0xff;
         std::fs::write(&w2.path, &bytes).unwrap();
-        let loaded = store.load_newest().unwrap().unwrap();
-        assert_eq!((loaded.epoch, loaded.rejected), (3, 1));
-        assert!(dbs_identical(&db, &loaded.db));
+        assert!(fallback(&store).contains("checkpoint corrupt"));
 
         // Truncate the newest to a short header: still falls back.
         std::fs::write(&w2.path, &bytes[..5]).unwrap();
-        let loaded = store.load_newest().unwrap().unwrap();
-        assert_eq!((loaded.epoch, loaded.rejected), (3, 1));
+        fallback(&store);
 
         // Zero-length newest: still falls back.
         std::fs::write(&w2.path, b"").unwrap();
-        let loaded = store.load_newest().unwrap().unwrap();
-        assert_eq!((loaded.epoch, loaded.rejected), (3, 1));
+        fallback(&store);
 
-        // Every checkpoint corrupt: no checkpoint, caller replays from base.
+        // Every checkpoint corrupt: no checkpoint, and both are named.
         for (_, path) in store.list().unwrap() {
             std::fs::write(path, b"junk").unwrap();
         }
-        assert!(store.load_newest().unwrap().is_none());
+        let (loaded, rejected) = store.load_newest().unwrap();
+        assert!(loaded.is_none());
+        let named: Vec<u64> = rejected.iter().map(|r| r.0).collect();
+        assert_eq!(named, [9, 3]);
         cleanup(&store);
     }
 
@@ -561,12 +578,12 @@ mod tests {
         let store = CheckpointStore::for_wal(temp_wal("straytmp"));
         cleanup(&store);
         let db = sample_db();
-        store.write(4, &db, None).unwrap();
+        store.write(4, &db).unwrap();
         // A crash between temp write and rename leaves this behind.
         std::fs::write(store.temp_path(), b"torn checkpoint bytes").unwrap();
         assert_eq!(store.list().unwrap().len(), 1);
-        let loaded = store.load_newest().unwrap().unwrap();
-        assert_eq!((loaded.epoch, loaded.rejected), (4, 0));
+        let (loaded, rejected) = store.load_newest().unwrap();
+        assert_eq!((loaded.unwrap().epoch, rejected.len()), (4, 0));
         std::fs::remove_file(store.temp_path()).ok();
         cleanup(&store);
     }
@@ -577,12 +594,11 @@ mod tests {
         cleanup(&store);
         let db = sample_db();
         for epoch in [1u64, 2, 3, 4] {
-            store.write(epoch, &db, None).unwrap();
+            store.write(epoch, &db).unwrap();
         }
         let report = store.retain(2).unwrap();
         assert_eq!(report.removed, 2);
-        let epochs: Vec<u64> = store.list().unwrap().iter().map(|(e, _)| *e).collect();
-        assert_eq!(epochs, vec![3, 4]);
+        assert_eq!(epochs(&store), [3, 4]);
         cleanup(&store);
     }
 }

@@ -48,14 +48,24 @@
 //! bytes under a temporary sibling name, `fsync` that file, `rename` it
 //! over the destination, `fsync` the directory. A crash at any point leaves
 //! either the old destination or the new one — torn bytes only ever live
-//! under the temporary name, which no loader opens. [`CheckpointCrash`]
-//! names the phases, so the crash-recovery harness can kill the process
-//! inside each one.
+//! under the temporary name, which no loader opens. A failed directory
+//! `fsync` is the caller's error: the new name may not survive a power cut.
+//!
+//! ## The I/O seam
+//!
+//! Every filesystem call the crate makes goes through the [`Io`] trait, and
+//! each call names its [`Site`] — sixteen in all. The filesystem ([`Fs`],
+//! the `fs` module at the end of this file) is the trait's one
+//! implementation and the only code in the crate that names `std::fs`.
+//! Tests put a double in its place through
+//! [`crate::wal::WalOptions::with_io`] to fail any call with `EIO`,
+//! `ENOSPC`, a short write or a power cut (`tests/wal_recovery.rs`).
 
 use relgo_common::{RelGoError, Result, Value};
-use std::fs::File;
-use std::io::Write;
-use std::path::Path;
+use std::io;
+use std::path::{Path, PathBuf};
+
+pub use fs::{Fs, Handle};
 
 /// Width of a frame's length field.
 pub(crate) const LEN_BYTES: usize = 8;
@@ -244,62 +254,128 @@ pub(crate) fn corrupt(artifact: &str, what: impl std::fmt::Display) -> RelGoErro
 
 /// "`what` failed: `e`" — the shape of every storage I/O error; `what`
 /// names the artifact and the step ("wal fsync", "checkpoint rename").
-pub(crate) fn io_err(what: impl std::fmt::Display, e: &std::io::Error) -> RelGoError {
+pub(crate) fn io_err(what: impl std::fmt::Display, e: &io::Error) -> RelGoError {
     RelGoError::execution(format!("{what} failed: {e}"))
 }
 
-/// Fault-injection points for the crash-recovery harness: abort the
-/// process inside a chosen phase of the atomic file replace a checkpoint
-/// is written with.
+/// One filesystem call site of the crate, which a double keys its faults on:
+///
+/// | caller | sites, in call order |
+/// |---|---|
+/// | `Wal::open` | `WalOpen`, `WalRead`, `WalTruncate` (a torn tail only), `WalSeek` |
+/// | a group flush | `WalWrite`, `WalFsync` |
+/// | compaction | `CompactRead`, then the atomic replace's |
+/// | an atomic replace (checkpoint, compaction) | `TempCreate`, `TempWrite`, `TempFsync`, `Rename`, `DirOpen` (best effort), `DirFsync` |
+/// | the checkpoint store | `CheckpointList`, `CheckpointRead` (load), `CheckpointRemove` (retention) |
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckpointCrash {
-    /// Die mid-temp-write: only the first `n` bytes of the temp file reach
-    /// disk (clamped to tear the file even for large `n`).
-    MidTempWrite(u64),
-    /// Die after the temp file is fully written but before it is fsynced
-    /// and renamed — models a power cut during the fsync.
-    BeforeRename,
-    /// Die right after the atomic rename: the checkpoint is durable but
-    /// the caller's WAL truncation never runs.
-    AfterRename,
+pub enum Site {
+    WalOpen,
+    WalRead,
+    WalTruncate,
+    WalSeek,
+    WalWrite,
+    WalFsync,
+    CompactRead,
+    TempCreate,
+    TempWrite,
+    TempFsync,
+    Rename,
+    DirOpen,
+    DirFsync,
+    CheckpointList,
+    CheckpointRead,
+    CheckpointRemove,
+}
+
+/// The I/O seam under every durable byte (see the module header). Each
+/// method defaults to the filesystem, so a double overrides only the calls
+/// it changes; `site` says which call site is asking.
+pub trait Io: Send + Sync + std::fmt::Debug {
+    /// Open `path` for reading and writing, creating it when missing.
+    fn open(&self, site: Site, path: &Path) -> io::Result<Handle> {
+        Fs.open(site, path)
+    }
+
+    /// Create `path` for writing, truncating what was there.
+    fn create(&self, site: Site, path: &Path) -> io::Result<Handle> {
+        Fs.create(site, path)
+    }
+
+    /// Open the directory `path`, to fsync it.
+    fn open_dir(&self, site: Site, path: &Path) -> io::Result<Handle> {
+        Fs.open_dir(site, path)
+    }
+
+    /// The whole contents of `path`.
+    fn read(&self, site: Site, path: &Path) -> io::Result<Vec<u8>> {
+        Fs.read(site, path)
+    }
+
+    /// Write all of `bytes` at the handle's position.
+    fn write(&self, site: Site, file: &mut Handle, bytes: &[u8]) -> io::Result<()> {
+        Fs.write(site, file, bytes)
+    }
+
+    /// Make everything written through the handle durable.
+    fn sync(&self, site: Site, file: &mut Handle) -> io::Result<()> {
+        Fs.sync(site, file)
+    }
+
+    /// Cut (or extend) the file to `len` bytes.
+    fn set_len(&self, site: Site, file: &mut Handle, len: u64) -> io::Result<()> {
+        Fs.set_len(site, file, len)
+    }
+
+    /// Move the handle's position to byte `pos`.
+    fn seek(&self, site: Site, file: &mut Handle, pos: u64) -> io::Result<()> {
+        Fs.seek(site, file, pos)
+    }
+
+    /// Atomically rename `from` over `to`.
+    fn rename(&self, site: Site, from: &Path, to: &Path) -> io::Result<()> {
+        Fs.rename(site, from, to)
+    }
+
+    /// The paths of the entries of directory `dir`.
+    fn list(&self, site: Site, dir: &Path) -> io::Result<Vec<PathBuf>> {
+        Fs.list(site, dir)
+    }
+
+    /// Delete the file `path`.
+    fn remove(&self, site: Site, path: &Path) -> io::Result<()> {
+        Fs.remove(site, path)
+    }
 }
 
 /// Atomically make `bytes` the contents of `dest` (see the module header):
 /// write `tmp`, fsync it, rename it over `dest`, fsync the directory.
-/// `artifact` prefixes the I/O errors; `crash` is the harness's hook.
-/// Returns the handle of the new file, positioned at its end.
+/// `artifact` prefixes the I/O errors. Returns the handle of the new file,
+/// positioned at its end.
 pub(crate) fn replace_file(
+    io: &dyn Io,
     tmp: &Path,
     dest: &Path,
     bytes: &[u8],
     artifact: &str,
-    crash: Option<CheckpointCrash>,
-) -> Result<File> {
-    let err = |step: &str, e: std::io::Error| io_err(format_args!("{artifact} {step}"), &e);
-    let mut f = File::create(tmp).map_err(|e| err("create temp", e))?;
-    if let Some(CheckpointCrash::MidTempWrite(n)) = crash {
-        // Tear the temp file: write a strict prefix, make sure it is the
-        // bytes a power cut would leave, and die.
-        let keep = (n as usize).min(bytes.len().saturating_sub(1));
-        let _ = f.write_all(&bytes[..keep]);
-        let _ = f.sync_all();
-        std::process::abort();
-    }
-    f.write_all(bytes).map_err(|e| err("write temp", e))?;
-    if crash == Some(CheckpointCrash::BeforeRename) {
-        std::process::abort();
-    }
-    f.sync_all().map_err(|e| err("fsync temp", e))?;
-    std::fs::rename(tmp, dest).map_err(|e| err("rename", e))?;
+) -> Result<Handle> {
+    let err = |step: &str, e: io::Error| io_err(format_args!("{artifact} {step}"), &e);
+    let mut f = io
+        .create(Site::TempCreate, tmp)
+        .map_err(|e| err("create temp", e))?;
+    io.write(Site::TempWrite, &mut f, bytes)
+        .map_err(|e| err("write temp", e))?;
+    io.sync(Site::TempFsync, &mut f)
+        .map_err(|e| err("fsync temp", e))?;
+    io.rename(Site::Rename, tmp, dest)
+        .map_err(|e| err("rename", e))?;
     // The rename is what publishes the file; syncing the directory makes
-    // the new name itself survive a power cut. Best effort: not every
-    // platform lets a directory be opened.
+    // the new name itself survive a power cut. Opening the directory is
+    // best effort (not every platform lets a directory be opened); a sync
+    // that fails is not.
     let dir = dest.parent().filter(|p| !p.as_os_str().is_empty());
-    if let Ok(d) = File::open(dir.unwrap_or(Path::new("."))) {
-        let _ = d.sync_all();
-    }
-    if crash == Some(CheckpointCrash::AfterRename) {
-        std::process::abort();
+    if let Ok(mut d) = io.open_dir(Site::DirOpen, dir.unwrap_or(Path::new("."))) {
+        io.sync(Site::DirFsync, &mut d)
+            .map_err(|e| err("fsync directory", e))?;
     }
     Ok(f)
 }
@@ -337,6 +413,73 @@ pub(crate) fn crc32(data: &[u8]) -> u32 {
         c = CRC_TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
     }
     !c
+}
+
+/// The filesystem: the seam's one implementation outside tests, and the
+/// only code in the crate that names `std::fs` (CI checks it).
+mod fs {
+    use super::{Io, Site};
+    use std::fs::{File, OpenOptions};
+    use std::io::{self, Seek, SeekFrom, Write};
+    use std::path::{Path, PathBuf};
+
+    /// An open file (or directory) the seam hands out.
+    #[derive(Debug)]
+    pub struct Handle(File);
+
+    /// The real filesystem.
+    #[derive(Debug, Clone, Copy)]
+    pub struct Fs;
+
+    impl Io for Fs {
+        fn open(&self, _: Site, path: &Path) -> io::Result<Handle> {
+            let mut options = OpenOptions::new();
+            options.read(true).write(true).create(true).truncate(false);
+            options.open(path).map(Handle)
+        }
+
+        fn create(&self, _: Site, path: &Path) -> io::Result<Handle> {
+            File::create(path).map(Handle)
+        }
+
+        fn open_dir(&self, _: Site, path: &Path) -> io::Result<Handle> {
+            File::open(path).map(Handle)
+        }
+
+        fn read(&self, _: Site, path: &Path) -> io::Result<Vec<u8>> {
+            std::fs::read(path)
+        }
+
+        fn write(&self, _: Site, file: &mut Handle, bytes: &[u8]) -> io::Result<()> {
+            file.0.write_all(bytes)
+        }
+
+        fn sync(&self, _: Site, file: &mut Handle) -> io::Result<()> {
+            file.0.sync_all()
+        }
+
+        fn set_len(&self, _: Site, file: &mut Handle, len: u64) -> io::Result<()> {
+            file.0.set_len(len)
+        }
+
+        fn seek(&self, _: Site, file: &mut Handle, pos: u64) -> io::Result<()> {
+            file.0.seek(SeekFrom::Start(pos)).map(drop)
+        }
+
+        fn rename(&self, _: Site, from: &Path, to: &Path) -> io::Result<()> {
+            std::fs::rename(from, to)
+        }
+
+        fn list(&self, _: Site, dir: &Path) -> io::Result<Vec<PathBuf>> {
+            std::fs::read_dir(dir)?
+                .map(|entry| entry.map(|e| e.path()))
+                .collect()
+        }
+
+        fn remove(&self, _: Site, path: &Path) -> io::Result<()> {
+            std::fs::remove_file(path)
+        }
+    }
 }
 
 #[cfg(test)]

@@ -27,6 +27,8 @@ pub mod checkpoint;
 mod codec;
 pub mod wal;
 
+pub use codec::{Fs, Handle, Io, Site};
+
 /// The pending delta against one table: appended rows plus primary-key
 /// tombstones. Accumulated row-at-a-time, merged column-wise at commit.
 #[derive(Debug, Default, Clone)]

@@ -34,8 +34,11 @@
 //! would put intact frames *behind* a torn one, where no scan ever reaches
 //! them, so the log refuses instead: the error is remembered, and from then
 //! on no [`Wal::sync_through`] returns `Ok` for a sequence that was not
-//! already durable and no [`Wal::compact_through`] runs. Reopening the log
-//! ([`Wal::open`] truncates the tear away) is the way back.
+//! already durable and no [`Wal::compact_through`] runs. A failed
+//! compaction fails the log closed the same way: past its rename the live
+//! handle points at an unlinked file, and a failed directory fsync leaves
+//! the log's name itself in doubt. Reopening the log ([`Wal::open`]
+//! truncates the tear away) is the way back.
 //!
 //! ## Recovery
 //!
@@ -45,46 +48,40 @@
 //! is truncated to that valid prefix so subsequent appends extend a clean
 //! log. A torn tail loses only the suffix of not-fully-flushed commits —
 //! never a record before the tear — which is the prefix-consistency
-//! contract the crash-recovery differential harness
-//! (`tests/wal_recovery.rs`) checks against a never-crashed oracle.
+//! contract the fault harness (`tests/wal_recovery.rs`) checks against a
+//! never-faulted oracle, with a power cut or an I/O error injected at every
+//! call of the codec's [`Io`] seam, which the log and its checkpoint store
+//! reach the disk through.
 
-use crate::codec::{self, io_err, Reader, Writer};
+use crate::checkpoint::CheckpointStore;
+use crate::codec::{self, io_err, Fs, Handle, Io, Reader, Site, Writer};
 use crate::DeltaSet;
 use relgo_common::{RelGoError, Result};
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Guard against absurd length prefixes when scanning a corrupt log.
 const MAX_RECORD: u64 = 1 << 30;
 
-/// WAL behavior knobs.
-#[derive(Debug, Clone, Copy)]
+/// How a log reaches the disk: the [`Io`] seam its bytes and its
+/// checkpoints' bytes pass through. The default is the filesystem.
+#[derive(Debug, Clone)]
 pub struct WalOptions {
-    /// `fsync` after every group flush (durability). Off, records are still
-    /// written at commit but the OS may lose them on power failure.
-    pub fsync: bool,
-    /// Test/bench hook: sleep this long inside every flush, modeling device
-    /// latency. Makes group-commit batching deterministic on machines whose
-    /// real fsync is faster than thread scheduling.
-    pub sync_delay: Option<Duration>,
-    /// Test hook: once this process has written this many bytes to the log,
-    /// the next flush writes only the prefix up to the threshold and then
-    /// aborts the process — producing a genuinely torn record for the
-    /// crash-recovery harness.
-    pub crash_after_bytes: Option<u64>,
+    io: Arc<dyn Io>,
 }
 
 impl Default for WalOptions {
     fn default() -> Self {
-        WalOptions {
-            fsync: true,
-            sync_delay: None,
-            crash_after_bytes: None,
-        }
+        WalOptions::with_io(Arc::new(Fs))
+    }
+}
+
+impl WalOptions {
+    /// Reach the disk through `io` (a test double) instead of the
+    /// filesystem.
+    pub fn with_io(io: Arc<dyn Io>) -> WalOptions {
+        WalOptions { io }
     }
 }
 
@@ -109,7 +106,8 @@ pub struct WalStats {
     pub records: u64,
     /// Group flushes (one leader write each; may cover many records).
     pub flushes: u64,
-    /// `fsync` calls (= flushes when [`WalOptions::fsync`] is on, else 0).
+    /// `fsync` calls. The log fsyncs every flush, so this equals
+    /// `flushes`; the benchmark's `delta.wal_syncs_per_commit` reads it.
     pub syncs: u64,
     /// Payload + header bytes written to the file.
     pub bytes: u64,
@@ -165,13 +163,12 @@ struct WalState {
     staged: Vec<u8>,
     /// Sequence number the last [`Wal::append`] handed out (the first is 1).
     last_seq: u64,
-    /// Every sequence `<= durable_seq` has been flushed (and fsynced when
-    /// enabled).
+    /// Every sequence `<= durable_seq` has been written and fsynced.
     durable_seq: u64,
     /// A flush leader is currently writing.
     flushing: bool,
-    /// The first flush error. Set once, never cleared: the records that
-    /// flush took cannot be made durable any more (see the module header).
+    /// The first flush or compaction error. Set once, never cleared (see
+    /// the module header).
     failed: Option<String>,
     stats: WalStats,
 }
@@ -180,13 +177,11 @@ struct WalState {
 pub struct Wal {
     /// Touched only by the flush leader (the `flushing` flag serializes
     /// leaders), so this lock is uncontended.
-    file: Mutex<File>,
+    file: Mutex<Handle>,
     state: Mutex<WalState>,
     flushed: Condvar,
-    options: WalOptions,
+    io: Arc<dyn Io>,
     path: PathBuf,
-    /// Bytes written by this process (drives `crash_after_bytes`).
-    written: AtomicU64,
     /// Valid bytes currently on disk (valid prefix at open, plus every
     /// flush, minus what compaction truncates). Drives checkpoint policy
     /// and the `relgo_wal_bytes_since_checkpoint` gauge.
@@ -201,15 +196,12 @@ impl Wal {
     /// it come back in the [`WalRecovery`] for the caller to replay.
     pub fn open(path: impl AsRef<Path>, options: WalOptions) -> Result<(Wal, WalRecovery)> {
         let path = path.as_ref().to_path_buf();
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&path)
+        let io = options.io;
+        let mut file = io
+            .open(Site::WalOpen, &path)
             .map_err(|e| io_err("wal open", &e))?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)
+        let bytes = io
+            .read(Site::WalRead, &path)
             .map_err(|e| io_err("wal read", &e))?;
 
         let mut records = Vec::new();
@@ -219,10 +211,10 @@ impl Wal {
         });
         let truncated = (bytes.len() - valid) as u64;
         if truncated > 0 {
-            file.set_len(valid as u64)
+            io.set_len(Site::WalTruncate, &mut file, valid as u64)
                 .map_err(|e| io_err("wal truncate", &e))?;
         }
-        file.seek(SeekFrom::Start(valid as u64))
+        io.seek(Site::WalSeek, &mut file, valid as u64)
             .map_err(|e| io_err("wal seek", &e))?;
 
         let recovery = WalRecovery {
@@ -234,9 +226,8 @@ impl Wal {
             file: Mutex::new(file),
             state: Mutex::new(WalState::default()),
             flushed: Condvar::new(),
-            options,
+            io,
             path,
-            written: AtomicU64::new(0),
             disk_len: AtomicU64::new(valid as u64),
         };
         Ok((wal, recovery))
@@ -245,6 +236,12 @@ impl Wal {
     /// The log's path.
     pub fn path(&self) -> &Path {
         &self.path
+    }
+
+    /// The checkpoint store next to this log, reaching the disk through
+    /// the same seam.
+    pub fn checkpoints(&self) -> CheckpointStore {
+        CheckpointStore::for_wal(&self.path).with_io(Arc::clone(&self.io))
     }
 
     /// Current counters.
@@ -277,12 +274,12 @@ impl Wal {
         st.last_seq
     }
 
-    /// Block until every record staged up to `seq` is flushed (and fsynced,
-    /// when enabled). Group commit: the first caller to find no flush in
-    /// progress becomes the leader and writes *all* currently staged bytes
-    /// with one write + one sync; callers whose records ride along just
-    /// wait for the leader's report. Errors if this or an earlier flush
-    /// failed before `seq` became durable.
+    /// Block until every record staged up to `seq` is written and fsynced.
+    /// Group commit: the first caller to find no flush in progress becomes
+    /// the leader and writes *all* currently staged bytes with one write +
+    /// one sync; callers whose records ride along just wait for the
+    /// leader's report. Errors if this or an earlier flush failed before
+    /// `seq` became durable.
     pub fn sync_through(&self, seq: u64) -> Result<()> {
         let mut st = self.state.lock().unwrap();
         loop {
@@ -303,13 +300,12 @@ impl Wal {
     /// the log file while still the only leader. Reports the outcome to
     /// the waiting committers and hands the re-taken lock back.
     ///
-    /// A flush error is sticky (see the module header). An error from
-    /// `then` is not: it runs after the batch is durable and, by contract,
-    /// leaves the log file and the handle's position alone when it fails.
+    /// An error from either step is sticky (see the module header); the
+    /// batch is durable once the flush succeeded, whatever `then` does.
     fn lead<'a, T>(
         &'a self,
         mut st: MutexGuard<'a, WalState>,
-        then: impl FnOnce(&mut File) -> Result<T>,
+        then: impl FnOnce(&mut Handle) -> Result<T>,
     ) -> Result<(MutexGuard<'a, WalState>, T)> {
         if let Some(why) = &st.failed {
             return Err(RelGoError::execution(format!(
@@ -329,49 +325,36 @@ impl Wal {
         } else {
             self.flush(&mut file, &buf)
         };
-        let failure = flushed.as_ref().err().map(ToString::to_string);
+        let durable = flushed.is_ok();
         let outcome = flushed.and_then(|()| then(&mut file));
         drop(file);
 
         let mut st = self.state.lock().unwrap();
         st.flushing = false;
-        if failure.is_some() {
-            st.failed = failure;
-        } else {
+        if durable {
             st.durable_seq = through;
             if !buf.is_empty() {
                 st.stats.flushes += 1;
+                st.stats.syncs += 1;
                 st.stats.bytes += buf.len() as u64;
-                st.stats.syncs += self.options.fsync as u64;
             }
+        }
+        if let Err(e) = &outcome {
+            st.failed = Some(e.to_string());
         }
         self.flushed.notify_all();
         outcome.map(|value| (st, value))
     }
 
-    /// The leader's write + sync (only one leader runs at a time).
-    fn flush(&self, file: &mut File, buf: &[u8]) -> Result<()> {
-        if let Some(limit) = self.options.crash_after_bytes {
-            let written = self.written.load(Ordering::Relaxed);
-            if written + buf.len() as u64 > limit {
-                // Tear the record: write the prefix up to the budget, make
-                // sure it reaches the file, and die like a power cut.
-                let keep = limit.saturating_sub(written) as usize;
-                let _ = file.write_all(&buf[..keep]);
-                let _ = file.sync_all();
-                std::process::abort();
-            }
-        }
-        file.write_all(buf).map_err(|e| io_err("wal write", &e))?;
-        self.written.fetch_add(buf.len() as u64, Ordering::Relaxed);
+    /// The leader's write + fsync (only one leader runs at a time).
+    fn flush(&self, file: &mut Handle, buf: &[u8]) -> Result<()> {
+        self.io
+            .write(Site::WalWrite, file, buf)
+            .map_err(|e| io_err("wal write", &e))?;
         self.disk_len.fetch_add(buf.len() as u64, Ordering::Relaxed);
-        if let Some(delay) = self.options.sync_delay {
-            std::thread::sleep(delay);
-        }
-        if self.options.fsync {
-            file.sync_all().map_err(|e| io_err("wal fsync", &e))?;
-        }
-        Ok(())
+        self.io
+            .sync(Site::WalFsync, file)
+            .map_err(|e| io_err("wal fsync", &e))
     }
 
     /// Truncate-behind-checkpoint log compaction: drop every record whose
@@ -395,12 +378,14 @@ impl Wal {
     }
 
     /// The compaction body; runs as the (sole) flush leader, after the
-    /// staged records are on disk. Keeps [`Wal::lead`]'s contract for
-    /// `then`: the log is read through a second handle, so `file`'s append
-    /// position never moves, and until the rename succeeds — after which
-    /// nothing can fail — the log itself is untouched.
-    fn rewrite_tail(&self, file: &mut File, epoch: u64) -> Result<WalCompaction> {
-        let bytes = std::fs::read(&self.path).map_err(|e| io_err("wal read", &e))?;
+    /// staged records are on disk. The log is read by path, so `file`'s
+    /// append position never moves; until the rename the log itself is
+    /// untouched.
+    fn rewrite_tail(&self, file: &mut Handle, epoch: u64) -> Result<WalCompaction> {
+        let bytes = self
+            .io
+            .read(Site::CompactRead, &self.path)
+            .map_err(|e| io_err("wal read", &e))?;
 
         // Everything before the first record the checkpoint does not cover
         // is the droppable prefix. Only intact records are walked — a torn
@@ -425,7 +410,7 @@ impl Wal {
         tmp.push(".compact.tmp");
         // The renamed temp file *is* the new log: its handle, positioned at
         // the end of the tail, becomes the live one.
-        *file = codec::replace_file(Path::new(&tmp), &self.path, tail, "wal compact", None)?;
+        *file = codec::replace_file(&*self.io, Path::new(&tmp), &self.path, tail, "wal compact")?;
         self.disk_len.store(tail.len() as u64, Ordering::Relaxed);
 
         Ok(WalCompaction {
@@ -503,7 +488,24 @@ fn decode_record(payload: &[u8]) -> Result<WalRecord> {
 mod tests {
     use super::*;
     use relgo_common::Value;
-    use std::sync::atomic::AtomicUsize;
+    use std::fs::OpenOptions;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
+    use std::sync::Barrier;
+
+    /// A disk whose writes fail with `EIO` while `fail_writes` is set.
+    #[derive(Debug, Default)]
+    struct FlakyDisk {
+        fail_writes: AtomicBool,
+    }
+
+    impl Io for FlakyDisk {
+        fn write(&self, site: Site, file: &mut Handle, bytes: &[u8]) -> std::io::Result<()> {
+            if self.fail_writes.load(Ordering::Relaxed) {
+                return Err(std::io::Error::from_raw_os_error(5));
+            }
+            Fs.write(site, file, bytes)
+        }
+    }
 
     fn temp_wal(tag: &str) -> PathBuf {
         static N: AtomicUsize = AtomicUsize::new(0);
@@ -535,6 +537,21 @@ mod tests {
         d
     }
 
+    /// Stage and sync one record per epoch, in order, holding
+    /// `sample_delta(epoch)`.
+    fn log(wal: &Wal, epochs: impl IntoIterator<Item = u64>) {
+        for epoch in epochs {
+            let seq = wal.append(epoch, &sample_delta(epoch as i64));
+            wal.sync_through(seq).unwrap();
+        }
+    }
+
+    /// The epochs a fresh open of the log at `path` recovers.
+    fn epochs(path: &Path) -> Vec<u64> {
+        let (_, rec) = Wal::open(path, WalOptions::default()).unwrap();
+        rec.records.iter().map(|r| r.epoch).collect()
+    }
+
     fn deltas_equal(a: &DeltaSet, b: &DeltaSet) -> bool {
         let (ta, tb) = (a.tables_sorted(), b.tables_sorted());
         ta.len() == tb.len()
@@ -549,10 +566,7 @@ mod tests {
         let (wal, rec) = Wal::open(&path, WalOptions::default()).unwrap();
         assert!(rec.records.is_empty());
         assert_eq!(rec.truncated_bytes, 0);
-        for i in 0..5 {
-            let seq = wal.append(i as u64 + 1, &sample_delta(i));
-            wal.sync_through(seq).unwrap();
-        }
+        log(&wal, 1..=5);
         let stats = wal.stats();
         assert_eq!(stats.records, 5);
         assert!(stats.bytes > 0);
@@ -563,10 +577,7 @@ mod tests {
         assert_eq!(rec.truncated_bytes, 0);
         for (i, r) in rec.records.iter().enumerate() {
             assert_eq!(r.epoch, i as u64 + 1);
-            assert!(
-                deltas_equal(&r.delta, &sample_delta(i as i64)),
-                "record {i}"
-            );
+            assert!(deltas_equal(&r.delta, &sample_delta(r.epoch as i64)));
         }
         std::fs::remove_file(&path).ok();
     }
@@ -579,23 +590,16 @@ mod tests {
         assert!(rec.records.is_empty());
         assert_eq!((rec.bytes, rec.truncated_bytes), (0, 0));
         // Appending to the recovered-empty log works.
-        let seq = wal.append(1, &sample_delta(0));
-        wal.sync_through(seq).unwrap();
+        log(&wal, [1]);
         drop(wal);
-        let (_w, rec) = Wal::open(&path, WalOptions::default()).unwrap();
-        assert_eq!(rec.records.len(), 1);
+        assert_eq!(epochs(&path), [1]);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn truncated_record_recovers_to_last_intact() {
         let path = temp_wal("torn");
-        let (wal, _) = Wal::open(&path, WalOptions::default()).unwrap();
-        for i in 0..3 {
-            let seq = wal.append(i as u64 + 1, &sample_delta(i));
-            wal.sync_through(seq).unwrap();
-        }
-        drop(wal);
+        log(&Wal::open(&path, WalOptions::default()).unwrap().0, 1..=3);
         // Tear the last record mid-payload.
         let len = std::fs::metadata(&path).unwrap().len();
         let f = OpenOptions::new().write(true).open(&path).unwrap();
@@ -630,15 +634,14 @@ mod tests {
         let path = temp_wal("crc");
         let (wal, _) = Wal::open(&path, WalOptions::default()).unwrap();
         let mut offsets = Vec::new();
-        for i in 0..3 {
-            offsets.push(std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0));
-            let seq = wal.append(i as u64 + 1, &sample_delta(i));
-            wal.sync_through(seq).unwrap();
+        for epoch in 1..=3 {
+            offsets.push(wal.disk_len() as usize);
+            log(&wal, [epoch]);
         }
         drop(wal);
         // Flip one byte inside the last record's payload.
         let mut bytes = std::fs::read(&path).unwrap();
-        let last_payload = offsets[2] as usize + codec::FRAME_HEADER;
+        let last_payload = offsets[2] + codec::FRAME_HEADER;
         bytes[last_payload + 4] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
         let (_w, rec) = Wal::open(&path, WalOptions::default()).unwrap();
@@ -648,7 +651,7 @@ mod tests {
         // Corrupting the stored CRC itself (not the payload) is equally
         // fatal for that record.
         let mut bytes = std::fs::read(&path).unwrap();
-        let second_crc = offsets[1] as usize + codec::LEN_BYTES;
+        let second_crc = offsets[1] + codec::LEN_BYTES;
         bytes[second_crc] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         let (_w, rec) = Wal::open(&path, WalOptions::default()).unwrap();
@@ -659,37 +662,31 @@ mod tests {
     #[test]
     fn appends_extend_a_recovered_log() {
         let path = temp_wal("extend");
-        let (wal, _) = Wal::open(&path, WalOptions::default()).unwrap();
-        let seq = wal.append(1, &sample_delta(0));
-        wal.sync_through(seq).unwrap();
-        drop(wal);
+        log(&Wal::open(&path, WalOptions::default()).unwrap().0, [1]);
         let (wal, rec) = Wal::open(&path, WalOptions::default()).unwrap();
         assert_eq!(rec.records.len(), 1);
-        let seq = wal.append(2, &sample_delta(1));
-        wal.sync_through(seq).unwrap();
+        log(&wal, [2]);
         drop(wal);
-        let (_w, rec) = Wal::open(&path, WalOptions::default()).unwrap();
-        assert_eq!(rec.records.len(), 2);
-        assert_eq!(rec.records[1].epoch, 2);
+        assert_eq!(epochs(&path), [1, 2]);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn group_commit_batches_concurrent_syncs() {
         let path = temp_wal("group");
-        let options = WalOptions {
-            sync_delay: Some(Duration::from_millis(10)),
-            ..WalOptions::default()
-        };
-        let (wal, _) = Wal::open(&path, options).unwrap();
+        let (wal, _) = Wal::open(&path, WalOptions::default()).unwrap();
         let writers = 4;
         let per = 4;
+        // Every writer stages its record before any of them syncs, so the
+        // first to sync leads one flush that carries all of them.
+        let staged = Barrier::new(writers);
         std::thread::scope(|scope| {
             for w in 0..writers {
-                let wal = &wal;
+                let (wal, staged) = (&wal, &staged);
                 scope.spawn(move || {
                     for i in 0..per {
                         let seq = wal.append((w * per + i) as u64 + 1, &sample_delta(i as i64));
+                        staged.wait();
                         wal.sync_through(seq).unwrap();
                     }
                 });
@@ -697,7 +694,7 @@ mod tests {
         });
         let stats = wal.stats();
         assert_eq!(stats.records, (writers * per) as u64);
-        assert_eq!(stats.syncs, stats.flushes);
+        assert_eq!((stats.flushes, stats.syncs), (per as u64, per as u64));
         assert!(
             stats.syncs < stats.records,
             "group commit must batch concurrent records into fewer fsyncs \
@@ -707,30 +704,22 @@ mod tests {
         );
         drop(wal);
         // Everything the writers considered durable is on disk.
-        let (_w, rec) = Wal::open(&path, WalOptions::default()).unwrap();
-        assert_eq!(rec.records.len(), writers * per);
+        assert_eq!(epochs(&path).len(), writers * per);
         std::fs::remove_file(&path).ok();
-    }
-
-    /// Make the log's next write fail (a read-only handle rejects it) and
-    /// hand back the working handle.
-    fn break_file(wal: &Wal) -> File {
-        let read_only = File::open(wal.path()).unwrap();
-        std::mem::replace(&mut *wal.file.lock().unwrap(), read_only)
     }
 
     #[test]
     fn failed_flush_fails_closed() {
         let path = temp_wal("failclosed");
-        let (wal, _) = Wal::open(&path, WalOptions::default()).unwrap();
-        let acked = wal.append(1, &sample_delta(0));
-        wal.sync_through(acked).unwrap();
+        let disk = Arc::new(FlakyDisk::default());
+        let (wal, _) = Wal::open(&path, WalOptions::with_io(disk.clone())).unwrap();
+        log(&wal, [1]);
 
-        let good = break_file(&wal);
+        disk.fail_writes.store(true, Ordering::Relaxed);
         let first = wal.append(2, &sample_delta(1));
         let second = wal.append(3, &sample_delta(2));
         assert!(wal.sync_through(first).is_err(), "the write must fail");
-        *wal.file.lock().unwrap() = good;
+        disk.fail_writes.store(false, Ordering::Relaxed);
 
         // The second record was in the batch the failed leader took and
         // dropped: with a working file again it still must not be
@@ -741,27 +730,24 @@ mod tests {
         assert!(wal.sync_through(later).is_err());
         assert!(wal.compact_through(1).is_err());
         // What was durable before the failure still is.
-        wal.sync_through(acked).unwrap();
+        wal.sync_through(1).unwrap();
         let stats = wal.stats();
         assert_eq!((stats.flushes, stats.syncs), (1, 1));
         drop(wal);
-        let (_w, rec) = Wal::open(&path, WalOptions::default()).unwrap();
-        let epochs: Vec<u64> = rec.records.iter().map(|r| r.epoch).collect();
-        assert_eq!(epochs, vec![1], "exactly the acknowledged record");
+        assert_eq!(epochs(&path), [1], "exactly the acknowledged record");
         std::fs::remove_file(&path).ok();
 
         // Compaction flushes through the same leader: a staged record its
         // failed write dropped is never acknowledged either.
         let path = temp_wal("failclosed_compact");
-        let (wal, _) = Wal::open(&path, WalOptions::default()).unwrap();
-        let good = break_file(&wal);
+        let (wal, _) = Wal::open(&path, WalOptions::with_io(disk.clone())).unwrap();
+        disk.fail_writes.store(true, Ordering::Relaxed);
         let staged = wal.append(1, &sample_delta(0));
         assert!(wal.compact_through(0).is_err());
-        *wal.file.lock().unwrap() = good;
+        disk.fail_writes.store(false, Ordering::Relaxed);
         assert!(wal.sync_through(staged).is_err());
         drop(wal);
-        let (_w, rec) = Wal::open(&path, WalOptions::default()).unwrap();
-        assert!(rec.records.is_empty());
+        assert!(epochs(&path).is_empty());
         std::fs::remove_file(&path).ok();
     }
 
@@ -769,10 +755,7 @@ mod tests {
     fn compaction_drops_checkpointed_prefix_and_keeps_tail() {
         let path = temp_wal("compact");
         let (wal, _) = Wal::open(&path, WalOptions::default()).unwrap();
-        for i in 0..6 {
-            let seq = wal.append(i as u64 + 1, &sample_delta(i));
-            wal.sync_through(seq).unwrap();
-        }
+        log(&wal, 1..=6);
         let before = wal.disk_len();
         let c = wal.compact_through(4).unwrap();
         assert_eq!(c.records_dropped, 4);
@@ -783,12 +766,9 @@ mod tests {
         assert_eq!(std::fs::metadata(&path).unwrap().len(), c.bytes_retained);
 
         // The surviving tail is exactly epochs 5..=6 and appends extend it.
-        let seq = wal.append(7, &sample_delta(6));
-        wal.sync_through(seq).unwrap();
+        log(&wal, [7]);
         drop(wal);
-        let (_w, rec) = Wal::open(&path, WalOptions::default()).unwrap();
-        let epochs: Vec<u64> = rec.records.iter().map(|r| r.epoch).collect();
-        assert_eq!(epochs, vec![5, 6, 7]);
+        assert_eq!(epochs(&path), [5, 6, 7]);
         std::fs::remove_file(&path).ok();
     }
 
@@ -803,9 +783,7 @@ mod tests {
         let c = wal.compact_through(2).unwrap();
         assert_eq!(c.records_dropped, 2);
         drop(wal);
-        let (_w, rec) = Wal::open(&path, WalOptions::default()).unwrap();
-        let epochs: Vec<u64> = rec.records.iter().map(|r| r.epoch).collect();
-        assert_eq!(epochs, vec![3], "staged records survive compaction");
+        assert_eq!(epochs(&path), [3], "staged records survive compaction");
         std::fs::remove_file(&path).ok();
     }
 
@@ -813,38 +791,15 @@ mod tests {
     fn compaction_with_nothing_to_drop_is_a_no_op() {
         let path = temp_wal("compact_noop");
         let (wal, _) = Wal::open(&path, WalOptions::default()).unwrap();
-        for i in 0..3 {
-            let seq = wal.append(i as u64 + 10, &sample_delta(i));
-            wal.sync_through(seq).unwrap();
-        }
+        log(&wal, 10..=12);
         let before = wal.disk_len();
         let c = wal.compact_through(5).unwrap();
         assert_eq!((c.records_dropped, c.bytes_dropped), (0, 0));
         assert_eq!(c.bytes_retained, before);
         // The log still appends and replays cleanly.
-        let seq = wal.append(13, &sample_delta(3));
-        wal.sync_through(seq).unwrap();
+        log(&wal, [13]);
         drop(wal);
-        let (_w, rec) = Wal::open(&path, WalOptions::default()).unwrap();
-        assert_eq!(rec.records.len(), 4);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn fsync_off_still_writes_records() {
-        let path = temp_wal("nofsync");
-        let options = WalOptions {
-            fsync: false,
-            ..WalOptions::default()
-        };
-        let (wal, _) = Wal::open(&path, options).unwrap();
-        let seq = wal.append(1, &sample_delta(0));
-        wal.sync_through(seq).unwrap();
-        let stats = wal.stats();
-        assert_eq!((stats.syncs, stats.flushes), (0, 1));
-        drop(wal);
-        let (_w, rec) = Wal::open(&path, WalOptions::default()).unwrap();
-        assert_eq!(rec.records.len(), 1);
+        assert_eq!(epochs(&path), [10, 11, 12, 13]);
         std::fs::remove_file(&path).ok();
     }
 }

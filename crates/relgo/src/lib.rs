@@ -48,7 +48,7 @@ pub use relgo_workloads as workloads;
 pub use ingest::{CommitError, IngestBatch, IngestReport};
 pub use observe::{ObservabilitySnapshot, QueryPath, SessionMetrics};
 pub use prepared::PreparedStatement;
-pub use relgo_delta::checkpoint::{CheckpointCrash, CheckpointStore};
+pub use relgo_delta::checkpoint::CheckpointStore;
 pub use relgo_delta::wal::{Wal, WalOptions, WalStats};
 pub use session::{
     CheckpointReport, ExplainAnalyze, PlanSource, QueryOptions, QueryOutcome, RecoveryReport,

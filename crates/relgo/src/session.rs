@@ -23,7 +23,7 @@ use relgo_core::{
     PlanKey, PlannerContext, SpjmQuery,
 };
 use relgo_datagen::{generate_imdb, generate_snb, ImdbParams, SnbParams};
-use relgo_delta::checkpoint::{CheckpointCrash, CheckpointStore, RetentionReport};
+use relgo_delta::checkpoint::{RejectedCheckpoint, RetentionReport};
 use relgo_delta::wal::{Wal, WalCompaction, WalOptions, WalStats};
 use relgo_exec::{execute_plan_with, ExecConfig, PlanReport, ProfileMode};
 use relgo_glogue::GLogue;
@@ -260,8 +260,8 @@ pub struct RecoveryReport {
     pub checkpoint_loaded: bool,
     /// Epoch of the checkpoint recovery started from (0 when none).
     pub checkpoint_epoch: u64,
-    /// Corrupt newer checkpoint files skipped before a valid one loaded —
-    /// the torn-newest fallback path (0 on the happy path).
+    /// Corrupt or unreadable newer checkpoint files skipped before a valid
+    /// one loaded — the fallback path (0 on the happy path).
     pub checkpoint_fallbacks: usize,
     /// WAL records skipped because the checkpoint already captured them (a
     /// crash between checkpoint rename and WAL truncation leaves these).
@@ -332,7 +332,8 @@ impl Session {
 
     /// Open a *durable* session: like [`Session::open_with`], but every
     /// ingest commit is additionally appended to the write-ahead log at
-    /// `wal_path` (group-committed and fsynced per `wal_options`) before
+    /// `wal_path` (group-committed and fsynced through the seam
+    /// `wal_options` names, the filesystem by default) before
     /// [`IngestBatch::commit`] returns.
     ///
     /// If the log already holds records — the session crashed or exited
@@ -349,11 +350,15 @@ impl Session {
     /// When checkpoints exist next to the log ([`Session::checkpoint`]
     /// writes them as `<wal>.ckpt.<epoch>` siblings), recovery loads the
     /// newest valid one instead of starting from `db` and replays only the
-    /// WAL tail behind it — bounded restart. A corrupt newest checkpoint
-    /// (torn by bit rot after its atomic rename) falls back to the previous
-    /// checkpoint and a correspondingly longer replay; records the loaded
-    /// checkpoint already covers are skipped, so a crash between a
-    /// checkpoint's rename and its WAL truncation recovers identically.
+    /// WAL tail behind it — bounded restart. Records the loaded checkpoint
+    /// already covers are skipped, so a crash between a checkpoint's rename
+    /// and its WAL truncation recovers identically. A corrupt or unreadable
+    /// newest checkpoint falls back to the previous one only while the log
+    /// still holds the epochs in between (the log is compacted behind each
+    /// checkpoint, so usually it does not): recovery that would end below
+    /// a rejected checkpoint's epoch fails with [`RelGoError::DataLoss`]
+    /// naming the file and the missing epochs, instead of dropping
+    /// acknowledged commits.
     pub fn open_durable(
         db: Database,
         mapping: RGMapping,
@@ -361,12 +366,12 @@ impl Session {
         wal_path: impl AsRef<Path>,
         wal_options: WalOptions,
     ) -> Result<(Session, RecoveryReport)> {
-        let wal_path = wal_path.as_ref();
-        let store = CheckpointStore::for_wal(wal_path);
-        let loaded = store.load_newest()?;
-        let (base_db, checkpoint_loaded, checkpoint_epoch, checkpoint_fallbacks) = match loaded {
-            Some(l) => (l.db, true, l.epoch, l.rejected),
-            None => (db, false, 0, 0),
+        let (wal, recovered) = Wal::open(wal_path, wal_options)?;
+        let (loaded, rejected) = wal.checkpoints().load_newest()?;
+        let checkpoint_loaded = loaded.is_some();
+        let (base_db, checkpoint_epoch) = match loaded {
+            Some(l) => (l.db, l.epoch),
+            None => (db, 0),
         };
         let session = Session::open_with(base_db, mapping, options)?;
         if checkpoint_epoch > 0 {
@@ -383,7 +388,6 @@ impl Session {
         session
             .last_checkpoint_epoch
             .store(checkpoint_epoch, Ordering::Release);
-        let (wal, recovered) = Wal::open(wal_path, wal_options)?;
         let replay_start = Instant::now();
         let mut records = 0usize;
         let mut skipped_records = 0usize;
@@ -397,12 +401,14 @@ impl Session {
                 continue;
             }
             if record.epoch != session.epoch() + 1 {
-                return Err(RelGoError::execution(format!(
-                    "wal replay discontinuity: record for epoch {} cannot \
-                     follow epoch {} (wrong base database?)",
-                    record.epoch,
-                    session.epoch()
-                )));
+                return Err(lost_epochs(&rejected, session.epoch()).unwrap_or_else(|| {
+                    RelGoError::execution(format!(
+                        "wal replay discontinuity: record for epoch {} cannot \
+                         follow epoch {} (wrong base database?)",
+                        record.epoch,
+                        session.epoch()
+                    ))
+                }));
             }
             records += 1;
             rows_replayed += record.delta.inserted_rows() + record.delta.deleted_rows();
@@ -410,6 +416,10 @@ impl Session {
                 .commit_delta(record.delta, None)
                 .map_err(RelGoError::from)?;
         }
+        if let Some(lost) = lost_epochs(&rejected, session.epoch()) {
+            return Err(lost);
+        }
+        let checkpoint_fallbacks = rejected.len();
         let report = RecoveryReport {
             records,
             epoch: session.epoch(),
@@ -478,24 +488,18 @@ impl Session {
 
     /// Checkpoint the current epoch: snapshot every table + key metadata to
     /// a CRC-checked sibling file of the WAL (write-to-temp + fsync +
-    /// atomic rename — a crash mid-checkpoint leaves the old checkpoint
-    /// set intact), then compact the log behind it and retire superseded
-    /// checkpoints, keeping the newest two (the older one is the fallback
-    /// if the newest rots on disk).
+    /// atomic rename + directory fsync — a crash mid-checkpoint leaves the
+    /// old checkpoint set intact), then compact the log behind it and
+    /// retire superseded checkpoints, keeping the newest two. A snapshot
+    /// that fails to become durable fails the checkpoint before the log is
+    /// compacted.
     ///
     /// Commits proceed concurrently — the snapshot pins one immutable
     /// published state and never blocks writers. Requires a durable
     /// session.
     pub fn checkpoint(&self) -> Result<CheckpointReport> {
-        self.checkpoint_with(None)
-    }
-
-    /// [`Session::checkpoint`] with crash-fault injection: `crash` aborts
-    /// the process inside the chosen checkpoint phase. This is the crash
-    /// harness's hook; `None` is a plain checkpoint.
-    pub fn checkpoint_with(&self, crash: Option<CheckpointCrash>) -> Result<CheckpointReport> {
         let _ckpt = self.ckpt_lock.lock();
-        let result = self.checkpoint_locked(crash);
+        let result = self.checkpoint_locked();
         match &result {
             Ok(report) => self.metrics.record_checkpoint(report.elapsed),
             Err(_) => self.metrics.record_checkpoint_failure(),
@@ -504,7 +508,7 @@ impl Session {
     }
 
     /// The checkpoint body; runs with `ckpt_lock` held.
-    fn checkpoint_locked(&self, crash: Option<CheckpointCrash>) -> Result<CheckpointReport> {
+    fn checkpoint_locked(&self) -> Result<CheckpointReport> {
         let Some(wal) = self.wal() else {
             return Err(RelGoError::execution(
                 "checkpoint requires a durable session (open the session \
@@ -513,8 +517,8 @@ impl Session {
         };
         let start = Instant::now();
         let state = self.state();
-        let store = CheckpointStore::for_wal(wal.path());
-        let written = store.write(state.epoch, &state.db, crash)?;
+        let store = wal.checkpoints();
+        let written = store.write(state.epoch, &state.db)?;
         // The snapshot is durable; everything at or below its epoch is now
         // redundant in the log. A crash before (or during) this truncation
         // is fine — recovery skips records the checkpoint covers.
@@ -1017,6 +1021,20 @@ impl Session {
     }
 }
 
+/// The error durable recovery returns when it ends at epoch `reached`,
+/// below a checkpoint it rejected: the commits in between were
+/// acknowledged, and neither that checkpoint nor the compacted log can
+/// restore them. `rejected` is newest first.
+fn lost_epochs(rejected: &[RejectedCheckpoint], reached: u64) -> Option<RelGoError> {
+    let (epoch, path, why) = rejected.iter().find(|(epoch, ..)| *epoch > reached)?;
+    Some(RelGoError::DataLoss(format!(
+        "checkpoint {} is unreadable ({why}) and the log no longer holds \
+         epochs {}..={epoch}",
+        path.display(),
+        reached + 1
+    )))
+}
+
 /// Unwrap the report of a `profile: true` pipeline call.
 pub(crate) fn profiled(
     (outcome, report): (QueryOutcome, Option<PlanReport>),
@@ -1183,7 +1201,7 @@ mod tests {
 
     fn cleanup_wal(path: &Path) {
         std::fs::remove_file(path).ok();
-        let store = CheckpointStore::for_wal(path);
+        let store = relgo_delta::checkpoint::CheckpointStore::for_wal(path);
         for (_, p) in store.list().unwrap_or_default() {
             std::fs::remove_file(p).ok();
         }
@@ -1254,41 +1272,24 @@ mod tests {
     }
 
     #[test]
-    fn single_writer_syncs_once_per_commit_only_with_fsync() {
+    fn single_writer_syncs_once_per_commit() {
         use relgo_datagen::{generate_snb, SnbParams};
         let (db, mapping) = generate_snb(&SnbParams { sf: 0.03, seed: 42 });
         let commits = 4u64;
-        for fsync in [true, false] {
-            let path = temp_wal(&format!("fsync_{fsync}"));
-            let (session, _) = Session::open_durable(
-                db.clone(),
-                mapping.clone(),
-                SessionOptions::default(),
-                &path,
-                WalOptions {
-                    fsync,
-                    ..WalOptions::default()
-                },
-            )
-            .unwrap();
-            for i in 0..commits {
-                commit_person(&session, 800_000 + i as i64);
-            }
-            let stats = session.wal_stats().unwrap();
-            assert_eq!(stats.records, commits);
-            assert_eq!(
-                stats.syncs,
-                if fsync { commits } else { 0 },
-                "fsync={fsync}"
-            );
-            // Every durable commit is charged to the `wal_append` stage.
-            let registry = session.observability_snapshot().registry;
-            match registry.get("relgo_query_stage_seconds", &[("stage", "wal_append")]) {
-                Some(relgo_metrics::SampleValue::Histogram(h)) => assert_eq!(h.count, commits),
-                other => panic!("missing wal_append stage histogram: {other:?}"),
-            }
-            cleanup_wal(&path);
+        let path = temp_wal("fsync");
+        let (session, _) = Session::recover(db, mapping, &path).unwrap();
+        for i in 0..commits {
+            commit_person(&session, 800_000 + i as i64);
         }
+        let stats = session.wal_stats().unwrap();
+        assert_eq!((stats.records, stats.syncs), (commits, commits));
+        // Every durable commit is charged to the `wal_append` stage.
+        let registry = session.observability_snapshot().registry;
+        match registry.get("relgo_query_stage_seconds", &[("stage", "wal_append")]) {
+            Some(relgo_metrics::SampleValue::Histogram(h)) => assert_eq!(h.count, commits),
+            other => panic!("missing wal_append stage histogram: {other:?}"),
+        }
+        cleanup_wal(&path);
     }
 
     #[test]
