@@ -452,70 +452,9 @@ pub fn kuzu_heuristic_plan(pattern: &Pattern, view: &GraphView) -> Result<GraphO
 mod tests {
     use super::*;
     use crate::search::{search, SearchStats, Strategy};
-    use relgo_common::DataType;
-    use relgo_graph::RGMapping;
+    use relgo_graph::fig2;
     use relgo_pattern::PatternBuilder;
-    use relgo_storage::table::table_of;
-    use relgo_storage::Database;
     use std::time::Duration;
-
-    fn view() -> GraphView {
-        let mut db = Database::new();
-        db.add_table(table_of(
-            "Person",
-            &[("person_id", DataType::Int), ("name", DataType::Str)],
-            vec![
-                vec![1.into(), "Tom".into()],
-                vec![2.into(), "Bob".into()],
-                vec![3.into(), "David".into()],
-            ],
-        ));
-        db.add_table(table_of(
-            "Message",
-            &[("message_id", DataType::Int)],
-            vec![vec![100.into()], vec![200.into()]],
-        ));
-        db.add_table(table_of(
-            "Likes",
-            &[
-                ("likes_id", DataType::Int),
-                ("pid", DataType::Int),
-                ("mid", DataType::Int),
-            ],
-            vec![
-                vec![1.into(), 1.into(), 100.into()],
-                vec![2.into(), 2.into(), 100.into()],
-                vec![3.into(), 2.into(), 200.into()],
-                vec![4.into(), 3.into(), 200.into()],
-            ],
-        ));
-        db.add_table(table_of(
-            "Knows",
-            &[
-                ("knows_id", DataType::Int),
-                ("pid1", DataType::Int),
-                ("pid2", DataType::Int),
-            ],
-            vec![
-                vec![1.into(), 1.into(), 2.into()],
-                vec![2.into(), 2.into(), 1.into()],
-                vec![3.into(), 2.into(), 3.into()],
-                vec![4.into(), 3.into(), 2.into()],
-            ],
-        ));
-        db.set_primary_key("Person", "person_id").unwrap();
-        db.set_primary_key("Message", "message_id").unwrap();
-        db.set_primary_key("Likes", "likes_id").unwrap();
-        db.set_primary_key("Knows", "knows_id").unwrap();
-        let mapping = RGMapping::new()
-            .vertex("Person")
-            .vertex("Message")
-            .edge("Likes", "pid", "Person", "mid", "Message")
-            .edge("Knows", "pid1", "Person", "pid2", "Person");
-        let mut g = GraphView::build(&mut db, mapping).unwrap();
-        g.build_index().unwrap();
-        g
-    }
 
     fn triangle() -> Pattern {
         let mut b = PatternBuilder::new();
@@ -548,7 +487,7 @@ mod tests {
 
     #[test]
     fn greedy_covers_all_edges_with_joins() {
-        let v = view();
+        let (v, _) = fig2::view();
         let plan = greedy(&triangle(), &v);
         let bound = plan.bound_elements(&triangle());
         for e in 0..3 {
@@ -564,7 +503,7 @@ mod tests {
 
     #[test]
     fn graindb_upgrade_introduces_expands() {
-        let v = view();
+        let (v, _) = fig2::view();
         let hash_plan = greedy(&triangle(), &v);
         let upgraded = upgrade_to_predefined_joins(&triangle(), hash_plan.clone());
         let count = |op: &GraphOp, kind| op.preorder().filter(|o| o.kind() == kind).count();
@@ -589,7 +528,7 @@ mod tests {
             prev = v;
         }
         let p = b.build().unwrap();
-        let v = view();
+        let (v, _) = fig2::view();
         let (plan, stats) = order(&p, &v, Strategy::Exhaustive, Duration::ZERO).unwrap();
         assert!(stats.timed_out);
         assert_eq!(
@@ -617,7 +556,7 @@ mod tests {
         }
         let p = b.build().unwrap();
         assert_eq!(p.edge_count(), 56);
-        let v = view();
+        let (v, _) = fig2::view();
         for strategy in [Strategy::Greedy, Strategy::Memoized, Strategy::Exhaustive] {
             let err = order(&p, &v, strategy, Duration::from_secs(5)).unwrap_err();
             let msg = err.to_string();
@@ -637,7 +576,7 @@ mod tests {
     fn vertex_predicates_become_filters_once() {
         let mut p = triangle();
         p.add_vertex_predicate(0, ScalarExpr::col_eq(1, "Tom"));
-        let v = view();
+        let (v, _) = fig2::view();
         let plan = greedy(&p, &v);
         let filters = plan
             .preorder()
@@ -648,7 +587,7 @@ mod tests {
 
     #[test]
     fn kuzu_plan_is_expand_heavy_and_covers_pattern() {
-        let v = view();
+        let (v, _) = fig2::view();
         let plan = kuzu_heuristic_plan(&triangle(), &v).unwrap();
         let bound = plan.bound_elements(&triangle());
         assert_eq!(bound.len(), 6, "3 vertices + 3 edges: {bound:?}");
@@ -669,7 +608,7 @@ mod tests {
             }
             b.build().unwrap()
         };
-        let v = view();
+        let (v, _) = fig2::view();
         let err = kuzu_heuristic_plan(&parallel_knows(65), &v).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("plan error"), "{msg}");
@@ -685,7 +624,7 @@ mod tests {
         let mut b = PatternBuilder::new();
         b.vertex("p", LabelId(0));
         let p = b.build().unwrap();
-        let v = view();
+        let (v, _) = fig2::view();
         assert!(matches!(greedy(&p, &v), GraphOp::ScanVertex { .. }));
     }
 }

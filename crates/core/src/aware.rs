@@ -280,72 +280,11 @@ impl SearchSpace for DecompositionSpace<'_> {
 pub(crate) mod tests {
     use super::*;
     use crate::search::{search, Strategy};
-    use relgo_common::{DataType, LabelId, Value};
-    use relgo_graph::{GraphView, RGMapping};
+    use relgo_common::LabelId;
+    use relgo_graph::fig2;
     use relgo_pattern::PatternBuilder;
-    use relgo_storage::table::table_of;
-    use relgo_storage::{Database, ScalarExpr};
+    use relgo_storage::ScalarExpr;
     use std::sync::Arc;
-
-    /// GLogue over the paper's Fig. 2 graph.
-    pub(crate) fn fig2_glogue() -> GLogue {
-        let mut db = Database::new();
-        db.add_table(table_of(
-            "Person",
-            &[("person_id", DataType::Int), ("name", DataType::Str)],
-            vec![
-                vec![1.into(), "Tom".into()],
-                vec![2.into(), "Bob".into()],
-                vec![3.into(), "David".into()],
-            ],
-        ));
-        db.add_table(table_of(
-            "Message",
-            &[("message_id", DataType::Int)],
-            vec![vec![100.into()], vec![200.into()]],
-        ));
-        db.add_table(table_of(
-            "Likes",
-            &[
-                ("likes_id", DataType::Int),
-                ("pid", DataType::Int),
-                ("mid", DataType::Int),
-                ("date", DataType::Date),
-            ],
-            vec![
-                vec![1.into(), 1.into(), 100.into(), Value::Date(31)],
-                vec![2.into(), 2.into(), 100.into(), Value::Date(28)],
-                vec![3.into(), 2.into(), 200.into(), Value::Date(20)],
-                vec![4.into(), 3.into(), 200.into(), Value::Date(21)],
-            ],
-        ));
-        db.add_table(table_of(
-            "Knows",
-            &[
-                ("knows_id", DataType::Int),
-                ("pid1", DataType::Int),
-                ("pid2", DataType::Int),
-            ],
-            vec![
-                vec![1.into(), 1.into(), 2.into()],
-                vec![2.into(), 2.into(), 1.into()],
-                vec![3.into(), 2.into(), 3.into()],
-                vec![4.into(), 3.into(), 2.into()],
-            ],
-        ));
-        db.set_primary_key("Person", "person_id").unwrap();
-        db.set_primary_key("Message", "message_id").unwrap();
-        db.set_primary_key("Likes", "likes_id").unwrap();
-        db.set_primary_key("Knows", "knows_id").unwrap();
-        let mapping = RGMapping::new()
-            .vertex("Person")
-            .vertex("Message")
-            .edge("Likes", "pid", "Person", "mid", "Message")
-            .edge("Knows", "pid1", "Person", "pid2", "Person");
-        let mut g = GraphView::build(&mut db, mapping).unwrap();
-        g.build_index().unwrap();
-        GLogue::new(Arc::new(g), 3, 1).unwrap()
-    }
 
     pub(crate) fn triangle() -> Pattern {
         let mut b = PatternBuilder::new();
@@ -366,7 +305,7 @@ pub(crate) mod tests {
 
     #[test]
     fn triangle_plan_uses_expand_intersect() {
-        let gl = fig2_glogue();
+        let gl = GLogue::new(Arc::new(fig2::view().0), 3, 1).unwrap();
         let plan = plan(&triangle(), &gl, true);
         assert!(
             plan.preorder().any(|op| op.kind() == "expand_intersect"),
@@ -377,7 +316,7 @@ pub(crate) mod tests {
 
     #[test]
     fn no_ei_config_avoids_intersect() {
-        let gl = fig2_glogue();
+        let gl = GLogue::new(Arc::new(fig2::view().0), 3, 1).unwrap();
         let plan = plan(&triangle(), &gl, false);
         let kinds: Vec<&str> = plan.preorder().map(GraphOp::kind).collect();
         assert!(!kinds.contains(&"expand_intersect"), "{kinds:?}");
@@ -387,7 +326,7 @@ pub(crate) mod tests {
 
     #[test]
     fn single_vertex_pattern_is_a_scan() {
-        let gl = fig2_glogue();
+        let gl = GLogue::new(Arc::new(fig2::view().0), 3, 1).unwrap();
         let mut b = PatternBuilder::new();
         b.vertex("p", LabelId(0));
         let p = b.build().unwrap();
@@ -397,7 +336,7 @@ pub(crate) mod tests {
 
     #[test]
     fn predicated_vertex_becomes_cheap_entry_point() {
-        let gl = fig2_glogue();
+        let gl = GLogue::new(Arc::new(fig2::view().0), 3, 1).unwrap();
         let mut b = PatternBuilder::new();
         let p1 = b.vertex("p1", LabelId(0));
         let p2 = b.vertex("p2", LabelId(0));
@@ -425,7 +364,7 @@ pub(crate) mod tests {
 
     #[test]
     fn costs_accumulate_monotonically() {
-        let gl = fig2_glogue();
+        let gl = GLogue::new(Arc::new(fig2::view().0), 3, 1).unwrap();
         let plan = plan(&triangle(), &gl, true);
         fn check(op: &GraphOp) -> f64 {
             let own = op.annotation().est_cost;

@@ -424,82 +424,8 @@ fn cross_join(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relgo_common::{DataType, Value};
-    use relgo_graph::RGMapping;
-    use relgo_storage::table::table_of;
-
-    fn setup() -> (GraphView, Database) {
-        let mut db = Database::new();
-        db.add_table(table_of(
-            "Person",
-            &[
-                ("person_id", DataType::Int),
-                ("name", DataType::Str),
-                ("place_id", DataType::Int),
-            ],
-            vec![
-                vec![1.into(), "Tom".into(), 10.into()],
-                vec![2.into(), "Bob".into(), 20.into()],
-                vec![3.into(), "David".into(), 30.into()],
-            ],
-        ));
-        db.add_table(table_of(
-            "Message",
-            &[("message_id", DataType::Int), ("content", DataType::Str)],
-            vec![vec![100.into(), "m1".into()], vec![200.into(), "m2".into()]],
-        ));
-        db.add_table(table_of(
-            "Likes",
-            &[
-                ("likes_id", DataType::Int),
-                ("pid", DataType::Int),
-                ("mid", DataType::Int),
-                ("date", DataType::Date),
-            ],
-            vec![
-                vec![1.into(), 1.into(), 100.into(), Value::Date(31)],
-                vec![2.into(), 2.into(), 100.into(), Value::Date(28)],
-                vec![3.into(), 2.into(), 200.into(), Value::Date(20)],
-                vec![4.into(), 3.into(), 200.into(), Value::Date(21)],
-            ],
-        ));
-        db.add_table(table_of(
-            "Knows",
-            &[
-                ("knows_id", DataType::Int),
-                ("pid1", DataType::Int),
-                ("pid2", DataType::Int),
-            ],
-            vec![
-                vec![1.into(), 1.into(), 2.into()],
-                vec![2.into(), 2.into(), 1.into()],
-                vec![3.into(), 2.into(), 3.into()],
-                vec![4.into(), 3.into(), 2.into()],
-            ],
-        ));
-        db.add_table(table_of(
-            "Place",
-            &[("id", DataType::Int), ("pname", DataType::Str)],
-            vec![
-                vec![10.into(), "Germany".into()],
-                vec![20.into(), "Denmark".into()],
-                vec![30.into(), "China".into()],
-            ],
-        ));
-        db.set_primary_key("Person", "person_id").unwrap();
-        db.set_primary_key("Message", "message_id").unwrap();
-        db.set_primary_key("Likes", "likes_id").unwrap();
-        db.set_primary_key("Knows", "knows_id").unwrap();
-        db.set_primary_key("Place", "id").unwrap();
-        let mapping = RGMapping::new()
-            .vertex("Person")
-            .vertex("Message")
-            .edge("Likes", "pid", "Person", "mid", "Message")
-            .edge("Knows", "pid1", "Person", "pid2", "Person");
-        let mut view = GraphView::build(&mut db, mapping).unwrap();
-        view.build_index().unwrap();
-        (view, db)
-    }
+    use relgo_common::Value;
+    use relgo_graph::fig2;
 
     /// The Fig 1 query written as plain SPJ:
     /// Person p1 ⋈ Likes l1 ⋈ Message m ⋈ Likes l2 ⋈ Person p2 ⋈ Knows k
@@ -572,7 +498,7 @@ mod tests {
 
     #[test]
     fn fig1_spj_folds_into_the_triangle() {
-        let (view, db) = setup();
+        let (view, db) = fig2::view();
         let conv = spj_to_spjm(&fig1_spj(), &view, &db).unwrap();
         let q = &conv.query;
         // Pattern: p1, m, p2 + likes, likes, knows.
@@ -595,7 +521,7 @@ mod tests {
 
     #[test]
     fn converted_query_matches_plain_spj_evaluation() {
-        let (view, db) = setup();
+        let (view, db) = fig2::view();
         let spj = fig1_spj();
         let plain = evaluate_spj(&spj, &db).unwrap();
         let conv = spj_to_spjm(&spj, &view, &db).unwrap();
@@ -612,7 +538,7 @@ mod tests {
 
     #[test]
     fn unjoined_endpoint_gets_an_implicit_vertex() {
-        let (view, db) = setup();
+        let (view, db) = fig2::view();
         // Likes ⋈ Person only (message endpoint never joined).
         let spj = SpjQuery {
             tables: vec![
@@ -645,7 +571,7 @@ mod tests {
 
     #[test]
     fn pure_relational_query_is_rejected() {
-        let (view, db) = setup();
+        let (view, db) = fig2::view();
         let spj = SpjQuery {
             tables: vec![SpjTable {
                 table: "Place".into(),
@@ -659,7 +585,7 @@ mod tests {
 
     #[test]
     fn disconnected_folds_are_rejected() {
-        let (view, db) = setup();
+        let (view, db) = fig2::view();
         // Two unrelated Likes occurrences with no shared vertex.
         let spj = SpjQuery {
             tables: vec![
@@ -680,7 +606,7 @@ mod tests {
 
     #[test]
     fn evaluate_spj_handles_filters_and_joins() {
-        let (_, db) = setup();
+        let (_, db) = fig2::view();
         let spj = SpjQuery {
             tables: vec![
                 SpjTable {

@@ -367,86 +367,19 @@ fn build_relational(
 mod tests {
     use super::*;
     use crate::spjm::SpjmBuilder;
-    use relgo_common::{DataType, LabelId};
-    use relgo_graph::RGMapping;
+    use relgo_common::LabelId;
+    use relgo_graph::fig2;
     use relgo_pattern::PatternBuilder;
-    use relgo_storage::table::table_of;
 
-    fn setup() -> PlannerContext {
-        let mut db = Database::new();
-        db.add_table(table_of(
-            "Person",
-            &[
-                ("person_id", DataType::Int),
-                ("name", DataType::Str),
-                ("place_id", DataType::Int),
-            ],
-            vec![
-                vec![1.into(), "Tom".into(), 10.into()],
-                vec![2.into(), "Bob".into(), 20.into()],
-                vec![3.into(), "David".into(), 30.into()],
-            ],
-        ));
-        db.add_table(table_of(
-            "Message",
-            &[("message_id", DataType::Int)],
-            vec![vec![100.into()], vec![200.into()]],
-        ));
-        db.add_table(table_of(
-            "Likes",
-            &[
-                ("likes_id", DataType::Int),
-                ("pid", DataType::Int),
-                ("mid", DataType::Int),
-            ],
-            vec![
-                vec![1.into(), 1.into(), 100.into()],
-                vec![2.into(), 2.into(), 100.into()],
-                vec![3.into(), 2.into(), 200.into()],
-                vec![4.into(), 3.into(), 200.into()],
-            ],
-        ));
-        db.add_table(table_of(
-            "Knows",
-            &[
-                ("knows_id", DataType::Int),
-                ("pid1", DataType::Int),
-                ("pid2", DataType::Int),
-            ],
-            vec![
-                vec![1.into(), 1.into(), 2.into()],
-                vec![2.into(), 2.into(), 1.into()],
-                vec![3.into(), 2.into(), 3.into()],
-                vec![4.into(), 3.into(), 2.into()],
-            ],
-        ));
-        db.add_table(table_of(
-            "Place",
-            &[("id", DataType::Int), ("pname", DataType::Str)],
-            vec![
-                vec![10.into(), "Germany".into()],
-                vec![20.into(), "Denmark".into()],
-                vec![30.into(), "China".into()],
-            ],
-        ));
-        db.set_primary_key("Person", "person_id").unwrap();
-        db.set_primary_key("Message", "message_id").unwrap();
-        db.set_primary_key("Likes", "likes_id").unwrap();
-        db.set_primary_key("Knows", "knows_id").unwrap();
-        db.set_primary_key("Place", "id").unwrap();
-        let mapping = RGMapping::new()
-            .vertex("Person")
-            .vertex("Message")
-            .edge("Likes", "pid", "Person", "mid", "Message")
-            .edge("Knows", "pid1", "Person", "pid2", "Person");
-        let mut view = GraphView::build(&mut db, mapping).unwrap();
-        view.build_index().unwrap();
+    /// The planner over Fig. 2's view and its GLogue.
+    fn context() -> PlannerContext {
+        let (view, db) = fig2::view();
         let view = Arc::new(view);
-        let glogue = Arc::new(GLogue::new(Arc::clone(&view), 3, 1).unwrap());
+        let glogue = GLogue::new(Arc::clone(&view), 3, 1).unwrap();
         PlannerContext {
             view,
             db: Arc::new(db),
-            glogue: Some(glogue),
+            glogue: Some(Arc::new(glogue)),
             timeout: Duration::from_secs(5),
         }
     }
@@ -474,7 +407,7 @@ mod tests {
 
     #[test]
     fn all_modes_produce_plans_for_fig1() {
-        let ctx = setup();
+        let ctx = context();
         for mode in OptimizerMode::ALL {
             let (plan, _) =
                 optimize(&fig1_query(), mode, &ctx).unwrap_or_else(|e| panic!("{mode:?}: {e}"));
@@ -485,7 +418,7 @@ mod tests {
 
     #[test]
     fn relgo_pushes_tom_filter_into_match() {
-        let ctx = setup();
+        let ctx = context();
         let (plan, _) = optimize(&fig1_query(), OptimizerMode::RelGo, &ctx).unwrap();
         assert!(
             plan.pattern.vertex(0).predicate.is_some(),
@@ -500,7 +433,7 @@ mod tests {
 
     #[test]
     fn norule_keeps_selection_outside() {
-        let ctx = setup();
+        let ctx = context();
         let (plan, _) = optimize(&fig1_query(), OptimizerMode::RelGoNoRule, &ctx).unwrap();
         assert!(plan.pattern.vertex(0).predicate.is_none());
         let s = plan.explain();
@@ -509,7 +442,7 @@ mod tests {
 
     #[test]
     fn relgo_uses_intersect_on_fig1_triangle() {
-        let ctx = setup();
+        let ctx = context();
         let (plan, _) = optimize(&fig1_query(), OptimizerMode::RelGo, &ctx).unwrap();
         let g = plan.root.graph_plan().unwrap();
         assert!(
@@ -521,7 +454,7 @@ mod tests {
 
     #[test]
     fn noei_avoids_intersect() {
-        let ctx = setup();
+        let ctx = context();
         let (plan, _) = optimize(&fig1_query(), OptimizerMode::RelGoNoEI, &ctx).unwrap();
         let g = plan.root.graph_plan().unwrap();
         assert!(g.preorder().all(|op| op.kind() != "expand_intersect"));
@@ -529,14 +462,14 @@ mod tests {
 
     #[test]
     fn opt_stats_reports_timing() {
-        let ctx = setup();
+        let ctx = context();
         let (_, stats) = optimize(&fig1_query(), OptimizerMode::RelGo, &ctx).unwrap();
         assert!(stats.elapsed.as_nanos() > 0);
     }
 
     #[test]
     fn aware_modes_require_glogue() {
-        let mut ctx = setup();
+        let mut ctx = context();
         ctx.glogue = None;
         assert!(optimize(&fig1_query(), OptimizerMode::RelGo, &ctx).is_err());
         assert!(optimize(&fig1_query(), OptimizerMode::DuckDbLike, &ctx).is_ok());

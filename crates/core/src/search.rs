@@ -243,10 +243,12 @@ impl<S: SearchSpace> Driver<'_, S> {
 mod tests {
     use super::*;
     use crate::agnostic::RelationSpace;
-    use crate::aware::tests::{fig2_glogue, triangle};
+    use crate::aware::tests::triangle;
     use crate::aware::DecompositionSpace;
     use crate::graph_plan::PatternElem;
-    use relgo_glogue::CostModel;
+    use relgo_glogue::{CostModel, GLogue};
+    use relgo_graph::fig2;
+    use std::sync::Arc;
 
     const BUDGET: Duration = Duration::from_secs(5);
 
@@ -277,7 +279,7 @@ mod tests {
 
     #[test]
     fn dp_and_exhaustive_agree_on_small_patterns() {
-        let gl = fig2_glogue();
+        let gl = GLogue::new(Arc::new(fig2::view().0), 3, 1).unwrap();
         let p = triangle();
         for vertex_items in [false, true] {
             strategies_agree(&RelationSpace::new(&p, gl.view(), vertex_items, false).unwrap());
@@ -290,7 +292,7 @@ mod tests {
 
     #[test]
     fn an_exhausted_budget_falls_back_to_greedy_on_either_space() {
-        let gl = fig2_glogue();
+        let gl = GLogue::new(Arc::new(fig2::view().0), 3, 1).unwrap();
         let p = triangle();
         let relation = RelationSpace::new(&p, gl.view(), false, false).unwrap();
         let trees = DecompositionSpace::new(&p, &gl, true, CostModel::indexed()).unwrap();

@@ -54,7 +54,7 @@
 //! ## The I/O seam
 //!
 //! Every filesystem call the crate makes goes through the [`Io`] trait, and
-//! each call names its [`Site`] — sixteen in all. The filesystem ([`Fs`],
+//! each call names its [`Site`] — eighteen in all. The filesystem ([`Fs`],
 //! the `fs` module at the end of this file) is the trait's one
 //! implementation and the only code in the crate that names `std::fs`.
 //! Tests put a double in its place through
@@ -262,7 +262,7 @@ pub(crate) fn io_err(what: impl std::fmt::Display, e: &io::Error) -> RelGoError 
 ///
 /// | caller | sites, in call order |
 /// |---|---|
-/// | `Wal::open` | `WalOpen`, `WalRead`, `WalTruncate` (a torn tail only), `WalSeek` |
+/// | `Wal::open` | `WalOpen`, `WalRead`, `WalTruncate` (a torn tail only), `WalSeek`, then `WalDirOpen` (best effort), `WalDirFsync` (a log with no record only) |
 /// | a group flush | `WalWrite`, `WalFsync` |
 /// | compaction | `CompactRead`, then the atomic replace's |
 /// | an atomic replace (checkpoint, compaction) | `TempCreate`, `TempWrite`, `TempFsync`, `Rename`, `DirOpen` (best effort), `DirFsync` |
@@ -273,6 +273,8 @@ pub enum Site {
     WalRead,
     WalTruncate,
     WalSeek,
+    WalDirOpen,
+    WalDirFsync,
     WalWrite,
     WalFsync,
     CompactRead,
@@ -369,15 +371,21 @@ pub(crate) fn replace_file(
     io.rename(Site::Rename, tmp, dest)
         .map_err(|e| err("rename", e))?;
     // The rename is what publishes the file; syncing the directory makes
-    // the new name itself survive a power cut. Opening the directory is
-    // best effort (not every platform lets a directory be opened); a sync
-    // that fails is not.
-    let dir = dest.parent().filter(|p| !p.as_os_str().is_empty());
-    if let Ok(mut d) = io.open_dir(Site::DirOpen, dir.unwrap_or(Path::new("."))) {
-        io.sync(Site::DirFsync, &mut d)
-            .map_err(|e| err("fsync directory", e))?;
-    }
+    // the new name itself survive a power cut.
+    sync_parent(io, dest, Site::DirOpen, Site::DirFsync).map_err(|e| err("fsync directory", e))?;
     Ok(f)
+}
+
+/// Fsync the directory holding `file`, so that a name created or renamed
+/// in it survives a power cut. Opening the directory (at site `open`) is
+/// best effort, as not every platform lets a directory be opened; a sync
+/// (at site `sync`) that fails is an error.
+pub(crate) fn sync_parent(io: &dyn Io, file: &Path, open: Site, sync: Site) -> io::Result<()> {
+    let dir = file.parent().filter(|p| !p.as_os_str().is_empty());
+    match io.open_dir(open, dir.unwrap_or(Path::new("."))) {
+        Ok(mut d) => io.sync(sync, &mut d),
+        Err(_) => Ok(()),
+    }
 }
 
 // --------------------------------------------------------------------------

@@ -193,7 +193,10 @@ impl Wal {
     ///
     /// A torn tail — short header, over-long length, CRC mismatch, or an
     /// undecodable payload — is truncated away; the decoded records before
-    /// it come back in the [`WalRecovery`] for the caller to replay.
+    /// it come back in the [`WalRecovery`] for the caller to replay. When
+    /// no record is left (a log just created, or left empty by a crash) the
+    /// directory is fsynced too, so that the log's name outlives a power cut
+    /// before the first commit is acknowledged into it.
     pub fn open(path: impl AsRef<Path>, options: WalOptions) -> Result<(Wal, WalRecovery)> {
         let path = path.as_ref().to_path_buf();
         let io = options.io;
@@ -216,6 +219,13 @@ impl Wal {
         }
         io.seek(Site::WalSeek, &mut file, valid as u64)
             .map_err(|e| io_err("wal seek", &e))?;
+        // A log that holds no record may have been created just now, and
+        // its name survives a power cut only once the directory is synced:
+        // sync it before a commit can be acknowledged into the file.
+        if valid == 0 {
+            codec::sync_parent(&*io, &path, Site::WalDirOpen, Site::WalDirFsync)
+                .map_err(|e| io_err("wal fsync directory", &e))?;
+        }
 
         let recovery = WalRecovery {
             records,

@@ -1108,70 +1108,11 @@ mod tests {
     use super::*;
     use relgo_common::{DataType, LabelId, Value};
     use relgo_core::graph_plan::PlanAnnotation;
-    use relgo_graph::{Lambda, RGMapping};
+    use relgo_graph::{fig2, Lambda, RGMapping};
     use relgo_pattern::PatternBuilder;
     use relgo_storage::table::table_of;
     use relgo_storage::Database;
     use std::sync::Arc;
-
-    fn fig2_view() -> GraphView {
-        let mut db = Database::new();
-        db.add_table(table_of(
-            "Person",
-            &[("person_id", DataType::Int), ("name", DataType::Str)],
-            vec![
-                vec![1.into(), "Tom".into()],
-                vec![2.into(), "Bob".into()],
-                vec![3.into(), "David".into()],
-            ],
-        ));
-        db.add_table(table_of(
-            "Message",
-            &[("message_id", DataType::Int)],
-            vec![vec![100.into()], vec![200.into()]],
-        ));
-        db.add_table(table_of(
-            "Likes",
-            &[
-                ("likes_id", DataType::Int),
-                ("pid", DataType::Int),
-                ("mid", DataType::Int),
-                ("date", DataType::Date),
-            ],
-            vec![
-                vec![1.into(), 1.into(), 100.into(), Value::Date(31)],
-                vec![2.into(), 2.into(), 100.into(), Value::Date(28)],
-                vec![3.into(), 2.into(), 200.into(), Value::Date(20)],
-                vec![4.into(), 3.into(), 200.into(), Value::Date(21)],
-            ],
-        ));
-        db.add_table(table_of(
-            "Knows",
-            &[
-                ("knows_id", DataType::Int),
-                ("pid1", DataType::Int),
-                ("pid2", DataType::Int),
-            ],
-            vec![
-                vec![1.into(), 1.into(), 2.into()],
-                vec![2.into(), 2.into(), 1.into()],
-                vec![3.into(), 2.into(), 3.into()],
-                vec![4.into(), 3.into(), 2.into()],
-            ],
-        ));
-        db.set_primary_key("Person", "person_id").unwrap();
-        db.set_primary_key("Message", "message_id").unwrap();
-        db.set_primary_key("Likes", "likes_id").unwrap();
-        db.set_primary_key("Knows", "knows_id").unwrap();
-        let mapping = RGMapping::new()
-            .vertex("Person")
-            .vertex("Message")
-            .edge("Likes", "pid", "Person", "mid", "Message")
-            .edge("Knows", "pid1", "Person", "pid2", "Person");
-        let mut g = GraphView::build(&mut db, mapping).unwrap();
-        g.build_index().unwrap();
-        g
-    }
 
     fn wedge_pattern() -> relgo_pattern::Pattern {
         // (p1)-[Likes]->(m)<-[Likes]-(p2)
@@ -1206,7 +1147,7 @@ mod tests {
 
     #[test]
     fn scan_and_expand_indexed_vs_hashed_agree() {
-        let view = fig2_view();
+        let (view, _) = fig2::view();
         let pat = wedge_pattern();
         let plan = GraphOp::Expand {
             input: Box::new(GraphOp::ScanVertex {
@@ -1245,7 +1186,7 @@ mod tests {
 
     #[test]
     fn hashed_adjacency_slices_are_neighbor_sorted() {
-        let view = fig2_view();
+        let (view, _) = fig2::view();
         let pat = wedge_pattern();
         let c = ctx(&view, &pat, false);
         let adj = adjacency(0, Direction::Out, &c).unwrap();
@@ -1267,7 +1208,7 @@ mod tests {
 
     #[test]
     fn mask_follows_the_volume_rule() {
-        let view = fig2_view();
+        let (view, _) = fig2::view();
         let table = view.vertex_table(LabelId(0));
         let pred = ScalarExpr::col_eq(1, "Bob");
         let mask_of = |entries| {
@@ -1286,7 +1227,7 @@ mod tests {
 
     #[test]
     fn parallel_expand_is_bit_identical_to_serial() {
-        let view = fig2_view();
+        let (view, _) = fig2::view();
         let pat = wedge_pattern();
         let plan = GraphOp::Expand {
             input: Box::new(GraphOp::Expand {
@@ -1338,7 +1279,7 @@ mod tests {
 
     #[test]
     fn scan_edge_binds_endpoints() {
-        let view = fig2_view();
+        let (view, _) = fig2::view();
         let pat = wedge_pattern();
         let plan = GraphOp::ScanEdge {
             e: 0,
@@ -1358,7 +1299,7 @@ mod tests {
 
     #[test]
     fn wedge_via_intersect_matches_count() {
-        let view = fig2_view();
+        let (view, _) = fig2::view();
         let pat = wedge_pattern();
         // Bind p1 and p2 with a cross product (join on no keys), then
         // intersect their Likes adjacencies to find m.
@@ -1433,7 +1374,7 @@ mod tests {
 
     #[test]
     fn join_on_shared_vertex() {
-        let view = fig2_view();
+        let (view, _) = fig2::view();
         let pat = wedge_pattern();
         let left = GraphOp::ScanEdge {
             e: 0,
@@ -1523,7 +1464,7 @@ mod tests {
 
     #[test]
     fn join_equals_the_row_at_a_time_reference_for_every_key_width() {
-        let view = fig2_view();
+        let (view, _) = fig2::view();
         let pat = wedge_pattern();
         let c = ctx(&view, &pat, true);
         // Dense ids take the direct-address directory, scattered ones the
@@ -1553,7 +1494,7 @@ mod tests {
 
     #[test]
     fn join_trips_the_row_limit_on_the_probe_row_that_crosses_it() {
-        let view = fig2_view();
+        let (view, _) = fig2::view();
         let pat = wedge_pattern();
         let mut c = ctx(&view, &pat, true);
         let a = chunk_of(&[0], &[], 40, &[0, 1, 2], 1);
@@ -1570,7 +1511,7 @@ mod tests {
 
     #[test]
     fn deadline_is_checked_by_a_join_that_matches_nothing() {
-        let view = fig2_view();
+        let (view, _) = fig2::view();
         let pat = wedge_pattern();
         let mut c = ctx(&view, &pat, true);
         let a = chunk_of(&[0, 1], &[], 3000, &[0, 1, 2], 1);
@@ -1585,7 +1526,7 @@ mod tests {
 
     #[test]
     fn filter_vertex_prunes_bindings() {
-        let view = fig2_view();
+        let (view, _) = fig2::view();
         let pat = wedge_pattern();
         let plan = GraphOp::FilterVertex {
             input: Box::new(GraphOp::ScanVertex {
@@ -1646,7 +1587,7 @@ mod tests {
 
     #[test]
     fn row_limit_aborts_expansion_before_materializing() {
-        let view = fig2_view();
+        let (view, _) = fig2::view();
         let pat = wedge_pattern();
         let plan = GraphOp::Expand {
             input: Box::new(GraphOp::ScanVertex {
@@ -1676,7 +1617,7 @@ mod tests {
 
     #[test]
     fn edge_predicate_applied_during_expand() {
-        let view = fig2_view();
+        let (view, _) = fig2::view();
         let pat = wedge_pattern();
         let plan = GraphOp::Expand {
             input: Box::new(GraphOp::ScanVertex {
@@ -2536,7 +2477,7 @@ mod tests {
     fn filter_over_a_scan_tests_every_key_and_looks_up_only_the_survivors() {
         use crate::chunk::tests::TableLambda;
         use std::sync::atomic::Ordering::Relaxed;
-        let view = fig2_view();
+        let (view, _) = fig2::view();
         let pat = wedge_pattern();
         // λˢ / λᵗ of Likes as the view has them, through a counting double.
         let (srcs, dsts) = view.resolve_endpoints(LabelId(0), None).unwrap();
@@ -2647,7 +2588,7 @@ mod tests {
     fn a_join_tests_every_probe_key_and_looks_up_only_the_rows_it_keeps() {
         use crate::chunk::tests::TableLambda;
         use std::sync::atomic::Ordering::Relaxed;
-        let view = fig2_view();
+        let (view, _) = fig2::view();
         let pat = wedge_pattern();
         // n edge rows, their sources cycling through 10 vertices.
         let n = 3000;

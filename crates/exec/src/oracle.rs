@@ -243,84 +243,11 @@ pub fn execute_query(query: &SpjmQuery, view: &GraphView, db: &Database) -> Resu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relgo_common::{DataType, LabelId};
+    use relgo_common::LabelId;
     use relgo_core::spjm::SpjmBuilder;
-    use relgo_graph::RGMapping;
+    use relgo_graph::fig2;
     use relgo_pattern::PatternBuilder;
-    use relgo_storage::table::table_of;
     use relgo_storage::ScalarExpr;
-
-    fn fig2() -> (GraphView, Database) {
-        let mut db = Database::new();
-        db.add_table(table_of(
-            "Person",
-            &[
-                ("person_id", DataType::Int),
-                ("name", DataType::Str),
-                ("place_id", DataType::Int),
-            ],
-            vec![
-                vec![1.into(), "Tom".into(), 10.into()],
-                vec![2.into(), "Bob".into(), 20.into()],
-                vec![3.into(), "David".into(), 30.into()],
-            ],
-        ));
-        db.add_table(table_of(
-            "Message",
-            &[("message_id", DataType::Int)],
-            vec![vec![100.into()], vec![200.into()]],
-        ));
-        db.add_table(table_of(
-            "Likes",
-            &[
-                ("likes_id", DataType::Int),
-                ("pid", DataType::Int),
-                ("mid", DataType::Int),
-            ],
-            vec![
-                vec![1.into(), 1.into(), 100.into()],
-                vec![2.into(), 2.into(), 100.into()],
-                vec![3.into(), 2.into(), 200.into()],
-                vec![4.into(), 3.into(), 200.into()],
-            ],
-        ));
-        db.add_table(table_of(
-            "Knows",
-            &[
-                ("knows_id", DataType::Int),
-                ("pid1", DataType::Int),
-                ("pid2", DataType::Int),
-            ],
-            vec![
-                vec![1.into(), 1.into(), 2.into()],
-                vec![2.into(), 2.into(), 1.into()],
-                vec![3.into(), 2.into(), 3.into()],
-                vec![4.into(), 3.into(), 2.into()],
-            ],
-        ));
-        db.add_table(table_of(
-            "Place",
-            &[("id", DataType::Int), ("pname", DataType::Str)],
-            vec![
-                vec![10.into(), "Germany".into()],
-                vec![20.into(), "Denmark".into()],
-                vec![30.into(), "China".into()],
-            ],
-        ));
-        db.set_primary_key("Person", "person_id").unwrap();
-        db.set_primary_key("Message", "message_id").unwrap();
-        db.set_primary_key("Likes", "likes_id").unwrap();
-        db.set_primary_key("Knows", "knows_id").unwrap();
-        db.set_primary_key("Place", "id").unwrap();
-        let mapping = RGMapping::new()
-            .vertex("Person")
-            .vertex("Message")
-            .edge("Likes", "pid", "Person", "mid", "Message")
-            .edge("Knows", "pid1", "Person", "pid2", "Person");
-        let mut g = GraphView::build(&mut db, mapping).unwrap();
-        g.build_index().unwrap();
-        (g, db)
-    }
 
     fn triangle() -> Pattern {
         let mut b = PatternBuilder::new();
@@ -335,7 +262,7 @@ mod tests {
 
     #[test]
     fn oracle_counts_fig2_triangle() {
-        let (view, _) = fig2();
+        let (view, _) = fig2::view();
         let matches = match_pattern(&view, &triangle()).unwrap();
         assert_eq!(matches.len(), 4, "the four matches of the paper's Fig 2(b)");
         // Every match binds all vertices and edges.
@@ -347,7 +274,7 @@ mod tests {
 
     #[test]
     fn oracle_executes_fig1_query() {
-        let (view, db) = fig2();
+        let (view, db) = fig2::view();
         // Fig 1: friends of Tom sharing a liked message, joined with Place.
         let mut b = SpjmBuilder::new(triangle());
         let p1_name = b.vertex_column(0, 1, "p1_name");
@@ -367,7 +294,7 @@ mod tests {
 
     #[test]
     fn oracle_single_vertex_pattern() {
-        let (view, db) = fig2();
+        let (view, db) = fig2::view();
         let mut pb = PatternBuilder::new();
         pb.vertex("p", LabelId(0));
         let mut b = SpjmBuilder::new(pb.build().unwrap());

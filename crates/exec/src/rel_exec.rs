@@ -289,51 +289,8 @@ mod tests {
     use super::*;
     use relgo_common::{LabelId, Value};
     use relgo_core::graph_plan::{GraphOp, PlanAnnotation};
-    use relgo_graph::{Direction, RGMapping};
+    use relgo_graph::{fig2, Direction};
     use relgo_pattern::PatternBuilder;
-    use relgo_storage::table::table_of;
-
-    fn fig2_setup() -> (GraphView, Database) {
-        let mut db = Database::new();
-        db.add_table(table_of(
-            "Person",
-            &[("person_id", DataType::Int), ("name", DataType::Str)],
-            vec![
-                vec![1.into(), "Tom".into()],
-                vec![2.into(), "Bob".into()],
-                vec![3.into(), "David".into()],
-            ],
-        ));
-        db.add_table(table_of(
-            "Message",
-            &[("message_id", DataType::Int)],
-            vec![vec![100.into()], vec![200.into()]],
-        ));
-        db.add_table(table_of(
-            "Likes",
-            &[
-                ("likes_id", DataType::Int),
-                ("pid", DataType::Int),
-                ("mid", DataType::Int),
-            ],
-            vec![
-                vec![1.into(), 1.into(), 100.into()],
-                vec![2.into(), 2.into(), 100.into()],
-                vec![3.into(), 2.into(), 200.into()],
-                vec![4.into(), 3.into(), 200.into()],
-            ],
-        ));
-        db.set_primary_key("Person", "person_id").unwrap();
-        db.set_primary_key("Message", "message_id").unwrap();
-        db.set_primary_key("Likes", "likes_id").unwrap();
-        let mapping = RGMapping::new()
-            .vertex("Person")
-            .vertex("Message")
-            .edge("Likes", "pid", "Person", "mid", "Message");
-        let mut g = GraphView::build(&mut db, mapping).unwrap();
-        g.build_index().unwrap();
-        (g, db)
-    }
 
     fn like_pattern() -> Pattern {
         let mut b = PatternBuilder::new();
@@ -363,7 +320,7 @@ mod tests {
 
     #[test]
     fn scan_graph_table_projects_attributes_and_ids() {
-        let (view, db) = fig2_setup();
+        let (view, db) = fig2::view();
         let pattern = like_pattern();
         let plan = PhysicalPlan {
             pattern: pattern.clone(),
@@ -403,7 +360,7 @@ mod tests {
 
     #[test]
     fn full_pipeline_with_filter_and_join() {
-        let (view, db) = fig2_setup();
+        let (view, db) = fig2::view();
         let pattern = like_pattern();
         // σ(p_name = 'Bob') over the graph table, then join Person table on
         // message-id? Keep it simple: filter + project.
@@ -440,7 +397,7 @@ mod tests {
 
     #[test]
     fn distinct_vertices_semantics_filters_same_label_collisions() {
-        let (view, _) = fig2_setup();
+        let (view, _) = fig2::view();
         // Wedge (p1)-likes->(m)<-likes-(p2), homomorphic count 8; with
         // distinct-vertex semantics p1 ≠ p2 removes the 4 diagonal rows.
         let mut b = PatternBuilder::new();

@@ -215,74 +215,11 @@ fn extend(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relgo_common::{DataType, LabelId};
-    use relgo_graph::RGMapping;
+    use relgo_common::{DataType, LabelId, Value};
+    use relgo_graph::{fig2, RGMapping};
     use relgo_pattern::PatternBuilder;
     use relgo_storage::table::table_of;
     use relgo_storage::{Database, ScalarExpr};
-
-    /// Fig-2 data: Person {Tom, Bob, David}, Message {m1, m2},
-    /// Likes {t→m1, b→m1, b→m2, d→m2}, Knows {t↔b, b↔d}.
-    fn fig2_view() -> GraphView {
-        let mut db = Database::new();
-        db.add_table(table_of(
-            "Person",
-            &[("person_id", DataType::Int), ("name", DataType::Str)],
-            vec![
-                vec![1.into(), "Tom".into()],
-                vec![2.into(), "Bob".into()],
-                vec![3.into(), "David".into()],
-            ],
-        ));
-        db.add_table(table_of(
-            "Message",
-            &[("message_id", DataType::Int)],
-            vec![vec![100.into()], vec![200.into()]],
-        ));
-        db.add_table(table_of(
-            "Likes",
-            &[
-                ("likes_id", DataType::Int),
-                ("pid", DataType::Int),
-                ("mid", DataType::Int),
-                ("date", DataType::Date),
-            ],
-            vec![
-                vec![1.into(), 1.into(), 100.into(), Value::Date(31)],
-                vec![2.into(), 2.into(), 100.into(), Value::Date(28)],
-                vec![3.into(), 2.into(), 200.into(), Value::Date(20)],
-                vec![4.into(), 3.into(), 200.into(), Value::Date(21)],
-            ],
-        ));
-        db.add_table(table_of(
-            "Knows",
-            &[
-                ("knows_id", DataType::Int),
-                ("pid1", DataType::Int),
-                ("pid2", DataType::Int),
-            ],
-            vec![
-                vec![1.into(), 1.into(), 2.into()],
-                vec![2.into(), 2.into(), 1.into()],
-                vec![3.into(), 2.into(), 3.into()],
-                vec![4.into(), 3.into(), 2.into()],
-            ],
-        ));
-        db.set_primary_key("Person", "person_id").unwrap();
-        db.set_primary_key("Message", "message_id").unwrap();
-        db.set_primary_key("Likes", "likes_id").unwrap();
-        db.set_primary_key("Knows", "knows_id").unwrap();
-        let mapping = RGMapping::new()
-            .vertex("Person")
-            .vertex("Message")
-            .edge("Likes", "pid", "Person", "mid", "Message")
-            .edge("Knows", "pid1", "Person", "pid2", "Person");
-        let mut g = GraphView::build(&mut db, mapping).unwrap();
-        g.build_index().unwrap();
-        g
-    }
-
-    use relgo_common::Value;
 
     fn person() -> LabelId {
         LabelId(0)
@@ -299,7 +236,7 @@ mod tests {
 
     #[test]
     fn single_vertex_counts_rows() {
-        let g = fig2_view();
+        let (g, _) = fig2::view();
         let mut b = PatternBuilder::new();
         b.vertex("p", person());
         let p = b.build().unwrap();
@@ -308,7 +245,7 @@ mod tests {
 
     #[test]
     fn single_edge_counts_edges() {
-        let g = fig2_view();
+        let (g, _) = fig2::view();
         let mut b = PatternBuilder::new();
         let p1 = b.vertex("p", person());
         let m = b.vertex("m", message());
@@ -321,7 +258,7 @@ mod tests {
     fn wedge_count() {
         // (p1)-[Likes]->(m)<-[Likes]-(p2): homomorphism, so p1 may equal p2.
         // m1 liked by {T,B}, m2 by {B,D} → 4 + 4 = 8 ordered pairs.
-        let g = fig2_view();
+        let (g, _) = fig2::view();
         let mut b = PatternBuilder::new();
         let p1 = b.vertex("p1", person());
         let p2 = b.vertex("p2", person());
@@ -338,7 +275,7 @@ mod tests {
         // Knows pairs: (T,B),(B,T),(B,D),(D,B). Common liked messages:
         // T∩B={m1}, B∩T={m1}, B∩D={m2}, D∩B={m2} → 4 matches (the graph
         // relation GR_P of the paper's Fig 2(b)).
-        let g = fig2_view();
+        let (g, _) = fig2::view();
         let mut b = PatternBuilder::new();
         let p1 = b.vertex("p1", person());
         let p2 = b.vertex("p2", person());
@@ -352,7 +289,7 @@ mod tests {
 
     #[test]
     fn vertex_predicate_prunes() {
-        let g = fig2_view();
+        let (g, _) = fig2::view();
         let mut b = PatternBuilder::new();
         let p1 = b.vertex("p1", person());
         let m = b.vertex("m", message());
@@ -364,7 +301,7 @@ mod tests {
 
     #[test]
     fn edge_predicate_prunes() {
-        let g = fig2_view();
+        let (g, _) = fig2::view();
         let mut b = PatternBuilder::new();
         let p1 = b.vertex("p1", person());
         let m = b.vertex("m", message());
@@ -391,7 +328,7 @@ mod tests {
 
     #[test]
     fn parallel_count_equals_serial() {
-        let g = fig2_view();
+        let (g, _) = fig2::view();
         let mut b = PatternBuilder::new();
         let p1 = b.vertex("p1", person());
         let p2 = b.vertex("p2", person());
@@ -411,7 +348,7 @@ mod tests {
 
     #[test]
     fn sampling_scales_back_up() {
-        let g = fig2_view();
+        let (g, _) = fig2::view();
         let mut b = PatternBuilder::new();
         b.vertex("p", person());
         let p = b.build().unwrap();

@@ -326,70 +326,11 @@ fn sub_pattern_with_vertex(p: &Pattern, set: VertexSet, v: usize) -> (Pattern, V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relgo_common::{DataType, LabelId, Value};
-    use relgo_graph::RGMapping;
+    use relgo_common::{DataType, LabelId};
+    use relgo_graph::{fig2, RGMapping};
     use relgo_pattern::PatternBuilder;
     use relgo_storage::table::table_of;
     use relgo_storage::{Database, ScalarExpr};
-
-    fn fig2_view() -> Arc<GraphView> {
-        let mut db = Database::new();
-        db.add_table(table_of(
-            "Person",
-            &[("person_id", DataType::Int), ("name", DataType::Str)],
-            vec![
-                vec![1.into(), "Tom".into()],
-                vec![2.into(), "Bob".into()],
-                vec![3.into(), "David".into()],
-            ],
-        ));
-        db.add_table(table_of(
-            "Message",
-            &[("message_id", DataType::Int)],
-            vec![vec![100.into()], vec![200.into()]],
-        ));
-        db.add_table(table_of(
-            "Likes",
-            &[
-                ("likes_id", DataType::Int),
-                ("pid", DataType::Int),
-                ("mid", DataType::Int),
-                ("date", DataType::Date),
-            ],
-            vec![
-                vec![1.into(), 1.into(), 100.into(), Value::Date(31)],
-                vec![2.into(), 2.into(), 100.into(), Value::Date(28)],
-                vec![3.into(), 2.into(), 200.into(), Value::Date(20)],
-                vec![4.into(), 3.into(), 200.into(), Value::Date(21)],
-            ],
-        ));
-        db.add_table(table_of(
-            "Knows",
-            &[
-                ("knows_id", DataType::Int),
-                ("pid1", DataType::Int),
-                ("pid2", DataType::Int),
-            ],
-            vec![
-                vec![1.into(), 1.into(), 2.into()],
-                vec![2.into(), 2.into(), 1.into()],
-                vec![3.into(), 2.into(), 3.into()],
-                vec![4.into(), 3.into(), 2.into()],
-            ],
-        ));
-        db.set_primary_key("Person", "person_id").unwrap();
-        db.set_primary_key("Message", "message_id").unwrap();
-        db.set_primary_key("Likes", "likes_id").unwrap();
-        db.set_primary_key("Knows", "knows_id").unwrap();
-        let mapping = RGMapping::new()
-            .vertex("Person")
-            .vertex("Message")
-            .edge("Likes", "pid", "Person", "mid", "Message")
-            .edge("Knows", "pid1", "Person", "pid2", "Person");
-        let mut g = GraphView::build(&mut db, mapping).unwrap();
-        g.build_index().unwrap();
-        Arc::new(g)
-    }
 
     fn triangle() -> Pattern {
         let mut b = PatternBuilder::new();
@@ -417,7 +358,7 @@ mod tests {
 
     #[test]
     fn small_patterns_are_exact_and_cached() {
-        let gl = GLogue::new(fig2_view(), 3, 1).unwrap();
+        let gl = GLogue::new(Arc::new(fig2::view().0), 3, 1).unwrap();
         let t = triangle();
         assert_eq!(gl.cardinality(&t).unwrap(), 4.0);
         let before = gl.cached_patterns();
@@ -427,7 +368,7 @@ mod tests {
 
     #[test]
     fn predicates_change_cardinality_not_key_collision() {
-        let gl = GLogue::new(fig2_view(), 3, 1).unwrap();
+        let gl = GLogue::new(Arc::new(fig2::view().0), 3, 1).unwrap();
         let t = triangle();
         let mut t_tom = t.clone();
         t_tom.add_vertex_predicate(0, ScalarExpr::col_eq(1, "Tom"));
@@ -454,7 +395,7 @@ mod tests {
         // Bob knows Tom and David, each of whom knows only Bob: 2 paths
         // start at Bob; Tom and David know Bob, who knows two: 4 pass him.
         for order in [[0, 1], [1, 0]] {
-            let gl = GLogue::new(fig2_view(), 3, 1).unwrap();
+            let gl = GLogue::new(Arc::new(fig2::view().0), 3, 1).unwrap();
             for on in order {
                 let want = [2.0, 4.0][on];
                 assert_eq!(gl.cardinality(&path(on)).unwrap(), want, "Bob on {on}");
@@ -465,7 +406,7 @@ mod tests {
 
     #[test]
     fn large_pattern_estimation_is_positive_and_finite() {
-        let gl = GLogue::new(fig2_view(), 3, 1).unwrap();
+        let gl = GLogue::new(Arc::new(fig2::view().0), 3, 1).unwrap();
         // 4-vertex path person-knows-person-knows-person-likes-message.
         let mut b = PatternBuilder::new();
         let a = b.vertex("a", LabelId(0));
@@ -486,7 +427,7 @@ mod tests {
 
     #[test]
     fn estimation_with_k2_uses_pairwise_rates() {
-        let gl = GLogue::new(fig2_view(), 2, 1).unwrap();
+        let gl = GLogue::new(Arc::new(fig2::view().0), 2, 1).unwrap();
         let t = triangle();
         let est = gl.cardinality(&t).unwrap();
         // With only 2-vertex exact stats the triangle is estimated, not
@@ -496,7 +437,7 @@ mod tests {
 
     #[test]
     fn subset_cardinality_matches_direct() {
-        let gl = GLogue::new(fig2_view(), 3, 1).unwrap();
+        let gl = GLogue::new(Arc::new(fig2::view().0), 3, 1).unwrap();
         let t = triangle();
         // Subset {p1, p2} = single knows edge → 4 matches.
         let c = gl.subset_cardinality(&t, 0b011).unwrap();
@@ -505,7 +446,7 @@ mod tests {
 
     #[test]
     fn refreshed_retains_unaffected_counts_and_evicts_touched() {
-        let view = fig2_view();
+        let view = Arc::new(fig2::view().0);
         let gl = GLogue::new(Arc::clone(&view), 3, 1).unwrap();
         let t = triangle(); // touches Person, Message, Likes, Knows
         let mut b = PatternBuilder::new();
@@ -548,7 +489,7 @@ mod tests {
 
     #[test]
     fn sparsified_counts_are_scaled() {
-        let gl = GLogue::new(fig2_view(), 3, 2).unwrap();
+        let gl = GLogue::new(Arc::new(fig2::view().0), 3, 2).unwrap();
         let mut b = PatternBuilder::new();
         b.vertex("p", LabelId(0));
         let p = b.build().unwrap();

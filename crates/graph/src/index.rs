@@ -427,57 +427,29 @@ fn rebuild_label(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::RGMapping;
+    use crate::fig2;
     use crate::view::GraphView;
-    use relgo_common::DataType;
-    use relgo_storage::table::table_of;
+    use relgo_common::Value;
+    use relgo_storage::table::TableBuilder;
     use relgo_storage::Database;
 
-    fn setup() -> GraphView {
-        let mut db = Database::new();
-        db.add_table(table_of(
-            "Person",
-            &[("person_id", DataType::Int), ("name", DataType::Str)],
-            vec![
-                vec![1.into(), "Tom".into()],
-                vec![2.into(), "Bob".into()],
-                vec![3.into(), "David".into()],
-            ],
-        ));
-        db.add_table(table_of(
-            "Message",
-            &[("message_id", DataType::Int)],
-            vec![vec![100.into()], vec![200.into()]],
-        ));
-        db.add_table(table_of(
-            "Likes",
-            &[
-                ("likes_id", DataType::Int),
-                ("pid", DataType::Int),
-                ("mid", DataType::Int),
-            ],
-            vec![
-                vec![1.into(), 1.into(), 100.into()],
-                vec![2.into(), 2.into(), 100.into()],
-                vec![3.into(), 2.into(), 200.into()],
-                vec![4.into(), 3.into(), 200.into()],
-            ],
-        ));
-        db.set_primary_key("Person", "person_id").unwrap();
-        db.set_primary_key("Message", "message_id").unwrap();
-        db.set_primary_key("Likes", "likes_id").unwrap();
-        let mapping = RGMapping::new()
-            .vertex("Person")
-            .vertex("Message")
-            .edge("Likes", "pid", "Person", "mid", "Message");
-        let mut g = GraphView::build(&mut db, mapping).unwrap();
-        g.build_index().unwrap();
-        g
+    /// Apply a committed delta to `table` by hand: its rows minus
+    /// `deleted`, then `inserted`.
+    fn apply(db: &mut Database, table: &str, deleted: &[RowId], inserted: Vec<Vec<Value>>) {
+        let t = Arc::clone(db.table(table).unwrap());
+        let mut b = TableBuilder::new(table, t.schema().clone());
+        for r in (0..t.num_rows() as RowId).filter(|r| !deleted.contains(r)) {
+            b.push_row(t.row(r)).unwrap();
+        }
+        for row in inserted {
+            b.push_row(row).unwrap();
+        }
+        db.replace_table(b.finish()).unwrap();
     }
 
     #[test]
     fn ev_index_matches_fig5a() {
-        let g = setup();
+        let (g, _) = fig2::view();
         let likes = g.schema().edge_label_id("Likes").unwrap();
         let idx = g.index().unwrap();
         // Fig 5(a): likes rows map to (person_rowid, message_rowid)
@@ -492,7 +464,7 @@ mod tests {
 
     #[test]
     fn ve_index_matches_fig5b() {
-        let g = setup();
+        let (g, _) = fig2::view();
         let likes = g.schema().edge_label_id("Likes").unwrap();
         let idx = g.index().unwrap();
         // vp1 → [(l1, vm1)]
@@ -509,7 +481,7 @@ mod tests {
 
     #[test]
     fn reverse_direction_adjacency() {
-        let g = setup();
+        let (g, _) = fig2::view();
         let likes = g.schema().edge_label_id("Likes").unwrap();
         let idx = g.index().unwrap();
         // m1 is liked by p1 and p2.
@@ -523,7 +495,7 @@ mod tests {
 
     #[test]
     fn neighbor_lists_are_sorted() {
-        let g = setup();
+        let (g, _) = fig2::view();
         let likes = g.schema().edge_label_id("Likes").unwrap();
         let idx = g.index().unwrap();
         for v in 0..3 {
@@ -534,7 +506,7 @@ mod tests {
 
     #[test]
     fn adjacency_totals_equal_edge_count() {
-        let g = setup();
+        let (g, _) = fig2::view();
         let likes = g.schema().edge_label_id("Likes").unwrap();
         let idx = g.index().unwrap();
         assert_eq!(idx.adjacency_len(likes, Direction::Out), 4);
@@ -555,68 +527,24 @@ mod tests {
         use relgo_common::FxHashMap;
         use relgo_storage::TableChange;
 
-        // Base: the fig-5 setup plus a Knows edge label so one label stays
-        // untouched by the delta.
+        // Base: the Fig. 2 data, whose Knows edge label stays untouched
+        // by the delta.
         let build_db = |with_delta: bool| {
-            let mut db = Database::new();
-            let mut person_rows = vec![
-                vec![1.into(), "Tom".into()],
-                vec![2.into(), "Bob".into()],
-                vec![3.into(), "David".into()],
-            ];
-            let mut likes_rows = vec![
-                vec![1.into(), 1.into(), 100.into()],
-                vec![2.into(), 2.into(), 100.into()],
-                vec![3.into(), 2.into(), 200.into()],
-                vec![4.into(), 3.into(), 200.into()],
-            ];
+            let mut db = fig2::database();
             if with_delta {
                 // Delete likes row 1 (l2), insert a person and two likes —
                 // one of them a parallel edge duplicating (Tom, m1).
-                likes_rows.remove(1);
-                person_rows.push(vec![4.into(), "Ada".into()]);
-                likes_rows.push(vec![5.into(), 4.into(), 200.into()]);
-                likes_rows.push(vec![6.into(), 1.into(), 100.into()]);
+                let ada = vec![4.into(), "Ada".into(), 40.into()];
+                apply(&mut db, "Person", &[], vec![ada]);
+                let likes = vec![
+                    vec![5.into(), 4.into(), 200.into(), Value::Date(22)],
+                    vec![6.into(), 1.into(), 100.into(), Value::Date(23)],
+                ];
+                apply(&mut db, "Likes", &[1], likes);
             }
-            db.add_table(table_of(
-                "Person",
-                &[("person_id", DataType::Int), ("name", DataType::Str)],
-                person_rows,
-            ));
-            db.add_table(table_of(
-                "Message",
-                &[("message_id", DataType::Int)],
-                vec![vec![100.into()], vec![200.into()]],
-            ));
-            db.add_table(table_of(
-                "Likes",
-                &[
-                    ("likes_id", DataType::Int),
-                    ("pid", DataType::Int),
-                    ("mid", DataType::Int),
-                ],
-                likes_rows,
-            ));
-            db.add_table(table_of(
-                "Knows",
-                &[
-                    ("knows_id", DataType::Int),
-                    ("pid1", DataType::Int),
-                    ("pid2", DataType::Int),
-                ],
-                vec![vec![1.into(), 1.into(), 2.into()]],
-            ));
-            db.set_primary_key("Person", "person_id").unwrap();
-            db.set_primary_key("Message", "message_id").unwrap();
-            db.set_primary_key("Likes", "likes_id").unwrap();
-            db.set_primary_key("Knows", "knows_id").unwrap();
             db
         };
-        let mapping = RGMapping::new()
-            .vertex("Person")
-            .vertex("Message")
-            .edge("Likes", "pid", "Person", "mid", "Message")
-            .edge("Knows", "pid1", "Person", "pid2", "Person");
+        let mapping = fig2::mapping();
 
         let mut base_db = build_db(false);
         let mut base = GraphView::build(&mut base_db, mapping.clone()).unwrap();
@@ -676,37 +604,11 @@ mod tests {
     fn rebuild_delta_rejects_dangling_survivors() {
         use relgo_common::FxHashMap;
         use relgo_storage::TableChange;
-        let g = setup();
+        let (g, _) = fig2::view();
         // Delete person row 1 (Bob) without deleting Bob's likes: the
         // surviving edges dangle, so the rebuild must fail.
-        let mut merged_db = Database::new();
-        merged_db.add_table(table_of(
-            "Person",
-            &[("person_id", DataType::Int), ("name", DataType::Str)],
-            vec![vec![1.into(), "Tom".into()], vec![3.into(), "David".into()]],
-        ));
-        merged_db.add_table(table_of(
-            "Message",
-            &[("message_id", DataType::Int)],
-            vec![vec![100.into()], vec![200.into()]],
-        ));
-        merged_db.add_table(table_of(
-            "Likes",
-            &[
-                ("likes_id", DataType::Int),
-                ("pid", DataType::Int),
-                ("mid", DataType::Int),
-            ],
-            vec![
-                vec![1.into(), 1.into(), 100.into()],
-                vec![2.into(), 2.into(), 100.into()],
-                vec![3.into(), 2.into(), 200.into()],
-                vec![4.into(), 3.into(), 200.into()],
-            ],
-        ));
-        merged_db.set_primary_key("Person", "person_id").unwrap();
-        merged_db.set_primary_key("Message", "message_id").unwrap();
-        merged_db.set_primary_key("Likes", "likes_id").unwrap();
+        let mut merged_db = fig2::database();
+        apply(&mut merged_db, "Person", &[1], vec![]);
         let mut changes: FxHashMap<String, TableChange> = FxHashMap::default();
         changes.insert("Person".to_string(), TableChange::new(3, vec![1], 0));
         let err = GraphView::rebuild_delta(&g, &mut merged_db, &changes).unwrap_err();
@@ -715,7 +617,7 @@ mod tests {
 
     #[test]
     fn edge_endpoint_by_direction() {
-        let g = setup();
+        let (g, _) = fig2::view();
         let likes = g.schema().edge_label_id("Likes").unwrap();
         let idx = g.index().unwrap();
         assert_eq!(idx.edge_endpoint(likes, 1, Direction::Out), 0, "→ message");

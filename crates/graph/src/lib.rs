@@ -17,7 +17,11 @@
 //!   and look its endpoints up when something reads them.
 //! * Graph statistics ([`stats::GraphStats`]) — label cardinalities and
 //!   average degrees, the `d̄` of the paper's cost model.
+//! * The running example ([`fig2`]) — Fig. 2's Person / Message / Likes /
+//!   Knows graph plus the `Place` relation Fig. 1 joins, the one fixture
+//!   the workspace's unit tests build on.
 
+pub mod fig2;
 pub mod index;
 pub mod lambda;
 pub mod mapping;

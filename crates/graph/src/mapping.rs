@@ -137,58 +137,25 @@ impl RGMapping {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fig2;
     use relgo_common::DataType;
     use relgo_storage::table::table_of;
 
-    fn db() -> Database {
-        let mut db = Database::new();
-        db.add_table(table_of(
-            "Person",
-            &[("person_id", DataType::Int), ("name", DataType::Str)],
-            vec![vec![1.into(), "Tom".into()]],
-        ));
-        db.add_table(table_of(
-            "Message",
-            &[("message_id", DataType::Int)],
-            vec![vec![100.into()]],
-        ));
-        db.add_table(table_of(
-            "Likes",
-            &[
-                ("likes_id", DataType::Int),
-                ("pid", DataType::Int),
-                ("mid", DataType::Int),
-            ],
-            vec![vec![1.into(), 1.into(), 100.into()]],
-        ));
-        db.set_primary_key("Person", "person_id").unwrap();
-        db.set_primary_key("Message", "message_id").unwrap();
-        db.set_primary_key("Likes", "likes_id").unwrap();
-        db
-    }
-
-    fn mapping() -> RGMapping {
-        RGMapping::new()
-            .vertex("Person")
-            .vertex("Message")
-            .edge("Likes", "pid", "Person", "mid", "Message")
-    }
-
     #[test]
     fn valid_mapping_passes() {
-        mapping().validate(&db()).unwrap();
+        fig2::mapping().validate(&fig2::database()).unwrap();
     }
 
     #[test]
     fn missing_table_rejected() {
         let m = RGMapping::new().vertex("Nope");
-        assert!(m.validate(&db()).is_err());
+        assert!(m.validate(&fig2::database()).is_err());
     }
 
     #[test]
     fn duplicate_labels_rejected() {
         let m = RGMapping::new().vertex("Person").vertex("Person");
-        assert!(m.validate(&db()).is_err());
+        assert!(m.validate(&fig2::database()).is_err());
     }
 
     #[test]
@@ -196,7 +163,7 @@ mod tests {
         let m = RGMapping::new()
             .vertex("Person")
             .edge("Likes", "pid", "Person", "mid", "Message"); // Message not declared
-        assert!(m.validate(&db()).is_err());
+        assert!(m.validate(&fig2::database()).is_err());
     }
 
     #[test]
@@ -205,12 +172,12 @@ mod tests {
             .vertex("Person")
             .vertex("Message")
             .edge("Likes", "nope", "Person", "mid", "Message");
-        assert!(m.validate(&db()).is_err());
+        assert!(m.validate(&fig2::database()).is_err());
     }
 
     #[test]
     fn vertex_table_needs_primary_key() {
-        let mut d = db();
+        let mut d = fig2::database();
         d.add_table(table_of("NoPk", &[("x", DataType::Int)], vec![]));
         let m = RGMapping::new().vertex("NoPk");
         assert!(m.validate(&d).is_err());
@@ -218,21 +185,10 @@ mod tests {
 
     #[test]
     fn self_referencing_edge_is_fine() {
-        let mut d = db();
-        d.add_table(table_of(
-            "Knows",
-            &[
-                ("knows_id", DataType::Int),
-                ("pid1", DataType::Int),
-                ("pid2", DataType::Int),
-            ],
-            vec![],
-        ));
-        d.set_primary_key("Knows", "knows_id").unwrap();
         let m = RGMapping::new()
             .vertex("Person")
             .vertex("Message")
             .edge("Knows", "pid1", "Person", "pid2", "Person");
-        m.validate(&d).unwrap();
+        m.validate(&fig2::database()).unwrap();
     }
 }

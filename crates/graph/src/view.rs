@@ -271,81 +271,14 @@ impl GraphView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::RGMapping;
+    use crate::fig2;
     use relgo_common::DataType;
     use relgo_storage::table::table_of;
 
-    /// The running example of the paper's Fig. 2.
-    pub(crate) fn fig2_db() -> Database {
-        let mut db = Database::new();
-        db.add_table(table_of(
-            "Person",
-            &[
-                ("person_id", DataType::Int),
-                ("name", DataType::Str),
-                ("place_id", DataType::Int),
-            ],
-            vec![
-                vec![1.into(), "Tom".into(), 10.into()],
-                vec![2.into(), "Bob".into(), 20.into()],
-                vec![3.into(), "David".into(), 30.into()],
-            ],
-        ));
-        db.add_table(table_of(
-            "Message",
-            &[("message_id", DataType::Int), ("content", DataType::Str)],
-            vec![vec![100.into(), "m1".into()], vec![200.into(), "m2".into()]],
-        ));
-        db.add_table(table_of(
-            "Likes",
-            &[
-                ("likes_id", DataType::Int),
-                ("pid", DataType::Int),
-                ("mid", DataType::Int),
-                ("date", DataType::Date),
-            ],
-            vec![
-                vec![1.into(), 1.into(), 100.into(), Value::Date(31)],
-                vec![2.into(), 2.into(), 100.into(), Value::Date(28)],
-                vec![3.into(), 2.into(), 200.into(), Value::Date(20)],
-                vec![4.into(), 3.into(), 200.into(), Value::Date(21)],
-            ],
-        ));
-        db.add_table(table_of(
-            "Knows",
-            &[
-                ("knows_id", DataType::Int),
-                ("pid1", DataType::Int),
-                ("pid2", DataType::Int),
-            ],
-            vec![
-                vec![1.into(), 1.into(), 2.into()],
-                vec![2.into(), 2.into(), 1.into()],
-                vec![3.into(), 2.into(), 3.into()],
-                vec![4.into(), 3.into(), 2.into()],
-            ],
-        ));
-        db.set_primary_key("Person", "person_id").unwrap();
-        db.set_primary_key("Message", "message_id").unwrap();
-        db.set_primary_key("Likes", "likes_id").unwrap();
-        db.set_primary_key("Knows", "knows_id").unwrap();
-        db
-    }
-
-    use relgo_common::Value;
-
-    pub(crate) fn fig2_mapping() -> RGMapping {
-        RGMapping::new()
-            .vertex("Person")
-            .vertex("Message")
-            .edge("Likes", "pid", "Person", "mid", "Message")
-            .edge("Knows", "pid1", "Person", "pid2", "Person")
-    }
-
     #[test]
     fn build_resolves_tables_and_counts() {
-        let mut db = fig2_db();
-        let g = GraphView::build(&mut db, fig2_mapping()).unwrap();
+        let mut db = fig2::database();
+        let g = GraphView::build(&mut db, fig2::mapping()).unwrap();
         let person = g.schema().vertex_label_id("Person").unwrap();
         let message = g.schema().vertex_label_id("Message").unwrap();
         let likes = g.schema().edge_label_id("Likes").unwrap();
@@ -356,8 +289,8 @@ mod tests {
 
     #[test]
     fn lambda_functions_resolve_rows() {
-        let mut db = fig2_db();
-        let g = GraphView::build(&mut db, fig2_mapping()).unwrap();
+        let mut db = fig2::database();
+        let g = GraphView::build(&mut db, fig2::mapping()).unwrap();
         let likes = g.schema().edge_label_id("Likes").unwrap();
         // Edge l2 = row 1: Bob (person row 1) likes m1 (message row 0).
         assert_eq!(
@@ -379,7 +312,7 @@ mod tests {
 
     #[test]
     fn dangling_key_is_an_error() {
-        let mut db = fig2_db();
+        let mut db = fig2::database();
         db.add_table(table_of(
             "Bad",
             &[
@@ -393,7 +326,7 @@ mod tests {
             ],
         ));
         db.set_primary_key("Bad", "bad_id").unwrap();
-        let m = fig2_mapping().edge("Bad", "pid", "Person", "mid", "Message");
+        let m = fig2::mapping().edge("Bad", "pid", "Person", "mid", "Message");
         let g = GraphView::build(&mut db, m).unwrap();
         let bad = g.schema().edge_label_id("Bad").unwrap();
         assert!(g.resolve_endpoints(bad, Some(&[0])).is_ok());
@@ -406,8 +339,8 @@ mod tests {
 
     #[test]
     fn index_is_lazy() {
-        let mut db = fig2_db();
-        let mut g = GraphView::build(&mut db, fig2_mapping()).unwrap();
+        let mut db = fig2::database();
+        let mut g = GraphView::build(&mut db, fig2::mapping()).unwrap();
         assert!(g.index().is_none());
         g.build_index().unwrap();
         assert!(g.index().is_some());

@@ -23,9 +23,13 @@
 //! Plain tests cover snapshot isolation: a reader pinned to an old epoch
 //! sees neither uncommitted nor later-committed rows.
 
+#[path = "support/regimes.rs"]
+mod regimes;
+
 use proptest::prelude::*;
+use regimes::assert_regimes_match;
 use relgo::prelude::*;
-use relgo::workloads::templates::{snb_templates, QueryTemplate};
+use relgo::workloads::templates::snb_templates;
 use relgo_storage::Database;
 use std::sync::OnceLock;
 
@@ -169,40 +173,6 @@ fn options(threads: usize) -> SessionOptions {
     }
 }
 
-/// Run one template draw through the ingested session's three regimes and
-/// the fresh session's `run`; assert bit-identity everywhere.
-fn differential_case(
-    ingested: &Session,
-    fresh: &Session,
-    t: &QueryTemplate,
-    draw: u64,
-    mode: OptimizerMode,
-) -> Table {
-    let name = t.name();
-    let q = t.instantiate(draw).unwrap();
-    let expected = fresh.run(&q, mode).unwrap().table;
-    let direct = ingested.run(&q, mode).unwrap().table;
-    assert!(
-        expected.bit_identical(&direct),
-        "{name} draw {draw} {}: ingested run diverges from fresh session",
-        mode.name()
-    );
-    let cached = ingested.run_cached(&q, mode).unwrap().table;
-    assert!(
-        expected.bit_identical(&cached),
-        "{name} draw {draw} {}: ingested run_cached diverges",
-        mode.name()
-    );
-    let stmt = ingested.prepare(&t.instantiate(0).unwrap(), mode).unwrap();
-    let prepared = stmt.execute(&t.bindings(draw).unwrap()).unwrap().table;
-    assert!(
-        expected.bit_identical(&prepared),
-        "{name} draw {draw} {}: ingested prepared execute diverges",
-        mode.name()
-    );
-    expected
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
@@ -241,7 +211,9 @@ proptest! {
                 options(threads),
             ).unwrap();
             for mode in [OptimizerMode::RelGo, OptimizerMode::GRainDb] {
-                let expected = differential_case(&ingested, &fresh, t, draw, mode);
+                let q = t.instantiate(draw).unwrap();
+                let expected = fresh.run(&q, mode).unwrap().table;
+                assert_regimes_match(&ingested, t, draw, mode, &expected, "a fresh session");
                 if mode == OptimizerMode::RelGo {
                     per_threads.push(expected);
                 }

@@ -18,9 +18,13 @@
 //! (observable through `CacheMetrics`), and LRU eviction of the backing
 //! entry never breaks a pinned handle.
 
+#[path = "support/regimes.rs"]
+mod regimes;
+
 use proptest::prelude::*;
+use regimes::assert_regimes_match;
 use relgo::prelude::*;
-use relgo::workloads::templates::{job_templates, snb_templates, QueryTemplate};
+use relgo::workloads::templates::{job_templates, snb_templates};
 use std::sync::OnceLock;
 
 fn options(threads: usize) -> SessionOptions {
@@ -52,35 +56,6 @@ fn job_sessions() -> &'static [(Session, ImdbSchema); 2] {
     })
 }
 
-/// Run one template draw through all three regimes on one session and
-/// assert bit-identity; returns regime 1's table for cross-session checks.
-fn differential_case(
-    session: &Session,
-    t: &QueryTemplate,
-    draw: u64,
-    mode: OptimizerMode,
-) -> Table {
-    let name = t.name();
-    let q = t.instantiate(draw).unwrap();
-    let direct = session.run(&q, mode).unwrap().table;
-    let cached = session.run_cached(&q, mode).unwrap().table;
-    assert!(
-        direct.bit_identical(&cached),
-        "{name} draw {draw} {}: run_cached diverges from run",
-        mode.name()
-    );
-    // Prepare from the draw-0 instance so execute() really rebinds.
-    let stmt = session.prepare(&t.instantiate(0).unwrap(), mode).unwrap();
-    let bindings = t.bindings(draw).unwrap();
-    let prepared = stmt.execute(&bindings).unwrap().table;
-    assert!(
-        direct.bit_identical(&prepared),
-        "{name} draw {draw} {}: prepared execute diverges from run",
-        mode.name()
-    );
-    direct
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -94,7 +69,9 @@ proptest! {
         let mut per_threads = Vec::new();
         for (session, schema) in snb_sessions() {
             let t = &snb_templates(schema)[idx];
-            per_threads.push(differential_case(session, t, draw, mode));
+            let direct = session.run(&t.instantiate(draw).unwrap(), mode).unwrap().table;
+            assert_regimes_match(session, t, draw, mode, &direct, "a first run");
+            per_threads.push(direct);
         }
         prop_assert!(
             per_threads[0].bit_identical(&per_threads[1]),
@@ -112,7 +89,9 @@ proptest! {
         let mut per_threads = Vec::new();
         for (session, schema) in job_sessions() {
             let t = &job_templates(schema)[idx];
-            per_threads.push(differential_case(session, t, draw, mode));
+            let direct = session.run(&t.instantiate(draw).unwrap(), mode).unwrap().table;
+            assert_regimes_match(session, t, draw, mode, &direct, "a first run");
+            per_threads.push(direct);
         }
         prop_assert!(
             per_threads[0].bit_identical(&per_threads[1]),

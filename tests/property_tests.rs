@@ -2,203 +2,22 @@
 //! mode ≡ the naive oracle; rule rewrites preserve results; canonical codes
 //! are isomorphism-invariant; the EV/VE indexes round-trip edges.
 
+#[path = "support/random_graph.rs"]
+mod random_graph;
+
 use proptest::prelude::*;
-use relgo::common::LabelId;
+use random_graph::*;
 use relgo::common::Schema as CommonSchema;
-use relgo::core::spjm::SpjmBuilder;
 use relgo::pattern::canonical_code;
 use relgo::prelude::*;
 use relgo_storage::table::TableBuilder;
-
-/// A random two-label property graph description.
-#[derive(Debug, Clone)]
-struct RandomGraph {
-    n_a: usize,
-    n_b: usize,
-    /// Edges of label X: A → B.
-    x_edges: Vec<(usize, usize)>,
-    /// Edges of label Y: A → A.
-    y_edges: Vec<(usize, usize)>,
-}
-
-fn random_graph() -> impl Strategy<Value = RandomGraph> {
-    (2usize..6, 2usize..5).prop_flat_map(|(n_a, n_b)| {
-        let x = proptest::collection::vec((0..n_a, 0..n_b), 0..12);
-        let y = proptest::collection::vec((0..n_a, 0..n_a), 0..10);
-        (Just(n_a), Just(n_b), x, y).prop_map(|(n_a, n_b, x_edges, y_edges)| RandomGraph {
-            n_a,
-            n_b,
-            x_edges,
-            y_edges: y_edges.into_iter().filter(|(s, t)| s != t).collect(),
-        })
-    })
-}
-
-fn build_session(g: &RandomGraph) -> Session {
-    let mut db = Database::new();
-    let mut t = TableBuilder::new(
-        "A",
-        CommonSchema::of(&[("id", DataType::Int), ("score", DataType::Int)]),
-    );
-    for i in 0..g.n_a {
-        t.push_row(vec![Value::Int(i as i64), Value::Int((i % 3) as i64)])
-            .unwrap();
-    }
-    db.add_table(t.finish());
-    let mut t = TableBuilder::new(
-        "B",
-        CommonSchema::of(&[("id", DataType::Int), ("tag", DataType::Int)]),
-    );
-    for i in 0..g.n_b {
-        t.push_row(vec![Value::Int(i as i64), Value::Int((i % 2) as i64)])
-            .unwrap();
-    }
-    db.add_table(t.finish());
-    let mut t = TableBuilder::new(
-        "X",
-        CommonSchema::of(&[
-            ("id", DataType::Int),
-            ("a", DataType::Int),
-            ("b", DataType::Int),
-        ]),
-    );
-    for (i, &(s, d)) in g.x_edges.iter().enumerate() {
-        t.push_row(vec![
-            Value::Int(i as i64),
-            Value::Int(s as i64),
-            Value::Int(d as i64),
-        ])
-        .unwrap();
-    }
-    db.add_table(t.finish());
-    let mut t = TableBuilder::new(
-        "Y",
-        CommonSchema::of(&[
-            ("id", DataType::Int),
-            ("s", DataType::Int),
-            ("t", DataType::Int),
-        ]),
-    );
-    for (i, &(s, d)) in g.y_edges.iter().enumerate() {
-        t.push_row(vec![
-            Value::Int(i as i64),
-            Value::Int(s as i64),
-            Value::Int(d as i64),
-        ])
-        .unwrap();
-    }
-    db.add_table(t.finish());
-    db.set_primary_key("A", "id").unwrap();
-    db.set_primary_key("B", "id").unwrap();
-    db.set_primary_key("X", "id").unwrap();
-    db.set_primary_key("Y", "id").unwrap();
-    let mapping = RGMapping::new()
-        .vertex("A")
-        .vertex("B")
-        .edge("X", "a", "A", "b", "B")
-        .edge("Y", "s", "A", "t", "A");
-    Session::open(db, mapping).expect("session")
-}
-
-/// A small random connected pattern over labels A(0)/B(1), X(0)/Y(1).
-#[derive(Debug, Clone)]
-enum PatternShape {
-    /// A --X--> B
-    EdgeX,
-    /// A --Y--> A
-    EdgeY,
-    /// A -Y-> A -X-> B path
-    Path,
-    /// (a1)-X->(b), (a2)-X->(b) wedge
-    Wedge,
-    /// (a1)-Y->(a2), (a1)-X->(b), (a2)-X->(b) triangle
-    Triangle,
-    /// A -Y-> A -Y-> A
-    YPath,
-}
-
-fn pattern_of(shape: &PatternShape) -> Pattern {
-    let a = LabelId(0);
-    let b = LabelId(1);
-    let x = LabelId(0);
-    let y = LabelId(1);
-    let mut pb = PatternBuilder::new();
-    match shape {
-        PatternShape::EdgeX => {
-            let v0 = pb.vertex("a", a);
-            let v1 = pb.vertex("b", b);
-            pb.edge(v0, v1, x).unwrap();
-        }
-        PatternShape::EdgeY => {
-            let v0 = pb.vertex("a1", a);
-            let v1 = pb.vertex("a2", a);
-            pb.edge(v0, v1, y).unwrap();
-        }
-        PatternShape::Path => {
-            let v0 = pb.vertex("a1", a);
-            let v1 = pb.vertex("a2", a);
-            let v2 = pb.vertex("b", b);
-            pb.edge(v0, v1, y).unwrap();
-            pb.edge(v1, v2, x).unwrap();
-        }
-        PatternShape::Wedge => {
-            let v0 = pb.vertex("a1", a);
-            let v1 = pb.vertex("a2", a);
-            let v2 = pb.vertex("b", b);
-            pb.edge(v0, v2, x).unwrap();
-            pb.edge(v1, v2, x).unwrap();
-        }
-        PatternShape::Triangle => {
-            let v0 = pb.vertex("a1", a);
-            let v1 = pb.vertex("a2", a);
-            let v2 = pb.vertex("b", b);
-            pb.edge(v0, v1, y).unwrap();
-            pb.edge(v0, v2, x).unwrap();
-            pb.edge(v1, v2, x).unwrap();
-        }
-        PatternShape::YPath => {
-            let v0 = pb.vertex("a1", a);
-            let v1 = pb.vertex("a2", a);
-            let v2 = pb.vertex("a3", a);
-            pb.edge(v0, v1, y).unwrap();
-            pb.edge(v1, v2, y).unwrap();
-        }
-    }
-    pb.build().unwrap()
-}
-
-fn shapes() -> impl Strategy<Value = PatternShape> {
-    prop_oneof![
-        Just(PatternShape::EdgeX),
-        Just(PatternShape::EdgeY),
-        Just(PatternShape::Path),
-        Just(PatternShape::Wedge),
-        Just(PatternShape::Triangle),
-        Just(PatternShape::YPath),
-    ]
-}
-
-fn query_for(pattern: Pattern, with_filter: bool) -> SpjmQuery {
-    let n = pattern.vertex_count();
-    let mut b = SpjmBuilder::new(pattern);
-    let mut cols = Vec::new();
-    for v in 0..n {
-        cols.push(b.vertex_id(v, &format!("v{v}_id")));
-    }
-    // Also project an attribute of vertex 0 so FilterIntoMatch has a target.
-    let attr = b.vertex_column(0, 1, "v0_attr");
-    if with_filter {
-        b.select(ScalarExpr::col_eq(attr, 1i64));
-    }
-    b.build()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn all_modes_agree_with_oracle(g in random_graph(), shape in shapes(), filt in any::<bool>()) {
-        let session = build_session(&g);
+        let session = build_session(&g, SessionOptions::default());
         let query = query_for(pattern_of(&shape), filt);
         let expected = session.oracle(&query).unwrap().sorted_rows();
         for mode in OptimizerMode::ALL {
@@ -213,7 +32,7 @@ proptest! {
 
     #[test]
     fn distinct_vertex_semantics_agree(g in random_graph(), shape in shapes()) {
-        let session = build_session(&g);
+        let session = build_session(&g, SessionOptions::default());
         let pattern = pattern_of(&shape).with_semantics(MatchSemantics::DistinctVertices);
         let query = query_for(pattern, false);
         let expected = session.oracle(&query).unwrap().sorted_rows();
@@ -225,7 +44,7 @@ proptest! {
 
     #[test]
     fn rule_rewrites_preserve_results(g in random_graph(), shape in shapes()) {
-        let session = build_session(&g);
+        let session = build_session(&g, SessionOptions::default());
         let query = query_for(pattern_of(&shape), true);
         let with_rules = session.run(&query, OptimizerMode::RelGo).unwrap();
         let without_rules = session.run(&query, OptimizerMode::RelGoNoRule).unwrap();
@@ -237,7 +56,7 @@ proptest! {
 
     #[test]
     fn glogue_exact_counts_match_oracle(g in random_graph(), shape in shapes()) {
-        let session = build_session(&g);
+        let session = build_session(&g, SessionOptions::default());
         let pattern = pattern_of(&shape);
         let oracle_count = relgo::exec::oracle::match_pattern(&session.view(), &pattern)
             .unwrap()
@@ -269,7 +88,7 @@ proptest! {
 
     #[test]
     fn ev_index_roundtrips_edges(g in random_graph()) {
-        let session = build_session(&g);
+        let session = build_session(&g, SessionOptions::default());
         let view = session.view();
         let index = view.index().unwrap();
         let x = view.schema().edge_label_id("X").unwrap();

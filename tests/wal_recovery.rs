@@ -21,10 +21,15 @@
 //! a checkpointer whose power goes mid-temp-write, before the rename, or
 //! after the rename but before the log compaction (recovery then restores
 //! **every** committed epoch); every call of a fixed durable script under
-//! each of the four faults; and the checkpoint-recovery faults of a rotten
-//! checkpoint, an unlistable directory and a failed directory fsync.
+//! each of the four faults; the directory fsync that makes a fresh log's
+//! name durable; and the checkpoint-recovery faults of a rotten checkpoint,
+//! an unlistable directory and a failed directory fsync.
+
+#[path = "support/regimes.rs"]
+mod regimes;
 
 use proptest::prelude::*;
+use regimes::assert_regimes_match;
 use relgo::delta::{Fs, Handle, Io, Site};
 use relgo::graph::RGMapping;
 use relgo::prelude::*;
@@ -290,13 +295,7 @@ fn check_recovery(
     let q = t.instantiate(draw).unwrap();
     for mode in [OptimizerMode::RelGo, OptimizerMode::GRainDb] {
         let want = oracle.run(&q, mode).unwrap().table;
-        let got = session.run(&q, mode).unwrap().table;
-        assert!(want.bit_identical(&got), "{} run diverges", mode.name());
-        let cached = session.run_cached(&q, mode).unwrap().table;
-        assert!(want.bit_identical(&cached), "{} run_cached", mode.name());
-        let stmt = session.prepare(&t.instantiate(0).unwrap(), mode).unwrap();
-        let prepared = stmt.execute(&t.bindings(draw).unwrap()).unwrap().table;
-        assert!(want.bit_identical(&prepared), "{} execute", mode.name());
+        assert_regimes_match(&session, t, draw, mode, &want, "the oracle");
     }
     // The first recovery already truncated any torn tail; a second open of
     // the same files finds only whole records and the same split.
@@ -445,11 +444,12 @@ fn tiny_history(tag: &str, commits: usize, checkpoints: &[usize]) -> PathBuf {
     path
 }
 
-/// The fault matrix's starting files: a checkpoint at epoch 2, epoch 3 in
-/// the log and five torn bytes behind it, so that opening them reads a
-/// checkpoint and truncates.
+/// The fault matrix's starting files: a checkpoint at epoch 3 and a log
+/// compacted behind it that holds only five torn bytes, so that opening
+/// them reads a checkpoint, truncates, and syncs the directory of a log
+/// with no record.
 fn prepared_log() -> PathBuf {
-    let path = tiny_history("faults_prepared", PREPARED, &[2]);
+    let path = tiny_history("faults_prepared", PREPARED, &[PREPARED]);
     let mut bytes = std::fs::read(&path).unwrap();
     bytes.extend_from_slice(&[9; 5]);
     std::fs::write(&path, bytes).unwrap();
@@ -518,7 +518,7 @@ fn every_seam_call_under_every_fault_recovers_the_acknowledged_prefix() {
         }
     }
     println!("seam calls per site: {per_site:?}");
-    assert_eq!(per_site.len(), 16, "the script reaches every seam site");
+    assert_eq!(per_site.len(), 18, "the script reaches every seam site");
 
     let oracles: Vec<_> = (0..=acked)
         .map(|k| oracle(tiny(), STREAM, k).db())
@@ -534,7 +534,8 @@ fn every_seam_call_under_every_fault_recovers_the_acknowledged_prefix() {
         for fault in faults {
             let what = format!("{fault:?} at call {i} ({site:?} #{nth})");
             let disk = Disk::armed(site, nth, fault);
-            let best_effort = site == Site::DirOpen && !matches!(fault, Fault::Cut(_));
+            let best_effort =
+                matches!(site, Site::DirOpen | Site::WalDirOpen) && !matches!(fault, Fault::Cut(_));
             let (path, acked, attempted) = run_script(&prepared, &disk, best_effort);
             assert!(disk.fired(), "{what} never fired");
             let (session, _) = recover(tiny(), &path).unwrap();
@@ -650,6 +651,37 @@ fn unlistable_checkpoint_directory_is_an_error() {
         panic!("recovered from the base database past a checkpoint");
     };
     assert!(err.to_string().contains("checkpoint list failed"), "{err}");
+    remove_log(&path);
+}
+
+/// A fresh log's name is durable before the first commit is acknowledged
+/// into it: opening a log with no record fsyncs its directory once, and an
+/// open whose directory fsync fails is an error.
+#[test]
+fn fresh_log_syncs_its_directory_before_the_first_commit() {
+    let path = temp_log("fresh_dir");
+    let disk = Arc::new(Disk::default());
+    let (session, _) = open_on(tiny(), &path, &disk).unwrap();
+    stage_and_commit(&session, STREAM.0, 0, STREAM.1).unwrap();
+    let trace = disk.0.lock().unwrap().trace.clone();
+    let syncs: Vec<Site> = (trace.iter().copied())
+        .filter(|s| matches!(s, Site::WalDirFsync | Site::WalFsync))
+        .collect();
+    assert_eq!(syncs, [Site::WalDirFsync, Site::WalFsync], "{trace:?}");
+    drop(session);
+    remove_log(&path);
+
+    let path = temp_log("fresh_dir_fault");
+    let disk = Disk::armed(Site::WalDirFsync, 0, Fault::Eio);
+    let Err(err) = open_on(tiny(), &path, &disk) else {
+        panic!("opened a log whose name may not survive a power cut");
+    };
+    assert!(
+        err.to_string().contains("wal fsync directory failed"),
+        "{err}"
+    );
+    let (back, _) = recover(tiny(), &path).unwrap();
+    assert_eq!(back.epoch(), 0, "no commit acknowledged");
     remove_log(&path);
 }
 
