@@ -106,10 +106,11 @@ impl<'a> DecompositionSpace<'a> {
         let mut chain = vec![acc];
         for (i, &ei) in edges.iter().enumerate().skip(1) {
             let edge_rows = self.edge_rows(ei);
-            let step = self.cost.hash_join(acc.card, edge_rows);
+            let next = if i + 1 == edges.len() { card } else { acc.card };
+            let step = self.cost.hash_join(acc.card, edge_rows, next);
             acc = Est {
                 cost: acc.cost + step + edge_rows,
-                card: if i + 1 == edges.len() { card } else { acc.card },
+                card: next,
             };
             chain.push(acc);
         }
@@ -215,7 +216,7 @@ impl SearchSpace for DecompositionSpace<'_> {
             }
             Transition::BinaryJoin { .. } => {
                 let r = r.expect("a join has two inputs");
-                l.cost + r.cost + self.cost.hash_join(l.card, r.card)
+                l.cost + r.cost + self.cost.hash_join(l.card, r.card, card)
             }
         };
         Est { cost, card }

@@ -859,6 +859,10 @@ fn expand_intersect(
                     continue;
                 }
                 let walked = list(walk as usize).1;
+                // One distinct candidate: every cursor stands at 0 and
+                // would gallop across its whole list for it, so one binary
+                // search a leg lands it at the same index.
+                let single = walked[0] == walked[walked.len() - 1];
                 at.fill(0);
                 let mut next = 0;
                 'candidate: while next < walked.len() {
@@ -870,7 +874,10 @@ fn expand_intersect(
                         // on. An empty one drops the candidate — and ends
                         // the walk when the leg has nothing larger either.
                         let (es, ns) = list(i);
-                        let lo = gallop(ns, *at, w);
+                        let lo = match single {
+                            true => *at + ns[*at..].partition_point(|&x| x < w),
+                            false => gallop(ns, *at, w),
+                        };
                         let hi = lo + run_of(&ns[lo..], w);
                         *at = hi;
                         if lo == hi {
@@ -1948,9 +1955,12 @@ mod tests {
     /// A graph for the differential tests: `n` vertices `P(id, score = id %
     /// 7, name)` — a NULL name every eleventh row — and edges `K(id, a, b, w
     /// = id % 5)`: vertex 0 is a hub reaching 1..=`hub` (every third one
-    /// twice — parallel edges); every other vertex `v` but the last ten,
-    /// which reach nothing, reaches `v + 1` (twice when `v % 4 == 0`) and
-    /// `v + 2`. Ids are `10 × row`, so a key is never its row.
+    /// twice — parallel edges); every other vertex `v` but the last ten
+    /// reaches `v + 1` (twice when `v % 4 == 0`) and `v + 2`. Of the last
+    /// ten, `n - 4`, `n - 3` and `n - 2` each reach one vertex — the hub's
+    /// first neighbour, its last, and `hub + 1`, which it does not reach —
+    /// and the rest reach nothing. Ids are `10 × row`, so a key is never
+    /// its row.
     fn hub_view(n: i64, hub: i64) -> GraphView {
         let mut db = Database::new();
         db.add_table(table_of(
@@ -1981,6 +1991,7 @@ mod tests {
             ));
             pairs.push((v, v + 2));
         }
+        pairs.extend([(n - 4, 1), (n - 3, hub), (n - 2, hub + 1)]);
         db.add_table(table_of(
             "K",
             &[
@@ -2212,12 +2223,15 @@ mod tests {
         // Input rows bind the legs' sources: the hub against its own
         // neighbourhood (long list against short ones, parallel edges on
         // one leg or on both), neighbours against each other, a vertex
-        // against itself, and the sinks at the end, whose legs are empty.
+        // against itself, the sinks at the end, whose legs are empty, and a
+        // one-neighbour leg against the hub's with its candidate first in
+        // the hub's list, last, and absent.
         let sources: Vec<[RowId; 3]> = (0..2100)
             .map(|v| [0, v, v + 1])
             .chain((1..400).map(|v| [v, v + 1, v]))
             .chain((1..50).map(|v| [4 * v, 4 * v, 0]))
             .chain([[2995, 0, 2994], [0, 2999, 1], [2990, 2989, 2988]])
+            .chain([[2996, 0, 0], [0, 2997, 0], [0, 2998, 0], [2997, 0, 2996]])
             .collect();
         for legs in [2usize, 3] {
             let gather: Vec<u32> = (0..sources.len() as u32).collect();

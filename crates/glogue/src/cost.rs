@@ -7,10 +7,14 @@
 //! * **EXPAND_INTERSECT** (complete-star right child): `|M(P'ₗ)|` × (the
 //!   cheapest adjacency list scanned per tuple + the average intersection
 //!   size, i.e. the result-per-tuple ratio);
-//! * **HASH_JOIN** (arbitrary right child): `|M(P'ₗ)| × |M(P'ᵣ)|`.
+//! * **HASH_JOIN** (arbitrary right child): build + probe + gather,
+//!   `|M(P'ₗ)| + |M(P'ᵣ)| + |M(P')|`, each term floored at 1 — linear, as
+//!   the executor's `JoinTable` runs it (the paper prices it at the
+//!   product `|M(P'ₗ)| × |M(P'ᵣ)|`).
 //!
 //! Without a graph index, every operation is a hash join and costs the
-//! product of its input cardinalities.
+//! product of its input cardinalities — the join included, so that it stays
+//! comparable with the product-priced EXPAND of that regime.
 
 /// Tunable cost model. The `with_index` flag mirrors the paper's two
 /// regimes.
@@ -66,10 +70,16 @@ impl CostModel {
         }
     }
 
-    /// Cost of a hash join of two sub-pattern relations (paper: the product
-    /// of the cardinalities being joined).
-    pub fn hash_join(&self, card_left: f64, card_right: f64) -> f64 {
-        card_left.max(1.0) * card_right.max(1.0)
+    /// Cost of a hash join of two sub-pattern relations producing
+    /// `card_out` tuples. With the index: build, probe and gather, one
+    /// term each, floored at 1. Without it: the product of the
+    /// cardinalities being joined.
+    pub fn hash_join(&self, card_left: f64, card_right: f64, card_out: f64) -> f64 {
+        if self.with_index {
+            card_left.max(1.0) + card_right.max(1.0) + card_out.max(1.0)
+        } else {
+            card_left.max(1.0) * card_right.max(1.0)
+        }
     }
 
     /// Cost of scanning a vertex relation of `card` rows (plan entry point).
@@ -114,10 +124,18 @@ mod tests {
     }
 
     #[test]
-    fn join_cost_is_product_and_guards_zero() {
+    fn join_cost_is_linear_and_guards_zero() {
         let m = CostModel::indexed();
-        assert_eq!(m.hash_join(10.0, 20.0), 200.0);
-        assert_eq!(m.hash_join(0.0, 20.0), 20.0, "empty side floors at 1");
+        assert_eq!(m.hash_join(10.0, 20.0, 5.0), 35.0);
+        assert_eq!(m.hash_join(0.0, 20.0, 0.0), 22.0, "empty terms floor at 1");
+        assert_eq!(m.hash_join(0.0, 0.0, 0.0), 3.0);
+    }
+
+    #[test]
+    fn unindexed_join_stays_a_product() {
+        let m = CostModel::unindexed();
+        assert_eq!(m.hash_join(10.0, 20.0, 5.0), 200.0);
+        assert_eq!(m.hash_join(0.0, 20.0, 1e6), 20.0, "empty side floors at 1");
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   patterns and exact predicate selectivities;
 //! * [`cost::CostModel`] — the physical cost formulas: `EXPAND` =
 //!   `|M(P'ₗ)| × d̄`, `EXPAND_INTERSECT` = `|M(P'ₗ)| × (scan + avg
-//!   intersection size)`, `HASH_JOIN` = `|M(P'ₗ)| × |M(P'ᵣ)|`.
+//!   intersection size)`, `HASH_JOIN` = `|M(P'ₗ)| + |M(P'ᵣ)| + |M(P')|`
+//!   (build + probe + gather; the product without the index).
 
 pub mod cost;
 pub mod counting;
