@@ -291,12 +291,10 @@ fn adjacency<'a>(
         Direction::Out => (src_label, srcs, dsts),
         Direction::In => (dst_label, dsts, srcs),
     };
-    let triples = (0..from.len())
-        .map(|r| (from[r], r as RowId, to[r]))
-        .collect();
     Ok(Cow::Owned(Csr::build(
         ctx.view.vertex_count(from_label),
-        triples,
+        &from,
+        &to,
     )))
 }
 

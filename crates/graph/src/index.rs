@@ -7,6 +7,14 @@
 //!   corresponding neighbor vertex tuples, stored per edge label and
 //!   direction in CSR form. Neighbor lists are sorted by neighbor row id so
 //!   `EXPAND_INTERSECT` can intersect them with linear merges.
+//!
+//! Both VE directions come from the two endpoint columns that λ resolution
+//! returns, with no comparison sort over the edge relation: the out-CSR is
+//! a counting sort by source followed by a per-list sort by `(neighbor,
+//! edge)` ([`Csr::build`]), and the in-CSR is its transpose, which comes
+//! out already ordered. Only a committed delta's own few entries are
+//! comparison-sorted before they merge into the previous epoch's lists
+//! ([`GraphIndex::rebuild_delta`]).
 
 use crate::view::GraphView;
 use relgo_common::{FxHashMap, LabelId, RelGoError, Result, RowId};
@@ -44,7 +52,10 @@ pub struct EvIndex {
 
 /// CSR adjacency of one (edge label, direction): for vertex row `v`, the
 /// adjacent `(edge row, neighbor row)` pairs are
-/// `entries[offsets[v]..offsets[v+1]]`, sorted by neighbor row id.
+/// `entries[offsets[v]..offsets[v+1]]`, sorted by neighbor row id and then
+/// by edge row id. The entry order is thus the total order `(vertex,
+/// neighbor, edge)`: parallel data edges sit in edge-row order, and every
+/// build path below produces the same arrays bit for bit.
 #[derive(Debug, Clone, Default)]
 pub struct Csr {
     offsets: Vec<u32>,
@@ -53,34 +64,93 @@ pub struct Csr {
 }
 
 impl Csr {
-    /// Build from `(vertex, edge, neighbor)` triples over `num_vertices`
-    /// vertex rows (also the executor's adjacency when no index exists).
-    pub fn build(num_vertices: usize, mut triples: Vec<(RowId, RowId, RowId)>) -> Csr {
-        // Sort by vertex then neighbor for intersection-friendly lists,
-        // with the edge row as the final tie-breaker so the entry order is
-        // a *total* order — parallel data edges land in edge-row order, and
-        // the delta merge path (`Csr::merged_with_delta`) reproduces it
-        // exactly.
-        triples.sort_unstable_by_key(|&(v, e, n)| (v, n, e));
-        Csr::from_sorted(num_vertices, &triples)
+    /// Build the adjacency of an edge relation over `num_vertices` vertex
+    /// rows, where edge row `e` joins vertex row `from[e]` to neighbor row
+    /// `to[e]` (also the executor's adjacency when no index exists).
+    ///
+    /// A counting sort over the two columns: degrees are counted into the
+    /// offsets, each edge row is scattered into its vertex's list in
+    /// edge-row order, and each list is then ordered by neighbor. Edge rows
+    /// ascend within a list before that sort, so ordering by `(neighbor,
+    /// edge)` is a stable sort by neighbor.
+    pub fn build(num_vertices: usize, from: &[RowId], to: &[RowId]) -> Csr {
+        debug_assert_eq!(from.len(), to.len());
+        let entries = from.iter().zip(to).zip(0..).map(|((&v, &n), e)| (v, e, n));
+        let mut csr = Csr::scatter(num_vertices, from, entries);
+        csr.sort_lists();
+        csr
     }
 
-    /// Assemble a CSR from triples already sorted by `(vertex, neighbor,
-    /// edge)` — the merge path's constructor (no re-sort).
-    fn from_sorted(num_vertices: usize, triples: &[(RowId, RowId, RowId)]) -> Csr {
+    /// The adjacency of the opposite direction, over `num_vertices`
+    /// neighbor rows. Scattering this CSR's entries in entry order by
+    /// neighbor visits each target's sources in ascending order, and one
+    /// source's edges to it in ascending edge order, so every list comes
+    /// out sorted by `(neighbor, edge)` with no sort at all.
+    fn transpose(&self, num_vertices: usize) -> Csr {
+        let entries = self.triples().map(|(v, e, n)| (n, e, v));
+        Csr::scatter(num_vertices, &self.nbr_rid, entries)
+    }
+
+    /// Counting-sort placement: `keys` holds each entry's vertex (it sizes
+    /// the lists), and `entries` yields the same entries as `(vertex, edge,
+    /// neighbor)` in the order each list keeps them.
+    fn scatter(
+        num_vertices: usize,
+        keys: &[RowId],
+        entries: impl Iterator<Item = (RowId, RowId, RowId)>,
+    ) -> Csr {
+        // `offsets[v + 1]` first counts v's degree, then holds v's start as
+        // its cursor; after placement it has advanced to v's end, which is
+        // exactly the CSR's `offsets[v + 1]`.
         let mut offsets = vec![0u32; num_vertices + 1];
-        for &(v, _, _) in triples {
+        for &v in keys {
             offsets[v as usize + 1] += 1;
         }
-        for i in 0..num_vertices {
-            offsets[i + 1] += offsets[i];
+        let mut start = 0;
+        for slot in &mut offsets[1..] {
+            let degree = *slot;
+            *slot = start;
+            start += degree;
         }
-        let edge_rid = triples.iter().map(|&(_, e, _)| e).collect();
-        let nbr_rid = triples.iter().map(|&(_, _, n)| n).collect();
+        let mut edge_rid = vec![0; keys.len()];
+        let mut nbr_rid = vec![0; keys.len()];
+        for (v, e, n) in entries {
+            let cursor = &mut offsets[v as usize + 1];
+            edge_rid[*cursor as usize] = e;
+            nbr_rid[*cursor as usize] = n;
+            *cursor += 1;
+        }
         Csr {
             offsets,
             edge_rid,
             nbr_rid,
+        }
+    }
+
+    /// Order every list by `(neighbor, edge)`, skipping lists whose
+    /// neighbors already ascend (their edges ascend too: see
+    /// [`Csr::build`]).
+    fn sort_lists(&mut self) {
+        let mut list: Vec<u64> = Vec::new();
+        for v in 0..self.offsets.len().saturating_sub(1) {
+            let (lo, hi) = (self.offsets[v] as usize, self.offsets[v + 1] as usize);
+            let (edges, nbrs) = (&mut self.edge_rid[lo..hi], &mut self.nbr_rid[lo..hi]);
+            if nbrs.is_sorted() {
+                continue;
+            }
+            // Neighbor in the high half, edge in the low: one integer sort
+            // orders the list by `(neighbor, edge)`.
+            list.clear();
+            list.extend(
+                nbrs.iter()
+                    .zip(edges.iter())
+                    .map(|(&n, &e)| (u64::from(n) << 32) | u64::from(e)),
+            );
+            list.sort_unstable();
+            for ((key, e), n) in list.iter().zip(edges).zip(nbrs) {
+                *n = (key >> 32) as RowId;
+                *e = *key as RowId;
+            }
         }
     }
 
@@ -113,9 +183,9 @@ impl Csr {
     /// monotonic [`TableChange`] maps — which preserves the `(v, n, e)`
     /// sort order) merged with the already-sorted `delta` entries of newly
     /// ingested edges. Both inputs are consumed as sorted runs, so the
-    /// merge is a single linear pass with no per-entry allocation, and the
-    /// result is bit-identical to a from-scratch [`Csr`] build over the
-    /// merged edge table.
+    /// merge is a single linear pass that writes straight into the new
+    /// columns, and the result is bit-identical to a from-scratch [`Csr`]
+    /// build over the merged edge table.
     fn merged_with_delta(
         &self,
         num_vertices: usize,
@@ -126,8 +196,17 @@ impl Csr {
     ) -> Result<Csr> {
         // Every base edge row has exactly one entry per direction CSR, so
         // the survivor count needs no pass over the entries.
-        let survivors = self.len() - echange.deleted().len();
-        let mut merged: Vec<(RowId, RowId, RowId)> = Vec::with_capacity(survivors + delta.len());
+        let len = self.len() - echange.deleted().len() + delta.len();
+        let mut merged = Csr {
+            offsets: vec![0; num_vertices + 1],
+            edge_rid: Vec::with_capacity(len),
+            nbr_rid: Vec::with_capacity(len),
+        };
+        let mut push = |(v, e, n): (RowId, RowId, RowId)| {
+            merged.offsets[v as usize + 1] += 1;
+            merged.edge_rid.push(e);
+            merged.nbr_rid.push(n);
+        };
         let mut delta_it = delta.iter().copied().peekable();
         for (v, e, n) in self.triples() {
             let Some(e_new) = echange.new_id(e) else {
@@ -143,16 +222,19 @@ impl Csr {
             };
             while let Some(&(dv, de, dn)) = delta_it.peek() {
                 if (dv, dn, de) < (v_new, n_new, e_new) {
-                    merged.push((dv, de, dn));
+                    push((dv, de, dn));
                     delta_it.next();
                 } else {
                     break;
                 }
             }
-            merged.push((v_new, e_new, n_new));
+            push((v_new, e_new, n_new));
         }
-        merged.extend(delta_it);
-        Ok(Csr::from_sorted(num_vertices, &merged))
+        delta_it.for_each(push);
+        for i in 0..num_vertices {
+            merged.offsets[i + 1] += merged.offsets[i];
+        }
+        Ok(merged)
     }
 
     /// Adjacent `(edges, neighbors)` slices of vertex row `v`.
@@ -203,19 +285,9 @@ impl GraphIndex {
             let el = LabelId(li);
             let (src_label, dst_label) = view.schema().edge_endpoints(el);
             let (src_rid, dst_rid) = view.resolve_endpoints(el, None)?;
-            let triples = |from: &[RowId], to: &[RowId]| -> Vec<(RowId, RowId, RowId)> {
-                (0..from.len())
-                    .map(|e| (from[e], e as RowId, to[e]))
-                    .collect()
-            };
-            ve_out.push(Arc::new(Csr::build(
-                view.vertex_count(src_label),
-                triples(&src_rid, &dst_rid),
-            )));
-            ve_in.push(Arc::new(Csr::build(
-                view.vertex_count(dst_label),
-                triples(&dst_rid, &src_rid),
-            )));
+            let out = Csr::build(view.vertex_count(src_label), &src_rid, &dst_rid);
+            ve_in.push(Arc::new(out.transpose(view.vertex_count(dst_label))));
+            ve_out.push(Arc::new(out));
             ev.push(Arc::new(EvIndex { src_rid, dst_rid }));
         }
         Ok(GraphIndex { ev, ve_out, ve_in })
@@ -517,6 +589,133 @@ mod tests {
     fn direction_reverse() {
         assert_eq!(Direction::Out.reverse(), Direction::In);
         assert_eq!(Direction::In.reverse(), Direction::Out);
+    }
+
+    /// The reference build: one `(vertex, edge, neighbor)` triple per edge
+    /// row, comparison-sorted by `(vertex, neighbor, edge)` as a whole.
+    fn reference(num_vertices: usize, from: &[RowId], to: &[RowId]) -> Csr {
+        let mut triples: Vec<_> = (0..from.len())
+            .map(|e| (from[e], e as RowId, to[e]))
+            .collect();
+        triples.sort_unstable_by_key(|&(v, e, n)| (v, n, e));
+        let mut offsets = vec![0u32; num_vertices + 1];
+        for &(v, _, _) in &triples {
+            offsets[v as usize + 1] += 1;
+        }
+        for i in 0..num_vertices {
+            offsets[i + 1] += offsets[i];
+        }
+        Csr {
+            offsets,
+            edge_rid: triples.iter().map(|&(_, e, _)| e).collect(),
+            nbr_rid: triples.iter().map(|&(_, _, n)| n).collect(),
+        }
+    }
+
+    fn assert_same(got: &Csr, want: &Csr, what: &str) {
+        assert_eq!(got.offsets, want.offsets, "{what}: offsets");
+        assert_eq!(got.edge_rid, want.edge_rid, "{what}: edge rows");
+        assert_eq!(got.nbr_rid, want.nbr_rid, "{what}: neighbor rows");
+    }
+
+    /// Both directions of an edge relation from `sources` to `targets`
+    /// vertex rows equal the reference: the counting sort (out), its
+    /// transpose (in, as `GraphIndex::build` makes it) and the counting
+    /// sort over the swapped columns (in, as the unindexed executor makes
+    /// it).
+    fn check(what: &str, (sources, targets): (usize, usize), from: &[RowId], to: &[RowId]) {
+        let out = Csr::build(sources, from, to);
+        assert_same(&out, &reference(sources, from, to), &format!("{what} out"));
+        let want_in = reference(targets, to, from);
+        assert_same(
+            &out.transpose(targets),
+            &want_in,
+            &format!("{what} transpose"),
+        );
+        assert_same(
+            &Csr::build(targets, to, from),
+            &want_in,
+            &format!("{what} in"),
+        );
+    }
+
+    /// A seeded splitmix64 stream (fixed seeds; nothing shrinks).
+    fn rng(seed: u64) -> impl FnMut(u64) -> RowId {
+        let mut state = seed;
+        move |bound| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % bound) as RowId
+        }
+    }
+
+    #[test]
+    fn counting_sort_equals_reference_on_random_relations() {
+        for seed in 0..16 {
+            let mut next = rng(seed);
+            let (sources, targets) = (1 + next(200) as usize, 1 + next(200) as usize);
+            let m = next(2_000) as usize;
+            let from: Vec<RowId> = (0..m).map(|_| next(sources as u64)).collect();
+            let to: Vec<RowId> = (0..m).map(|_| next(targets as u64)).collect();
+            check(&format!("seed {seed}"), (sources, targets), &from, &to);
+        }
+    }
+
+    #[test]
+    fn counting_sort_equals_reference_on_a_hub_with_parallel_edges() {
+        for seed in 0..8 {
+            let mut next = rng(100 + seed);
+            // Vertex 7 holds ~80 % of 3 000 edges (degree ≫ the mean of
+            // 6), over only 40 neighbors: ~60 parallel edges to each, in
+            // random edge-row order. One more pair repeats 50 times.
+            let (from, to): (Vec<RowId>, Vec<RowId>) = (0..3_000)
+                .map(|e| match next(10) {
+                    _ if e % 60 == 0 => (3, 11),
+                    0 | 1 => (next(500), next(500)),
+                    _ => (7, next(40)),
+                })
+                .unzip();
+            check(&format!("hub seed {seed}"), (500, 500), &from, &to);
+        }
+    }
+
+    #[test]
+    fn counting_sort_equals_reference_on_edge_shapes() {
+        // Self-loops, parallel ones among them, over one vertex label.
+        let mut next = rng(7);
+        let (from, to): (Vec<RowId>, Vec<RowId>) = (0..400)
+            .map(|_| {
+                let v = next(30);
+                if next(3) == 0 {
+                    (v, v)
+                } else {
+                    (v, next(30))
+                }
+            })
+            .unzip();
+        check("self-loops", (30, 30), &from, &to);
+        // Isolated vertices: edges touch only every fifth row, none the
+        // first or last ones.
+        let (from, to): (Vec<RowId>, Vec<RowId>) = (0..300)
+            .map(|_| (5 + 5 * next(30), 5 + 5 * next(30)))
+            .unzip();
+        check("isolated", (200, 200), &from, &to);
+        // Lists that are already sorted: edge rows in (vertex, neighbor)
+        // order, and a single vertex with ascending neighbors.
+        let (from, to): (Vec<RowId>, Vec<RowId>) = (0..50u32)
+            .flat_map(|v| (0..v % 7).map(move |n| (v, 3 * n)))
+            .unzip();
+        check("sorted", (50, 20), &from, &to);
+        let to: Vec<RowId> = (0..100).collect();
+        check("one sorted list", (1, 100), &[0; 100], &to);
+        // Descending neighbors: every list reversed.
+        let (from, to): (Vec<RowId>, Vec<RowId>) = (0..500u32).map(|e| (e % 5, 499 - e)).unzip();
+        check("reversed", (5, 500), &from, &to);
+        // Zero edges, over some vertices and over none.
+        check("no edges", (4, 3), &[], &[]);
+        check("no vertices", (0, 0), &[], &[]);
     }
 
     /// Rebuild the fig-5 database with a committed delta applied by hand,
