@@ -10,12 +10,12 @@
 //! side, invisible to every reader. [`DeltaSet::apply`] validates the delta
 //! and produces a **merged** [`Database`]: changed tables are rebuilt
 //! column-wise (surviving base rows in base order, then the inserts — the
-//! monotonic-remap contract of [`relgo_storage::TableChange`]), while
-//! unchanged tables keep sharing their `Arc`s and cached key indexes. The
+//! row-order contract of [`relgo_storage::TableChange`]), while unchanged
+//! tables keep sharing their `Arc`s and cached key indexes. The
 //! accompanying [`ChangeSummary`] tells downstream consumers (graph index,
-//! statistics) exactly which rows moved, so they can refresh incrementally
-//! instead of rebuilding; [`refresh_view`] does that for the property-graph
-//! view. Epoch stamping and publication live in the session layer
+//! statistics) which tables changed and how, so they refresh only what the
+//! change touched; [`refresh_view`] does that for the property-graph view.
+//! Epoch stamping and publication live in the session layer
 //! (`relgo::Session::begin_ingest`), which swaps the merged snapshot in
 //! atomically so in-flight queries keep reading the old epoch.
 
@@ -371,7 +371,8 @@ mod tests {
         assert_eq!(summary.deleted_rows(), 1);
         let pc = summary.change("Person").unwrap();
         assert_eq!(pc.deleted(), &[1]);
-        assert_eq!(pc.new_id(2), Some(1));
+        // Eve, base row 2, is merged row 1.
+        assert_eq!(pc.survivors()[1], 2);
     }
 
     #[test]

@@ -12,12 +12,12 @@
 //! returns, with no comparison sort over the edge relation: the out-CSR is
 //! a counting sort by source followed by a per-list sort by `(neighbor,
 //! edge)` ([`Csr::build`]), and the in-CSR is its transpose, which comes
-//! out already ordered. Only a committed delta's own few entries are
-//! comparison-sorted before they merge into the previous epoch's lists
+//! out already ordered. Opening a view and committing a delta build a label
+//! the same way; a commit only skips the labels it leaves valid
 //! ([`GraphIndex::rebuild_delta`]).
 
 use crate::view::GraphView;
-use relgo_common::{FxHashMap, LabelId, RelGoError, Result, RowId};
+use relgo_common::{FxHashMap, LabelId, Result, RowId};
 use relgo_storage::TableChange;
 use std::sync::Arc;
 
@@ -178,65 +178,6 @@ impl Csr {
         })
     }
 
-    /// The merged base+delta iteration path: stream the surviving base
-    /// entries (tombstoned edges dropped, row ids remapped through the
-    /// monotonic [`TableChange`] maps — which preserves the `(v, n, e)`
-    /// sort order) merged with the already-sorted `delta` entries of newly
-    /// ingested edges. Both inputs are consumed as sorted runs, so the
-    /// merge is a single linear pass that writes straight into the new
-    /// columns, and the result is bit-identical to a from-scratch [`Csr`]
-    /// build over the merged edge table.
-    fn merged_with_delta(
-        &self,
-        num_vertices: usize,
-        echange: &TableChange,
-        vmap: &dyn Fn(RowId) -> Option<RowId>,
-        nmap: &dyn Fn(RowId) -> Option<RowId>,
-        delta: &[(RowId, RowId, RowId)],
-    ) -> Result<Csr> {
-        // Every base edge row has exactly one entry per direction CSR, so
-        // the survivor count needs no pass over the entries.
-        let len = self.len() - echange.deleted().len() + delta.len();
-        let mut merged = Csr {
-            offsets: vec![0; num_vertices + 1],
-            edge_rid: Vec::with_capacity(len),
-            nbr_rid: Vec::with_capacity(len),
-        };
-        let mut push = |(v, e, n): (RowId, RowId, RowId)| {
-            merged.offsets[v as usize + 1] += 1;
-            merged.edge_rid.push(e);
-            merged.nbr_rid.push(n);
-        };
-        let mut delta_it = delta.iter().copied().peekable();
-        for (v, e, n) in self.triples() {
-            let Some(e_new) = echange.new_id(e) else {
-                continue;
-            };
-            let (v_new, n_new) = match (vmap(v), nmap(n)) {
-                (Some(v_new), Some(n_new)) => (v_new, n_new),
-                _ => {
-                    return Err(RelGoError::schema(format!(
-                        "surviving edge row {e} still references a deleted vertex row"
-                    )))
-                }
-            };
-            while let Some(&(dv, de, dn)) = delta_it.peek() {
-                if (dv, dn, de) < (v_new, n_new, e_new) {
-                    push((dv, de, dn));
-                    delta_it.next();
-                } else {
-                    break;
-                }
-            }
-            push((v_new, e_new, n_new));
-        }
-        delta_it.for_each(push);
-        for i in 0..num_vertices {
-            merged.offsets[i + 1] += merged.offsets[i];
-        }
-        Ok(merged)
-    }
-
     /// Adjacent `(edges, neighbors)` slices of vertex row `v`.
     #[inline]
     pub fn neighbors(&self, v: RowId) -> (&[RowId], &[RowId]) {
@@ -277,20 +218,11 @@ impl GraphIndex {
     /// Build both index families for every edge label of the view. Fails if
     /// any λ function is partial (dangling foreign key).
     pub fn build(view: &GraphView) -> Result<GraphIndex> {
-        let n_edges = view.schema().edge_label_count();
-        let mut ev = Vec::with_capacity(n_edges);
-        let mut ve_out = Vec::with_capacity(n_edges);
-        let mut ve_in = Vec::with_capacity(n_edges);
-        for li in 0..n_edges as u16 {
-            let el = LabelId(li);
-            let (src_label, dst_label) = view.schema().edge_endpoints(el);
-            let (src_rid, dst_rid) = view.resolve_endpoints(el, None)?;
-            let out = Csr::build(view.vertex_count(src_label), &src_rid, &dst_rid);
-            ve_in.push(Arc::new(out.transpose(view.vertex_count(dst_label))));
-            ve_out.push(Arc::new(out));
-            ev.push(Arc::new(EvIndex { src_rid, dst_rid }));
+        let mut index = GraphIndex::for_labels(view);
+        for li in 0..view.schema().edge_label_count() as u16 {
+            index.push(build_label(view, LabelId(li))?);
         }
-        Ok(GraphIndex { ev, ve_out, ve_in })
+        Ok(index)
     }
 
     /// Incrementally rebuild after a committed delta: `view` is the *new*
@@ -304,13 +236,11 @@ impl GraphIndex {
     /// * **endpoints grew append-only, edge table unchanged** — every
     ///   existing entry is still valid; only the CSR offset tables are
     ///   extended over the new vertex rows;
-    /// * **anything else** — the label is re-derived from the old index by
-    ///   the merged base+delta path: surviving entries are remapped through
-    ///   the monotonic old→new row maps (which keeps them sorted), newly
-    ///   ingested edges are λ-resolved against the merged view, and the two
-    ///   sorted runs merge linearly (`Csr::merged_with_delta`). Deleting
-    ///   a vertex row still referenced by a surviving edge is an error (λ
-    ///   must stay total), as is an inserted edge with a dangling key.
+    /// * **anything else** — the label is built from the merged view exactly
+    ///   as [`GraphIndex::build`] builds it. An edge whose key no longer
+    ///   resolves fails λ resolution, whether the edge was inserted with a
+    ///   dangling key or its vertex row was deleted under it; a vertex row
+    ///   replaced by one with the same key resolves to the new row.
     ///
     /// The result is bit-identical to [`GraphIndex::build`] over the merged
     /// view, at the cost of the touched labels only.
@@ -319,42 +249,50 @@ impl GraphIndex {
         view: &GraphView,
         changes: &FxHashMap<String, TableChange>,
     ) -> Result<GraphIndex> {
-        let n_edges = view.schema().edge_label_count();
-        let mut ev = Vec::with_capacity(n_edges);
-        let mut ve_out = Vec::with_capacity(n_edges);
-        let mut ve_in = Vec::with_capacity(n_edges);
-        for li in 0..n_edges as u16 {
-            let el = LabelId(li);
+        let mut index = GraphIndex::for_labels(view);
+        for li in 0..view.schema().edge_label_count() as u16 {
+            let (el, i) = (LabelId(li), li as usize);
             let (src_label, dst_label) = view.schema().edge_endpoints(el);
             let echange = changes.get(view.edge_table(el).name());
             let schange = changes.get(view.vertex_table(src_label).name());
             let dchange = changes.get(view.vertex_table(dst_label).name());
             let stable = |c: Option<&TableChange>| c.is_none_or(TableChange::is_append_only);
-            if echange.is_none() && stable(schange) && stable(dchange) {
-                // Existing entries are all valid; at most the offset tables
-                // must cover newly appended vertex rows.
-                ev.push(Arc::clone(&prev.ev[li as usize]));
-                ve_out.push(match schange {
-                    None => Arc::clone(&prev.ve_out[li as usize]),
-                    Some(_) => {
-                        Arc::new(prev.ve_out[li as usize].extended(view.vertex_count(src_label)))
-                    }
-                });
-                ve_in.push(match dchange {
-                    None => Arc::clone(&prev.ve_in[li as usize]),
-                    Some(_) => {
-                        Arc::new(prev.ve_in[li as usize].extended(view.vertex_count(dst_label)))
-                    }
-                });
+            if echange.is_some() || !stable(schange) || !stable(dchange) {
+                index.push(build_label(view, el)?);
                 continue;
             }
-            let (new_ev, new_out, new_in) =
-                rebuild_label(prev, view, el, echange, schange, dchange)?;
-            ev.push(Arc::new(new_ev));
-            ve_out.push(Arc::new(new_out));
-            ve_in.push(Arc::new(new_in));
+            // Existing entries are all valid; at most the offset tables must
+            // cover newly appended vertex rows.
+            let keep = |csr: &Arc<Csr>, change: Option<&TableChange>, label| match change {
+                None => Arc::clone(csr),
+                Some(_) => Arc::new(csr.extended(view.vertex_count(label))),
+            };
+            index.push((
+                Arc::clone(&prev.ev[i]),
+                keep(&prev.ve_out[i], schange, src_label),
+                keep(&prev.ve_in[i], dchange, dst_label),
+            ));
         }
-        Ok(GraphIndex { ev, ve_out, ve_in })
+        Ok(index)
+    }
+
+    /// An empty index with room for every edge label of `view`. Sized up
+    /// front: growing these small vectors between the large per-label
+    /// arrays measurably raised peak RSS through the allocator's layout.
+    fn for_labels(view: &GraphView) -> GraphIndex {
+        let n = view.schema().edge_label_count();
+        GraphIndex {
+            ev: Vec::with_capacity(n),
+            ve_out: Vec::with_capacity(n),
+            ve_in: Vec::with_capacity(n),
+        }
+    }
+
+    /// Append the next edge label's three structures.
+    fn push(&mut self, (ev, out, ve_in): Label) {
+        self.ev.push(ev);
+        self.ve_out.push(out);
+        self.ve_in.push(ve_in);
     }
 
     /// Whether label `el`'s structures are shared with `other` (incremental
@@ -413,93 +351,28 @@ impl GraphIndex {
     pub fn degree(&self, el: LabelId, dir: Direction, v: RowId) -> usize {
         self.adjacency(el, dir).degree(v)
     }
-
-    /// Total adjacency entries of `(el, dir)` (= edge count; for tests).
-    pub fn adjacency_len(&self, el: LabelId, dir: Direction) -> usize {
-        self.adjacency(el, dir).len()
-    }
 }
 
-/// Re-derive one touched label from the previous index + the delta (the
-/// general arm of [`GraphIndex::rebuild_delta`]).
-fn rebuild_label(
-    prev: &GraphIndex,
-    view: &GraphView,
-    el: LabelId,
-    echange: Option<&TableChange>,
-    schange: Option<&TableChange>,
-    dchange: Option<&TableChange>,
-) -> Result<(EvIndex, Csr, Csr)> {
-    let li = el.0 as usize;
-    let prev_ev = &prev.ev[li];
-    let m_old = prev_ev.src_rid.len();
-    // An absent edge-table change is the identity over the old edge rows.
-    let identity = TableChange::new(m_old, Vec::new(), 0);
-    let echange = echange.unwrap_or(&identity);
-    let smap = |old: RowId| schange.map_or(Some(old), |c| c.new_id(old));
-    let dmap = |old: RowId| dchange.map_or(Some(old), |c| c.new_id(old));
+/// One edge label's EV-index, out-CSR and in-CSR.
+type Label = (Arc<EvIndex>, Arc<Csr>, Arc<Csr>);
 
-    // EV: surviving base edges remapped (validating that no survivor points
-    // at a deleted vertex), then newly ingested edges λ-resolved against
-    // the merged view.
-    let m_new = view.edge_count(el);
-    let mut ev = EvIndex {
-        src_rid: Vec::with_capacity(m_new),
-        dst_rid: Vec::with_capacity(m_new),
-    };
-    for e in 0..m_old as RowId {
-        if echange.is_deleted(e) {
-            continue;
-        }
-        let (Some(s), Some(t)) = (
-            smap(prev_ev.src_rid[e as usize]),
-            dmap(prev_ev.dst_rid[e as usize]),
-        ) else {
-            return Err(RelGoError::schema(format!(
-                "cannot delete a vertex row still referenced by {}@{e} (λ must stay total)",
-                view.schema().edge_label_name(el)
-            )));
-        };
-        ev.src_rid.push(s);
-        ev.dst_rid.push(t);
-    }
-    let inserted: Vec<RowId> = (0..echange.inserted())
-        .map(|i| echange.insert_id(i))
-        .collect();
-    let (srcs, dsts) = view.resolve_endpoints(el, Some(&inserted))?;
-    let mut delta_out = Vec::with_capacity(inserted.len());
-    let mut delta_in = Vec::with_capacity(inserted.len());
-    for ((&e_new, &s), &t) in inserted.iter().zip(&srcs).zip(&dsts) {
-        delta_out.push((s, e_new, t));
-        delta_in.push((t, e_new, s));
-    }
-    ev.src_rid.extend(srcs);
-    ev.dst_rid.extend(dsts);
-    delta_out.sort_unstable_by_key(|&(v, e, n)| (v, n, e));
-    delta_in.sort_unstable_by_key(|&(v, e, n)| (v, n, e));
-
+/// λ-resolve edge label `el` over `view` and build its EV-index, its
+/// out-CSR and the out-CSR's transpose (the in-CSR): the one way a label's
+/// index is made from its relations.
+fn build_label(view: &GraphView, el: LabelId) -> Result<Label> {
     let (src_label, dst_label) = view.schema().edge_endpoints(el);
-    let out = prev.ve_out[li].merged_with_delta(
-        view.vertex_count(src_label),
-        echange,
-        &smap,
-        &dmap,
-        &delta_out,
-    )?;
-    let ve_in = prev.ve_in[li].merged_with_delta(
-        view.vertex_count(dst_label),
-        echange,
-        &dmap,
-        &smap,
-        &delta_in,
-    )?;
-    Ok((ev, out, ve_in))
+    let (src_rid, dst_rid) = view.resolve_endpoints(el, None)?;
+    let out = Csr::build(view.vertex_count(src_label), &src_rid, &dst_rid);
+    let ve_in = Arc::new(out.transpose(view.vertex_count(dst_label)));
+    let out = Arc::new(out);
+    Ok((Arc::new(EvIndex { src_rid, dst_rid }), out, ve_in))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fig2;
+    use crate::mapping::RGMapping;
     use crate::view::GraphView;
     use relgo_common::Value;
     use relgo_storage::table::TableBuilder;
@@ -581,8 +454,8 @@ mod tests {
         let (g, _) = fig2::view();
         let likes = g.schema().edge_label_id("Likes").unwrap();
         let idx = g.index().unwrap();
-        assert_eq!(idx.adjacency_len(likes, Direction::Out), 4);
-        assert_eq!(idx.adjacency_len(likes, Direction::In), 4);
+        assert_eq!(idx.adjacency(likes, Direction::Out).len(), 4);
+        assert_eq!(idx.adjacency(likes, Direction::In).len(), 4);
     }
 
     #[test]
@@ -811,7 +684,206 @@ mod tests {
         let mut changes: FxHashMap<String, TableChange> = FxHashMap::default();
         changes.insert("Person".to_string(), TableChange::new(3, vec![1], 0));
         let err = GraphView::rebuild_delta(&g, &mut merged_db, &changes).unwrap_err();
-        assert!(err.to_string().contains("λ must stay total"), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "execution error: λs: dangling source key 2 in edge Likes@1 (λ must be total)"
+        );
+    }
+
+    /// Column `c` of `table`, whose values are all integers.
+    fn ints(db: &Database, table: &str, c: usize) -> Vec<i64> {
+        let t = db.table(table).unwrap();
+        (0..t.num_rows() as RowId)
+            .map(|r| t.column(c).get_int(r).unwrap())
+            .collect()
+    }
+
+    /// A random two-label graph: vertex labels A and B (key, payload), edge
+    /// labels AA (A → A, with self-loops) and AB (A → B), parallel edges in
+    /// both. Every key, vertex or edge, is unique across the tables.
+    fn stream_graph(next: &mut impl FnMut(u64) -> RowId) -> (Database, RGMapping) {
+        use relgo_common::DataType;
+        use relgo_storage::table::table_of;
+        let mut db = Database::new();
+        let vertex = [("id", DataType::Int), ("payload", DataType::Int)];
+        let edge = [
+            ("id", DataType::Int),
+            ("src", DataType::Int),
+            ("dst", DataType::Int),
+        ];
+        let a: Vec<_> = (0..30)
+            .map(|k| vec![Value::Int(k), Value::Int(0)])
+            .collect();
+        let b: Vec<_> = (30..50)
+            .map(|k| vec![Value::Int(k), Value::Int(0)])
+            .collect();
+        let mut pairs = |m: i64, first: i64, targets: (i64, u64)| {
+            let mut out: Vec<Vec<Value>> = Vec::new();
+            for e in first..first + m {
+                let (s, t) = match next(4) {
+                    0 if !out.is_empty() => {
+                        let prev = &out[next(out.len() as u64) as usize];
+                        (prev[1].as_int().unwrap(), prev[2].as_int().unwrap())
+                    }
+                    1 if targets.0 == 0 => {
+                        let v = i64::from(next(30));
+                        (v, v)
+                    }
+                    _ => (i64::from(next(30)), targets.0 + i64::from(next(targets.1))),
+                };
+                out.push([e, s, t].map(Value::Int).to_vec());
+            }
+            out
+        };
+        let (aa, ab) = (pairs(120, 100, (0, 30)), pairs(80, 300, (30, 20)));
+        for (name, spec, data) in [
+            ("A", &vertex[..], a),
+            ("B", &vertex[..], b),
+            ("AA", &edge[..], aa),
+            ("AB", &edge[..], ab),
+        ] {
+            db.add_table(table_of(name, spec, data));
+            db.set_primary_key(name, "id").unwrap();
+        }
+        let mapping = RGMapping::new()
+            .vertex("A")
+            .vertex("B")
+            .edge("AA", "src", "A", "dst", "A")
+            .edge("AB", "src", "A", "dst", "B");
+        (db, mapping)
+    }
+
+    /// A stream of commits over [`stream_graph`], each mixing edge inserts
+    /// and deletes, mid-table vertex deletions together with their incident
+    /// edges (so later row ids shift), vertex replacements (delete a key and
+    /// insert it again) and appends. After every commit the incremental
+    /// index equals a full build of the merged view, array for array, and
+    /// exactly the labels the commit left valid are shared.
+    #[test]
+    fn rebuild_delta_equals_full_build_over_a_commit_stream() {
+        let mut arms = [0usize; 3]; // shared, extended, rebuilt
+        for seed in 0..12 {
+            let mut next = rng(1_000 + seed);
+            let (mut db, mapping) = stream_graph(&mut next);
+            let mut prev = GraphView::build(&mut db, mapping.clone()).unwrap();
+            prev.build_index().unwrap();
+            let mut fresh_key = 1_000i64;
+            for commit in 0..8i64 {
+                // Per vertex table: 0 untouched, 1 appends only, 2 also
+                // deletions and replacements. Per edge table: touched or not.
+                let mut deleted: FxHashMap<&str, Vec<RowId>> = FxHashMap::default();
+                let mut inserted: FxHashMap<&str, Vec<Vec<Value>>> = FxHashMap::default();
+                let mut live: FxHashMap<&str, Vec<i64>> = FxHashMap::default();
+                let mut gone: Vec<i64> = Vec::new();
+                for table in ["A", "B"] {
+                    let vertices = ints(&db, table, 0);
+                    let mode = next(3);
+                    let del = deleted.entry(table).or_default();
+                    let ins = inserted.entry(table).or_default();
+                    if mode == 2 && vertices.len() > 4 {
+                        for _ in 0..1 + next(2) {
+                            // Mid-table: never the first or last row.
+                            del.push(1 + next(vertices.len() as u64 - 2));
+                        }
+                        gone.extend(del.iter().map(|&r| vertices[r as usize]));
+                        for _ in 0..1 + next(2) {
+                            let r = next(vertices.len() as u64);
+                            if !del.contains(&r) {
+                                del.push(r);
+                                let key = Value::Int(vertices[r as usize]);
+                                ins.push(vec![key, Value::Int(commit + 1)]);
+                            }
+                        }
+                    }
+                    if mode >= 1 {
+                        for _ in 0..1 + next(3) {
+                            ins.push(vec![Value::Int(fresh_key), Value::Int(commit + 1)]);
+                            fresh_key += 1;
+                        }
+                    }
+                    let mut keys = vertices;
+                    keys.retain(|k| !gone.contains(k));
+                    keys.extend(ins.iter().filter_map(|r| r[0].as_int()));
+                    keys.sort_unstable();
+                    keys.dedup();
+                    live.insert(table, keys);
+                }
+                for (table, dst) in [("AA", "A"), ("AB", "B")] {
+                    let (from, to) = (ints(&db, table, 1), ints(&db, table, 2));
+                    let touched = next(2) == 1;
+                    let del = deleted.entry(table).or_default();
+                    // A deleted vertex takes its incident edges with it.
+                    del.extend((0..from.len() as RowId).filter(|&r| {
+                        let ends = [from[r as usize], to[r as usize]];
+                        ends.iter().any(|k| gone.contains(k))
+                    }));
+                    if !touched {
+                        continue;
+                    }
+                    for _ in 0..next(4) {
+                        if !from.is_empty() {
+                            del.push(next(from.len() as u64));
+                        }
+                    }
+                    let (srcs, dsts) = (&live["A"], &live[dst]);
+                    let ins = inserted.entry(table).or_default();
+                    for _ in 0..1 + next(6) {
+                        let s = srcs[next(srcs.len() as u64) as usize];
+                        let t = match next(4) {
+                            0 if table == "AA" => s, // self-loop
+                            _ => dsts[next(dsts.len() as u64) as usize],
+                        };
+                        // Sometimes twice: a parallel edge inside the delta.
+                        for _ in 0..1 + next(2) {
+                            ins.push([fresh_key, s, t].map(Value::Int).to_vec());
+                            fresh_key += 1;
+                        }
+                    }
+                }
+                let mut changes: FxHashMap<String, TableChange> = FxHashMap::default();
+                for table in ["A", "B", "AA", "AB"] {
+                    let (del, ins) = (&deleted[table], inserted.remove(table).unwrap_or_default());
+                    if del.is_empty() && ins.is_empty() {
+                        continue;
+                    }
+                    let n = db.table(table).unwrap().num_rows();
+                    changes.insert(table.into(), TableChange::new(n, del.clone(), ins.len()));
+                    apply(&mut db, table, del, ins);
+                }
+
+                let inc = GraphView::rebuild_delta(&prev, &mut db, &changes).unwrap();
+                let mut fresh = GraphView::build(&mut db, mapping.clone()).unwrap();
+                fresh.build_index().unwrap();
+                let (got, want) = (inc.index().unwrap(), fresh.index().unwrap());
+                let before = prev.index().unwrap();
+                let db_rows = |table: &str| db.table(table).unwrap().num_rows();
+                for (i, (table, dst)) in [("AA", "A"), ("AB", "B")].into_iter().enumerate() {
+                    let what = format!("seed {seed} commit {commit} {table}");
+                    assert_eq!(got.ev[i].src_rid, want.ev[i].src_rid, "{what}: EV src");
+                    assert_eq!(got.ev[i].dst_rid, want.ev[i].dst_rid, "{what}: EV dst");
+                    assert_same(&got.ve_out[i], &want.ve_out[i], &format!("{what} out"));
+                    assert_same(&got.ve_in[i], &want.ve_in[i], &format!("{what} in"));
+                    // Both equal the comparison sort of the merged EV-index.
+                    let (ev, sources, targets) = (&want.ev[i], db_rows("A"), db_rows(dst));
+                    let want_out = reference(sources, &ev.src_rid, &ev.dst_rid);
+                    assert_same(&got.ve_out[i], &want_out, &format!("{what} out"));
+                    let want_in = reference(targets, &ev.dst_rid, &ev.src_rid);
+                    assert_same(&got.ve_in[i], &want_in, &format!("{what} in"));
+                    let (e, s, t) = (changes.get(table), changes.get("A"), changes.get(dst));
+                    let stable =
+                        |c: Option<&TableChange>| c.is_none_or(TableChange::is_append_only);
+                    let untouched = e.is_none() && s.is_none() && t.is_none();
+                    let kept = e.is_none() && stable(s) && stable(t);
+                    let el = LabelId(i as u16);
+                    assert_eq!(got.shares_label_with(before, el), untouched, "{what}");
+                    assert_eq!(Arc::ptr_eq(&got.ev[i], &before.ev[i]), kept, "{what}");
+                    arms[usize::from(!untouched) + usize::from(!kept)] += 1;
+                }
+                prev = inc;
+            }
+        }
+        // Every arm of `rebuild_delta` ran.
+        assert!(arms.iter().all(|&n| n > 0), "arms {arms:?}");
     }
 
     #[test]

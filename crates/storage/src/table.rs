@@ -340,10 +340,10 @@ pub fn table_of(name: &str, spec: &[(&str, DataType)], rows: Vec<Vec<Value>>) ->
 /// The shape of one committed change against an immutable table: which base
 /// rows were deleted and how many new rows were appended after the
 /// survivors. This is the contract between the delta store (`relgo-delta`)
-/// and every consumer that maintains derived state incrementally (graph
-/// indexes, statistics): merged tables keep surviving base rows **in base
-/// order**, then append the inserted rows, so the old→new row-id map is
-/// *monotonic* — sorted derived structures stay sorted under remapping.
+/// and every consumer that refreshes derived state (graph indexes,
+/// statistics, plan-cache retention): merged tables keep surviving base
+/// rows **in base order**, then append the inserted rows, so a change that
+/// deletes nothing leaves every existing row id where it was.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TableChange {
     /// Deleted base row ids, sorted and deduplicated.
@@ -377,38 +377,9 @@ impl TableChange {
         self.inserted
     }
 
-    /// Base row count the change applies to.
-    pub fn base_rows(&self) -> usize {
-        self.base_rows
-    }
-
-    /// Row count of the merged table.
-    pub fn new_rows(&self) -> usize {
-        self.base_rows - self.deleted.len() + self.inserted
-    }
-
     /// Whether the change deletes nothing (row ids of survivors are stable).
     pub fn is_append_only(&self) -> bool {
         self.deleted.is_empty()
-    }
-
-    /// Whether base row `row` was deleted.
-    pub fn is_deleted(&self, row: RowId) -> bool {
-        self.deleted.binary_search(&row).is_ok()
-    }
-
-    /// The merged row id of base row `old`: `old` minus the deletions before
-    /// it, or `None` if `old` itself was deleted. Monotonic over survivors.
-    pub fn new_id(&self, old: RowId) -> Option<RowId> {
-        match self.deleted.binary_search(&old) {
-            Ok(_) => None,
-            Err(rank) => Some(old - rank as RowId),
-        }
-    }
-
-    /// The merged row id of appended row `i` (0-based within the inserts).
-    pub fn insert_id(&self, i: usize) -> RowId {
-        (self.base_rows - self.deleted.len() + i) as RowId
     }
 
     /// The surviving base row ids in order (merged ids `0..survivors`).
@@ -595,31 +566,16 @@ mod tests {
     fn table_change_remaps_monotonically() {
         let c = TableChange::new(6, vec![4, 1, 4], 3);
         assert_eq!(c.deleted(), &[1, 4]);
-        assert_eq!(c.new_rows(), 7);
+        assert_eq!(c.inserted(), 3);
         assert!(!c.is_append_only());
-        assert!(c.is_deleted(1) && !c.is_deleted(2));
-        assert_eq!(c.new_id(0), Some(0));
-        assert_eq!(c.new_id(1), None);
-        assert_eq!(c.new_id(2), Some(1));
-        assert_eq!(c.new_id(5), Some(3));
-        assert_eq!(c.insert_id(0), 4);
-        assert_eq!(c.insert_id(2), 6);
+        // Survivors keep base order: merged row i is base row survivors[i].
         assert_eq!(c.survivors(), vec![0, 2, 3, 5]);
-        // Monotonic: survivor order is preserved under remapping.
-        let ids: Vec<_> = c
-            .survivors()
-            .iter()
-            .map(|&r| c.new_id(r).unwrap())
-            .collect();
-        assert!(ids.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
     fn append_only_change_is_identity_on_base() {
         let c = TableChange::new(3, vec![], 2);
         assert!(c.is_append_only());
-        assert_eq!(c.new_id(2), Some(2));
-        assert_eq!(c.insert_id(0), 3);
-        assert_eq!(c.new_rows(), 5);
+        assert_eq!(c.survivors(), vec![0, 1, 2]);
     }
 }

@@ -1,9 +1,10 @@
 //! Randomized differential testing of the ingest subsystem.
 //!
 //! The core property: a session that ingests a randomized delta stream
-//! (person/knows/likes inserts and edge-row deletes, split across several
-//! commits) returns **bit-identical** rows to a fresh session built from
-//! the final merged dataset — across all three execution regimes
+//! (person/knows/likes inserts, edge-row deletes and the deletion of
+//! stream-inserted persons, split across several commits) returns
+//! **bit-identical** rows to a fresh session built from the final merged
+//! dataset — across all three execution regimes
 //! (`run`, `run_cached`, prepared `execute`), both optimizer modes, and 1/4 intra-query threads. Any divergence is an
 //! incremental-maintenance bug: the merged tables, the label-shared graph
 //! index, or the carried-over GLogue statistics disagree with a
@@ -34,7 +35,7 @@ use relgo_storage::Database;
 use std::sync::OnceLock;
 
 /// One delta-stream operation (prefix-safe: generated so that any split of
-/// the stream into ordered commits is valid).
+/// the stream into ordered commits is valid under [`apply_ops`]).
 #[derive(Debug, Clone)]
 enum Op {
     Insert(&'static str, Vec<Value>),
@@ -61,7 +62,9 @@ fn max_key(db: &Database, table: &str) -> i64 {
 }
 
 /// Deterministic randomized delta stream over the base dataset: person,
-/// knows and likes inserts plus knows/likes edge-row deletes.
+/// knows and likes inserts, knows/likes edge-row deletes, and the retirement
+/// of a stream-inserted person — its stream-inserted knows and likes rows
+/// first, then the person row itself, which shifts every later Person row.
 fn gen_ops(db: &Database, seed: u64, n: usize) -> Vec<Op> {
     // SplitMix64 (self-contained so the stream is stable regardless of the
     // vendored rand shim's evolution).
@@ -81,10 +84,14 @@ fn gen_ops(db: &Database, seed: u64, n: usize) -> Vec<Op> {
     let mut persons: Vec<i64> = (0..n_person).collect();
     let mut deletable_knows: Vec<i64> = (0..=max_key(db, "Knows")).collect();
     let mut deletable_likes: Vec<i64> = (0..=max_key(db, "Likes")).collect();
+    // Stream-inserted persons still alive, and the stream-inserted edges a
+    // retirement must delete first: (table, key, the persons it touches).
+    let mut stream_persons: Vec<i64> = Vec::new();
+    let mut stream_edges: Vec<(&'static str, i64, [i64; 2])> = Vec::new();
     let mut ops = Vec::with_capacity(n);
     for _ in 0..n {
-        match next() % 6 {
-            0 => {
+        match next() % 8 {
+            0 | 1 => {
                 let id = next_person;
                 next_person += 1;
                 ops.push(Op::Insert(
@@ -96,8 +103,9 @@ fn gen_ops(db: &Database, seed: u64, n: usize) -> Vec<Op> {
                     ],
                 ));
                 persons.push(id);
+                stream_persons.push(id);
             }
-            1 | 2 => {
+            2 | 3 => {
                 let p = persons[(next() % persons.len() as u64) as usize];
                 let mut q = persons[(next() % persons.len() as u64) as usize];
                 if q == p {
@@ -109,6 +117,7 @@ fn gen_ops(db: &Database, seed: u64, n: usize) -> Vec<Op> {
                 }
                 let id = next_knows;
                 next_knows += 1;
+                stream_edges.push(("Knows", id, [p, q]));
                 ops.push(Op::Insert(
                     "Knows",
                     vec![
@@ -119,11 +128,12 @@ fn gen_ops(db: &Database, seed: u64, n: usize) -> Vec<Op> {
                     ],
                 ));
             }
-            3 => {
+            4 => {
                 let p = persons[(next() % persons.len() as u64) as usize];
                 let m = (next() % n_message as u64) as i64;
                 let id = next_likes;
                 next_likes += 1;
+                stream_edges.push(("Likes", id, [p, p]));
                 ops.push(Op::Insert(
                     "Likes",
                     vec![
@@ -134,7 +144,21 @@ fn gen_ops(db: &Database, seed: u64, n: usize) -> Vec<Op> {
                     ],
                 ));
             }
-            4 if !deletable_knows.is_empty() => {
+            // The oldest stream person, while a later one follows it: its
+            // deletion shifts that one's row.
+            6 | 7 if stream_persons.len() >= 2 => {
+                let p = stream_persons.remove(0);
+                stream_edges.retain(|&(table, id, persons)| {
+                    let incident = persons.contains(&p);
+                    if incident {
+                        ops.push(Op::Delete(table, id));
+                    }
+                    !incident
+                });
+                ops.push(Op::Delete("Person", p));
+                persons.retain(|&x| x != p);
+            }
+            5 if !deletable_knows.is_empty() => {
                 let i = (next() % deletable_knows.len() as u64) as usize;
                 ops.push(Op::Delete("Knows", deletable_knows.swap_remove(i)));
             }
@@ -148,17 +172,30 @@ fn gen_ops(db: &Database, seed: u64, n: usize) -> Vec<Op> {
     ops
 }
 
-/// Apply `ops` split into `commits` ordered batches.
+/// Apply `ops` split into `commits` ordered batches. A batch's tombstones
+/// resolve against its base epoch, so a delete of a row the open batch
+/// itself inserted commits that batch first and goes into the next one.
 fn apply_ops(session: &Session, ops: &[Op], commits: usize) -> Vec<IngestReport> {
     let commits = commits.clamp(1, ops.len().max(1));
     let per = ops.len().div_ceil(commits);
     let mut reports = Vec::new();
     for chunk in ops.chunks(per.max(1)) {
         let mut batch = session.begin_ingest();
+        let mut inserted: Vec<(&str, i64)> = Vec::new();
         for op in chunk {
             match op {
-                Op::Insert(table, row) => batch.insert_row(table, row.clone()).unwrap(),
-                Op::Delete(table, key) => batch.delete_row(table, *key).unwrap(),
+                Op::Insert(table, row) => {
+                    inserted.push((table, row[0].as_int().unwrap()));
+                    batch.insert_row(table, row.clone()).unwrap();
+                }
+                Op::Delete(table, key) => {
+                    if inserted.contains(&(table, *key)) {
+                        reports.push(batch.commit().unwrap());
+                        batch = session.begin_ingest();
+                        inserted.clear();
+                    }
+                    batch.delete_row(table, *key).unwrap();
+                }
             }
         }
         reports.push(batch.commit().unwrap());
@@ -467,6 +504,55 @@ fn snapshot_isolation_pins_query_results() {
     assert_eq!(frozen.sorted_rows(), snap.oracle(&q).unwrap().sorted_rows());
     // A fresh snapshot sees the new epoch.
     assert_eq!(session.snapshot().epoch(), 1);
+}
+
+/// Replacing a vertex row: one batch deletes a Person that Knows and Likes
+/// edges still reference and inserts a row with the same key. λ stays total
+/// (every edge resolves to the new row), so the commit succeeds, and every
+/// template reads the replacement exactly as a fresh session over the merged
+/// data does.
+#[test]
+fn replacing_a_referenced_person_matches_a_fresh_session() {
+    let (db, mapping) = base();
+    let session = Session::open_with(db.clone(), mapping.clone(), options(1)).unwrap();
+    let schema = SnbSchema::resolve(session.view().schema()).unwrap();
+    let templates = snb_templates(&schema);
+    // The person keys in columns `cols` of an edge table.
+    let persons = |table: &str, cols: &[usize]| {
+        let t = db.table(table).unwrap();
+        (0..t.num_rows() as u32)
+            .flat_map(|r| cols.iter().filter_map(move |&c| t.value(r, c).as_int()))
+            .collect::<Vec<i64>>()
+    };
+    let (knows, likes) = (persons("Knows", &[1, 2]), persons("Likes", &[1]));
+    // A person the templates draw (keys 0..20), not the first row, with
+    // edges of both labels.
+    let p = (1..20)
+        .find(|p| knows.contains(p) && likes.contains(p))
+        .expect("a person with Knows and Likes edges");
+    for t in &templates {
+        let q = t.instantiate(p as u64).unwrap();
+        session.run_cached(&q, OptimizerMode::RelGo).unwrap();
+    }
+
+    let mut batch = session.begin_ingest();
+    batch.delete_row("Person", p).unwrap();
+    let row = vec![Value::Int(p), Value::str("replaced"), Value::Date(18_321)];
+    batch.insert_row("Person", row).unwrap();
+    assert_eq!(batch.commit().unwrap().epoch, 1);
+
+    let fresh = Session::open_with((*session.db()).clone(), mapping.clone(), options(1)).unwrap();
+    for t in &templates {
+        for draw in [p as u64, p as u64 + 20, 0] {
+            for mode in [OptimizerMode::RelGo, OptimizerMode::GRainDb] {
+                let want = fresh
+                    .run(&t.instantiate(draw).unwrap(), mode)
+                    .unwrap()
+                    .table;
+                assert_regimes_match(&session, t, draw, mode, &want, "a fresh session");
+            }
+        }
+    }
 }
 
 /// A commit keeps the warm pattern counts whose labels the delta misses
