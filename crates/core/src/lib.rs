@@ -41,7 +41,6 @@
 
 pub mod agnostic;
 mod aware;
-pub mod convert;
 pub mod graph_plan;
 pub mod op_meta;
 pub mod optimizer;
@@ -51,7 +50,6 @@ pub mod rules;
 mod search;
 pub mod spjm;
 
-pub use convert::{spj_to_spjm, SpjJoin, SpjQuery, SpjTable};
 pub use graph_plan::{GraphOp, PatternElem};
 pub use op_meta::OperatorMeta;
 pub use optimizer::{optimize, OptStats, OptimizerMode, PlannerContext};

@@ -1,6 +1,6 @@
 //! Interpreter for physical graph plans ([`GraphOp`] trees).
 //!
-//! Two execution regimes, selected by [`GraphExecContext::use_index`]:
+//! Two execution regimes, selected by [`ExecConfig::use_index`]:
 //!
 //! * **indexed** — `EXPAND`/`EXPAND_INTERSECT` traverse the VE-index;
 //!   `SCAN_EDGE` reads endpoints from the EV-index (GRainDB's predefined
@@ -17,7 +17,7 @@
 //! ## Intra-operator parallelism
 //!
 //! `EXPAND`, `EXPAND_INTERSECT` and `FILTER_VERTEX` are morsel-driven when
-//! [`GraphExecContext::threads`] > 1: input rows are partitioned into
+//! [`ExecConfig::threads`] > 1: input rows are partitioned into
 //! morsels ([`relgo_common::morsel`]), each worker produces local output
 //! columns, and per-morsel outputs are concatenated **in morsel order** —
 //! parallel results are bit-identical to serial execution. The row-limit
@@ -55,7 +55,8 @@
 
 use crate::chunk::{GraphChunk, UnreadEndpoint};
 use crate::profile::ProfileSink;
-use relgo_common::morsel::{self, RowBudget, TimeBudget};
+use crate::rel_exec::ExecConfig;
+use relgo_common::morsel::{self, RowBudget};
 use relgo_common::select::select;
 use relgo_common::{FxHashMap, LabelId, RelGoError, Result, RowId, Value};
 use relgo_core::graph_plan::{GraphOp, StarLeg};
@@ -74,16 +75,10 @@ pub struct GraphExecContext<'a> {
     pub view: &'a GraphView,
     /// The pattern being matched (for edge endpoint metadata).
     pub pattern: &'a Pattern,
-    /// Whether VE/EV indexes may be used.
-    pub use_index: bool,
-    /// Maximum rows any intermediate may reach before aborting with
-    /// `ResourceExhausted` (models the paper's OOM runs).
-    pub row_limit: usize,
-    /// Intra-operator worker threads (1 = serial).
-    pub threads: usize,
-    /// Optional wall-clock budget: every morsel boundary (and the serial
-    /// row guard) checks it, so expiry aborts within one morsel's work.
-    pub deadline: Option<TimeBudget>,
+    /// The execution limits: index use, row budget (models the paper's
+    /// OOM runs), intra-operator threads and the wall-clock deadline every
+    /// morsel boundary (and the serial row guard) checks.
+    pub cfg: &'a ExecConfig,
     /// Profile collection target (`None` = profiling off; the hot path
     /// pays one branch per operator). Only the plan-driving thread touches
     /// it — morsel workers never see the sink.
@@ -110,10 +105,10 @@ impl<'a> GraphExecContext<'a> {
 
     /// The row-limit half of [`GraphExecContext::guard`].
     fn check_rows(&self, rows: usize) -> Result<()> {
-        if rows > self.row_limit {
+        if rows > self.cfg.row_limit {
             return Err(RelGoError::ResourceExhausted(format!(
                 "intermediate graph relation of {rows} rows exceeds the {} row budget",
-                self.row_limit
+                self.cfg.row_limit
             )));
         }
         Ok(())
@@ -124,7 +119,7 @@ impl<'a> GraphExecContext<'a> {
     /// with `DeadlineExceeded` once the budget expires.
     #[inline]
     fn check_deadline(&self) -> Result<()> {
-        match &self.deadline {
+        match &self.cfg.deadline {
             Some(deadline) => deadline.check(),
             None => Ok(()),
         }
@@ -261,7 +256,7 @@ fn scan_edge(
     let rows = predicate.map(|p| p.filter(table)).transpose()?;
     let len = rows.as_ref().map_or(table.num_rows(), Vec::len);
     ctx.guard(len)?;
-    let end = |dir| ctx.view.edge_end(pe.label, dir, ctx.use_index);
+    let end = |dir| ctx.view.edge_end(pe.label, dir, ctx.cfg.use_index);
     GraphChunk::from_edge_scan(
         (ctx.pattern.vertex_count(), ctx.pattern.edge_count()),
         (e, len, rows),
@@ -280,7 +275,7 @@ fn adjacency<'a>(
     ctx: &'a GraphExecContext<'_>,
 ) -> Result<Cow<'a, Csr>> {
     let pe = ctx.pattern.edge(edge);
-    if ctx.use_index {
+    if ctx.cfg.use_index {
         return Ok(Cow::Borrowed(ctx.index()?.adjacency(pe.label, dir)));
     }
     // Hash fallback: resolve both endpoints of every edge row through the
@@ -552,10 +547,10 @@ fn expand(
     let vertex_test = Test::of_vertex(vertex_predicate, to, total, ctx)?;
     let unfiltered = edge_test.is_none() && vertex_test.is_none();
 
-    let budget = RowBudget::new(ctx.row_limit);
+    let budget = RowBudget::new(ctx.cfg.row_limit);
     let parts: Vec<Entries> = morsel::run_morsels(
         from_col.len(),
-        ctx.threads,
+        ctx.cfg.threads,
         morsel::DEFAULT_MORSEL_ROWS,
         |_, range| {
             ctx.check_deadline()?;
@@ -813,10 +808,10 @@ fn expand_intersect(
         .collect::<Result<_>>()?;
     let vertex_test = Test::of_vertex(vertex_predicate, to, entries, ctx)?;
 
-    let budget = RowBudget::new(ctx.row_limit);
+    let budget = RowBudget::new(ctx.cfg.row_limit);
     let parts: Vec<IntersectPart> = morsel::run_morsels(
         input.len(),
-        ctx.threads,
+        ctx.cfg.threads,
         morsel::DEFAULT_MORSEL_ROWS,
         |_, range| {
             ctx.check_deadline()?;
@@ -992,7 +987,7 @@ fn kept_rows(
 ) -> Result<Vec<u32>> {
     let parts: Vec<Vec<u32>> = morsel::run_morsels(
         rows,
-        ctx.threads,
+        ctx.cfg.threads,
         morsel::DEFAULT_MORSEL_ROWS,
         |_, range| {
             ctx.check_deadline()?;
@@ -1111,6 +1106,7 @@ fn join_chunks(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use relgo_common::morsel::TimeBudget;
     use relgo_common::{DataType, LabelId, Value};
     use relgo_core::graph_plan::PlanAnnotation;
     use relgo_graph::{fig2, Lambda, RGMapping};
@@ -1130,18 +1126,25 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// The tests' limits: a million-row budget and no deadline.
+    fn limits(use_index: bool, threads: usize) -> ExecConfig {
+        ExecConfig {
+            use_index,
+            row_limit: 1_000_000,
+            threads,
+            deadline: None,
+        }
+    }
+
     fn ctx<'a>(
         view: &'a GraphView,
         pattern: &'a relgo_pattern::Pattern,
-        idx: bool,
+        cfg: &'a ExecConfig,
     ) -> GraphExecContext<'a> {
         GraphExecContext {
             view,
             pattern,
-            use_index: idx,
-            row_limit: 1_000_000,
-            threads: 1,
-            deadline: None,
+            cfg,
             profile: None,
         }
     }
@@ -1169,8 +1172,8 @@ mod tests {
             vertex_predicate: None,
             ann: ann(),
         };
-        let with = execute_graph(&plan, &ctx(&view, &pat, true)).unwrap();
-        let without = execute_graph(&plan, &ctx(&view, &pat, false)).unwrap();
+        let with = execute_graph(&plan, &ctx(&view, &pat, &limits(true, 1))).unwrap();
+        let without = execute_graph(&plan, &ctx(&view, &pat, &limits(false, 1))).unwrap();
         assert_eq!(with.len(), 4);
         assert_eq!(without.len(), 4);
         let mut a: Vec<(RowId, RowId)> = (0..4)
@@ -1193,7 +1196,8 @@ mod tests {
     fn hashed_adjacency_slices_are_neighbor_sorted() {
         let (view, _) = fig2::view();
         let pat = wedge_pattern();
-        let c = ctx(&view, &pat, false);
+        let cfg = limits(false, 1);
+        let c = ctx(&view, &pat, &cfg);
         let adj = adjacency(0, Direction::Out, &c).unwrap();
         for v in 0..3 {
             let (es, ns) = adj.neighbors(v);
@@ -1204,7 +1208,8 @@ mod tests {
         // Bob (row 1) likes both messages.
         assert_eq!(adj.neighbors(1).1, &[0, 1]);
         // The indexed and hashed providers agree entry-for-entry.
-        let idx_ctx = ctx(&view, &pat, true);
+        let cfg = limits(true, 1);
+        let idx_ctx = ctx(&view, &pat, &cfg);
         let idx_adj = adjacency(0, Direction::Out, &idx_ctx).unwrap();
         for v in 0..3 {
             assert_eq!(adj.neighbors(v), idx_adj.neighbors(v));
@@ -1259,10 +1264,10 @@ mod tests {
             vertex_predicate: None,
             ann: ann(),
         };
-        let serial = execute_graph(&plan, &ctx(&view, &pat, true)).unwrap();
+        let serial = execute_graph(&plan, &ctx(&view, &pat, &limits(true, 1))).unwrap();
         for threads in [2usize, 8] {
-            let mut c = ctx(&view, &pat, true);
-            c.threads = threads;
+            let cfg = limits(true, threads);
+            let c = ctx(&view, &pat, &cfg);
             let par = execute_graph(&plan, &c).unwrap();
             assert_eq!(par.len(), serial.len());
             for row in 0..serial.len() {
@@ -1291,7 +1296,7 @@ mod tests {
             predicate: None,
             ann: ann(),
         };
-        let out = execute_graph(&plan, &ctx(&view, &pat, true)).unwrap();
+        let out = execute_graph(&plan, &ctx(&view, &pat, &limits(true, 1))).unwrap();
         assert_eq!(out.len(), 4);
         assert!(out.binds_vertex(0));
         assert!(out.binds_vertex(2));
@@ -1342,12 +1347,12 @@ mod tests {
             vertex_predicate: None,
             ann: ann(),
         };
-        let out = execute_graph(&plan, &ctx(&view, &pat, true)).unwrap();
+        let out = execute_graph(&plan, &ctx(&view, &pat, &limits(true, 1))).unwrap();
         // Homomorphic wedges: 8 (m1: {T,B}², m2: {B,D}²).
         assert_eq!(out.len(), 8);
         // Parallel intersection merges morsels in order: bit-identical.
-        let mut c = ctx(&view, &pat, true);
-        c.threads = 4;
+        let cfg = limits(true, 4);
+        let c = ctx(&view, &pat, &cfg);
         let par = execute_graph(&plan, &c).unwrap();
         assert_eq!(par.len(), 8);
         for row in 0..8 {
@@ -1372,7 +1377,7 @@ mod tests {
             },
             _ => unreachable!(),
         };
-        let out2 = execute_graph(&fused, &ctx(&view, &pat, true)).unwrap();
+        let out2 = execute_graph(&fused, &ctx(&view, &pat, &limits(true, 1))).unwrap();
         assert_eq!(out2.len(), 8);
         assert!(!out2.binds_edge(0));
     }
@@ -1398,7 +1403,7 @@ mod tests {
             on_edges: vec![],
             ann: ann(),
         };
-        let out = execute_graph(&plan, &ctx(&view, &pat, true)).unwrap();
+        let out = execute_graph(&plan, &ctx(&view, &pat, &limits(true, 1))).unwrap();
         assert_eq!(out.len(), 8, "wedges again, via join");
     }
 
@@ -1471,7 +1476,8 @@ mod tests {
     fn join_equals_the_row_at_a_time_reference_for_every_key_width() {
         let (view, _) = fig2::view();
         let pat = wedge_pattern();
-        let c = ctx(&view, &pat, true);
+        let cfg = limits(true, 1);
+        let c = ctx(&view, &pat, &cfg);
         // Dense ids take the direct-address directory, scattered ones the
         // hashed one.
         for domain in [&[0, 1, 2][..], &[5, 1_000_000, 4_000_000_000][..]] {
@@ -1501,16 +1507,17 @@ mod tests {
     fn join_trips_the_row_limit_on_the_probe_row_that_crosses_it() {
         let (view, _) = fig2::view();
         let pat = wedge_pattern();
-        let mut c = ctx(&view, &pat, true);
         let a = chunk_of(&[0], &[], 40, &[0, 1, 2], 1);
         let b = chunk_of(&[1], &[], 25, &[0, 1, 2], 2);
+        let mut cfg = limits(true, 1);
         // The cross product reaches 1000 rows with the last probe row.
-        c.row_limit = 999;
-        match join_chunks(&a, &b, &[], &[], &c) {
+        cfg.row_limit = 999;
+        match join_chunks(&a, &b, &[], &[], &ctx(&view, &pat, &cfg)) {
             Err(RelGoError::ResourceExhausted(m)) => assert!(m.contains("of 1000 rows"), "{m}"),
             other => panic!("expected resource exhaustion, got {other:?}"),
         }
-        c.row_limit = 1000;
+        cfg.row_limit = 1000;
+        let c = ctx(&view, &pat, &cfg);
         assert_eq!(join_chunks(&a, &b, &[], &[], &c).unwrap().len(), 1000);
     }
 
@@ -1518,13 +1525,14 @@ mod tests {
     fn deadline_is_checked_by_a_join_that_matches_nothing() {
         let (view, _) = fig2::view();
         let pat = wedge_pattern();
-        let mut c = ctx(&view, &pat, true);
         let a = chunk_of(&[0, 1], &[], 3000, &[0, 1, 2], 1);
         let b = chunk_of(&[1, 2], &[], 10, &[7, 8, 9], 2);
+        let mut cfg = limits(true, 1);
+        let c = ctx(&view, &pat, &cfg);
         assert_eq!(join_chunks(&a, &b, &[1], &[], &c).unwrap().len(), 0);
-        c.deadline = Some(TimeBudget::new(std::time::Duration::ZERO));
+        cfg.deadline = Some(TimeBudget::new(std::time::Duration::ZERO));
         assert!(matches!(
-            join_chunks(&a, &b, &[1], &[], &c),
+            join_chunks(&a, &b, &[1], &[], &ctx(&view, &pat, &cfg)),
             Err(RelGoError::DeadlineExceeded(_))
         ));
     }
@@ -1543,7 +1551,7 @@ mod tests {
             predicate: ScalarExpr::col_eq(1, "Bob"),
             ann: ann(),
         };
-        let out = execute_graph(&plan, &ctx(&view, &pat, true)).unwrap();
+        let out = execute_graph(&plan, &ctx(&view, &pat, &limits(true, 1))).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out.vertex_at(0, 0).unwrap(), 1);
     }
@@ -1572,7 +1580,8 @@ mod tests {
         let mut b = PatternBuilder::new();
         b.vertex("p", LabelId(0));
         let pat = b.build().unwrap();
-        let c = ctx(&view, &pat, false);
+        let cfg = limits(false, 1);
+        let c = ctx(&view, &pat, &cfg);
         let pred = ScalarExpr::col_eq(1, 1);
         // Five bindings of a 16-row table go through `select`; sixteen
         // build the mask. Repeats and disorder in the bindings survive
@@ -1610,9 +1619,9 @@ mod tests {
             ann: ann(),
         };
         for threads in [1usize, 4] {
-            let mut c = ctx(&view, &pat, true);
-            c.row_limit = 2;
-            c.threads = threads;
+            let mut cfg = limits(true, threads);
+            cfg.row_limit = 2;
+            let c = ctx(&view, &pat, &cfg);
             match execute_graph(&plan, &c) {
                 Err(RelGoError::ResourceExhausted(_)) => {}
                 other => panic!("expected resource exhaustion, got {other:?}"),
@@ -1643,7 +1652,7 @@ mod tests {
             vertex_predicate: None,
             ann: ann(),
         };
-        let out = execute_graph(&plan, &ctx(&view, &pat, true)).unwrap();
+        let out = execute_graph(&plan, &ctx(&view, &pat, &limits(true, 1))).unwrap();
         assert_eq!(out.len(), 2, "likes with date ≥ 28: l1, l2");
     }
 
@@ -1711,11 +1720,11 @@ mod tests {
         let vmask = predicate_mask_reference(vertex_predicate, vtable, total)?;
         let unfiltered = edge_predicate.is_none() && vertex_predicate.is_none();
 
-        let budget = RowBudget::new(ctx.row_limit);
+        let budget = RowBudget::new(ctx.cfg.row_limit);
         type ExpandPart = (Vec<u32>, Vec<RowId>, Vec<RowId>);
         let parts: Vec<ExpandPart> = morsel::run_morsels(
             from_col.len(),
-            ctx.threads,
+            ctx.cfg.threads,
             morsel::DEFAULT_MORSEL_ROWS,
             |_, range| {
                 ctx.check_deadline()?;
@@ -1827,11 +1836,11 @@ mod tests {
             .collect::<Result<_>>()?;
         let vmask = predicate_mask_reference(vertex_predicate, vtable, entries)?;
 
-        let budget = RowBudget::new(ctx.row_limit);
+        let budget = RowBudget::new(ctx.cfg.row_limit);
         type EiPart = (Vec<u32>, Vec<RowId>, Vec<Vec<RowId>>);
         let parts: Vec<EiPart> = morsel::run_morsels(
             input.len(),
-            ctx.threads,
+            ctx.cfg.threads,
             morsel::DEFAULT_MORSEL_ROWS,
             |_, range| {
                 ctx.check_deadline()?;
@@ -2103,7 +2112,7 @@ mod tests {
             assert_eq!([vertices <= entries, edges <= entries], masks);
             let input = GraphChunk::from_vertex(3, 2, 0, inputs.clone());
             for indexed in [true, false] {
-                let mut c = ctx(&view, &pat, indexed);
+                let mut cfg = limits(indexed, 1);
                 for dir in [Direction::Out, Direction::In] {
                     for emit_edge in [false, true] {
                         for epred in [None, Some(w_below(3))] {
@@ -2115,7 +2124,8 @@ mod tests {
                                     epred.is_some(),
                                     vpred.is_some()
                                 );
-                                let run = |c: &GraphExecContext<'_>, reference: bool| {
+                                let run = |cfg: &ExecConfig, reference: bool| {
+                                    let c = &ctx(&view, &pat, cfg);
                                     let (e, v) = (epred.as_ref(), vpred.as_ref());
                                     match reference {
                                         true => expand_reference(
@@ -2124,9 +2134,10 @@ mod tests {
                                         false => expand(&input, 0, 0, 2, dir, emit_edge, e, v, c),
                                     }
                                 };
-                                c.row_limit = usize::MAX;
-                                let out = assert_same_outcome(run(&c, false), run(&c, true), &what)
-                                    .expect("no limit");
+                                cfg.row_limit = usize::MAX;
+                                let out =
+                                    assert_same_outcome(run(&cfg, false), run(&cfg, true), &what)
+                                        .expect("no limit");
                                 if dir == Direction::Out {
                                     assert!(out.len() > 1024, "{what}: vacuous");
                                 }
@@ -2134,12 +2145,15 @@ mod tests {
                                 // reference's message: the same rows were
                                 // charged in the same order.
                                 if !out.is_empty() {
-                                    c.row_limit = out.len() - 1;
-                                    let tripped =
-                                        assert_same_outcome(run(&c, false), run(&c, true), &what);
+                                    cfg.row_limit = out.len() - 1;
+                                    let tripped = assert_same_outcome(
+                                        run(&cfg, false),
+                                        run(&cfg, true),
+                                        &what,
+                                    );
                                     assert!(tripped.is_none(), "{what}");
-                                    c.row_limit = out.len();
-                                    assert_eq!(run(&c, false).unwrap().len(), out.len());
+                                    cfg.row_limit = out.len();
+                                    assert_eq!(run(&cfg, false).unwrap().len(), out.len());
                                 }
                             }
                         }
@@ -2170,8 +2184,11 @@ mod tests {
         };
         for edge_predicate in [None, Some(w_below(3))] {
             let sink = ProfileSink::new();
-            let mut c = ctx(&view, &pat, true);
-            c.profile = Some(&sink);
+            let mut cfg = limits(true, 1);
+            let c = GraphExecContext {
+                profile: Some(&sink),
+                ..ctx(&view, &pat, &cfg)
+            };
             let out = execute_graph(&plan(edge_predicate.clone()), &c).unwrap();
             let profile = sink.take().ops.swap_remove(0);
             assert_eq!(profile.kind, "expand");
@@ -2179,23 +2196,17 @@ mod tests {
             assert_eq!(profile.budget_charged, profile.rows_out);
             // Exactly that many rows were charged: the limit holds them and
             // not one fewer.
-            c.profile = None;
-            c.row_limit = out.len();
-            assert_eq!(
-                execute_graph(&plan(edge_predicate.clone()), &c)
-                    .unwrap()
-                    .len(),
-                out.len()
-            );
-            c.row_limit = out.len() - 1;
-            assert!(matches!(
-                execute_graph(&plan(edge_predicate.clone()), &c),
-                Err(RelGoError::ResourceExhausted(_))
-            ));
+            let run = |cfg: &ExecConfig| {
+                execute_graph(&plan(edge_predicate.clone()), &ctx(&view, &pat, cfg))
+            };
+            cfg.row_limit = out.len();
+            assert_eq!(run(&cfg).unwrap().len(), out.len());
+            cfg.row_limit = out.len() - 1;
+            assert!(matches!(run(&cfg), Err(RelGoError::ResourceExhausted(_))));
             // An expired deadline stops the operator itself, at its first
             // morsel.
-            c.row_limit = usize::MAX;
-            c.deadline = Some(TimeBudget::new(std::time::Duration::ZERO));
+            cfg.row_limit = usize::MAX;
+            cfg.deadline = Some(TimeBudget::new(std::time::Duration::ZERO));
             let input = GraphChunk::from_vertex(3, 2, 0, vec![0, 1]);
             let edge_predicate = edge_predicate.as_ref();
             assert!(matches!(
@@ -2208,7 +2219,7 @@ mod tests {
                     true,
                     edge_predicate,
                     None,
-                    &c
+                    &ctx(&view, &pat, &cfg)
                 ),
                 Err(RelGoError::DeadlineExceeded(_))
             ));
@@ -2260,8 +2271,9 @@ mod tests {
                                 edge_preds.iter().flatten().count(),
                                 vpred.is_some()
                             );
-                            let mut c = ctx(&view, &pat, indexed);
-                            let run = |c: &GraphExecContext<'_>, reference: bool| {
+                            let mut cfg = limits(indexed, 1);
+                            let run = |cfg: &ExecConfig, reference: bool| {
+                                let c = &ctx(&view, &pat, cfg);
                                 let v = vpred.as_ref();
                                 match reference {
                                     true => expand_intersect_reference(
@@ -2272,16 +2284,17 @@ mod tests {
                                     }
                                 }
                             };
-                            c.row_limit = usize::MAX;
-                            let out = assert_same_outcome(run(&c, false), run(&c, true), &what)
+                            cfg.row_limit = usize::MAX;
+                            let out = assert_same_outcome(run(&cfg, false), run(&cfg, true), &what)
                                 .expect("no limit");
                             assert!(out.len() > 100, "{what}: vacuous ({})", out.len());
-                            c.row_limit = out.len() - 1;
+                            cfg.row_limit = out.len() - 1;
                             assert!(
-                                assert_same_outcome(run(&c, false), run(&c, true), &what).is_none()
+                                assert_same_outcome(run(&cfg, false), run(&cfg, true), &what)
+                                    .is_none()
                             );
-                            c.row_limit = out.len();
-                            assert_eq!(run(&c, false).unwrap().len(), out.len());
+                            cfg.row_limit = out.len();
+                            assert_eq!(run(&cfg, false).unwrap().len(), out.len());
                         }
                     }
                 }
@@ -2377,7 +2390,8 @@ mod tests {
         );
         // The scan operator and the mask builder both go through it.
         let pat = star_pattern(2, &[None, None]);
-        let c = ctx(&view, &pat, true);
+        let cfg = limits(true, 1);
+        let c = ctx(&view, &pat, &cfg);
         let scan = GraphOp::ScanVertex {
             v: 1,
             predicate: Some(id_is(50.into()).and(named("p5"))),
@@ -2467,8 +2481,8 @@ mod tests {
                     [(false, 1, p), (false, 4, q), (true, 1, q), (true, 4, p)]
                 {
                     let what = format!("{family} keys, {pred}, indexed {indexed}, x{threads}");
-                    let mut c = ctx(&view, &pat, indexed);
-                    c.threads = threads;
+                    let cfg = limits(indexed, threads);
+                    let c = ctx(&view, &pat, &cfg);
                     let unread = execute_graph(&scan, &c).unwrap();
                     assert!(unread.len() > morsel::DEFAULT_MORSEL_ROWS, "{what}");
                     let read = unread.clone();
@@ -2503,8 +2517,8 @@ mod tests {
         .unwrap();
         let counts = |of: &TableLambda| (of.key_tests.load(Relaxed), of.lookups.load(Relaxed));
         for threads in [1, 4] {
-            let mut c = ctx(&view, &pat, false);
-            c.threads = threads;
+            let cfg = limits(false, threads);
+            let c = ctx(&view, &pat, &cfg);
             let bob = ScalarExpr::col_eq(1, "Bob");
             let (before_src, before_dst) = (counts(&src), counts(&dst));
             // FILTER p1 (SCAN_EDGE Likes): n = 4 rows in, k = 2 out.
@@ -2569,8 +2583,8 @@ mod tests {
             // Unindexed: λ through the key column (`KeyEnd`); indexed: the
             // EV array (`EvEnd`).
             for (indexed, threads) in [(false, 1), (false, 4), (true, 1), (true, 4)] {
-                let mut c = ctx(&view, &pat, indexed);
-                c.threads = threads;
+                let cfg = limits(indexed, threads);
+                let c = ctx(&view, &pat, &cfg);
                 for (shape, build) in &builds {
                     let probe = execute_graph(&scan(0, None), &c).unwrap();
                     let build = execute_graph(build, &c).unwrap();
@@ -2621,8 +2635,8 @@ mod tests {
         let m = 600;
         let counts = |of: &TableLambda| (of.key_tests.load(Relaxed), of.lookups.load(Relaxed));
         for threads in [1, 4] {
-            let mut c = ctx(&view, &pat, false);
-            c.threads = threads;
+            let cfg = limits(false, threads);
+            let c = ctx(&view, &pat, &cfg);
             for (l, r) in [(&probe, &build), (&build, &probe)] {
                 let (before_src, before_dst) = (counts(&src), counts(&dst));
                 let out = join_chunks(l, r, &[0], &[], &c).unwrap();
@@ -2665,7 +2679,8 @@ mod tests {
         let (p, q) = (b.vertex("p", LabelId(0)), b.vertex("q", LabelId(0)));
         b.edge(p, q, LabelId(0)).unwrap();
         let pat = b.build().unwrap();
-        let c = ctx(&view, &pat, false);
+        let cfg = limits(false, 1);
+        let c = ctx(&view, &pat, &cfg);
         let scan = |predicate| GraphOp::ScanEdge {
             e: 0,
             predicate,

@@ -26,7 +26,5 @@ pub mod profile;
 pub mod rel_exec;
 
 pub use chunk::GraphChunk;
-pub use profile::{
-    OperatorProfile, OperatorReport, PlanProfile, PlanReport, ProfileMode, ProfileSink,
-};
-pub use rel_exec::{execute_plan, execute_plan_with, ExecConfig};
+pub use profile::{OperatorProfile, OperatorReport, PlanProfile, PlanReport, ProfileSink};
+pub use rel_exec::{execute_plan_with, ExecConfig};

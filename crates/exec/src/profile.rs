@@ -9,9 +9,9 @@
 //! and morsel-parallel operators report their merged, morsel-ordered output
 //! — profiled results are bit-identical to unprofiled ones.
 //!
-//! Profiling is gated by [`ProfileMode`]: the executors carry an
-//! `Option<&ProfileSink>` and the hot path pays exactly one branch per
-//! operator when it is off.
+//! Profiling is gated by `execute_plan_with`'s `profile` flag: the
+//! executors carry an `Option<&ProfileSink>` and the hot path pays exactly
+//! one branch per operator when it is off.
 //!
 //! [`OperatorMeta`]: relgo_core::OperatorMeta
 
@@ -20,16 +20,6 @@ use relgo_core::OperatorMeta;
 use std::fmt::Write as _;
 use std::sync::Mutex;
 use std::time::Duration;
-
-/// Whether an execution collects per-operator profiles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ProfileMode {
-    /// No collection; the hot path pays one branch per operator.
-    #[default]
-    Off,
-    /// Collect one [`OperatorProfile`] per operator.
-    On,
-}
 
 /// What one physical operator actually did during execution.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -7,7 +7,7 @@
 
 use crate::chunk::GraphChunk;
 use crate::graph_exec::{execute_graph, GraphExecContext};
-use crate::profile::{PlanProfile, ProfileMode, ProfileSink};
+use crate::profile::{PlanProfile, ProfileSink};
 use relgo_common::morsel::TimeBudget;
 use relgo_common::{DataType, ElementId, Field, FxHashMap, Result, Schema};
 use relgo_core::rel_plan::{PhysicalPlan, RelOp};
@@ -46,32 +46,20 @@ impl Default for ExecConfig {
     }
 }
 
-/// Execute a complete physical plan into a result table.
-pub fn execute_plan(
-    plan: &PhysicalPlan,
-    view: &GraphView,
-    db: &Database,
-    cfg: &ExecConfig,
-) -> Result<Table> {
-    Ok(execute_plan_with(plan, view, db, cfg, ProfileMode::Off)?.0)
-}
-
-/// Execute a plan, optionally collecting one [`crate::profile::OperatorProfile`]
-/// per physical operator (pre-order op ids, shared with
-/// `PhysicalPlan::operator_metas` and the EXPLAIN rendering). Profiled
-/// results are bit-identical to unprofiled ones — the sink is touched only
-/// by the plan-driving thread, outside the morsel workers.
+/// Execute a plan into a result table, with `profile` collecting one
+/// [`crate::profile::OperatorProfile`] per physical operator (pre-order op
+/// ids, shared with `PhysicalPlan::operator_metas` and the EXPLAIN
+/// rendering). Profiled results are bit-identical to unprofiled ones — the
+/// sink is touched only by the plan-driving thread, outside the morsel
+/// workers.
 pub fn execute_plan_with(
     plan: &PhysicalPlan,
     view: &GraphView,
     db: &Database,
     cfg: &ExecConfig,
-    mode: ProfileMode,
+    profile: bool,
 ) -> Result<(Table, Option<PlanProfile>)> {
-    let sink = match mode {
-        ProfileMode::Off => None,
-        ProfileMode::On => Some(ProfileSink::new()),
-    };
+    let sink = profile.then(ProfileSink::new);
     let out = exec_rel(&plan.root, &plan.pattern, view, db, cfg, sink.as_ref())?;
     let table = Arc::try_unwrap(out).unwrap_or_else(|arc| (*arc).clone());
     Ok((table, sink.map(|s| s.take())))
@@ -100,10 +88,7 @@ fn exec_rel(
             let ctx = GraphExecContext {
                 view,
                 pattern,
-                use_index: cfg.use_index,
-                row_limit: cfg.row_limit,
-                threads: cfg.threads,
-                deadline: cfg.deadline,
+                cfg,
                 profile: sink,
             };
             let chunk = execute_graph(graph, &ctx)?;
@@ -318,6 +303,18 @@ mod tests {
         }
     }
 
+    /// Runs `plan` unprofiled, checking that the profiled run returns the
+    /// same table bit for bit plus one profile per plan-time operator meta.
+    fn run(plan: &PhysicalPlan, view: &GraphView, db: &Database) -> Table {
+        let cfg = ExecConfig::default();
+        let (out, unprofiled) = execute_plan_with(plan, view, db, &cfg, false).unwrap();
+        assert!(unprofiled.is_none());
+        let (profiled, profile) = execute_plan_with(plan, view, db, &cfg, true).unwrap();
+        assert!(profiled.bit_identical(&out));
+        assert_eq!(profile.unwrap().ops.len(), plan.operator_metas(db).len());
+        out
+    }
+
     #[test]
     fn scan_graph_table_projects_attributes_and_ids() {
         let (view, db) = fig2::view();
@@ -345,7 +342,7 @@ mod tests {
                 ],
             },
         };
-        let out = execute_plan(&plan, &view, &db, &ExecConfig::default()).unwrap();
+        let out = run(&plan, &view, &db);
         assert_eq!(out.num_rows(), 4);
         assert_eq!(out.schema().field(0).name, "p_name");
         let names: Vec<Value> = (0..4).map(|r| out.value(r, 0)).collect();
@@ -388,7 +385,7 @@ mod tests {
                 cols: vec![1],
             },
         };
-        let out = execute_plan(&plan, &view, &db, &ExecConfig::default()).unwrap();
+        let out = run(&plan, &view, &db);
         assert_eq!(out.num_rows(), 2);
         let mut keys: Vec<i64> = (0..2).map(|r| out.value(r, 0).as_int().unwrap()).collect();
         keys.sort_unstable();
@@ -438,10 +435,7 @@ mod tests {
         let ctx = GraphExecContext {
             view: &view,
             pattern: &pattern,
-            use_index: true,
-            row_limit: 1_000_000,
-            threads: 1,
-            deadline: None,
+            cfg: &ExecConfig::default(),
             profile: None,
         };
         let chunk = execute_graph(&plan, &ctx).unwrap();

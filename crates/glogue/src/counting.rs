@@ -8,7 +8,7 @@
 //!
 //! Requires the graph index (adjacency is taken from the VE-index).
 //!
-//! [`count_homomorphisms_par`] partitions the *seed range* (the candidate
+//! [`count_homomorphisms`] partitions the *seed range* (the candidate
 //! rows of the first traversal vertex) into morsels and enumerates them
 //! from a scoped worker pool; per-morsel partial sums are reduced in morsel
 //! order, so the parallel count equals the serial count whenever the
@@ -19,15 +19,10 @@ use relgo_graph::{Direction, GraphIndex, GraphView};
 use relgo_pattern::Pattern;
 
 /// Count homomorphisms of `pattern` in `view`, exactly (`stride = 1`) or
-/// root-sampled (`stride = s`: every s-th seed, result scaled by `s`).
-pub fn count_homomorphisms(view: &GraphView, pattern: &Pattern, stride: usize) -> Result<f64> {
-    count_homomorphisms_par(view, pattern, stride, 1)
-}
-
-/// [`count_homomorphisms`] with the seed range partitioned across up to
-/// `threads` workers (1 = serial). Each worker owns a private binding
-/// buffer; the data graph is only read.
-pub fn count_homomorphisms_par(
+/// root-sampled (`stride = s`: every s-th seed, result scaled by `s`), with
+/// the seed range partitioned across up to `threads` workers (1 = serial).
+/// Each worker owns a private binding buffer; the data graph is only read.
+pub fn count_homomorphisms(
     view: &GraphView,
     pattern: &Pattern,
     stride: usize,
@@ -240,7 +235,7 @@ mod tests {
         let mut b = PatternBuilder::new();
         b.vertex("p", person());
         let p = b.build().unwrap();
-        assert_eq!(count_homomorphisms(&g, &p, 1).unwrap(), 3.0);
+        assert_eq!(count_homomorphisms(&g, &p, 1, 1).unwrap(), 3.0);
     }
 
     #[test]
@@ -251,7 +246,7 @@ mod tests {
         let m = b.vertex("m", message());
         b.edge(p1, m, likes()).unwrap();
         let p = b.build().unwrap();
-        assert_eq!(count_homomorphisms(&g, &p, 1).unwrap(), 4.0);
+        assert_eq!(count_homomorphisms(&g, &p, 1, 1).unwrap(), 4.0);
     }
 
     #[test]
@@ -266,7 +261,7 @@ mod tests {
         b.edge(p1, m, likes()).unwrap();
         b.edge(p2, m, likes()).unwrap();
         let p = b.build().unwrap();
-        assert_eq!(count_homomorphisms(&g, &p, 1).unwrap(), 8.0);
+        assert_eq!(count_homomorphisms(&g, &p, 1, 1).unwrap(), 8.0);
     }
 
     #[test]
@@ -284,7 +279,7 @@ mod tests {
         b.edge(p1, m, likes()).unwrap();
         b.edge(p2, m, likes()).unwrap();
         let p = b.build().unwrap();
-        assert_eq!(count_homomorphisms(&g, &p, 1).unwrap(), 4.0);
+        assert_eq!(count_homomorphisms(&g, &p, 1, 1).unwrap(), 4.0);
     }
 
     #[test]
@@ -296,7 +291,7 @@ mod tests {
         b.edge(p1, m, likes()).unwrap();
         b.vertex_predicate(p1, ScalarExpr::col_eq(1, "Bob"));
         let p = b.build().unwrap();
-        assert_eq!(count_homomorphisms(&g, &p, 1).unwrap(), 2.0);
+        assert_eq!(count_homomorphisms(&g, &p, 1, 1).unwrap(), 2.0);
     }
 
     #[test]
@@ -312,7 +307,7 @@ mod tests {
         );
         let p = b.build().unwrap();
         // Likes with date ≥ 28: l1 (31) and l2 (28).
-        assert_eq!(count_homomorphisms(&g, &p, 1).unwrap(), 2.0);
+        assert_eq!(count_homomorphisms(&g, &p, 1, 1).unwrap(), 2.0);
     }
 
     #[test]
@@ -337,13 +332,13 @@ mod tests {
         b.edge(p1, m, likes()).unwrap();
         b.edge(p2, m, likes()).unwrap();
         let p = b.build().unwrap();
-        let serial = count_homomorphisms(&g, &p, 1).unwrap();
+        let serial = count_homomorphisms(&g, &p, 1, 1).unwrap();
         for threads in [2usize, 8] {
-            assert_eq!(count_homomorphisms_par(&g, &p, 1, threads).unwrap(), serial);
+            assert_eq!(count_homomorphisms(&g, &p, 1, threads).unwrap(), serial);
         }
         // Sampled counting partitions the same seed set.
-        let sampled = count_homomorphisms(&g, &p, 2).unwrap();
-        assert_eq!(count_homomorphisms_par(&g, &p, 2, 8).unwrap(), sampled);
+        let sampled = count_homomorphisms(&g, &p, 2, 1).unwrap();
+        assert_eq!(count_homomorphisms(&g, &p, 2, 8).unwrap(), sampled);
     }
 
     #[test]
@@ -353,7 +348,7 @@ mod tests {
         b.vertex("p", person());
         let p = b.build().unwrap();
         // stride 2 visits persons {0, 2} → 2 seeds × 2 = 4 ≈ 3.
-        let sampled = count_homomorphisms(&g, &p, 2).unwrap();
+        let sampled = count_homomorphisms(&g, &p, 2, 1).unwrap();
         assert_eq!(sampled, 4.0);
     }
 
@@ -370,6 +365,6 @@ mod tests {
         let mut b = PatternBuilder::new();
         b.vertex("v", LabelId(0));
         let p = b.build().unwrap();
-        assert!(count_homomorphisms(&g, &p, 1).is_err());
+        assert!(count_homomorphisms(&g, &p, 1, 1).is_err());
     }
 }

@@ -9,7 +9,7 @@
 //! time and multiplying by conditional extension rates derived from exact
 //! small-pattern counts (the "high-order statistics" of §4.3).
 
-use crate::counting::count_homomorphisms_par;
+use crate::counting::count_homomorphisms;
 use parking_lot::Mutex;
 use relgo_common::fxhash::FxHashMap;
 use relgo_common::{RelGoError, Result};
@@ -131,7 +131,7 @@ impl GLogue {
 
     /// [`GLogue::new`] with `threads` workers for homomorphism counting:
     /// statistics (re)builds partition each pattern's seed range across the
-    /// pool ([`crate::counting::count_homomorphisms_par`]).
+    /// pool ([`crate::counting::count_homomorphisms`]).
     pub fn with_threads(
         view: Arc<GraphView>,
         k: usize,
@@ -211,7 +211,7 @@ impl GLogue {
         if let Some(&(c, _)) = self.cache.lock().get(&key) {
             return Ok(c);
         }
-        let c = count_homomorphisms_par(&self.view, p, self.stride, self.threads)?;
+        let c = count_homomorphisms(&self.view, p, self.stride, self.threads)?;
         self.cache.lock().insert(key, (c, LabelMask::of_pattern(p)));
         Ok(c)
     }

@@ -5,7 +5,7 @@
 //!
 //! * [`counting`] — an exact homomorphism counter over the graph view
 //!   (optionally root-sampled, reproducing GLogS's sparsification trick;
-//!   `count_homomorphisms_par` partitions the seed range across a morsel
+//!   `count_homomorphisms` partitions the seed range across a morsel
 //!   worker pool);
 //! * [`glogue::GLogue`] — the statistics store: exact cardinalities for
 //!   sub-patterns of up to `k` vertices (keyed by canonical code, computed
@@ -21,5 +21,4 @@ pub mod counting;
 pub mod glogue;
 
 pub use cost::CostModel;
-pub use counting::{count_homomorphisms, count_homomorphisms_par};
 pub use glogue::{GLogue, LabelMask};

@@ -69,7 +69,7 @@ pub mod prelude {
     pub use relgo_common::{DataType, RelGoError, Result, Value};
     pub use relgo_core::{OptStats, OptimizerMode, PhysicalPlan, SpjmBuilder, SpjmQuery};
     pub use relgo_delta::wal::{WalOptions, WalStats};
-    pub use relgo_exec::{PlanReport, ProfileMode};
+    pub use relgo_exec::PlanReport;
     pub use relgo_graph::{GraphView, RGMapping};
     pub use relgo_pattern::{MatchSemantics, Pattern, PatternBuilder};
     pub use relgo_storage::table::table_of;

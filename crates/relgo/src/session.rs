@@ -25,7 +25,7 @@ use relgo_core::{
 use relgo_datagen::{generate_imdb, generate_snb, ImdbParams, SnbParams};
 use relgo_delta::checkpoint::{RejectedCheckpoint, RetentionReport};
 use relgo_delta::wal::{Wal, WalCompaction, WalOptions, WalStats};
-use relgo_exec::{execute_plan_with, ExecConfig, PlanReport, ProfileMode};
+use relgo_exec::{execute_plan_with, ExecConfig, PlanReport};
 use relgo_glogue::GLogue;
 use relgo_graph::{GraphView, RGMapping};
 use relgo_metrics::trace::{QueryTrace, Stage, StageTimings};
@@ -756,11 +756,6 @@ impl Session {
         deadline: Option<TimeBudget>,
         profile: bool,
     ) -> Result<(Table, Option<PlanReport>)> {
-        let profile = if profile {
-            ProfileMode::On
-        } else {
-            ProfileMode::Off
-        };
         let cfg = ExecConfig {
             use_index: mode.uses_graph_index(),
             row_limit: self.options.row_limit,

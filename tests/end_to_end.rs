@@ -226,66 +226,3 @@ fn explain_shows_order_and_limit() {
     assert!(s.contains("LIMIT 3"), "{s}");
     assert!(s.contains("ORDER_BY"), "{s}");
 }
-
-#[test]
-fn spj_to_spjm_conversion_runs_end_to_end() {
-    use relgo::core::convert::{evaluate_spj, spj_to_spjm, SpjJoin, SpjQuery, SpjTable};
-    let (session, _) = session();
-    // Friends-of-friends as plain SPJ: Person p ⋈ Knows k1 ⋈ Person f
-    // ⋈ Knows k2 ⋈ Person g, WHERE p.id = 5.
-    let spj = SpjQuery {
-        tables: vec![
-            SpjTable {
-                table: "Person".into(),
-                predicate: Some(ScalarExpr::col_eq(0, 5i64)),
-            },
-            SpjTable {
-                table: "Knows".into(),
-                predicate: None,
-            },
-            SpjTable {
-                table: "Person".into(),
-                predicate: None,
-            },
-            SpjTable {
-                table: "Knows".into(),
-                predicate: None,
-            },
-            SpjTable {
-                table: "Person".into(),
-                predicate: None,
-            },
-        ],
-        joins: vec![
-            SpjJoin {
-                left: (1, 1),
-                right: (0, 0),
-            },
-            SpjJoin {
-                left: (1, 2),
-                right: (2, 0),
-            },
-            SpjJoin {
-                left: (3, 1),
-                right: (2, 0),
-            },
-            SpjJoin {
-                left: (3, 2),
-                right: (4, 0),
-            },
-        ],
-        projection: vec![(4, 1), (4, 0)],
-    };
-    let plain = evaluate_spj(&spj, &session.db()).unwrap();
-    let conv = spj_to_spjm(&spj, &session.view(), &session.db()).unwrap();
-    assert_eq!(conv.query.pattern.vertex_count(), 3);
-    assert_eq!(conv.query.pattern.edge_count(), 2);
-    for mode in [OptimizerMode::RelGo, OptimizerMode::DuckDbLike] {
-        let out = session.run(&conv.query, mode).unwrap();
-        assert_eq!(
-            out.table.sorted_rows(),
-            plain.sorted_rows(),
-            "converted SPJM under {mode:?} must equal the plain SPJ evaluation"
-        );
-    }
-}

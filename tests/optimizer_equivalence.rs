@@ -3,8 +3,13 @@
 //! produce row-identical results to the naive backtracking oracle on the
 //! SNB-like workloads.
 
+#[path = "support/regimes.rs"]
+mod regimes;
+
+use regimes::assert_regimes_match;
 use relgo::prelude::*;
-use relgo::workloads::snb_queries::{self, SnbSchema};
+use relgo::storage::ops::AggFunc;
+use relgo::workloads::snb_queries::{self, cols, SnbSchema};
 
 fn session() -> (Session, SnbSchema) {
     Session::snb(0.05, 42).expect("session build")
@@ -57,6 +62,153 @@ fn fig1_example_agrees_across_modes() {
         "at least one of the {} person names should produce matches",
         names.len()
     );
+}
+
+/// `left <op> right` over two columns.
+fn cols_cmp(left: usize, op: BinaryOp, right: usize) -> ScalarExpr {
+    ScalarExpr::Cmp(
+        op,
+        Box::new(ScalarExpr::Col(left)),
+        Box::new(ScalarExpr::Col(right)),
+    )
+}
+
+// The global columns of `two_places`: five graph columns, then Place `a`
+// (id, name) joined on p1's place, then Place `b` (id, name) on p2's.
+const P1_ID: usize = 0;
+const P2_ID: usize = 1;
+const P2_DATE: usize = 2;
+const PL1_ID: usize = 3;
+const PL2_ID: usize = 4;
+const A_ID: usize = 5;
+const A_NAME: usize = 6;
+const B_ID: usize = 7;
+const B_NAME: usize = 8;
+
+/// Fig. 1's hybrid shape with two declared tables: `(p1)-knows->(p2)`, each
+/// person located in a place vertex, and `Place` joined twice, once on each
+/// person's `PersonLocatedIn` place id.
+fn two_places(s: &SnbSchema) -> Result<SpjmBuilder> {
+    let mut pb = PatternBuilder::new();
+    let p1 = pb.vertex("p1", s.person);
+    let p2 = pb.vertex("p2", s.person);
+    let pl1 = pb.vertex("pl1", s.place);
+    let pl2 = pb.vertex("pl2", s.place);
+    pb.edge(p1, p2, s.knows)?;
+    pb.edge(p1, pl1, s.person_located_in)?;
+    pb.edge(p2, pl2, s.person_located_in)?;
+    let mut b = SpjmBuilder::new(pb.build()?);
+    b.vertex_column(p1, 0, "p1_id");
+    b.vertex_column(p2, 0, "p2_id");
+    b.vertex_column(p2, cols::PERSON_DATE, "p2_date");
+    b.vertex_column(pl1, 0, "pl1_id");
+    b.vertex_column(pl2, 0, "pl2_id");
+    b.table("Place");
+    b.table("Place");
+    b.join(PL1_ID, A_ID);
+    b.join(PL2_ID, B_ID);
+    Ok(b)
+}
+
+/// Hybrid SPJM templates whose relational half the optimizer splits three
+/// ways: a literal on the second table is pushed into its `SCAN_TABLE`
+/// (remapped to table-local columns), the join keys of the second table
+/// are rewritten right-local, and the graph-vs-table or table-vs-table
+/// conjunct stays a residual `SELECTION` above the joins.
+fn hybrid_templates(schema: &SnbSchema) -> Vec<QueryTemplate> {
+    let s = *schema;
+    vec![
+        // p1's friends in another country: ORDER BY + LIMIT on a total
+        // order of the output.
+        QueryTemplate::new("H-friends-abroad", move |d| {
+            let mut b = two_places(&s)?;
+            b.select(ScalarExpr::col_eq(P1_ID, (d % 20) as i64));
+            b.select(ScalarExpr::col_cmp(B_ID, BinaryOp::Ge, (d % 4) as i64));
+            b.select(cols_cmp(PL1_ID, BinaryOp::Ne, B_ID));
+            b.project(&[P2_ID, A_NAME, B_NAME]);
+            b.order_by(0, false).order_by(2, false).limit(5);
+            Ok(b.build())
+        }),
+        // How many friendships reach one country from another, and the
+        // earliest friend there.
+        QueryTemplate::new("H-count-into", move |d| {
+            let mut b = two_places(&s)?;
+            b.select(ScalarExpr::col_eq(B_NAME, format!("country_{}", d % 6)));
+            b.select(cols_cmp(A_ID, BinaryOp::Ne, PL2_ID));
+            b.aggregate(AggFunc::Count, P2_ID);
+            b.aggregate(AggFunc::Min, P2_DATE);
+            Ok(b.build())
+        }),
+        // The distinct country pairs of friendships made by recent friends.
+        QueryTemplate::new("H-country-pairs", move |d| {
+            let mut b = two_places(&s)?;
+            b.select(ScalarExpr::col_cmp(
+                P2_DATE,
+                BinaryOp::Gt,
+                15_000 + (d % 4) as i64 * 500,
+            ));
+            b.select(ScalarExpr::col_cmp(B_ID, BinaryOp::Lt, 3 + (d % 5) as i64));
+            b.select(cols_cmp(A_NAME, BinaryOp::Ne, B_NAME));
+            b.project(&[A_NAME, B_NAME]);
+            b.distinct();
+            Ok(b.build())
+        }),
+    ]
+}
+
+#[test]
+fn hybrid_queries_with_two_tables_agree_across_modes_and_regimes() {
+    let (session, schema) = session();
+    // Draw 1's literal on the second table, over its table-local columns.
+    let pushed = ["($0 >= 1)", "($1 = 'country_1')", "($0 < 4)"];
+    for (t, pushed) in hybrid_templates(&schema).iter().zip(pushed) {
+        let explain = session
+            .explain(&t.instantiate(1).unwrap(), OptimizerMode::RelGo)
+            .unwrap();
+        let lines: Vec<&str> = explain.lines().map(str::trim_start).collect();
+        let scans: Vec<&str> = lines
+            .iter()
+            .copied()
+            .filter(|l| l.starts_with("SCAN_TABLE"))
+            .collect();
+        assert_eq!(scans.len(), 2, "{}:\n{explain}", t.name());
+        assert!(!scans[0].contains('('), "{}:\n{explain}", t.name());
+        assert!(scans[1].contains(pushed), "{}:\n{explain}", t.name());
+        let joins: Vec<usize> = (0..lines.len())
+            .filter(|&i| lines[i].starts_with("HASH_JOIN"))
+            .collect();
+        assert_eq!(joins.len(), 2, "{}:\n{explain}", t.name());
+        assert!(
+            joins.iter().all(|&i| lines[i].contains("=$0 ")),
+            "{}: join keys are right-local\n{explain}",
+            t.name()
+        );
+        let selection = lines.iter().position(|l| l.starts_with("SELECTION"));
+        assert_eq!(
+            selection.map(|i| i + 1),
+            Some(joins[0]),
+            "{}: the residual sits right above the joins\n{explain}",
+            t.name()
+        );
+        let mut saw_rows = false;
+        for draw in 0..6 {
+            let q = t.instantiate(draw).unwrap();
+            check_all_modes(&session, &format!("{} draw {draw}", t.name()), &q);
+            // An aggregate answers one row even over no matches: it saw
+            // rows when its COUNT did.
+            let answer = session.oracle(&q).unwrap();
+            saw_rows |= answer.num_rows() > 0
+                && (q.aggregates.is_empty() || answer.value(0, 0) != Value::Int(0));
+            if draw == 0 {
+                continue;
+            }
+            for mode in OptimizerMode::ALL {
+                let want = session.run(&q, mode).unwrap().table;
+                assert_regimes_match(&session, t, draw, mode, &want, "a first run");
+            }
+        }
+        assert!(saw_rows, "{}: every draw came back empty", t.name());
+    }
 }
 
 #[test]

@@ -10,7 +10,7 @@ mod random_graph;
 
 use proptest::prelude::*;
 use random_graph::*;
-use relgo::glogue::count_homomorphisms_par;
+use relgo::glogue::counting::count_homomorphisms;
 use relgo::prelude::*;
 
 /// The session over `g` that runs each query on `threads` threads.
@@ -62,9 +62,9 @@ proptest! {
         let session = session(&g, 1);
         let pattern = pattern_of(&shape);
         let view = session.view();
-        let serial = count_homomorphisms_par(&view, &pattern, stride, 1).unwrap();
+        let serial = count_homomorphisms(&view, &pattern, stride, 1).unwrap();
         for threads in [2usize, 8] {
-            let par = count_homomorphisms_par(&view, &pattern, stride, threads).unwrap();
+            let par = count_homomorphisms(&view, &pattern, stride, threads).unwrap();
             prop_assert_eq!(par, serial, "{} threads, stride {}", threads, stride);
         }
     }
