@@ -103,3 +103,24 @@ pub fn view() -> (GraphView, Database) {
     view.build_index().unwrap();
     (view, db)
 }
+
+/// [`database`] and [`mapping`] plus an edge label `Bad` (Person → Message,
+/// primary key `bad_id` = row + 1) whose rows carry the `(pid, mid)` keys
+/// given, each valid, dangling or NULL: the fixture for λ totality.
+pub fn with_bad_edges(keys: Vec<[Value; 2]>) -> (Database, RGMapping) {
+    let mut db = database();
+    let rows = (1..)
+        .zip(keys)
+        .map(|(id, [pid, mid])| vec![Value::Int(id), pid, mid]);
+    db.add_table(table_of(
+        "Bad",
+        &[
+            ("bad_id", DataType::Int),
+            ("pid", DataType::Int),
+            ("mid", DataType::Int),
+        ],
+        rows.collect(),
+    ));
+    db.set_primary_key("Bad", "bad_id").unwrap();
+    (db, mapping().edge("Bad", "pid", "Person", "mid", "Message"))
+}

@@ -8,18 +8,30 @@
 //!   direction in CSR form. Neighbor lists are sorted by neighbor row id so
 //!   `EXPAND_INTERSECT` can intersect them with linear merges.
 //!
-//! Both VE directions come from the two endpoint columns that λ resolution
-//! returns, with no comparison sort over the edge relation: the out-CSR is
-//! a counting sort by source followed by a per-list sort by `(neighbor,
-//! edge)` ([`Csr::build`]), and the in-CSR is its transpose, which comes
-//! out already ordered. Opening a view and committing a delta build a label
-//! the same way; a commit only skips the labels it leaves valid
-//! ([`GraphIndex::rebuild_delta`]).
+//! **What open and commit prove.** [`GraphIndex::build`] (run when a view
+//! is opened) and [`GraphIndex::rebuild_delta`] (run per commit, for the
+//! labels it touches) build nothing: they prove λˢ and λᵗ total, one
+//! allocation-free pass over each foreign-key column that fails on the
+//! first edge row with a NULL or dangling key.
+//!
+//! **When each structure is built.** A label's EV-index, out-CSR and
+//! in-CSR are each built once, when a query first reads them, and then
+//! serve every later reader of the epochs that share the label. The
+//! EV-index is the two λ-resolved endpoint columns. The out-CSR is a
+//! counting sort over those columns followed by a per-list sort by
+//! `(neighbor, edge)` ([`Csr::build`]), with no comparison sort over the
+//! edge relation; the in-CSR is the out-CSR's transpose, which comes out
+//! already ordered, or the same counting sort over the swapped columns
+//! when no out-CSR is built. A CSR reads the EV-index's columns when that
+//! is built and resolves them afresh otherwise. Every path gives the same
+//! arrays bit for bit, so the order of first reads is never visible.
 
+use crate::lambda::KeyEnd;
 use crate::view::GraphView;
 use relgo_common::{FxHashMap, LabelId, Result, RowId};
 use relgo_storage::TableChange;
-use std::sync::Arc;
+use std::mem::size_of_val;
+use std::sync::{Arc, OnceLock};
 
 /// Traversal direction through an edge label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -48,6 +60,12 @@ pub struct EvIndex {
     pub src_rid: Vec<RowId>,
     /// Target vertex row per edge row.
     pub dst_rid: Vec<RowId>,
+}
+
+impl EvIndex {
+    fn bytes(&self) -> usize {
+        size_of_val(&self.src_rid[..]) + size_of_val(&self.dst_rid[..])
+    }
 }
 
 /// CSR adjacency of one (edge label, direction): for vertex row `v`, the
@@ -201,28 +219,106 @@ impl Csr {
     pub fn is_empty(&self) -> bool {
         self.edge_rid.is_empty()
     }
+
+    fn bytes(&self) -> usize {
+        size_of_val(&self.offsets[..])
+            + size_of_val(&self.edge_rid[..])
+            + size_of_val(&self.nbr_rid[..])
+    }
 }
 
-/// The complete graph index: EV per edge label, VE (CSR) per edge label and
-/// direction. Per-label components sit behind `Arc`s so an incremental
-/// rebuild ([`GraphIndex::rebuild_delta`]) shares the untouched labels'
-/// memory with the previous epoch's index.
+/// The complete graph index: per edge label, the EV-index and one VE-index
+/// (CSR) per direction, each built when a query first reads it. A label
+/// sits behind one `Arc`, so an incremental rebuild
+/// ([`GraphIndex::rebuild_delta`]) shares an untouched label with the
+/// previous epoch's index whole, structures built later included.
 #[derive(Debug, Clone, Default)]
 pub struct GraphIndex {
-    ev: Vec<Arc<EvIndex>>,
-    ve_out: Vec<Arc<Csr>>,
-    ve_in: Vec<Arc<Csr>>,
+    labels: Vec<Arc<LabelIndex>>,
+}
+
+/// One edge label's index: the two λ ends it is built from, the row counts
+/// of its endpoint vertex relations, and its three structures, each built
+/// once, on first read. λ is proven total on every edge row before the
+/// label is published, so no build can fail.
+#[derive(Debug)]
+struct LabelIndex {
+    src: KeyEnd,
+    dst: KeyEnd,
+    sources: usize,
+    targets: usize,
+    ev: OnceLock<Arc<EvIndex>>,
+    out: OnceLock<Arc<Csr>>,
+    in_: OnceLock<Arc<Csr>>,
+}
+
+impl LabelIndex {
+    /// Label `el` of `view`, nothing built.
+    fn new(view: &GraphView, el: LabelId) -> LabelIndex {
+        let (src_label, dst_label) = view.schema().edge_endpoints(el);
+        LabelIndex {
+            src: view.key_end(el, Direction::In),
+            dst: view.key_end(el, Direction::Out),
+            sources: view.vertex_count(src_label),
+            targets: view.vertex_count(dst_label),
+            ev: OnceLock::new(),
+            out: OnceLock::new(),
+            in_: OnceLock::new(),
+        }
+    }
+
+    /// Prove λˢ and λᵗ total: fail on the first edge row with a NULL or
+    /// dangling key (its source before its target), as
+    /// [`GraphView::resolve_endpoints`] does, without resolving a column.
+    fn check(self) -> Result<LabelIndex> {
+        match (self.src.first_unresolved(), self.dst.first_unresolved()) {
+            (Some(s), d) if d.is_none_or(|d| s <= d) => Err(self.src.error_at(s)),
+            (_, Some(d)) => Err(self.dst.error_at(d)),
+            _ => Ok(self),
+        }
+    }
+
+    fn ev(&self) -> &Arc<EvIndex> {
+        self.ev.get_or_init(|| {
+            Arc::new(EvIndex {
+                src_rid: self.src.raw(None),
+                dst_rid: self.dst.raw(None),
+            })
+        })
+    }
+
+    fn out(&self) -> &Csr {
+        self.out
+            .get_or_init(|| self.over_endpoints(|s, d| Csr::build(self.sources, s, d)))
+    }
+
+    /// The out-CSR's transpose when that is built, else a counting sort
+    /// over the swapped columns: the same arrays either way.
+    fn in_(&self) -> &Csr {
+        self.in_.get_or_init(|| match self.out.get() {
+            Some(out) => Arc::new(out.transpose(self.targets)),
+            None => self.over_endpoints(|s, d| Csr::build(self.targets, d, s)),
+        })
+    }
+
+    /// `build` over the label's source and target columns: the EV-index's
+    /// when it is built, else a resolution dropped once `build` returns.
+    fn over_endpoints(&self, build: impl FnOnce(&[RowId], &[RowId]) -> Csr) -> Arc<Csr> {
+        Arc::new(match self.ev.get() {
+            Some(ev) => build(&ev.src_rid, &ev.dst_rid),
+            None => build(&self.src.raw(None), &self.dst.raw(None)),
+        })
+    }
 }
 
 impl GraphIndex {
-    /// Build both index families for every edge label of the view. Fails if
-    /// any λ function is partial (dangling foreign key).
+    /// The index of every edge label of the view, nothing built yet. Fails
+    /// if any λ function is partial (a NULL or dangling foreign key).
     pub fn build(view: &GraphView) -> Result<GraphIndex> {
-        let mut index = GraphIndex::for_labels(view);
-        for li in 0..view.schema().edge_label_count() as u16 {
-            index.push(build_label(view, LabelId(li))?);
-        }
-        Ok(index)
+        let labels = (0..view.schema().edge_label_count() as u16)
+            .map(|li| Ok(Arc::new(LabelIndex::new(view, LabelId(li)).check()?)))
+            .collect::<Result<_>>()?;
+        Ok(GraphIndex { labels })
     }
 
     /// Incrementally rebuild after a committed delta: `view` is the *new*
@@ -232,93 +328,102 @@ impl GraphIndex {
     /// Per edge label:
     ///
     /// * **untouched** (edge table and both endpoint tables unchanged) —
-    ///   all three per-label structures are shared (`Arc` clone, O(1));
+    ///   the label is shared whole (`Arc` clone, O(1)); a structure either
+    ///   epoch builds later serves both;
     /// * **endpoints grew append-only, edge table unchanged** — every
-    ///   existing entry is still valid; only the CSR offset tables are
-    ///   extended over the new vertex rows;
-    /// * **anything else** — the label is built from the merged view exactly
-    ///   as [`GraphIndex::build`] builds it. An edge whose key no longer
-    ///   resolves fails λ resolution, whether the edge was inserted with a
-    ///   dangling key or its vertex row was deleted under it; a vertex row
-    ///   replaced by one with the same key resolves to the new row.
+    ///   existing entry is still valid: a built EV-index is shared and a
+    ///   built CSR has its offset table extended over the new vertex rows;
+    ///   an unbuilt structure stays unbuilt;
+    /// * **anything else** — λ is proven total over the merged view as
+    ///   [`GraphIndex::build`] proves it, and the label starts unbuilt. An
+    ///   edge whose key no longer resolves fails, whether the edge was
+    ///   inserted with a dangling key or its vertex row was deleted under
+    ///   it; a vertex row replaced by one with the same key resolves to the
+    ///   new row.
     ///
-    /// The result is bit-identical to [`GraphIndex::build`] over the merged
-    /// view, at the cost of the touched labels only.
+    /// Every structure read from the result is bit-identical to the one
+    /// [`GraphIndex::build`] over the merged view gives.
     pub fn rebuild_delta(
         prev: &GraphIndex,
         view: &GraphView,
         changes: &FxHashMap<String, TableChange>,
     ) -> Result<GraphIndex> {
-        let mut index = GraphIndex::for_labels(view);
+        let mut labels = Vec::with_capacity(prev.labels.len());
         for li in 0..view.schema().edge_label_count() as u16 {
-            let (el, i) = (LabelId(li), li as usize);
+            let el = LabelId(li);
+            let before = &prev.labels[li as usize];
             let (src_label, dst_label) = view.schema().edge_endpoints(el);
             let echange = changes.get(view.edge_table(el).name());
             let schange = changes.get(view.vertex_table(src_label).name());
             let dchange = changes.get(view.vertex_table(dst_label).name());
+            if echange.is_none() && schange.is_none() && dchange.is_none() {
+                labels.push(Arc::clone(before));
+                continue;
+            }
+            let label = LabelIndex::new(view, el);
             let stable = |c: Option<&TableChange>| c.is_none_or(TableChange::is_append_only);
             if echange.is_some() || !stable(schange) || !stable(dchange) {
-                index.push(build_label(view, el)?);
+                labels.push(Arc::new(label.check()?));
                 continue;
             }
             // Existing entries are all valid; at most the offset tables must
             // cover newly appended vertex rows.
-            let keep = |csr: &Arc<Csr>, change: Option<&TableChange>, label| match change {
-                None => Arc::clone(csr),
-                Some(_) => Arc::new(csr.extended(view.vertex_count(label))),
+            let keep = |cell: &OnceLock<Arc<Csr>>, change: Option<&TableChange>, rows| {
+                cell.get().map_or_else(OnceLock::new, |csr| {
+                    OnceLock::from(match change {
+                        None => Arc::clone(csr),
+                        Some(_) => Arc::new(csr.extended(rows)),
+                    })
+                })
             };
-            index.push((
-                Arc::clone(&prev.ev[i]),
-                keep(&prev.ve_out[i], schange, src_label),
-                keep(&prev.ve_in[i], dchange, dst_label),
-            ));
+            labels.push(Arc::new(LabelIndex {
+                ev: before
+                    .ev
+                    .get()
+                    .cloned()
+                    .map_or_else(OnceLock::new, OnceLock::from),
+                out: keep(&before.out, schange, label.sources),
+                in_: keep(&before.in_, dchange, label.targets),
+                ..label
+            }));
         }
-        Ok(index)
+        Ok(GraphIndex { labels })
     }
 
-    /// An empty index with room for every edge label of `view`. Sized up
-    /// front: growing these small vectors between the large per-label
-    /// arrays measurably raised peak RSS through the allocator's layout.
-    fn for_labels(view: &GraphView) -> GraphIndex {
-        let n = view.schema().edge_label_count();
-        GraphIndex {
-            ev: Vec::with_capacity(n),
-            ve_out: Vec::with_capacity(n),
-            ve_in: Vec::with_capacity(n),
-        }
-    }
-
-    /// Append the next edge label's three structures.
-    fn push(&mut self, (ev, out, ve_in): Label) {
-        self.ev.push(ev);
-        self.ve_out.push(out);
-        self.ve_in.push(ve_in);
-    }
-
-    /// Whether label `el`'s structures are shared with `other` (incremental
-    /// rebuilds share untouched labels; diagnostics and tests).
+    /// Whether label `el` is shared with `other` (incremental rebuilds
+    /// share untouched labels; diagnostics and tests).
     pub fn shares_label_with(&self, other: &GraphIndex, el: LabelId) -> bool {
-        let i = el.0 as usize;
-        Arc::ptr_eq(&self.ev[i], &other.ev[i])
-            && Arc::ptr_eq(&self.ve_out[i], &other.ve_out[i])
-            && Arc::ptr_eq(&self.ve_in[i], &other.ve_in[i])
+        Arc::ptr_eq(&self.labels[el.0 as usize], &other.labels[el.0 as usize])
+    }
+
+    /// Resident bytes of the structures built so far, summed over labels,
+    /// as `("ev" | "out" | "in", bytes)`.
+    pub fn built_bytes(&self) -> [(&'static str, usize); 3] {
+        let sum = |bytes: fn(&LabelIndex) -> Option<usize>| -> usize {
+            self.labels.iter().filter_map(|l| bytes(l)).sum()
+        };
+        [
+            ("ev", sum(|l| l.ev.get().map(|ev| ev.bytes()))),
+            ("out", sum(|l| l.out.get().map(|csr| csr.bytes()))),
+            ("in", sum(|l| l.in_.get().map(|csr| csr.bytes()))),
+        ]
     }
 
     /// The EV-index of label `el` as a whole, shared with this epoch.
     pub(crate) fn ev(&self, el: LabelId) -> &Arc<EvIndex> {
-        &self.ev[el.0 as usize]
+        self.labels[el.0 as usize].ev()
     }
 
     /// EV-index lookup: source vertex row of edge row `e` (label `el`).
     #[inline]
     pub fn edge_src(&self, el: LabelId, e: RowId) -> RowId {
-        self.ev[el.0 as usize].src_rid[e as usize]
+        self.ev(el).src_rid[e as usize]
     }
 
     /// EV-index lookup: target vertex row of edge row `e` (label `el`).
     #[inline]
     pub fn edge_dst(&self, el: LabelId, e: RowId) -> RowId {
-        self.ev[el.0 as usize].dst_rid[e as usize]
+        self.ev(el).dst_rid[e as usize]
     }
 
     /// Endpoint of edge `e` in direction `dir` (the vertex reached).
@@ -333,9 +438,10 @@ impl GraphIndex {
     /// The VE-index of `(el, dir)` as a whole, for a caller that looks up
     /// many vertices: the label and direction are resolved once.
     pub fn adjacency(&self, el: LabelId, dir: Direction) -> &Csr {
+        let label = &self.labels[el.0 as usize];
         match dir {
-            Direction::Out => &self.ve_out[el.0 as usize],
-            Direction::In => &self.ve_in[el.0 as usize],
+            Direction::Out => label.out(),
+            Direction::In => label.in_(),
         }
     }
 
@@ -351,21 +457,6 @@ impl GraphIndex {
     pub fn degree(&self, el: LabelId, dir: Direction, v: RowId) -> usize {
         self.adjacency(el, dir).degree(v)
     }
-}
-
-/// One edge label's EV-index, out-CSR and in-CSR.
-type Label = (Arc<EvIndex>, Arc<Csr>, Arc<Csr>);
-
-/// λ-resolve edge label `el` over `view` and build its EV-index, its
-/// out-CSR and the out-CSR's transpose (the in-CSR): the one way a label's
-/// index is made from its relations.
-fn build_label(view: &GraphView, el: LabelId) -> Result<Label> {
-    let (src_label, dst_label) = view.schema().edge_endpoints(el);
-    let (src_rid, dst_rid) = view.resolve_endpoints(el, None)?;
-    let out = Csr::build(view.vertex_count(src_label), &src_rid, &dst_rid);
-    let ve_in = Arc::new(out.transpose(view.vertex_count(dst_label)));
-    let out = Arc::new(out);
-    Ok((Arc::new(EvIndex { src_rid, dst_rid }), out, ve_in))
 }
 
 #[cfg(test)]
@@ -489,6 +580,34 @@ mod tests {
         assert_eq!(got.offsets, want.offsets, "{what}: offsets");
         assert_eq!(got.edge_rid, want.edge_rid, "{what}: edge rows");
         assert_eq!(got.nbr_rid, want.nbr_rid, "{what}: neighbor rows");
+    }
+
+    /// Which of label `el`'s EV-index, out-CSR and in-CSR are built.
+    fn built(idx: &GraphIndex, el: LabelId) -> [bool; 3] {
+        let l = &idx.labels[el.0 as usize];
+        [
+            l.ev.get().is_some(),
+            l.out.get().is_some(),
+            l.in_.get().is_some(),
+        ]
+    }
+
+    /// Read a random subset of label `el`'s structures (0 EV, 1 out, 2 in)
+    /// in a random order, building what is unbuilt; returns what was read.
+    fn read(idx: &GraphIndex, el: LabelId, pick: &mut impl FnMut(u64) -> RowId) -> Vec<u32> {
+        let mut order = vec![0, 1, 2];
+        order.retain(|_| pick(3) != 0);
+        for i in (1..order.len()).rev() {
+            order.swap(i, pick(i as u64 + 1) as usize);
+        }
+        for &structure in &order {
+            match structure {
+                0 => _ = idx.ev(el),
+                1 => _ = idx.adjacency(el, Direction::Out),
+                _ => _ = idx.adjacency(el, Direction::In),
+            }
+        }
+        order
     }
 
     /// Both directions of an edge relation from `sources` to `targets`
@@ -621,6 +740,10 @@ mod tests {
         let mut base_db = build_db(false);
         let mut base = GraphView::build(&mut base_db, mapping.clone()).unwrap();
         base.build_index().unwrap();
+        let knows = base.schema().edge_label_id("Knows").unwrap();
+        // Knows's EV-index is built before the commit, so the commit can
+        // carry it over.
+        let base_ev = Arc::clone(base.index().unwrap().ev(knows));
 
         let mut merged_db = build_db(true);
         let mut fresh = GraphView::build(&mut merged_db, mapping.clone()).unwrap();
@@ -633,8 +756,9 @@ mod tests {
         let inc = GraphView::rebuild_delta(&base, &mut inc_db, &changes).unwrap();
 
         let likes = inc.schema().edge_label_id("Likes").unwrap();
-        let knows = inc.schema().edge_label_id("Knows").unwrap();
         let inc_idx = inc.index().unwrap();
+        assert_eq!(built(inc_idx, knows), [true, false, false]);
+        assert_eq!(built(inc_idx, likes), [false; 3]);
         let fresh_idx = fresh.index().unwrap();
         for el in [likes, knows] {
             let m = inc.edge_count(el);
@@ -660,11 +784,9 @@ mod tests {
             }
         }
         // Knows's edge table is untouched, but Person grew append-only: the
-        // EV index is shared and only the out-CSR offsets were extended.
-        assert!(Arc::ptr_eq(
-            &inc_idx.ev[knows.0 as usize],
-            &base.index().unwrap().ev[knows.0 as usize]
-        ));
+        // EV-index is shared, and its CSRs, unbuilt before, were built from
+        // the merged view.
+        assert!(Arc::ptr_eq(inc_idx.ev(knows), &base_ev));
         assert!(!inc_idx.shares_label_with(base.index().unwrap(), likes));
         // Changed-label flags follow table + endpoint reachability.
         let (cv, ce) = base.changed_label_flags(&changes);
@@ -756,19 +878,28 @@ mod tests {
     /// A stream of commits over [`stream_graph`], each mixing edge inserts
     /// and deletes, mid-table vertex deletions together with their incident
     /// edges (so later row ids shift), vertex replacements (delete a key and
-    /// insert it again) and appends. After every commit the incremental
-    /// index equals a full build of the merged view, array for array, and
-    /// exactly the labels the commit left valid are shared.
+    /// insert it again) and appends. Before every commit a random subset of
+    /// the structures is read, so each is carried over built or unbuilt;
+    /// after it, exactly the labels the commit left untouched are shared,
+    /// exactly the built structures of the labels it left valid are carried,
+    /// and every structure read, in a random order, equals a full build of
+    /// the merged view, array for array.
     #[test]
     fn rebuild_delta_equals_full_build_over_a_commit_stream() {
         let mut arms = [0usize; 3]; // shared, extended, rebuilt
         for seed in 0..12 {
             let mut next = rng(1_000 + seed);
+            // Which structures are read, and in which order: a stream of
+            // its own, so the commits stay those of `next`.
+            let mut pick = rng(5_000 + seed);
             let (mut db, mapping) = stream_graph(&mut next);
             let mut prev = GraphView::build(&mut db, mapping.clone()).unwrap();
             prev.build_index().unwrap();
             let mut fresh_key = 1_000i64;
             for commit in 0..8i64 {
+                for el in [LabelId(0), LabelId(1)] {
+                    read(prev.index().unwrap(), el, &mut pick);
+                }
                 // Per vertex table: 0 untouched, 1 appends only, 2 also
                 // deletions and replacements. Per edge table: touched or not.
                 let mut deleted: FxHashMap<&str, Vec<RowId>> = FxHashMap::default();
@@ -859,16 +990,6 @@ mod tests {
                 let db_rows = |table: &str| db.table(table).unwrap().num_rows();
                 for (i, (table, dst)) in [("AA", "A"), ("AB", "B")].into_iter().enumerate() {
                     let what = format!("seed {seed} commit {commit} {table}");
-                    assert_eq!(got.ev[i].src_rid, want.ev[i].src_rid, "{what}: EV src");
-                    assert_eq!(got.ev[i].dst_rid, want.ev[i].dst_rid, "{what}: EV dst");
-                    assert_same(&got.ve_out[i], &want.ve_out[i], &format!("{what} out"));
-                    assert_same(&got.ve_in[i], &want.ve_in[i], &format!("{what} in"));
-                    // Both equal the comparison sort of the merged EV-index.
-                    let (ev, sources, targets) = (&want.ev[i], db_rows("A"), db_rows(dst));
-                    let want_out = reference(sources, &ev.src_rid, &ev.dst_rid);
-                    assert_same(&got.ve_out[i], &want_out, &format!("{what} out"));
-                    let want_in = reference(targets, &ev.dst_rid, &ev.src_rid);
-                    assert_same(&got.ve_in[i], &want_in, &format!("{what} in"));
                     let (e, s, t) = (changes.get(table), changes.get("A"), changes.get(dst));
                     let stable =
                         |c: Option<&TableChange>| c.is_none_or(TableChange::is_append_only);
@@ -876,14 +997,152 @@ mod tests {
                     let kept = e.is_none() && stable(s) && stable(t);
                     let el = LabelId(i as u16);
                     assert_eq!(got.shares_label_with(before, el), untouched, "{what}");
-                    assert_eq!(Arc::ptr_eq(&got.ev[i], &before.ev[i]), kept, "{what}");
+                    // Built structures carry over exactly on the kept arms,
+                    // a CSR by pointer only while its vertex table is
+                    // unchanged (otherwise its offsets were extended).
+                    let was = if kept { built(before, el) } else { [false; 3] };
+                    assert_eq!(built(got, el), was, "{what}: built");
+                    let (now, then) = (&got.labels[i], &before.labels[i]);
+                    if let (Some(a), Some(b)) = (now.ev.get(), then.ev.get()) {
+                        assert!(Arc::ptr_eq(a, b), "{what}: EV shared");
+                    }
+                    for (a, b, change) in [(&now.out, &then.out, s), (&now.in_, &then.in_, t)] {
+                        if let (Some(a), Some(b)) = (a.get(), b.get()) {
+                            assert_eq!(Arc::ptr_eq(a, b), change.is_none(), "{what}: CSR");
+                        }
+                    }
                     arms[usize::from(!untouched) + usize::from(!kept)] += 1;
+
+                    // Read what `pick` chooses; each read equals the full
+                    // build, and the comparison sort of its EV-index.
+                    let (sources, targets) = (db_rows("A"), db_rows(dst));
+                    for structure in read(got, el, &mut pick) {
+                        let ev = want.ev(el);
+                        match structure {
+                            0 => {
+                                assert_eq!(got.ev(el).src_rid, ev.src_rid, "{what}: EV src");
+                                assert_eq!(got.ev(el).dst_rid, ev.dst_rid, "{what}: EV dst");
+                            }
+                            1 => {
+                                let csr = got.adjacency(el, Direction::Out);
+                                assert_same(csr, want.adjacency(el, Direction::Out), &what);
+                                let want_out = reference(sources, &ev.src_rid, &ev.dst_rid);
+                                assert_same(csr, &want_out, &format!("{what} out"));
+                            }
+                            _ => {
+                                let csr = got.adjacency(el, Direction::In);
+                                assert_same(csr, want.adjacency(el, Direction::In), &what);
+                                let want_in = reference(targets, &ev.dst_rid, &ev.src_rid);
+                                assert_same(csr, &want_in, &format!("{what} in"));
+                            }
+                        }
+                    }
                 }
                 prev = inc;
             }
         }
         // Every arm of `rebuild_delta` ran.
         assert!(arms.iter().all(|&n| n > 0), "arms {arms:?}");
+    }
+
+    #[test]
+    fn a_fresh_build_builds_nothing() {
+        let (g, _) = fig2::view();
+        let idx = g.index().unwrap();
+        for li in 0..g.schema().edge_label_count() as u16 {
+            assert_eq!(built(idx, LabelId(li)), [false; 3]);
+        }
+        assert_eq!(idx.built_bytes(), [("ev", 0), ("out", 0), ("in", 0)]);
+        let likes = g.schema().edge_label_id("Likes").unwrap();
+        idx.adjacency(likes, Direction::In);
+        assert_eq!(built(idx, likes), [false, false, true]);
+        // Four entries of two row ids each, and an offset per message + 1.
+        assert_eq!(
+            idx.built_bytes(),
+            [("ev", 0), ("out", 0), ("in", 4 * 8 + 3 * 4)]
+        );
+    }
+
+    /// Every order of first reads builds the same arrays: the in-CSR alone
+    /// (a counting sort over fresh columns), the out-CSR then its transpose,
+    /// or the EV-index first and both CSRs from it.
+    #[test]
+    fn every_read_order_builds_the_reference() {
+        for seed in 0..6 {
+            let (mut db, mapping) = stream_graph(&mut rng(2_000 + seed));
+            for order in [[2, 1, 0], [1, 2, 0], [0, 1, 2], [0, 2, 1]] {
+                let mut g = GraphView::build(&mut db, mapping.clone()).unwrap();
+                g.build_index().unwrap();
+                let idx = g.index().unwrap();
+                for el in [LabelId(0), LabelId(1)] {
+                    for structure in order {
+                        match structure {
+                            0 => _ = idx.ev(el),
+                            1 => _ = idx.adjacency(el, Direction::Out),
+                            _ => _ = idx.adjacency(el, Direction::In),
+                        }
+                    }
+                    let (src, dst) = g.resolve_endpoints(el, None).unwrap();
+                    let ev = idx.ev(el);
+                    assert_eq!((&ev.src_rid, &ev.dst_rid), (&src, &dst), "EV");
+                    let (sl, dl) = g.schema().edge_endpoints(el);
+                    let (sources, targets) = (g.vertex_count(sl), g.vertex_count(dl));
+                    let what = format!("seed {seed} order {order:?} {el:?}");
+                    let out = idx.adjacency(el, Direction::Out);
+                    assert_same(out, &reference(sources, &src, &dst), &format!("{what} out"));
+                    let csr = idx.adjacency(el, Direction::In);
+                    assert_same(csr, &reference(targets, &dst, &src), &format!("{what} in"));
+                }
+            }
+        }
+    }
+
+    /// A commit that leaves a label untouched shares it whole: a structure
+    /// first built after the commit, from either epoch, is one allocation.
+    #[test]
+    fn an_untouched_label_is_shared_across_epochs() {
+        use relgo_common::FxHashMap;
+        use relgo_storage::TableChange;
+        let (base, _) = fig2::view();
+        let mut merged_db = fig2::database();
+        apply(&mut merged_db, "Likes", &[0], vec![]);
+        let mut changes: FxHashMap<String, TableChange> = FxHashMap::default();
+        changes.insert("Likes".to_string(), TableChange::new(4, vec![0], 0));
+        let inc = GraphView::rebuild_delta(&base, &mut merged_db, &changes).unwrap();
+        let (before, after) = (base.index().unwrap(), inc.index().unwrap());
+        let knows = base.schema().edge_label_id("Knows").unwrap();
+        let likes = base.schema().edge_label_id("Likes").unwrap();
+        assert!(after.shares_label_with(before, knows));
+        assert!(!after.shares_label_with(before, likes));
+        let out = after.adjacency(knows, Direction::Out);
+        assert!(std::ptr::eq(out, before.adjacency(knows, Direction::Out)));
+        let ev = before.ev(knows);
+        assert!(Arc::ptr_eq(ev, after.ev(knows)));
+        assert_eq!(built(before, knows), [true, true, false]);
+    }
+
+    /// Threads racing the first read of one structure all get the one
+    /// that was built.
+    #[test]
+    fn racing_first_reads_build_once() {
+        let (mut db, mapping) = stream_graph(&mut rng(3_000));
+        let mut g = GraphView::build(&mut db, mapping).unwrap();
+        g.build_index().unwrap();
+        let idx = g.index().unwrap();
+        let barrier = std::sync::Barrier::new(4);
+        let got: Vec<usize> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        std::ptr::from_ref(idx.adjacency(LabelId(0), Direction::Out)) as usize
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert!(got.iter().all(|&p| p == got[0]), "{got:?}");
+        assert_eq!(built(idx, LabelId(0)), [false, true, false]);
     }
 
     #[test]

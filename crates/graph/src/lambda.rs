@@ -70,17 +70,33 @@ impl KeyEnd {
     /// column is resolved in one loop with one dispatch on its type.
     pub(crate) fn raw(&self, edges: Option<&[RowId]>) -> Vec<RowId> {
         let n = edges.map_or(self.edges.num_rows(), <[RowId]>::len);
-        let Some((keys, valid)) = self.edges.column(self.fk).as_ints() else {
+        let Some(resolve) = self.resolver() else {
             return vec![UNRESOLVED; n];
-        };
-        let resolve = |erow: RowId| match valid {
-            Some(valid) if !valid[erow as usize] => UNRESOLVED,
-            _ => self.index.lookup(keys[erow as usize]).unwrap_or(UNRESOLVED),
         };
         match edges {
             Some(rows) => rows.iter().map(|&erow| resolve(erow)).collect(),
             None => (0..n as RowId).map(resolve).collect(),
         }
+    }
+
+    /// The first edge row whose key [`KeyEnd::raw`] cannot resolve, found
+    /// in one pass that allocates nothing: proving λ total on every row.
+    pub(crate) fn first_unresolved(&self) -> Option<RowId> {
+        let n = self.edges.num_rows() as RowId;
+        match self.resolver() {
+            Some(resolve) => (0..n).find(|&erow| resolve(erow) == UNRESOLVED),
+            None => (n > 0).then_some(0),
+        }
+    }
+
+    /// Edge row → endpoint row, [`UNRESOLVED`] where the key is NULL or
+    /// dangling; `None` when the key column holds no integers at all.
+    fn resolver(&self) -> Option<impl Fn(RowId) -> RowId + '_> {
+        let (keys, valid) = self.edges.column(self.fk).as_ints()?;
+        Some(move |erow: RowId| match valid {
+            Some(valid) if !valid[erow as usize] => UNRESOLVED,
+            _ => self.index.lookup(keys[erow as usize]).unwrap_or(UNRESOLVED),
+        })
     }
 
     /// What is wrong with edge row `erow`, whose key [`KeyEnd::raw`] could

@@ -11,7 +11,8 @@
 //! * §3.2.1 *Graph Index* — [`index::GraphIndex`] holds the **EV-index**
 //!   (per-edge source/target row ids, i.e. the extra rowid columns of
 //!   GRainDB) and the **VE-index** (CSR adjacency per edge label and
-//!   direction, neighbor lists sorted to support intersection).
+//!   direction, neighbor lists sorted to support intersection), each
+//!   built when a query first reads it.
 //! * λ as a value ([`lambda::Lambda`]) — one end of an edge label, through
 //!   the key index or the EV-index, for operators that bind an edge first
 //!   and look its endpoints up when something reads them.

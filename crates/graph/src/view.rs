@@ -77,7 +77,10 @@ impl GraphView {
         })
     }
 
-    /// Build (or rebuild) the GRainDB-style graph index over this view.
+    /// Build (or rebuild) the GRainDB-style graph index over this view:
+    /// prove λ total on every edge row (an error names the first NULL or
+    /// dangling key, as [`GraphView::resolve_endpoints`] would). Its
+    /// structures are built when a query first reads them.
     pub fn build_index(&mut self) -> Result<()> {
         let index = GraphIndex::build(self)?;
         self.index = Some(Arc::new(index));
@@ -191,7 +194,7 @@ impl GraphView {
     /// λ of one end of edge label `el` through the vertex primary-key index
     /// — [`Direction::In`] is the source end (λˢ), [`Direction::Out`] the
     /// target end (λᵗ), the vertex an edge is left by or reaches.
-    fn key_end(&self, el: LabelId, dir: Direction) -> KeyEnd {
+    pub(crate) fn key_end(&self, el: LabelId, dir: Direction) -> KeyEnd {
         let li = el.0 as usize;
         let label = self.end_label(el, dir).0 as usize;
         KeyEnd {
@@ -272,8 +275,7 @@ impl GraphView {
 mod tests {
     use super::*;
     use crate::fig2;
-    use relgo_common::DataType;
-    use relgo_storage::table::table_of;
+    use relgo_common::Value;
 
     #[test]
     fn build_resolves_tables_and_counts() {
@@ -312,21 +314,8 @@ mod tests {
 
     #[test]
     fn dangling_key_is_an_error() {
-        let mut db = fig2::database();
-        db.add_table(table_of(
-            "Bad",
-            &[
-                ("bad_id", DataType::Int),
-                ("pid", DataType::Int),
-                ("mid", DataType::Int),
-            ],
-            vec![
-                vec![1.into(), 1.into(), 100.into()],
-                vec![2.into(), 99.into(), 100.into()],
-            ],
-        ));
-        db.set_primary_key("Bad", "bad_id").unwrap();
-        let m = fig2::mapping().edge("Bad", "pid", "Person", "mid", "Message");
+        let (mut db, m) =
+            fig2::with_bad_edges(vec![[1.into(), 100.into()], [99.into(), 100.into()]]);
         let g = GraphView::build(&mut db, m).unwrap();
         let bad = g.schema().edge_label_id("Bad").unwrap();
         assert!(g.resolve_endpoints(bad, Some(&[0])).is_ok());
@@ -335,6 +324,41 @@ mod tests {
             err.contains("λs: dangling source key 99 in edge Bad@1 (λ must be total)"),
             "{err}"
         );
+    }
+
+    /// Building the index proves λ total: the first edge row with a NULL or
+    /// dangling key fails it with the text [`GraphView::resolve_endpoints`]
+    /// gives, the source reported before the target of one row.
+    #[test]
+    fn build_index_fails_on_the_first_partial_row() {
+        let cases: [(Vec<[Value; 2]>, &str); 4] = [
+            (
+                vec![[1.into(), 100.into()], [99.into(), 100.into()]],
+                "λs: dangling source key 99 in edge Bad@1 (λ must be total)",
+            ),
+            (
+                vec![[1.into(), 100.into()], [2.into(), Value::Null]],
+                "λt: NULL target key in edge Bad@1",
+            ),
+            (
+                vec![[1.into(), 100.into()], [99.into(), Value::Null]],
+                "λs: dangling source key 99 in edge Bad@1 (λ must be total)",
+            ),
+            (
+                vec![[1.into(), Value::Null], [99.into(), 100.into()]],
+                "λt: NULL target key in edge Bad@0",
+            ),
+        ];
+        for (keys, want) in cases {
+            let (mut db, m) = fig2::with_bad_edges(keys);
+            let mut g = GraphView::build(&mut db, m).unwrap();
+            let bad = g.schema().edge_label_id("Bad").unwrap();
+            let resolved = g.resolve_endpoints(bad, None).unwrap_err().to_string();
+            assert_eq!(resolved, format!("execution error: {want}"));
+            let built = g.build_index().unwrap_err().to_string();
+            assert_eq!(built, resolved);
+            assert!(g.index().is_none());
+        }
     }
 
     #[test]

@@ -316,7 +316,8 @@ pub struct ObservabilitySnapshot {
 
 impl ObservabilitySnapshot {
     /// Build the merged snapshot (called by
-    /// [`crate::Session::observability_snapshot`]).
+    /// [`crate::Session::observability_snapshot`]). `index_bytes` is the
+    /// current graph index's `GraphIndex::built_bytes`.
     pub(crate) fn collect(
         metrics: &SessionMetrics,
         epoch: u64,
@@ -324,6 +325,7 @@ impl ObservabilitySnapshot {
         wal: Option<WalStats>,
         checkpoint_epoch: u64,
         wal_bytes_since_checkpoint: Option<u64>,
+        index_bytes: Option<[(&str, usize); 3]>,
     ) -> ObservabilitySnapshot {
         let morsels = relgo_common::morsel::morsel_counters();
         let mut registry = metrics.registry.snapshot();
@@ -351,6 +353,14 @@ impl ObservabilitySnapshot {
                 "Live WAL bytes on disk (the log is truncated at each checkpoint)",
                 &[],
                 bytes.min(i64::MAX as u64) as i64,
+            );
+        }
+        for (structure, bytes) in index_bytes.into_iter().flatten() {
+            registry.push_gauge(
+                "relgo_graph_index_bytes",
+                "Resident bytes of the graph index's structures built so far (each on first read)",
+                &[("structure", structure)],
+                bytes as i64,
             );
         }
         for (name, value) in cache.counters() {
@@ -446,7 +456,8 @@ mod tests {
             syncs: 1,
             bytes: 64,
         });
-        let snap = ObservabilitySnapshot::collect(&m, 7, cache, wal, 5, Some(64));
+        let index = [("ev", 0), ("out", 96), ("in", 48)];
+        let snap = ObservabilitySnapshot::collect(&m, 7, cache, wal, 5, Some(64), Some(index));
         let names = snap.series_names();
         assert!(names.len() >= 12, "{} series: {names:?}", names.len());
         for required in [
@@ -465,6 +476,7 @@ mod tests {
             "relgo_wal_records_total",
             "relgo_morsel_runs_total",
             "relgo_morsels_dispatched_total",
+            "relgo_graph_index_bytes",
         ] {
             assert!(names.contains(&required), "missing {required}: {names:?}");
         }
@@ -481,5 +493,7 @@ mod tests {
         assert_eq!(scrape.value("relgo_plan_cache_hits_total", &[]), Some(3.0));
         assert_eq!(scrape.value("relgo_wal_records_total", &[]), Some(2.0));
         assert_eq!(scrape.value("relgo_ingest_rows_total", &[]), Some(5.0));
+        let structure = |s| scrape.value("relgo_graph_index_bytes", &[("structure", s)]);
+        assert_eq!(structure("out"), Some(96.0));
     }
 }

@@ -288,7 +288,9 @@ pub struct CheckpointReport {
 
 impl Session {
     /// Open a session over `db` with the given RGMapping: builds the graph
-    /// view, the GRainDB-style graph index, and the GLogue statistics.
+    /// view and the GLogue statistics, and proves the GRainDB-style graph
+    /// index's λ total (its structures are built when queries first read
+    /// them).
     pub fn open(db: Database, mapping: RGMapping) -> Result<Session> {
         Session::open_with(db, mapping, SessionOptions::default())
     }
@@ -694,13 +696,15 @@ impl Session {
     /// from the accessors ([`Session::epoch`], [`Session::cache_metrics`],
     /// [`Session::wal_stats`], …).
     pub fn observability_snapshot(&self) -> ObservabilitySnapshot {
+        let state = self.state();
         ObservabilitySnapshot::collect(
             &self.metrics,
-            self.epoch(),
+            state.epoch,
             self.cache_metrics(),
             self.wal_stats(),
             self.last_checkpoint_epoch(),
             self.wal_bytes_since_checkpoint(),
+            state.view.index().map(|index| index.built_bytes()),
         )
     }
 
@@ -1114,6 +1118,53 @@ mod tests {
         // Every line carries its pre-order op id and estimate.
         for (i, line) in s.lines().enumerate() {
             assert!(line.contains(&format!("[op={i} est=")), "line {i}: {line}");
+        }
+    }
+
+    /// Opening proves λ total and fails closed with the text λ resolution
+    /// gives: a dangling source, a NULL target, and both on one row (the
+    /// source is reported).
+    #[test]
+    fn open_fails_on_a_partial_lambda() {
+        let dangling = "λs: dangling source key 99 in edge Bad@1 (λ must be total)";
+        for (keys, want) in [
+            ([99.into(), 100.into()], dangling),
+            ([2.into(), Value::Null], "λt: NULL target key in edge Bad@1"),
+            ([99.into(), Value::Null], dangling),
+        ] {
+            let (db, mapping) =
+                relgo_graph::fig2::with_bad_edges(vec![[1.into(), 100.into()], keys]);
+            let err = Session::open(db, mapping).err().unwrap().to_string();
+            assert_eq!(err, format!("execution error: {want}"));
+        }
+    }
+
+    /// The graph index builds each structure on first read: opening builds
+    /// none, a RelGo query builds the CSRs it expands over (and no EV-index),
+    /// and a DuckDB-like query builds nothing.
+    #[test]
+    fn graph_index_bytes_grow_with_first_reads() {
+        let bytes = |session: &Session| {
+            let scrape =
+                relgo_metrics::text::parse(&session.observability_snapshot().render_prometheus())
+                    .unwrap();
+            ["ev", "out", "in"].map(|s| {
+                scrape
+                    .value("relgo_graph_index_bytes", &[("structure", s)])
+                    .unwrap()
+            })
+        };
+        for (mode, built) in [
+            (OptimizerMode::RelGo, true),
+            (OptimizerMode::DuckDbLike, false),
+        ] {
+            let (session, schema) = Session::snb(0.05, 42).unwrap();
+            assert_eq!(bytes(&session), [0.0; 3]);
+            let query = snb_queries::fig1_example(&schema, "Tom").unwrap();
+            session.run(&query, mode).unwrap();
+            let [ev, out, r#in] = bytes(&session);
+            assert_eq!(ev, 0.0, "{mode:?}");
+            assert_eq!((out > 0.0, r#in > 0.0), (built, built), "{mode:?}");
         }
     }
 
