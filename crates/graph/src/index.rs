@@ -367,21 +367,17 @@ impl GraphIndex {
                 continue;
             }
             // Existing entries are all valid; at most the offset tables must
-            // cover newly appended vertex rows.
+            // cover newly appended vertex rows. Cloning a cell shares what
+            // it holds, built or not.
             let keep = |cell: &OnceLock<Arc<Csr>>, change: Option<&TableChange>, rows| {
-                cell.get().map_or_else(OnceLock::new, |csr| {
-                    OnceLock::from(match change {
-                        None => Arc::clone(csr),
-                        Some(_) => Arc::new(csr.extended(rows)),
-                    })
-                })
+                let grown = cell.get().filter(|_| change.is_some());
+                grown.map_or_else(
+                    || cell.clone(),
+                    |csr| OnceLock::from(Arc::new(csr.extended(rows))),
+                )
             };
             labels.push(Arc::new(LabelIndex {
-                ev: before
-                    .ev
-                    .get()
-                    .cloned()
-                    .map_or_else(OnceLock::new, OnceLock::from),
+                ev: before.ev.clone(),
                 out: keep(&before.out, schange, label.sources),
                 in_: keep(&before.in_, dchange, label.targets),
                 ..label
