@@ -15,7 +15,6 @@
 //! additions are exact (multiplicity sums are integer-valued, so they are).
 
 use relgo_common::{morsel, RelGoError, Result, RowId};
-use relgo_graph::index::Csr;
 use relgo_graph::{Direction, GraphIndex, GraphView};
 use relgo_pattern::Pattern;
 
@@ -95,24 +94,29 @@ fn vertex_passes(view: &GraphView, pattern: &Pattern, v: usize, row: RowId) -> R
 }
 
 /// Multiplicity of data edges from the bound vertex `urow` to candidate
-/// `wrow` through pattern edge `e`, whose adjacency from `urow`'s side is
-/// `adj` (honoring the edge predicate).
+/// `wrow` through pattern edge `e` (honoring the edge predicate).
 fn edge_multiplicity(
     view: &GraphView,
+    index: &GraphIndex,
     pattern: &Pattern,
     e: usize,
-    adj: &Csr,
+    from_is_src: bool,
     urow: RowId,
     wrow: RowId,
 ) -> Result<f64> {
-    let (edges, nbrs) = adj.neighbors(urow);
+    let edge = pattern.edge(e);
+    let dir = if from_is_src {
+        Direction::Out
+    } else {
+        Direction::In
+    };
+    let (edges, nbrs) = index.neighbors(edge.label, dir, urow);
     // nbrs sorted: locate the wrow run.
     let lo = nbrs.partition_point(|&x| x < wrow);
     let hi = nbrs.partition_point(|&x| x <= wrow);
     if lo == hi {
         return Ok(0.0);
     }
-    let edge = pattern.edge(e);
     match &edge.predicate {
         None => Ok((hi - lo) as f64),
         Some(pred) => {
@@ -140,34 +144,34 @@ fn extend(
         return Ok(1.0);
     }
     let v = order[depth];
-    // Constraint edges: incident edges of v whose other endpoint is bound,
-    // with the direction that leaves that endpoint. The bound endpoint is
-    // the edge's source exactly when the new vertex `v` is its destination.
-    let constraints: Vec<(usize, usize, Direction)> = pattern
+    // Constraint edges: incident edges of v whose other endpoint is bound.
+    let constraints: Vec<(usize, usize, bool)> = pattern
         .incident_edges(v)
         .into_iter()
         .filter_map(|e| {
             let edge = pattern.edge(e);
-            let (other, dir) = if edge.src == v {
-                (edge.dst, Direction::In)
+            let (other, v_is_dst) = if edge.src == v {
+                (edge.dst, false)
             } else {
-                (edge.src, Direction::Out)
+                (edge.src, true)
             };
-            (binding[other] != u32::MAX).then_some((e, other, dir))
+            (binding[other] != u32::MAX).then_some((e, other, v_is_dst))
         })
         .collect();
     debug_assert!(
         !constraints.is_empty(),
         "traversal order keeps connectivity"
     );
-    let adjacency =
-        |&(e, _, dir): &(usize, usize, Direction)| index.adjacency(pattern.edge(e).label, dir);
 
     // Candidates: the (sorted) neighbor list through the first constraint,
-    // deduplicated; every constraint contributes its multiplicity. The
-    // first one's adjacency is looked up once, not once per candidate.
-    let adj0 = adjacency(&constraints[0]);
-    let (_, nbrs) = adj0.neighbors(binding[constraints[0].1]);
+    // deduplicated; remaining constraints contribute multiplicities.
+    let (e0, u0, v_is_dst0) = constraints[0];
+    let dir0 = if v_is_dst0 {
+        Direction::Out
+    } else {
+        Direction::In
+    };
+    let (_, nbrs) = index.neighbors(pattern.edge(e0).label, dir0, binding[u0]);
 
     let mut total = 0f64;
     let mut i = 0;
@@ -183,9 +187,10 @@ fn extend(
             continue;
         }
         let mut mult = 1f64;
-        for (k, c) in constraints.iter().enumerate() {
-            let adj = if k == 0 { adj0 } else { adjacency(c) };
-            let m = edge_multiplicity(view, pattern, c.0, adj, binding[c.1], w)?;
+        for &(e, u, v_is_dst) in &constraints {
+            // The bound endpoint `u` is the edge's source exactly when the
+            // new vertex `v` is its destination.
+            let m = edge_multiplicity(view, index, pattern, e, v_is_dst, binding[u], w)?;
             if m == 0.0 {
                 mult = 0.0;
                 break;

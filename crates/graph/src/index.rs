@@ -22,9 +22,9 @@
 //! `(neighbor, edge)` ([`Csr::build`]), with no comparison sort over the
 //! edge relation; the in-CSR is the out-CSR's transpose, which comes out
 //! already ordered, or the same counting sort over the swapped columns
-//! when no out-CSR is built. A CSR reads the EV-index's columns when that
-//! is built and resolves them afresh otherwise. Every path gives the same
-//! arrays bit for bit, so the order of first reads is never visible.
+//! when no out-CSR is built. A CSR's counting sort resolves λ's columns
+//! afresh and drops them once built. Every path gives the same arrays bit
+//! for bit, so the order of first reads is never visible.
 
 use crate::lambda::KeyEnd;
 use crate::view::GraphView;
@@ -301,13 +301,10 @@ impl LabelIndex {
         })
     }
 
-    /// `build` over the label's source and target columns: the EV-index's
-    /// when it is built, else a resolution dropped once `build` returns.
+    /// `build` over the label's freshly resolved source and target
+    /// columns, dropped once `build` returns.
     fn over_endpoints(&self, build: impl FnOnce(&[RowId], &[RowId]) -> Csr) -> Arc<Csr> {
-        Arc::new(match self.ev.get() {
-            Some(ev) => build(&ev.src_rid, &ev.dst_rid),
-            None => build(&self.src.raw(None), &self.dst.raw(None)),
-        })
+        Arc::new(build(&self.src.raw(None), &self.dst.raw(None)))
     }
 }
 
@@ -588,22 +585,32 @@ mod tests {
         ]
     }
 
-    /// Read a random subset of label `el`'s structures (0 EV, 1 out, 2 in)
-    /// in a random order, building what is unbuilt; returns what was read.
-    fn read(idx: &GraphIndex, el: LabelId, pick: &mut impl FnMut(u64) -> RowId) -> Vec<u32> {
+    /// Read structure `structure` of `label` (0 EV, 1 out, 2 in), building
+    /// it if it is unbuilt.
+    fn touch(label: &LabelIndex, structure: u32) {
+        match structure {
+            0 => _ = label.ev(),
+            1 => _ = label.out(),
+            _ => _ = label.in_(),
+        }
+    }
+
+    /// The three structures in a random order.
+    fn shuffled(pick: &mut impl FnMut(u64) -> RowId) -> Vec<u32> {
         let mut order = vec![0, 1, 2];
-        order.retain(|_| pick(3) != 0);
         for i in (1..order.len()).rev() {
             order.swap(i, pick(i as u64 + 1) as usize);
         }
-        for &structure in &order {
-            match structure {
-                0 => _ = idx.ev(el),
-                1 => _ = idx.adjacency(el, Direction::Out),
-                _ => _ = idx.adjacency(el, Direction::In),
-            }
-        }
         order
+    }
+
+    /// Read a random subset of `label`'s structures in a random order.
+    fn read(label: &LabelIndex, pick: &mut impl FnMut(u64) -> RowId) {
+        let mut order = shuffled(pick);
+        order.retain(|_| pick(3) != 0);
+        for structure in order {
+            touch(label, structure);
+        }
     }
 
     /// Both directions of an edge relation from `sources` to `targets`
@@ -878,8 +885,8 @@ mod tests {
     /// the structures is read, so each is carried over built or unbuilt;
     /// after it, exactly the labels the commit left untouched are shared,
     /// exactly the built structures of the labels it left valid are carried,
-    /// and every structure read, in a random order, equals a full build of
-    /// the merged view, array for array.
+    /// and every structure, carried or not, equals a full build of the
+    /// merged view, array for array.
     #[test]
     fn rebuild_delta_equals_full_build_over_a_commit_stream() {
         let mut arms = [0usize; 3]; // shared, extended, rebuilt
@@ -893,8 +900,8 @@ mod tests {
             prev.build_index().unwrap();
             let mut fresh_key = 1_000i64;
             for commit in 0..8i64 {
-                for el in [LabelId(0), LabelId(1)] {
-                    read(prev.index().unwrap(), el, &mut pick);
+                for label in &prev.index().unwrap().labels {
+                    read(label, &mut pick);
                 }
                 // Per vertex table: 0 untouched, 1 appends only, 2 also
                 // deletions and replacements. Per edge table: touched or not.
@@ -1009,30 +1016,34 @@ mod tests {
                     }
                     arms[usize::from(!untouched) + usize::from(!kept)] += 1;
 
-                    // Read what `pick` chooses; each read equals the full
-                    // build, and the comparison sort of its EV-index.
-                    let (sources, targets) = (db_rows("A"), db_rows(dst));
-                    for structure in read(got, el, &mut pick) {
-                        let ev = want.ev(el);
-                        match structure {
-                            0 => {
-                                assert_eq!(got.ev(el).src_rid, ev.src_rid, "{what}: EV src");
-                                assert_eq!(got.ev(el).dst_rid, ev.dst_rid, "{what}: EV dst");
-                            }
-                            1 => {
-                                let csr = got.adjacency(el, Direction::Out);
-                                assert_same(csr, want.adjacency(el, Direction::Out), &what);
-                                let want_out = reference(sources, &ev.src_rid, &ev.dst_rid);
-                                assert_same(csr, &want_out, &format!("{what} out"));
-                            }
-                            _ => {
-                                let csr = got.adjacency(el, Direction::In);
-                                assert_same(csr, want.adjacency(el, Direction::In), &what);
-                                let want_in = reference(targets, &ev.dst_rid, &ev.src_rid);
-                                assert_same(csr, &want_in, &format!("{what} in"));
-                            }
-                        }
+                    // Read what `pick` chooses in `got`. Then check all three
+                    // structures, in a random order, through a throw-away
+                    // copy of the label: a built cell's clone shares its
+                    // value and an unbuilt one's is a cell of its own, so
+                    // the copy builds nothing in `got`. Each equals the full
+                    // build and the comparison sort of its EV-index.
+                    read(now, &mut pick);
+                    let copy = LabelIndex {
+                        ev: now.ev.clone(),
+                        out: now.out.clone(),
+                        in_: now.in_.clone(),
+                        ..LabelIndex::new(&inc, el)
+                    };
+                    for structure in shuffled(&mut pick) {
+                        touch(&copy, structure);
                     }
+                    let ev = want.ev(el);
+                    assert_eq!(copy.ev().src_rid, ev.src_rid, "{what}: EV src");
+                    assert_eq!(copy.ev().dst_rid, ev.dst_rid, "{what}: EV dst");
+                    let (sources, targets) = (db_rows("A"), db_rows(dst));
+                    let out = copy.out();
+                    assert_same(out, want.adjacency(el, Direction::Out), &what);
+                    let want_out = reference(sources, &ev.src_rid, &ev.dst_rid);
+                    assert_same(out, &want_out, &format!("{what} out"));
+                    let in_ = copy.in_();
+                    assert_same(in_, want.adjacency(el, Direction::In), &what);
+                    let want_in = reference(targets, &ev.dst_rid, &ev.src_rid);
+                    assert_same(in_, &want_in, &format!("{what} in"));
                 }
                 prev = inc;
             }
@@ -1061,7 +1072,7 @@ mod tests {
 
     /// Every order of first reads builds the same arrays: the in-CSR alone
     /// (a counting sort over fresh columns), the out-CSR then its transpose,
-    /// or the EV-index first and both CSRs from it.
+    /// or the EV-index first and both CSRs after it.
     #[test]
     fn every_read_order_builds_the_reference() {
         for seed in 0..6 {
@@ -1072,11 +1083,7 @@ mod tests {
                 let idx = g.index().unwrap();
                 for el in [LabelId(0), LabelId(1)] {
                     for structure in order {
-                        match structure {
-                            0 => _ = idx.ev(el),
-                            1 => _ = idx.adjacency(el, Direction::Out),
-                            _ => _ = idx.adjacency(el, Direction::In),
-                        }
+                        touch(&idx.labels[el.0 as usize], structure);
                     }
                     let (src, dst) = g.resolve_endpoints(el, None).unwrap();
                     let ev = idx.ev(el);
